@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
 from .errors import (
+    ClosureNotPositive,
     ConfigurationError,
     ContractViolation,
     NonPositiveObjective,
@@ -183,7 +184,7 @@ def enumerate_variants(old, new, basis: OrthonormalBasis):
         elems = [mats_new[i] if b else mats_old[i] for i, b in enumerate(bits)]
         try:
             out.append(complete_povm(elems, coords))
-        except Exception:
+        except ClosureNotPositive:
             continue
     return out
 
@@ -213,7 +214,7 @@ def random_initial_povm(
             continue
         try:
             pov = complete_povm([coords_to_element(c, basis) for c in coords], coords)
-        except Exception:
+        except ClosureNotPositive:
             continue
         design = design_matrix(coords, pattern)
         scale = float(np.abs(design.T).max())

@@ -324,7 +324,7 @@ def _run_anneal(cfg: ExperimentConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def _run_refine(cfg: ExperimentConfig, workers: int) -> int:
+def _run_refine(cfg: ExperimentConfig) -> int:
     n = cfg.dim
     m = cfg.refine.element_count or cfg.pattern.unknown_count + 1
     base_seed = cfg.refine.schedule.rng_seed
@@ -548,7 +548,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> int:
         if cfg.mode == "anneal":
             return _run_anneal(cfg, workers)
         if cfg.mode == "refine":
-            return _run_refine(cfg, workers)
+            return _run_refine(cfg)
         if cfg.mode == "gridinfo":
             return _run_gridinfo(cfg)
         if cfg.mode == "verify":

@@ -5,8 +5,12 @@ Each element is E_i = (n/m) |h_i><h_i| with every entry of h_i of modulus
 quasi-orthogonal to the diagonal subalgebra.  Only the entry phases remain
 free; the first vector and every first component are pinned to phase zero.
 The search minimizes the cross-overlap variance Delta plus a completeness
-penalty, by Glauber annealing over the phases followed by cyclic coordinate
-descent with a golden-section line search per phase.
+penalty.  Glauber annealing over the phases finds the basin; a
+Levenberg-Marquardt polish then drives the objective to its floor.  The
+objective is a plain sum of squares -- the centred off-diagonal overlaps and
+sqrt(weight) times the real and imaginary parts of the completeness residual --
+so the polish works on those residuals and their analytic Jacobian with
+respect to the free phases.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from .errors import ContractViolation
 from .povm import Povm, validate
 
 TWO_PI = 2.0 * math.pi
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 POLISH_IMPROVEMENT_TOL = 1e-14
 POLISH_FLOOR = 1e-26
-POLISH_MAX_SWEEPS = 600
-LINE_SCAN_POINTS = 12
-LINE_XTOL = 1e-12
+POLISH_MAX_ITERATIONS = 200
+LM_LAMBDA_START = 1e-3
+LM_LAMBDA_MAX = 1e16
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,8 @@ def gauge_fix(raw) -> np.ndarray:
     """Remove per-vector global phases: subtract each row's first entry, wrap."""
     raw = np.asarray(raw, dtype=float)
     out = np.mod(raw - raw[:, :1], TWO_PI)
+    # np.mod rounds a tiny negative phase up to exactly 2pi
+    out[out >= TWO_PI] = 0.0
     out[:, 0] = 0.0
     return out
 
@@ -106,6 +111,39 @@ def _objective(phases: np.ndarray, dim: int, m: int, weight: float, off_mask) ->
     return val
 
 
+def _residuals(phases: np.ndarray, dim: int, m: int, weight: float, off_mask):
+    """Residuals r with r @ r == _objective(...), and their Jacobian over phases[1:, 1:].
+
+    r stacks the centred off-diagonal overlaps and sqrt(weight) times the real
+    and imaginary parts of the completeness residual S.
+    """
+    H = _vectors(phases, dim)
+    c = dim / m
+    g = H.conj()[:, None, :] * H[None, :, :]  # G_ab = sum_k g_abk
+    G = g.sum(axis=2)
+    off = ((c * c) * (G.real**2 + G.imag**2))[off_mask]
+    # d|G_ab|^2 / d phi_jk = 2 Re(conj(G_ab) i g_abk) (delta_bj - delta_aj)
+    D = (-2.0 * c * c) * (G.conj()[:, :, None] * g).imag
+    idx = np.arange(m)
+    d_overlaps = np.zeros((m, m, m, dim))
+    d_overlaps[:, idx, idx, :] = D
+    d_overlaps[idx, :, idx, :] -= D
+    d_off = d_overlaps[off_mask][:, 1:, 1:].reshape(off.size, -1)
+    residuals = [off - off.mean()]
+    jacobian = [d_off - d_off.mean(axis=0)]
+    if weight != 0.0:
+        s = c * H[:, :, None] * H.conj()[:, None, :]  # S_kl = sum_a s_akl - delta_kl
+        S = s.sum(axis=0) - np.eye(dim)
+        # d S_kl / d phi_aj = i s_akl (delta_jk - delta_jl)
+        eye = np.eye(dim)
+        dS = 1j * (np.einsum("akl,jk->klaj", s, eye) - np.einsum("akl,jl->klaj", s, eye))
+        dS = dS[:, :, 1:, 1:].reshape(dim * dim, -1)
+        root_w = math.sqrt(weight)
+        residuals += [root_w * S.real.ravel(), root_w * S.imag.ravel()]
+        jacobian += [root_w * dS.real, root_w * dS.imag]
+    return np.concatenate(residuals), np.vstack(jacobian)
+
+
 def refine_objective(phi: PhaseConfiguration, weight: float = 1.0) -> float:
     """Cross-overlap variance plus `weight` times the squared completeness residual."""
     if weight < 0:
@@ -121,25 +159,17 @@ class RefineResult:
     objective: float
 
 
-def _golden_section(f, lo: float, hi: float, xtol: float):
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.0) -> RefineResult:
-    """Anneal the free phases, then polish with per-phase golden-section descent."""
+    """Anneal the free phases, then polish with Levenberg-Marquardt.
+
+    The anneal keeps the best configuration it visits; the polish starts there
+    and takes damped Gauss-Newton steps (J^T J + lam diag(J^T J)) d = -J^T r on
+    the residuals of `_residuals`, keeping a step only if it lowers the
+    objective and otherwise raising lam tenfold.  It stops at POLISH_FLOOR, at a
+    relative gain below POLISH_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX,
+    or after POLISH_MAX_ITERATIONS.  `objective_trace` holds the anneal records
+    followed by one value per accepted iteration.
+    """
     n, m = initial.dim, initial.element_count
     off_mask = ~np.eye(m, dtype=bool)
 
@@ -166,38 +196,37 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
         if t % config.trace_every == 0:
             trace.append(f_cur)
 
-    # cyclic coordinate descent polish on the best configuration; the
-    # improvement threshold is relative to the sweep's starting value so the
-    # descent runs to the floating-point floor instead of parking at ~1e-13
-    phases = best
-    f = f_best
-    free = [(i, k) for i in range(1, m) for k in range(1, n)]
-    span = TWO_PI / LINE_SCAN_POINTS
-    for _ in range(POLISH_MAX_SWEEPS):
-        f_sweep_start = f
-        for i, k in free:
-            x0 = phases[i, k]
-
-            def slice_f(x):
-                phases[i, k] = x
-                return fval(phases)
-
-            xs = x0 + span * np.arange(LINE_SCAN_POINTS)
-            fs = [slice_f(x) for x in xs]
-            j = int(np.argmin(fs))
-            x_star, f_star = _golden_section(slice_f, xs[j] - span, xs[j] + span, LINE_XTOL)
-            if f_star < f:
-                phases[i, k] = math.fmod(x_star, TWO_PI) + (TWO_PI if x_star < 0 else 0.0)
-                if phases[i, k] >= TWO_PI:
-                    phases[i, k] -= TWO_PI
-                f = slice_f(phases[i, k])
-            else:
-                phases[i, k] = x0
-                f = fval(phases)
-        trace.append(f)
+    # Levenberg-Marquardt polish of the best configuration.  A step is kept
+    # only if it lowers the objective, so the polish trace is monotone.  The
+    # gain threshold is relative to the iteration's starting value so the
+    # descent runs to the floating-point floor instead of parking at ~1e-13.
+    phases, f = best, f_best
+    lam = LM_LAMBDA_START
+    for _ in range(POLISH_MAX_ITERATIONS):
         if f <= POLISH_FLOOR:
             break
-        if f_sweep_start - f < POLISH_IMPROVEMENT_TOL * max(f_sweep_start, 1e-300):
+        r, J = _residuals(phases, n, m, weight, off_mask)
+        JtJ = J.T @ J
+        grad = J.T @ r
+        damping = np.diag(np.diag(JtJ))
+        while lam <= LM_LAMBDA_MAX:
+            step = np.linalg.solve(JtJ + lam * damping, -grad)
+            trial = phases.copy()
+            trial[1:, 1:] += step.reshape(m - 1, n - 1)
+            # wrap before evaluating, so f_trial is the objective of the phases
+            # returned even after a huge step from a near-stationary start
+            trial = gauge_fix(trial)
+            f_trial = fval(trial)
+            if f_trial < f:
+                break
+            lam *= 10.0
+        else:
+            break
+        f_start = f
+        phases, f = trial, f_trial
+        trace.append(f)
+        lam /= 10.0
+        if f_start - f < POLISH_IMPROVEMENT_TOL * f_start:
             break
     return RefineResult(PhaseConfiguration(n, m, gauge_fix(phases)), trace, f)
 

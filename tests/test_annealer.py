@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povm_lab import annealer, linalg, povm as pv
-from povm_lab.errors import ContractViolation, ResampleExhausted
+from povm_lab.errors import ContractViolation, NumericalError, ResampleExhausted
 
 TRINE_COORDS = [
     pv.PovmElementCoords(
@@ -113,6 +113,16 @@ class TestEnumerateVariants:
         news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
         for cand in annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2):
             assert pv.validate(cand, 1e-9) == []
+
+    def test_only_closure_failures_are_skipped(self, basis2, monkeypatch):
+        def failing_completion(elements, coords=None):
+            raise NumericalError("eigensolver did not converge")
+
+        monkeypatch.setattr(annealer, "complete_povm", failing_completion)
+        rng = np.random.default_rng(5)
+        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        with pytest.raises(NumericalError):
+            annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2)
 
 
 class TestGlauberAccept:

@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from povm_lab import catalog, linalg, rankone
 from povm_lab.annealer import AnnealConfig
 from povm_lab.errors import ContractViolation
+
+
+RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
+RESIDUAL_WEIGHTS = [0.0, 1.0, 10.0]
+
+
+def residuals(phases, weight):
+    m, n = phases.shape
+    return rankone._residuals(phases, n, m, weight, ~np.eye(m, dtype=bool))
 
 
 def refine_config(seed, steps=1500):
@@ -41,6 +52,13 @@ class TestPhasesToPovm:
         pov, _ = rankone.phases_to_povm(phi)
         for e in pov.elements:
             assert np.abs(np.diag(e) - 1 / 7).max() < 1e-15
+
+    def test_gauge_fix_wraps_tiny_negative_phase(self):
+        raw = np.zeros((3, 3))
+        raw[1, 2] = -1e-17
+        fixed = rankone.gauge_fix(raw)
+        assert fixed[1, 2] == 0.0
+        rankone.PhaseConfiguration(3, 3, fixed)
 
     def test_gauge_validation(self):
         bad = np.zeros((3, 3))
@@ -98,6 +116,71 @@ class TestRefine:
         assert max(abs(o - 2 / 49) for o in overlaps) < 1e-6
         total = sum(pov.elements)
         assert np.abs(total - np.eye(3)).max() < 1e-9
+
+
+class TestResiduals:
+    """The LM polish's residuals and Jacobian against the objective they square."""
+
+    @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
+    @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
+    def test_sum_of_squares_is_objective(self, n, m, weight):
+        rng = np.random.default_rng([n, m, int(weight)])
+        for _ in range(3):
+            phi = rankone.random_phases(n, m, rng)
+            r, _ = residuals(phi.phases, weight)
+            want = rankone.refine_objective(phi, weight)
+            assert abs(r @ r - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
+    @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
+    def test_jacobian_matches_central_differences(self, n, m, weight):
+        rng = np.random.default_rng([n, m, int(weight)])
+        h = 1e-6
+        for _ in range(3):
+            phi = rankone.random_phases(n, m, rng)
+            _, J = residuals(phi.phases, weight)
+            assert J.shape[1] == (m - 1) * (n - 1)
+            free = [(i, k) for i in range(1, m) for k in range(1, n)]
+            for col, (i, k) in enumerate(free):
+                plus, minus = phi.phases.copy(), phi.phases.copy()
+                plus[i, k] += h
+                minus[i, k] -= h
+                r_plus, _ = residuals(plus, weight)
+                r_minus, _ = residuals(minus, weight)
+                assert np.abs(J[:, col] - (r_plus - r_minus) / (2 * h)).max() < 1e-8
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "n,m,old_polish_floor",
+        # objectives the golden-section coordinate-descent polish reached
+        [(2, 4, 0.04166666666666674), (3, 5, 0.013131282035425646), (3, 6, 0.022222222399260538)],
+    )
+    def test_nonzero_floor_no_worse_than_coordinate_descent(self, n, m, old_polish_floor):
+        initial = rankone.random_phases(n, m, np.random.default_rng([0, 0]))
+        res = rankone.refine(initial, refine_config(0, steps=3000), 1.0)
+        assert res.objective <= old_polish_floor
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_stationary_start_reports_its_phases(self, steps):
+        # phases of 0 and pi make every overlap derivative (nearly) vanish, so
+        # the first Gauss-Newton step is huge
+        phases = np.zeros((4, 2))
+        phases[1, 1] = phases[3, 1] = np.pi
+        initial = rankone.PhaseConfiguration(2, 4, phases)
+        res = rankone.refine(initial, replace(refine_config(0, steps=steps), s0=1e-200), 0.0)
+        assert res.objective <= rankone.refine_objective(initial, 0.0)
+        assert rankone.refine_objective(res.phases, 0.0) == pytest.approx(res.objective, rel=1e-12)
+
+    def test_iteration_count_on_acceptance_seeds(self):
+        for seed in range(5):
+            initial = rankone.random_phases(3, 7, np.random.default_rng(seed))
+            cfg = refine_config(seed, steps=3000)
+            res = rankone.refine(initial, cfg, 1.0)
+            anneal_records = 1 + len(range(0, cfg.total_steps, cfg.trace_every))
+            iterations = len(res.objective_trace) - anneal_records
+            assert 1 <= iterations <= 20
+            assert res.objective < 1e-20
 
 
 @pytest.mark.invariants
