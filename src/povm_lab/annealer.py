@@ -229,7 +229,6 @@ def anneal(
     cluster: Cluster,
     basis: OrthonormalBasis,
     pattern: ParameterPattern,
-    workers: int = 1,
     check_validity: bool = False,
 ) -> AnnealResult:
     """Run the annealing chain; fixed seed gives a bit-identical trace."""
@@ -238,7 +237,7 @@ def anneal(
         raise ContractViolation("initial POVM must carry coordinates for its free elements")
     cur_dacm = dacm(
         design_matrix(initial.coords, pattern),
-        averaged_covariance(initial, cluster, basis, pattern, workers),
+        averaged_covariance(initial, cluster, basis, pattern),
     )
     current = initial
     best, best_dacm = current, cur_dacm
@@ -267,7 +266,7 @@ def anneal(
             try:
                 d = dacm(
                     design_matrix(cand.coords, pattern),
-                    averaged_covariance(cand, cluster, basis, pattern, workers),
+                    averaged_covariance(cand, cluster, basis, pattern),
                 )
             except (SingularDesign, NonPositiveObjective):
                 skipped += 1

@@ -43,14 +43,19 @@ class OrthonormalBasis:
     identity_element: np.ndarray
     labels: tuple
 
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if len(self.elements) != self.dim**2 - 1:
             raise ContractViolation("basis must have n^2 - 1 traceless elements")
+        stack = np.stack(self.elements)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def stack(self) -> np.ndarray:
-        """(n^2-1, n, n) array of the traceless elements."""
-        return np.stack(self.elements)
+        """(n^2-1, n, n) read-only array of the traceless elements, built once."""
+        return self._stack
 
     def element(self, index: int) -> np.ndarray:
         """sigma_index for a 1-based basis index."""

@@ -301,12 +301,12 @@ def _report_text(P, cfg, extra=()):
     return "\n".join(lines) + "\n"
 
 
-def _run_anneal(cfg: ExperimentConfig, workers: int) -> int:
+def _run_anneal(cfg: ExperimentConfig) -> int:
     b = gell_mann_basis(cfg.dim)
     _, cl = _build_cluster(cfg, b)
     init_rng = np.random.default_rng([cfg.anneal.rng_seed, 1])
     initial = random_initial_povm(cfg.pattern, b, init_rng, cfg.init_scale)
-    result = anneal(cfg.anneal, initial, cl, b, cfg.pattern, workers=workers)
+    result = anneal(cfg.anneal, initial, cl, b, cfg.pattern)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     write_trace(result.trace, os.path.join(out, "trace.csv"))
@@ -542,11 +542,11 @@ def _run_verify() -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def run(cfg: ExperimentConfig, workers: int = 1) -> int:
+def run(cfg: ExperimentConfig) -> int:
     """Dispatch one experiment; returns the process exit code."""
     try:
         if cfg.mode == "anneal":
-            return _run_anneal(cfg, workers)
+            return _run_anneal(cfg)
         if cfg.mode == "refine":
             return _run_refine(cfg)
         if cfg.mode == "gridinfo":
@@ -578,7 +578,6 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", help="experiment config file (optional for verify)")
     parser.add_argument("--seed", type=int, help="override the anneal/refine seed")
-    parser.add_argument("--workers", type=int, default=1, help="cluster-sum chunk count")
     parser.add_argument("--out", help="override output.dir")
     args = parser.parse_args(argv)
 
@@ -599,12 +598,10 @@ def main(argv=None) -> int:
             cfg.refine.schedule = replace(cfg.refine.schedule, rng_seed=args.seed)
         if args.out is not None:
             cfg.output_dir = args.out
-        if args.workers < 1:
-            raise ConfigurationError("--workers must be >= 1")
     except ConfigurationError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    return run(cfg, workers=args.workers)
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ Eigenvalues come from a cyclic Jacobi iteration on the Hermitian matrix and
 real systems are solved by partially pivoted elimination.  Everything here is
 deterministic and dependency-free beyond numpy array handling, which keeps the
 annealing loops bit-reproducible for a fixed seed.
+
+These are the per-matrix routines.  Whole stacks of states (the state-space
+grid and its clustering in `statespace`) go through numpy's batched `eigvalsh`
+instead, and the tests check that batched path against the Jacobi one.
 """
 
 from __future__ import annotations

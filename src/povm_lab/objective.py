@@ -126,14 +126,8 @@ def averaged_covariance(
     cluster: Cluster,
     basis: OrthonormalBasis,
     pattern: ParameterPattern,
-    workers: int = 1,
 ) -> AveragedCovariance:
-    """W0 = sum over cluster members of the multinomial covariance at that state.
-
-    The sum runs in a fixed member order; `workers > 1` only changes the
-    reduction into that many contiguous chunks (results agree to ~1e-12
-    relative with the single-chunk sum).
-    """
+    """W0 = sum over cluster members of the multinomial covariance at that state."""
     members = cluster.members
     if members.shape[0] == 0:
         raise ContractViolation("cluster has no members")
@@ -151,15 +145,9 @@ def averaged_covariance(
         )
     n_unknown = pattern.unknown_count
     head = probs[:, :n_unknown]
-    k = members.shape[0]
-    chunks = max(1, min(int(workers), k))
-    bounds = np.linspace(0, k, chunks + 1).astype(int)
-    W0 = np.zeros((n_unknown, n_unknown))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = head[lo:hi]
-        W0 += np.diag(block.sum(axis=0)) - block.T @ block
+    W0 = np.diag(head.sum(axis=0)) - head.T @ head
     W0 = (W0 + W0.T) / 2.0
-    return AveragedCovariance(W0, k)
+    return AveragedCovariance(W0, members.shape[0])
 
 
 def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:

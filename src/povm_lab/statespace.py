@@ -6,23 +6,26 @@ points, and group them by which cell of a B-way partition of [0, 1] each
 (descending) eigenvalue falls into.  One cluster stands in for a unitary
 orbit of states with fixed spectrum, and the averaged covariance is a raw
 (unnormalized) sum over its members.
+
+Grid positivity and cluster keys come from numpy's stacked `eigvalsh`, one call
+per block of GRID_BLOCK states; the scalar Jacobi solver in `linalg` stays the
+per-matrix path and the test oracle for this batched one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector, bloch_to_state
+from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector
 from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
 DEFAULT_CELLS = 10
 DEFAULT_POINTS_PER_AXIS = 7
+GRID_BLOCK = 343  # points per stacked eigvalsh call: one 7^3 slab
 
 
 @dataclass(frozen=True)
@@ -58,46 +61,68 @@ class Cluster:
         return self.members.shape[0]
 
 
+def _spectra(thetas: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
+    """Descending eigenvalues of rho = I/n + theta . sigma for each row of thetas.
+
+    One stacked `eigvalsh` per GRID_BLOCK rows, on the Hermitian average
+    (A + A†)/2 that `linalg.symmetrize` forms for a single matrix.
+    """
+    out = np.empty((thetas.shape[0], basis.dim))
+    for lo in range(0, thetas.shape[0], GRID_BLOCK):
+        rho = np.tensordot(thetas[lo : lo + GRID_BLOCK], basis.stack, axes=1)
+        rho += np.eye(basis.dim) / basis.dim
+        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+        out[lo : lo + GRID_BLOCK] = np.linalg.eigvalsh(rho)[:, ::-1]
+    return out
+
+
+def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
+    """Cell indices floor(lambda * B) of descending eigenvalue rows, clamped to [0, B-1]."""
+    return np.clip(np.floor(evals * cells), 0, cells - 1).astype(int)
+
+
 def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
-    """All PSD grid states as rows of full Bloch vectors, in axis-lexicographic order."""
+    """All PSD grid states as rows of full Bloch vectors, in axis-lexicographic order.
+
+    The grid is walked in blocks of GRID_BLOCK points, so transient memory does
+    not grow with the grid size.
+    """
     pattern = spec.pattern
     axis = np.linspace(-spec.bound, spec.bound, spec.points_per_axis)
+    shape = (spec.points_per_axis,) * pattern.unknown_count
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
-    known_pos = [i - 1 for i in pattern.known_indices]
-    full = np.empty(basis.dim**2 - 1)
-    if known_pos:
-        full[known_pos] = pattern.known_values
-    eye = np.eye(basis.dim) / basis.dim
-    stack = basis.stack
+    template = np.zeros(basis.dim**2 - 1)
+    template[[i - 1 for i in pattern.known_indices]] = pattern.known_values
+    total = spec.points_per_axis**pattern.unknown_count
     kept = []
-    for combo in itertools.product(axis, repeat=pattern.unknown_count):
-        full[unknown_pos] = combo
-        rho = np.tensordot(full, stack, axes=1)
-        rho += eye
-        if linalg.min_eigenvalue(rho) >= -GRID_PSD_TOL:
-            kept.append(full.copy())
-    if kept:
-        return np.array(kept)
-    return np.zeros((0, basis.dim**2 - 1))
-
-
-def eigenvalue_cell_key(rho, cells: int) -> tuple:
-    """Cell indices floor(lambda * B) of the descending eigenvalues, clamped to [0, B-1]."""
-    evals = linalg.hermitian_eigenvalues(rho)
-    return tuple(min(max(int(np.floor(ev * cells)), 0), cells - 1) for ev in evals)
+    for lo in range(0, total, GRID_BLOCK):
+        digits = np.unravel_index(np.arange(lo, min(lo + GRID_BLOCK, total)), shape)
+        block = np.tile(template, (digits[0].size, 1))
+        block[:, unknown_pos] = axis[np.stack(digits, axis=1)]
+        kept.append(block[_spectra(block, basis)[:, -1] >= -GRID_PSD_TOL])
+    return np.concatenate(kept)
 
 
 def cluster_states(states, cells: int, basis: OrthonormalBasis) -> dict:
-    """Partition Bloch vectors into clusters keyed by their eigenvalue cells."""
+    """Partition Bloch vectors into clusters keyed by their eigenvalue cells.
+
+    Clusters appear in the order of their first member and keep their members
+    in input order.
+    """
     if cells < 1:
         raise ContractViolation("cells must be >= 1")
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != basis.dim**2 - 1:
+        raise ContractViolation(
+            f"states have shape {states.shape}, expected (k, {basis.dim**2 - 1})"
+        )
+    if not np.all(np.isfinite(states)):
+        raise ContractViolation("states have non-finite entries")
+    keys = eigenvalue_cells(_spectra(states, basis), cells)
     groups: dict = {}
-    for theta in np.asarray(states, dtype=float):
-        key = eigenvalue_cell_key(bloch_to_state(theta, basis), cells)
-        groups.setdefault(key, []).append(theta)
-    return {
-        key: Cluster(key, np.array(members), cells) for key, members in groups.items()
-    }
+    for row, key in enumerate(map(tuple, keys.tolist())):
+        groups.setdefault(key, []).append(row)
+    return {key: Cluster(key, states[rows], cells) for key, rows in groups.items()}
 
 
 def select_cluster(
@@ -122,7 +147,7 @@ def select_cluster(
             raise ConfigurationError("reference policy needs theta_ref, basis and pattern")
         cells = next(iter(clusters.values())).cell_count
         full = assemble_full_vector(pattern, theta_ref)
-        key = eigenvalue_cell_key(bloch_to_state(full, basis), cells)
+        key = tuple(eigenvalue_cells(_spectra(full[None], basis), cells)[0].tolist())
         if key not in clusters:
             raise EmptyClusterSelection(f"no cluster with key {key}")
         return clusters[key]

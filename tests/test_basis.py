@@ -34,6 +34,14 @@ class TestGellMannBasis:
     def test_identity_element(self, basis3):
         assert np.abs(basis3.identity_element - np.eye(3) / np.sqrt(3)).max() == 0.0
 
+    def test_stack_built_once_read_only(self, basis3):
+        # stays a plain property so callers can wrap its getter
+        assert isinstance(vars(bs.OrthonormalBasis)["stack"], property)
+        assert basis3.stack is basis3.stack
+        assert np.array_equal(basis3.stack, np.stack(basis3.elements))
+        with pytest.raises(ValueError):
+            basis3.stack[0, 0, 0] = 1.0
+
 
 class TestBlochConversion:
     def test_zero_vector(self, basis3):

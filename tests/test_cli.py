@@ -108,13 +108,6 @@ class TestAnnealMode:
         assert cli.main(["anneal", "--config", str(cfg_path), "--seed", "12"]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
-    def test_workers_flag(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        out = tmp_path / "out"
-        cfg_path.write_text(QUBIT_CFG.format(steps=60, seed=4, out=out))
-        assert cli.main(["anneal", "--config", str(cfg_path), "--workers", "3"]) == 0
-        assert pv.validate(pv.read_povm(out / "best_povm.txt"), 1e-9) == []
-
     def test_outputs_reparse(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         out = tmp_path / "out"
@@ -214,7 +207,7 @@ class TestExitCodes:
     def test_numerical_failure_is_3(self, monkeypatch, tmp_path):
         from povm_lab.errors import SingularDesign
 
-        def boom(cfg, workers):
+        def boom(cfg):
             raise SingularDesign("forced")
 
         monkeypatch.setattr(cli, "_run_anneal", boom)

@@ -270,14 +270,6 @@ class TestInvariants:
             )
             assert val == pytest.approx(base, rel=1e-12)
 
-    def test_worker_chunking_agrees(self, trine, basis2, qubit_pattern, qubit_cluster):
-        base = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern).W0
-        for workers in (2, 3, 5):
-            w0 = objective.averaged_covariance(
-                trine, qubit_cluster, basis2, qubit_pattern, workers=workers
-            ).W0
-            assert np.abs(w0 - base).max() <= 1e-12 * max(1.0, np.abs(base).max())
-
     def test_batched_probabilities_match_per_state(
         self, trine, basis2, qubit_pattern, qubit_cluster
     ):

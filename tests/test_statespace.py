@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from povm_lab import basis as bs
 from povm_lab import linalg, statespace
-from povm_lab.errors import ConfigurationError, EmptyClusterSelection
+from povm_lab.errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 
 class TestGenerateGrid:
@@ -47,6 +49,13 @@ class TestClusterStates:
         states = np.array([[0.2, 0.0, 0.0], [0.21, 0.0, 0.0]])
         clusters = statespace.cluster_states(states, 10, basis2)
         assert set(clusters) == {(6, 3)}
+
+    def test_rejects_wrong_width(self, basis2):
+        with pytest.raises(ContractViolation):
+            statespace.cluster_states(np.zeros((2, 8)), 10, basis2)
+
+    def test_empty_states(self, basis2):
+        assert statespace.cluster_states(np.zeros((0, 3)), 10, basis2) == {}
 
     def test_top_cell_clamp(self, basis2):
         # pure state: eigenvalues exactly (1, 0)
@@ -127,3 +136,99 @@ class TestInvariants:
             a = {tuple(m) for m in ref[key].members}
             b = {tuple(m) for m in other[key].members}
             assert a == b
+
+
+def oracle_grid(spec, basis):
+    """Per-point grid walk on the scalar Jacobi path, in itertools.product order."""
+    axis = np.linspace(-spec.bound, spec.bound, spec.points_per_axis)
+    rows = []
+    for combo in itertools.product(axis, repeat=spec.pattern.unknown_count):
+        full = bs.assemble_full_vector(spec.pattern, combo)
+        if linalg.min_eigenvalue(bs.bloch_to_state(full, basis)) >= -statespace.GRID_PSD_TOL:
+            rows.append(full)
+    return np.array(rows).reshape(-1, basis.dim**2 - 1)
+
+
+def oracle_clusters(states, cells, basis):
+    """Per-state cell keys from the scalar Jacobi path: {key: members in input order}."""
+    groups = {}
+    for theta in states:
+        evals = linalg.hermitian_eigenvalues(bs.bloch_to_state(theta, basis))
+        key = tuple(min(max(int(np.floor(ev * cells)), 0), cells - 1) for ev in evals)
+        groups.setdefault(key, []).append(theta)
+    return groups
+
+
+def assert_matches_oracle(spec, basis):
+    states = statespace.generate_grid(spec, basis)
+    expected = oracle_grid(spec, basis)
+    assert states.shape == expected.shape
+    assert np.array_equal(states, expected)
+    clusters = statespace.cluster_states(states, 10, basis)
+    groups = oracle_clusters(expected, 10, basis)
+    assert list(clusters) == list(groups)
+    for key, members in groups.items():
+        assert clusters[key].key == key
+        assert np.array_equal(clusters[key].members, np.array(members))
+    return states, clusters
+
+
+class TestBatchedAgainstOracle:
+    def test_qubit_g7(self, basis2, qubit_pattern):
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
+        assert_matches_oracle(spec, basis2)
+
+    def test_qutrit_g5(self, basis3, qutrit_pattern):
+        spec = statespace.GridSpec(5, bs.bloch_radius_bound(3), qutrit_pattern)
+        states, _ = assert_matches_oracle(spec, basis3)
+        assert states.shape[0] > 0
+
+    def test_no_known_indices(self, basis2):
+        pattern = bs.ParameterPattern(2, (1, 2, 3))
+        spec = statespace.GridSpec(5, bs.bloch_radius_bound(2), pattern)
+        states, _ = assert_matches_oracle(spec, basis2)
+        assert states.shape[0] > 0
+
+    def test_dim4_diag_unknown_g7(self, basis4, dim4_diag_unknown_pattern):
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(4), dim4_diag_unknown_pattern)
+        states, _ = assert_matches_oracle(spec, basis4)
+        assert states.shape[0] > 0
+
+    @pytest.mark.parametrize("block", [7, 10, 100])
+    def test_partial_last_block(self, monkeypatch, basis2, qubit_pattern, block):
+        # 25^2 = 625 points: none of the block sizes divides it
+        monkeypatch.setattr(statespace, "GRID_BLOCK", block)
+        spec = statespace.GridSpec(25, bs.bloch_radius_bound(2), qubit_pattern)
+        states, _ = assert_matches_oracle(spec, basis2)
+        assert 625 % block != 0 and states.shape[0] > 2 * block
+
+    def test_golden_qutrit_g7(self, basis3, qutrit_pattern):
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
+        states = statespace.generate_grid(spec, basis3)
+        assert states.shape == (361, 8)
+        clusters = statespace.cluster_states(states, 10, basis3)
+        assert len(clusters) == 6
+        largest = statespace.select_cluster(clusters, "largest")
+        assert largest.key == (6, 3, 0)
+        assert largest.size == 188
+
+
+class TestEigenvalueCells:
+    def test_floor_and_clamp(self):
+        evals = np.array([[1.0, 0.5, 0.0], [0.7, 0.3 + 1e-15, -1e-12], [1 + 1e-12, 0.0, -0.0]])
+        cells = statespace.eigenvalue_cells(evals, 10)
+        assert cells.tolist() == [[9, 5, 0], [7, 3, 0], [9, 0, 0]]
+
+    @pytest.mark.parametrize("dim, pattern_name", [(2, "qubit_pattern"), (3, "qutrit_pattern")])
+    def test_reference_finds_own_cluster(self, request, dim, pattern_name):
+        basis = request.getfixturevalue(f"basis{dim}")
+        pattern = request.getfixturevalue(pattern_name)
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec, basis), 10, basis)
+        unknown_pos = [i - 1 for i in pattern.unknown_indices]
+        for key, cl in clusters.items():
+            for theta in cl.members:
+                picked = statespace.select_cluster(
+                    clusters, "reference", theta_ref=theta[unknown_pos], basis=basis, pattern=pattern
+                )
+                assert picked.key == key
