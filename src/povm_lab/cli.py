@@ -86,7 +86,10 @@ def _parse_int(s):
 
 
 def _parse_float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
 
 
 def _parse_bool(s):
@@ -103,7 +106,7 @@ def _parse_int_list(s):
 
 
 def _parse_float_list(s):
-    return [float(x) for x in s.split(",") if x.strip() != ""]
+    return [_parse_float(x) for x in s.split(",") if x.strip() != ""]
 
 
 _KEY_PARSERS = {
@@ -313,10 +316,14 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
     write_povm(result.best, os.path.join(out, "best_povm.txt"))
     extra = (
         f"dacm_best  {result.best_dacm!r}",
-        f"log_dacm_best  {math.log(result.best_dacm)!r}",
+        f"log_dacm_best  {result.best_log_dacm!r}",
         f"steps  {cfg.anneal.total_steps}",
         f"seed  {cfg.anneal.rng_seed}",
         f"skipped_variants  {result.skipped_variants}",
+        f"variants_enumerated  {result.variants_enumerated}",
+        f"closure_rejected  {result.closure_rejected}",
+        f"resample_exhausted  {result.resample_exhausted}",
+        f"accepted  {result.accepted}",
     )
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(_report_text(result.best, cfg, extra))

@@ -5,9 +5,11 @@ real systems are solved by partially pivoted elimination.  Everything here is
 deterministic and dependency-free beyond numpy array handling, which keeps the
 annealing loops bit-reproducible for a fixed seed.
 
-These are the per-matrix routines.  Whole stacks of states (the state-space
-grid and its clustering in `statespace`) go through numpy's batched `eigvalsh`
-instead, and the tests check that batched path against the Jacobi one.
+These are the per-matrix routines.  Whole stacks of matrices (the
+state-space grid and its clustering in `statespace`, the closing elements and
+objective determinants of an anneal step in `annealer`) go through numpy's
+batched `eigvalsh` and `slogdet` instead, and the tests check those batched
+paths against these routines.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ from .statespace import Cluster
 
 PROB_RANGE_TOL = 1e-10
 PROB_SUM_TOL = 1e-9
+# |det T| <= DESIGN_DET_FLOOR * max|T_ij|^N counts as singular
+DESIGN_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
     n = T.shape[0]
     # relative floor: a well-conditioned T has |det| ~ (entry scale)^N, so the
     # singularity test must not punish small but healthy coordinate scales
-    floor = 1e-12 * float(np.abs(T).max()) ** n
+    floor = DESIGN_DET_FLOOR * float(np.abs(T).max()) ** n
     if abs(det_t) <= floor:
         raise SingularDesign(f"|det T| = {abs(det_t):.3e} below floor {floor:.3e}")
     det_w = linalg.determinant(averaged.W0)

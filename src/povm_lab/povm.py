@@ -64,9 +64,19 @@ def coords_to_element(c: PovmElementCoords, basis: OrthonormalBasis) -> np.ndarr
         raise ContractViolation(
             f"coordinate length {c.a.shape} does not match basis dim {basis.dim}"
         )
-    e = np.tensordot(c.a, basis.stack, axes=1)
+    e = expand(c.a, basis.stack)
     e += np.eye(basis.dim)
     return c.a0 * e
+
+
+def expand(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i a_i stack_i for one real coordinate vector and a (k, n, n) stack.
+
+    The same `dot` that `np.tensordot(a, stack, axes=1)` makes, without its
+    axis bookkeeping, so the result is bit-identical to it.
+    """
+    k, n, _ = stack.shape
+    return np.dot(a.reshape(1, k), stack.reshape(k, n * n)).reshape(n, n)
 
 
 def element_coords(E, basis: OrthonormalBasis, a0_floor: float = 1e-12) -> PovmElementCoords:

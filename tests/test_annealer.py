@@ -1,10 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from povm_lab import annealer, linalg, povm as pv
-from povm_lab.errors import ContractViolation, NumericalError, ResampleExhausted
+from povm_lab import annealer, catalog, cli, linalg, povm as pv, statespace
+from povm_lab.errors import (
+    ConfigurationError,
+    ContractViolation,
+    NonPositiveObjective,
+    NumericalError,
+    ResampleExhausted,
+    SingularDesign,
+)
+from povm_lab.objective import averaged_covariance, dacm, design_matrix
 
 TRINE_COORDS = [
     pv.PovmElementCoords(
@@ -32,6 +43,14 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return annealer.AnnealConfig(**defaults)
+
+
+class TestAnnealConfig:
+    @pytest.mark.parametrize("name", ["s0", "T0", "reheat_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            small_config(**{name: value})
 
 
 class TestPerturbElement:
@@ -253,3 +272,253 @@ class TestTraceIO:
         annealer.write_trace(res.trace, path)
         back = annealer.read_trace(path)
         assert back == res.trace
+
+
+def scalar_variants(old, new, basis, cluster, pattern):
+    """(bits, closing element, skipped, log DACM) per closable variant, from the
+    per-candidate path: `enumerate_variants` and the scalar `dacm`."""
+    out = []
+    for cand in annealer.enumerate_variants(old, new, basis):
+        bits = tuple(int(c is not o) for c, o in zip(cand.coords, old))
+        try:
+            d = dacm(
+                design_matrix(cand.coords, pattern),
+                averaged_covariance(cand, cluster, basis, pattern),
+            )
+        except (SingularDesign, NonPositiveObjective):
+            out.append((bits, cand.elements[-1], True, None))
+            continue
+        out.append((bits, cand.elements[-1], False, math.log(d)))
+    return out
+
+
+def assert_matches_scalar(old, new, basis, cluster, pattern):
+    table = annealer.evaluate_variants(old, new, basis, cluster, pattern)
+    pinned = [n is o for n, o in zip(new, old)]
+    candidates = [
+        bits
+        for bits in itertools.product((0, 1), repeat=len(old))
+        if not any(b and p for b, p in zip(bits, pinned))
+    ]
+    assert [tuple(r) for r in table.bits.tolist()] == candidates
+    expected = scalar_variants(old, new, basis, cluster, pattern)
+    rows = np.flatnonzero(table.closed)
+    assert [tuple(table.bits[v].tolist()) for v in rows] == [e[0] for e in expected]
+    for v, (_, closing, skipped, log_d) in zip(rows, expected):
+        assert np.array_equal(table.closing[v], closing)
+        assert table.skipped[v] == skipped
+        if skipped:
+            assert math.isnan(table.log_dacm[v])
+        else:
+            assert abs(table.log_dacm[v] - log_d) <= 1e-12
+        cand = table.povm(v)
+        assert np.array_equal(cand.elements[-1], closing)
+        assert [c is n for c, n in zip(cand.coords, new)] == [
+            bool(b) or p for b, p in zip(table.bits[v], pinned)
+        ]
+    assert not table.skipped[~table.closed].any()
+    assert np.isnan(table.log_dacm[~table.closed]).all()
+    return table
+
+
+class TestEvaluateVariantsAgainstScalar:
+    def test_qubit_trine(self, basis2, qubit_pattern, qubit_cluster):
+        rng = np.random.default_rng(4)
+        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        table = assert_matches_scalar(TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern)
+        assert table.closed[0] and not table.closed.all()
+
+    def test_qutrit_tiny_noise_all_valid(self, basis3, qutrit_pattern, qutrit_default_cluster):
+        rng = np.random.default_rng(3)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
+        news = [annealer.perturb_element(c, 0.005, rng, basis3) for c in initial.coords]
+        table = assert_matches_scalar(
+            initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
+        )
+        assert table.closed.sum() == 64 and not table.skipped.any()
+
+    def test_qutrit_wider_noise(self, basis3, qutrit_pattern, qutrit_default_cluster):
+        rng = np.random.default_rng(6)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        news = [annealer.perturb_element(c, 0.1, rng, basis3) for c in initial.coords]
+        table = assert_matches_scalar(
+            initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
+        )
+        assert 0 < table.closed.sum() < 64
+
+    def test_pinned_positions(self, basis3, qutrit_pattern, qutrit_small_cluster):
+        rng = np.random.default_rng(3)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
+        news = [annealer.perturb_element(c, 0.005, rng, basis3) for c in initial.coords]
+        news[1], news[4] = initial.coords[1], initial.coords[4]
+        table = assert_matches_scalar(
+            initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern
+        )
+        assert table.bits.shape == (16, 6)
+        assert not table.bits[:, [1, 4]].any()
+
+    def test_every_position_pinned(self, basis2, qubit_pattern, qubit_cluster):
+        table = assert_matches_scalar(
+            TRINE_COORDS[:2], TRINE_COORDS[:2], basis2, qubit_cluster, qubit_pattern
+        )
+        assert table.bits.tolist() == [[0, 0]]
+
+    def test_closure_filter(self, basis2, qubit_pattern, qubit_cluster):
+        big = [pv.PovmElementCoords(0.8, np.zeros(3)), pv.PovmElementCoords(0.8, np.zeros(3))]
+        small = [pv.PovmElementCoords(0.25, np.zeros(3)), pv.PovmElementCoords(0.25, np.zeros(3))]
+        table = assert_matches_scalar(small, big, basis2, qubit_cluster, qubit_pattern)
+        assert table.closed.tolist() == [True, False, False, False]
+        assert table.skipped[0]  # zero directions: T = 0
+
+    def test_nothing_closed(self, basis2, qubit_pattern, qubit_cluster):
+        big = [pv.PovmElementCoords(0.6, np.zeros(3)), pv.PovmElementCoords(0.6, np.zeros(3))]
+        bigger = [pv.PovmElementCoords(0.7, np.zeros(3)), pv.PovmElementCoords(0.7, np.zeros(3))]
+        table = assert_matches_scalar(big, bigger, basis2, qubit_cluster, qubit_pattern)
+        assert table.bits.shape == (4, 2) and not table.closed.any()
+
+    def test_singular_design(self, basis2, qubit_pattern, qubit_cluster):
+        news = [pv.PovmElementCoords(1 / 3, np.zeros(3)), TRINE_COORDS[1]]
+        table = assert_matches_scalar(TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern)
+        assert table.closed[:2].all()
+        assert table.skipped.tolist() == [False, True]
+
+    def test_member_outside_psd_region_raises(self, basis2, qubit_pattern, qubit_cluster):
+        members = np.vstack([qubit_cluster.members, [[3.0, 0.0, 0.0]]])
+        cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
+        rng = np.random.default_rng(4)
+        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        with pytest.raises(ContractViolation):
+            scalar_variants(TRINE_COORDS[:2], news, basis2, cluster, qubit_pattern)
+        with pytest.raises(ContractViolation, match="probability"):
+            annealer.evaluate_variants(TRINE_COORDS[:2], news, basis2, cluster, qubit_pattern)
+
+    def test_misaligned_inputs(self, basis2, qubit_pattern, qubit_cluster):
+        with pytest.raises(ContractViolation):
+            annealer.evaluate_variants(
+                TRINE_COORDS[:2], TRINE_COORDS[:1], basis2, qubit_cluster, qubit_pattern
+            )
+        with pytest.raises(ContractViolation):
+            annealer.evaluate_variants(
+                TRINE_COORDS, TRINE_COORDS, basis2, qubit_cluster, qubit_pattern
+            )
+
+
+def _cli_anneal(tmp_path, dim, known, steps, seed):
+    cfg_path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg_path.write_text(
+        f"mode = anneal\ndim = {dim}\n"
+        f"pattern.known_indices = {','.join(str(i) for i in known)}\n"
+        f"pattern.known_values = {','.join('0.0' for _ in known)}\n"
+        f"anneal.total_steps = {steps}\nanneal.seed = {seed}\noutput.dir = {out}\n"
+    )
+    assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+    report = {}
+    for line in (out / "report.txt").read_text().splitlines():
+        parts = line.split()
+        if len(parts) == 2:
+            report[parts[0]] = parts[1]
+    return report
+
+
+class TestReferenceChains:
+    """log_dacm_best of fixed-seed CLI runs on the default grids."""
+
+    def test_qubit_seed0_3000_steps(self, tmp_path):
+        report = _cli_anneal(tmp_path, 2, [3], 3000, 0)
+        assert abs(float(report["log_dacm_best"]) - 4.816817053001229) <= 1e-8
+
+    def test_qutrit_seed0_500_steps(self, tmp_path):
+        report = _cli_anneal(tmp_path, 3, [7, 8], 500, 0)
+        assert abs(float(report["log_dacm_best"]) - 39.05480225974043) <= 1e-8
+        counters = [
+            int(report[k])
+            for k in ("variants_enumerated", "closure_rejected", "skipped_variants", "accepted")
+        ]
+        assert counters[0] > counters[1] + counters[2] >= 0 and counters[3] > 0
+
+
+class TestRunCounters:
+    def test_every_variant_accounted_for(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
+        draws = []
+
+        def counting_accept(delta, temperature, rng):
+            accepted = annealer.logistic_probability(delta, temperature) > rng.random()
+            draws.append(accepted)
+            return accepted
+
+        monkeypatch.setattr(annealer, "logistic_accept", counting_accept)
+        rng = np.random.default_rng(20)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        res = annealer.anneal(
+            small_config(total_steps=150), initial, qubit_cluster, basis2, qubit_pattern
+        )
+        assert res.variants_enumerated == res.closure_rejected + res.skipped_variants + len(draws)
+        assert res.accepted == sum(draws) > 0
+        assert res.closure_rejected > 0
+        assert res.best_log_dacm <= min(r.log_dacm for r in res.trace)
+        assert res.best_dacm == math.exp(res.best_log_dacm)
+
+    def test_resample_exhaustion_counted(self, basis2, qubit_pattern, qubit_cluster):
+        rng = np.random.default_rng(21)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        res = annealer.anneal(
+            small_config(total_steps=40, s0=3.0, max_resample=1),
+            initial,
+            qubit_cluster,
+            basis2,
+            qubit_pattern,
+        )
+        assert res.resample_exhausted > 0
+        # an exhausted position is pinned, so a step enumerates fewer than 2^N rows
+        assert res.variants_enumerated < 40 * 4
+
+    def test_zero_steps_counts_nothing(self, basis2, qubit_pattern, qubit_cluster):
+        rng = np.random.default_rng(11)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        res = annealer.anneal(
+            small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
+        )
+        assert (res.variants_enumerated, res.closure_rejected, res.accepted) == (0, 0, 0)
+        assert res.best is initial and res.best_dacm == math.exp(res.best_log_dacm)
+
+
+def _interior_qutrit_coords(mix, seed, basis):
+    """Coordinates of a randomly rotated qutrit conditional SIC mixed with I/7."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    elements = [
+        (1 - mix) * (q @ e @ q.conj().T) + mix * np.eye(3) / 7
+        for e in catalog.qutrit_csic().elements
+    ]
+    return [pv.element_coords(e, basis) for e in elements[:6]]
+
+
+@pytest.mark.invariants
+class TestPermutationInvariance:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        perm=st.permutations(range(6)),
+        mix=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_invariant_under_permuting_free_elements(
+        self, basis3, qutrit_pattern, qutrit_small_cluster, perm, mix, seed
+    ):
+        coords = _interior_qutrit_coords(mix, seed, basis3)
+        permuted = [coords[i] for i in perm]
+
+        def scalar(cs):
+            pov = pv.complete_povm([pv.coords_to_element(c, basis3) for c in cs], cs)
+            return dacm(
+                design_matrix(cs, qutrit_pattern),
+                averaged_covariance(pov, qutrit_small_cluster, basis3, qutrit_pattern),
+            )
+
+        def batched(cs):
+            table = annealer.evaluate_variants(cs, cs, basis3, qutrit_small_cluster, qutrit_pattern)
+            assume(table.closed[0] and not table.skipped[0])
+            return table.log_dacm[0]
+
+        assert abs(scalar(permuted) - scalar(coords)) <= 1e-10 * scalar(coords)
+        assert abs(batched(permuted) - batched(coords)) <= 1e-12

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povm_lab import annealer, cli, rankone
 from povm_lab import povm as pv
@@ -60,6 +62,53 @@ class TestParseConfig:
     def test_positional_mode_overrides(self):
         cfg = cli.parse_config("mode = anneal\n", mode="gridinfo")
         assert cfg.mode == "gridinfo"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "anneal.s0 = nan",
+            "anneal.T0 = nan",
+            "anneal.T0 = inf",
+            "anneal.reheat_factor = inf",
+            "anneal.init_scale = nan",
+            "refine.weight = nan",
+            "refine.s0 = -inf",
+            "grid.bound = nan",
+            "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
+            "grid.cluster_policy = reference\ngrid.theta_ref = 0.1,inf,0,0,0,0",
+        ],
+    )
+    def test_non_finite_floats_rejected_with_line_number(self, line):
+        with pytest.raises(ConfigurationError, match="line [0-9]+: bad value"):
+            cli.parse_config("mode = anneal\n" + line + "\n")
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.integers(-2, 20).map(str), max_size=10).map(",".join),
+    st.lists(st.floats(-2, 2).map(repr), max_size=10).map(",".join),
+    st.sampled_from(["anneal", "refine", "verify", "gridinfo", "largest", "reference", "true"]),
+)
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.sampled_from(sorted(cli._KEY_PARSERS)), _CONFIG_VALUES),
+)
+
+
+@pytest.mark.invariants
+class TestParseConfigProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+    def test_arbitrary_text_raises_only_configuration_error(self, text):
+        try:
+            cfg = cli.parse_config(text)
+        except ConfigurationError:
+            return
+        assert cfg.mode in cli.MODES
+        for v in (cfg.anneal.s0, cfg.anneal.T0, cfg.init_scale, cfg.refine.weight):
+            assert np.isfinite(v)
 
 
 class TestVerifyMode:
@@ -191,6 +240,13 @@ class TestExitCodes:
 
     def test_anneal_without_config_is_2(self):
         assert cli.main(["anneal"]) == 2
+
+    def test_nan_s0_is_2(self, tmp_path):
+        cfg_path = tmp_path / "nan.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(QUBIT_CFG.format(steps=5, seed=1, out=out) + "anneal.s0 = nan\n")
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_empty_reference_cluster_is_2(self, tmp_path):
         # reference state picks an eigenvalue cell that has no grid members
