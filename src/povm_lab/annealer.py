@@ -324,8 +324,9 @@ def evaluate_variants(
     low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
     high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
     sum_dev = np.abs(probs @ choose + last - 1.0).max(axis=0)
+    # written so that a NaN probability fails the check too
     bad = np.flatnonzero(
-        (low < -PROB_RANGE_TOL) | (high > 1 + PROB_RANGE_TOL) | (sum_dev > PROB_SUM_TOL)
+        ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
     )
     if bad.size:
         v = int(bad[0])

@@ -392,6 +392,14 @@ class TestEvaluateVariantsAgainstScalar:
         with pytest.raises(ContractViolation, match="probability"):
             annealer.evaluate_variants(TRINE_COORDS[:2], news, basis2, cluster, qubit_pattern)
 
+    def test_nan_weight_is_a_typed_failure(self, basis2, qubit_pattern, qubit_cluster):
+        # not a silently rejected variant
+        news = [pv.PovmElementCoords(math.nan, TRINE_COORDS[0].a), TRINE_COORDS[1]]
+        with pytest.raises((ContractViolation, NumericalError)):
+            annealer.evaluate_variants(
+                TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern
+            )
+
     def test_misaligned_inputs(self, basis2, qubit_pattern, qubit_cluster):
         with pytest.raises(ContractViolation):
             annealer.evaluate_variants(
