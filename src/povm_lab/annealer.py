@@ -2,7 +2,7 @@
 
 Each step perturbs the coordinate form of all N free elements with Gaussian
 noise (resampling any draw that leaves the positive region) and then scores
-all 2^N old/new combinations at once: `evaluate_variants` stacks their closing
+all 2^N old/new combinations at once: `score_variants` stacks their closing
 elements for one batched `eigvalsh` closure check and computes the log DACM of
 every closable combination with two stacked `slogdet` calls, the covariance
 coming from the Gram matrix of the 2N old/new probability columns.  Only the
@@ -12,6 +12,16 @@ temperature decay geometrically; the temperature gets a multiplicative boost
 every `reheat_every` steps to help the chain escape local optima.  The best
 measurement seen (by raw objective) is tracked separately from the fluctuating
 chain state.
+
+The old side of a step's table is the chain's current state, which changes
+only on an accepted move, so `AnnealChain` carries it between steps as
+`FreeElements` (coordinates, element matrices, a0, the direction rows and the
+probability columns over the cluster).  A step builds these arrays only for
+the N perturbed elements, and an accepted move takes the accepted row's
+columns of the step's table.  The row tables (`VariantRows`) depend only on
+which positions are pinned and are built once per pinned mask in a run.
+`evaluate_variants` builds both sides from coordinates and scores them the
+same way.
 
 `enumerate_variants`, `complete_povm` and the scalar `dacm` are the
 per-candidate path; the tests use them as the oracle for the stacked step.
@@ -129,6 +139,86 @@ class AnnealResult:
 
 
 @dataclass(frozen=True)
+class FreeElements:
+    """The N free elements of a POVM as stacked arrays.
+
+    `anneal` carries these for its current state from step to step, so a step
+    builds them only for the perturbed elements; a step's 2N old/new table is
+    the two sides joined, and a row's free elements are columns of that table.
+    """
+
+    coords: list  # N PovmElementCoords
+    elements: np.ndarray  # (N, n, n) a0 (I + a . sigma)
+    a0: np.ndarray  # (N,)
+    A: np.ndarray  # (N, n^2 - 1)
+    probs: np.ndarray  # (k, N) probability columns (1 + members . a) a0 over the cluster
+
+    @classmethod
+    def build(cls, coords, basis: OrthonormalBasis, members: np.ndarray) -> "FreeElements":
+        """One stacked product for the element matrices, which are bit-identical
+        to `coords_to_element`'s, and one for the probability columns."""
+        dim, k = basis.dim, basis.stack.shape[0]
+        for c in coords:
+            if c.a.shape != (k,):
+                raise ContractViolation(
+                    f"coordinate length {c.a.shape} does not match basis dim {dim}"
+                )
+        A = np.array([c.a for c in coords]).reshape(len(coords), k)
+        a0 = np.array([c.a0 for c in coords], dtype=float)
+        elements = (A @ basis.stack.reshape(k, dim * dim)).reshape(-1, dim, dim)
+        elements += np.eye(dim)
+        probs = (1.0 + members @ A.T) * a0
+        return cls(list(coords), a0[:, None, None] * elements, a0, A, probs)
+
+    def join(self, other: "FreeElements") -> "FreeElements":
+        """The 2N table: this side's columns, then the other's."""
+        return FreeElements(
+            self.coords + other.coords,
+            np.concatenate([self.elements, other.elements]),
+            np.concatenate([self.a0, other.a0]),
+            np.concatenate([self.A, other.A]),
+            np.concatenate([self.probs, other.probs], axis=1),
+        )
+
+    def take(self, cols: np.ndarray) -> "FreeElements":
+        """The free elements in columns `cols`, in that order."""
+        return FreeElements(
+            [self.coords[c] for c in cols.tolist()],
+            self.elements[cols],
+            self.a0[cols],
+            self.A[cols],
+            self.probs[:, cols],
+        )
+
+
+@dataclass(frozen=True)
+class VariantRows:
+    """The variant rows of a step, which depend only on the pinned positions.
+
+    Rows are lexicographic over the unpinned positions, the first most
+    significant, bit 1 taking the perturbed element; `cols` holds each row's
+    columns b * N + j of the 2N old/new table and `choose` their one-hot
+    (2N, V) form.
+    """
+
+    choices: tuple  # per position (0,) when pinned, else (0, 1)
+    bits: np.ndarray  # (V, N) choice vectors
+    cols: np.ndarray  # (V, N)
+    choose: np.ndarray  # (2N, V)
+
+    @classmethod
+    def for_pinned(cls, pinned) -> "VariantRows":
+        n_free = len(pinned)
+        free = np.flatnonzero(np.logical_not(pinned))
+        bits = np.zeros((2**free.size, n_free), dtype=np.intp)
+        bits[:, free] = np.arange(2**free.size)[:, None] >> np.arange(free.size)[::-1] & 1
+        cols = bits * n_free + np.arange(n_free)
+        choose = np.zeros((2 * n_free, bits.shape[0]))
+        choose[cols, np.arange(bits.shape[0])[:, None]] = 1.0
+        return cls(tuple((0,) if p else (0, 1) for p in pinned), bits, cols, choose)
+
+
+@dataclass(frozen=True)
 class VariantTable:
     """One step's old/new variants, scored as stacked arrays.
 
@@ -138,20 +228,28 @@ class VariantTable:
     are skipped.
     """
 
-    bits: np.ndarray  # (V, N) choice vectors
-    elements: np.ndarray  # (2, N, n, n) old and perturbed element matrices
+    rows: VariantRows
+    columns: FreeElements  # the 2N old and perturbed elements, old first
     closing: np.ndarray  # (V, n, n) closing elements I - sum of the chosen E_j
     closed: np.ndarray  # (V,) closing element PSD at -PSD_CONSTRUCTION_TOL
     skipped: np.ndarray  # (V,) closed, but T singular or det W0 <= 0
     log_dacm: np.ndarray  # (V,) log det W0 - 2 log |det T|
-    coords: tuple  # (old, new) coordinate lists
+
+    @property
+    def bits(self) -> np.ndarray:
+        """(V, N) choice vectors."""
+        return self.rows.bits
+
+    def free_elements(self, row: int) -> FreeElements:
+        """The chosen free elements of one row."""
+        return self.columns.take(self.rows.cols[row])
 
     def povm(self, row: int) -> Povm:
         """The POVM of one row: the chosen elements, then its closing element."""
-        bits = self.bits[row]
-        elements = [self.elements[b, i] for i, b in enumerate(bits)]
-        coords = [self.coords[b][i] for i, b in enumerate(bits)]
-        return Povm(self.closing.shape[1], elements + [self.closing[row]], coords)
+        cols = self.rows.cols[row]
+        elements = list(self.columns.elements[cols]) + [self.closing[row]]
+        coords = [self.columns.coords[c] for c in cols.tolist()]
+        return Povm(self.closing.shape[1], elements, coords)
 
 
 def logistic_probability(delta: float, temperature: float) -> float:
@@ -272,14 +370,8 @@ def evaluate_variants(
 ) -> VariantTable:
     """Closure check and log DACM of every old/new variant, as stacked arrays.
 
-    The closing elements are formed by subtracting the chosen elements from I
-    in element order and Hermitian-averaging, exactly as `complete_povm` does,
-    so they are bit-identical to its output.  Closed rows get the three
-    probability-simplex checks of `averaged_covariance` (ContractViolation on
-    a failure), T from a table of the 2N design rows and W0 = diag(colsum) -
-    G restricted to the row's columns, where G is the Gram matrix of the 2N
-    old/new probability columns over the cluster.  A row is skipped when
-    log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
+    Builds both sides' free elements and row table, then scores them as an
+    anneal step does (`score_variants`).
     """
     n_free = len(old)
     if len(new) != n_free:
@@ -289,32 +381,49 @@ def evaluate_variants(
     members = cluster.members
     if members.shape[0] == 0:
         raise ContractViolation("cluster has no members")
-    choices = [(0,) if n is o else (0, 1) for n, o in zip(new, old)]
-    # lexicographic over the unpinned positions, the first most significant
-    free = np.flatnonzero([len(c) == 2 for c in choices])
-    bits = np.zeros((2**free.size, n_free), dtype=np.intp)
-    bits[:, free] = np.arange(2**free.size)[:, None] >> np.arange(free.size)[::-1] & 1
-    sides = (list(old), list(new))
-    elements = np.array([[coords_to_element(c, basis) for c in side] for side in sides])
+    rows = VariantRows.for_pinned([n is o for n, o in zip(new, old)])
+    sides = (FreeElements.build(old, basis, members), FreeElements.build(new, basis, members))
+    return score_variants(*sides, rows, basis, members, pattern)
+
+
+def score_variants(
+    old: FreeElements,
+    new: FreeElements,
+    rows: VariantRows,
+    basis: OrthonormalBasis,
+    members: np.ndarray,
+    pattern: ParameterPattern,
+) -> VariantTable:
+    """Score the rows of one step from its old and perturbed free elements.
+
+    The closing elements are formed by subtracting the chosen elements from I
+    in element order and Hermitian-averaging, exactly as `complete_povm` does,
+    so they are bit-identical to its output.  Closed rows get the three
+    probability-simplex checks of `averaged_covariance` (ContractViolation on
+    a failure), T from a table of the 2N design rows and W0 = diag(colsum) -
+    G restricted to the row's columns, where G is the Gram matrix of the 2N
+    old/new probability columns over the cluster.  A row is skipped when
+    log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
+    """
+    n_free = len(old.coords)
+    columns = old.join(new)
+    bits = rows.bits
     positions = np.arange(n_free)
 
     # I - E_1 - ... - E_N in element order, branching on each position's
     # choices: every row sees the subtractions of `complete_povm`, in its order
     dim = basis.dim
     closing = np.eye(dim, dtype=complex)[None]
-    for i, options in enumerate(choices):
-        closing = (closing[:, None] - elements[list(options), i][None]).reshape(-1, dim, dim)
+    for i, options in enumerate(rows.choices):
+        chosen = columns.elements[[b * n_free + i for b in options]]
+        closing = (closing[:, None] - chosen[None]).reshape(-1, dim, dim)
     closing = (closing + closing.conj().transpose(0, 2, 1)) / 2.0
     with _typed_lapack_errors():
         closed = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
 
-    # column c = b * N + j of the 2N tables is element j of side b (0 old, 1 new)
-    sel = bits[closed] * n_free + positions
-    choose = np.zeros((2 * n_free, sel.shape[0]))  # one-hot: column v picks row v's columns
-    choose[sel, np.arange(sel.shape[0])[:, None]] = 1.0
-    a0 = np.array([c.a0 for side in sides for c in side])
-    A = np.array([c.a for side in sides for c in side])
-    probs = (1.0 + members @ A.T) * a0  # (k, 2N)
+    sel = rows.cols[closed]  # (Vc, N) columns of the 2N tables
+    choose = rows.choose[:, closed]  # one-hot: column v picks row v's columns
+    a0, A, probs = columns.a0, columns.A, columns.probs  # (2N,), (2N, n^2-1), (k, 2N)
     # closing coordinates as objective._coordinate_table derives them; a
     # closing weight at or below 1e-14 gives a zero probability column
     a0_last = 1.0 - a0 @ choose
@@ -352,7 +461,7 @@ def evaluate_variants(
     skipped[closed] = skip
     log_dacm = np.full(bits.shape[0], np.nan)
     log_dacm[np.flatnonzero(closed)[~skip]] = (log_det_w - 2.0 * log_det_t)[~skip]
-    return VariantTable(bits, elements, closing, closed, skipped, log_dacm, sides)
+    return VariantTable(rows, columns, closing, closed, skipped, log_dacm)
 
 
 def random_initial_povm(
@@ -389,6 +498,98 @@ def random_initial_povm(
     raise NumericalError(f"could not draw a valid initial POVM in {max_tries} tries")
 
 
+class AnnealChain:
+    """The chain between steps: its current and best POVMs with their log DACM,
+    the run counters, and the current state's free elements (`state`), which
+    each step reuses as the old side of its table.
+
+    `state` changes only when a move is accepted, and then to the accepted
+    row's columns of the step's table; a step builds free elements only for
+    its perturbed elements, and row tables once per pinned-position mask.
+    """
+
+    def __init__(
+        self,
+        config: AnnealConfig,
+        initial: Povm,
+        cluster: Cluster,
+        basis: OrthonormalBasis,
+        pattern: ParameterPattern,
+    ):
+        self.config, self.cluster, self.basis, self.pattern = config, cluster, basis, pattern
+        self.rng = np.random.default_rng(config.rng_seed)
+        if initial.coords is None or len(initial.coords) != pattern.unknown_count:
+            raise ContractViolation("initial POVM must carry coordinates for its free elements")
+        self.cur_log = math.log(
+            dacm(
+                design_matrix(initial.coords, pattern),
+                averaged_covariance(initial, cluster, basis, pattern),
+            )
+        )
+        self.current = initial
+        self.best, self.best_log = initial, self.cur_log
+        self.state = FreeElements.build(initial.coords, basis, cluster.members)
+        self.rows = {}  # pinned-position mask -> VariantRows
+        self.skipped = self.enumerated = self.rejected = self.exhausted = self.accepted = 0
+        self.all_skipped_streak = 0
+
+    def step(self, s: float, temp: float) -> None:
+        """Perturb every free element at scale s, score the variants and walk
+        them at temperature temp: one logistic draw per evaluated variant."""
+        cfg = self.config
+        news = []
+        for c in self.current.coords:
+            try:
+                news.append(
+                    perturb_element(
+                        c, s, self.rng, self.basis,
+                        max_resample=cfg.max_resample,
+                        perturb_a0=cfg.perturb_a0,
+                    )
+                )
+            except ResampleExhausted:
+                self.exhausted += 1
+                news.append(c)
+        pinned = tuple(n is c for n, c in zip(news, self.current.coords))
+        if pinned not in self.rows:
+            self.rows[pinned] = VariantRows.for_pinned(pinned)
+        new = FreeElements.build(news, self.basis, self.cluster.members)
+        table = score_variants(
+            self.state, new, self.rows[pinned], self.basis, self.cluster.members, self.pattern
+        )
+        self.enumerated += table.bits.shape[0]
+        self.rejected += int(np.count_nonzero(~table.closed))
+        row_skipped = table.skipped.tolist()
+        row_log = table.log_dacm.tolist()
+        evaluated = 0
+        moved_to = None
+        for v in np.flatnonzero(table.closed).tolist():
+            if row_skipped[v]:
+                self.skipped += 1
+                continue
+            evaluated += 1
+            cand_log = row_log[v]
+            cand = None
+            if cand_log < self.best_log:
+                cand = table.povm(v)
+                self.best, self.best_log = cand, cand_log
+            if logistic_accept(cand_log - self.cur_log, temp, self.rng):
+                self.current = cand if cand is not None else table.povm(v)
+                self.cur_log = cand_log
+                self.accepted += 1
+                moved_to = v
+        if moved_to is not None:
+            self.state = table.free_elements(moved_to)
+        if evaluated == 0:
+            self.all_skipped_streak += 1
+            if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
+                raise NumericalError(
+                    f"every variant skipped for {MAX_ALL_SKIPPED_STEPS} consecutive steps"
+                )
+        else:
+            self.all_skipped_streak = 0
+
+
 def anneal(
     config: AnnealConfig,
     initial: Povm,
@@ -398,86 +599,34 @@ def anneal(
     check_validity: bool = False,
 ) -> AnnealResult:
     """Run the annealing chain; fixed seed gives a bit-identical trace."""
-    rng = np.random.default_rng(config.rng_seed)
-    if initial.coords is None or len(initial.coords) != pattern.unknown_count:
-        raise ContractViolation("initial POVM must carry coordinates for its free elements")
-    cur_log = math.log(
-        dacm(
-            design_matrix(initial.coords, pattern),
-            averaged_covariance(initial, cluster, basis, pattern),
-        )
-    )
-    current = initial
-    best, best_log = current, cur_log
+    chain = AnnealChain(config, initial, cluster, basis, pattern)
     trace = []
-    skipped = enumerated = rejected = exhausted = accepted = 0
-    all_skipped_streak = 0
     for t in range(config.total_steps):
         s = config.s0 * config.s_decay**t
         temp = config.T0 * config.T_decay**t
         if t > 0 and t % config.reheat_every == 0:
             temp *= config.reheat_factor
-        news = []
-        for c in current.coords:
-            try:
-                news.append(
-                    perturb_element(
-                        c, s, rng, basis,
-                        max_resample=config.max_resample,
-                        perturb_a0=config.perturb_a0,
-                    )
-                )
-            except ResampleExhausted:
-                exhausted += 1
-                news.append(c)
-        table = evaluate_variants(current.coords, news, basis, cluster, pattern)
-        enumerated += table.bits.shape[0]
-        rejected += int(np.count_nonzero(~table.closed))
-        row_skipped = table.skipped.tolist()
-        row_log = table.log_dacm.tolist()
-        evaluated = 0
-        for v in np.flatnonzero(table.closed).tolist():
-            if row_skipped[v]:
-                skipped += 1
-                continue
-            evaluated += 1
-            cand_log = row_log[v]
-            cand = None
-            if cand_log < best_log:
-                cand = table.povm(v)
-                best, best_log = cand, cand_log
-            if logistic_accept(cand_log - cur_log, temp, rng):
-                current = cand if cand is not None else table.povm(v)
-                cur_log = cand_log
-                accepted += 1
-        if evaluated == 0:
-            all_skipped_streak += 1
-            if all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
-                raise NumericalError(
-                    f"every variant skipped for {MAX_ALL_SKIPPED_STEPS} consecutive steps"
-                )
-        else:
-            all_skipped_streak = 0
+        chain.step(s, temp)
         if check_validity:
-            for label, pov in (("current", current), ("best", best)):
+            for label, pov in (("current", chain.current), ("best", chain.best)):
                 bad = validate(pov, 1e-9)
                 if bad:
                     raise ContractViolation(f"{label} POVM invalid at step {t}: {bad[0]}")
         if t % config.trace_every == 0:
-            mk = metrics(current)
-            trace.append(TraceRecord(t, cur_log, mk.sigma, mk.delta, mk.Delta, temp, s))
+            mk = metrics(chain.current)
+            trace.append(TraceRecord(t, chain.cur_log, mk.sigma, mk.delta, mk.Delta, temp, s))
     return AnnealResult(
-        best,
-        current,
+        chain.best,
+        chain.current,
         trace,
-        _exp(best_log),
-        _exp(cur_log),
-        best_log,
-        skipped_variants=skipped,
-        variants_enumerated=enumerated,
-        closure_rejected=rejected,
-        resample_exhausted=exhausted,
-        accepted=accepted,
+        _exp(chain.best_log),
+        _exp(chain.cur_log),
+        chain.best_log,
+        skipped_variants=chain.skipped,
+        variants_enumerated=chain.enumerated,
+        closure_rejected=chain.rejected,
+        resample_exhausted=chain.exhausted,
+        accepted=chain.accepted,
     )
 
 

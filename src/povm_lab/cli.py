@@ -281,9 +281,7 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
 def _build_cluster(cfg: ExperimentConfig, b):
     bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.dim)
     spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
-    states = generate_grid(spec, b)
-    log.info("grid: %d PSD states", states.shape[0])
-    clusters = cluster_states(states, cfg.grid_cells, b)
+    clusters = cluster_states(generate_grid(spec, b), cfg.grid_cells, b)
     cl = select_cluster(
         clusters, cfg.cluster_policy, theta_ref=cfg.theta_ref, basis=b, pattern=cfg.pattern
     )

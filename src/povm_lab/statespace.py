@@ -7,13 +7,19 @@ points, and group them by which cell of a B-way partition of [0, 1] each
 orbit of states with fixed spectrum, and the averaged covariance is a raw
 (unnormalized) sum over its members.
 
-Grid positivity and cluster keys come from numpy's stacked `eigvalsh`, one call
-per block of GRID_BLOCK states; the scalar Jacobi solver in `linalg` stays the
-per-matrix path and the test oracle for this batched one.
+Grid positivity and cluster keys come from numpy's stacked `eigvalsh`; the
+scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
+for this batched one.  Before `eigvalsh`, each block of GRID_BLOCK grid points
+goes through a cheap necessary test: by Cauchy interlacing the lowest
+eigenvalue of rho is at most that of any principal submatrix, so a point with a
+2x2 principal minor whose lowest eigenvalue lies below -GRID_PSD_TOL (by more
+than MINOR_MARGIN, which covers rounding) would fail the `eigvalsh` test too
+and is dropped unseen.  `eigvalsh` still decides every point that survives.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,10 @@ GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
 DEFAULT_CELLS = 10
 DEFAULT_POINTS_PER_AXIS = 7
-GRID_BLOCK = 343  # points per stacked eigvalsh call: one 7^3 slab
+GRID_BLOCK = 343  # points per block of the grid walk: one 7^3 slab
+MINOR_MARGIN = 1e-9  # slack of the 2x2 minor prefilter beyond GRID_PSD_TOL
+
+log = logging.getLogger("povm_lab")
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,36 @@ def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
     return np.clip(np.floor(evals * cells), 0, cells - 1).astype(int)
 
 
+def _minor_lows(basis: OrthonormalBasis):
+    """A function of a (k, n^2-1) block of thetas giving, per row, the lowest
+    eigenvalue over the 2x2 principal minors [[a, c], [c*, b]] of
+    rho = I/n + theta . sigma: (a + b)/2 - sqrt(((a - b)/2)^2 + |c|^2).
+
+    One real product maps a block to the entries the minors read: the
+    diagonal, then Re and Im of the upper off-diagonal entries.
+    """
+    n = basis.dim
+    p, q = np.triu_indices(n, 1)
+    off = basis.stack[:, p, q]
+    diagonal = basis.stack[:, range(n), range(n)].real
+    entry_map = np.concatenate([diagonal, off.real, off.imag], axis=1)
+
+    def lows(block: np.ndarray) -> np.ndarray:
+        entries = block @ entry_map
+        diag = entries[:, :n] + 1.0 / n
+        a, b = diag[:, p], diag[:, q]
+        re, im = entries[:, n : n + p.size], entries[:, n + p.size :]
+        return ((a + b) / 2.0 - np.sqrt(((a - b) / 2.0) ** 2 + re**2 + im**2)).min(axis=1)
+
+    return lows
+
+
 def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     """All PSD grid states as rows of full Bloch vectors, in axis-lexicographic order.
 
     The grid is walked in blocks of GRID_BLOCK points, so transient memory does
-    not grow with the grid size.
+    not grow with the grid size; in each block only the points that pass the
+    2x2 minor test reach `eigvalsh`.
     """
     pattern = spec.pattern
     axis = np.linspace(-spec.bound, spec.bound, spec.points_per_axis)
@@ -93,14 +127,23 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
     template = np.zeros(basis.dim**2 - 1)
     template[[i - 1 for i in pattern.known_indices]] = pattern.known_values
+    minor_lows = _minor_lows(basis)
     total = spec.points_per_axis**pattern.unknown_count
     kept = []
+    passed = 0
     for lo in range(0, total, GRID_BLOCK):
         digits = np.unravel_index(np.arange(lo, min(lo + GRID_BLOCK, total)), shape)
         block = np.tile(template, (digits[0].size, 1))
         block[:, unknown_pos] = axis[np.stack(digits, axis=1)]
+        block = block[minor_lows(block) >= -GRID_PSD_TOL - MINOR_MARGIN]
+        passed += block.shape[0]
         kept.append(block[_spectra(block, basis)[:, -1] >= -GRID_PSD_TOL])
-    return np.concatenate(kept)
+    states = np.concatenate(kept)
+    log.info(
+        "grid: %d PSD states of %d points (%d passed the 2x2 minor test)",
+        states.shape[0], total, passed,
+    )
+    return states
 
 
 def cluster_states(states, cells: int, basis: OrthonormalBasis) -> dict:

@@ -491,6 +491,65 @@ class TestRunCounters:
         assert res.best is initial and res.best_dacm == math.exp(res.best_log_dacm)
 
 
+class TestCarriedState:
+    """The chain's carried free elements equal a fresh build from its current
+    coordinates after every step."""
+
+    def run_chain(self, basis, pattern, cluster, **kw):
+        rng = np.random.default_rng(7)
+        initial = annealer.random_initial_povm(pattern, basis, rng)
+        config = small_config(total_steps=60, **kw)
+        chain = annealer.AnnealChain(config, initial, cluster, basis, pattern)
+        moved = stayed = 0  # steps that changed the state, steps that kept it
+        for t in range(config.total_steps):
+            before = chain.state.coords
+            chain.step(config.s0 * config.s_decay**t, config.T0 * config.T_decay**t)
+            changed = any(a is not b for a, b in zip(before, chain.state.coords))
+            moved += changed
+            stayed += not changed
+            fresh = annealer.FreeElements.build(chain.current.coords, basis, cluster.members)
+            state = chain.state
+            assert all(c is f for c, f in zip(state.coords, chain.current.coords))
+            for name in ("elements", "a0", "A", "probs"):
+                assert np.array_equal(getattr(state, name), getattr(fresh, name)), (t, name)
+            assert np.array_equal(state.elements, np.array(chain.current.elements[:-1]))
+        return chain, moved, stayed
+
+    def test_accepted_and_rejected_moves(self, basis3, qutrit_pattern, qutrit_small_cluster):
+        _, moved, stayed = self.run_chain(basis3, qutrit_pattern, qutrit_small_cluster)
+        assert moved > 0 and stayed > 0
+
+    # with one draw per element, at s0 = 3 every draw leaves the PSD region, so
+    # every position is pinned on every step; at s0 = 0.3 the steps mix many masks
+    @pytest.mark.parametrize("s0, masks", [(3.0, 1), (0.3, 10)])
+    def test_pinned_positions_use_cached_rows(
+        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0, masks
+    ):
+        seen = {}  # pinned mask -> ids of the row tables a step used
+        score = annealer.score_variants
+
+        def checking_score(old, new, rows, *args):
+            mask = tuple(n is o for n, o in zip(new.coords, old.coords))
+            assert np.array_equal(rows.bits, annealer.VariantRows.for_pinned(mask).bits)
+            seen.setdefault(mask, set()).add(id(rows))
+            return score(old, new, rows, *args)
+
+        monkeypatch.setattr(annealer, "score_variants", checking_score)
+        chain, _, _ = self.run_chain(
+            basis3, qutrit_pattern, qutrit_small_cluster, max_resample=1, s0=s0
+        )
+        assert chain.exhausted > 0
+        assert len(seen) >= masks and any(any(mask) for mask in seen)
+        assert all(len(ids) == 1 for ids in seen.values())  # one table per mask
+
+    def test_elements_match_coords_to_element(self, basis3, qutrit_pattern):
+        rng = np.random.default_rng(8)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        built = annealer.FreeElements.build(initial.coords, basis3, np.zeros((1, 8)))
+        for e, c in zip(built.elements, initial.coords):
+            assert np.array_equal(e, pv.coords_to_element(c, basis3))
+
+
 def _interior_qutrit_coords(mix, seed, basis):
     """Coordinates of a randomly rotated qutrit conditional SIC mixed with I/7."""
     rng = np.random.default_rng(seed)

@@ -260,6 +260,19 @@ class TestExitCodes:
         )
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("mode", ["anneal", "gridinfo"])
+    def test_empty_grid_is_2(self, tmp_path, mode):
+        # a known coordinate of 1.5 puts every qubit grid point outside the PSD region
+        cfg_path = tmp_path / "empty.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(
+            f"mode = {mode}\ndim = 2\n"
+            "pattern.known_indices = 3\npattern.known_values = 1.5\n"
+            f"output.dir = {out}\n"
+        )
+        assert cli.main([mode, "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
     def test_numerical_failure_is_3(self, monkeypatch, tmp_path):
         from povm_lab.errors import SingularDesign
 

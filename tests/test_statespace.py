@@ -1,7 +1,10 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povm_lab import basis as bs
 from povm_lab import linalg, statespace
@@ -24,6 +27,21 @@ class TestGenerateGrid:
         spec = statespace.GridSpec(3, 0.5, pattern)
         states = statespace.generate_grid(spec, basis2)
         assert states.shape[0] == 0
+
+    def test_no_psd_point_gives_empty_rows(self, basis2):
+        # every block is dropped by the minor test, so no eigvalsh call is made
+        pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), pattern)
+        states = statespace.generate_grid(spec, basis2)
+        assert states.shape == (0, 3)
+
+    def test_info_line_counts(self, basis3, qutrit_pattern, caplog):
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
+        with caplog.at_level(logging.INFO, logger="povm_lab"):
+            statespace.generate_grid(spec, basis3)
+        assert caplog.messages == [
+            "grid: 361 PSD states of 117649 points (729 passed the 2x2 minor test)"
+        ]
 
     def test_center_included_with_odd_g(self, basis3, qutrit_pattern):
         spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), qutrit_pattern)
@@ -232,3 +250,52 @@ class TestEigenvalueCells:
                     clusters, "reference", theta_ref=theta[unknown_pos], basis=basis, pattern=pattern
                 )
                 assert picked.key == key
+
+
+def _boundary_points(basis, seed, support, offsets):
+    """A random direction with `support` nonzero coordinates, scaled so that
+    the lowest eigenvalue of rho = I/n + theta . sigma is each of `offsets`."""
+    rng = np.random.default_rng(seed)
+    k = basis.dim**2 - 1
+    u = np.zeros(k)
+    pos = rng.choice(k, size=support, replace=False)
+    u[pos] = rng.normal(size=support)
+    lowest = np.linalg.eigvalsh(np.tensordot(u, basis.stack, axes=1))[0]  # < 0: traceless
+    # lambda_min(rho(t u)) = 1/n + t * lowest for t >= 0
+    return np.array([(1.0 / basis.dim - off) / -lowest * u for off in offsets])
+
+
+@pytest.mark.invariants
+class TestMinorPrefilter:
+    """The 2x2 minor test never drops a point that `eigvalsh` would keep."""
+
+    OFFSETS = (
+        0.0, 1e-12, -1e-12, -statespace.GRID_PSD_TOL, -statespace.GRID_PSD_TOL + 1e-12,
+        -statespace.GRID_PSD_TOL - 1e-12, 1e-3, -1e-3,
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 15),
+    )
+    def test_keeps_every_eigvalsh_kept_point(self, dim, seed, support):
+        basis = bs.gell_mann_basis(dim)
+        points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
+        lowest = statespace._spectra(points, basis)[:, -1]
+        minor = statespace._minor_lows(basis)(points)
+        # interlacing: no minor lies below the whole matrix's lowest eigenvalue
+        assert np.all(minor >= lowest - 1e-12)
+        kept = lowest >= -statespace.GRID_PSD_TOL
+        passed = minor >= -statespace.GRID_PSD_TOL - statespace.MINOR_MARGIN
+        assert np.all(passed[kept])
+        assert kept[:3].all()  # the boundary and 1e-12 either side of it
+
+    def test_diagonal_directions_are_tight(self, basis3):
+        # a diagonal rho is its own 2x2 minors: the bound is exact
+        points = np.zeros((2, 8))
+        points[:, 7] = [1 / np.sqrt(3), -2 / np.sqrt(3)]
+        minor = statespace._minor_lows(basis3)(points)
+        lowest = statespace._spectra(points, basis3)[:, -1]
+        assert np.allclose(minor, lowest, atol=1e-15)
