@@ -1,9 +1,13 @@
 """Command-line front end: anneal / refine / verify / gridinfo.
 
 Config files are flat `key = value` text with dotted section prefixes; blank
-lines and `#` comments are ignored, unknown or duplicate keys are errors.  All
-keys default to the qutrit diagonal-known experiment, so a minimal anneal
-config is just `mode = anneal`.  See README for the full key table.
+lines and `#` comments are ignored, unknown or duplicate keys are errors.
+`_CONFIG_KEYS` maps each key to a field of `ExperimentConfig`, its
+`AnnealConfig` or its `RefineSettings`; a key that is not given keeps the
+default declared on that field, and those defaults describe the qutrit
+diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
+`docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
+table.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ DEFAULT_KNOWN = {
 class RefineSettings:
     weight: float = 1.0
     restarts: int = 5
-    element_count: Optional[int] = None
+    element_count: Optional[int] = None  # None: N + 1
     schedule: AnnealConfig = field(
         default_factory=lambda: AnnealConfig(
             total_steps=3000,
@@ -59,7 +63,6 @@ class RefineSettings:
             T_decay=0.998,
             reheat_every=600,
             reheat_factor=8.0,
-            rng_seed=0,
             trace_every=100,
         )
     )
@@ -69,9 +72,9 @@ class RefineSettings:
 class ExperimentConfig:
     mode: str
     dim: int = 3
-    pattern: ParameterPattern = None
+    pattern: ParameterPattern = None  # None: build_config uses DEFAULT_KNOWN[dim]
     grid_points: int = 7
-    grid_bound: Optional[float] = None
+    grid_bound: Optional[float] = None  # None: bloch_radius_bound(dim)
     grid_cells: int = 10
     cluster_policy: str = "largest"
     theta_ref: Optional[np.ndarray] = None
@@ -109,41 +112,49 @@ def _parse_float_list(s):
     return [_parse_float(x) for x in s.split(",") if x.strip() != ""]
 
 
-_KEY_PARSERS = {
-    "mode": str,
-    "dim": _parse_int,
-    "pattern.known_indices": _parse_int_list,
-    "pattern.known_values": _parse_float_list,
-    "grid.points_per_axis": _parse_int,
-    "grid.bound": _parse_float,
-    "grid.cells": _parse_int,
-    "grid.cluster_policy": str,
-    "grid.theta_ref": _parse_float_list,
-    "anneal.total_steps": _parse_int,
-    "anneal.s0": _parse_float,
-    "anneal.s_decay": _parse_float,
-    "anneal.T0": _parse_float,
-    "anneal.T_decay": _parse_float,
-    "anneal.reheat_every": _parse_int,
-    "anneal.reheat_factor": _parse_float,
-    "anneal.max_resample": _parse_int,
-    "anneal.seed": _parse_int,
-    "anneal.trace_every": _parse_int,
-    "anneal.perturb_a0": _parse_bool,
-    "anneal.init_scale": _parse_float,
-    "refine.weight": _parse_float,
-    "refine.restarts": _parse_int,
-    "refine.element_count": _parse_int,
-    "refine.total_steps": _parse_int,
-    "refine.s0": _parse_float,
-    "refine.s_decay": _parse_float,
-    "refine.T0": _parse_float,
-    "refine.T_decay": _parse_float,
-    "refine.reheat_every": _parse_int,
-    "refine.reheat_factor": _parse_float,
-    "refine.trace_every": _parse_int,
-    "refine.seed": _parse_int,
-    "output.dir": str,
+def _parse_float_array(s):
+    return np.asarray(_parse_float_list(s), dtype=float)
+
+
+# key -> (target, field, parser).  The target says where the value goes:
+# "config" is ExperimentConfig itself, "anneal" its AnnealConfig, "refine" its
+# RefineSettings, "schedule" the refine AnnealConfig, and "pattern" the two
+# lists build_config turns into a ParameterPattern.
+_CONFIG_KEYS = {
+    "mode": ("config", "mode", str),
+    "dim": ("config", "dim", _parse_int),
+    "pattern.known_indices": ("pattern", "known_indices", _parse_int_list),
+    "pattern.known_values": ("pattern", "known_values", _parse_float_list),
+    "grid.points_per_axis": ("config", "grid_points", _parse_int),
+    "grid.bound": ("config", "grid_bound", _parse_float),
+    "grid.cells": ("config", "grid_cells", _parse_int),
+    "grid.cluster_policy": ("config", "cluster_policy", str),
+    "grid.theta_ref": ("config", "theta_ref", _parse_float_array),
+    "anneal.total_steps": ("anneal", "total_steps", _parse_int),
+    "anneal.s0": ("anneal", "s0", _parse_float),
+    "anneal.s_decay": ("anneal", "s_decay", _parse_float),
+    "anneal.T0": ("anneal", "T0", _parse_float),
+    "anneal.T_decay": ("anneal", "T_decay", _parse_float),
+    "anneal.reheat_every": ("anneal", "reheat_every", _parse_int),
+    "anneal.reheat_factor": ("anneal", "reheat_factor", _parse_float),
+    "anneal.max_resample": ("anneal", "max_resample", _parse_int),
+    "anneal.seed": ("anneal", "rng_seed", _parse_int),
+    "anneal.trace_every": ("anneal", "trace_every", _parse_int),
+    "anneal.perturb_a0": ("anneal", "perturb_a0", _parse_bool),
+    "anneal.init_scale": ("config", "init_scale", _parse_float),
+    "refine.weight": ("refine", "weight", _parse_float),
+    "refine.restarts": ("refine", "restarts", _parse_int),
+    "refine.element_count": ("refine", "element_count", _parse_int),
+    "refine.total_steps": ("schedule", "total_steps", _parse_int),
+    "refine.s0": ("schedule", "s0", _parse_float),
+    "refine.s_decay": ("schedule", "s_decay", _parse_float),
+    "refine.T0": ("schedule", "T0", _parse_float),
+    "refine.T_decay": ("schedule", "T_decay", _parse_float),
+    "refine.reheat_every": ("schedule", "reheat_every", _parse_int),
+    "refine.reheat_factor": ("schedule", "reheat_factor", _parse_float),
+    "refine.trace_every": ("schedule", "trace_every", _parse_int),
+    "refine.seed": ("schedule", "rng_seed", _parse_int),
+    "output.dir": ("config", "output_dir", str),
 }
 
 
@@ -159,29 +170,35 @@ def parse_config(text: str, mode: Optional[str] = None) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _CONFIG_KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _KEY_PARSERS[key](val)
+            values[key] = _CONFIG_KEYS[key][2](val)
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return build_config(values, mode)
 
 
 def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
+    """The dataclass defaults with the given parsed `values` applied, range-checked."""
+    given = {target: {} for target in ("config", "anneal", "refine", "schedule", "pattern")}
+    for key, value in values.items():
+        target, name, _ = _CONFIG_KEYS[key]
+        given[target][name] = value
     mode = mode or values.get("mode")
     if not mode:
         raise ConfigurationError("missing required key `mode`")
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    dim = values.get("dim", 3)
+    cfg = ExperimentConfig(**{**given["config"], "mode": mode})
+    dim = cfg.dim
     if dim not in (2, 3, 4):
         raise ConfigurationError(f"dim must be 2, 3 or 4, got {dim}")
 
-    known_idx = values.get("pattern.known_indices")
-    known_val = values.get("pattern.known_values")
+    known_idx = given["pattern"].get("known_indices")
+    known_val = given["pattern"].get("known_values")
     if (known_idx is None) != (known_val is None):
         raise ConfigurationError(
             "pattern.known_indices and pattern.known_values must be given together"
@@ -198,84 +215,41 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
             raise ConfigurationError("pattern.known_indices has duplicates")
         known = dict(zip(known_idx, known_val))
     try:
-        pattern = ParameterPattern.from_known(dim, known)
+        cfg.pattern = ParameterPattern.from_known(dim, known)
     except PovmLabError as exc:
         raise ConfigurationError(str(exc)) from exc
 
-    grid_points = values.get("grid.points_per_axis", 7)
-    if grid_points < 2:
-        raise ConfigurationError(f"grid.points_per_axis must be >= 2, got {grid_points}")
-    grid_cells = values.get("grid.cells", 10)
-    if grid_cells < 1:
-        raise ConfigurationError(f"grid.cells must be >= 1, got {grid_cells}")
-    policy = values.get("grid.cluster_policy", "largest")
-    if policy not in ("largest", "reference"):
-        raise ConfigurationError(f"grid.cluster_policy must be largest|reference, got {policy!r}")
-    theta_ref = values.get("grid.theta_ref")
-    if theta_ref is not None:
-        theta_ref = np.asarray(theta_ref, dtype=float)
-        if theta_ref.shape != (pattern.unknown_count,):
-            raise ConfigurationError(
-                f"grid.theta_ref needs {pattern.unknown_count} entries, got {theta_ref.shape[0]}"
-            )
-    if policy == "reference" and theta_ref is None:
+    if cfg.grid_points < 2:
+        raise ConfigurationError(f"grid.points_per_axis must be >= 2, got {cfg.grid_points}")
+    if cfg.grid_cells < 1:
+        raise ConfigurationError(f"grid.cells must be >= 1, got {cfg.grid_cells}")
+    if cfg.cluster_policy not in ("largest", "reference"):
+        raise ConfigurationError(
+            f"grid.cluster_policy must be largest|reference, got {cfg.cluster_policy!r}"
+        )
+    unknown_count = cfg.pattern.unknown_count
+    if cfg.theta_ref is not None and cfg.theta_ref.shape != (unknown_count,):
+        raise ConfigurationError(
+            f"grid.theta_ref needs {unknown_count} entries, got {cfg.theta_ref.shape[0]}"
+        )
+    if cfg.cluster_policy == "reference" and cfg.theta_ref is None:
         raise ConfigurationError("grid.cluster_policy = reference requires grid.theta_ref")
 
-    try:
-        anneal_cfg = AnnealConfig(
-            total_steps=values.get("anneal.total_steps", 20000),
-            s0=values.get("anneal.s0", 0.2),
-            s_decay=values.get("anneal.s_decay", 0.9995),
-            T0=values.get("anneal.T0", 1.0),
-            T_decay=values.get("anneal.T_decay", 0.999),
-            reheat_every=values.get("anneal.reheat_every", 1000),
-            reheat_factor=values.get("anneal.reheat_factor", 5.0),
-            max_resample=values.get("anneal.max_resample", 100),
-            rng_seed=values.get("anneal.seed", 0),
-            trace_every=values.get("anneal.trace_every", 50),
-            perturb_a0=values.get("anneal.perturb_a0", True),
-        )
-        refine_schedule = AnnealConfig(
-            total_steps=values.get("refine.total_steps", 3000),
-            s0=values.get("refine.s0", 0.7),
-            s_decay=values.get("refine.s_decay", 0.999),
-            T0=values.get("refine.T0", 0.02),
-            T_decay=values.get("refine.T_decay", 0.998),
-            reheat_every=values.get("refine.reheat_every", 600),
-            reheat_factor=values.get("refine.reheat_factor", 8.0),
-            rng_seed=values.get("refine.seed", 0),
-            trace_every=values.get("refine.trace_every", 100),
-        )
-    except PovmLabError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    # AnnealConfig.__post_init__ range-checks both schedules
+    cfg.anneal = replace(cfg.anneal, **given["anneal"])
+    schedule = replace(cfg.refine.schedule, **given["schedule"])
+    cfg.refine = replace(cfg.refine, schedule=schedule, **given["refine"])
 
-    m = values.get("refine.element_count")
+    m = cfg.refine.element_count
     if m is not None and m < 2:
         raise ConfigurationError(f"refine.element_count must be >= 2, got {m}")
-    init_scale = values.get("anneal.init_scale", 0.05)
-    if init_scale <= 0:
+    if cfg.init_scale <= 0:
         raise ConfigurationError("anneal.init_scale must be positive")
-    restarts = values.get("refine.restarts", 5)
-    if restarts < 1:
+    if cfg.refine.restarts < 1:
         raise ConfigurationError("refine.restarts must be >= 1")
-    weight = values.get("refine.weight", 1.0)
-    if weight < 0:
+    if cfg.refine.weight < 0:
         raise ConfigurationError("refine.weight must be nonnegative")
-
-    return ExperimentConfig(
-        mode=mode,
-        dim=dim,
-        pattern=pattern,
-        grid_points=grid_points,
-        grid_bound=values.get("grid.bound"),
-        grid_cells=grid_cells,
-        cluster_policy=policy,
-        theta_ref=theta_ref,
-        anneal=anneal_cfg,
-        init_scale=init_scale,
-        refine=RefineSettings(weight, restarts, m, refine_schedule),
-        output_dir=values.get("output.dir", "."),
-    )
+    return cfg
 
 
 def _build_cluster(cfg: ExperimentConfig, b):
@@ -532,7 +506,8 @@ def _verify_checks():
 
 def _run_verify() -> int:
     failures = 0
-    for name, fn, tol in _verify_checks():
+    checks = _verify_checks()
+    for name, fn, tol in checks:
         try:
             residual = fn()
             ok = residual <= tol
@@ -543,7 +518,7 @@ def _run_verify() -> int:
         print(f"{status}\t{name}\t{residual:.3e}")
         if not ok:
             failures += 1
-    print(f"{'ok' if failures == 0 else 'FAIL'}\t{len(_verify_checks()) - failures} passed, {failures} failed")
+    print(f"{'ok' if failures == 0 else 'FAIL'}\t{len(checks) - failures} passed, {failures} failed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -29,8 +29,6 @@ from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
-DEFAULT_CELLS = 10
-DEFAULT_POINTS_PER_AXIS = 7
 GRID_BLOCK = 343  # points per block of the grid walk: one 7^3 slab
 MINOR_MARGIN = 1e-9  # slack of the 2x2 minor prefilter beyond GRID_PSD_TOL
 

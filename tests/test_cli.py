@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from povm_lab import annealer, cli, rankone
 from povm_lab import povm as pv
+from povm_lab.basis import ParameterPattern
 from povm_lab.errors import ConfigurationError
 
 DOCS_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "qutrit_anneal.cfg"
@@ -83,6 +85,113 @@ class TestParseConfig:
             cli.parse_config("mode = anneal\n" + line + "\n")
 
 
+def _leaf_fields(cfg, prefix=""):
+    """A built config's fields by dotted path; the pattern is one leaf."""
+    leaves = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value) and not isinstance(value, ParameterPattern):
+            leaves.update(_leaf_fields(value, f"{prefix}{f.name}."))
+        else:
+            leaves[prefix + f.name] = value
+    return leaves
+
+
+def _same(a, b):
+    if isinstance(a, ParameterPattern) and isinstance(b, ParameterPattern):
+        return (a.dim, a.unknown_indices, a.known_indices, a.known_values.tolist()) == (
+            b.dim,
+            b.unknown_indices,
+            b.known_indices,
+            b.known_values.tolist(),
+        )
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _changed_fields(cfg, base):
+    got, want = _leaf_fields(cfg), _leaf_fields(base)
+    assert got.keys() == want.keys()
+    return {path for path in want if not _same(got[path], want[path])}
+
+
+# key -> (config lines with a valid non-default value, the fields they change).
+# A pattern key needs its partner, dim also changes the pattern derived from
+# it, and the reference policy needs a theta_ref.
+_KEY_CASES = {
+    "mode": ("mode = refine", {"mode"}),
+    "dim": ("dim = 2", {"dim", "pattern"}),
+    "pattern.known_indices": (
+        "pattern.known_indices = 1,2\npattern.known_values = 0.0,0.0",
+        {"pattern"},
+    ),
+    "pattern.known_values": (
+        "pattern.known_indices = 7,8\npattern.known_values = 0.1,0.0",
+        {"pattern"},
+    ),
+    "grid.points_per_axis": ("grid.points_per_axis = 5", {"grid_points"}),
+    "grid.bound": ("grid.bound = 0.5", {"grid_bound"}),
+    "grid.cells": ("grid.cells = 4", {"grid_cells"}),
+    "grid.cluster_policy": (
+        "grid.cluster_policy = reference\ngrid.theta_ref = 0.1,0,0,0,0,0",
+        {"cluster_policy", "theta_ref"},
+    ),
+    "grid.theta_ref": ("grid.theta_ref = 0.1,0,0,0,0,0", {"theta_ref"}),
+    "anneal.total_steps": ("anneal.total_steps = 7", {"anneal.total_steps"}),
+    "anneal.s0": ("anneal.s0 = 0.3", {"anneal.s0"}),
+    "anneal.s_decay": ("anneal.s_decay = 0.99", {"anneal.s_decay"}),
+    "anneal.T0": ("anneal.T0 = 2.0", {"anneal.T0"}),
+    "anneal.T_decay": ("anneal.T_decay = 0.99", {"anneal.T_decay"}),
+    "anneal.reheat_every": ("anneal.reheat_every = 9", {"anneal.reheat_every"}),
+    "anneal.reheat_factor": ("anneal.reheat_factor = 2.0", {"anneal.reheat_factor"}),
+    "anneal.max_resample": ("anneal.max_resample = 9", {"anneal.max_resample"}),
+    "anneal.seed": ("anneal.seed = 9", {"anneal.rng_seed"}),
+    "anneal.trace_every": ("anneal.trace_every = 9", {"anneal.trace_every"}),
+    "anneal.perturb_a0": ("anneal.perturb_a0 = false", {"anneal.perturb_a0"}),
+    "anneal.init_scale": ("anneal.init_scale = 0.1", {"init_scale"}),
+    "refine.weight": ("refine.weight = 2.0", {"refine.weight"}),
+    "refine.restarts": ("refine.restarts = 2", {"refine.restarts"}),
+    "refine.element_count": ("refine.element_count = 5", {"refine.element_count"}),
+    "refine.total_steps": ("refine.total_steps = 7", {"refine.schedule.total_steps"}),
+    "refine.s0": ("refine.s0 = 0.3", {"refine.schedule.s0"}),
+    "refine.s_decay": ("refine.s_decay = 0.99", {"refine.schedule.s_decay"}),
+    "refine.T0": ("refine.T0 = 2.0", {"refine.schedule.T0"}),
+    "refine.T_decay": ("refine.T_decay = 0.99", {"refine.schedule.T_decay"}),
+    "refine.reheat_every": ("refine.reheat_every = 9", {"refine.schedule.reheat_every"}),
+    "refine.reheat_factor": ("refine.reheat_factor = 2.0", {"refine.schedule.reheat_factor"}),
+    "refine.trace_every": ("refine.trace_every = 9", {"refine.schedule.trace_every"}),
+    "refine.seed": ("refine.seed = 9", {"refine.schedule.rng_seed"}),
+    "output.dir": ("output.dir = elsewhere", {"output_dir"}),
+}
+# keys whose default is unset or derived from dim, so no fixed value to write out
+_DERIVED_DEFAULT_KEYS = {"grid.bound", "grid.theta_ref", "refine.element_count"}
+
+
+class TestKeyTable:
+    def test_every_key_has_a_case(self):
+        assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
+        assert len(cli._CONFIG_KEYS) == 34
+
+    @pytest.mark.parametrize("key", sorted(_KEY_CASES))
+    def test_key_sets_exactly_its_field(self, key):
+        lines, fields = _KEY_CASES[key]
+        text = lines if key == "mode" else "mode = anneal\n" + lines
+        cfg = cli.parse_config(text)
+        assert _changed_fields(cfg, cli.build_config({}, mode="anneal")) == fields
+
+    def test_docs_config_writes_out_every_fixed_default(self):
+        text = DOCS_CONFIG.read_text()
+        keys = {
+            line.partition("=")[0].strip()
+            for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        }
+        assert keys == set(cli._CONFIG_KEYS) - _DERIVED_DEFAULT_KEYS
+        default = cli.build_config({}, mode="anneal")
+        assert _changed_fields(cli.parse_config(text), default) == set()
+
+
 _CONFIG_VALUES = st.one_of(
     st.text(max_size=12),
     st.integers(-10, 10**6).map(str),
@@ -93,7 +202,7 @@ _CONFIG_VALUES = st.one_of(
 )
 _CONFIG_LINES = st.one_of(
     st.text(max_size=30),
-    st.builds("{} = {}".format, st.sampled_from(sorted(cli._KEY_PARSERS)), _CONFIG_VALUES),
+    st.builds("{} = {}".format, st.sampled_from(sorted(cli._CONFIG_KEYS)), _CONFIG_VALUES),
 )
 
 
