@@ -101,6 +101,8 @@ class AnnealConfig:
             raise ConfigurationError("reheat_factor must be >= 1")
         if self.max_resample < 1 or self.trace_every < 1:
             raise ConfigurationError("max_resample and trace_every must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -654,12 +656,14 @@ def read_trace(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != TRACE_HEADER:
         raise ContractViolation(f"bad trace header in {path}")
+    width = len(TRACE_HEADER.split(","))
     out = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], 2):
         cells = ln.split(",")
-        out.append(
-            TraceRecord(
-                int(cells[0]), *(float(c) for c in cells[1:])
-            )
-        )
+        if len(cells) != width:
+            raise ContractViolation(f"{path} line {lineno}: {len(cells)} cells, expected {width}")
+        try:
+            out.append(TraceRecord(int(cells[0]), *(float(c) for c in cells[1:])))
+        except ValueError as exc:
+            raise ContractViolation(f"{path} line {lineno}: {exc}") from exc
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .basis import ParameterPattern, gell_mann_basis
-from .povm import Povm, PovmElementCoords
+from .povm import Povm, PovmElementCoords, overlap_matrix
 from .rankone import PhaseConfiguration
 
 RANK_TOL_DEFAULT = 1e-8
@@ -135,12 +135,7 @@ def conditional_sic_report(
         ranks.append(int(significant.size))
         if significant.size == 0 or np.abs(significant - c).max() > tol:
             multiple_ok = False
-    m = P.m
-    overlaps = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            overlaps[i, j] = overlaps[j, i] = linalg.hs_inner(P.elements[i], P.elements[j])
-    cross = overlaps[~np.eye(m, dtype=bool)]
+    cross = overlap_matrix(P.elements)[~np.eye(P.m, dtype=bool)]
     d = float(cross.mean())
     overlap_dev = float(np.abs(cross - d).max()) if cross.size else 0.0
     b = gell_mann_basis(pattern.dim)

@@ -30,7 +30,7 @@ from .errors import (
     EmptyClusterSelection,
     PovmLabError,
 )
-from .povm import metrics, validate, write_povm
+from .povm import metrics, overlap_matrix, validate, write_povm
 from .statespace import GridSpec, cluster_states, generate_grid, select_cluster
 
 log = logging.getLogger("povm_lab")
@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# every `verify` residual passes at or below this
+VERIFY_TOL = 1e-12
 
 DEFAULT_KNOWN = {
     2: {3: 0.0},
@@ -359,8 +362,33 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _sum_residual(elements, target) -> float:
+    """max |sum_i E_i - target| over matrix entries."""
+    return float(np.abs(sum(elements) - target).max())
+
+
+def _spectrum_residual(elements, target) -> float:
+    """max over elements of |eigenvalues (descending) - target|."""
+    return max(float(np.abs(linalg.hermitian_eigenvalues(e) - target).max()) for e in elements)
+
+
+def _overlap_residual(elements, target) -> float:
+    """max |Tr(E_i E_j) - target| over ordered pairs i != j."""
+    cross = overlap_matrix(elements)[~np.eye(len(elements), dtype=bool)]
+    return float(np.abs(cross - target).max())
+
+
+def _verdict_residual(pov, pattern, c=None, d=None) -> float:
+    """0 if the conditional-SIC report passes with the given c and d, else 1."""
+    rep = catalog.conditional_sic_report(pov, pattern)
+    targets = ((rep.c, c), (rep.d, d))
+    ok = rep.verdict and all(t is None or abs(v - t) < VERIFY_TOL for v, t in targets)
+    return 0.0 if ok else 1.0
+
+
 def _verify_checks():
-    """The catalog oracle suite: (name, callable) pairs returning residuals."""
+    """The catalog oracle suite: (name, callable) pairs; each callable returns a
+    residual that passes at or below VERIFY_TOL."""
     qutrit = catalog.qutrit_csic()
     trine = catalog.qubit_trine()
     units = catalog.diag_units_dim4()
@@ -371,146 +399,61 @@ def _verify_checks():
     pat4_tensor = ParameterPattern.from_known(
         4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
     )
+    trine_p = [1.5 * e for e in trine.elements]  # the projections P_i = (3/2) E_i
+    sic = [2.0 * f for f in catalog.qubit_sic()]  # Tr(2F_i 2F_j) = 4 Tr(F_i F_j) = mu
 
-    def closeness(value, target):
-        return abs(value - target)
+    def quasi(pov, pattern):
+        return catalog.conditional_sic_report(pov, pattern).max_quasi_orthogonality_violation
 
-    checks = []
+    def invalid(pov):
+        return lambda: 1.0 if validate(pov, VERIFY_TOL) else 0.0
 
-    def add(name, fn, tol=1e-12):
-        checks.append((name, fn, tol))
-
-    add(
-        "qutrit sum = I",
-        lambda: float(np.abs(sum(qutrit.elements) - np.eye(3)).max()),
-    )
-    add(
-        "qutrit eigenvalues (3/7, 0, 0)",
-        lambda: max(
-            float(np.abs(linalg.hermitian_eigenvalues(e) - np.array([3 / 7, 0, 0])).max())
-            for e in qutrit.elements
+    checks = [
+        ("qutrit sum = I", lambda: _sum_residual(qutrit.elements, np.eye(3))),
+        (
+            "qutrit eigenvalues (3/7, 0, 0)",
+            lambda: _spectrum_residual(qutrit.elements, (3 / 7, 0, 0)),
         ),
-    )
-    add(
-        "qutrit diagonals 1/7",
-        lambda: max(float(np.abs(np.diag(e) - 1 / 7).max()) for e in qutrit.elements),
-    )
-    add(
-        "qutrit cross-overlaps 2/49",
-        lambda: max(
-            closeness(linalg.hs_inner(qutrit.elements[i], qutrit.elements[j]), 2 / 49)
-            for i in range(7)
-            for j in range(7)
-            if i != j
+        (
+            "qutrit diagonals 1/7",
+            lambda: max(float(np.abs(np.diag(e) - 1 / 7).max()) for e in qutrit.elements),
         ),
-    )
-    add(
-        "qutrit quasi-orthogonal to diagonal directions",
-        lambda: catalog.conditional_sic_report(qutrit, pat3).max_quasi_orthogonality_violation,
-    )
-    add(
-        "qutrit report verdict (c = 3/7, d = 2/49)",
-        lambda: 0.0
-        if (
-            (rep := catalog.conditional_sic_report(qutrit, pat3)).verdict
-            and abs(rep.c - 3 / 7) < 1e-12
-            and abs(rep.d - 2 / 49) < 1e-12
-        )
-        else 1.0,
-    )
-    add(
-        "trine sum P = (3/2) I",
-        lambda: float(np.abs(sum(1.5 * e for e in trine.elements) - 1.5 * np.eye(2)).max()),
-    )
-    add(
-        "trine Tr P_i P_j = 1/4",
-        lambda: max(
-            closeness(linalg.hs_inner(1.5 * trine.elements[i], 1.5 * trine.elements[j]), 0.25)
-            for i in range(3)
-            for j in range(3)
-            if i != j
+        ("qutrit cross-overlaps 2/49", lambda: _overlap_residual(qutrit.elements, 2 / 49)),
+        ("qutrit quasi-orthogonal to diagonal directions", lambda: quasi(qutrit, pat3)),
+        (
+            "qutrit report verdict (c = 3/7, d = 2/49)",
+            lambda: _verdict_residual(qutrit, pat3, 3 / 7, 2 / 49),
         ),
-    )
-    add(
-        "trine complementary to z",
-        lambda: catalog.conditional_sic_report(trine, pat2).max_quasi_orthogonality_violation,
-    )
-    add(
-        "trine report verdict (c = 2/3, d = 1/9)",
-        lambda: 0.0
-        if (
-            (rep := catalog.conditional_sic_report(trine, pat2)).verdict
-            and abs(rep.c - 2 / 3) < 1e-12
-            and abs(rep.d - 1 / 9) < 1e-12
-        )
-        else 1.0,
-    )
-    add(
-        "qubit SIC constants (mu = 1/3 tetrahedron)",
-        lambda: max(
-            closeness(4.0 * linalg.hs_inner(f, g), 1 / 3)
-            for i, f in enumerate(catalog.qubit_sic())
-            for j, g in enumerate(catalog.qubit_sic())
-            if i != j
+        ("trine sum P = (3/2) I", lambda: _sum_residual(trine_p, 1.5 * np.eye(2))),
+        ("trine Tr P_i P_j = 1/4", lambda: _overlap_residual(trine_p, 0.25)),
+        ("trine complementary to z", lambda: quasi(trine, pat2)),
+        (
+            "trine report verdict (c = 2/3, d = 1/9)",
+            lambda: _verdict_residual(trine, pat2, 2 / 3, 1 / 9),
         ),
-    )
-    add("diag units sum = I", lambda: float(np.abs(sum(units.elements) - np.eye(4)).max()))
-    add(
-        "diag units pairwise overlaps 0",
-        lambda: max(
-            abs(linalg.hs_inner(units.elements[i], units.elements[j]))
-            for i in range(4)
-            for j in range(4)
-            if i != j
+        ("qubit SIC constants (mu = 1/3 tetrahedron)", lambda: _overlap_residual(sic, 1 / 3)),
+        ("diag units sum = I", lambda: _sum_residual(units.elements, np.eye(4))),
+        ("diag units pairwise overlaps 0", lambda: _overlap_residual(units.elements, 0.0)),
+        ("diag units report verdict", lambda: _verdict_residual(units, pat4)),
+        (
+            "tensor SIC eigenvalues (1/2, 1/2, 0, 0)",
+            lambda: _spectrum_residual(tensor.elements, (0.5, 0.5, 0, 0)),
         ),
-    )
-    add(
-        "diag units report verdict",
-        lambda: 0.0 if catalog.conditional_sic_report(units, pat4).verdict else 1.0,
-    )
-    add(
-        "tensor SIC eigenvalues (1/2, 1/2, 0, 0)",
-        lambda: max(
-            float(
-                np.abs(linalg.hermitian_eigenvalues(e) - np.array([0.5, 0.5, 0, 0])).max()
-            )
-            for e in tensor.elements
-        ),
-    )
-    add(
-        "tensor SIC cross-overlaps 1/6",
-        lambda: max(
-            closeness(linalg.hs_inner(tensor.elements[i], tensor.elements[j]), 1 / 6)
-            for i in range(4)
-            for j in range(4)
-            if i != j
-        ),
-    )
-    add("tensor SIC sum = I", lambda: float(np.abs(sum(tensor.elements) - np.eye(4)).max()))
-    add(
-        "tensor SIC report verdict",
-        lambda: 0.0 if catalog.conditional_sic_report(tensor, pat4_tensor).verdict else 1.0,
-    )
-    for name, pov, tol in (
-        ("qutrit", qutrit, 1e-12),
-        ("trine", trine, 1e-12),
-        ("diag units", units, 1e-12),
-        ("tensor SIC", tensor, 1e-12),
-    ):
-        add(
-            f"{name} povm valid at 1e-12",
-            lambda pov=pov, tol=tol: 0.0 if not validate(pov, tol) else 1.0,
-        )
-    return checks
+        ("tensor SIC cross-overlaps 1/6", lambda: _overlap_residual(tensor.elements, 1 / 6)),
+        ("tensor SIC sum = I", lambda: _sum_residual(tensor.elements, np.eye(4))),
+        ("tensor SIC report verdict", lambda: _verdict_residual(tensor, pat4_tensor)),
+    ]
+    named = (("qutrit", qutrit), ("trine", trine), ("diag units", units), ("tensor SIC", tensor))
+    return checks + [(f"{name} povm valid at {VERIFY_TOL:g}", invalid(pov)) for name, pov in named]
 
 
 def _run_verify() -> int:
     failures = 0
     checks = _verify_checks()
-    for name, fn, tol in checks:
+    for name, fn in checks:
         try:
             residual = fn()
-            ok = residual <= tol
+            ok = residual <= VERIFY_TOL
         except PovmLabError as exc:
             residual, ok = float("nan"), False
             log.error("%s raised %s", name, exc)
@@ -518,7 +461,8 @@ def _run_verify() -> int:
         print(f"{status}\t{name}\t{residual:.3e}")
         if not ok:
             failures += 1
-    print(f"{'ok' if failures == 0 else 'FAIL'}\t{len(checks) - failures} passed, {failures} failed")
+    status = "ok" if failures == 0 else "FAIL"
+    print(f"{status}\t{len(checks) - failures} passed, {failures} failed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -111,6 +111,16 @@ def complete_povm(first_elements, coords=None) -> Povm:
     return Povm(dim, list(first_elements) + [residual], coords)
 
 
+def overlap_matrix(elements) -> np.ndarray:
+    """The symmetric m x m matrix of Hilbert-Schmidt overlaps Tr(E_i E_j)."""
+    m = len(elements)
+    overlap = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            overlap[i, j] = overlap[j, i] = linalg.hs_inner(elements[i], elements[j])
+    return overlap
+
+
 def metrics(P: Povm) -> PovmMetrics:
     """The rank-one and symmetry diagnostics of a measurement.
 
@@ -124,10 +134,7 @@ def metrics(P: Povm) -> PovmMetrics:
         evals = linalg.hermitian_eigenvalues(e)
         sig += max(float(evals[1]), 0.0)
     m = P.m
-    overlap = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            overlap[i, j] = overlap[j, i] = linalg.hs_inner(P.elements[i], P.elements[j])
+    overlap = overlap_matrix(P.elements)
     selfs = np.diag(overlap)
     delta = float(np.sum((selfs - selfs.mean()) ** 2))
     mask = ~np.eye(m, dtype=bool)
@@ -192,7 +199,10 @@ def read_povm(path) -> Povm:
     head = lines[0].split()
     if len(head) != 2:
         raise ContractViolation(f"bad header line {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ContractViolation(f"bad header line {lines[0]!r}") from exc
     if len(lines) != 1 + n * m:
         raise ContractViolation(f"expected {1 + n * m} lines, found {len(lines)}")
     elements = []
@@ -204,8 +214,11 @@ def read_povm(path) -> Povm:
             if len(cells) != n:
                 raise ContractViolation(f"row {pos + 1} has {len(cells)} entries, expected {n}")
             for c, cell in enumerate(cells):
-                re_s, im_s = cell.split()
-                e[r, c] = float(re_s) + 1j * float(im_s)
+                try:
+                    re_s, im_s = cell.split()
+                    e[r, c] = float(re_s) + 1j * float(im_s)
+                except ValueError as exc:
+                    raise ContractViolation(f"row {pos + 1}: cell {cell!r} is not `re im`") from exc
             pos += 1
         elements.append(e)
     return Povm(n, elements)

@@ -66,11 +66,14 @@ def gauge_fix(raw) -> np.ndarray:
 
 
 def from_raw(dim: int, raw) -> PhaseConfiguration:
-    """Gauge-fix a raw phase matrix; row 1 must come out all zero."""
+    """Gauge-fix a raw m x dim phase matrix; row 1 must come out all zero."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != dim:
+        raise ContractViolation(f"raw phases have shape {raw.shape}, expected (m, {dim})")
     fixed = gauge_fix(raw)
     if np.abs(fixed[0]).max() > 0.0:
         raise ContractViolation("first vector must have uniform phases (row 1 gauge)")
-    return PhaseConfiguration(raw.shape[1], raw.shape[0], fixed)
+    return PhaseConfiguration(dim, raw.shape[0], fixed)
 
 
 def random_phases(dim: int, element_count: int, rng) -> PhaseConfiguration:
@@ -144,10 +147,14 @@ def _residuals(phases: np.ndarray, dim: int, m: int, weight: float, off_mask):
     return np.concatenate(residuals), np.vstack(jacobian)
 
 
+def _check_weight(weight: float) -> None:
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ContractViolation(f"weight must be finite and nonnegative, got {weight}")
+
+
 def refine_objective(phi: PhaseConfiguration, weight: float = 1.0) -> float:
     """Cross-overlap variance plus `weight` times the squared completeness residual."""
-    if weight < 0:
-        raise ContractViolation("weight must be nonnegative")
+    _check_weight(weight)
     m = phi.element_count
     return _objective(phi.phases, phi.dim, m, weight, ~np.eye(m, dtype=bool))
 
@@ -170,6 +177,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     or after POLISH_MAX_ITERATIONS.  `objective_trace` holds the anneal records
     followed by one value per accepted iteration.
     """
+    _check_weight(weight)
     n, m = initial.dim, initial.element_count
     off_mask = ~np.eye(m, dtype=bool)
 
@@ -241,9 +249,20 @@ def write_phases(phi: PhaseConfiguration, path) -> None:
 def read_phases(path) -> PhaseConfiguration:
     rows = []
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
-            if ln:
-                rows.append([float(x) for x in ln.split(",")])
+            if not ln:
+                continue
+            try:
+                row = [float(x) for x in ln.split(",")]
+            except ValueError as exc:
+                raise ContractViolation(f"{path} line {lineno}: {exc}") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ContractViolation(
+                    f"{path} line {lineno}: {len(row)} phases, not {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ContractViolation(f"{path} has no phase rows")
     arr = np.array(rows)
     return PhaseConfiguration(arr.shape[1], arr.shape[0], arr)

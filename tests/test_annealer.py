@@ -52,6 +52,10 @@ class TestAnnealConfig:
         with pytest.raises(ConfigurationError, match=name):
             small_config(**{name: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="rng_seed"):
+            small_config(rng_seed=-1)
+
 
 class TestPerturbElement:
     def test_vanishing_noise(self, basis2):
@@ -272,6 +276,17 @@ class TestTraceIO:
         annealer.write_trace(res.trace, path)
         back = annealer.read_trace(path)
         assert back == res.trace
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("50,1.0,0.0", "line 3: 3 cells, expected 7"), ("50,x,0,0,0,1,0.2", "line 3")],
+        ids=["short", "not-a-number"],
+    )
+    def test_malformed_row_is_a_typed_failure(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{annealer.TRACE_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.2\n{row}\n")
+        with pytest.raises(ContractViolation, match=message):
+            annealer.read_trace(path)
 
 
 def scalar_variants(old, new, basis, cluster, pattern):

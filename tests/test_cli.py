@@ -220,12 +220,110 @@ class TestParseConfigProperties:
             assert np.isfinite(v)
 
 
+VERIFY_NAMES = [
+    "qutrit sum = I",
+    "qutrit eigenvalues (3/7, 0, 0)",
+    "qutrit diagonals 1/7",
+    "qutrit cross-overlaps 2/49",
+    "qutrit quasi-orthogonal to diagonal directions",
+    "qutrit report verdict (c = 3/7, d = 2/49)",
+    "trine sum P = (3/2) I",
+    "trine Tr P_i P_j = 1/4",
+    "trine complementary to z",
+    "trine report verdict (c = 2/3, d = 1/9)",
+    "qubit SIC constants (mu = 1/3 tetrahedron)",
+    "diag units sum = I",
+    "diag units pairwise overlaps 0",
+    "diag units report verdict",
+    "tensor SIC eigenvalues (1/2, 1/2, 0, 0)",
+    "tensor SIC cross-overlaps 1/6",
+    "tensor SIC sum = I",
+    "tensor SIC report verdict",
+    "qutrit povm valid at 1e-12",
+    "trine povm valid at 1e-12",
+    "diag units povm valid at 1e-12",
+    "tensor SIC povm valid at 1e-12",
+]
+
+
+def verify_rows(capsys):
+    """(status, name) per check line of `verify`, and the summary line."""
+    lines = capsys.readouterr().out.splitlines()
+    return [tuple(ln.split("\t")[:2]) for ln in lines[:-1]], lines[-1]
+
+
 class TestVerifyMode:
     def test_exit_zero(self, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "ok" in out
+
+    def test_names_in_order_and_summary(self, capsys):
+        assert cli.main(["verify"]) == 0
+        rows, summary = verify_rows(capsys)
+        assert rows == [("ok", name) for name in VERIFY_NAMES]
+        assert summary == "ok\t22 passed, 0 failed"
+
+    @pytest.mark.parametrize(
+        "constructor, failing",
+        [
+            (
+                "qutrit_csic",
+                [
+                    "qutrit sum = I",
+                    "qutrit eigenvalues (3/7, 0, 0)",
+                    "qutrit diagonals 1/7",
+                    "qutrit cross-overlaps 2/49",
+                    "qutrit report verdict (c = 3/7, d = 2/49)",
+                    "qutrit povm valid at 1e-12",
+                ],
+            ),
+            (
+                "qubit_trine",
+                [
+                    "trine sum P = (3/2) I",
+                    "trine Tr P_i P_j = 1/4",
+                    "trine report verdict (c = 2/3, d = 1/9)",
+                    "trine povm valid at 1e-12",
+                ],
+            ),
+            (
+                "diag_units_dim4",
+                [
+                    "diag units sum = I",
+                    "diag units report verdict",
+                    "diag units povm valid at 1e-12",
+                ],
+            ),
+            (
+                "sic_tensor_identity_dim4",
+                [
+                    "tensor SIC eigenvalues (1/2, 1/2, 0, 0)",
+                    "tensor SIC cross-overlaps 1/6",
+                    "tensor SIC sum = I",
+                    "tensor SIC report verdict",
+                    "tensor SIC povm valid at 1e-12",
+                ],
+            ),
+        ],
+    )
+    def test_broken_object_fails_exactly_its_checks(
+        self, monkeypatch, capsys, constructor, failing
+    ):
+        build = getattr(cli.catalog, constructor)
+
+        def broken():
+            pov = build()
+            pov.elements[0] = pov.elements[0] * 1.5
+            return pov
+
+        monkeypatch.setattr(cli.catalog, constructor, broken)
+        assert cli.main(["verify"]) == 1
+        rows, summary = verify_rows(capsys)
+        assert [name for _, name in rows] == VERIFY_NAMES
+        assert [name for status, name in rows if status == "FAIL"] == failing
+        assert summary == f"FAIL\t{22 - len(failing)} passed, {len(failing)} failed"
 
 
 class TestAnnealMode:
@@ -339,6 +437,22 @@ class TestGridinfoMode:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "mode, text, flags",
+        [
+            ("anneal", QUBIT_CFG.format(steps=5, seed=-1, out="{out}"), []),
+            ("refine", "mode = refine\nrefine.seed = -1\noutput.dir = {out}\n", []),
+            ("anneal", QUBIT_CFG.format(steps=5, seed=1, out="{out}"), ["--seed", "-1"]),
+        ],
+        ids=["anneal.seed", "refine.seed", "--seed"],
+    )
+    def test_negative_seed_is_2(self, tmp_path, mode, text, flags):
+        cfg_path = tmp_path / "seed.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(text.format(out=out))
+        assert cli.main([mode, "--config", str(cfg_path), *flags]) == 2
+        assert not out.exists()
+
     def test_config_error_is_2(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("grid.points_per_axis = 0\n")

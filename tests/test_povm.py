@@ -81,6 +81,15 @@ class TestMetrics:
         assert mk.delta > 0
 
 
+class TestOverlapMatrix:
+    def test_entries_are_ordered_pair_overlaps(self, qutrit_csic):
+        overlaps = pv.overlap_matrix(qutrit_csic.elements)
+        assert overlaps.shape == (7, 7)
+        for i, a in enumerate(qutrit_csic.elements):
+            for j, b in enumerate(qutrit_csic.elements):
+                assert overlaps[i, j] == linalg.hs_inner(a, b)
+
+
 class TestValidate:
     def test_catalog_povms_clean(self, qutrit_csic, trine):
         for p in (qutrit_csic, trine, catalog.diag_units_dim4(), catalog.sic_tensor_identity_dim4()):
@@ -122,6 +131,17 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 0;0 0\n")
         with pytest.raises(ContractViolation):
+            pv.read_povm(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 1\n1.0\n", "row 2: cell '1.0'"), ("1 1\nx 0\n", "row 2"), ("a b\n", "header")],
+        ids=["one-number", "not-a-number", "header"],
+    )
+    def test_malformed_text_is_a_typed_failure(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match=message):
             pv.read_povm(path)
 
 

@@ -94,6 +94,14 @@ class TestRefineObjective:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_bad_weight_rejected(self, weight):
+        phi = catalog.qutrit_csic_phases()
+        with pytest.raises(ContractViolation, match="weight"):
+            rankone.refine(phi, refine_config(0, steps=5), weight)
+        with pytest.raises(ContractViolation, match="weight"):
+            rankone.refine_objective(phi, weight)
+
     def test_analytic_start_is_fixed_point(self):
         phi = catalog.qutrit_csic_phases()
         res = rankone.refine(phi, refine_config(0, steps=50), 1.0)
@@ -227,3 +235,22 @@ class TestSerialization:
         back = rankone.read_phases(path)
         assert back.dim == 3 and back.element_count == 7
         assert np.array_equal(back.phases, phi.phases)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("\n", "no phase rows"), ("0,0,0\n0,1\n", "line 2: 2 phases, not 3"), ("0,0\n0,x\n", "line 2")],
+        ids=["empty", "ragged", "not-a-number"],
+    )
+    def test_malformed_file_is_a_typed_failure(self, tmp_path, text, message):
+        path = tmp_path / "phases.csv"
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match=message):
+            rankone.read_phases(path)
+
+    def test_from_raw_takes_a_list_and_checks_dim(self):
+        raw = [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+        assert rankone.from_raw(3, raw).phases.shape == (2, 3)
+        with pytest.raises(ContractViolation, match=r"shape \(2, 3\)"):
+            rankone.from_raw(2, raw)
+        with pytest.raises(ContractViolation, match=r"shape \(3,\)"):
+            rankone.from_raw(3, raw[1])
