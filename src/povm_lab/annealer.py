@@ -61,13 +61,13 @@ from .povm import (
     coords_to_element,
     expand,
     metrics,
-    validate,
 )
 from .statespace import Cluster
 
 TRACE_HEADER = "step,log_dacm,sigma,delta,Delta,temperature,s"
 PERTURB_PSD_TOL = 1e-10
 MAX_ALL_SKIPPED_STEPS = 100
+INIT_MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,16 @@ class AnnealConfig:
         if self.rng_seed < 0:
             raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
+    def schedule(self, t: int) -> tuple[float, float]:
+        """(s, temperature) at step t: both decay geometrically, and every
+        `reheat_every`-th step after the first multiplies the temperature by
+        `reheat_factor`."""
+        s = self.s0 * self.s_decay**t
+        temp = self.T0 * self.T_decay**t
+        if t > 0 and t % self.reheat_every == 0:
+            temp *= self.reheat_factor
+        return s, temp
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -131,7 +141,6 @@ class AnnealResult:
     final: Povm
     trace: list
     best_dacm: float
-    final_dacm: float
     best_log_dacm: float
     skipped_variants: int = 0
     variants_enumerated: int = 0
@@ -471,14 +480,13 @@ def random_initial_povm(
     basis: OrthonormalBasis,
     rng,
     scale: float = 0.05,
-    max_tries: int = 1000,
 ) -> Povm:
     """A valid interior starting POVM with m = N + 1 equal-weight elements."""
     n_free = pattern.unknown_count
     m = n_free + 1
     dim_coords = basis.dim**2 - 1
     eye = np.eye(basis.dim)
-    for _ in range(max_tries):
+    for _ in range(INIT_MAX_TRIES):
         coords = [
             PovmElementCoords(1.0 / m, rng.normal(0.0, scale, dim_coords))
             for _ in range(n_free)
@@ -494,10 +502,10 @@ def random_initial_povm(
         except ClosureNotPositive:
             continue
         design = design_matrix(coords, pattern)
-        scale = float(np.abs(design.T).max())
-        if scale > 0 and abs(linalg.determinant(design.T)) > 1e-9 * scale**n_free:
+        design_scale = float(np.abs(design.T).max())
+        if design_scale > 0 and abs(linalg.determinant(design.T)) > 1e-9 * design_scale**n_free:
             return pov
-    raise NumericalError(f"could not draw a valid initial POVM in {max_tries} tries")
+    raise NumericalError(f"could not draw a valid initial POVM in {INIT_MAX_TRIES} tries")
 
 
 class AnnealChain:
@@ -598,22 +606,13 @@ def anneal(
     cluster: Cluster,
     basis: OrthonormalBasis,
     pattern: ParameterPattern,
-    check_validity: bool = False,
 ) -> AnnealResult:
     """Run the annealing chain; fixed seed gives a bit-identical trace."""
     chain = AnnealChain(config, initial, cluster, basis, pattern)
     trace = []
     for t in range(config.total_steps):
-        s = config.s0 * config.s_decay**t
-        temp = config.T0 * config.T_decay**t
-        if t > 0 and t % config.reheat_every == 0:
-            temp *= config.reheat_factor
+        s, temp = config.schedule(t)
         chain.step(s, temp)
-        if check_validity:
-            for label, pov in (("current", chain.current), ("best", chain.best)):
-                bad = validate(pov, 1e-9)
-                if bad:
-                    raise ContractViolation(f"{label} POVM invalid at step {t}: {bad[0]}")
         if t % config.trace_every == 0:
             mk = metrics(chain.current)
             trace.append(TraceRecord(t, chain.cur_log, mk.sigma, mk.delta, mk.Delta, temp, s))
@@ -622,7 +621,6 @@ def anneal(
         chain.current,
         trace,
         _exp(chain.best_log),
-        _exp(chain.cur_log),
         chain.best_log,
         skipped_variants=chain.skipped,
         variants_enumerated=chain.enumerated,

@@ -36,11 +36,10 @@ PAULI = {
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Traceless orthonormal generators sigma_1..sigma_{n^2-1} plus I/sqrt(n)."""
+    """Traceless orthonormal generators sigma_1..sigma_{n^2-1}."""
 
     dim: int
     elements: tuple
-    identity_element: np.ndarray
     labels: tuple
 
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,8 +98,7 @@ def gell_mann_basis(n: int) -> OrthonormalBasis:
                 labels.append(f"pauli({i},{j})")
     else:
         raise ContractViolation(f"unsupported dimension {n}; expected 2, 3 or 4")
-    ident = np.eye(n, dtype=complex) / np.sqrt(n)
-    return OrthonormalBasis(n, tuple(e for e in elems), ident, tuple(labels))
+    return OrthonormalBasis(n, tuple(elems), tuple(labels))
 
 
 def bloch_radius_bound(n: int) -> float:

@@ -20,7 +20,7 @@ from .basis import ParameterPattern, gell_mann_basis
 from .povm import Povm, PovmElementCoords, overlap_matrix
 from .rankone import PhaseConfiguration
 
-RANK_TOL_DEFAULT = 1e-8
+RANK_TOL = 1e-8
 
 # exponent tables (units of 2*pi/7) for the upper triangle structure of the
 # printed qutrit solution; row i gives the phases of the vector h_i
@@ -107,7 +107,7 @@ def sic_tensor_identity_dim4() -> Povm:
 
 @dataclass(frozen=True)
 class ConditionalSicReport:
-    """Certification of the three conditional-SIC conditions at a tolerance."""
+    """Certification of the three conditional-SIC conditions at RANK_TOL."""
 
     is_rank_constant_multiple: bool
     ranks: tuple
@@ -116,12 +116,9 @@ class ConditionalSicReport:
     max_pairwise_overlap_deviation: float
     max_quasi_orthogonality_violation: float
     verdict: bool
-    tol: float
 
 
-def conditional_sic_report(
-    P: Povm, pattern: ParameterPattern, tol: float = RANK_TOL_DEFAULT
-) -> ConditionalSicReport:
+def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSicReport:
     """Check conditions: common-multiple-of-projection elements, constant
     cross-overlaps, and zero pairing with every known basis direction."""
     evals = [linalg.hermitian_eigenvalues(e) for e in P.elements]
@@ -130,10 +127,10 @@ def conditional_sic_report(
     ranks = []
     multiple_ok = True
     for ev in evals:
-        thresh = tol * max(ev[0], 0.0)
+        thresh = RANK_TOL * max(ev[0], 0.0)
         significant = ev[ev > thresh]
         ranks.append(int(significant.size))
-        if significant.size == 0 or np.abs(significant - c).max() > tol:
+        if significant.size == 0 or np.abs(significant - c).max() > RANK_TOL:
             multiple_ok = False
     cross = overlap_matrix(P.elements)[~np.eye(P.m, dtype=bool)]
     d = float(cross.mean())
@@ -144,10 +141,8 @@ def conditional_sic_report(
         sigma = b.element(idx)
         for e in P.elements:
             quasi = max(quasi, abs(linalg.hs_inner(e, sigma)))
-    verdict = bool(multiple_ok and overlap_dev <= tol and quasi <= tol)
-    return ConditionalSicReport(
-        multiple_ok, tuple(ranks), c, d, overlap_dev, quasi, verdict, tol
-    )
+    verdict = bool(multiple_ok and overlap_dev <= RANK_TOL and quasi <= RANK_TOL)
+    return ConditionalSicReport(multiple_ok, tuple(ranks), c, d, overlap_dev, quasi, verdict)
 
 
 def report_to_text(report: ConditionalSicReport) -> str:
@@ -159,25 +154,8 @@ def report_to_text(report: ConditionalSicReport) -> str:
         ("max_pairwise_overlap_deviation", repr(report.max_pairwise_overlap_deviation)),
         ("max_quasi_orthogonality_violation", repr(report.max_quasi_orthogonality_violation)),
         ("verdict", str(report.verdict)),
-        ("tol", repr(report.tol)),
+        ("tol", repr(RANK_TOL)),
     ]
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
-
-def report_to_csv(report: ConditionalSicReport) -> str:
-    head = (
-        "rank_constant_multiple,ranks,c,d,max_pairwise_overlap_deviation,"
-        "max_quasi_orthogonality_violation,verdict,tol"
-    )
-    vals = [
-        str(report.is_rank_constant_multiple),
-        ";".join(str(r) for r in report.ranks),
-        repr(report.c),
-        repr(report.d),
-        repr(report.max_pairwise_overlap_deviation),
-        repr(report.max_quasi_orthogonality_violation),
-        str(report.verdict),
-        repr(report.tol),
-    ]
-    return head + "\n" + ",".join(vals)

@@ -26,8 +26,8 @@ JACOBI_MAX_SWEEPS = 100
 PIVOT_FLOOR = 1e-12
 
 
-def symmetrize(H, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Check Hermiticity within `tol` elementwise and return (H + H†)/2.
+def symmetrize(H) -> np.ndarray:
+    """Check Hermiticity within HERMITIAN_TOL elementwise and return (H + H†)/2.
 
     Downstream code never sees asymmetry noise: every operation that requires
     a Hermitian input routes through this.
@@ -39,7 +39,7 @@ def symmetrize(H, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ContractViolation("matrix has non-finite entries")
     dev = np.abs(A - A.conj().T).max()
     scale = max(1.0, float(np.abs(A).max()))
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise ContractViolation(f"matrix is not Hermitian: max |A - A†| = {dev:g}")
     return (A + A.conj().T) / 2.0
 
@@ -110,21 +110,15 @@ def min_eigenvalue(H) -> float:
 def min_eigenvalue_trusted(A: np.ndarray) -> float:
     """Min eigenvalue of a matrix already known to be exactly Hermitian.
 
-    Hot-path variant for the annealer: skips the Hermiticity check and the
-    array round trips of the public operation; same Jacobi core.
+    Skips the Hermiticity check and the array round trips of the public
+    operation; same Jacobi core.  `complete_povm` uses it on the closing
+    element it has just Hermitian-averaged.
     """
     n = A.shape[0]
     if n == 1:
         return float(A[0, 0].real)
     a = [[complex(A[i, j]) for j in range(n)] for i in range(n)]
     return min(_jacobi_eigenvalues(a, n))
-
-
-def is_psd(H, tol: float = 1e-10) -> bool:
-    """True iff the minimum eigenvalue of H is >= -tol."""
-    if tol < 0:
-        raise ContractViolation("tol must be nonnegative")
-    return min_eigenvalue(H) >= -tol
 
 
 def hs_inner(A, B) -> float:

@@ -8,6 +8,7 @@ and overlap symmetry of a candidate measurement during optimization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +20,7 @@ from .errors import ClosureNotPositive, ContractViolation
 
 PSD_CONSTRUCTION_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+A0_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class PovmElementCoords:
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if self.a0 < 0:
-            raise ContractViolation(f"a0 must be nonnegative, got {self.a0}")
+        if not (math.isfinite(self.a0) and self.a0 >= 0):
+            raise ContractViolation(f"a0 must be finite and nonnegative, got {self.a0}")
         if not np.all(np.isfinite(self.a)):
             raise ContractViolation("coordinate vector has non-finite entries")
 
@@ -79,11 +81,11 @@ def expand(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.dot(a.reshape(1, k), stack.reshape(k, n * n)).reshape(n, n)
 
 
-def element_coords(E, basis: OrthonormalBasis, a0_floor: float = 1e-12) -> PovmElementCoords:
+def element_coords(E, basis: OrthonormalBasis) -> PovmElementCoords:
     """Recover (a0, a) from a matrix element: a0 = Tr E / n, a_i = <E, sigma_i>/a0."""
     E = linalg.symmetrize(E)
     a0 = E.trace().real / basis.dim
-    if a0 <= a0_floor:
+    if a0 <= A0_FLOOR:
         raise ContractViolation(f"element has a0 = {a0:g}; coordinate form undefined")
     a = np.real(np.einsum("aij,ji->a", basis.stack, E)) / a0
     return PovmElementCoords(a0, a)
@@ -100,10 +102,7 @@ def complete_povm(first_elements, coords=None) -> Povm:
             raise ContractViolation("mixed element dimensions")
         residual = residual - e
     residual = (residual + residual.conj().T) / 2.0
-    # a negative diagonal entry already bounds the minimum eigenvalue
-    lo = min(residual[i, i].real for i in range(dim))
-    if lo >= -PSD_CONSTRUCTION_TOL:
-        lo = linalg.min_eigenvalue_trusted(residual)
+    lo = linalg.min_eigenvalue_trusted(residual)
     if lo < -PSD_CONSTRUCTION_TOL:
         raise ClosureNotPositive(
             f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
@@ -150,7 +149,7 @@ class Violation:
     detail: str
 
 
-def validate(P: Povm, tol: float = COMPLETENESS_TOL, expected_m: Optional[int] = None):
+def validate(P: Povm, tol: float = COMPLETENESS_TOL):
     """Return a list of named invariant violations (empty iff P is valid at tol)."""
     out = []
     total = np.zeros((P.dim, P.dim), dtype=complex)
@@ -169,10 +168,6 @@ def validate(P: Povm, tol: float = COMPLETENESS_TOL, expected_m: Optional[int] =
     comp = float(np.abs(total - np.eye(P.dim)).max())
     if comp > tol:
         out.append(Violation("completeness", comp, f"max |sum E - I| = {comp:.3e}"))
-    if expected_m is not None and P.m != expected_m:
-        out.append(
-            Violation("element_count", abs(P.m - expected_m), f"m = {P.m}, expected {expected_m}")
-        )
     return out
 
 
@@ -203,6 +198,8 @@ def read_povm(path) -> Povm:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ContractViolation(f"bad header line {lines[0]!r}") from exc
+    if n < 1 or m < 1:
+        raise ContractViolation(f"header {lines[0]!r} needs n >= 1 and m >= 1")
     if len(lines) != 1 + n * m:
         raise ContractViolation(f"expected {1 + n * m} lines, found {len(lines)}")
     elements = []

@@ -67,7 +67,10 @@ def gauge_fix(raw) -> np.ndarray:
 
 def from_raw(dim: int, raw) -> PhaseConfiguration:
     """Gauge-fix a raw m x dim phase matrix; row 1 must come out all zero."""
-    raw = np.asarray(raw, dtype=float)
+    try:
+        raw = np.asarray(raw, dtype=float)
+    except ValueError as exc:
+        raise ContractViolation(f"raw phases are not an (m, {dim}) array: {exc}") from exc
     if raw.ndim != 2 or raw.shape[1] != dim:
         raise ContractViolation(f"raw phases have shape {raw.shape}, expected (m, {dim})")
     fixed = gauge_fix(raw)
@@ -190,10 +193,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     best, f_best = cur.copy(), f_cur
     trace = [f_cur]
     for t in range(config.total_steps):
-        s = config.s0 * config.s_decay**t
-        temp = config.T0 * config.T_decay**t
-        if t > 0 and t % config.reheat_every == 0:
-            temp *= config.reheat_factor
+        s, temp = config.schedule(t)
         cand = cur.copy()
         cand[1:, 1:] = np.mod(cand[1:, 1:] + rng.normal(0.0, s, (m - 1, n - 1)), TWO_PI)
         f_new = fval(cand)

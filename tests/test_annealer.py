@@ -56,6 +56,23 @@ class TestAnnealConfig:
         with pytest.raises(ConfigurationError, match="rng_seed"):
             small_config(rng_seed=-1)
 
+    def test_schedule_decays_and_reheats(self):
+        config = small_config()  # s0 0.15, T0 0.5, reheat every 80 steps by 3
+        assert config.schedule(0) == (0.15, 0.5)
+        for t in (1, 79, 81, 159):
+            assert config.schedule(t) == (0.15 * 0.999**t, 0.5 * 0.99**t)
+        for t in (80, 160):
+            assert config.schedule(t) == (0.15 * 0.999**t, 0.5 * 0.99**t * 3.0)
+
+    def test_trace_records_the_schedule(self, basis2, qubit_pattern, qubit_cluster):
+        rng = np.random.default_rng(19)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        config = small_config(total_steps=170)
+        res = annealer.anneal(config, initial, qubit_cluster, basis2, qubit_pattern)
+        assert [(r.s, r.temperature) for r in res.trace] == [
+            config.schedule(r.step) for r in res.trace
+        ]
+
 
 class TestPerturbElement:
     def test_vanishing_noise(self, basis2):
@@ -148,6 +165,35 @@ class TestEnumerateVariants:
             annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2)
 
 
+class TestRandomInitialPovm:
+    def test_retry_after_failed_design_check_keeps_scale(
+        self, basis2, qubit_pattern, monkeypatch
+    ):
+        class RecordingRng:
+            def __init__(self):
+                self.rng = np.random.default_rng(22)
+                self.scales = []
+
+            def normal(self, loc, scale, size=None):
+                self.scales.append(scale)
+                return self.rng.normal(loc, scale, size)
+
+        determinant = linalg.determinant
+        calls = []
+
+        def fail_first(m):
+            calls.append(m)
+            return 0.0 if len(calls) == 1 else determinant(m)
+
+        monkeypatch.setattr(linalg, "determinant", fail_first)
+        rng = RecordingRng()
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng, scale=0.03)
+        assert len(calls) == 2  # one failed design check, then the retry passes
+        assert len(rng.scales) >= 2 * qubit_pattern.unknown_count
+        assert rng.scales == [0.03] * len(rng.scales)
+        assert pv.validate(initial, 1e-9) == []
+
+
 class TestGlauberAccept:
     def test_probability_half_at_equal(self):
         rng = np.random.default_rng(8)
@@ -216,14 +262,12 @@ class TestInvariants:
     def test_every_povm_valid_along_run(self, basis2, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(14)
         initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        annealer.anneal(
-            small_config(total_steps=150),
-            initial,
-            qubit_cluster,
-            basis2,
-            qubit_pattern,
-            check_validity=True,
-        )
+        config = small_config(total_steps=150)
+        chain = annealer.AnnealChain(config, initial, qubit_cluster, basis2, qubit_pattern)
+        for t in range(config.total_steps):
+            chain.step(*config.schedule(t))
+            for label, pov in (("current", chain.current), ("best", chain.best)):
+                assert pv.validate(pov, 1e-9) == [], (label, t)
 
     def test_best_monotone_under_prefix_replay(self, basis2, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(15)
@@ -409,8 +453,8 @@ class TestEvaluateVariantsAgainstScalar:
 
     def test_nan_weight_is_a_typed_failure(self, basis2, qubit_pattern, qubit_cluster):
         # not a silently rejected variant
-        news = [pv.PovmElementCoords(math.nan, TRINE_COORDS[0].a), TRINE_COORDS[1]]
         with pytest.raises((ContractViolation, NumericalError)):
+            news = [pv.PovmElementCoords(math.nan, TRINE_COORDS[0].a), TRINE_COORDS[1]]
             annealer.evaluate_variants(
                 TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern
             )
@@ -518,7 +562,7 @@ class TestCarriedState:
         moved = stayed = 0  # steps that changed the state, steps that kept it
         for t in range(config.total_steps):
             before = chain.state.coords
-            chain.step(config.s0 * config.s_decay**t, config.T0 * config.T_decay**t)
+            chain.step(*config.schedule(t))
             changed = any(a is not b for a, b in zip(before, chain.state.coords))
             moved += changed
             stayed += not changed

@@ -31,9 +31,6 @@ class TestGellMannBasis:
         with pytest.raises(ContractViolation):
             bs.gell_mann_basis(5)
 
-    def test_identity_element(self, basis3):
-        assert np.abs(basis3.identity_element - np.eye(3) / np.sqrt(3)).max() == 0.0
-
     def test_stack_built_once_read_only(self, basis3):
         # stays a plain property so callers can wrap its getter
         assert isinstance(vars(bs.OrthonormalBasis)["stack"], property)

@@ -47,17 +47,6 @@ class TestEigenvalues:
             assert np.all(np.diff(ev) <= 1e-12)
 
 
-class TestIsPsd:
-    def test_identity(self):
-        assert linalg.is_psd(np.eye(3), 0.0)
-
-    def test_negative_beyond_tol(self):
-        assert not linalg.is_psd(np.diag([1.0, -1e-6, 0.0]), 1e-9)
-
-    def test_negative_within_tol(self):
-        assert linalg.is_psd(np.diag([1.0, -1e-6, 0.0]), 1e-3)
-
-
 class TestHsInner:
     def test_identity_pair(self):
         assert linalg.hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0, abs=1e-12)

@@ -254,3 +254,7 @@ class TestSerialization:
             rankone.from_raw(2, raw)
         with pytest.raises(ContractViolation, match=r"shape \(3,\)"):
             rankone.from_raw(3, raw[1])
+
+    def test_from_raw_ragged_rows_are_a_typed_failure(self):
+        with pytest.raises(ContractViolation, match=r"not an \(m, 3\) array"):
+            rankone.from_raw(3, [[0, 0, 0], [1, 2]])
