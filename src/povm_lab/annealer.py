@@ -103,6 +103,15 @@ class AnnealConfig:
             raise ConfigurationError("max_resample and trace_every must be >= 1")
         if self.rng_seed < 0:
             raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.total_steps > 0:
+            # s and the temperature only decay (a reheat scales a nonzero value),
+            # so one that reaches 0.0 at any step is 0.0 at the last
+            last = self.total_steps - 1
+            s, temp = self.schedule(last)
+            if s == 0.0 or temp == 0.0:
+                raise ConfigurationError(
+                    f"schedule underflows: s = {s}, temperature = {temp} at step {last}"
+                )
 
     def schedule(self, t: int) -> tuple[float, float]:
         """(s, temperature) at step t: both decay geometrically, and every

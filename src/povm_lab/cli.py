@@ -7,7 +7,8 @@ lines and `#` comments are ignored, unknown or duplicate keys are errors.
 default declared on that field, and those defaults describe the qutrit
 diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 `docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
-table.
+table.  Refine's phase anneal has no keys: every restart runs the fixed
+`rankone.REFINE_SCHEDULE` with its own seed.
 """
 
 from __future__ import annotations
@@ -57,18 +58,7 @@ class RefineSettings:
     weight: float = 1.0
     restarts: int = 5
     element_count: Optional[int] = None  # None: N + 1
-    schedule: AnnealConfig = field(
-        default_factory=lambda: AnnealConfig(
-            total_steps=3000,
-            s0=0.7,
-            s_decay=0.999,
-            T0=0.02,
-            T_decay=0.998,
-            reheat_every=600,
-            reheat_factor=8.0,
-            trace_every=100,
-        )
-    )
+    seed: int = 0  # restart r runs with seed + r
 
 
 @dataclass
@@ -121,8 +111,8 @@ def _parse_float_array(s):
 
 # key -> (target, field, parser).  The target says where the value goes:
 # "config" is ExperimentConfig itself, "anneal" its AnnealConfig, "refine" its
-# RefineSettings, "schedule" the refine AnnealConfig, and "pattern" the two
-# lists build_config turns into a ParameterPattern.
+# RefineSettings, and "pattern" the two lists build_config turns into a
+# ParameterPattern.
 _CONFIG_KEYS = {
     "mode": ("config", "mode", str),
     "dim": ("config", "dim", _parse_int),
@@ -148,15 +138,7 @@ _CONFIG_KEYS = {
     "refine.weight": ("refine", "weight", _parse_float),
     "refine.restarts": ("refine", "restarts", _parse_int),
     "refine.element_count": ("refine", "element_count", _parse_int),
-    "refine.total_steps": ("schedule", "total_steps", _parse_int),
-    "refine.s0": ("schedule", "s0", _parse_float),
-    "refine.s_decay": ("schedule", "s_decay", _parse_float),
-    "refine.T0": ("schedule", "T0", _parse_float),
-    "refine.T_decay": ("schedule", "T_decay", _parse_float),
-    "refine.reheat_every": ("schedule", "reheat_every", _parse_int),
-    "refine.reheat_factor": ("schedule", "reheat_factor", _parse_float),
-    "refine.trace_every": ("schedule", "trace_every", _parse_int),
-    "refine.seed": ("schedule", "rng_seed", _parse_int),
+    "refine.seed": ("refine", "seed", _parse_int),
     "output.dir": ("config", "output_dir", str),
 }
 
@@ -186,7 +168,7 @@ def parse_config(text: str, mode: Optional[str] = None) -> ExperimentConfig:
 
 def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     """The dataclass defaults with the given parsed `values` applied, range-checked."""
-    given = {target: {} for target in ("config", "anneal", "refine", "schedule", "pattern")}
+    given = {target: {} for target in ("config", "anneal", "refine", "pattern")}
     for key, value in values.items():
         target, name, _ = _CONFIG_KEYS[key]
         given[target][name] = value
@@ -238,10 +220,9 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     if cfg.cluster_policy == "reference" and cfg.theta_ref is None:
         raise ConfigurationError("grid.cluster_policy = reference requires grid.theta_ref")
 
-    # AnnealConfig.__post_init__ range-checks both schedules
+    # AnnealConfig.__post_init__ range-checks the anneal schedule
     cfg.anneal = replace(cfg.anneal, **given["anneal"])
-    schedule = replace(cfg.refine.schedule, **given["schedule"])
-    cfg.refine = replace(cfg.refine, schedule=schedule, **given["refine"])
+    cfg.refine = replace(cfg.refine, **given["refine"])
 
     m = cfg.refine.element_count
     if m is not None and m < 2:
@@ -252,6 +233,8 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError("refine.restarts must be >= 1")
     if cfg.refine.weight < 0:
         raise ConfigurationError("refine.weight must be nonnegative")
+    if cfg.refine.seed < 0:
+        raise ConfigurationError(f"refine.seed must be >= 0, got {cfg.refine.seed}")
     return cfg
 
 
@@ -309,12 +292,11 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
 def _run_refine(cfg: ExperimentConfig) -> int:
     n = cfg.dim
     m = cfg.refine.element_count or cfg.pattern.unknown_count + 1
-    base_seed = cfg.refine.schedule.rng_seed
+    seed = cfg.refine.seed
     best = None
     for r in range(cfg.refine.restarts):
-        rng = np.random.default_rng([base_seed, r])
-        initial = rankone.random_phases(n, m, rng)
-        schedule = replace(cfg.refine.schedule, rng_seed=base_seed + r)
+        initial = rankone.random_phases(n, m, np.random.default_rng([seed, r]))
+        schedule = replace(rankone.REFINE_SCHEDULE, rng_seed=seed + r)
         res = rankone.refine(initial, schedule, cfg.refine.weight)
         log.info("restart %d: objective %.3e", r, res.objective)
         if best is None or res.objective < best.objective:
@@ -327,7 +309,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     extra = [
         f"objective  {best.objective!r}",
         f"restarts  {cfg.refine.restarts}",
-        f"seed  {base_seed}",
+        f"seed  {seed}",
     ]
     if violations:
         extra += [f"violation  {v.name} {v.magnitude!r}" for v in violations]
@@ -518,8 +500,9 @@ def main(argv=None) -> int:
         else:
             raise ConfigurationError(f"mode {args.mode!r} requires --config")
         if args.seed is not None:
+            # AnnealConfig rejects a negative seed, for refine runs too
             cfg.anneal = replace(cfg.anneal, rng_seed=args.seed)
-            cfg.refine.schedule = replace(cfg.refine.schedule, rng_seed=args.seed)
+            cfg.refine.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
     except ConfigurationError as exc:

@@ -157,6 +157,9 @@ def validate(P: Povm, tol: float = COMPLETENESS_TOL):
         if e.shape != (P.dim, P.dim):
             out.append(Violation("shape", 0.0, f"element {i} has shape {e.shape}"))
             continue
+        if not np.all(np.isfinite(e)):
+            out.append(Violation("finite", math.inf, f"element {i} has non-finite entries"))
+            continue
         herm = float(np.abs(e - e.conj().T).max())
         if herm > tol:
             out.append(Violation("hermiticity", herm, f"element {i}"))
@@ -213,9 +216,12 @@ def read_povm(path) -> Povm:
             for c, cell in enumerate(cells):
                 try:
                     re_s, im_s = cell.split()
-                    e[r, c] = float(re_s) + 1j * float(im_s)
+                    real, imag = float(re_s), float(im_s)
                 except ValueError as exc:
                     raise ContractViolation(f"row {pos + 1}: cell {cell!r} is not `re im`") from exc
+                if not (math.isfinite(real) and math.isfinite(imag)):
+                    raise ContractViolation(f"row {pos + 1}: cell {cell!r} is not finite")
+                e[r, c] = real + 1j * imag
             pos += 1
         elements.append(e)
     return Povm(n, elements)

@@ -31,6 +31,19 @@ POLISH_MAX_ITERATIONS = 200
 LM_LAMBDA_START = 1e-3
 LM_LAMBDA_MAX = 1e16
 
+# the phase anneal every CLI restart runs before the polish; a restart replaces
+# only its rng_seed
+REFINE_SCHEDULE = AnnealConfig(
+    total_steps=3000,
+    s0=0.7,
+    s_decay=0.999,
+    T0=0.02,
+    T_decay=0.998,
+    reheat_every=600,
+    reheat_factor=8.0,
+    trace_every=100,
+)
+
 
 @dataclass(frozen=True)
 class PhaseConfiguration:

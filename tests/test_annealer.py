@@ -56,6 +56,14 @@ class TestAnnealConfig:
         with pytest.raises(ConfigurationError, match="rng_seed"):
             small_config(rng_seed=-1)
 
+    @pytest.mark.parametrize("name", ["s_decay", "T_decay"])
+    def test_schedule_underflow_rejected(self, name):
+        # s0 0.15 and T0 0.5 times 0.001**t are 0.0 from t = 108 on
+        assert small_config(total_steps=0, **{name: 0.001}).total_steps == 0
+        assert small_config(total_steps=108, **{name: 0.001}).schedule(107) != (0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="underflows.*at step 108"):
+            small_config(total_steps=109, **{name: 0.001})
+
     def test_schedule_decays_and_reheats(self):
         config = small_config()  # s0 0.15, T0 0.5, reheat every 80 steps by 3
         assert config.schedule(0) == (0.15, 0.5)

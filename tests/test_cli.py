@@ -54,7 +54,7 @@ class TestParseConfig:
         assert cfg.anneal == default.anneal
         assert cfg.refine.weight == default.refine.weight
         assert cfg.refine.restarts == default.refine.restarts
-        assert cfg.refine.schedule == default.refine.schedule
+        assert cfg.refine.seed == default.refine.seed
         assert cfg.output_dir == default.output_dir
 
     def test_reference_policy_needs_theta_ref(self):
@@ -74,7 +74,6 @@ class TestParseConfig:
             "anneal.reheat_factor = inf",
             "anneal.init_scale = nan",
             "refine.weight = nan",
-            "refine.s0 = -inf",
             "grid.bound = nan",
             "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
             "grid.cluster_policy = reference\ngrid.theta_ref = 0.1,inf,0,0,0,0",
@@ -153,25 +152,44 @@ _KEY_CASES = {
     "refine.weight": ("refine.weight = 2.0", {"refine.weight"}),
     "refine.restarts": ("refine.restarts = 2", {"refine.restarts"}),
     "refine.element_count": ("refine.element_count = 5", {"refine.element_count"}),
-    "refine.total_steps": ("refine.total_steps = 7", {"refine.schedule.total_steps"}),
-    "refine.s0": ("refine.s0 = 0.3", {"refine.schedule.s0"}),
-    "refine.s_decay": ("refine.s_decay = 0.99", {"refine.schedule.s_decay"}),
-    "refine.T0": ("refine.T0 = 2.0", {"refine.schedule.T0"}),
-    "refine.T_decay": ("refine.T_decay = 0.99", {"refine.schedule.T_decay"}),
-    "refine.reheat_every": ("refine.reheat_every = 9", {"refine.schedule.reheat_every"}),
-    "refine.reheat_factor": ("refine.reheat_factor = 2.0", {"refine.schedule.reheat_factor"}),
-    "refine.trace_every": ("refine.trace_every = 9", {"refine.schedule.trace_every"}),
-    "refine.seed": ("refine.seed = 9", {"refine.schedule.rng_seed"}),
+    "refine.seed": ("refine.seed = 9", {"refine.seed"}),
     "output.dir": ("output.dir = elsewhere", {"output_dir"}),
 }
 # keys whose default is unset or derived from dim, so no fixed value to write out
 _DERIVED_DEFAULT_KEYS = {"grid.bound", "grid.theta_ref", "refine.element_count"}
+# refine's phase anneal runs the fixed rankone.REFINE_SCHEDULE, so it has no keys
+_REMOVED_REFINE_KEYS = [
+    "refine.total_steps",
+    "refine.s0",
+    "refine.s_decay",
+    "refine.T0",
+    "refine.T_decay",
+    "refine.reheat_every",
+    "refine.reheat_factor",
+    "refine.trace_every",
+]
 
 
 class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
-        assert len(cli._CONFIG_KEYS) == 34
+        assert len(cli._CONFIG_KEYS) == 26
+        targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
+        assert targets == {"config", "anneal", "refine", "pattern"}
+
+    def test_refine_settings_fields(self):
+        names = [f.name for f in dataclasses.fields(cli.RefineSettings)]
+        assert names == ["weight", "restarts", "element_count", "seed"]
+
+    @pytest.mark.parametrize("key", _REMOVED_REFINE_KEYS)
+    def test_removed_refine_key_is_unknown(self, tmp_path, key):
+        with pytest.raises(ConfigurationError, match=f"line 2: unknown key '{key}'"):
+            cli.parse_config(f"mode = refine\n{key} = 1\n")
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(f"mode = refine\n{key} = 1\noutput.dir = {out}\n")
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(_KEY_CASES))
     def test_key_sets_exactly_its_field(self, key):
@@ -410,7 +428,6 @@ class TestRefineMode:
             "mode = refine\n"
             "dim = 3\n"
             "refine.restarts = 1\n"
-            "refine.total_steps = 1500\n"
             f"output.dir = {out}\n"
         )
         assert cli.main(["refine", "--config", str(cfg_path)]) == 0
@@ -420,6 +437,26 @@ class TestRefineMode:
         assert pov.m == 7
         report = (out / "report.txt").read_text()
         assert "verdict" in report
+
+    def test_restarts_keep_the_lowest_objective(self, tmp_path):
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(f"mode = refine\ndim = 3\nrefine.restarts = 3\noutput.dir = {out}\n")
+        assert cli.main(["refine", "--config", str(cfg_path), "--seed", "4"]) == 0
+        runs = [
+            rankone.refine(
+                rankone.random_phases(3, 7, np.random.default_rng([4, r])),
+                dataclasses.replace(rankone.REFINE_SCHEDULE, rng_seed=4 + r),
+                1.0,
+            )
+            for r in range(3)
+        ]
+        best = min(runs, key=lambda res: res.objective)
+        report = (out / "report.txt").read_text().splitlines()
+        assert f"objective  {best.objective!r}" in report
+        assert "restarts  3" in report and "seed  4" in report
+        written = rankone.read_phases(out / "phases.csv")
+        assert np.array_equal(written.phases, best.phases.phases)
 
 
 class TestGridinfoMode:
@@ -463,6 +500,15 @@ class TestExitCodes:
 
     def test_anneal_without_config_is_2(self):
         assert cli.main(["anneal"]) == 2
+
+    @pytest.mark.parametrize("line", ["anneal.T_decay = 0.001", "anneal.s_decay = 0.001"])
+    def test_underflowing_schedule_is_2(self, tmp_path, line):
+        # 0.001**t is 0.0 from t = 108, before the last of the 200 steps
+        cfg_path = tmp_path / "uf.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(QUBIT_CFG.format(steps=200, seed=1, out=out) + line + "\n")
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_nan_s0_is_2(self, tmp_path):
         cfg_path = tmp_path / "nan.cfg"

@@ -108,6 +108,14 @@ class TestValidate:
         mag = next(v.magnitude for v in violations if v.name == "completeness")
         assert 0.005 <= mag <= 0.01 * 2 * 1.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_element_reported(self, trine, bad):
+        elements = [e.astype(complex) for e in trine.elements]
+        elements[1][0, 0] = bad
+        violations = pv.validate(pv.Povm(2, elements))
+        assert [v.name for v in violations] == ["finite", "completeness"]
+        assert violations[0].detail == "element 1 has non-finite entries"
+
     def test_negative_eigenvalue_flagged(self):
         p = pv.Povm(2, [np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])])
         names = [v.name for v in pv.validate(p, 1e-9)]
@@ -136,8 +144,14 @@ class TestFileFormat:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("1 1\n1.0\n", "row 2: cell '1.0'"), ("1 1\nx 0\n", "row 2"), ("a b\n", "header")],
-        ids=["one-number", "not-a-number", "header"],
+        [
+            ("1 1\n1.0\n", "row 2: cell '1.0'"),
+            ("1 1\nx 0\n", "row 2"),
+            ("a b\n", "header"),
+            ("2 1\n1 0;0 0\n0 0;nan 0.0\n", "row 3: cell 'nan 0.0' is not finite"),
+            ("1 1\n0.0 -inf\n", "row 2: cell '0.0 -inf' is not finite"),
+        ],
+        ids=["one-number", "not-a-number", "header", "nan", "inf"],
     )
     def test_malformed_text_is_a_typed_failure(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -18,17 +18,7 @@ def residuals(phases, weight):
 
 
 def refine_config(seed, steps=1500):
-    return AnnealConfig(
-        total_steps=steps,
-        s0=0.7,
-        s_decay=0.999,
-        T0=0.02,
-        T_decay=0.998,
-        reheat_every=600,
-        reheat_factor=8.0,
-        rng_seed=seed,
-        trace_every=100,
-    )
+    return replace(rankone.REFINE_SCHEDULE, total_steps=steps, rng_seed=seed)
 
 
 class TestPhasesToPovm:
@@ -94,6 +84,18 @@ class TestRefineObjective:
 
 
 class TestRefine:
+    def test_refine_schedule_values(self):
+        assert rankone.REFINE_SCHEDULE == AnnealConfig(
+            total_steps=3000,
+            s0=0.7,
+            s_decay=0.999,
+            T0=0.02,
+            T_decay=0.998,
+            reheat_every=600,
+            reheat_factor=8.0,
+            trace_every=100,
+        )
+
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
     def test_bad_weight_rejected(self, weight):
         phi = catalog.qutrit_csic_phases()
