@@ -2,16 +2,19 @@
 
 Each step perturbs the coordinate form of all N free elements with Gaussian
 noise (resampling any draw that leaves the positive region) and then scores
-all 2^N old/new combinations at once: `score_variants` stacks their closing
-elements for one batched `eigvalsh` closure check and computes the log DACM of
-every closable combination with two stacked `slogdet` calls, the covariance
-coming from the Gram matrix of the 2N old/new probability columns.  Only the
-walk over the scored candidates is sequential: one logistic (Glauber) draw per
-evaluated candidate at the current temperature.  The perturbation scale and
-temperature decay geometrically; the temperature gets a multiplicative boost
-every `reheat_every` steps to help the chain escape local optima.  The best
-measurement seen (by raw objective) is tracked separately from the fluctuating
-chain state.
+all 2^N old/new combinations at once: `score_variants` decides every
+combination's closure from the closing element's coordinates and computes the
+log DACM of every closable combination with two stacked `slogdet` calls, the
+covariance coming from the Gram matrix of the 2N old/new probability columns.
+Both PSD tests, a perturbation attempt's and a closing element's, are decided
+in closed form from principal minors (`linalg.psd_verdict`); `eigvalsh` runs
+only on the matrices in the thin band around the tolerance, and on every
+matrix for n = 4.  Only the walk over the scored candidates is sequential: one
+logistic (Glauber) draw per evaluated candidate at the current temperature.
+The perturbation scale and temperature decay geometrically; the temperature
+gets a multiplicative boost every `reheat_every` steps to help the chain
+escape local optima.  The best measurement seen (by raw objective) is tracked
+separately from the fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as
@@ -29,6 +32,7 @@ per-candidate path; the tests use them as the oracle for the stacked step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -57,6 +61,7 @@ from .povm import (
     PSD_CONSTRUCTION_TOL,
     Povm,
     PovmElementCoords,
+    closing_elements,
     complete_povm,
     coords_to_element,
     expand,
@@ -143,7 +148,10 @@ class AnnealResult:
     det W0 <= 0) or evaluated, so variants_enumerated = closure_rejected +
     skipped_variants + evaluated; `accepted` counts evaluated variants that
     became the current state, `resample_exhausted` the perturbations that kept
-    the old element because no positive draw was found.
+    the old element because no positive draw was found.  `accepted_unchanged`
+    counts the acceptances, included in `accepted`, of a step's all-old row
+    while the current state was still the step's old state: moves that
+    changed nothing.
     """
 
     best: Povm
@@ -156,6 +164,7 @@ class AnnealResult:
     closure_rejected: int = 0
     resample_exhausted: int = 0
     accepted: int = 0
+    accepted_unchanged: int = 0
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,6 @@ class VariantRows:
     (2N, V) form.
     """
 
-    choices: tuple  # per position (0,) when pinned, else (0, 1)
     bits: np.ndarray  # (V, N) choice vectors
     cols: np.ndarray  # (V, N)
     choose: np.ndarray  # (2N, V)
@@ -235,7 +243,7 @@ class VariantRows:
         cols = bits * n_free + np.arange(n_free)
         choose = np.zeros((2 * n_free, bits.shape[0]))
         choose[cols, np.arange(bits.shape[0])[:, None]] = 1.0
-        return cls(tuple((0,) if p else (0, 1) for p in pinned), bits, cols, choose)
+        return cls(bits, cols, choose)
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,6 @@ class VariantTable:
 
     rows: VariantRows
     columns: FreeElements  # the 2N old and perturbed elements, old first
-    closing: np.ndarray  # (V, n, n) closing elements I - sum of the chosen E_j
     closed: np.ndarray  # (V,) closing element PSD at -PSD_CONSTRUCTION_TOL
     skipped: np.ndarray  # (V,) closed, but T singular or det W0 <= 0
     log_dacm: np.ndarray  # (V,) log det W0 - 2 log |det T|
@@ -260,16 +267,21 @@ class VariantTable:
         """(V, N) choice vectors."""
         return self.rows.bits
 
+    @functools.cached_property
+    def closing(self) -> np.ndarray:
+        """(V, n, n) closing elements I - sum of the chosen E_j, built on first read."""
+        return closing_elements(self.columns.elements[self.rows.cols])
+
     def free_elements(self, row: int) -> FreeElements:
         """The chosen free elements of one row."""
         return self.columns.take(self.rows.cols[row])
 
     def povm(self, row: int) -> Povm:
         """The POVM of one row: the chosen elements, then its closing element."""
-        cols = self.rows.cols[row]
-        elements = list(self.columns.elements[cols]) + [self.closing[row]]
-        coords = [self.columns.coords[c] for c in cols.tolist()]
-        return Povm(self.closing.shape[1], elements, coords)
+        chosen = self.columns.elements[self.rows.cols[row]]
+        elements = list(chosen) + [closing_elements(chosen)]
+        coords = [self.columns.coords[c] for c in self.rows.cols[row].tolist()]
+        return Povm(chosen.shape[-1], elements, coords)
 
 
 def logistic_probability(delta: float, temperature: float) -> float:
@@ -321,23 +333,31 @@ def perturb_element(
     The direction vector `a` is redrawn until I + a.sigma is PSD; a0 gets the
     same noise truncated to stay positive.  Raises ResampleExhausted when the
     attempt budget runs out (callers keep the old element in that case).
+
+    An attempt is decided from the principal minors of a.sigma, since
+    I + a.sigma >= -tol I exactly when a.sigma >= -(1 + tol) I; only an
+    attempt in the band around the tolerance builds I + a.sigma for the
+    diagonal check and `eigvalsh`.
     """
     if not 0 < s < math.inf:
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
-    eye = np.eye(basis.dim)
-    stack = basis.stack
+    dim, entry_map = basis.dim, basis.entry_map
     new_a = None
     for _ in range(max_resample):
         cand = c.a + rng.normal(0.0, s, c.a.shape[0])
-        # real coefficients on Hermitian generators: m is exactly Hermitian
-        m = expand(cand, stack) + eye
-        if min(m[i, i].real for i in range(basis.dim)) < -PERTURB_PSD_TOL:
+        yes, no = linalg.psd_verdict((entry_map @ cand).tolist(), dim, 1.0 + PERTURB_PSD_TOL)
+        if no:
             continue
-        with _typed_lapack_errors():
-            lowest = np.linalg.eigvalsh(m)[0]
-        if lowest >= -PERTURB_PSD_TOL:
-            new_a = cand
-            break
+        if not yes:
+            # real coefficients on Hermitian generators: m is exactly Hermitian
+            m = expand(cand, basis.stack) + np.eye(dim)
+            if min(m[i, i].real for i in range(dim)) < -PERTURB_PSD_TOL:
+                continue
+            with _typed_lapack_errors():
+                if np.linalg.eigvalsh(m)[0] < -PERTURB_PSD_TOL:
+                    continue
+        new_a = cand
+        break
     if new_a is None:
         raise ResampleExhausted(f"no PSD draw for a in {max_resample} attempts")
     new_a0 = c.a0
@@ -416,9 +436,11 @@ def score_variants(
 ) -> VariantTable:
     """Score the rows of one step from its old and perturbed free elements.
 
-    The closing elements are formed by subtracting the chosen elements from I
-    in element order and Hermitian-averaging, exactly as `complete_povm` does,
-    so they are bit-identical to its output.  Closed rows get the three
+    A row is closed when its closing element (1 - sum a0) I - (sum a0 a) . sigma
+    is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
+    coordinates by `linalg.psd_verdict`.  Only rows in its band get their
+    closing matrices, built as `complete_povm` builds its closing element
+    (`closing_elements`), and one stacked `eigvalsh`.  Closed rows get the three
     probability-simplex checks of `averaged_covariance` (ContractViolation on
     a failure), T from a table of the 2N design rows and W0 = diag(colsum) -
     G restricted to the row's columns, where G is the Gram matrix of the 2N
@@ -430,16 +452,16 @@ def score_variants(
     bits = rows.bits
     positions = np.arange(n_free)
 
-    # I - E_1 - ... - E_N in element order, branching on each position's
-    # choices: every row sees the subtractions of `complete_povm`, in its order
-    dim = basis.dim
-    closing = np.eye(dim, dtype=complex)[None]
-    for i, options in enumerate(rows.choices):
-        chosen = columns.elements[[b * n_free + i for b in options]]
-        closing = (closing[:, None] - chosen[None]).reshape(-1, dim, dim)
-    closing = (closing + closing.conj().transpose(0, 2, 1)) / 2.0
-    with _typed_lapack_errors():
-        closed = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
+    # entries of every row's closing element, from its coordinates
+    weighted = columns.a0[:, None] * columns.A  # (2N, n^2-1)
+    entries = basis.entry_map @ (weighted.T @ -rows.choose)  # (n^2, V)
+    entries[: basis.dim] += 1.0 - columns.a0 @ rows.choose
+    closed, no = linalg.psd_verdict(entries, basis.dim, PSD_CONSTRUCTION_TOL)
+    band = np.flatnonzero(~(closed | no))
+    if band.size:
+        closing = closing_elements(columns.elements[rows.cols[band]])
+        with _typed_lapack_errors():
+            closed[band] = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
 
     sel = rows.cols[closed]  # (Vc, N) columns of the 2N tables
     choose = rows.choose[:, closed]  # one-hot: column v picks row v's columns
@@ -448,7 +470,7 @@ def score_variants(
     # closing weight at or below 1e-14 gives a zero probability column
     a0_last = 1.0 - a0 @ choose
     nonzero = a0_last > 1e-14
-    A_last = -((a0[:, None] * A).T @ choose) / np.where(nonzero, a0_last, 1.0)  # (n^2-1, Vc)
+    A_last = -(weighted.T @ choose) / np.where(nonzero, a0_last, 1.0)  # (n^2-1, Vc)
     last = (1.0 + members @ A_last) * np.where(nonzero, a0_last, 0.0)  # (k, Vc)
     low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
     high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
@@ -481,7 +503,7 @@ def score_variants(
     skipped[closed] = skip
     log_dacm = np.full(bits.shape[0], np.nan)
     log_dacm[np.flatnonzero(closed)[~skip]] = (log_det_w - 2.0 * log_det_t)[~skip]
-    return VariantTable(rows, columns, closing, closed, skipped, log_dacm)
+    return VariantTable(rows, columns, closed, skipped, log_dacm)
 
 
 def random_initial_povm(
@@ -549,7 +571,8 @@ class AnnealChain:
         self.best, self.best_log = initial, self.cur_log
         self.state = FreeElements.build(initial.coords, basis, cluster.members)
         self.rows = {}  # pinned-position mask -> VariantRows
-        self.skipped = self.enumerated = self.rejected = self.exhausted = self.accepted = 0
+        self.skipped = self.enumerated = self.rejected = self.exhausted = 0
+        self.accepted = self.accepted_unchanged = 0
         self.all_skipped_streak = 0
 
     def step(self, s: float, temp: float) -> None:
@@ -581,23 +604,28 @@ class AnnealChain:
         row_skipped = table.skipped.tolist()
         row_log = table.log_dacm.tolist()
         evaluated = 0
-        moved_to = None
+        moved_to = best_row = None
         for v in np.flatnonzero(table.closed).tolist():
             if row_skipped[v]:
                 self.skipped += 1
                 continue
             evaluated += 1
             cand_log = row_log[v]
-            cand = None
             if cand_log < self.best_log:
-                cand = table.povm(v)
-                self.best, self.best_log = cand, cand_log
+                self.best_log, best_row = cand_log, v
             if logistic_accept(cand_log - self.cur_log, temp, self.rng):
-                self.current = cand if cand is not None else table.povm(v)
                 self.cur_log = cand_log
                 self.accepted += 1
+                # row 0 takes every old element and is walked first, while the
+                # current state is still the step's old state
+                if v == 0:
+                    self.accepted_unchanged += 1
                 moved_to = v
+        # only the step's last best and last accepted rows outlive it
+        if best_row is not None:
+            self.best = table.povm(best_row)
         if moved_to is not None:
+            self.current = self.best if moved_to == best_row else table.povm(moved_to)
             self.state = table.free_elements(moved_to)
         if evaluated == 0:
             self.all_skipped_streak += 1
@@ -636,6 +664,7 @@ def anneal(
         closure_rejected=chain.rejected,
         resample_exhausted=chain.exhausted,
         accepted=chain.accepted,
+        accepted_unchanged=chain.accepted_unchanged,
     )
 
 

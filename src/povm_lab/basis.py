@@ -43,6 +43,7 @@ class OrthonormalBasis:
     labels: tuple
 
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _entry_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) != self.dim**2 - 1:
@@ -50,11 +51,25 @@ class OrthonormalBasis:
         stack = np.stack(self.elements)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
+        n = self.dim
+        p, q = np.triu_indices(n, 1)
+        off = stack[:, p, q]
+        diagonal = stack[:, range(n), range(n)].real
+        entry_map = np.ascontiguousarray(np.concatenate([diagonal, off.real, off.imag], axis=1).T)
+        entry_map.setflags(write=False)
+        object.__setattr__(self, "_entry_map", entry_map)
 
     @property
     def stack(self) -> np.ndarray:
         """(n^2-1, n, n) read-only array of the traceless elements, built once."""
         return self._stack
+
+    @property
+    def entry_map(self) -> np.ndarray:
+        """(n^2, n^2-1) read-only real map from coordinates a to the entries
+        of a . sigma that `linalg.psd_verdict` reads: the n diagonals, then Re
+        and then Im of the upper off-diagonal entries (row-major); built once."""
+        return self._entry_map
 
     def element(self, index: int) -> np.ndarray:
         """sigma_index for a 1-based basis index."""

@@ -282,6 +282,7 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
         f"closure_rejected  {result.closure_rejected}",
         f"resample_exhausted  {result.resample_exhausted}",
         f"accepted  {result.accepted}",
+        f"accepted_unchanged  {result.accepted_unchanged}",
     )
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(_report_text(result.best, cfg, extra))

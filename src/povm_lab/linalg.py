@@ -6,10 +6,12 @@ deterministic and dependency-free beyond numpy array handling, which keeps the
 annealing loops bit-reproducible for a fixed seed.
 
 These are the per-matrix routines.  Whole stacks of matrices (the
-state-space grid and its clustering in `statespace`, the closing elements and
-objective determinants of an anneal step in `annealer`) go through numpy's
-batched `eigvalsh` and `slogdet` instead, and the tests check those batched
-paths against these routines.
+state-space grid and its clustering in `statespace`, the objective
+determinants of an anneal step in `annealer`) go through numpy's batched
+`eigvalsh` and `slogdet` instead, and the tests check those batched paths
+against these routines.  The anneal's PSD tests of 2x2 and 3x3 matrices are
+decided from principal minors (`psd_verdict`), with `eigvalsh` left for the
+thin band around the tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ HERMITIAN_TOL = 1e-12
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
 PIVOT_FLOOR = 1e-12
+# `psd_verdict` decides only matrices whose lowest eigenvalue is farther than
+# PSD_MARGIN from -tol, which covers `eigvalsh`'s error (a few ulps of |H|)
+# for entries up to a few hundred.  A principal minor of order k is trusted
+# beyond MINOR_SLACK * w**k, w the sum of the shifted entries' magnitudes:
+# its computed value is within about 9 ulps of the sum of its expansion's
+# products' magnitudes, and that sum is at most w**k.
+PSD_MARGIN = 1e-12
+MINOR_SLACK = 4e-15
 
 
 def symmetrize(H) -> np.ndarray:
@@ -119,6 +129,58 @@ def min_eigenvalue_trusted(A: np.ndarray) -> float:
         return float(A[0, 0].real)
     a = [[complex(A[i, j]) for j in range(n)] for i in range(n)]
     return min(_jacobi_eigenvalues(a, n))
+
+
+def psd_verdict(entries, n: int, tol: float):
+    """Decide lambda_min(H) >= -tol for Hermitian n x n H from principal minors.
+
+    `entries` holds H's real entry columns: the n diagonals, then Re of each
+    upper off-diagonal entry (row-major), then Im of each, as
+    `OrthonormalBasis.entry_map` lays them out.  A column is a float (one
+    matrix) or a numpy array (one value per matrix); the body uses only
+    arithmetic operators, `abs` and &/|, so it serves both.
+
+    Returns masks (yes, no) for tol >= 0.  yes: every leading principal
+    minor of H + (tol - PSD_MARGIN) I exceeds its rounding slack, so by
+    Sylvester's criterion that matrix is positive definite and
+    lambda_min(H) > -tol + PSD_MARGIN.  no: some principal minor of H + (tol + PSD_MARGIN) I
+    is below minus its slack, so lambda_min(H) < -tol - PSD_MARGIN.
+    Neither: the band, which an eigensolver must decide; for n >= 4 every
+    matrix is in the band.
+    """
+    lo, hi = tol - PSD_MARGIN, tol + PSD_MARGIN
+    if n == 2:
+        d0, d1, r, i = entries
+        w = abs(d0) + abs(d1) + abs(r) + abs(i) + 2.0 * hi
+        s1 = MINOR_SLACK * w
+        s2 = s1 * w
+        m = r * r + i * i
+        x0, x1 = d0 + lo, d1 + lo
+        yes = (x0 > s1) & (x0 * x1 - m > s2)
+        x0, x1 = d0 + hi, d1 + hi
+        no = (x0 < -s1) | (x1 < -s1) | (x0 * x1 - m < -s2)
+        return yes, no
+    if n == 3:
+        d0, d1, d2, r01, r02, r12, i01, i02, i12 = entries
+        w = abs(d0) + abs(d1) + abs(d2) + abs(r01) + abs(r02) + abs(r12)
+        w = w + abs(i01) + abs(i02) + abs(i12) + 3.0 * hi
+        s1 = MINOR_SLACK * w
+        s2 = s1 * w
+        s3 = s2 * w
+        m01, m02, m12 = r01 * r01 + i01 * i01, r02 * r02 + i02 * i02, r12 * r12 + i12 * i12
+        # 2 Re(H_01 H_12 conj(H_02))
+        triple = 2.0 * ((r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02)
+        x0, x1, x2 = d0 + lo, d1 + lo, d2 + lo
+        det = x0 * (x1 * x2 - m12) - x1 * m02 - x2 * m01 + triple
+        yes = (x0 > s1) & (x0 * x1 - m01 > s2) & (det > s3)
+        x0, x1, x2 = d0 + hi, d1 + hi, d2 + hi
+        minor12 = x1 * x2 - m12
+        det = x0 * minor12 - x1 * m02 - x2 * m01 + triple
+        no = (x0 < -s1) | (x1 < -s1) | (x2 < -s1) | (x0 * x1 - m01 < -s2)
+        no = no | (x0 * x2 - m02 < -s2) | (minor12 < -s2) | (det < -s3)
+        return yes, no
+    # False, for a float or per matrix
+    return entries[0] < -math.inf, entries[0] < -math.inf
 
 
 def hs_inner(A, B) -> float:

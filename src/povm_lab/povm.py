@@ -91,17 +91,28 @@ def element_coords(E, basis: OrthonormalBasis) -> PovmElementCoords:
     return PovmElementCoords(a0, a)
 
 
+def closing_elements(chosen: np.ndarray) -> np.ndarray:
+    """I - E_1 - ... - E_N for a (..., N, n, n) stack of element lists.
+
+    The elements are subtracted from I one at a time in element order, then
+    the result is Hermitian-averaged, so every caller gets the closing element
+    of `complete_povm` bit for bit, one list or a stack of them at once.
+    """
+    residual = np.eye(chosen.shape[-1], dtype=complex)
+    for i in range(chosen.shape[-3]):
+        residual = residual - chosen[..., i, :, :]
+    return (residual + residual.conj().swapaxes(-1, -2)) / 2.0
+
+
 def complete_povm(first_elements, coords=None) -> Povm:
     """Append E_m = I - sum of the given elements; fails if it is not PSD."""
     if len(first_elements) < 1:
         raise ContractViolation("need at least one element to complete")
     dim = first_elements[0].shape[0]
-    residual = np.eye(dim, dtype=complex)
     for e in first_elements:
         if e.shape != (dim, dim):
             raise ContractViolation("mixed element dimensions")
-        residual = residual - e
-    residual = (residual + residual.conj().T) / 2.0
+    residual = closing_elements(np.array(first_elements))
     lo = linalg.min_eigenvalue_trusted(residual)
     if lo < -PSD_CONSTRUCTION_TOL:
         raise ClosureNotPositive(

@@ -93,17 +93,16 @@ def _minor_lows(basis: OrthonormalBasis):
     eigenvalue over the 2x2 principal minors [[a, c], [c*, b]] of
     rho = I/n + theta . sigma: (a + b)/2 - sqrt(((a - b)/2)^2 + |c|^2).
 
-    One real product maps a block to the entries the minors read: the
-    diagonal, then Re and Im of the upper off-diagonal entries.
+    One real product (`OrthonormalBasis.entry_map`) maps a block to the
+    entries the minors read: the diagonal, then Re and Im of the upper
+    off-diagonal entries.
     """
     n = basis.dim
     p, q = np.triu_indices(n, 1)
-    off = basis.stack[:, p, q]
-    diagonal = basis.stack[:, range(n), range(n)].real
-    entry_map = np.concatenate([diagonal, off.real, off.imag], axis=1)
+    to_entries = basis.entry_map.T
 
     def lows(block: np.ndarray) -> np.ndarray:
-        entries = block @ entry_map
+        entries = block @ to_entries
         diag = entries[:, :n] + 1.0 / n
         a, b = diag[:, p], diag[:, q]
         re, im = entries[:, n : n + p.size], entries[:, n + p.size :]

@@ -126,6 +126,44 @@ class TestPerturbElement:
             annealer.perturb_element(c, 50.0, rng, basis2, max_resample=3)
 
 
+    def test_minor_verdict_keeps_every_draw(self, basis2, basis3, monkeypatch):
+        """Every result and the RNG stream are those of a run that sends every
+        attempt to the diagonal check and `eigvalsh`."""
+        verdict = linalg.psd_verdict
+        band = [0]
+
+        def counting_verdict(entries, n, tol):
+            yes, no = verdict(entries, n, tol)
+            band[0] += not (yes or no)
+            return yes, no
+
+        starts = [(basis2, c) for c in TRINE_COORDS[:2]]
+        starts += [(basis2, pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0])))]
+        starts += [(basis3, c) for c in _interior_qutrit_coords(0.0, 4, basis3)[:2]]
+        starts += [(basis3, c) for c in _interior_qutrit_coords(0.3, 5, basis3)[:1]]
+
+        def outcomes():
+            out = []
+            for basis, c in starts:
+                for s in (1e-12, 1e-6, 0.05, 0.5, 3.0):
+                    for seed in range(8):
+                        rng = np.random.default_rng(seed)
+                        try:
+                            new = annealer.perturb_element(c, s, rng, basis, max_resample=4)
+                            out.append((new.a0, tuple(new.a.tolist())))
+                        except ResampleExhausted:
+                            out.append("exhausted")
+                        out.append(rng.random())  # where the stream stands
+            return out
+
+        monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
+        decided = outcomes()
+        assert band[0] > 0  # draws within 1e-12 of a rank-one element
+        assert "exhausted" in decided
+        monkeypatch.setattr(linalg, "psd_verdict", lambda entries, n, tol: (False, False))
+        assert outcomes() == decided
+
+
 class TestEnumerateVariants:
     def test_degenerate_dedup(self, basis2):
         rng = np.random.default_rng(2)
@@ -370,6 +408,12 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
     assert [tuple(r) for r in table.bits.tolist()] == candidates
     expected = scalar_variants(old, new, basis, cluster, pattern)
     rows = np.flatnonzero(table.closed)
+    # each row builds its own closing element; scoring builds no closing stack
+    assert "closing" not in vars(table)
+    for v in rows.tolist():
+        chosen = list(table.columns.elements[table.rows.cols[v]])
+        assert np.array_equal(table.povm(v).elements[-1], pv.complete_povm(chosen).elements[-1])
+    assert "closing" not in vars(table)
     assert [tuple(table.bits[v].tolist()) for v in rows] == [e[0] for e in expected]
     for v, (_, closing, skipped, log_d) in zip(rows, expected):
         assert np.array_equal(table.closing[v], closing)
@@ -449,6 +493,24 @@ class TestEvaluateVariantsAgainstScalar:
         assert table.closed[:2].all()
         assert table.skipped.tolist() == [False, True]
 
+    @pytest.mark.parametrize("seed, s", [(6, 0.1), (7, 0.3), (8, 0.02)])  # 63, 27, 64 rows closed
+    def test_minor_verdict_keeps_every_row(
+        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, seed, s
+    ):
+        """The table equals one whose closure is decided by `eigvalsh` on every row."""
+        rng = np.random.default_rng(seed)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        news = [annealer.perturb_element(c, s, rng, basis3) for c in initial.coords]
+        args = (initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern)
+        table = annealer.evaluate_variants(*args)
+        mask = np.zeros(table.closed.shape, dtype=bool)
+        monkeypatch.setattr(linalg, "psd_verdict", lambda e, n, tol: (mask.copy(), mask.copy()))
+        forced = annealer.evaluate_variants(*args)
+        assert table.closed.any()
+        assert np.array_equal(forced.closed, table.closed)
+        assert np.array_equal(forced.skipped, table.skipped)
+        assert np.array_equal(forced.log_dacm, table.log_dacm, equal_nan=True)
+
     def test_member_outside_psd_region_raises(self, basis2, qubit_pattern, qubit_cluster):
         members = np.vstack([qubit_cluster.members, [[3.0, 0.0, 0.0]]])
         cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
@@ -512,6 +574,33 @@ class TestReferenceChains:
         ]
         assert counters[0] > counters[1] + counters[2] >= 0 and counters[3] > 0
 
+    def test_unchanged_acceptances_match_the_walk(self, tmp_path, monkeypatch):
+        """`accepted_unchanged` at qutrit seed 0 over 500 steps equals the
+        acceptances of the all-old row 0 as a step's first draw, counted by
+        wrapping the scoring and the walk's draws."""
+        score, accept = annealer.score_variants, annealer.logistic_accept
+        first_draw_is_row0 = [False]
+        counted = [0]
+
+        def scoring(*args):
+            table = score(*args)
+            assert not table.bits[0].any()
+            first_draw_is_row0[0] = bool(table.closed[0] and not table.skipped[0])
+            return table
+
+        def drawing(delta, temperature, rng):
+            accepted = accept(delta, temperature, rng)
+            counted[0] += first_draw_is_row0[0] and accepted
+            first_draw_is_row0[0] = False
+            return accepted
+
+        monkeypatch.setattr(annealer, "score_variants", scoring)
+        monkeypatch.setattr(annealer, "logistic_accept", drawing)
+        report = _cli_anneal(tmp_path, 3, [7, 8], 500, 0)
+        assert abs(float(report["log_dacm_best"]) - 39.05480225974043) <= 1e-8
+        assert int(report["accepted_unchanged"]) == counted[0] > 0
+        assert counted[0] <= int(report["accepted"])
+
 
 class TestRunCounters:
     def test_every_variant_accounted_for(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
@@ -533,6 +622,14 @@ class TestRunCounters:
         assert res.closure_rejected > 0
         assert res.best_log_dacm <= min(r.log_dacm for r in res.trace)
         assert res.best_dacm == math.exp(res.best_log_dacm)
+
+    def test_unchanged_acceptances_are_accepted(self, basis2, qubit_pattern, qubit_cluster):
+        rng = np.random.default_rng(20)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        res = annealer.anneal(
+            small_config(total_steps=150), initial, qubit_cluster, basis2, qubit_pattern
+        )
+        assert 0 < res.accepted_unchanged <= res.accepted
 
     def test_resample_exhaustion_counted(self, basis2, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(21)
@@ -556,6 +653,37 @@ class TestRunCounters:
         )
         assert (res.variants_enumerated, res.closure_rejected, res.accepted) == (0, 0, 0)
         assert res.best is initial and res.best_dacm == math.exp(res.best_log_dacm)
+
+
+class TestPsdDecisions:
+    @pytest.mark.parametrize("s0", [0.15, 1.0])
+    def test_eigvalsh_only_in_the_band(
+        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0
+    ):
+        """A qutrit anneal calls `eigvalsh` only for matrices that `psd_verdict`
+        leaves in its band."""
+        eigvalsh, verdict = np.linalg.eigvalsh, linalg.psd_verdict
+        calls, decided, band = [0], [0], [0]
+
+        def counting_eigvalsh(a):
+            calls[0] += 1
+            return eigvalsh(a)
+
+        def counting_verdict(entries, n, tol):
+            yes, no = verdict(entries, n, tol)
+            undecided = np.count_nonzero(np.logical_not(np.logical_or(yes, no)))
+            band[0] += int(undecided)
+            decided[0] += np.size(yes) - int(undecided)
+            return yes, no
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
+        rng = np.random.default_rng(9)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        config = small_config(total_steps=100, s0=s0)
+        annealer.anneal(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+        assert decided[0] > 100 * 64
+        assert calls[0] <= band[0]
 
 
 class TestCarriedState:

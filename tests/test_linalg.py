@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povm_lab import linalg
 from povm_lab.errors import ContractViolation, SingularDesign
@@ -149,3 +151,98 @@ class TestInvariants:
             lhs = linalg.determinant(a @ b)
             rhs = linalg.determinant(a) * linalg.determinant(b)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+
+def _entry_columns(H):
+    """The (n^2, V) real entry columns `psd_verdict` reads, of a (V, n, n) stack."""
+    n = H.shape[-1]
+    p, q = np.triu_indices(n, 1)
+    off = H[:, p, q]
+    return np.concatenate([H[:, range(n), range(n)].real.T, off.real.T, off.imag.T])
+
+
+def _from_spectra(rng, spectra):
+    """U diag(spectrum) U† for each spectrum, each with its own random unitary."""
+    out = []
+    for spectrum in spectra:
+        u = random_unitary(rng, len(spectrum))
+        h = (u * np.asarray(spectrum)) @ u.conj().T
+        out.append((h + h.conj().T) / 2.0)
+    return np.array(out)
+
+
+@pytest.mark.invariants
+class TestPsdVerdict:
+    """Wherever `psd_verdict` decides, it agrees with `eigvalsh(H)[0] >= -tol`."""
+
+    TOL = 1e-10
+    M = linalg.PSD_MARGIN
+    OFFSETS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, M, -M, 2 * M, -2 * M, 1e-3, -1e-3)
+
+    def verdicts(self, H):
+        """(yes, no, eigvalsh verdict) of a stack, after the agreement checks."""
+        n = H.shape[-1]
+        entries = _entry_columns(H)
+        yes, no = linalg.psd_verdict(entries, n, self.TOL)
+        psd = np.linalg.eigvalsh(H)[:, 0] >= -self.TOL
+        assert not (yes & no).any()
+        assert psd[yes].all()
+        assert not psd[no].any()
+        # the same body on one matrix's Python floats gives the same verdict
+        for v in range(H.shape[0]):
+            one = linalg.psd_verdict(entries[:, v].tolist(), n, self.TOL)
+            assert one == (yes[v], no[v])
+        return yes, no, psd
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 10.0, 100.0]),
+    )
+    def test_directions_scaled_onto_the_boundary(self, n, seed, scale):
+        # H = scale (I + t A), A a random traceless direction, t putting the
+        # lowest eigenvalue of H at -tol + offset
+        rng = np.random.default_rng(seed)
+        A = random_hermitian(rng, n)
+        A -= np.eye(n) * A.trace().real / n
+        lowest = np.linalg.eigvalsh(A)[0]
+        t = [((-self.TOL + off) / scale - 1.0) / lowest for off in self.OFFSETS]
+        H = np.array([scale * (np.eye(n) + ti * A) for ti in t])
+        yes, no, _ = self.verdicts(H)
+        # lowest eigenvalue at -tol: H + (tol - margin) I is not positive
+        # definite and H + (tol + margin) I is, so no minor test can decide
+        assert not (yes[0] or no[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 10.0, 100.0]),
+    )
+    def test_two_eigenvalues_near_zero(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        small = rng.uniform(-1e-8, 1e-8, (40, 2))
+        big = scale * rng.uniform(0.2, 1.0, (40, n - 2))
+        spectra = np.concatenate([big, small], axis=1)
+        yes, no, _ = self.verdicts(_from_spectra(rng, spectra))
+        if n == 2:
+            # the slack is relative: a matrix of entries below 1e-8 whose
+            # eigenvalues are 1e-9 or more from -tol is still decided
+            far = (np.abs(spectra + self.TOL) >= 1e-9).all(axis=1)
+            assert (yes | no)[far].all()
+
+    def test_diagonal_matrices_at_every_scale(self):
+        for scale in (1e-6, 1.0, 1e3):
+            d = scale * np.array([[1.0, 0.5, 0.25], [1.0, -0.5, 0.25], [1.0, 0.5, -1e-3]])
+            H = np.array([np.diag(row).astype(complex) for row in d])
+            yes, no, psd = self.verdicts(H)
+            assert yes.tolist() == [True, False, False]
+            assert no.tolist() == [False, True, True]
+
+    def test_every_4x4_matrix_is_in_the_band(self):
+        rng = np.random.default_rng(3)
+        H = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        yes, no = linalg.psd_verdict(_entry_columns(H), 4, self.TOL)
+        assert not yes.any() and not no.any()
+        assert linalg.psd_verdict(_entry_columns(H)[:, 0].tolist(), 4, self.TOL) == (False, False)
