@@ -4,8 +4,9 @@ Each step perturbs the coordinate form of all N free elements with Gaussian
 noise (resampling any draw that leaves the positive region) and then scores
 all 2^N old/new combinations at once: `score_variants` decides every
 combination's closure from the closing element's coordinates and computes the
-log DACM of every closable combination with two stacked `slogdet` calls, the
-covariance coming from the Gram matrix of the 2N old/new probability columns.
+log DACM of every closable combination with one `slogdet` call on its stacked
+design matrices and covariances, the covariances gathered from one table
+built on the Gram matrix of the 2N old/new probability columns.
 Both PSD tests, a perturbation attempt's and a closing element's, are decided
 in closed form from principal minors (`linalg.psd_verdict`); `eigvalsh` runs
 only on the matrices in the thin band around the tolerance, and on every
@@ -19,10 +20,13 @@ separately from the fluctuating chain state.
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as
 `FreeElements` (coordinates, element matrices, a0, the direction rows and the
-probability columns over the cluster).  A step builds these arrays only for
-the N perturbed elements, and an accepted move takes the accepted row's
-columns of the step's table.  The row tables (`VariantRows`) depend only on
-which positions are pinned and are built once per pinned mask in a run.
+probability columns over the cluster).  A step builds N perturbed
+coordinates (without re-validating them), the `FreeElements` of those N,
+and one `VariantTable`; an accepted move other than the all-old row takes
+the accepted row's columns of that table.  No `Povm` is built in a step:
+the chain's `current` and `best` are built when read, from the carried state
+and from the best row's table.  The row tables (`VariantRows`) depend only
+on which positions are pinned and are built once per pinned mask in a run.
 `evaluate_variants` builds both sides from coordinates and scores them the
 same way.
 
@@ -35,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,7 @@ TRACE_HEADER = "step,log_dacm,sigma,delta,Delta,temperature,s"
 PERTURB_PSD_TOL = 1e-10
 MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
+LOG_DESIGN_DET_FLOOR = math.log(DESIGN_DET_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ class FreeElements:
     def build(cls, coords, basis: OrthonormalBasis, members: np.ndarray) -> "FreeElements":
         """One stacked product for the element matrices, which are bit-identical
         to `coords_to_element`'s, and one for the probability columns."""
-        dim, k = basis.dim, basis.stack.shape[0]
+        dim, k = basis.dim, basis.flat_stack.shape[0]
         for c in coords:
             if c.a.shape != (k,):
                 raise ContractViolation(
@@ -194,8 +198,8 @@ class FreeElements:
                 )
         A = np.array([c.a for c in coords]).reshape(len(coords), k)
         a0 = np.array([c.a0 for c in coords], dtype=float)
-        elements = (A @ basis.stack.reshape(k, dim * dim)).reshape(-1, dim, dim)
-        elements += np.eye(dim)
+        elements = (A @ basis.flat_stack).reshape(-1, dim, dim)
+        elements += basis.identity
         probs = (1.0 + members @ A.T) * a0
         return cls(list(coords), a0[:, None, None] * elements, a0, A, probs)
 
@@ -219,6 +223,11 @@ class FreeElements:
             self.probs[:, cols],
         )
 
+    def povm(self) -> Povm:
+        """The POVM of these free elements, then their closing element."""
+        elements = list(self.elements) + [closing_elements(self.elements)]
+        return Povm(self.elements.shape[-1], elements, list(self.coords))
+
 
 @dataclass(frozen=True)
 class VariantRows:
@@ -226,13 +235,15 @@ class VariantRows:
 
     Rows are lexicographic over the unpinned positions, the first most
     significant, bit 1 taking the perturbed element; `cols` holds each row's
-    columns b * N + j of the 2N old/new table and `choose` their one-hot
-    (2N, V) form.
+    columns b * N + j of the 2N old/new table, `choose` their one-hot (2N, V)
+    form and `pairs` the flat indices of a row's N x N block in a 2N x 2N
+    table.
     """
 
     bits: np.ndarray  # (V, N) choice vectors
     cols: np.ndarray  # (V, N)
     choose: np.ndarray  # (2N, V)
+    pairs: np.ndarray  # (V, N, N)
 
     @classmethod
     def for_pinned(cls, pinned) -> "VariantRows":
@@ -243,7 +254,8 @@ class VariantRows:
         cols = bits * n_free + np.arange(n_free)
         choose = np.zeros((2 * n_free, bits.shape[0]))
         choose[cols, np.arange(bits.shape[0])[:, None]] = 1.0
-        return cls(bits, cols, choose)
+        pairs = cols[:, :, None] * (2 * n_free) + cols[:, None, :]
+        return cls(bits, cols, choose, pairs)
 
 
 @dataclass(frozen=True)
@@ -278,10 +290,7 @@ class VariantTable:
 
     def povm(self, row: int) -> Povm:
         """The POVM of one row: the chosen elements, then its closing element."""
-        chosen = self.columns.elements[self.rows.cols[row]]
-        elements = list(chosen) + [closing_elements(chosen)]
-        coords = [self.columns.coords[c] for c in self.rows.cols[row].tolist()]
-        return Povm(chosen.shape[-1], elements, coords)
+        return self.free_elements(row).povm()
 
 
 def logistic_probability(delta: float, temperature: float) -> float:
@@ -311,13 +320,20 @@ def glauber_accept(dacm_new: float, dacm_old: float, temperature: float, rng) ->
     return logistic_accept(math.log(dacm_new) - math.log(dacm_old), temperature, rng)
 
 
-@contextmanager
-def _typed_lapack_errors():
-    """Re-raise numpy's LinAlgError (a LAPACK routine failed) as NumericalError."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK failure: {exc}") from exc
+class _typed_lapack_errors:
+    """Re-raise numpy's LinAlgError (a LAPACK routine failed) as NumericalError.
+
+    A class rather than a generator context manager: it wraps every step's
+    `slogdet`, where entering a generator costs more than the call it guards.
+    """
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
+            raise NumericalError(f"LAPACK failure: {exc}") from exc
+        return False
 
 
 def perturb_element(
@@ -337,7 +353,9 @@ def perturb_element(
     An attempt is decided from the principal minors of a.sigma, since
     I + a.sigma >= -tol I exactly when a.sigma >= -(1 + tol) I; only an
     attempt in the band around the tolerance builds I + a.sigma for the
-    diagonal check and `eigvalsh`.
+    diagonal check and `eigvalsh`.  A draw that overflows at an extreme scale
+    is outside the region and is redrawn, so the result is finite and is
+    built without the constructor's checks.
     """
     if not 0 < s < math.inf:
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
@@ -345,12 +363,17 @@ def perturb_element(
     new_a = None
     for _ in range(max_resample):
         cand = c.a + rng.normal(0.0, s, c.a.shape[0])
-        yes, no = linalg.psd_verdict((entry_map @ cand).tolist(), dim, 1.0 + PERTURB_PSD_TOL)
+        entries = (entry_map @ cand).tolist()
+        yes, no = linalg.psd_verdict(entries, dim, 1.0 + PERTURB_PSD_TOL)
         if no:
             continue
         if not yes:
+            # every entry of a.sigma in the region has modulus below n; this
+            # also sends back a draw that overflowed, which gets no yes
+            if not all(abs(x) <= dim for x in entries):
+                continue
             # real coefficients on Hermitian generators: m is exactly Hermitian
-            m = expand(cand, basis.stack) + np.eye(dim)
+            m = expand(cand, basis.stack) + basis.identity
             if min(m[i, i].real for i in range(dim)) < -PERTURB_PSD_TOL:
                 continue
             with _typed_lapack_errors():
@@ -365,12 +388,12 @@ def perturb_element(
         new_a0 = None
         for _ in range(max_resample):
             cand = c.a0 + rng.normal(0.0, s)
-            if cand > 0:
+            if 0 < cand < math.inf:
                 new_a0 = cand
                 break
         if new_a0 is None:
             raise ResampleExhausted(f"no positive a0 draw in {max_resample} attempts")
-    return PovmElementCoords(new_a0, new_a)
+    return PovmElementCoords.unchecked(new_a0, new_a)
 
 
 def enumerate_variants(old, new, basis: OrthonormalBasis):
@@ -442,67 +465,77 @@ def score_variants(
     closing matrices, built as `complete_povm` builds its closing element
     (`closing_elements`), and one stacked `eigvalsh`.  Closed rows get the three
     probability-simplex checks of `averaged_covariance` (ContractViolation on
-    a failure), T from a table of the 2N design rows and W0 = diag(colsum) -
-    G restricted to the row's columns, where G is the Gram matrix of the 2N
-    old/new probability columns over the cluster.  A row is skipped when
+    a failure), T from a table of the 2N design rows and W0 as the row's block
+    of diag(colsum) - G, where G is the Gram matrix of the 2N old/new
+    probability columns over the cluster.  A row is skipped when
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
     n_free = len(old.coords)
     columns = old.join(new)
-    bits = rows.bits
-    positions = np.arange(n_free)
+    a0, A, probs = columns.a0, columns.A, columns.probs  # (2N,), (2N, n^2-1), (k, 2N)
+    log_dacm = np.full(rows.bits.shape[0], np.nan)
+    skipped = np.zeros(rows.bits.shape[0], dtype=bool)
 
-    # entries of every row's closing element, from its coordinates
-    weighted = columns.a0[:, None] * columns.A  # (2N, n^2-1)
-    entries = basis.entry_map @ (weighted.T @ -rows.choose)  # (n^2, V)
-    entries[: basis.dim] += 1.0 - columns.a0 @ rows.choose
+    # sum a0 and sum a0 a over every row's chosen elements
+    weighted = a0[:, None] * A  # (2N, n^2-1)
+    a0_sum = a0 @ rows.choose  # (V,)
+    a_sum = weighted.T @ rows.choose  # (n^2-1, V)
+    entries = basis.entry_map @ -a_sum  # (n^2, V) entries of every row's closing element
+    entries[: basis.dim] += 1.0 - a0_sum
     closed, no = linalg.psd_verdict(entries, basis.dim, PSD_CONSTRUCTION_TOL)
-    band = np.flatnonzero(~(closed | no))
-    if band.size:
+    band = ~(closed | no)
+    if band.any():
+        band = np.flatnonzero(band)
         closing = closing_elements(columns.elements[rows.cols[band]])
         with _typed_lapack_errors():
             closed[band] = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
+    if not closed.any():
+        return VariantTable(rows, columns, closed, skipped, log_dacm)
 
+    # the closing probability column (1 - sum a0) - members . (sum a0 a); a
+    # closing weight at or below 1e-14 gives a zero column, as
+    # objective._coordinate_table derives it
+    a0_last = 1.0 - a0_sum[closed]
+    last = np.where(a0_last > 1e-14, a0_last - members @ a_sum[:, closed], 0.0)  # (k, Vc)
+    sums = probs @ rows.choose[:, closed] + last
     sel = rows.cols[closed]  # (Vc, N) columns of the 2N tables
-    choose = rows.choose[:, closed]  # one-hot: column v picks row v's columns
-    a0, A, probs = columns.a0, columns.A, columns.probs  # (2N,), (2N, n^2-1), (k, 2N)
-    # closing coordinates as objective._coordinate_table derives them; a
-    # closing weight at or below 1e-14 gives a zero probability column
-    a0_last = 1.0 - a0 @ choose
-    nonzero = a0_last > 1e-14
-    A_last = -(weighted.T @ choose) / np.where(nonzero, a0_last, 1.0)  # (n^2-1, Vc)
-    last = (1.0 + members @ A_last) * np.where(nonzero, a0_last, 0.0)  # (k, Vc)
-    low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
-    high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
-    sum_dev = np.abs(probs @ choose + last - 1.0).max(axis=0)
-    # written so that a NaN probability fails the check too
-    bad = np.flatnonzero(
-        ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
-    )
-    if bad.size:
-        v = int(bad[0])
-        raise ContractViolation(
-            f"probability invariant violated for variant {tuple(bits[closed][v].tolist())}: "
-            f"min {low[v]:.3e}, max {high[v]:.3e}, max |sum - 1| {sum_dev[v]:.3e}"
+    # the whole table's extremes bound every row's, so rows are compared one by
+    # one only when they fail; written so that a NaN probability fails too
+    if not (
+        probs.min() >= -PROB_RANGE_TOL
+        and probs.max() <= 1 + PROB_RANGE_TOL
+        and last.min() >= -PROB_RANGE_TOL
+        and last.max() <= 1 + PROB_RANGE_TOL
+        and np.abs(sums - 1.0).max() <= PROB_SUM_TOL
+    ):
+        low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
+        high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
+        sum_dev = np.abs(sums - 1.0).max(axis=0)
+        bad = np.flatnonzero(
+            ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
         )
+        if bad.size:
+            v = int(bad[0])
+            raise ContractViolation(
+                f"probability invariant violated for variant {tuple(rows.bits[closed][v].tolist())}: "
+                f"min {low[v]:.3e}, max {high[v]:.3e}, max |sum - 1| {sum_dev[v]:.3e}"
+            )
 
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
-    T = (a0[:, None] * A[:, unknown_pos])[sel]  # (Vc, N, N)
+    T = weighted[:, unknown_pos][sel]  # (Vc, N, N)
     gram = probs.T @ probs
-    gram = (gram + gram.T) / 2.0
-    W0 = -gram[sel[:, :, None], sel[:, None, :]]
-    W0[:, positions, positions] += probs.sum(axis=0)[sel]
+    W0 = (np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0).take(rows.pairs[closed])
     with _typed_lapack_errors():
-        _, log_det_t = np.linalg.slogdet(T)
-        sign_w, log_det_w = np.linalg.slogdet(W0)
-    with np.errstate(divide="ignore"):
-        floor = math.log(DESIGN_DET_FLOOR) + n_free * np.log(np.abs(T).max(axis=(1, 2)))
+        sign, log_det = np.linalg.slogdet(np.concatenate([T, W0]))
+    n_closed = sel.shape[0]
+    log_det_t, sign_w, log_det_w = log_det[:n_closed], sign[n_closed:], log_det[n_closed:]
+    # an all-zero T has log |det T| = -inf, below any floor; adding 1 to its
+    # zero max keeps the log finite without a warning
+    t_max = np.abs(T).max(axis=(1, 2))
+    floor = LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
     skip = (log_det_t <= floor) | (sign_w <= 0)
-
-    skipped = np.zeros(bits.shape[0], dtype=bool)
     skipped[closed] = skip
-    log_dacm = np.full(bits.shape[0], np.nan)
-    log_dacm[np.flatnonzero(closed)[~skip]] = (log_det_w - 2.0 * log_det_t)[~skip]
+    log_dacm[closed] = np.where(skip, np.nan, log_det_w - 2.0 * log_det_t)
     return VariantTable(rows, columns, closed, skipped, log_dacm)
 
 
@@ -547,6 +580,8 @@ class AnnealChain:
     `state` changes only when a move is accepted, and then to the accepted
     row's columns of the step's table; a step builds free elements only for
     its perturbed elements, and row tables once per pinned-position mask.
+    `current` and `best` are built as `Povm`s only when read: `current` from
+    `state`, `best` from the table row it was found in.
     """
 
     def __init__(
@@ -567,24 +602,42 @@ class AnnealChain:
                 averaged_covariance(initial, cluster, basis, pattern),
             )
         )
-        self.current = initial
-        self.best, self.best_log = initial, self.cur_log
+        self.best_log = self.cur_log
         self.state = FreeElements.build(initial.coords, basis, cluster.members)
+        # the POVMs last built; None until the next read rebuilds one
+        self._current = self._best = initial
+        self._best_at = None  # (table, row) the best POVM is built from
         self.rows = {}  # pinned-position mask -> VariantRows
         self.skipped = self.enumerated = self.rejected = self.exhausted = 0
         self.accepted = self.accepted_unchanged = 0
         self.all_skipped_streak = 0
 
+    @property
+    def current(self) -> Povm:
+        """The current POVM, built from `state` on the first read after a move."""
+        if self._current is None:
+            self._current = self.state.povm()
+        return self._current
+
+    @property
+    def best(self) -> Povm:
+        """The best POVM seen, built from its table row on the first read."""
+        if self._best is None:
+            table, row = self._best_at
+            self._best = table.povm(row)
+        return self._best
+
     def step(self, s: float, temp: float) -> None:
         """Perturb every free element at scale s, score the variants and walk
         them at temperature temp: one logistic draw per evaluated variant."""
-        cfg = self.config
+        cfg, rng, basis, members = self.config, self.rng, self.basis, self.cluster.members
+        olds = self.state.coords
         news = []
-        for c in self.current.coords:
+        for c in olds:
             try:
                 news.append(
                     perturb_element(
-                        c, s, self.rng, self.basis,
+                        c, s, rng, basis,
                         max_resample=cfg.max_resample,
                         perturb_a0=cfg.perturb_a0,
                     )
@@ -592,28 +645,26 @@ class AnnealChain:
             except ResampleExhausted:
                 self.exhausted += 1
                 news.append(c)
-        pinned = tuple(n is c for n, c in zip(news, self.current.coords))
-        if pinned not in self.rows:
-            self.rows[pinned] = VariantRows.for_pinned(pinned)
-        new = FreeElements.build(news, self.basis, self.cluster.members)
-        table = score_variants(
-            self.state, new, self.rows[pinned], self.basis, self.cluster.members, self.pattern
-        )
-        self.enumerated += table.bits.shape[0]
-        self.rejected += int(np.count_nonzero(~table.closed))
-        row_skipped = table.skipped.tolist()
+        pinned = tuple(n is c for n, c in zip(news, olds))
+        rows = self.rows.get(pinned)
+        if rows is None:
+            rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
+        new = FreeElements.build(news, basis, members)
+        table = score_variants(self.state, new, rows, basis, members, self.pattern)
+        closed_rows = [v for v, c in enumerate(table.closed.tolist()) if c]
+        n_skipped = int(np.count_nonzero(table.skipped))
+        self.enumerated += table.closed.shape[0]
+        self.rejected += table.closed.shape[0] - len(closed_rows)
+        self.skipped += n_skipped
         row_log = table.log_dacm.tolist()
-        evaluated = 0
         moved_to = best_row = None
-        for v in np.flatnonzero(table.closed).tolist():
-            if row_skipped[v]:
-                self.skipped += 1
-                continue
-            evaluated += 1
+        for v in closed_rows:
             cand_log = row_log[v]
+            if math.isnan(cand_log):  # skipped
+                continue
             if cand_log < self.best_log:
                 self.best_log, best_row = cand_log, v
-            if logistic_accept(cand_log - self.cur_log, temp, self.rng):
+            if logistic_accept(cand_log - self.cur_log, temp, rng):
                 self.cur_log = cand_log
                 self.accepted += 1
                 # row 0 takes every old element and is walked first, while the
@@ -623,11 +674,12 @@ class AnnealChain:
                 moved_to = v
         # only the step's last best and last accepted rows outlive it
         if best_row is not None:
-            self.best = table.povm(best_row)
+            self._best, self._best_at = None, (table, best_row)
         if moved_to is not None:
-            self.current = self.best if moved_to == best_row else table.povm(moved_to)
-            self.state = table.free_elements(moved_to)
-        if evaluated == 0:
+            if moved_to:  # row 0's columns are the state's own
+                self.state = table.free_elements(moved_to)
+            self._current = None
+        if len(closed_rows) == n_skipped:  # no row evaluated
             self.all_skipped_streak += 1
             if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
                 raise NumericalError(

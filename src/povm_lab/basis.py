@@ -44,6 +44,8 @@ class OrthonormalBasis:
 
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
     _entry_map: np.ndarray = field(init=False, repr=False, compare=False)
+    _flat_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _identity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) != self.dim**2 - 1:
@@ -52,12 +54,16 @@ class OrthonormalBasis:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         n = self.dim
+        object.__setattr__(self, "_flat_stack", stack.reshape(stack.shape[0], n * n))
         p, q = np.triu_indices(n, 1)
         off = stack[:, p, q]
         diagonal = stack[:, range(n), range(n)].real
         entry_map = np.ascontiguousarray(np.concatenate([diagonal, off.real, off.imag], axis=1).T)
         entry_map.setflags(write=False)
         object.__setattr__(self, "_entry_map", entry_map)
+        identity = np.eye(n)
+        identity.setflags(write=False)
+        object.__setattr__(self, "_identity", identity)
 
     @property
     def stack(self) -> np.ndarray:
@@ -70,6 +76,16 @@ class OrthonormalBasis:
         of a . sigma that `linalg.psd_verdict` reads: the n diagonals, then Re
         and then Im of the upper off-diagonal entries (row-major); built once."""
         return self._entry_map
+
+    @property
+    def flat_stack(self) -> np.ndarray:
+        """(n^2-1, n^2) read-only view of `stack`, one flattened generator per row."""
+        return self._flat_stack
+
+    @property
+    def identity(self) -> np.ndarray:
+        """(n, n) read-only real identity, built once."""
+        return self._identity
 
     def element(self, index: int) -> np.ndarray:
         """sigma_index for a 1-based basis index."""

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from povm_lab.errors import (
     ResampleExhausted,
     SingularDesign,
 )
-from povm_lab.objective import averaged_covariance, dacm, design_matrix
+from povm_lab.objective import PROB_SUM_TOL, averaged_covariance, dacm, design_matrix
 
 TRINE_COORDS = [
     pv.PovmElementCoords(
@@ -162,6 +164,55 @@ class TestPerturbElement:
         assert "exhausted" in decided
         monkeypatch.setattr(linalg, "psd_verdict", lambda entries, n, tol: (False, False))
         assert outcomes() == decided
+
+
+@pytest.mark.invariants
+class TestPerturbedCoordinates:
+    """`perturb_element` builds its result without the constructor's checks;
+    the checked constructor accepts every coordinate it returns."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        data=st.data(),
+        a0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        seed=st.integers(0, 2**32 - 1),
+        perturb_a0=st.booleans(),
+    )
+    def test_checked_constructor_accepts_every_result(
+        self, basis2, basis3, dim, data, a0, s, seed, perturb_a0
+    ):
+        basis = basis2 if dim == 2 else basis3
+        a = data.draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=dim**2 - 1,
+                max_size=dim**2 - 1,
+            )
+        )
+        c = pv.PovmElementCoords(a0, np.array(a))
+        rng = np.random.default_rng(seed)
+        try:
+            # near the float range the draws overflow on the way to being redrawn
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = annealer.perturb_element(
+                    c, s, rng, basis, max_resample=5, perturb_a0=perturb_a0
+                )
+        except ResampleExhausted:
+            return
+        checked = pv.PovmElementCoords(out.a0, out.a)
+        assert out.a.dtype == np.float64 and out.a.shape == c.a.shape
+        assert checked.a0 == out.a0 and np.array_equal(checked.a, out.a)
+
+    def test_overflowing_draws_are_redrawn(self, basis2):
+        """At a scale near the float range every draw is far outside the
+        region or overflows; none is returned."""
+        c = pv.PovmElementCoords(0.3, np.zeros(3))
+        for seed in range(20):
+            with pytest.raises(ResampleExhausted):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    annealer.perturb_element(c, 1e308, np.random.default_rng(seed), basis2)
 
 
 class TestEnumerateVariants:
@@ -540,6 +591,66 @@ class TestEvaluateVariantsAgainstScalar:
             )
 
 
+class TestProbabilityChecks:
+    """A closed row whose probabilities leave the simplex raises
+    ContractViolation naming that row, whichever check it fails."""
+
+    def interior_step(self, basis2, qubit_pattern, qubit_cluster):
+        """A qubit step from an interior POVM: its sides, rows and the first
+        closed row that takes a perturbed element."""
+        rng = np.random.default_rng(4)
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in initial.coords]
+        members = qubit_cluster.members
+        old = annealer.FreeElements.build(initial.coords, basis2, members)
+        new = annealer.FreeElements.build(news, basis2, members)
+        rows = annealer.VariantRows.for_pinned([False, False])
+        table = annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
+        v = next(v for v in np.flatnonzero(table.closed) if rows.bits[v].any())
+        return old, new, rows, tuple(rows.bits[v].tolist())
+
+    def test_closing_column_alone_out_of_range(self, basis2, qubit_pattern, qubit_cluster):
+        # theta along a_1 + a_2, outside the Bloch ball (|theta| = 1 > 1/sqrt 2):
+        # p_1 = p_2 = (1 + 1/sqrt 2)/3 stay in range, p_3 = (1 - sqrt 2)/3 < 0
+        a1, a2 = TRINE_COORDS[0].a, TRINE_COORDS[1].a
+        theta = (a1 + a2) / np.linalg.norm(a1 + a2)
+        free = [c.a0 * (1 + theta @ c.a) for c in TRINE_COORDS[:2]]
+        assert all(0 <= p <= 1 for p in free)
+        members = np.vstack([qubit_cluster.members, theta])
+        cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
+        message = f"variant (0, 0): min {(1 - np.sqrt(2)) / 3:.3e}, max"
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            annealer.evaluate_variants(
+                TRINE_COORDS[:2], TRINE_COORDS[:2], basis2, cluster, qubit_pattern
+            )
+
+    def test_sum_deviation(self, basis2, qubit_pattern, qubit_cluster):
+        old, new, rows, bits = self.interior_step(basis2, qubit_pattern, qubit_cluster)
+        # in range, but a row with a perturbed column sums to 1 + 2e-9 or more
+        shifted = dataclasses.replace(new, probs=new.probs + 2e-9)
+        assert shifted.probs.max() < 1.0
+        with pytest.raises(ContractViolation, match=re.escape(f"variant {bits}")) as info:
+            annealer.score_variants(
+                old, shifted, rows, basis2, qubit_cluster.members, qubit_pattern
+            )
+        dev = float(str(info.value).rsplit(" ", 1)[1])
+        assert PROB_SUM_TOL < dev < 1e-8
+
+    def test_nan_probability(self, basis2, qubit_pattern, qubit_cluster):
+        old, new, rows, _ = self.interior_step(basis2, qubit_pattern, qubit_cluster)
+        probs = old.probs.copy()
+        probs[3, 0] = math.nan  # an old column: row (0, 0) is closed and takes it
+        with pytest.raises(ContractViolation, match=re.escape("variant (0, 0): min nan")):
+            annealer.score_variants(
+                dataclasses.replace(old, probs=probs),
+                new,
+                rows,
+                basis2,
+                qubit_cluster.members,
+                qubit_pattern,
+            )
+
+
 def _cli_anneal(tmp_path, dim, known, steps, seed):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "out"
@@ -686,18 +797,45 @@ class TestPsdDecisions:
         assert calls[0] <= band[0]
 
 
+def assert_same_povm(pov, want):
+    """Bit-for-bit equal elements and the same coordinate objects."""
+    assert pov.dim == want.dim and pov.m == want.m
+    for e, f in zip(pov.elements, want.elements):
+        assert e.dtype == f.dtype and e.shape == f.shape and e.tobytes() == f.tobytes()
+    assert len(pov.coords) == len(want.coords)
+    assert all(c is d for c, d in zip(pov.coords, want.coords))
+
+
 class TestCarriedState:
     """The chain's carried free elements equal a fresh build from its current
-    coordinates after every step."""
+    coordinates after every step, and the POVMs it builds on read are those of
+    its accepted and best table rows."""
 
-    def run_chain(self, basis, pattern, cluster, **kw):
+    def run_chain(self, monkeypatch, basis, pattern, cluster, **kw):
+        tables, draws = [], []
+        score, accept = annealer.score_variants, annealer.logistic_accept
+
+        def recording_score(*args):
+            tables.append(score(*args))
+            return tables[-1]
+
+        def recording_accept(*args):
+            draws.append(accept(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(annealer, "score_variants", recording_score)
+        monkeypatch.setattr(annealer, "logistic_accept", recording_accept)
         rng = np.random.default_rng(7)
         initial = annealer.random_initial_povm(pattern, basis, rng)
         config = small_config(total_steps=60, **kw)
         chain = annealer.AnnealChain(config, initial, cluster, basis, pattern)
+        assert chain.current is initial and chain.best is initial
+        want_current = want_best = initial
         moved = stayed = 0  # steps that changed the state, steps that kept it
+        shared = 0  # steps whose best row is also their last accepted row
         for t in range(config.total_steps):
-            before = chain.state.coords
+            before, best_log = chain.state.coords, chain.best_log
+            draws.clear()
             chain.step(*config.schedule(t))
             changed = any(a is not b for a, b in zip(before, chain.state.coords))
             moved += changed
@@ -708,11 +846,38 @@ class TestCarriedState:
             for name in ("elements", "a0", "A", "probs"):
                 assert np.array_equal(getattr(state, name), getattr(fresh, name)), (t, name)
             assert np.array_equal(state.elements, np.array(chain.current.elements[:-1]))
-        return chain, moved, stayed
 
-    def test_accepted_and_rejected_moves(self, basis3, qutrit_pattern, qutrit_small_cluster):
-        _, moved, stayed = self.run_chain(basis3, qutrit_pattern, qutrit_small_cluster)
+            # the walk draws once per evaluated row, in row order
+            table = tables[-1]
+            evaluated = np.flatnonzero(~np.isnan(table.log_dacm)).tolist()
+            assert len(draws) == len(evaluated)
+            accepted = [v for v, took in zip(evaluated, draws) if took]
+            best_row = None
+            if chain.best_log < best_log:
+                best_row = int(np.nanargmin(table.log_dacm))
+                assert table.log_dacm[best_row] == chain.best_log
+                want_best = table.povm(best_row)
+            if accepted:
+                want_current = table.povm(accepted[-1])
+                shared += accepted[-1] == best_row
+            assert_same_povm(chain.current, want_current)
+            assert_same_povm(chain.best, want_best)
+        return chain, moved, stayed, shared
+
+    def test_accepted_and_rejected_moves(
+        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch
+    ):
+        _, moved, stayed, shared = self.run_chain(
+            monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster
+        )
         assert moved > 0 and stayed > 0
+        assert shared > 0  # a step where the best row is the accepted row
+
+    def test_qubit_chain(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
+        _, moved, stayed, shared = self.run_chain(
+            monkeypatch, basis2, qubit_pattern, qubit_cluster
+        )
+        assert moved > 0 and stayed > 0 and shared > 0
 
     # with one draw per element, at s0 = 3 every draw leaves the PSD region, so
     # every position is pinned on every step; at s0 = 0.3 the steps mix many masks
@@ -730,8 +895,8 @@ class TestCarriedState:
             return score(old, new, rows, *args)
 
         monkeypatch.setattr(annealer, "score_variants", checking_score)
-        chain, _, _ = self.run_chain(
-            basis3, qutrit_pattern, qutrit_small_cluster, max_resample=1, s0=s0
+        chain, _, _, _ = self.run_chain(
+            monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster, max_resample=1, s0=s0
         )
         assert chain.exhausted > 0
         assert len(seen) >= masks and any(any(mask) for mask in seen)
