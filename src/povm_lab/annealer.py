@@ -510,7 +510,9 @@ def score_variants(
     ):
         low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
         high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
-        sum_dev = np.abs(sums - 1.0).max(axis=0)
+        # each row's sum from its own columns, so that a NaN fails only the
+        # rows that take it
+        sum_dev = np.abs(probs[:, sel].sum(axis=2) + last - 1.0).max(axis=0)
         bad = np.flatnonzero(
             ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
         )

@@ -9,12 +9,10 @@ orbit of states with fixed spectrum, and the averaged covariance is a raw
 
 Grid positivity and cluster keys come from numpy's stacked `eigvalsh`; the
 scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
-for this batched one.  Before `eigvalsh`, each block of GRID_BLOCK grid points
-goes through a cheap necessary test: by Cauchy interlacing the lowest
-eigenvalue of rho is at most that of any principal submatrix, so a point with a
-2x2 principal minor whose lowest eigenvalue lies below -GRID_PSD_TOL (by more
-than MINOR_MARGIN, which covers rounding) would fail the `eigvalsh` test too
-and is dropped unseen.  `eigvalsh` still decides every point that survives.
+for this batched one.  Only grid points inside the Bloch ball reach `eigvalsh`:
+a state whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
+<= (n-1)/n + 2(n-1)t + n(n-1)t^2, a slack that BALL_MARGIN covers at
+t = GRID_PSD_TOL, and `eigvalsh` decides every point inside the ball.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
-GRID_BLOCK = 343  # points per block of the grid walk: one 7^3 slab
-MINOR_MARGIN = 1e-9  # slack of the 2x2 minor prefilter beyond GRID_PSD_TOL
+GRID_BLOCK = 343  # grid points built and passed to eigvalsh per slice
+BALL_MARGIN = 1e-9  # slack of the Bloch-ball prefilter beyond (n-1)/n
 
 log = logging.getLogger("povm_lab")
 
@@ -88,57 +86,38 @@ def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
     return np.clip(np.floor(evals * cells), 0, cells - 1).astype(int)
 
 
-def _minor_lows(basis: OrthonormalBasis):
-    """A function of a (k, n^2-1) block of thetas giving, per row, the lowest
-    eigenvalue over the 2x2 principal minors [[a, c], [c*, b]] of
-    rho = I/n + theta . sigma: (a + b)/2 - sqrt(((a - b)/2)^2 + |c|^2).
-
-    One real product (`OrthonormalBasis.entry_map`) maps a block to the
-    entries the minors read: the diagonal, then Re and Im of the upper
-    off-diagonal entries.
-    """
-    n = basis.dim
-    p, q = np.triu_indices(n, 1)
-    to_entries = basis.entry_map.T
-
-    def lows(block: np.ndarray) -> np.ndarray:
-        entries = block @ to_entries
-        diag = entries[:, :n] + 1.0 / n
-        a, b = diag[:, p], diag[:, q]
-        re, im = entries[:, n : n + p.size], entries[:, n + p.size :]
-        return ((a + b) / 2.0 - np.sqrt(((a - b) / 2.0) ** 2 + re**2 + im**2)).min(axis=1)
-
-    return lows
-
-
 def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     """All PSD grid states as rows of full Bloch vectors, in axis-lexicographic order.
 
-    The grid is walked in blocks of GRID_BLOCK points, so transient memory does
-    not grow with the grid size; in each block only the points that pass the
-    2x2 minor test reach `eigvalsh`.
+    The grid grows one unknown axis at a time as flat grid indices with their
+    running sums of squares; a prefix whose sum already leaves the Bloch ball
+    (beyond BALL_MARGIN) is dropped with all of its completions, since a float
+    sum of squares never decreases as terms are added.  The points that remain
+    are built and tested GRID_BLOCK at a time, so memory stays bounded.
     """
     pattern = spec.pattern
-    axis = np.linspace(-spec.bound, spec.bound, spec.points_per_axis)
-    shape = (spec.points_per_axis,) * pattern.unknown_count
-    unknown_pos = [i - 1 for i in pattern.unknown_indices]
+    g = spec.points_per_axis
+    axis = np.linspace(-spec.bound, spec.bound, g)
     template = np.zeros(basis.dim**2 - 1)
     template[[i - 1 for i in pattern.known_indices]] = pattern.known_values
-    minor_lows = _minor_lows(basis)
-    total = spec.points_per_axis**pattern.unknown_count
-    kept = []
-    passed = 0
-    for lo in range(0, total, GRID_BLOCK):
-        digits = np.unravel_index(np.arange(lo, min(lo + GRID_BLOCK, total)), shape)
+    room = (basis.dim - 1) / basis.dim - template @ template + BALL_MARGIN
+    index, norm = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for _ in range(pattern.unknown_count):
+        index = (index[:, None] * g + np.arange(g)).ravel()
+        norm = (norm[:, None] + axis**2).ravel()
+        inside = norm <= room
+        index, norm = index[inside], norm[inside]
+    unknown_pos = [i - 1 for i in pattern.unknown_indices]
+    kept = [np.empty((0, template.size))]
+    for lo in range(0, index.size, GRID_BLOCK):
+        digits = np.unravel_index(index[lo : lo + GRID_BLOCK], (g,) * pattern.unknown_count)
         block = np.tile(template, (digits[0].size, 1))
         block[:, unknown_pos] = axis[np.stack(digits, axis=1)]
-        block = block[minor_lows(block) >= -GRID_PSD_TOL - MINOR_MARGIN]
-        passed += block.shape[0]
         kept.append(block[_spectra(block, basis)[:, -1] >= -GRID_PSD_TOL])
     states = np.concatenate(kept)
     log.info(
-        "grid: %d PSD states of %d points (%d passed the 2x2 minor test)",
-        states.shape[0], total, passed,
+        "grid: %d PSD states of %d points (%d inside the Bloch ball)",
+        states.shape[0], g**pattern.unknown_count, index.size,
     )
     return states
 

@@ -650,6 +650,26 @@ class TestProbabilityChecks:
                 qubit_pattern,
             )
 
+    def test_nan_in_perturbed_column_names_a_row_that_takes_it(
+        self, basis2, qubit_pattern, qubit_cluster
+    ):
+        old, new, rows, _ = self.interior_step(basis2, qubit_pattern, qubit_cluster)
+        table = annealer.score_variants(old, new, rows, basis2, qubit_cluster.members, qubit_pattern)
+        probs = new.probs.copy()
+        probs[3, 0] = math.nan  # the perturbed first element: only rows with bit 0 set take it
+        takers = [v for v in np.flatnonzero(table.closed) if rows.bits[v][0]]
+        assert takers
+        bits = tuple(rows.bits[takers[0]].tolist())
+        with pytest.raises(ContractViolation, match=re.escape(f"variant {bits}: min nan")):
+            annealer.score_variants(
+                old,
+                dataclasses.replace(new, probs=probs),
+                rows,
+                basis2,
+                qubit_cluster.members,
+                qubit_pattern,
+            )
+
 
 def _cli_anneal(tmp_path, dim, known, steps, seed):
     cfg_path = tmp_path / "run.cfg"

@@ -10,6 +10,8 @@ from povm_lab import basis as bs
 from povm_lab import linalg, statespace
 from povm_lab.errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
+from conftest import random_unitary
+
 
 class TestGenerateGrid:
     def test_qubit_hand_enumeration(self, basis2, qubit_pattern):
@@ -29,7 +31,8 @@ class TestGenerateGrid:
         assert states.shape[0] == 0
 
     def test_no_psd_point_gives_empty_rows(self, basis2):
-        # every block is dropped by the minor test, so no eigvalsh call is made
+        # |theta_3|^2 = 2.25 leaves the Bloch ball (radius^2 1/2) on its own, so
+        # every prefix is dropped and no eigvalsh call is made
         pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), pattern)
         states = statespace.generate_grid(spec, basis2)
@@ -40,7 +43,7 @@ class TestGenerateGrid:
         with caplog.at_level(logging.INFO, logger="povm_lab"):
             statespace.generate_grid(spec, basis3)
         assert caplog.messages == [
-            "grid: 361 PSD states of 117649 points (729 passed the 2x2 minor test)"
+            "grid: 361 PSD states of 117649 points (4197 inside the Bloch ball)"
         ]
 
     def test_center_included_with_odd_g(self, basis3, qutrit_pattern):
@@ -220,6 +223,15 @@ class TestBatchedAgainstOracle:
         states, _ = assert_matches_oracle(spec, basis2)
         assert 625 % block != 0 and states.shape[0] > 2 * block
 
+    def test_known_value_shrinks_ball(self, basis2):
+        # theta_3 = 0.3 leaves 0.5 - 0.09 = 0.41 of the squared radius to the
+        # unknowns, and the axis ends +-sqrt(0.41) put four pure states on it
+        pattern = bs.ParameterPattern.from_known(2, {3: 0.3})
+        spec = statespace.GridSpec(5, np.sqrt(0.5 - 0.09), pattern)
+        states, _ = assert_matches_oracle(spec, basis2)
+        assert states.shape == (13, 3)
+        assert np.isclose((states[:, :2] ** 2).sum(axis=1), 0.41).sum() == 4
+
     def test_golden_qutrit_g7(self, basis3, qutrit_pattern):
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
         states = statespace.generate_grid(spec, basis3)
@@ -265,9 +277,14 @@ def _boundary_points(basis, seed, support, offsets):
     return np.array([(1.0 / basis.dim - off) / -lowest * u for off in offsets])
 
 
+def _in_ball(points, n):
+    """The grid's prefilter on full Bloch vectors: |theta|^2 <= (n-1)/n + BALL_MARGIN."""
+    return (points**2).sum(axis=1) <= (n - 1) / n + statespace.BALL_MARGIN
+
+
 @pytest.mark.invariants
-class TestMinorPrefilter:
-    """The 2x2 minor test never drops a point that `eigvalsh` would keep."""
+class TestBallPrefilter:
+    """The Bloch-ball test never drops a point that `eigvalsh` would keep."""
 
     OFFSETS = (
         0.0, 1e-12, -1e-12, -statespace.GRID_PSD_TOL, -statespace.GRID_PSD_TOL + 1e-12,
@@ -283,19 +300,30 @@ class TestMinorPrefilter:
     def test_keeps_every_eigvalsh_kept_point(self, dim, seed, support):
         basis = bs.gell_mann_basis(dim)
         points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
-        lowest = statespace._spectra(points, basis)[:, -1]
-        minor = statespace._minor_lows(basis)(points)
-        # interlacing: no minor lies below the whole matrix's lowest eigenvalue
-        assert np.all(minor >= lowest - 1e-12)
-        kept = lowest >= -statespace.GRID_PSD_TOL
-        passed = minor >= -statespace.GRID_PSD_TOL - statespace.MINOR_MARGIN
-        assert np.all(passed[kept])
+        kept = statespace._spectra(points, basis)[:, -1] >= -statespace.GRID_PSD_TOL
+        assert np.all(_in_ball(points, dim)[kept])
         assert kept[:3].all()  # the boundary and 1e-12 either side of it
 
-    def test_diagonal_directions_are_tight(self, basis3):
-        # a diagonal rho is its own 2x2 minors: the bound is exact
-        points = np.zeros((2, 8))
-        points[:, 7] = [1 / np.sqrt(3), -2 / np.sqrt(3)]
-        minor = statespace._minor_lows(basis3)(points)
-        lowest = statespace._spectra(points, basis3)[:, -1]
-        assert np.allclose(minor, lowest, atol=1e-15)
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_extremal_state_inside(self, dim):
+        # eigenvalues (1 + (n-1)t, -t, ..., -t) give the largest |theta|^2 of
+        # any state whose lowest eigenvalue is -t, in any eigenbasis
+        basis = bs.gell_mann_basis(dim)
+        t = statespace.GRID_PSD_TOL
+        spectrum = np.diag([1 + (dim - 1) * t] + [-t] * (dim - 1))
+        u = random_unitary(np.random.default_rng(dim), dim)
+        for rho in (spectrum, u @ spectrum @ u.conj().T):
+            theta = np.einsum("ij,kji->k", rho, basis.stack).real
+            assert _in_ball(theta[None], dim)[0]
+
+    def test_qubit_ball_is_the_psd_set(self, basis2):
+        # for n = 2 the bound is exact: lambda_min = 1/2 - |theta| / sqrt(2), so
+        # away from the margin the two tests agree on every point
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(200, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        for excess in (-1e-3, -1e-8, 1e-8, 1e-3):
+            points = np.sqrt(0.5 + excess) * u
+            kept = statespace._spectra(points, basis2)[:, -1] >= -statespace.GRID_PSD_TOL
+            assert np.array_equal(_in_ball(points, 2), kept)
+            assert kept.all() == (excess < 0)
