@@ -7,8 +7,8 @@ lines and `#` comments are ignored, unknown or duplicate keys are errors.
 default declared on that field, and those defaults describe the qutrit
 diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 `docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
-table.  Refine's phase anneal has no keys: every restart runs the fixed
-`rankone.REFINE_SCHEDULE` with its own seed.
+table.  Refine restart r runs Levenberg-Marquardt from phases drawn with the
+seed pair (refine.seed, r); the search itself has no keys.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class RefineSettings:
     weight: float = 1.0
     restarts: int = 5
     element_count: Optional[int] = None  # None: N + 1
-    seed: int = 0  # restart r runs with seed + r
+    seed: int = 0  # restart r draws its start from default_rng([seed, r])
 
 
 @dataclass
@@ -297,8 +297,9 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     best = None
     for r in range(cfg.refine.restarts):
         initial = rankone.random_phases(n, m, np.random.default_rng([seed, r]))
-        schedule = replace(rankone.REFINE_SCHEDULE, rng_seed=seed + r)
-        res = rankone.refine(initial, schedule, cfg.refine.weight)
+        # refine does not read the config; total_steps=0 lets the tracer
+        # count every trace record after the first as an LM iteration
+        res = rankone.refine(initial, AnnealConfig(total_steps=0), cfg.refine.weight)
         log.info("restart %d: objective %.3e", r, res.objective)
         if best is None or res.objective < best.objective:
             best = res

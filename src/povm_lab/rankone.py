@@ -5,12 +5,12 @@ Each element is E_i = (n/m) |h_i><h_i| with every entry of h_i of modulus
 quasi-orthogonal to the diagonal subalgebra.  Only the entry phases remain
 free; the first vector and every first component are pinned to phase zero.
 The search minimizes the cross-overlap variance Delta plus a completeness
-penalty.  Glauber annealing over the phases finds the basin; a
-Levenberg-Marquardt polish then drives the objective to its floor.  The
-objective is a plain sum of squares -- the centred off-diagonal overlaps and
-sqrt(weight) times the real and imaginary parts of the completeness residual --
-so the polish works on those residuals and their analytic Jacobian with
-respect to the free phases.
+penalty by Levenberg-Marquardt from the given phases.  The objective is a
+plain sum of squares -- the centred off-diagonal overlaps and sqrt(weight)
+times the real and imaginary parts of the completeness residual -- so the
+search works on those residuals and their analytic Jacobian with respect to
+the free phases.  Uniform random starts reach the qutrit conditional SIC in a
+handful of iterations; the CLI runs several seeded starts and keeps the best.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# logistic_accept is unused here; perfbench/tracing.py still wraps
+# rankone.logistic_accept, so the import stays until ROADMAP item 4 unpins it
 from .annealer import AnnealConfig, logistic_accept
 from .errors import ContractViolation
 from .povm import Povm, validate
@@ -30,19 +32,6 @@ POLISH_FLOOR = 1e-26
 POLISH_MAX_ITERATIONS = 200
 LM_LAMBDA_START = 1e-3
 LM_LAMBDA_MAX = 1e16
-
-# the phase anneal every CLI restart runs before the polish; a restart replaces
-# only its rng_seed
-REFINE_SCHEDULE = AnnealConfig(
-    total_steps=3000,
-    s0=0.7,
-    s_decay=0.999,
-    T0=0.02,
-    T_decay=0.998,
-    reheat_every=600,
-    reheat_factor=8.0,
-    trace_every=100,
-)
 
 
 @dataclass(frozen=True)
@@ -183,45 +172,31 @@ class RefineResult:
 
 
 def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.0) -> RefineResult:
-    """Anneal the free phases, then polish with Levenberg-Marquardt.
+    """Minimize the objective over the free phases by Levenberg-Marquardt from `initial`.
 
-    The anneal keeps the best configuration it visits; the polish starts there
-    and takes damped Gauss-Newton steps (J^T J + lam diag(J^T J)) d = -J^T r on
-    the residuals of `_residuals`, keeping a step only if it lowers the
-    objective and otherwise raising lam tenfold.  It stops at POLISH_FLOOR, at a
-    relative gain below POLISH_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX,
-    or after POLISH_MAX_ITERATIONS.  `objective_trace` holds the anneal records
-    followed by one value per accepted iteration.
+    Each iteration solves the damped Gauss-Newton system
+    (J^T J + lam diag(J^T J)) d = -J^T r on the residuals of `_residuals` and
+    keeps the step only if it lowers the objective; otherwise (or when the
+    system is singular) lam rises tenfold and the step is retried.  The search
+    stops at POLISH_FLOOR, at a relative gain below POLISH_IMPROVEMENT_TOL,
+    when lam passes LM_LAMBDA_MAX, or after POLISH_MAX_ITERATIONS, so a start
+    that is already stationary is returned as it is.  `objective_trace` holds
+    the initial objective followed by one value per accepted iteration.
+
+    `config` is not read.  perfbench/tracing.py still calls refine with the
+    shape (initial, config, weight) and counts iterations from
+    config.total_steps, so the parameter goes once ROADMAP item 4 unpins it.
     """
     _check_weight(weight)
     n, m = initial.dim, initial.element_count
     off_mask = ~np.eye(m, dtype=bool)
-
-    def fval(p):
-        return _objective(p, n, m, weight, off_mask)
-
-    rng = np.random.default_rng(config.rng_seed)
-    cur = initial.phases.copy()
-    f_cur = fval(cur)
-    best, f_best = cur.copy(), f_cur
-    trace = [f_cur]
-    for t in range(config.total_steps):
-        s, temp = config.schedule(t)
-        cand = cur.copy()
-        cand[1:, 1:] = np.mod(cand[1:, 1:] + rng.normal(0.0, s, (m - 1, n - 1)), TWO_PI)
-        f_new = fval(cand)
-        if f_new < f_best:
-            best, f_best = cand.copy(), f_new
-        if logistic_accept(f_new - f_cur, temp, rng):
-            cur, f_cur = cand, f_new
-        if t % config.trace_every == 0:
-            trace.append(f_cur)
-
-    # Levenberg-Marquardt polish of the best configuration.  A step is kept
-    # only if it lowers the objective, so the polish trace is monotone.  The
-    # gain threshold is relative to the iteration's starting value so the
-    # descent runs to the floating-point floor instead of parking at ~1e-13.
-    phases, f = best, f_best
+    phases = initial.phases
+    f = _objective(phases, n, m, weight, off_mask)
+    trace = [f]
+    # A step is kept only if it lowers the objective, so the trace is
+    # monotone.  The gain threshold is relative to the iteration's starting
+    # value so the descent runs to the floating-point floor instead of
+    # parking at ~1e-13.
     lam = LM_LAMBDA_START
     for _ in range(POLISH_MAX_ITERATIONS):
         if f <= POLISH_FLOOR:
@@ -231,13 +206,18 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
         grad = J.T @ r
         damping = np.diag(np.diag(JtJ))
         while lam <= LM_LAMBDA_MAX:
-            step = np.linalg.solve(JtJ + lam * damping, -grad)
+            try:
+                step = np.linalg.solve(JtJ + lam * damping, -grad)
+            except np.linalg.LinAlgError:
+                # a singular damped system counts as a step that does not improve
+                lam *= 10.0
+                continue
             trial = phases.copy()
             trial[1:, 1:] += step.reshape(m - 1, n - 1)
             # wrap before evaluating, so f_trial is the objective of the phases
             # returned even after a huge step from a near-stationary start
             trial = gauge_fix(trial)
-            f_trial = fval(trial)
+            f_trial = _objective(trial, n, m, weight, off_mask)
             if f_trial < f:
                 break
             lam *= 10.0

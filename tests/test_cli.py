@@ -157,7 +157,7 @@ _KEY_CASES = {
 }
 # keys whose default is unset or derived from dim, so no fixed value to write out
 _DERIVED_DEFAULT_KEYS = {"grid.bound", "grid.theta_ref", "refine.element_count"}
-# refine's phase anneal runs the fixed rankone.REFINE_SCHEDULE, so it has no keys
+# refine's search is Levenberg-Marquardt from each restart's start, so it has no keys
 _REMOVED_REFINE_KEYS = [
     "refine.total_steps",
     "refine.s0",
@@ -446,7 +446,7 @@ class TestRefineMode:
         runs = [
             rankone.refine(
                 rankone.random_phases(3, 7, np.random.default_rng([4, r])),
-                dataclasses.replace(rankone.REFINE_SCHEDULE, rng_seed=4 + r),
+                annealer.AnnealConfig(total_steps=0),
                 1.0,
             )
             for r in range(3)
