@@ -176,15 +176,18 @@ class TestPolish:
             res = rankone.refine(initial, REFINE_CONFIG, 1.0)
             assert min(abs(res.objective - f) for f in floors) < 1e-12, (seed, res.objective)
 
-    def test_stationary_start_reports_its_phases(self):
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_stationary_start_reports_its_phases(self, steps):
         # phases of 0 and pi make every overlap derivative (nearly) vanish, so
         # the first Gauss-Newton step is huge
         phases = np.zeros((4, 2))
         phases[1, 1] = phases[3, 1] = np.pi
         initial = rankone.PhaseConfiguration(2, 4, phases)
-        res = rankone.refine(initial, REFINE_CONFIG, 0.0)
+        res = rankone.refine(initial, AnnealConfig(total_steps=steps), 0.0)
         assert res.objective <= rankone.refine_objective(initial, 0.0)
         assert rankone.refine_objective(res.phases, 0.0) == pytest.approx(res.objective, rel=1e-12)
+        # refine does not read its config, so an anneal length changes nothing
+        assert res.objective == rankone.refine(initial, REFINE_CONFIG, 0.0).objective
 
     def test_singular_damped_system_raises_lambda(self):
         # on these quarter-pi phases the damped Gauss-Newton matrix is
