@@ -19,16 +19,17 @@ separately from the fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as
-`FreeElements` (coordinates, element matrices, a0, the direction rows and the
-probability columns over the cluster).  A step builds N perturbed
-coordinates (without re-validating them), the `FreeElements` of those N,
-and one `VariantTable`; an accepted move other than the all-old row takes
-the accepted row's columns of that table.  No `Povm` is built in a step:
-the chain's `current` and `best` are built when read, from the carried state
-and from the best row's table.  The row tables (`VariantRows`) depend only
-on which positions are pinned and are built once per pinned mask in a run.
-`evaluate_variants` builds both sides from coordinates and scores them the
-same way.
+`FreeElements`: the arrays of weights a0, direction rows A and probability
+columns over the cluster.  A step perturbs rows of the state's (a0, A),
+computes the probability columns of the perturbed side and scores one
+`VariantTable`; an accepted move other than the all-old row takes the
+accepted row's columns of that table.  A step builds no coordinate object
+and no `Povm`, and element matrices only for the closing matrices of rows in
+the PSD band: the chain's `current` and `best` are built when read, from the
+carried state and from the best row's table.  The row tables (`VariantRows`) depend
+only on which positions are pinned and are built once per pinned mask in a
+run.  `evaluate_variants` builds both sides from coordinate lists and scores
+them the same way.
 
 `enumerate_variants`, `complete_povm` and the scalar `dacm` are the
 per-candidate path; the tests use them as the oracle for the stacked step.
@@ -36,7 +37,6 @@ per-candidate path; the tests use them as the oracle for the stacked step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,6 +53,7 @@ from .errors import (
     ResampleExhausted,
 )
 from .objective import (
+    CLOSING_WEIGHT_FLOOR,
     DESIGN_DET_FLOOR,
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
@@ -173,41 +174,40 @@ class AnnealResult:
 
 @dataclass(frozen=True)
 class FreeElements:
-    """The N free elements of a POVM as stacked arrays.
+    """The N free elements E_j = a0_j (I + a_j . sigma) of a POVM as coordinate arrays.
 
     `anneal` carries these for its current state from step to step, so a step
-    builds them only for the perturbed elements; a step's 2N old/new table is
-    the two sides joined, and a row's free elements are columns of that table.
+    computes probability columns only for the perturbed elements; a step's 2N
+    old/new table is the two sides joined, and a row's free elements are
+    columns of that table.  Element matrices and checked `PovmElementCoords`
+    are built only when read (`elements`, `povm`).
     """
 
-    coords: list  # N PovmElementCoords
-    elements: np.ndarray  # (N, n, n) a0 (I + a . sigma)
     a0: np.ndarray  # (N,)
     A: np.ndarray  # (N, n^2 - 1)
     probs: np.ndarray  # (k, N) probability columns (1 + members . a) a0 over the cluster
 
     @classmethod
-    def build(cls, coords, basis: OrthonormalBasis, members: np.ndarray) -> "FreeElements":
-        """One stacked product for the element matrices, which are bit-identical
-        to `coords_to_element`'s, and one for the probability columns."""
-        dim, k = basis.dim, basis.flat_stack.shape[0]
+    def build(cls, a0: np.ndarray, A: np.ndarray, members: np.ndarray) -> "FreeElements":
+        """The free elements with coordinates (a0, A), with one stacked product
+        for their probability columns over `members`."""
+        return cls(a0, A, (1.0 + members @ A.T) * a0)
+
+    @classmethod
+    def from_coords(cls, coords, basis: OrthonormalBasis, members: np.ndarray) -> "FreeElements":
+        """The free elements of a list of `PovmElementCoords`."""
+        k = basis.dim**2 - 1
         for c in coords:
             if c.a.shape != (k,):
                 raise ContractViolation(
-                    f"coordinate length {c.a.shape} does not match basis dim {dim}"
+                    f"coordinate length {c.a.shape} does not match basis dim {basis.dim}"
                 )
         A = np.array([c.a for c in coords]).reshape(len(coords), k)
-        a0 = np.array([c.a0 for c in coords], dtype=float)
-        elements = (A @ basis.flat_stack).reshape(-1, dim, dim)
-        elements += basis.identity
-        probs = (1.0 + members @ A.T) * a0
-        return cls(list(coords), a0[:, None, None] * elements, a0, A, probs)
+        return cls.build(np.array([c.a0 for c in coords], dtype=float), A, members)
 
     def join(self, other: "FreeElements") -> "FreeElements":
         """The 2N table: this side's columns, then the other's."""
         return FreeElements(
-            self.coords + other.coords,
-            np.concatenate([self.elements, other.elements]),
             np.concatenate([self.a0, other.a0]),
             np.concatenate([self.A, other.A]),
             np.concatenate([self.probs, other.probs], axis=1),
@@ -215,18 +215,21 @@ class FreeElements:
 
     def take(self, cols: np.ndarray) -> "FreeElements":
         """The free elements in columns `cols`, in that order."""
-        return FreeElements(
-            [self.coords[c] for c in cols.tolist()],
-            self.elements[cols],
-            self.a0[cols],
-            self.A[cols],
-            self.probs[:, cols],
-        )
+        return FreeElements(self.a0[cols], self.A[cols], self.probs[:, cols])
 
-    def povm(self) -> Povm:
-        """The POVM of these free elements, then their closing element."""
-        elements = list(self.elements) + [closing_elements(self.elements)]
-        return Povm(self.elements.shape[-1], elements, list(self.coords))
+    def elements(self, basis: OrthonormalBasis) -> np.ndarray:
+        """(N, n, n) element matrices from one stacked product; each is
+        bit-identical to `coords_to_element`'s."""
+        elements = (self.A @ basis.flat_stack).reshape(-1, basis.dim, basis.dim)
+        elements += basis.identity
+        return self.a0[:, None, None] * elements
+
+    def povm(self, basis: OrthonormalBasis) -> Povm:
+        """The POVM of these free elements, then their closing element, with
+        checked coordinates."""
+        elements = self.elements(basis)
+        coords = [PovmElementCoords(a0, a) for a0, a in zip(self.a0.tolist(), self.A)]
+        return Povm(basis.dim, list(elements) + [closing_elements(elements)], coords)
 
 
 @dataclass(frozen=True)
@@ -274,23 +277,9 @@ class VariantTable:
     skipped: np.ndarray  # (V,) closed, but T singular or det W0 <= 0
     log_dacm: np.ndarray  # (V,) log det W0 - 2 log |det T|
 
-    @property
-    def bits(self) -> np.ndarray:
-        """(V, N) choice vectors."""
-        return self.rows.bits
-
-    @functools.cached_property
-    def closing(self) -> np.ndarray:
-        """(V, n, n) closing elements I - sum of the chosen E_j, built on first read."""
-        return closing_elements(self.columns.elements[self.rows.cols])
-
     def free_elements(self, row: int) -> FreeElements:
         """The chosen free elements of one row."""
         return self.columns.take(self.rows.cols[row])
-
-    def povm(self, row: int) -> Povm:
-        """The POVM of one row: the chosen elements, then its closing element."""
-        return self.free_elements(row).povm()
 
 
 def logistic_probability(delta: float, temperature: float) -> float:
@@ -337,14 +326,16 @@ class _typed_lapack_errors:
 
 
 def perturb_element(
-    c: PovmElementCoords,
+    a0: float,
+    a: np.ndarray,
     s: float,
     rng,
     basis: OrthonormalBasis,
     max_resample: int = 100,
     perturb_a0: bool = True,
-) -> PovmElementCoords:
-    """Gaussian move of one element's coordinates, resampled into the PSD region.
+) -> tuple[float, np.ndarray]:
+    """Gaussian move (a0, a) -> (a0', a') of one element's coordinates,
+    resampled into the PSD region.
 
     The direction vector `a` is redrawn until I + a.sigma is PSD; a0 gets the
     same noise truncated to stay positive.  Raises ResampleExhausted when the
@@ -354,15 +345,15 @@ def perturb_element(
     I + a.sigma >= -tol I exactly when a.sigma >= -(1 + tol) I; only an
     attempt in the band around the tolerance builds I + a.sigma for the
     diagonal check and `eigvalsh`.  A draw that overflows at an extreme scale
-    is outside the region and is redrawn, so the result is finite and is
-    built without the constructor's checks.
+    is outside the region and is redrawn, so the result is finite: a0' is a
+    positive float and a' a new float64 vector.
     """
     if not 0 < s < math.inf:
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
     dim, entry_map = basis.dim, basis.entry_map
     new_a = None
     for _ in range(max_resample):
-        cand = c.a + rng.normal(0.0, s, c.a.shape[0])
+        cand = a + rng.normal(0.0, s, a.shape[0])
         entries = (entry_map @ cand).tolist()
         yes, no = linalg.psd_verdict(entries, dim, 1.0 + PERTURB_PSD_TOL)
         if no:
@@ -383,17 +374,17 @@ def perturb_element(
         break
     if new_a is None:
         raise ResampleExhausted(f"no PSD draw for a in {max_resample} attempts")
-    new_a0 = c.a0
+    new_a0 = a0
     if perturb_a0:
         new_a0 = None
         for _ in range(max_resample):
-            cand = c.a0 + rng.normal(0.0, s)
+            cand = a0 + rng.normal(0.0, s)
             if 0 < cand < math.inf:
                 new_a0 = cand
                 break
         if new_a0 is None:
             raise ResampleExhausted(f"no positive a0 draw in {max_resample} attempts")
-    return PovmElementCoords.unchecked(new_a0, new_a)
+    return new_a0, new_a
 
 
 def enumerate_variants(old, new, basis: OrthonormalBasis):
@@ -445,7 +436,7 @@ def evaluate_variants(
     if members.shape[0] == 0:
         raise ContractViolation("cluster has no members")
     rows = VariantRows.for_pinned([n is o for n, o in zip(new, old)])
-    sides = (FreeElements.build(old, basis, members), FreeElements.build(new, basis, members))
+    sides = (FreeElements.from_coords(c, basis, members) for c in (old, new))
     return score_variants(*sides, rows, basis, members, pattern)
 
 
@@ -470,7 +461,7 @@ def score_variants(
     probability columns over the cluster.  A row is skipped when
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
-    n_free = len(old.coords)
+    n_free = old.a0.shape[0]
     columns = old.join(new)
     a0, A, probs = columns.a0, columns.A, columns.probs  # (2N,), (2N, n^2-1), (k, 2N)
     log_dacm = np.full(rows.bits.shape[0], np.nan)
@@ -486,17 +477,19 @@ def score_variants(
     band = ~(closed | no)
     if band.any():
         band = np.flatnonzero(band)
-        closing = closing_elements(columns.elements[rows.cols[band]])
+        closing = closing_elements(columns.elements(basis)[rows.cols[band]])
         with _typed_lapack_errors():
             closed[band] = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
     if not closed.any():
         return VariantTable(rows, columns, closed, skipped, log_dacm)
 
     # the closing probability column (1 - sum a0) - members . (sum a0 a); a
-    # closing weight at or below 1e-14 gives a zero column, as
+    # closing weight at or below the floor gives a zero column, as
     # objective._coordinate_table derives it
     a0_last = 1.0 - a0_sum[closed]
-    last = np.where(a0_last > 1e-14, a0_last - members @ a_sum[:, closed], 0.0)  # (k, Vc)
+    last = np.where(
+        a0_last > CLOSING_WEIGHT_FLOOR, a0_last - members @ a_sum[:, closed], 0.0
+    )  # (k, Vc)
     sums = probs @ rows.choose[:, closed] + last
     sel = rows.cols[closed]  # (Vc, N) columns of the 2N tables
     # the whole table's extremes bound every row's, so rows are compared one by
@@ -580,8 +573,9 @@ class AnnealChain:
     each step reuses as the old side of its table.
 
     `state` changes only when a move is accepted, and then to the accepted
-    row's columns of the step's table; a step builds free elements only for
-    its perturbed elements, and row tables once per pinned-position mask.
+    row's columns of the step's table; a step computes probability columns
+    only for its perturbed elements, and row tables once per pinned-position
+    mask.
     `current` and `best` are built as `Povm`s only when read: `current` from
     `state`, `best` from the table row it was found in.
     """
@@ -605,7 +599,7 @@ class AnnealChain:
             )
         )
         self.best_log = self.cur_log
-        self.state = FreeElements.build(initial.coords, basis, cluster.members)
+        self.state = FreeElements.from_coords(initial.coords, basis, cluster.members)
         # the POVMs last built; None until the next read rebuilds one
         self._current = self._best = initial
         self._best_at = None  # (table, row) the best POVM is built from
@@ -618,7 +612,7 @@ class AnnealChain:
     def current(self) -> Povm:
         """The current POVM, built from `state` on the first read after a move."""
         if self._current is None:
-            self._current = self.state.povm()
+            self._current = self.state.povm(self.basis)
         return self._current
 
     @property
@@ -626,33 +620,32 @@ class AnnealChain:
         """The best POVM seen, built from its table row on the first read."""
         if self._best is None:
             table, row = self._best_at
-            self._best = table.povm(row)
+            self._best = table.free_elements(row).povm(self.basis)
         return self._best
 
     def step(self, s: float, temp: float) -> None:
         """Perturb every free element at scale s, score the variants and walk
         them at temperature temp: one logistic draw per evaluated variant."""
         cfg, rng, basis, members = self.config, self.rng, self.basis, self.cluster.members
-        olds = self.state.coords
-        news = []
-        for c in olds:
+        old = self.state
+        a0, A = old.a0.copy(), old.A.copy()
+        pinned = [False] * a0.shape[0]
+        for i, (c0, c) in enumerate(zip(old.a0.tolist(), old.A)):
             try:
-                news.append(
-                    perturb_element(
-                        c, s, rng, basis,
-                        max_resample=cfg.max_resample,
-                        perturb_a0=cfg.perturb_a0,
-                    )
+                a0[i], A[i] = perturb_element(
+                    c0, c, s, rng, basis,
+                    max_resample=cfg.max_resample,
+                    perturb_a0=cfg.perturb_a0,
                 )
-            except ResampleExhausted:
+            except ResampleExhausted:  # keep the old element at a pinned position
                 self.exhausted += 1
-                news.append(c)
-        pinned = tuple(n is c for n, c in zip(news, olds))
+                pinned[i] = True
+        pinned = tuple(pinned)
         rows = self.rows.get(pinned)
         if rows is None:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
-        new = FreeElements.build(news, basis, members)
-        table = score_variants(self.state, new, rows, basis, members, self.pattern)
+        new = FreeElements.build(a0, A, members)
+        table = score_variants(old, new, rows, basis, members, self.pattern)
         closed_rows = [v for v, c in enumerate(table.closed.tolist()) if c]
         n_skipped = int(np.count_nonzero(table.skipped))
         self.enumerated += table.closed.shape[0]

@@ -23,6 +23,8 @@ PROB_RANGE_TOL = 1e-10
 PROB_SUM_TOL = 1e-9
 # |det T| <= DESIGN_DET_FLOOR * max|T_ij|^N counts as singular
 DESIGN_DET_FLOOR = 1e-12
+# an element whose weight a0 = Tr E / n is at or below this counts as zero
+CLOSING_WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,14 @@ def _coordinate_table(P: Povm, basis: OrthonormalBasis):
             a0s[j] = c.a0
             A[j] = c.a
         a0_last = 1.0 - a0s[:-1].sum()
-        if a0_last > 1e-14:
+        if a0_last > CLOSING_WEIGHT_FLOOR:
             a0s[-1] = a0_last
             A[-1] = -(a0s[:-1, None] * A[:-1]).sum(axis=0) / a0_last
         # else: zero closing element; its row stays zero
     else:
         for j, e in enumerate(P.elements):
             tr = e.trace().real
-            if tr / basis.dim > 1e-14:
+            if tr / basis.dim > CLOSING_WEIGHT_FLOOR:
                 c = element_coords(e, basis)
                 a0s[j] = c.a0
                 A[j] = c.a

@@ -37,15 +37,6 @@ class PovmElementCoords:
         if not np.all(np.isfinite(self.a)):
             raise ContractViolation("coordinate vector has non-finite entries")
 
-    @classmethod
-    def unchecked(cls, a0: float, a: np.ndarray) -> "PovmElementCoords":
-        """Coordinates the caller built itself: a finite a0 > 0 and a finite
-        float64 vector `a`, stored as given without the constructor's checks."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "a0", a0)
-        object.__setattr__(c, "a", a)
-        return c
-
 
 @dataclass
 class Povm:

@@ -30,6 +30,13 @@ TRINE_COORDS = [
 ]
 
 
+def perturbed(coords, s, rng, basis):
+    """`perturb_element` of each coordinate object, as checked coordinate objects."""
+    return [
+        pv.PovmElementCoords(*annealer.perturb_element(c.a0, c.a, s, rng, basis)) for c in coords
+    ]
+
+
 def small_config(**kw):
     defaults = dict(
         total_steps=200,
@@ -88,16 +95,16 @@ class TestPerturbElement:
     def test_vanishing_noise(self, basis2):
         rng = np.random.default_rng(0)
         c = pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0]))
-        out = annealer.perturb_element(c, 1e-12, rng, basis2)
-        assert abs(out.a0 - c.a0) < 1e-10
-        assert np.abs(out.a - c.a).max() < 1e-10
+        a0, a = annealer.perturb_element(c.a0, c.a, 1e-12, rng, basis2)
+        assert abs(a0 - c.a0) < 1e-10
+        assert np.abs(a - c.a).max() < 1e-10
 
     def test_fixed_seed_determinism(self, basis2):
         c = pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0]))
-        one = annealer.perturb_element(c, 0.1, np.random.default_rng(7), basis2)
-        two = annealer.perturb_element(c, 0.1, np.random.default_rng(7), basis2)
-        assert one.a0 == two.a0
-        assert np.array_equal(one.a, two.a)
+        one = annealer.perturb_element(c.a0, c.a, 0.1, np.random.default_rng(7), basis2)
+        two = annealer.perturb_element(c.a0, c.a, 0.1, np.random.default_rng(7), basis2)
+        assert one[0] == two[0]
+        assert np.array_equal(one[1], two[1])
 
     def test_boundary_acceptance_fraction(self, basis2):
         # element on the boundary of the positive region; success frequency of
@@ -110,7 +117,9 @@ class TestPerturbElement:
         rng = np.random.default_rng(123)
         for _ in range(trials):
             try:
-                annealer.perturb_element(c, s, rng, basis2, max_resample=1, perturb_a0=False)
+                annealer.perturb_element(
+                    c.a0, c.a, s, rng, basis2, max_resample=1, perturb_a0=False
+                )
                 successes += 1
             except ResampleExhausted:
                 pass
@@ -125,7 +134,7 @@ class TestPerturbElement:
         c = pv.PovmElementCoords(0.3, np.array([np.sqrt(2), 0.0, 0.0]))
         rng = np.random.default_rng(1)
         with pytest.raises(ResampleExhausted):
-            annealer.perturb_element(c, 50.0, rng, basis2, max_resample=3)
+            annealer.perturb_element(c.a0, c.a, 50.0, rng, basis2, max_resample=3)
 
 
     def test_minor_verdict_keeps_every_draw(self, basis2, basis3, monkeypatch):
@@ -151,8 +160,10 @@ class TestPerturbElement:
                     for seed in range(8):
                         rng = np.random.default_rng(seed)
                         try:
-                            new = annealer.perturb_element(c, s, rng, basis, max_resample=4)
-                            out.append((new.a0, tuple(new.a.tolist())))
+                            a0, a = annealer.perturb_element(
+                                c.a0, c.a, s, rng, basis, max_resample=4
+                            )
+                            out.append((a0, tuple(a.tolist())))
                         except ResampleExhausted:
                             out.append("exhausted")
                         out.append(rng.random())  # where the stream stands
@@ -168,8 +179,8 @@ class TestPerturbElement:
 
 @pytest.mark.invariants
 class TestPerturbedCoordinates:
-    """`perturb_element` builds its result without the constructor's checks;
-    the checked constructor accepts every coordinate it returns."""
+    """`perturb_element` returns bare (a0, a); the checked constructor
+    accepts every pair it returns, so every result is finite."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -196,14 +207,14 @@ class TestPerturbedCoordinates:
         try:
             # near the float range the draws overflow on the way to being redrawn
             with np.errstate(over="ignore", invalid="ignore"):
-                out = annealer.perturb_element(
-                    c, s, rng, basis, max_resample=5, perturb_a0=perturb_a0
+                out_a0, out_a = annealer.perturb_element(
+                    c.a0, c.a, s, rng, basis, max_resample=5, perturb_a0=perturb_a0
                 )
         except ResampleExhausted:
             return
-        checked = pv.PovmElementCoords(out.a0, out.a)
-        assert out.a.dtype == np.float64 and out.a.shape == c.a.shape
-        assert checked.a0 == out.a0 and np.array_equal(checked.a, out.a)
+        checked = pv.PovmElementCoords(out_a0, out_a)
+        assert out_a.dtype == np.float64 and out_a.shape == c.a.shape
+        assert checked.a0 == out_a0 and np.array_equal(checked.a, out_a)
 
     def test_overflowing_draws_are_redrawn(self, basis2):
         """At a scale near the float range every draw is far outside the
@@ -212,7 +223,9 @@ class TestPerturbedCoordinates:
         for seed in range(20):
             with pytest.raises(ResampleExhausted):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    annealer.perturb_element(c, 1e308, np.random.default_rng(seed), basis2)
+                    annealer.perturb_element(
+                        c.a0, c.a, 1e308, np.random.default_rng(seed), basis2
+                    )
 
 
 class TestEnumerateVariants:
@@ -238,16 +251,14 @@ class TestEnumerateVariants:
     def test_qutrit_variant_count(self, basis3, qutrit_pattern):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = [
-            annealer.perturb_element(c, 0.005, rng, basis3) for c in initial.coords
-        ]
+        news = perturbed(initial.coords, 0.005, rng, basis3)
         out = annealer.enumerate_variants(initial.coords, news, basis3)
         assert len(out) <= 64
         assert len(out) == 64  # tiny noise: every combination stays closable
 
     def test_all_valid_povms(self, basis2):
         rng = np.random.default_rng(4)
-        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
         for cand in annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2):
             assert pv.validate(cand, 1e-9) == []
 
@@ -257,7 +268,7 @@ class TestEnumerateVariants:
 
         monkeypatch.setattr(annealer, "complete_povm", failing_completion)
         rng = np.random.default_rng(5)
-        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
         with pytest.raises(NumericalError):
             annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2)
 
@@ -456,28 +467,28 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
         for bits in itertools.product((0, 1), repeat=len(old))
         if not any(b and p for b, p in zip(bits, pinned))
     ]
-    assert [tuple(r) for r in table.bits.tolist()] == candidates
+    bits = table.rows.bits
+    assert [tuple(r) for r in bits.tolist()] == candidates
     expected = scalar_variants(old, new, basis, cluster, pattern)
     rows = np.flatnonzero(table.closed)
-    # each row builds its own closing element; scoring builds no closing stack
-    assert "closing" not in vars(table)
+    elements = table.columns.elements(basis)
+    closing = pv.closing_elements(elements[table.rows.cols])
     for v in rows.tolist():
-        chosen = list(table.columns.elements[table.rows.cols[v]])
-        assert np.array_equal(table.povm(v).elements[-1], pv.complete_povm(chosen).elements[-1])
-    assert "closing" not in vars(table)
-    assert [tuple(table.bits[v].tolist()) for v in rows] == [e[0] for e in expected]
-    for v, (_, closing, skipped, log_d) in zip(rows, expected):
-        assert np.array_equal(table.closing[v], closing)
+        chosen = list(elements[table.rows.cols[v]])
+        assert np.array_equal(closing[v], pv.complete_povm(chosen).elements[-1])
+    assert [tuple(bits[v].tolist()) for v in rows] == [e[0] for e in expected]
+    for v, (_, want_closing, skipped, log_d) in zip(rows, expected):
+        assert np.array_equal(closing[v], want_closing)
         assert table.skipped[v] == skipped
         if skipped:
             assert math.isnan(table.log_dacm[v])
         else:
             assert abs(table.log_dacm[v] - log_d) <= 1e-12
-        cand = table.povm(v)
-        assert np.array_equal(cand.elements[-1], closing)
-        assert [c is n for c, n in zip(cand.coords, new)] == [
-            bool(b) or p for b, p in zip(table.bits[v], pinned)
-        ]
+        cand = table.free_elements(v).povm(basis)
+        assert np.array_equal(cand.elements[-1], want_closing)
+        for c, o, n, b in zip(cand.coords, old, new, bits[v]):
+            want = n if b else o
+            assert c.a0 == want.a0 and np.array_equal(c.a, want.a)
     assert not table.skipped[~table.closed].any()
     assert np.isnan(table.log_dacm[~table.closed]).all()
     return table
@@ -486,14 +497,14 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
 class TestEvaluateVariantsAgainstScalar:
     def test_qubit_trine(self, basis2, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(4)
-        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
         table = assert_matches_scalar(TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern)
         assert table.closed[0] and not table.closed.all()
 
     def test_qutrit_tiny_noise_all_valid(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = [annealer.perturb_element(c, 0.005, rng, basis3) for c in initial.coords]
+        news = perturbed(initial.coords, 0.005, rng, basis3)
         table = assert_matches_scalar(
             initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
         )
@@ -502,7 +513,7 @@ class TestEvaluateVariantsAgainstScalar:
     def test_qutrit_wider_noise(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(6)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
-        news = [annealer.perturb_element(c, 0.1, rng, basis3) for c in initial.coords]
+        news = perturbed(initial.coords, 0.1, rng, basis3)
         table = assert_matches_scalar(
             initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
         )
@@ -511,19 +522,19 @@ class TestEvaluateVariantsAgainstScalar:
     def test_pinned_positions(self, basis3, qutrit_pattern, qutrit_small_cluster):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = [annealer.perturb_element(c, 0.005, rng, basis3) for c in initial.coords]
+        news = perturbed(initial.coords, 0.005, rng, basis3)
         news[1], news[4] = initial.coords[1], initial.coords[4]
         table = assert_matches_scalar(
             initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern
         )
-        assert table.bits.shape == (16, 6)
-        assert not table.bits[:, [1, 4]].any()
+        assert table.rows.bits.shape == (16, 6)
+        assert not table.rows.bits[:, [1, 4]].any()
 
     def test_every_position_pinned(self, basis2, qubit_pattern, qubit_cluster):
         table = assert_matches_scalar(
             TRINE_COORDS[:2], TRINE_COORDS[:2], basis2, qubit_cluster, qubit_pattern
         )
-        assert table.bits.tolist() == [[0, 0]]
+        assert table.rows.bits.tolist() == [[0, 0]]
 
     def test_closure_filter(self, basis2, qubit_pattern, qubit_cluster):
         big = [pv.PovmElementCoords(0.8, np.zeros(3)), pv.PovmElementCoords(0.8, np.zeros(3))]
@@ -536,7 +547,7 @@ class TestEvaluateVariantsAgainstScalar:
         big = [pv.PovmElementCoords(0.6, np.zeros(3)), pv.PovmElementCoords(0.6, np.zeros(3))]
         bigger = [pv.PovmElementCoords(0.7, np.zeros(3)), pv.PovmElementCoords(0.7, np.zeros(3))]
         table = assert_matches_scalar(big, bigger, basis2, qubit_cluster, qubit_pattern)
-        assert table.bits.shape == (4, 2) and not table.closed.any()
+        assert table.rows.bits.shape == (4, 2) and not table.closed.any()
 
     def test_singular_design(self, basis2, qubit_pattern, qubit_cluster):
         news = [pv.PovmElementCoords(1 / 3, np.zeros(3)), TRINE_COORDS[1]]
@@ -551,7 +562,7 @@ class TestEvaluateVariantsAgainstScalar:
         """The table equals one whose closure is decided by `eigvalsh` on every row."""
         rng = np.random.default_rng(seed)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
-        news = [annealer.perturb_element(c, s, rng, basis3) for c in initial.coords]
+        news = perturbed(initial.coords, s, rng, basis3)
         args = (initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern)
         table = annealer.evaluate_variants(*args)
         mask = np.zeros(table.closed.shape, dtype=bool)
@@ -566,7 +577,7 @@ class TestEvaluateVariantsAgainstScalar:
         members = np.vstack([qubit_cluster.members, [[3.0, 0.0, 0.0]]])
         cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
         rng = np.random.default_rng(4)
-        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in TRINE_COORDS[:2]]
+        news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
         with pytest.raises(ContractViolation):
             scalar_variants(TRINE_COORDS[:2], news, basis2, cluster, qubit_pattern)
         with pytest.raises(ContractViolation, match="probability"):
@@ -600,10 +611,10 @@ class TestProbabilityChecks:
         closed row that takes a perturbed element."""
         rng = np.random.default_rng(4)
         initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        news = [annealer.perturb_element(c, 0.02, rng, basis2) for c in initial.coords]
+        news = perturbed(initial.coords, 0.02, rng, basis2)
         members = qubit_cluster.members
-        old = annealer.FreeElements.build(initial.coords, basis2, members)
-        new = annealer.FreeElements.build(news, basis2, members)
+        old = annealer.FreeElements.from_coords(initial.coords, basis2, members)
+        new = annealer.FreeElements.from_coords(news, basis2, members)
         rows = annealer.VariantRows.for_pinned([False, False])
         table = annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
         v = next(v for v in np.flatnonzero(table.closed) if rows.bits[v].any())
@@ -715,7 +726,7 @@ class TestReferenceChains:
 
         def scoring(*args):
             table = score(*args)
-            assert not table.bits[0].any()
+            assert not table.rows.bits[0].any()
             first_draw_is_row0[0] = bool(table.closed[0] and not table.skipped[0])
             return table
 
@@ -731,6 +742,14 @@ class TestReferenceChains:
         assert abs(float(report["log_dacm_best"]) - 39.05480225974043) <= 1e-8
         assert int(report["accepted_unchanged"]) == counted[0] > 0
         assert counted[0] <= int(report["accepted"])
+
+    def test_dim4_seed0_300_steps(self, tmp_path):
+        """Every dim-4 closing element is left in `psd_verdict`'s band, so each
+        closure of this chain is decided on matrices built from the 2N-row
+        element product."""
+        report = _cli_anneal(tmp_path, 4, [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14], 300, 0)
+        assert abs(float(report["log_dacm_best"]) - 7.872349263304899) <= 1e-8
+        assert int(report["closure_rejected"]) > 0
 
 
 class TestRunCounters:
@@ -818,12 +837,13 @@ class TestPsdDecisions:
 
 
 def assert_same_povm(pov, want):
-    """Bit-for-bit equal elements and the same coordinate objects."""
+    """Bit-for-bit equal elements and coordinate values."""
     assert pov.dim == want.dim and pov.m == want.m
     for e, f in zip(pov.elements, want.elements):
         assert e.dtype == f.dtype and e.shape == f.shape and e.tobytes() == f.tobytes()
     assert len(pov.coords) == len(want.coords)
-    assert all(c is d for c, d in zip(pov.coords, want.coords))
+    for c, d in zip(pov.coords, want.coords):
+        assert c.a0 == d.a0 and np.array_equal(c.a, d.a)
 
 
 class TestCarriedState:
@@ -854,18 +874,22 @@ class TestCarriedState:
         moved = stayed = 0  # steps that changed the state, steps that kept it
         shared = 0  # steps whose best row is also their last accepted row
         for t in range(config.total_steps):
-            before, best_log = chain.state.coords, chain.best_log
+            before, best_log = chain.state, chain.best_log
             draws.clear()
             chain.step(*config.schedule(t))
-            changed = any(a is not b for a, b in zip(before, chain.state.coords))
+            state = chain.state
+            changed = not (
+                np.array_equal(before.a0, state.a0) and np.array_equal(before.A, state.A)
+            )
             moved += changed
             stayed += not changed
-            fresh = annealer.FreeElements.build(chain.current.coords, basis, cluster.members)
-            state = chain.state
-            assert all(c is f for c, f in zip(state.coords, chain.current.coords))
-            for name in ("elements", "a0", "A", "probs"):
+            fresh = annealer.FreeElements.from_coords(
+                chain.current.coords, basis, cluster.members
+            )
+            assert [field.name for field in dataclasses.fields(state)] == ["a0", "A", "probs"]
+            for name in ("a0", "A", "probs"):
                 assert np.array_equal(getattr(state, name), getattr(fresh, name)), (t, name)
-            assert np.array_equal(state.elements, np.array(chain.current.elements[:-1]))
+            assert np.array_equal(state.elements(basis), np.array(chain.current.elements[:-1]))
 
             # the walk draws once per evaluated row, in row order
             table = tables[-1]
@@ -876,9 +900,9 @@ class TestCarriedState:
             if chain.best_log < best_log:
                 best_row = int(np.nanargmin(table.log_dacm))
                 assert table.log_dacm[best_row] == chain.best_log
-                want_best = table.povm(best_row)
+                want_best = table.free_elements(best_row).povm(basis)
             if accepted:
-                want_current = table.povm(accepted[-1])
+                want_current = table.free_elements(accepted[-1]).povm(basis)
                 shared += accepted[-1] == best_row
             assert_same_povm(chain.current, want_current)
             assert_same_povm(chain.best, want_best)
@@ -906,14 +930,26 @@ class TestCarriedState:
         self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0, masks
     ):
         seen = {}  # pinned mask -> ids of the row tables a step used
-        score = annealer.score_variants
+        exhausted = []  # per perturbation since the last scoring: did it exhaust?
+        score, perturb = annealer.score_variants, annealer.perturb_element
+
+        def recording_perturb(*args, **kw):
+            try:
+                out = perturb(*args, **kw)
+            except ResampleExhausted:
+                exhausted.append(True)
+                raise
+            exhausted.append(False)
+            return out
 
         def checking_score(old, new, rows, *args):
-            mask = tuple(n is o for n, o in zip(new.coords, old.coords))
+            mask = tuple(exhausted)
+            exhausted.clear()
             assert np.array_equal(rows.bits, annealer.VariantRows.for_pinned(mask).bits)
             seen.setdefault(mask, set()).add(id(rows))
             return score(old, new, rows, *args)
 
+        monkeypatch.setattr(annealer, "perturb_element", recording_perturb)
         monkeypatch.setattr(annealer, "score_variants", checking_score)
         chain, _, _, _ = self.run_chain(
             monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster, max_resample=1, s0=s0
@@ -922,12 +958,30 @@ class TestCarriedState:
         assert len(seen) >= masks and any(any(mask) for mask in seen)
         assert all(len(ids) == 1 for ids in seen.values())  # one table per mask
 
-    def test_elements_match_coords_to_element(self, basis3, qutrit_pattern):
+    def test_elements_match_coords_to_element(self, basis2, basis3, basis4):
+        """In dims 2, 3 and 4, every row of a 1-row, N-row and joined 2N-row
+        product is bit-identical to `coords_to_element`: the band rows' closing
+        matrices are built from the 2N-row product, a read POVM's elements from
+        the N-row one."""
         rng = np.random.default_rng(8)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
-        built = annealer.FreeElements.build(initial.coords, basis3, np.zeros((1, 8)))
-        for e, c in zip(built.elements, initial.coords):
-            assert np.array_equal(e, pv.coords_to_element(c, basis3))
+        for basis in (basis2, basis3, basis4):
+            k = basis.dim**2 - 1
+            members = np.zeros((1, k))
+            old, new = [
+                [
+                    pv.PovmElementCoords(rng.uniform(0.05, 0.3), rng.normal(0.0, 0.2, k))
+                    for _ in range(6)
+                ]
+                for _ in range(2)
+            ]
+            sides = [annealer.FreeElements.from_coords(c, basis, members) for c in (old, new)]
+            tables = [(old, sides[0]), (old + new, sides[0].join(sides[1]))]
+            tables += [([c], annealer.FreeElements.from_coords([c], basis, members)) for c in old]
+            for coords, built in tables:
+                elements = built.elements(basis)
+                assert elements.shape == (len(coords), basis.dim, basis.dim)
+                for e, c in zip(elements, coords):
+                    assert np.array_equal(e, pv.coords_to_element(c, basis))
 
 
 def _interior_qutrit_coords(mix, seed, basis):
