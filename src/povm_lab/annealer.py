@@ -28,8 +28,8 @@ and no `Povm`, and element matrices only for the closing matrices of rows in
 the PSD band: the chain's `current` and `best` are built when read, from the
 carried state and from the best row's table.  The row tables (`VariantRows`) depend
 only on which positions are pinned and are built once per pinned mask in a
-run.  `evaluate_variants` builds both sides from coordinate lists and scores
-them the same way.
+run.  Every free element matrix comes from `OrthonormalBasis.expand`, the one map
+from coordinates to a . sigma.
 
 `enumerate_variants`, `complete_povm` and the scalar `dacm` are the
 per-candidate path; the tests use them as the oracle for the stacked step.
@@ -68,7 +68,6 @@ from .povm import (
     closing_elements,
     complete_povm,
     coords_to_element,
-    expand,
     metrics,
 )
 from .statespace import Cluster
@@ -218,11 +217,9 @@ class FreeElements:
         return FreeElements(self.a0[cols], self.A[cols], self.probs[:, cols])
 
     def elements(self, basis: OrthonormalBasis) -> np.ndarray:
-        """(N, n, n) element matrices from one stacked product; each is
-        bit-identical to `coords_to_element`'s."""
-        elements = (self.A @ basis.flat_stack).reshape(-1, basis.dim, basis.dim)
-        elements += basis.identity
-        return self.a0[:, None, None] * elements
+        """(N, n, n) element matrices a0 (I + a . sigma) from one stacked
+        `basis.expand`."""
+        return self.a0[:, None, None] * (basis.expand(self.A) + basis.identity)
 
     def povm(self, basis: OrthonormalBasis) -> Povm:
         """The POVM of these free elements, then their closing element, with
@@ -364,7 +361,7 @@ def perturb_element(
             if not all(abs(x) <= dim for x in entries):
                 continue
             # real coefficients on Hermitian generators: m is exactly Hermitian
-            m = expand(cand, basis.stack) + basis.identity
+            m = basis.expand(cand) + basis.identity
             if min(m[i, i].real for i in range(dim)) < -PERTURB_PSD_TOL:
                 continue
             with _typed_lapack_errors():
@@ -413,31 +410,6 @@ def enumerate_variants(old, new, basis: OrthonormalBasis):
         except ClosureNotPositive:
             continue
     return out
-
-
-def evaluate_variants(
-    old,
-    new,
-    basis: OrthonormalBasis,
-    cluster: Cluster,
-    pattern: ParameterPattern,
-) -> VariantTable:
-    """Closure check and log DACM of every old/new variant, as stacked arrays.
-
-    Builds both sides' free elements and row table, then scores them as an
-    anneal step does (`score_variants`).
-    """
-    n_free = len(old)
-    if len(new) != n_free:
-        raise ContractViolation("old and new element lists must align")
-    if n_free != pattern.unknown_count:
-        raise ContractViolation(f"{n_free} free elements for {pattern.unknown_count} unknowns")
-    members = cluster.members
-    if members.shape[0] == 0:
-        raise ContractViolation("cluster has no members")
-    rows = VariantRows.for_pinned([n is o for n, o in zip(new, old)])
-    sides = (FreeElements.from_coords(c, basis, members) for c in (old, new))
-    return score_variants(*sides, rows, basis, members, pattern)
 
 
 def score_variants(
@@ -544,20 +516,17 @@ def random_initial_povm(
     n_free = pattern.unknown_count
     m = n_free + 1
     dim_coords = basis.dim**2 - 1
-    eye = np.eye(basis.dim)
     for _ in range(INIT_MAX_TRIES):
         coords = [
             PovmElementCoords(1.0 / m, rng.normal(0.0, scale, dim_coords))
             for _ in range(n_free)
         ]
-        ok = all(
-            linalg.min_eigenvalue(np.tensordot(c.a, basis.stack, axes=1) + eye) > 1e-8
-            for c in coords
-        )
-        if not ok:
+        # I + a . sigma of every element, tested here and scaled by a0 below
+        units = basis.expand([c.a for c in coords]) + basis.identity
+        if not all(linalg.min_eigenvalue(u) > 1e-8 for u in units):
             continue
         try:
-            pov = complete_povm([coords_to_element(c, basis) for c in coords], coords)
+            pov = complete_povm([c.a0 * u for c, u in zip(coords, units)], coords)
         except ClosureNotPositive:
             continue
         design = design_matrix(coords, pattern)

@@ -78,14 +78,18 @@ class OrthonormalBasis:
         return self._entry_map
 
     @property
-    def flat_stack(self) -> np.ndarray:
-        """(n^2-1, n^2) read-only view of `stack`, one flattened generator per row."""
-        return self._flat_stack
-
-    @property
     def identity(self) -> np.ndarray:
         """(n, n) read-only real identity, built once."""
         return self._identity
+
+    def expand(self, a) -> np.ndarray:
+        """a . sigma for real coordinate rows a of shape (..., n^2-1), as an
+        (..., n, n) array: one product of the rows with the flattened
+        generators, so a row gives the same bits alone or stacked."""
+        a = np.asarray(a, dtype=float)
+        n = self.dim
+        rows = a.reshape(-1, n * n - 1) @ self._flat_stack
+        return rows.reshape(a.shape[:-1] + (n, n))
 
     def element(self, index: int) -> np.ndarray:
         """sigma_index for a 1-based basis index."""
@@ -144,7 +148,7 @@ def bloch_to_state(theta, basis: OrthonormalBasis) -> np.ndarray:
         raise ContractViolation(
             f"theta has length {theta.shape}, expected {basis.dim**2 - 1}"
         )
-    rho = np.tensordot(theta, basis.stack, axes=1)
+    rho = basis.expand(theta)
     rho += np.eye(basis.dim) / basis.dim
     return rho
 

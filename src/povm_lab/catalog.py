@@ -65,7 +65,7 @@ def qubit_trine() -> Povm:
         a = np.array([math.sqrt(2.0) * math.cos(ang), math.sqrt(2.0) * math.sin(ang), 0.0])
         c = PovmElementCoords(1.0 / 3.0, a)
         coords.append(c)
-        e = np.tensordot(a, b.stack, axes=1) + np.eye(2)
+        e = b.expand(a) + np.eye(2)
         elements.append(e / 3.0)
     return Povm(2, elements, coords[:2])
 

@@ -292,6 +292,15 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
 
 def _run_refine(cfg: ExperimentConfig) -> int:
     n = cfg.dim
+    # rank-one elements with constant diagonal are quasi-orthogonal to the
+    # diagonal generators and to no other direction
+    stack = gell_mann_basis(n).stack
+    diagonal = [i for i, s in enumerate(stack, 1) if not np.any(s - np.diag(np.diag(s)))]
+    if sorted(cfg.pattern.known_indices) != diagonal:
+        raise ConfigurationError(
+            f"refine needs the known indices to be the diagonal generators {diagonal}, "
+            f"got {sorted(cfg.pattern.known_indices)}"
+        )
     m = cfg.refine.element_count or cfg.pattern.unknown_count + 1
     seed = cfg.refine.seed
     best = None

@@ -2,7 +2,8 @@
 
 Elements are carried both as matrices and, where available, in the coordinate
 form E = a0 (I + a . sigma) with `a` expanded in the orthonormal basis of
-:mod:`povm_lab.basis`.  The diagnostics sigma/delta/Delta track rank-one-ness
+:mod:`povm_lab.basis`; `OrthonormalBasis.expand` is the one map from
+coordinates to a . sigma.  The diagnostics sigma/delta/Delta track rank-one-ness
 and overlap symmetry of a candidate measurement during optimization.
 """
 
@@ -66,19 +67,9 @@ def coords_to_element(c: PovmElementCoords, basis: OrthonormalBasis) -> np.ndarr
         raise ContractViolation(
             f"coordinate length {c.a.shape} does not match basis dim {basis.dim}"
         )
-    e = expand(c.a, basis.stack)
+    e = basis.expand(c.a)
     e += np.eye(basis.dim)
     return c.a0 * e
-
-
-def expand(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_i a_i stack_i for one real coordinate vector and a (k, n, n) stack.
-
-    The same `dot` that `np.tensordot(a, stack, axes=1)` makes, without its
-    axis bookkeeping, so the result is bit-identical to it.
-    """
-    k, n, _ = stack.shape
-    return np.dot(a.reshape(1, k), stack.reshape(k, n * n)).reshape(n, n)
 
 
 def element_coords(E, basis: OrthonormalBasis) -> PovmElementCoords:

@@ -7,10 +7,13 @@ free; the first vector and every first component are pinned to phase zero.
 The search minimizes the cross-overlap variance Delta plus a completeness
 penalty by Levenberg-Marquardt from the given phases.  The objective is a
 plain sum of squares -- the centred off-diagonal overlaps and sqrt(weight)
-times the real and imaginary parts of the completeness residual -- so the
-search works on those residuals and their analytic Jacobian with respect to
-the free phases.  Uniform random starts reach the qutrit conditional SIC in a
-handful of iterations; the CLI runs several seeded starts and keeps the best.
+times the real and imaginary parts of the completeness residual -- and one
+function, `_residuals`, computes those residuals with their analytic Jacobian
+with respect to the free phases; the search and `refine_objective` both take
+the objective as r @ r.  Uniform random starts reach the qutrit conditional
+SIC in a handful of iterations; the CLI runs several seeded starts and keeps
+the best.  Because the ansatz is quasi-orthogonal to the diagonal generators
+only, the CLI runs it only when those are exactly the known directions.
 """
 
 from __future__ import annotations
@@ -105,22 +108,9 @@ def phases_to_povm(phi: PhaseConfiguration):
     return pov, validate(pov)
 
 
-def _objective(phases: np.ndarray, dim: int, m: int, weight: float, off_mask) -> float:
-    H = _vectors(phases, dim)
-    G = H.conj() @ H.T
-    c = dim / m
-    overlaps = (c * c) * (G.real**2 + G.imag**2)
-    off = overlaps[off_mask]
-    delta = off - off.mean()
-    val = float(delta @ delta)
-    if weight != 0.0:
-        S = c * (H.T @ H.conj()) - np.eye(dim)
-        val += weight * float(np.sum(S.real**2 + S.imag**2))
-    return val
-
-
 def _residuals(phases: np.ndarray, dim: int, m: int, weight: float, off_mask):
-    """Residuals r with r @ r == _objective(...), and their Jacobian over phases[1:, 1:].
+    """Residuals r, whose sum of squares r @ r is the objective, and their
+    Jacobian over phases[1:, 1:].
 
     r stacks the centred off-diagonal overlaps and sqrt(weight) times the real
     and imaginary parts of the completeness residual S.
@@ -161,7 +151,8 @@ def refine_objective(phi: PhaseConfiguration, weight: float = 1.0) -> float:
     """Cross-overlap variance plus `weight` times the squared completeness residual."""
     _check_weight(weight)
     m = phi.element_count
-    return _objective(phi.phases, phi.dim, m, weight, ~np.eye(m, dtype=bool))
+    r, _ = _residuals(phi.phases, phi.dim, m, weight, ~np.eye(m, dtype=bool))
+    return float(r @ r)
 
 
 @dataclass
@@ -176,12 +167,14 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
 
     Each iteration solves the damped Gauss-Newton system
     (J^T J + lam diag(J^T J)) d = -J^T r on the residuals of `_residuals` and
-    keeps the step only if it lowers the objective; otherwise (or when the
-    system is singular) lam rises tenfold and the step is retried.  The search
-    stops at POLISH_FLOOR, at a relative gain below POLISH_IMPROVEMENT_TOL,
-    when lam passes LM_LAMBDA_MAX, or after POLISH_MAX_ITERATIONS, so a start
-    that is already stationary is returned as it is.  `objective_trace` holds
-    the initial objective followed by one value per accepted iteration.
+    keeps the step only if it lowers the objective r @ r; otherwise (or when
+    the system is singular) lam rises tenfold and the step is retried.  A kept
+    step's r and J are the next iteration's, so each point is evaluated once.
+    The search stops at POLISH_FLOOR, at a relative gain below
+    POLISH_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX, or after
+    POLISH_MAX_ITERATIONS, so a start that is already stationary is returned
+    as it is.  `objective_trace` holds the initial objective followed by one
+    value per accepted iteration.
 
     `config` is not read.  perfbench/tracing.py still calls refine with the
     shape (initial, config, weight) and counts iterations from
@@ -191,7 +184,8 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     n, m = initial.dim, initial.element_count
     off_mask = ~np.eye(m, dtype=bool)
     phases = initial.phases
-    f = _objective(phases, n, m, weight, off_mask)
+    r, J = _residuals(phases, n, m, weight, off_mask)
+    f = float(r @ r)
     trace = [f]
     # A step is kept only if it lowers the objective, so the trace is
     # monotone.  The gain threshold is relative to the iteration's starting
@@ -201,7 +195,6 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     for _ in range(POLISH_MAX_ITERATIONS):
         if f <= POLISH_FLOOR:
             break
-        r, J = _residuals(phases, n, m, weight, off_mask)
         JtJ = J.T @ J
         grad = J.T @ r
         damping = np.diag(np.diag(JtJ))
@@ -217,14 +210,15 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
             # wrap before evaluating, so f_trial is the objective of the phases
             # returned even after a huge step from a near-stationary start
             trial = gauge_fix(trial)
-            f_trial = _objective(trial, n, m, weight, off_mask)
+            r_trial, J_trial = _residuals(trial, n, m, weight, off_mask)
+            f_trial = float(r_trial @ r_trial)
             if f_trial < f:
                 break
             lam *= 10.0
         else:
             break
         f_start = f
-        phases, f = trial, f_trial
+        phases, r, J, f = trial, r_trial, J_trial, f_trial
         trace.append(f)
         lam /= 10.0
         if f_start - f < POLISH_IMPROVEMENT_TOL * f_start:

@@ -74,7 +74,7 @@ def _spectra(thetas: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     """
     out = np.empty((thetas.shape[0], basis.dim))
     for lo in range(0, thetas.shape[0], GRID_BLOCK):
-        rho = np.tensordot(thetas[lo : lo + GRID_BLOCK], basis.stack, axes=1)
+        rho = basis.expand(thetas[lo : lo + GRID_BLOCK])
         rho += np.eye(basis.dim) / basis.dim
         rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
         out[lo : lo + GRID_BLOCK] = np.linalg.eigvalsh(rho)[:, ::-1]

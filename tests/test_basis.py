@@ -39,6 +39,21 @@ class TestGellMannBasis:
         with pytest.raises(ValueError):
             basis3.stack[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 6, 12, 343])
+    def test_expand_rows_alone_or_stacked(self, n, rows):
+        basis = bs.gell_mann_basis(n)
+        coords = np.random.default_rng([n, rows]).normal(size=(rows, n * n - 1))
+        stacked = basis.expand(coords)
+        assert stacked.shape == (rows, n, n)
+        for a, got in zip(coords, stacked):
+            alone = basis.expand(a)
+            assert np.array_equal(got, alone)
+            assert np.array_equal(alone, np.tensordot(a, basis.stack, axes=1))
+        shaped = basis.expand(coords.reshape(rows, 1, n * n - 1))
+        assert shaped.shape == (rows, 1, n, n)
+        assert np.array_equal(shaped[:, 0], stacked)
+
 
 class TestBlochConversion:
     def test_zero_vector(self, basis3):

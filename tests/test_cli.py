@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povm_lab import annealer, cli, rankone
+from povm_lab import annealer, catalog, cli, rankone
 from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
 from povm_lab.errors import ConfigurationError
@@ -437,6 +437,34 @@ class TestRefineMode:
         assert pov.m == 7
         report = (out / "report.txt").read_text()
         assert "verdict" in report
+
+    @pytest.mark.parametrize(
+        "lines, diagonal",
+        [
+            ("dim = 3\npattern.known_indices = 1,2\npattern.known_values = 0,0\n", "[7, 8]"),
+            ("dim = 4\n", "[3, 12, 15]"),
+        ],
+        ids=["dim3-offdiagonal-known", "dim4-default"],
+    )
+    def test_known_directions_other_than_diagonal_rejected(self, tmp_path, caplog, lines, diagonal):
+        # the rank-one ansatz is quasi-orthogonal to the diagonal generators only
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(f"mode = refine\n{lines}refine.restarts = 1\noutput.dir = {out}\n")
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 2
+        assert f"diagonal generators {diagonal}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_pattern_accepted(self, tmp_path, dim):
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(f"mode = refine\ndim = {dim}\nrefine.restarts = 1\noutput.dir = {out}\n")
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 0
+        report = catalog.conditional_sic_report(
+            pv.read_povm(out / "povm.txt"), cli.parse_config(cfg_path.read_text()).pattern
+        )
+        assert report.max_quasi_orthogonality_violation < 1e-12
 
     def test_restarts_keep_the_lowest_objective(self, tmp_path):
         cfg_path = tmp_path / "r.cfg"

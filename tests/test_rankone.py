@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povm_lab import catalog, linalg, rankone
+from povm_lab import catalog, linalg, povm, rankone
 from povm_lab.annealer import AnnealConfig
 from povm_lab.errors import ContractViolation
 
@@ -127,12 +127,17 @@ class TestResiduals:
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
     @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
     def test_sum_of_squares_is_objective(self, n, m, weight):
+        # the objective from the POVM's own diagnostics: Delta plus the
+        # weighted squared Frobenius norm of the completeness residual
         rng = np.random.default_rng([n, m, int(weight)])
         for _ in range(3):
             phi = rankone.random_phases(n, m, rng)
+            P = rankone.phases_to_povm(phi)[0]
+            completeness = np.linalg.norm(sum(P.elements) - np.eye(n), "fro") ** 2
+            want = povm.metrics(P).Delta + weight * completeness
             r, _ = residuals(phi.phases, weight)
-            want = rankone.refine_objective(phi, weight)
             assert abs(r @ r - want) <= 1e-12 * want
+            assert abs(rankone.refine_objective(phi, weight) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
     @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
