@@ -8,7 +8,7 @@ Modules:
     objective   estimator design matrix, averaged covariance, DACM
     annealer    Glauber-dynamics simulated annealing over POVM coordinates
     rankone     equi-modular rank-one phase refinement
-    catalog     analytic optima and the conditional-SIC certification report
+    catalog     closed-form measurements and the conditional-SIC certification report
     cli         the povm-lab command line front end
 """
 

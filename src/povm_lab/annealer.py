@@ -77,6 +77,15 @@ PERTURB_PSD_TOL = 1e-10
 MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
 LOG_DESIGN_DET_FLOOR = math.log(DESIGN_DET_FLOOR)
+# what a run's steps did, in report order: `AnnealChain.counts` keys, `AnnealResult` fields
+RUN_COUNTERS = (
+    "skipped_variants",
+    "variants_enumerated",
+    "closure_rejected",
+    "resample_exhausted",
+    "accepted",
+    "accepted_unchanged",
+)
 
 
 @dataclass(frozen=True)
@@ -148,14 +157,15 @@ class TraceRecord:
 class AnnealResult:
     """The chain's best and final POVMs, its trace and what its steps did.
 
-    Every enumerated variant is closure-rejected, skipped (singular T or
-    det W0 <= 0) or evaluated, so variants_enumerated = closure_rejected +
-    skipped_variants + evaluated; `accepted` counts evaluated variants that
-    became the current state, `resample_exhausted` the perturbations that kept
-    the old element because no positive draw was found.  `accepted_unchanged`
-    counts the acceptances, included in `accepted`, of a step's all-old row
-    while the current state was still the step's old state: moves that
-    changed nothing.
+    The six counter fields are named, in report order, by `RUN_COUNTERS` and
+    filled from the chain's `counts`.  Every enumerated variant is
+    closure-rejected, skipped (singular T or det W0 <= 0) or evaluated, so
+    variants_enumerated = closure_rejected + skipped_variants + evaluated;
+    `accepted` counts evaluated variants that became the current state,
+    `resample_exhausted` the perturbations that kept the old element because
+    no positive draw was found.  `accepted_unchanged` counts the acceptances,
+    included in `accepted`, of a step's all-old row while the current state
+    was still the step's old state: moves that changed nothing.
     """
 
     best: Povm
@@ -538,8 +548,9 @@ def random_initial_povm(
 
 class AnnealChain:
     """The chain between steps: its current and best POVMs with their log DACM,
-    the run counters, and the current state's free elements (`state`), which
-    each step reuses as the old side of its table.
+    the run counters (`counts`, keyed by `RUN_COUNTERS`), and the current
+    state's free elements (`state`), which each step reuses as the old side of
+    its table.
 
     `state` changes only when a move is accepted, and then to the accepted
     row's columns of the step's table; a step computes probability columns
@@ -573,8 +584,7 @@ class AnnealChain:
         self._current = self._best = initial
         self._best_at = None  # (table, row) the best POVM is built from
         self.rows = {}  # pinned-position mask -> VariantRows
-        self.skipped = self.enumerated = self.rejected = self.exhausted = 0
-        self.accepted = self.accepted_unchanged = 0
+        self.counts = dict.fromkeys(RUN_COUNTERS, 0)
         self.all_skipped_streak = 0
 
     @property
@@ -596,6 +606,7 @@ class AnnealChain:
         """Perturb every free element at scale s, score the variants and walk
         them at temperature temp: one logistic draw per evaluated variant."""
         cfg, rng, basis, members = self.config, self.rng, self.basis, self.cluster.members
+        counts = self.counts
         old = self.state
         a0, A = old.a0.copy(), old.A.copy()
         pinned = [False] * a0.shape[0]
@@ -607,7 +618,7 @@ class AnnealChain:
                     perturb_a0=cfg.perturb_a0,
                 )
             except ResampleExhausted:  # keep the old element at a pinned position
-                self.exhausted += 1
+                counts["resample_exhausted"] += 1
                 pinned[i] = True
         pinned = tuple(pinned)
         rows = self.rows.get(pinned)
@@ -617,9 +628,9 @@ class AnnealChain:
         table = score_variants(old, new, rows, basis, members, self.pattern)
         closed_rows = [v for v, c in enumerate(table.closed.tolist()) if c]
         n_skipped = int(np.count_nonzero(table.skipped))
-        self.enumerated += table.closed.shape[0]
-        self.rejected += table.closed.shape[0] - len(closed_rows)
-        self.skipped += n_skipped
+        counts["variants_enumerated"] += table.closed.shape[0]
+        counts["closure_rejected"] += table.closed.shape[0] - len(closed_rows)
+        counts["skipped_variants"] += n_skipped
         row_log = table.log_dacm.tolist()
         moved_to = best_row = None
         for v in closed_rows:
@@ -630,11 +641,11 @@ class AnnealChain:
                 self.best_log, best_row = cand_log, v
             if logistic_accept(cand_log - self.cur_log, temp, rng):
                 self.cur_log = cand_log
-                self.accepted += 1
+                counts["accepted"] += 1
                 # row 0 takes every old element and is walked first, while the
                 # current state is still the step's old state
                 if v == 0:
-                    self.accepted_unchanged += 1
+                    counts["accepted_unchanged"] += 1
                 moved_to = v
         # only the step's last best and last accepted rows outlive it
         if best_row is not None:
@@ -670,17 +681,7 @@ def anneal(
             mk = metrics(chain.current)
             trace.append(TraceRecord(t, chain.cur_log, mk.sigma, mk.delta, mk.Delta, temp, s))
     return AnnealResult(
-        chain.best,
-        chain.current,
-        trace,
-        _exp(chain.best_log),
-        chain.best_log,
-        skipped_variants=chain.skipped,
-        variants_enumerated=chain.enumerated,
-        closure_rejected=chain.rejected,
-        resample_exhausted=chain.exhausted,
-        accepted=chain.accepted,
-        accepted_unchanged=chain.accepted_unchanged,
+        chain.best, chain.current, trace, _exp(chain.best_log), chain.best_log, **chain.counts
     )
 
 

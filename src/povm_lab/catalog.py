@@ -1,11 +1,13 @@
-"""Analytic optimal measurements and the conditional-SIC certification report.
+"""Closed-form measurements and the conditional-SIC certification report.
 
-The constructors return the known closed-form optima: the qutrit seven-element
-measurement built from 7th roots of unity, the qubit trine, the dim-4 diagonal
-matrix units, and the dim-4 tensor extension of the qubit tetrahedron.  The
-report checks the three defining conditions of a conditional SIC-POVM: every
-element a common multiple of a projection, constant cross-overlaps, and
-quasi-orthogonality to the known parameter directions.
+The constructors return the known closed-form optima (the qutrit seven-element
+measurement built from 7th roots of unity, the qubit trine and the dim-4
+diagonal matrix units) and the dim-4 tensor extension of the qubit
+tetrahedron, a conditional SIC with no optimality claim: on its known pattern
+a descent reaches a lower DACM.  The report checks the three defining
+conditions of a conditional SIC-POVM: every element a common multiple of a
+projection, constant cross-overlaps, and quasi-orthogonality to the known
+parameter directions.
 """
 
 from __future__ import annotations

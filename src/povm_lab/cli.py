@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog, linalg, rankone
-from .annealer import AnnealConfig, anneal, random_initial_povm, write_trace
+from .annealer import RUN_COUNTERS, AnnealConfig, anneal, random_initial_povm, write_trace
 from .basis import ParameterPattern, bloch_radius_bound, bloch_to_state, gell_mann_basis
 from .errors import (
     ConfigurationError,
@@ -249,17 +249,21 @@ def _build_cluster(cfg: ExperimentConfig, b):
     return clusters, cl
 
 
-def _report_text(P, cfg, extra=()):
-    rep = catalog.conditional_sic_report(P, cfg.pattern)
+def _write_result(cfg: ExperimentConfig, name: str, P, lines) -> None:
+    """Write a search's POVM `P` to `name` and its `report.txt` in output.dir:
+    the conditional-SIC report, sigma, delta and Delta, then the mode's `lines`."""
+    write_povm(P, os.path.join(cfg.output_dir, name))
     mk = metrics(P)
-    lines = [catalog.report_to_text(rep), ""]
-    lines += [
+    text = [
+        catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern)),
+        "",
         f"sigma  {mk.sigma!r}",
         f"delta  {mk.delta!r}",
         f"Delta  {mk.Delta!r}",
+        *lines,
     ]
-    lines += list(extra)
-    return "\n".join(lines) + "\n"
+    with open(os.path.join(cfg.output_dir, "report.txt"), "w") as fh:
+        fh.write("\n".join(text) + "\n")
 
 
 def _run_anneal(cfg: ExperimentConfig) -> int:
@@ -267,25 +271,17 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
     _, cl = _build_cluster(cfg, b)
     init_rng = np.random.default_rng([cfg.anneal.rng_seed, 1])
     initial = random_initial_povm(cfg.pattern, b, init_rng, cfg.init_scale)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     result = anneal(cfg.anneal, initial, cl, b, cfg.pattern)
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    write_trace(result.trace, os.path.join(out, "trace.csv"))
-    write_povm(result.best, os.path.join(out, "best_povm.txt"))
-    extra = (
+    write_trace(result.trace, os.path.join(cfg.output_dir, "trace.csv"))
+    lines = [
         f"dacm_best  {result.best_dacm!r}",
         f"log_dacm_best  {result.best_log_dacm!r}",
         f"steps  {cfg.anneal.total_steps}",
         f"seed  {cfg.anneal.rng_seed}",
-        f"skipped_variants  {result.skipped_variants}",
-        f"variants_enumerated  {result.variants_enumerated}",
-        f"closure_rejected  {result.closure_rejected}",
-        f"resample_exhausted  {result.resample_exhausted}",
-        f"accepted  {result.accepted}",
-        f"accepted_unchanged  {result.accepted_unchanged}",
-    )
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(_report_text(result.best, cfg, extra))
+        *(f"{name}  {getattr(result, name)}" for name in RUN_COUNTERS),
+    ]
+    _write_result(cfg, "best_povm.txt", result.best, lines)
     log.info("best DACM %.6g after %d steps", result.best_dacm, cfg.anneal.total_steps)
     return EXIT_OK
 
@@ -303,6 +299,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
         )
     m = cfg.refine.element_count or cfg.pattern.unknown_count + 1
     seed = cfg.refine.seed
+    os.makedirs(cfg.output_dir, exist_ok=True)
     best = None
     for r in range(cfg.refine.restarts):
         initial = rankone.random_phases(n, m, np.random.default_rng([seed, r]))
@@ -313,19 +310,14 @@ def _run_refine(cfg: ExperimentConfig) -> int:
         if best is None or res.objective < best.objective:
             best = res
     pov, violations = rankone.phases_to_povm(best.phases)
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    rankone.write_phases(best.phases, os.path.join(out, "phases.csv"))
-    write_povm(pov, os.path.join(out, "povm.txt"))
-    extra = [
+    rankone.write_phases(best.phases, os.path.join(cfg.output_dir, "phases.csv"))
+    lines = [
         f"objective  {best.objective!r}",
         f"restarts  {cfg.refine.restarts}",
         f"seed  {seed}",
+        *(f"violation  {v.name} {v.magnitude!r}" for v in violations),
     ]
-    if violations:
-        extra += [f"violation  {v.name} {v.magnitude!r}" for v in violations]
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(_report_text(pov, cfg, extra))
+    _write_result(cfg, "povm.txt", pov, lines)
     log.info("best refine objective %.3e", best.objective)
     return EXIT_OK
 
@@ -474,6 +466,9 @@ def run(cfg: ExperimentConfig) -> int:
     except (ConfigurationError, EmptyClusterSelection) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
+    except OSError as exc:  # output.dir cannot be created or written
+        log.error("cannot write outputs: %s", exc)
+        return EXIT_CONFIG
     except PovmLabError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
@@ -501,10 +496,10 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             try:
-                with open(args.config) as fh:
+                with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read config: {exc}") from exc
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"cannot read config {args.config!r}: {exc}") from exc
             cfg = parse_config(text, mode=args.mode)
         elif args.mode == "verify":
             cfg = build_config({}, mode="verify")

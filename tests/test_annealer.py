@@ -954,7 +954,7 @@ class TestCarriedState:
         chain, _, _, _ = self.run_chain(
             monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster, max_resample=1, s0=s0
         )
-        assert chain.exhausted > 0
+        assert chain.counts["resample_exhausted"] > 0
         assert len(seen) >= masks and any(any(mask) for mask in seen)
         assert all(len(ids) == 1 for ids in seen.values())  # one table per mask
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
 from povm_lab.errors import ConfigurationError
 
-DOCS_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "qutrit_anneal.cfg"
+REPO = Path(__file__).resolve().parent.parent
+DOCS_CONFIG = REPO / "docs" / "qutrit_anneal.cfg"
 
 QUBIT_CFG = """
 mode = anneal
@@ -392,6 +396,28 @@ class TestAnnealMode:
         records = annealer.read_trace(out / "trace.csv")
         assert [r.step for r in records] == list(range(0, 60, 20))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_report_ends_with_run_counters(self, tmp_path, monkeypatch, seed):
+        results = []
+
+        def recording_anneal(*args):
+            results.append(annealer.anneal(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "anneal", recording_anneal)
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(QUBIT_CFG.format(steps=200, seed=seed, out=out))
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+        (result,) = results
+        tail = (out / "report.txt").read_text().splitlines()[-10:]
+        names = ["dacm_best", "log_dacm_best", "steps", "seed", *annealer.RUN_COUNTERS]
+        assert [line.split("  ")[0] for line in tail] == names
+        values = [result.best_dacm, result.best_log_dacm, 200, seed]
+        values += [getattr(result, name) for name in annealer.RUN_COUNTERS]
+        assert tail == [f"{name}  {value!r}" for name, value in zip(names, values)]
+        assert result.variants_enumerated > 0 and result.accepted > 0
+
     def test_qutrit_desk_scale_trace_shape(self, tmp_path):
         """Qutrit run on the default grid at a reduced step count: final log
         DACM below the initial one and the diagnostics under 0.05 / 1e-2 /
@@ -525,6 +551,53 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self, tmp_path):
         assert cli.main(["anneal", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_non_utf8_config_is_2(self, tmp_path, caplog):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"\xff\xfe")
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert str(cfg_path) in error.getMessage()
+
+    @pytest.mark.parametrize(
+        "mode, search",
+        [("anneal", (cli, "anneal")), ("refine", (cli.rankone, "refine"))],
+    )
+    def test_unusable_output_dir_is_2_before_the_search(
+        self, tmp_path, monkeypatch, caplog, mode, search
+    ):
+        def entered(*args):
+            raise AssertionError(f"{mode} search entered")
+
+        monkeypatch.setattr(*search, entered)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        cfg_path = tmp_path / "x.cfg"
+        cfg_path.write_text(QUBIT_CFG.format(steps=200, seed=1, out=out))
+        assert cli.main([mode, "--config", str(cfg_path)]) == 2
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "Not a directory" in error.getMessage()
+
+    def test_unusable_inputs_and_outputs_print_one_error_line(self, tmp_path):
+        """The console entry point: exit 2, one ERROR line, no traceback."""
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe")
+        cfg_path = tmp_path / "x.cfg"
+        cfg_path.write_text("mode = anneal\ndim = 2\nrefine.restarts = 1\n")
+        unusable = ["--config", str(cfg_path), "--out", str(tmp_path / "afile" / "sub")]
+        cases = [
+            ["verify", "--config", str(tmp_path / "bad.cfg")],
+            ["anneal", *unusable],
+            ["refine", *unusable],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        for argv in cases:
+            command = [sys.executable, "-m", "povm_lab.cli", *argv]
+            proc = subprocess.run(command, capture_output=True, text=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            # the anneal logs its cluster at INFO before it stops
+            (line,) = [ln for ln in proc.stderr.splitlines() if not ln.startswith("INFO")]
+            assert line.startswith("ERROR ")
 
     def test_anneal_without_config_is_2(self):
         assert cli.main(["anneal"]) == 2

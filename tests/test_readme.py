@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -9,3 +10,11 @@ def test_library_entry_point_imports_resolve():
     imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
     assert len(imports) >= 6
     exec("\n".join(imports), {})
+
+
+def test_anneal_counter_list_is_run_counters():
+    from povm_lab.annealer import RUN_COUNTERS
+
+    entry = README.read_text().split("- `anneal`", 1)[1].split("\n- `", 1)[0]
+    counters = entry.split("the run counters", 1)[1]
+    assert re.findall(r"`(\w+)`", counters) == list(RUN_COUNTERS)
