@@ -67,6 +67,7 @@ from .povm import (
     PovmElementCoords,
     closing_elements,
     complete_povm,
+    coordinate_rows,
     coords_to_element,
     metrics,
 )
@@ -188,7 +189,8 @@ class FreeElements:
     `anneal` carries these for its current state from step to step, so a step
     computes probability columns only for the perturbed elements; a step's 2N
     old/new table is the two sides joined, and a row's free elements are
-    columns of that table.  Element matrices and checked `PovmElementCoords`
+    columns of that table.  A chain builds its first state from the initial
+    POVM's `coordinate_rows`; element matrices and checked `PovmElementCoords`
     are built only when read (`elements`, `povm`).
     """
 
@@ -201,18 +203,6 @@ class FreeElements:
         """The free elements with coordinates (a0, A), with one stacked product
         for their probability columns over `members`."""
         return cls(a0, A, (1.0 + members @ A.T) * a0)
-
-    @classmethod
-    def from_coords(cls, coords, basis: OrthonormalBasis, members: np.ndarray) -> "FreeElements":
-        """The free elements of a list of `PovmElementCoords`."""
-        k = basis.dim**2 - 1
-        for c in coords:
-            if c.a.shape != (k,):
-                raise ContractViolation(
-                    f"coordinate length {c.a.shape} does not match basis dim {basis.dim}"
-                )
-        A = np.array([c.a for c in coords]).reshape(len(coords), k)
-        return cls.build(np.array([c.a0 for c in coords], dtype=float), A, members)
 
     def join(self, other: "FreeElements") -> "FreeElements":
         """The 2N table: this side's columns, then the other's."""
@@ -531,12 +521,13 @@ def random_initial_povm(
             PovmElementCoords(1.0 / m, rng.normal(0.0, scale, dim_coords))
             for _ in range(n_free)
         ]
+        a0, A = coordinate_rows(coords, dim_coords)
         # I + a . sigma of every element, tested here and scaled by a0 below
-        units = basis.expand([c.a for c in coords]) + basis.identity
+        units = basis.expand(A) + basis.identity
         if not all(linalg.min_eigenvalue(u) > 1e-8 for u in units):
             continue
         try:
-            pov = complete_povm([c.a0 * u for c, u in zip(coords, units)], coords)
+            pov = complete_povm(list(a0[:, None, None] * units), coords)
         except ClosureNotPositive:
             continue
         design = design_matrix(coords, pattern)
@@ -579,7 +570,8 @@ class AnnealChain:
             )
         )
         self.best_log = self.cur_log
-        self.state = FreeElements.from_coords(initial.coords, basis, cluster.members)
+        a0, A = coordinate_rows(initial.coords, basis.dim**2 - 1)
+        self.state = FreeElements.build(a0, A, cluster.members)
         # the POVMs last built; None until the next read rebuilds one
         self._current = self._best = initial
         self._best_at = None  # (table, row) the best POVM is built from

@@ -324,6 +324,8 @@ def _run_refine(cfg: ExperimentConfig) -> int:
 
 def _run_gridinfo(cfg: ExperimentConfig) -> int:
     b = gell_mann_basis(cfg.dim)
+    # an invalid grid fails here, before anything is printed
+    clusters, selected = _build_cluster(cfg, b)
     print(f"# basis index map (dim = {cfg.dim})")
     for i, label in enumerate(b.labels, 1):
         tag = ""
@@ -331,7 +333,6 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
             v = float(cfg.pattern.known_values[cfg.pattern.known_indices.index(i)])
             tag = f"\tknown = {v!r}"
         print(f"{i}\t{label}{tag}")
-    clusters, selected = _build_cluster(cfg, b)
     print(f"# clusters (cells = {cfg.grid_cells})")
     print("key\tsize\trepresentative_eigenvalues\tselected")
     for key in sorted(clusters):

@@ -54,9 +54,14 @@ def symmetrize(H) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _jacobi_eigenvalues(a, n: int) -> list:
-    """Cyclic Jacobi on a Hermitian matrix given as nested lists; returns the
-    unsorted diagonal after convergence of the off-diagonal Frobenius mass."""
+def _jacobi_eigenvalues(A: np.ndarray) -> list:
+    """Cyclic Jacobi on an exactly Hermitian n x n array, run on a nested-list
+    copy; returns the unsorted diagonal after convergence of the off-diagonal
+    Frobenius mass (for n = 1, the one real entry)."""
+    n = A.shape[0]
+    if n == 1:
+        return [float(A[0, 0].real)]
+    a = [[complex(A[i, j]) for j in range(n)] for i in range(n)]
     fro2 = 0.0
     for i in range(n):
         for j in range(n):
@@ -105,12 +110,7 @@ def hermitian_eigenvalues(H) -> np.ndarray:
     Cyclic Jacobi rotations; converged when the off-diagonal Frobenius mass
     drops below JACOBI_OFF_TOL relative to the matrix scale.
     """
-    A = symmetrize(H)
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real])
-    a = [[complex(A[i, j]) for j in range(n)] for i in range(n)]
-    return np.array(sorted(_jacobi_eigenvalues(a, n), reverse=True))
+    return np.array(sorted(_jacobi_eigenvalues(symmetrize(H)), reverse=True))
 
 
 def min_eigenvalue(H) -> float:
@@ -124,11 +124,7 @@ def min_eigenvalue_trusted(A: np.ndarray) -> float:
     operation; same Jacobi core.  `complete_povm` uses it on the closing
     element it has just Hermitian-averaged.
     """
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0].real)
-    a = [[complex(A[i, j]) for j in range(n)] for i in range(n)]
-    return min(_jacobi_eigenvalues(a, n))
+    return min(_jacobi_eigenvalues(A))
 
 
 def psd_verdict(entries, n: int, tol: float):

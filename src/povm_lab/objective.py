@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
 from .errors import ConfigurationError, ContractViolation, NonPositiveObjective, SingularDesign
-from .povm import Povm, element_coords
+from .povm import Povm, coordinate_rows, element_coords
 from .statespace import Cluster
 
 PROB_RANGE_TOL = 1e-10
@@ -60,22 +60,15 @@ def _check_simplex(p: np.ndarray, label: str) -> None:
 
 
 def design_matrix(coords, pattern: ParameterPattern) -> DesignMatrix:
-    """T[j][k] = a0^(j) a^(j)_{unknown_k} from the first N elements' coordinates."""
+    """T[j][k] = a0^(j) a^(j)_{unknown_k} from the first N elements' `coordinate_rows`."""
     n_unknown = pattern.unknown_count
     if coords is None:
         raise ConfigurationError("coordinate form required to build the design matrix")
     if len(coords) < n_unknown:
-        raise ConfigurationError(
-            f"need {n_unknown} coordinate rows, got {len(coords)}"
-        )
+        raise ConfigurationError(f"need {n_unknown} coordinate rows, got {len(coords)}")
+    a0s, A = coordinate_rows(coords[:n_unknown], pattern.dim**2 - 1)
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
-    T = np.empty((n_unknown, n_unknown))
-    a0s = np.empty(n_unknown)
-    for j in range(n_unknown):
-        c = coords[j]
-        T[j, :] = c.a0 * c.a[unknown_pos]
-        a0s[j] = c.a0
-    return DesignMatrix(T, a0s)
+    return DesignMatrix(a0s[:, None] * A[:, unknown_pos], a0s)
 
 
 def design_matrix_for(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
@@ -99,17 +92,16 @@ def multinomial_covariance(p, n_unknown: int) -> np.ndarray:
 def _coordinate_table(P: Povm, basis: OrthonormalBasis):
     """(a0s, A) for all m elements.
 
-    Uses the stored coordinates for the first N elements; the closing element
-    follows from sum E_j = I, i.e. sum a0 = 1 and sum a0 a = 0.  Elements with
-    a0 = 0 get a zero coordinate row (their probabilities vanish identically).
+    The first N rows are `coordinate_rows` of the stored coordinates; the
+    closing element follows from sum E_j = I, i.e. sum a0 = 1 and sum a0 a = 0.
+    Elements with a0 = 0 get a zero coordinate row (their probabilities vanish
+    identically).
     """
     dim_coords = basis.dim**2 - 1
     a0s = np.zeros(P.m)
     A = np.zeros((P.m, dim_coords))
     if P.coords is not None and len(P.coords) == P.m - 1:
-        for j, c in enumerate(P.coords):
-            a0s[j] = c.a0
-            A[j] = c.a
+        a0s[:-1], A[:-1] = coordinate_rows(P.coords, dim_coords)
         a0_last = 1.0 - a0s[:-1].sum()
         if a0_last > CLOSING_WEIGHT_FLOOR:
             a0s[-1] = a0_last

@@ -61,6 +61,16 @@ class PovmMetrics:
     Delta: float
 
 
+def coordinate_rows(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a0 (N,), A (N, k)) of N `PovmElementCoords`, the one place such a list
+    becomes arrays; ContractViolation unless every direction vector has length k."""
+    for c in coords:
+        if c.a.shape != (k,):
+            raise ContractViolation(f"coordinate length {c.a.shape} does not match {k}")
+    A = np.array([c.a for c in coords], dtype=float).reshape(len(coords), k)
+    return np.array([c.a0 for c in coords], dtype=float), A
+
+
 def coords_to_element(c: PovmElementCoords, basis: OrthonormalBasis) -> np.ndarray:
     """E = a0 (I + sum_i a_i sigma_i); Tr E = a0 * n."""
     if c.a.shape != (basis.dim**2 - 1,):

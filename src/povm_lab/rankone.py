@@ -30,9 +30,9 @@ from .errors import ContractViolation
 from .povm import Povm, validate
 
 TWO_PI = 2.0 * math.pi
-POLISH_IMPROVEMENT_TOL = 1e-14
-POLISH_FLOOR = 1e-26
-POLISH_MAX_ITERATIONS = 200
+LM_IMPROVEMENT_TOL = 1e-14
+LM_FLOOR = 1e-26
+LM_MAX_ITERATIONS = 200
 LM_LAMBDA_START = 1e-3
 LM_LAMBDA_MAX = 1e16
 
@@ -170,9 +170,9 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     keeps the step only if it lowers the objective r @ r; otherwise (or when
     the system is singular) lam rises tenfold and the step is retried.  A kept
     step's r and J are the next iteration's, so each point is evaluated once.
-    The search stops at POLISH_FLOOR, at a relative gain below
-    POLISH_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX, or after
-    POLISH_MAX_ITERATIONS, so a start that is already stationary is returned
+    The search stops at LM_FLOOR, at a relative gain below
+    LM_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX, or after
+    LM_MAX_ITERATIONS, so a start that is already stationary is returned
     as it is.  `objective_trace` holds the initial objective followed by one
     value per accepted iteration.
 
@@ -192,8 +192,8 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     # value so the descent runs to the floating-point floor instead of
     # parking at ~1e-13.
     lam = LM_LAMBDA_START
-    for _ in range(POLISH_MAX_ITERATIONS):
-        if f <= POLISH_FLOOR:
+    for _ in range(LM_MAX_ITERATIONS):
+        if f <= LM_FLOOR:
             break
         JtJ = J.T @ J
         grad = J.T @ r
@@ -221,7 +221,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
         phases, r, J, f = trial, r_trial, J_trial, f_trial
         trace.append(f)
         lam /= 10.0
-        if f_start - f < POLISH_IMPROVEMENT_TOL * f_start:
+        if f_start - f < LM_IMPROVEMENT_TOL * f_start:
             break
     return RefineResult(PhaseConfiguration(n, m, gauge_fix(phases)), trace, f)
 

@@ -3,6 +3,7 @@ import pytest
 
 from povm_lab import basis as bs
 from povm_lab import catalog, statespace
+from povm_lab.povm import PovmElementCoords
 
 
 def random_hermitian(rng, n):
@@ -26,6 +27,15 @@ def random_state(rng, n):
     v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = v @ v.conj().T
     return rho / rho.trace().real
+
+
+def resized_coords(coords, change):
+    """`coords` with every direction vector one entry short (change = -1) or
+    one entry long (change = +1)."""
+    return [
+        PovmElementCoords(c.a0, c.a[:-1] if change < 0 else np.append(c.a, 0.0))
+        for c in coords
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from povm_lab.errors import (
 )
 from povm_lab.objective import PROB_SUM_TOL, averaged_covariance, dacm, design_matrix
 
+from conftest import resized_coords
+
 TRINE_COORDS = [
     pv.PovmElementCoords(
         1 / 3,
@@ -28,6 +30,11 @@ TRINE_COORDS = [
     )
     for k in range(3)
 ]
+
+
+def free_elements(coords, basis, members):
+    """The `FreeElements` of a coordinate list, built as `AnnealChain` builds its state."""
+    return annealer.FreeElements.build(*pv.coordinate_rows(coords, basis.dim**2 - 1), members)
 
 
 def perturbed(coords, s, rng, basis):
@@ -447,7 +454,7 @@ def evaluate_variants(old, new, basis, cluster, pattern):
     the positions where `new` is `old`, then `score_variants`."""
     members = cluster.members
     rows = annealer.VariantRows.for_pinned([n is o for n, o in zip(new, old)])
-    sides = (annealer.FreeElements.from_coords(c, basis, members) for c in (old, new))
+    sides = (free_elements(c, basis, members) for c in (old, new))
     return annealer.score_variants(*sides, rows, basis, members, pattern)
 
 
@@ -613,8 +620,8 @@ class TestProbabilityChecks:
         initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
         news = perturbed(initial.coords, 0.02, rng, basis2)
         members = qubit_cluster.members
-        old = annealer.FreeElements.from_coords(initial.coords, basis2, members)
-        new = annealer.FreeElements.from_coords(news, basis2, members)
+        old = free_elements(initial.coords, basis2, members)
+        new = free_elements(news, basis2, members)
         rows = annealer.VariantRows.for_pinned([False, False])
         table = annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
         v = next(v for v in np.flatnonzero(table.closed) if rows.bits[v].any())
@@ -846,6 +853,14 @@ def assert_same_povm(pov, want):
         assert c.a0 == d.a0 and np.array_equal(c.a, d.a)
 
 
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_chain_rejects_wrong_length_coords(basis2, qubit_pattern, qubit_cluster, change):
+    initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(0))
+    bad = pv.Povm(initial.dim, initial.elements, resized_coords(initial.coords, change))
+    with pytest.raises(ContractViolation, match="coordinate length"):
+        annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
+
+
 class TestCarriedState:
     """The chain's carried free elements equal a fresh build from its current
     coordinates after every step, and the POVMs it builds on read are those of
@@ -883,9 +898,7 @@ class TestCarriedState:
             )
             moved += changed
             stayed += not changed
-            fresh = annealer.FreeElements.from_coords(
-                chain.current.coords, basis, cluster.members
-            )
+            fresh = free_elements(chain.current.coords, basis, cluster.members)
             assert [field.name for field in dataclasses.fields(state)] == ["a0", "A", "probs"]
             for name in ("a0", "A", "probs"):
                 assert np.array_equal(getattr(state, name), getattr(fresh, name)), (t, name)
@@ -974,9 +987,9 @@ class TestCarriedState:
                 ]
                 for _ in range(2)
             ]
-            sides = [annealer.FreeElements.from_coords(c, basis, members) for c in (old, new)]
+            sides = [free_elements(c, basis, members) for c in (old, new)]
             tables = [(old, sides[0]), (old + new, sides[0].join(sides[1]))]
-            tables += [([c], annealer.FreeElements.from_coords([c], basis, members)) for c in old]
+            tables += [([c], free_elements([c], basis, members)) for c in old]
             for coords, built in tables:
                 elements = built.elements(basis)
                 assert elements.shape == (len(coords), basis.dim, basis.dim)

@@ -526,6 +526,15 @@ class TestGridinfoMode:
         assert "3\tdiag(1)\tknown = 0.0" in out
         assert "8,1\t12\t" in out  # the largest qubit cluster
 
+    @pytest.mark.parametrize(
+        "grid", ["grid.bound = -1", "grid.points_per_axis = 100"], ids=["bound", "budget"]
+    )
+    def test_invalid_grid_prints_nothing(self, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "g.cfg"
+        cfg_path.write_text(f"mode = gridinfo\ndim = 3\n{grid}\n")
+        assert cli.main(["gridinfo", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ from povm_lab.errors import (
     NonPositiveObjective,
     SingularDesign,
 )
-from povm_lab.povm import PovmElementCoords
+from povm_lab.povm import Povm, PovmElementCoords
+
+from conftest import resized_coords
 
 # golden master: W0 of the analytic qutrit measurement summed over the
 # largest cluster (key (6,3,0), 188 members) of the default g = 7 grid
@@ -82,6 +84,26 @@ class TestDesignMatrix:
         with pytest.raises(ConfigurationError):
             objective.design_matrix(None, qubit_pattern)
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_rejected(self, trine, qubit_pattern, change):
+        with pytest.raises(ContractViolation, match="coordinate length"):
+            objective.design_matrix(resized_coords(trine.coords, change), qubit_pattern)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_per_row_formula(self, dim):
+        """Row j of T is a0_j a_j[unknown], bit for bit."""
+        rng = np.random.default_rng(dim)
+        pattern = ParameterPattern.from_known(dim, {dim**2 - 1: 0.0})
+        unknown = [i - 1 for i in pattern.unknown_indices]
+        coords = [
+            PovmElementCoords(rng.uniform(0.01, 0.3), rng.normal(0.0, 0.5, dim**2 - 1))
+            for _ in range(pattern.unknown_count + 1)
+        ]
+        design = objective.design_matrix(coords, pattern)
+        rows = coords[: pattern.unknown_count]
+        assert np.array_equal(design.T, np.array([c.a0 * c.a[unknown] for c in rows]))
+        assert np.array_equal(design.a0s, np.array([c.a0 for c in rows]))
+
 
 class TestMultinomialCovariance:
     def test_uniform_three(self):
@@ -138,6 +160,12 @@ class TestAveragedCovariance:
         cluster = statespace.Cluster((0, 0), np.array([good, bad]), 10)
         with pytest.raises(ContractViolation, match="member 1"):
             objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_rejected(self, trine, basis2, qubit_pattern, qubit_cluster, change):
+        P = Povm(trine.dim, trine.elements, resized_coords(trine.coords, change))
+        with pytest.raises(ContractViolation, match="coordinate length"):
+            objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
 
     def test_golden_qutrit_default_cluster(
         self, qutrit_csic, basis3, qutrit_pattern, qutrit_default_cluster

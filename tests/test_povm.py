@@ -5,6 +5,8 @@ from povm_lab import catalog, linalg
 from povm_lab import povm as pv
 from povm_lab.errors import ClosureNotPositive, ContractViolation
 
+from conftest import resized_coords
+
 
 class TestCoordsToElement:
     def test_maximally_mixed(self, basis3):
@@ -30,6 +32,28 @@ class TestCoordsToElement:
     def test_non_finite_a0_rejected(self, a0):
         with pytest.raises(ContractViolation, match="a0 must be finite"):
             pv.PovmElementCoords(a0, np.zeros(3))
+
+
+class TestCoordinateRows:
+    @pytest.mark.parametrize("dim, count", [(2, 3), (3, 6), (4, 1), (3, 0)])
+    def test_equals_stacked_rows(self, dim, count):
+        k = dim**2 - 1
+        rng = np.random.default_rng(dim * 10 + count)
+        coords = [
+            pv.PovmElementCoords(rng.uniform(0.05, 0.5), rng.normal(0.0, 0.3, k))
+            for _ in range(count)
+        ]
+        a0, A = pv.coordinate_rows(coords, k)
+        assert a0.dtype == A.dtype == np.float64
+        assert a0.shape == (count,) and A.shape == (count, k)
+        assert np.array_equal(a0, np.array([c.a0 for c in coords]))
+        if count:
+            assert np.array_equal(A, np.stack([c.a for c in coords]))
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_rejected(self, trine, change):
+        with pytest.raises(ContractViolation, match="coordinate length"):
+            pv.coordinate_rows(resized_coords(trine.coords, change), 3)
 
 
 class TestElementCoords:
