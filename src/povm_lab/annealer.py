@@ -23,13 +23,14 @@ only on an accepted move, so `AnnealChain` carries it between steps as
 columns over the cluster.  A step perturbs rows of the state's (a0, A),
 computes the probability columns of the perturbed side and scores one
 `VariantTable`; an accepted move other than the all-old row takes the
-accepted row's columns of that table.  A step builds no coordinate object
-and no `Povm`, and element matrices only for the closing matrices of rows in
-the PSD band: the chain's `current` and `best` are built when read, from the
-carried state and from the best row's table.  The row tables (`VariantRows`) depend
-only on which positions are pinned and are built once per pinned mask in a
-run.  Every free element matrix comes from `OrthonormalBasis.expand`, the one map
-from coordinates to a . sigma.
+accepted row's columns of that table, and a new best takes the best row's
+columns as the chain's second state.  A step builds no coordinate object and
+no `Povm`, and element matrices only for the closing matrices of rows in the
+PSD band: the chain's `current` and `best` are built on every read from its
+two states.  The row tables (`VariantRows`) depend only on which positions
+are pinned and are built once per pinned mask in a run.  Every free element
+matrix comes from `OrthonormalBasis.expand`, the one map from coordinates to
+a . sigma.
 
 `enumerate_variants`, `complete_povm` and the scalar `dacm` are the
 per-candidate path; the tests use them as the oracle for the stacked step.
@@ -131,6 +132,12 @@ class AnnealConfig:
                 raise ConfigurationError(
                     f"schedule underflows: s = {s}, temperature = {temp} at step {last}"
                 )
+        # every other step is at most T0, and the first reheat is the hottest reheated step
+        hottest = self.schedule(self.reheat_every)[1]
+        if self.reheat_every < self.total_steps and not math.isfinite(hottest):
+            raise ConfigurationError(
+                f"schedule overflows: temperature = {hottest} at step {self.reheat_every}"
+            )
 
     def schedule(self, t: int) -> tuple[float, float]:
         """(s, temperature) at step t: both decay geometrically, and every
@@ -186,10 +193,10 @@ class AnnealResult:
 class FreeElements:
     """The N free elements E_j = a0_j (I + a_j . sigma) of a POVM as coordinate arrays.
 
-    `anneal` carries these for its current state from step to step, so a step
-    computes probability columns only for the perturbed elements; a step's 2N
-    old/new table is the two sides joined, and a row's free elements are
-    columns of that table.  A chain builds its first state from the initial
+    `anneal` carries these for its current and best states from step to step,
+    so a step computes probability columns only for the perturbed elements; a
+    step's 2N old/new table is the two sides joined, and a row's free elements
+    are columns of that table.  A chain builds its first state from the initial
     POVM's `coordinate_rows`; element matrices and checked `PovmElementCoords`
     are built only when read (`elements`, `povm`).
     """
@@ -538,17 +545,16 @@ def random_initial_povm(
 
 
 class AnnealChain:
-    """The chain between steps: its current and best POVMs with their log DACM,
-    the run counters (`counts`, keyed by `RUN_COUNTERS`), and the current
-    state's free elements (`state`), which each step reuses as the old side of
-    its table.
+    """The chain between steps: its current and best states as free elements
+    (`state`, `best_state`) with their log DACM (`cur_log`, `best_log`), the run
+    counters (`counts`, keyed by `RUN_COUNTERS`) and the row tables of each
+    pinned-position mask (`rows`).
 
-    `state` changes only when a move is accepted, and then to the accepted
-    row's columns of the step's table; a step computes probability columns
-    only for its perturbed elements, and row tables once per pinned-position
-    mask.
-    `current` and `best` are built as `Povm`s only when read: `current` from
-    `state`, `best` from the table row it was found in.
+    Each step reuses `state` as the old side of its table.  `state` changes
+    only when a move is accepted, and `best_state` only when a step lowers
+    `best_log`; each then takes a row's columns of the step's table, so no
+    table outlives its step.  `current` and `best` build their `Povm` from
+    `state` and `best_state` on every read.
     """
 
     def __init__(
@@ -571,28 +577,20 @@ class AnnealChain:
         )
         self.best_log = self.cur_log
         a0, A = coordinate_rows(initial.coords, basis.dim**2 - 1)
-        self.state = FreeElements.build(a0, A, cluster.members)
-        # the POVMs last built; None until the next read rebuilds one
-        self._current = self._best = initial
-        self._best_at = None  # (table, row) the best POVM is built from
+        self.state = self.best_state = FreeElements.build(a0, A, cluster.members)
         self.rows = {}  # pinned-position mask -> VariantRows
         self.counts = dict.fromkeys(RUN_COUNTERS, 0)
         self.all_skipped_streak = 0
 
     @property
     def current(self) -> Povm:
-        """The current POVM, built from `state` on the first read after a move."""
-        if self._current is None:
-            self._current = self.state.povm(self.basis)
-        return self._current
+        """The current POVM, built from `state`."""
+        return self.state.povm(self.basis)
 
     @property
     def best(self) -> Povm:
-        """The best POVM seen, built from its table row on the first read."""
-        if self._best is None:
-            table, row = self._best_at
-            self._best = table.free_elements(row).povm(self.basis)
-        return self._best
+        """The best POVM seen, built from `best_state`."""
+        return self.best_state.povm(self.basis)
 
     def step(self, s: float, temp: float) -> None:
         """Perturb every free element at scale s, score the variants and walk
@@ -618,17 +616,12 @@ class AnnealChain:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
         new = FreeElements.build(a0, A, members)
         table = score_variants(old, new, rows, basis, members, self.pattern)
-        closed_rows = [v for v, c in enumerate(table.closed.tolist()) if c]
-        n_skipped = int(np.count_nonzero(table.skipped))
+        evaluated = np.flatnonzero(~np.isnan(table.log_dacm))
         counts["variants_enumerated"] += table.closed.shape[0]
-        counts["closure_rejected"] += table.closed.shape[0] - len(closed_rows)
-        counts["skipped_variants"] += n_skipped
-        row_log = table.log_dacm.tolist()
+        counts["closure_rejected"] += int(np.count_nonzero(~table.closed))
+        counts["skipped_variants"] += int(np.count_nonzero(table.skipped))
         moved_to = best_row = None
-        for v in closed_rows:
-            cand_log = row_log[v]
-            if math.isnan(cand_log):  # skipped
-                continue
+        for v, cand_log in zip(evaluated.tolist(), table.log_dacm[evaluated].tolist()):
             if cand_log < self.best_log:
                 self.best_log, best_row = cand_log, v
             if logistic_accept(cand_log - self.cur_log, temp, rng):
@@ -639,21 +632,17 @@ class AnnealChain:
                 if v == 0:
                     counts["accepted_unchanged"] += 1
                 moved_to = v
-        # only the step's last best and last accepted rows outlive it
+        # one gather per state: the step's last best and last accepted rows;
+        # row 0's columns are already the state's own
         if best_row is not None:
-            self._best, self._best_at = None, (table, best_row)
-        if moved_to is not None:
-            if moved_to:  # row 0's columns are the state's own
-                self.state = table.free_elements(moved_to)
-            self._current = None
-        if len(closed_rows) == n_skipped:  # no row evaluated
-            self.all_skipped_streak += 1
-            if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
-                raise NumericalError(
-                    f"every variant skipped for {MAX_ALL_SKIPPED_STEPS} consecutive steps"
-                )
-        else:
-            self.all_skipped_streak = 0
+            self.best_state = table.free_elements(best_row)
+        if moved_to:
+            self.state = table.free_elements(moved_to)
+        self.all_skipped_streak = 0 if evaluated.size else self.all_skipped_streak + 1
+        if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
+            raise NumericalError(
+                f"every variant skipped for {MAX_ALL_SKIPPED_STEPS} consecutive steps"
+            )
 
 
 def anneal(

@@ -7,7 +7,7 @@ tetrahedron, a conditional SIC with no optimality claim: on its known pattern
 a descent reaches a lower DACM.  The report checks the three defining
 conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
-parameter directions.
+parameter directions; its verdict also requires the elements to sum to I.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ class ConditionalSicReport:
 
 def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSicReport:
     """Check conditions: common-multiple-of-projection elements, constant
-    cross-overlaps, and zero pairing with every known basis direction."""
+    cross-overlaps, zero pairing with every known basis direction, and (a
+    conditional SIC-POVM is a POVM first) max |sum E - I| <= RANK_TOL."""
     evals = [linalg.hermitian_eigenvalues(e) for e in P.elements]
     tops = np.array([ev[0] for ev in evals])
     c = float(tops.mean())
@@ -143,7 +144,8 @@ def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSic
         sigma = b.element(idx)
         for e in P.elements:
             quasi = max(quasi, abs(linalg.hs_inner(e, sigma)))
-    verdict = bool(multiple_ok and overlap_dev <= RANK_TOL and quasi <= RANK_TOL)
+    complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= RANK_TOL
+    verdict = bool(multiple_ok and overlap_dev <= RANK_TOL and quasi <= RANK_TOL and complete)
     return ConditionalSicReport(multiple_ok, tuple(ranks), c, d, overlap_dev, quasi, verdict)
 
 

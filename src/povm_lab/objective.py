@@ -147,7 +147,7 @@ def averaged_covariance(
 
 
 def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
-    """det(W0) / det(T)^2; the scalar minimized over measurements."""
+    """det(W0) / det(T)^2, or inf past the float range; the scalar minimized over measurements."""
     T = design.T
     det_t = linalg.determinant(T)
     n = T.shape[0]
@@ -161,7 +161,9 @@ def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
         raise NonPositiveObjective(
             f"det W0 = {det_w:.3e} <= 0: cluster does not determine all parameters"
         )
-    return det_w / det_t**2
+    # |det T| passed the floor, but its square can underflow to 0
+    det_t_sq = det_t**2
+    return det_w / det_t_sq if det_t_sq else np.inf
 
 
 def estimate_state(nu, design: DesignMatrix) -> np.ndarray:

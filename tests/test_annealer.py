@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestAnnealConfig:
         assert small_config(total_steps=108, **{name: 0.001}).schedule(107) != (0.0, 0.0)
         with pytest.raises(ConfigurationError, match="underflows.*at step 108"):
             small_config(total_steps=109, **{name: 0.001})
+
+    def test_schedule_overflow_rejected(self):
+        # 1e300 * 0.999**1000 * 1e10 overflows at the first reheat, step 1000
+        kw = dict(T0=1e300, T_decay=0.999, reheat_every=1000, reheat_factor=1e10)
+        assert small_config(total_steps=1000, **kw).total_steps == 1000
+        with pytest.raises(ConfigurationError, match="overflows.*at step 1000"):
+            small_config(total_steps=1001, **kw)
 
     def test_schedule_decays_and_reheats(self):
         config = small_config()  # s0 0.15, T0 0.5, reheat every 80 steps by 3
@@ -344,7 +352,8 @@ class TestAnneal:
             small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
         )
         assert res.trace == []
-        assert res.best is initial and res.final is initial
+        assert_same_povm(res.best, initial)
+        assert_same_povm(res.final, initial)
 
     def test_fixed_seed_bit_identical(self, basis2, qubit_pattern, qubit_cluster):
         def run():
@@ -809,7 +818,8 @@ class TestRunCounters:
             small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
         )
         assert (res.variants_enumerated, res.closure_rejected, res.accepted) == (0, 0, 0)
-        assert res.best is initial and res.best_dacm == math.exp(res.best_log_dacm)
+        assert_same_povm(res.best, initial)
+        assert res.best_dacm == math.exp(res.best_log_dacm)
 
 
 class TestPsdDecisions:
@@ -861,6 +871,30 @@ def test_chain_rejects_wrong_length_coords(basis2, qubit_pattern, qubit_cluster,
         annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
 
 
+def test_no_table_outlives_its_step(basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch):
+    """A step's `VariantTable` is freed when the step returns, also when the
+    step found a new best."""
+    refs = []
+    score = annealer.score_variants
+
+    def recording_score(*args):
+        table = score(*args)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(annealer, "score_variants", recording_score)
+    initial = annealer.random_initial_povm(qutrit_pattern, basis3, np.random.default_rng(7))
+    config = small_config(total_steps=30)
+    chain = annealer.AnnealChain(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+    new_bests = 0
+    for t in range(config.total_steps):
+        best_log = chain.best_log
+        chain.step(*config.schedule(t))
+        new_bests += chain.best_log < best_log
+        assert refs[-1]() is None, t
+    assert new_bests > 0
+
+
 class TestCarriedState:
     """The chain's carried free elements equal a fresh build from its current
     coordinates after every step, and the POVMs it builds on read are those of
@@ -884,7 +918,8 @@ class TestCarriedState:
         initial = annealer.random_initial_povm(pattern, basis, rng)
         config = small_config(total_steps=60, **kw)
         chain = annealer.AnnealChain(config, initial, cluster, basis, pattern)
-        assert chain.current is initial and chain.best is initial
+        assert_same_povm(chain.current, initial)
+        assert_same_povm(chain.best, initial)
         want_current = want_best = initial
         moved = stayed = 0  # steps that changed the state, steps that kept it
         shared = 0  # steps whose best row is also their last accepted row

@@ -136,6 +136,15 @@ class TestConditionalSicReport:
         assert not rep.is_rank_constant_multiple
         assert not rep.verdict
 
+    def test_incomplete_measurement_fails(self, trine, qubit_pattern):
+        # two trine elements pass the three conditional-SIC conditions, but sum
+        # to I - E_3, so they are not a POVM
+        rep = catalog.conditional_sic_report(pv.Povm(2, trine.elements[:2]), qubit_pattern)
+        assert rep.is_rank_constant_multiple
+        assert rep.max_pairwise_overlap_deviation <= catalog.RANK_TOL
+        assert rep.max_quasi_orthogonality_violation <= catalog.RANK_TOL
+        assert not rep.verdict
+
     def test_text_and_csv_rendering(self, trine, qubit_pattern):
         rep = catalog.conditional_sic_report(trine, qubit_pattern)
         text = catalog.report_to_text(rep)

@@ -418,6 +418,21 @@ class TestAnnealMode:
         assert tail == [f"{name}  {value!r}" for name, value in zip(names, values)]
         assert result.variants_enumerated > 0 and result.accepted > 0
 
+    def test_tiny_init_scale_starts_from_inf(self, tmp_path):
+        # the initial |det T| is about 1e-185: above the floor, but its square
+        # underflows, so the chain starts from log DACM = inf
+        cfg_path = tmp_path / "tiny.cfg"
+        out = tmp_path / "o"
+        cfg_path.write_text(
+            "mode = anneal\ndim = 3\nanneal.init_scale = 1e-30\n"
+            f"anneal.total_steps = 20\noutput.dir = {out}\n"
+        )
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        (best,) = [ln.split() for ln in report if ln.startswith("log_dacm_best")]
+        assert np.isfinite(float(best[1]))
+        assert np.isfinite(annealer.read_trace(out / "trace.csv")[0].log_dacm)
+
     def test_qutrit_desk_scale_trace_shape(self, tmp_path):
         """Qutrit run on the default grid at a reduced step count: final log
         DACM below the initial one and the diagnostics under 0.05 / 1e-2 /
@@ -491,6 +506,23 @@ class TestRefineMode:
             pv.read_povm(out / "povm.txt"), cli.parse_config(cfg_path.read_text()).pattern
         )
         assert report.max_quasi_orthogonality_violation < 1e-12
+
+    def test_incomplete_povm_is_not_certified(self, tmp_path, capsys):
+        # two rank-one qutrit elements sum to at most rank 2, never to I
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(
+            f"mode = refine\ndim = 3\nrefine.element_count = 2\noutput.dir = {out}\n"
+        )
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        (verdict,) = [ln.split() for ln in report if ln.startswith("verdict")]
+        assert verdict == ["verdict", "False"]
+        (completeness,) = [ln.split() for ln in report if ln.startswith("violation  completeness")]
+        assert float(completeness[2]) > catalog.RANK_TOL
+        assert cli.main(["verify"]) == 0
+        rows, _ = verify_rows(capsys)
+        assert [status for status, _ in rows] == ["ok"] * 22
 
     def test_restarts_keep_the_lowest_objective(self, tmp_path):
         cfg_path = tmp_path / "r.cfg"
@@ -617,6 +649,21 @@ class TestExitCodes:
         cfg_path = tmp_path / "uf.cfg"
         out = tmp_path / "o"
         cfg_path.write_text(QUBIT_CFG.format(steps=200, seed=1, out=out) + line + "\n")
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_schedule_is_2(self, tmp_path):
+        # 1e300 * 0.999**1000 * 1e10 overflows at the first reheat, step 1000;
+        # a 1000-step run has no reheat
+        out = tmp_path / "o"
+        hot = "anneal.T0 = 1e300\nanneal.reheat_factor = 1e10\n"
+        text = QUBIT_CFG.format(steps=1200, seed=1, out=out) + hot
+        with pytest.raises(ConfigurationError, match="overflows"):
+            cli.parse_config(text)
+        no_reheat = QUBIT_CFG.format(steps=1000, seed=1, out=out) + hot
+        assert cli.parse_config(no_reheat).anneal.total_steps == 1000
+        cfg_path = tmp_path / "hot.cfg"
+        cfg_path.write_text(text)
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 

@@ -212,6 +212,12 @@ class TestDacm:
         with pytest.raises(SingularDesign):
             objective.dacm(design, objective.AveragedCovariance(np.eye(2), 1))
 
+    def test_underflowing_square_is_inf(self):
+        # |det T| = 1e-180 passes the relative floor 1e-12 * (1e-30)^6, but
+        # det T^2 underflows to 0: the DACM is past the float range
+        design = objective.DesignMatrix(1e-30 * np.eye(6), np.zeros(6))
+        assert objective.dacm(design, objective.AveragedCovariance(np.eye(6), 1)) == np.inf
+
     def test_nonpositive_objective(self):
         design = objective.DesignMatrix(np.eye(2), np.zeros(2))
         degenerate = np.array([[1.0, 0.0], [0.0, 0.0]])
