@@ -9,9 +9,9 @@ These are the per-matrix routines.  Whole stacks of matrices (the
 state-space grid and its clustering in `statespace`, the objective
 determinants of an anneal step in `annealer`) go through numpy's batched
 `eigvalsh` and `slogdet` instead, and the tests check those batched paths
-against these routines.  The anneal's PSD tests of 2x2 and 3x3 matrices are
-decided from principal minors (`psd_verdict`), with `eigvalsh` left for the
-thin band around the tolerance.
+against these routines.  The PSD tests of 2x2 and 3x3 matrices in those
+stacks, the anneal's and the grid's, are decided from principal minors
+(`psd_verdict`), with `eigvalsh` left for the thin band around the tolerance.
 """
 
 from __future__ import annotations

@@ -123,12 +123,25 @@ def complete_povm(first_elements, coords=None) -> Povm:
 
 
 def overlap_matrix(elements) -> np.ndarray:
-    """The symmetric m x m matrix of Hilbert-Schmidt overlaps Tr(E_i E_j)."""
-    m = len(elements)
+    """The symmetric m x m matrix of Hilbert-Schmidt overlaps Tr(E_i E_j).
+
+    Each element is symmetrized and measured once; each pair then gets
+    `linalg.hs_inner`'s vdot and imaginary-residue check, so every entry is
+    hs_inner's value bit for bit.
+    """
+    mats = [linalg.symmetrize(e) for e in elements]
+    for e in mats:
+        if e.shape != mats[0].shape:
+            raise ContractViolation(f"dimension mismatch: {mats[0].shape} vs {e.shape}")
+    peaks = [float(np.abs(e).max()) for e in mats]
+    m = len(mats)
     overlap = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            overlap[i, j] = overlap[j, i] = linalg.hs_inner(elements[i], elements[j])
+            z = complex(np.vdot(mats[j], mats[i]))
+            if abs(z.imag) > 1e-12 * max(1.0, peaks[i] * peaks[j] * mats[i].shape[0] ** 2):
+                raise ContractViolation(f"trace pairing has imaginary residue {z.imag:g}")
+            overlap[i, j] = overlap[j, i] = z.real
     return overlap
 
 

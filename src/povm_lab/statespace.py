@@ -7,12 +7,15 @@ points, and group them by which cell of a B-way partition of [0, 1] each
 orbit of states with fixed spectrum, and the averaged covariance is a raw
 (unnormalized) sum over its members.
 
-Grid positivity and cluster keys come from numpy's stacked `eigvalsh`; the
-scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
-for this batched one.  Only grid points inside the Bloch ball reach `eigvalsh`:
-a state whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
+Only grid points inside the Bloch ball are tested for positivity: a state
+whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
 <= (n-1)/n + 2(n-1)t + n(n-1)t^2, a slack that BALL_MARGIN covers at
-t = GRID_PSD_TOL, and `eigvalsh` decides every point inside the ball.
+t = GRID_PSD_TOL.  The principal minors of `linalg.psd_verdict`, the test the
+anneal uses, decide the points inside the ball; numpy's stacked `eigvalsh`
+decides only those in the minors' thin band around the tolerance, which for
+n = 4 is every point.  Cluster keys come from the stacked `eigvalsh`.  The
+scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
+for these batched ones.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector
 from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
-GRID_BLOCK = 343  # grid points built and passed to eigvalsh per slice
+GRID_BLOCK = 343  # grid points built and tested for positivity per slice
 BALL_MARGIN = 1e-9  # slack of the Bloch-ball prefilter beyond (n-1)/n
 
 log = logging.getLogger("povm_lab")
@@ -81,6 +85,22 @@ def _spectra(thetas: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     return out
 
 
+def _psd_rows(thetas: np.ndarray, basis: OrthonormalBasis) -> tuple[np.ndarray, int]:
+    """(mask, count): which rows give lambda_min(I/n + theta . sigma) >=
+    -GRID_PSD_TOL, and how many of them `eigvalsh` decided.
+
+    `linalg.psd_verdict` decides each row from the principal minors of rho's
+    entries; only the rows in its band go to `_spectra`.  Outside the band the
+    two tests agree, so the mask is `_spectra`'s own verdict bit for bit.
+    """
+    entries = basis.entry_map @ thetas.T
+    entries[: basis.dim] += 1.0 / basis.dim
+    keep, no = linalg.psd_verdict(entries, basis.dim, GRID_PSD_TOL)
+    band = np.flatnonzero(~(keep | no))
+    keep[band] = _spectra(thetas[band], basis)[:, -1] >= -GRID_PSD_TOL
+    return keep, band.size
+
+
 def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
     """Cell indices floor(lambda * B) of descending eigenvalue rows, clamped to [0, B-1]."""
     return np.clip(np.floor(evals * cells), 0, cells - 1).astype(int)
@@ -93,7 +113,8 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     running sums of squares; a prefix whose sum already leaves the Bloch ball
     (beyond BALL_MARGIN) is dropped with all of its completions, since a float
     sum of squares never decreases as terms are added.  The points that remain
-    are built and tested GRID_BLOCK at a time, so memory stays bounded.
+    are built GRID_BLOCK at a time, so memory stays bounded, and `_psd_rows`
+    keeps the PSD ones.
     """
     pattern = spec.pattern
     g = spec.points_per_axis
@@ -101,23 +122,29 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     template = np.zeros(basis.dim**2 - 1)
     template[[i - 1 for i in pattern.known_indices]] = pattern.known_values
     room = (basis.dim - 1) / basis.dim - template @ template + BALL_MARGIN
+    # a square past the float range is inf, which leaves the ball as it should
+    with np.errstate(over="ignore"):
+        squares = axis**2
     index, norm = np.zeros(1, dtype=np.int64), np.zeros(1)
     for _ in range(pattern.unknown_count):
         index = (index[:, None] * g + np.arange(g)).ravel()
-        norm = (norm[:, None] + axis**2).ravel()
+        norm = (norm[:, None] + squares).ravel()
         inside = norm <= room
         index, norm = index[inside], norm[inside]
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
     kept = [np.empty((0, template.size))]
+    by_eigvalsh = 0
     for lo in range(0, index.size, GRID_BLOCK):
         digits = np.unravel_index(index[lo : lo + GRID_BLOCK], (g,) * pattern.unknown_count)
         block = np.tile(template, (digits[0].size, 1))
         block[:, unknown_pos] = axis[np.stack(digits, axis=1)]
-        kept.append(block[_spectra(block, basis)[:, -1] >= -GRID_PSD_TOL])
+        psd, decided = _psd_rows(block, basis)
+        kept.append(block[psd])
+        by_eigvalsh += decided
     states = np.concatenate(kept)
     log.info(
-        "grid: %d PSD states of %d points (%d inside the Bloch ball)",
-        states.shape[0], g**pattern.unknown_count, index.size,
+        "grid: %d PSD states of %d points (%d inside the Bloch ball, %d decided by eigvalsh)",
+        states.shape[0], g**pattern.unknown_count, index.size, by_eigvalsh,
     )
     return states
 
@@ -154,8 +181,10 @@ def select_cluster(
     """Pick the cluster to average over.
 
     `reference` maps theta_ref (unknown coordinates; knowns filled from the
-    pattern) to its eigenvalue cell key and selects that cluster.  `largest`
-    takes the biggest cluster, ties broken by lexicographically smallest key.
+    pattern) to its eigenvalue cell key and selects that cluster; a theta_ref
+    whose rho has an eigenvalue below -GRID_PSD_TOL is a ConfigurationError.
+    `largest` takes the biggest cluster, ties broken by lexicographically
+    smallest key.
     """
     if not clusters:
         raise EmptyClusterSelection("no clusters to select from")
@@ -166,7 +195,13 @@ def select_cluster(
             raise ConfigurationError("reference policy needs theta_ref, basis and pattern")
         cells = next(iter(clusters.values())).cell_count
         full = assemble_full_vector(pattern, theta_ref)
-        key = tuple(eigenvalue_cells(_spectra(full[None], basis), cells)[0].tolist())
+        evals = _spectra(full[None], basis)
+        if evals[0, -1] < -GRID_PSD_TOL:
+            raise ConfigurationError(
+                f"theta_ref is not a state: rho has eigenvalue {evals[0, -1]:.6g} "
+                f"< -{GRID_PSD_TOL:g}"
+            )
+        key = tuple(eigenvalue_cells(evals, cells)[0].tolist())
         if key not in clusters:
             raise EmptyClusterSelection(f"no cluster with key {key}")
         return clusters[key]

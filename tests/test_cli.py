@@ -559,11 +559,18 @@ class TestGridinfoMode:
         assert "8,1\t12\t" in out  # the largest qubit cluster
 
     @pytest.mark.parametrize(
-        "grid", ["grid.bound = -1", "grid.points_per_axis = 100"], ids=["bound", "budget"]
+        "grid",
+        [
+            "dim = 3\ngrid.bound = -1",
+            "dim = 3\ngrid.points_per_axis = 100",
+            # rho has eigenvalues 5.5 and -4.5: not a state
+            "dim = 2\ngrid.cluster_policy = reference\ngrid.theta_ref = 5,5",
+        ],
+        ids=["bound", "budget", "reference-not-a-state"],
     )
     def test_invalid_grid_prints_nothing(self, tmp_path, capsys, grid):
         cfg_path = tmp_path / "g.cfg"
-        cfg_path.write_text(f"mode = gridinfo\ndim = 3\n{grid}\n")
+        cfg_path.write_text(f"mode = gridinfo\n{grid}\n")
         assert cli.main(["gridinfo", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().out == ""
 

@@ -118,6 +118,24 @@ class TestOverlapMatrix:
             for j, b in enumerate(qutrit_csic.elements):
                 assert overlaps[i, j] == linalg.hs_inner(a, b)
 
+    def test_noisy_elements_match_pairwise_hs_inner(self, qutrit_csic):
+        # each element carries anti-Hermitian noise of about 1e-15, which
+        # symmetrize removes; symmetrizing once per element gives the same bits
+        rng = np.random.default_rng(4)
+        noisy = []
+        for e in qutrit_csic.elements:
+            x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            noisy.append(e + 1e-15 * (x - x.conj().T))
+        assert any(not np.array_equal(e, e.conj().T) for e in noisy)
+        overlaps = pv.overlap_matrix(noisy)
+        for i, a in enumerate(noisy):
+            for j, b in enumerate(noisy):
+                assert overlaps[i, j] == linalg.hs_inner(a, b)
+
+    def test_mixed_shapes_rejected(self, qutrit_csic, trine):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            pv.overlap_matrix(qutrit_csic.elements + trine.elements)
+
 
 class TestValidate:
     def test_catalog_povms_clean(self, qutrit_csic, trine):

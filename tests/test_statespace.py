@@ -1,5 +1,6 @@
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -43,8 +44,37 @@ class TestGenerateGrid:
         with caplog.at_level(logging.INFO, logger="povm_lab"):
             statespace.generate_grid(spec, basis3)
         assert caplog.messages == [
-            "grid: 361 PSD states of 117649 points (4197 inside the Bloch ball)"
+            "grid: 361 PSD states of 117649 points "
+            "(4197 inside the Bloch ball, 0 decided by eigvalsh)"
         ]
+
+    @pytest.mark.parametrize(
+        "dim, pattern_name, sent",
+        [(3, "qutrit_pattern", 0), (4, "dim4_diag_unknown_pattern", 123)],
+    )
+    def test_rows_sent_to_eigvalsh(self, request, monkeypatch, dim, pattern_name, sent):
+        # the minors decide all 4197 in-ball qutrit points; for n = 4 all 123
+        # in-ball points are in their band
+        basis = request.getfixturevalue(f"basis{dim}")
+        pattern = request.getfixturevalue(pattern_name)
+        spectra, rows = statespace._spectra, []
+
+        def counting(thetas, b):
+            rows.append(thetas.shape[0])
+            return spectra(thetas, b)
+
+        monkeypatch.setattr(statespace, "_spectra", counting)
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
+        statespace.generate_grid(spec, basis)
+        assert sum(rows) == sent
+
+    def test_oversized_bound_warns_nothing(self, basis3, qutrit_pattern):
+        # axis**2 overflows to inf, which leaves the ball: only the center stays
+        spec = statespace.GridSpec(7, 1e200, qutrit_pattern)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = statespace.generate_grid(spec, basis3)
+        assert np.array_equal(states, np.zeros((1, 8)))
 
     def test_center_included_with_odd_g(self, basis3, qutrit_pattern):
         spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), qutrit_pattern)
@@ -106,6 +136,16 @@ class TestSelectCluster:
         with pytest.raises(EmptyClusterSelection):
             statespace.select_cluster(
                 clusters, "reference", theta_ref=np.array([0.7, 0.0]),
+                basis=basis2, pattern=qubit_pattern,
+            )
+
+    def test_reference_not_a_state(self, basis2, qubit_pattern):
+        # rho has eigenvalues 5.5 and -4.5; its cells would be clamped to (9, 0)
+        clusters = statespace.cluster_states(np.array([[0.0, 0.0, 1 / np.sqrt(2)]]), 10, basis2)
+        assert set(clusters) == {(9, 0)}
+        with pytest.raises(ConfigurationError, match="-4.5"):
+            statespace.select_cluster(
+                clusters, "reference", theta_ref=np.array([5.0, 5.0]),
                 basis=basis2, pattern=qubit_pattern,
             )
 
@@ -327,3 +367,32 @@ class TestBallPrefilter:
             kept = statespace._spectra(points, basis2)[:, -1] >= -statespace.GRID_PSD_TOL
             assert np.array_equal(_in_ball(points, 2), kept)
             assert kept.all() == (excess < 0)
+
+
+@pytest.mark.invariants
+class TestPsdRows:
+    """The minors-first grid test keeps exactly the rows `eigvalsh` keeps."""
+
+    OFFSETS = (
+        0.0, -statespace.GRID_PSD_TOL,
+        -statespace.GRID_PSD_TOL + 1e-13, -statespace.GRID_PSD_TOL - 1e-13,
+        -statespace.GRID_PSD_TOL + linalg.PSD_MARGIN, -statespace.GRID_PSD_TOL - linalg.PSD_MARGIN,
+        -statespace.GRID_PSD_TOL + 2 * linalg.PSD_MARGIN,
+        -statespace.GRID_PSD_TOL - 2 * linalg.PSD_MARGIN,
+        linalg.PSD_MARGIN, -linalg.PSD_MARGIN, 1e-3, -1e-3,
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 15),
+    )
+    def test_mask_matches_eigvalsh(self, dim, seed, support):
+        basis = bs.gell_mann_basis(dim)
+        points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
+        mask, decided = statespace._psd_rows(points, basis)
+        expected = statespace._spectra(points, basis)[:, -1] >= -statespace.GRID_PSD_TOL
+        assert np.array_equal(mask, expected)
+        # for n = 4 every row is in the minors' band
+        assert decided == len(self.OFFSETS) if dim == 4 else decided <= len(self.OFFSETS)
