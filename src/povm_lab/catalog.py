@@ -7,7 +7,8 @@ tetrahedron, a conditional SIC with no optimality claim: on its known pattern
 a descent reaches a lower DACM.  The report checks the three defining
 conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
-parameter directions; its verdict also requires the elements to sum to I.
+parameter directions; its verdict also requires the elements to sum to I
+and to number N + 1 for the pattern's N unknowns.
 """
 
 from __future__ import annotations
@@ -122,8 +123,10 @@ class ConditionalSicReport:
 
 def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSicReport:
     """Check conditions: common-multiple-of-projection elements, constant
-    cross-overlaps, zero pairing with every known basis direction, and (a
-    conditional SIC-POVM is a POVM first) max |sum E - I| <= RANK_TOL."""
+    cross-overlaps and zero pairing with every known basis direction.  The
+    verdict also needs max |sum E - I| <= RANK_TOL (a conditional SIC-POVM is
+    a POVM first) and m = N + 1 elements for the N unknowns (fewer outcomes
+    cannot determine them; d is 0.0 when m = 1 leaves no pair)."""
     evals = [linalg.hermitian_eigenvalues(e) for e in P.elements]
     tops = np.array([ev[0] for ev in evals])
     c = float(tops.mean())
@@ -135,17 +138,18 @@ def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSic
         ranks.append(int(significant.size))
         if significant.size == 0 or np.abs(significant - c).max() > RANK_TOL:
             multiple_ok = False
-    cross = overlap_matrix(P.elements)[~np.eye(P.m, dtype=bool)]
-    d = float(cross.mean())
-    overlap_dev = float(np.abs(cross - d).max()) if cross.size else 0.0
+    # one overlap matrix of the elements and the known directions: the
+    # element block gives the cross-overlaps, the off-diagonal block the pairings
     b = gell_mann_basis(pattern.dim)
-    quasi = 0.0
-    for idx in pattern.known_indices:
-        sigma = b.element(idx)
-        for e in P.elements:
-            quasi = max(quasi, abs(linalg.hs_inner(e, sigma)))
+    m = P.m
+    overlap = overlap_matrix(list(P.elements) + [b.element(i) for i in pattern.known_indices])
+    cross = overlap[:m, :m][~np.eye(m, dtype=bool)]
+    d = float(cross.mean()) if cross.size else 0.0
+    overlap_dev = float(np.abs(cross - d).max()) if cross.size else 0.0
+    quasi = float(np.abs(overlap[:m, m:]).max(initial=0.0))
     complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= RANK_TOL
-    verdict = bool(multiple_ok and overlap_dev <= RANK_TOL and quasi <= RANK_TOL and complete)
+    sized = m == pattern.unknown_count + 1
+    verdict = all((multiple_ok, overlap_dev <= RANK_TOL, quasi <= RANK_TOL, complete, sized))
     return ConditionalSicReport(multiple_ok, tuple(ranks), c, d, overlap_dev, quasi, verdict)
 
 

@@ -69,7 +69,6 @@ class ExperimentConfig:
     grid_points: int = 7
     grid_bound: Optional[float] = None  # None: bloch_radius_bound(dim)
     grid_cells: int = 10
-    cluster_policy: str = "largest"
     theta_ref: Optional[np.ndarray] = None
     anneal: AnnealConfig = field(default_factory=lambda: AnnealConfig(total_steps=20000))
     init_scale: float = 0.05
@@ -121,7 +120,6 @@ _CONFIG_KEYS = {
     "grid.points_per_axis": ("config", "grid_points", _parse_int),
     "grid.bound": ("config", "grid_bound", _parse_float),
     "grid.cells": ("config", "grid_cells", _parse_int),
-    "grid.cluster_policy": ("config", "cluster_policy", str),
     "grid.theta_ref": ("config", "theta_ref", _parse_float_array),
     "anneal.total_steps": ("anneal", "total_steps", _parse_int),
     "anneal.s0": ("anneal", "s0", _parse_float),
@@ -189,18 +187,15 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
             "pattern.known_indices and pattern.known_values must be given together"
         )
     if known_idx is None:
-        known = DEFAULT_KNOWN[dim]
-    else:
-        if len(known_idx) != len(known_val):
-            raise ConfigurationError("pattern index and value lists differ in length")
-        bad = [i for i in known_idx if not 1 <= i <= dim**2 - 1]
-        if bad:
-            raise ConfigurationError(f"pattern indices out of range for dim {dim}: {bad}")
-        if len(set(known_idx)) != len(known_idx):
-            raise ConfigurationError("pattern.known_indices has duplicates")
-        known = dict(zip(known_idx, known_val))
+        known_idx, known_val = list(DEFAULT_KNOWN[dim]), list(DEFAULT_KNOWN[dim].values())
+    # sorted by index; ParameterPattern's partition and alignment checks reject
+    # out-of-range and duplicate indices and the unpaired entries left at the end
+    pairs = sorted(zip(known_idx, known_val))
+    known = [i for i, _ in pairs] + known_idx[len(pairs) :]
+    values = [v for _, v in pairs] + known_val[len(pairs) :]
+    unknown = [i for i in range(1, dim**2) if i not in known]
     try:
-        cfg.pattern = ParameterPattern.from_known(dim, known)
+        cfg.pattern = ParameterPattern(dim, unknown, known, values)
     except PovmLabError as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -208,17 +203,11 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError(f"grid.points_per_axis must be >= 2, got {cfg.grid_points}")
     if cfg.grid_cells < 1:
         raise ConfigurationError(f"grid.cells must be >= 1, got {cfg.grid_cells}")
-    if cfg.cluster_policy not in ("largest", "reference"):
-        raise ConfigurationError(
-            f"grid.cluster_policy must be largest|reference, got {cfg.cluster_policy!r}"
-        )
     unknown_count = cfg.pattern.unknown_count
     if cfg.theta_ref is not None and cfg.theta_ref.shape != (unknown_count,):
         raise ConfigurationError(
             f"grid.theta_ref needs {unknown_count} entries, got {cfg.theta_ref.shape[0]}"
         )
-    if cfg.cluster_policy == "reference" and cfg.theta_ref is None:
-        raise ConfigurationError("grid.cluster_policy = reference requires grid.theta_ref")
 
     # AnnealConfig.__post_init__ range-checks the anneal schedule
     cfg.anneal = replace(cfg.anneal, **given["anneal"])
@@ -242,9 +231,8 @@ def _build_cluster(cfg: ExperimentConfig, b):
     bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.dim)
     spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
     clusters = cluster_states(generate_grid(spec, b), cfg.grid_cells, b)
-    cl = select_cluster(
-        clusters, cfg.cluster_policy, theta_ref=cfg.theta_ref, basis=b, pattern=cfg.pattern
-    )
+    policy = "largest" if cfg.theta_ref is None else "reference"
+    cl = select_cluster(clusters, policy, theta_ref=cfg.theta_ref, basis=b, pattern=cfg.pattern)
     log.info("cluster %s with %d members", cl.key, cl.size)
     return clusters, cl
 

@@ -151,7 +151,8 @@ def metrics(P: Povm) -> PovmMetrics:
     sigma sums the second largest eigenvalue of each element (clamped at 0 so
     PSD rounding noise cannot push it negative).  delta and Delta are sums of
     squared deviations of the self- and cross-overlaps Tr(E_i E_j) from their
-    arithmetic means, cross terms over ordered pairs i != j.
+    arithmetic means, cross terms over ordered pairs i != j (Delta is 0.0 for
+    a one-element measurement, which has no pair).
     """
     sig = 0.0
     for e in P.elements:
@@ -163,7 +164,7 @@ def metrics(P: Povm) -> PovmMetrics:
     delta = float(np.sum((selfs - selfs.mean()) ** 2))
     mask = ~np.eye(m, dtype=bool)
     cross = overlap[mask]
-    big_delta = float(np.sum((cross - cross.mean()) ** 2))
+    big_delta = float(np.sum((cross - cross.mean()) ** 2)) if cross.size else 0.0
     return PovmMetrics(sig, delta, big_delta)
 
 

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from povm_lab import catalog, linalg
 from povm_lab import povm as pv
-from povm_lab.basis import ParameterPattern
+from povm_lab.annealer import random_initial_povm
+from povm_lab.basis import ParameterPattern, gell_mann_basis
 
 TENSOR_PATTERN = ParameterPattern.from_known(
     4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
@@ -145,6 +148,23 @@ class TestConditionalSicReport:
         assert rep.max_quasi_orthogonality_violation <= catalog.RANK_TOL
         assert not rep.verdict
 
+    def test_too_few_elements_fail(self, qubit_pattern):
+        # the projections onto |+> and |-> meet the three conditions and sum to
+        # I, but two outcomes give one frequency for the two unknowns x and y
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        rep = catalog.conditional_sic_report(pv.Povm(2, [plus, np.eye(2) - plus]), qubit_pattern)
+        assert rep.is_rank_constant_multiple
+        assert rep.max_pairwise_overlap_deviation <= catalog.RANK_TOL
+        assert rep.max_quasi_orthogonality_violation <= catalog.RANK_TOL
+        assert not rep.verdict
+
+    def test_one_element_warns_nothing(self, qubit_pattern):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = catalog.conditional_sic_report(pv.Povm(2, [np.eye(2)]), qubit_pattern)
+        assert rep.d == 0.0 and rep.max_pairwise_overlap_deviation == 0.0
+        assert not rep.verdict
+
     def test_text_and_csv_rendering(self, trine, qubit_pattern):
         rep = catalog.conditional_sic_report(trine, qubit_pattern)
         text = catalog.report_to_text(rep)
@@ -176,6 +196,29 @@ class TestInvariants:
             assert rep.verdict
             assert rep.c == pytest.approx(c, abs=1e-12)
             assert rep.d == pytest.approx(d, abs=1e-12)
+
+    def test_quasi_orthogonality_is_max_hs_inner(
+        self, qutrit_csic, trine, qutrit_pattern, qubit_pattern, dim4_diag_unknown_pattern
+    ):
+        cases = [
+            (qutrit_csic, qutrit_pattern),
+            (trine, qubit_pattern),
+            (catalog.diag_units_dim4(), dim4_diag_unknown_pattern),
+            (catalog.sic_tensor_identity_dim4(), TENSOR_PATTERN),
+        ]
+        rng = np.random.default_rng(72)
+        for pattern in (qubit_pattern, qutrit_pattern, dim4_diag_unknown_pattern):
+            b = gell_mann_basis(pattern.dim)
+            cases += [(random_initial_povm(pattern, b, rng, 0.1), pattern) for _ in range(3)]
+        for pov, pattern in cases:
+            b = gell_mann_basis(pattern.dim)
+            oracle = max(
+                abs(linalg.hs_inner(e, b.element(k)))
+                for k in pattern.known_indices
+                for e in pov.elements
+            )
+            rep = catalog.conditional_sic_report(pov, pattern)
+            assert rep.max_quasi_orthogonality_violation == oracle
 
     def test_report_invariant_under_permutation(self, qutrit_csic, qutrit_pattern):
         base = catalog.conditional_sic_report(qutrit_csic, qutrit_pattern)

@@ -54,20 +54,47 @@ class TestParseConfig:
         assert cfg.pattern.known_indices == default.pattern.known_indices == (7, 8)
         assert cfg.grid_points == default.grid_points == 7
         assert cfg.grid_cells == default.grid_cells == 10
-        assert cfg.cluster_policy == default.cluster_policy == "largest"
         assert cfg.anneal == default.anneal
         assert cfg.refine.weight == default.refine.weight
         assert cfg.refine.restarts == default.refine.restarts
         assert cfg.refine.seed == default.refine.seed
         assert cfg.output_dir == default.output_dir
 
-    def test_reference_policy_needs_theta_ref(self):
-        with pytest.raises(ConfigurationError, match="theta_ref"):
-            cli.parse_config("mode = gridinfo\ngrid.cluster_policy = reference\n")
-
     def test_positional_mode_overrides(self):
         cfg = cli.parse_config("mode = anneal\n", mode="gridinfo")
         assert cfg.mode == "gridinfo"
+
+    def test_known_pairs_sorted_by_index(self):
+        swapped = "pattern.known_indices = 8,7\npattern.known_values = 0.2,0.1"
+        ordered = "pattern.known_indices = 7,8\npattern.known_values = 0.1,0.2"
+        cfg = cli.parse_config(f"mode = anneal\n{swapped}\n")
+        assert cfg.pattern.known_indices == (7, 8)
+        assert cfg.pattern.known_values.tolist() == [0.1, 0.2]
+        assert _same(cfg.pattern, cli.parse_config(f"mode = anneal\n{ordered}\n").pattern)
+
+    @pytest.mark.parametrize(
+        "indices, values, error",
+        [
+            ("9", "0.0", "must partition 1..8"),
+            ("0,7", "0.0,0.0", "must partition 1..8"),
+            ("7,7", "0.0,0.0", "must partition 1..8"),
+            ("7,8", "0.0", "must align"),
+            ("7", "0.0,0.0", "must align"),
+            ("1,2,3,4,5,6,7,8", "0,0,0,0,0,0,0,0", "at least one unknown"),
+        ],
+        ids=["out-of-range", "zero", "duplicate", "short-values", "long-values", "all-known"],
+    )
+    def test_bad_pattern_is_2_and_writes_nothing(self, tmp_path, caplog, indices, values, error):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(
+            f"mode = anneal\npattern.known_indices = {indices}\n"
+            f"pattern.known_values = {values}\noutput.dir = {out}\n"
+        )
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+        (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error in logged
 
     @pytest.mark.parametrize(
         "line",
@@ -80,7 +107,7 @@ class TestParseConfig:
             "refine.weight = nan",
             "grid.bound = nan",
             "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
-            "grid.cluster_policy = reference\ngrid.theta_ref = 0.1,inf,0,0,0,0",
+            "grid.theta_ref = 0.1,inf,0,0,0,0",
         ],
     )
     def test_non_finite_floats_rejected_with_line_number(self, line):
@@ -120,8 +147,8 @@ def _changed_fields(cfg, base):
 
 
 # key -> (config lines with a valid non-default value, the fields they change).
-# A pattern key needs its partner, dim also changes the pattern derived from
-# it, and the reference policy needs a theta_ref.
+# A pattern key needs its partner, and dim also changes the pattern derived
+# from it.
 _KEY_CASES = {
     "mode": ("mode = refine", {"mode"}),
     "dim": ("dim = 2", {"dim", "pattern"}),
@@ -136,10 +163,6 @@ _KEY_CASES = {
     "grid.points_per_axis": ("grid.points_per_axis = 5", {"grid_points"}),
     "grid.bound": ("grid.bound = 0.5", {"grid_bound"}),
     "grid.cells": ("grid.cells = 4", {"grid_cells"}),
-    "grid.cluster_policy": (
-        "grid.cluster_policy = reference\ngrid.theta_ref = 0.1,0,0,0,0,0",
-        {"cluster_policy", "theta_ref"},
-    ),
     "grid.theta_ref": ("grid.theta_ref = 0.1,0,0,0,0,0", {"theta_ref"}),
     "anneal.total_steps": ("anneal.total_steps = 7", {"anneal.total_steps"}),
     "anneal.s0": ("anneal.s0 = 0.3", {"anneal.s0"}),
@@ -177,7 +200,7 @@ _REMOVED_REFINE_KEYS = [
 class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
-        assert len(cli._CONFIG_KEYS) == 26
+        assert len(cli._CONFIG_KEYS) == 25
         targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
         assert targets == {"config", "anneal", "refine", "pattern"}
 
@@ -193,6 +216,19 @@ class TestKeyTable:
         out = tmp_path / "o"
         cfg_path.write_text(f"mode = refine\n{key} = 1\noutput.dir = {out}\n")
         assert cli.main(["refine", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["largest", "reference"])
+    def test_cluster_policy_key_is_unknown(self, tmp_path, value):
+        # the cluster follows grid.theta_ref, so the key that restated it is gone
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(
+            f"mode = anneal\ndim = 2\ngrid.cluster_policy = {value}\noutput.dir = {out}\n"
+        )
+        with pytest.raises(ConfigurationError, match="line 3: unknown key 'grid.cluster_policy'"):
+            cli.parse_config(cfg_path.read_text())
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(_KEY_CASES))
@@ -524,6 +560,21 @@ class TestRefineMode:
         rows, _ = verify_rows(capsys)
         assert [status for status, _ in rows] == ["ok"] * 22
 
+    def test_too_few_elements_are_not_certified(self, tmp_path):
+        # the two projections onto |+> and |-> meet every condition and sum to
+        # I, but two outcomes cannot determine the qubit's two unknowns
+        cfg_path = tmp_path / "r.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(
+            f"mode = refine\ndim = 2\nrefine.element_count = 2\noutput.dir = {out}\n"
+        )
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 0
+        pov = pv.read_povm(out / "povm.txt")
+        assert pov.m == 2 and pv.validate(pov, catalog.RANK_TOL) == []
+        report = (out / "report.txt").read_text().splitlines()
+        (verdict,) = [ln.split() for ln in report if ln.startswith("verdict")]
+        assert verdict == ["verdict", "False"]
+
     def test_restarts_keep_the_lowest_objective(self, tmp_path):
         cfg_path = tmp_path / "r.cfg"
         out = tmp_path / "out"
@@ -559,20 +610,30 @@ class TestGridinfoMode:
         assert "8,1\t12\t" in out  # the largest qubit cluster
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid, error",
         [
-            "dim = 3\ngrid.bound = -1",
-            "dim = 3\ngrid.points_per_axis = 100",
+            ("dim = 3\ngrid.bound = -1", "bound must be positive"),
+            ("dim = 3\ngrid.points_per_axis = 100", "grid budget exceeded"),
             # rho has eigenvalues 5.5 and -4.5: not a state
-            "dim = 2\ngrid.cluster_policy = reference\ngrid.theta_ref = 5,5",
+            ("dim = 2\ngrid.theta_ref = 5,5", "theta_ref is not a state"),
         ],
         ids=["bound", "budget", "reference-not-a-state"],
     )
-    def test_invalid_grid_prints_nothing(self, tmp_path, capsys, grid):
+    def test_invalid_grid_prints_nothing(self, tmp_path, capsys, caplog, grid, error):
         cfg_path = tmp_path / "g.cfg"
         cfg_path.write_text(f"mode = gridinfo\n{grid}\n")
         assert cli.main(["gridinfo", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().out == ""
+        (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error in logged
+
+    def test_theta_ref_selects_its_cluster(self, tmp_path, capsys):
+        # the largest qubit cluster is 8,1; the reference state lies in 7,2
+        cfg_path = tmp_path / "g.cfg"
+        cfg_path.write_text("mode = gridinfo\ndim = 2\ngrid.theta_ref = 0.3,0.0\n")
+        assert cli.main(["gridinfo", "--config", str(cfg_path)]) == 0
+        rows = [ln.split("\t") for ln in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows if row[-1] == "*"] == ["7,2"]
 
 
 class TestExitCodes:
@@ -681,17 +742,18 @@ class TestExitCodes:
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
-    def test_empty_reference_cluster_is_2(self, tmp_path):
+    def test_empty_reference_cluster_is_2(self, tmp_path, caplog):
         # reference state picks an eigenvalue cell that has no grid members
         cfg_path = tmp_path / "n.cfg"
         cfg_path.write_text(
             "mode = anneal\ndim = 2\n"
             "pattern.known_indices = 3\npattern.known_values = 0.0\n"
             "grid.points_per_axis = 3\n"
-            "grid.cluster_policy = reference\n"
             "grid.theta_ref = 0.05,0.0\n"
         )
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "no cluster with key" in error
 
     @pytest.mark.parametrize("mode", ["anneal", "gridinfo"])
     def test_empty_grid_is_2(self, tmp_path, mode):

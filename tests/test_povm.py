@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ class TestMetrics:
     def test_diag_units(self):
         mk = pv.metrics(catalog.diag_units_dim4())
         assert mk.sigma == 0.0 and mk.delta == 0.0 and mk.Delta == 0.0
+
+    def test_one_element_has_no_cross_overlap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mk = pv.metrics(pv.Povm(2, [np.eye(2)]))
+        assert mk.sigma == 1.0 and mk.delta == 0.0 and mk.Delta == 0.0
 
     def test_mixed_rank_povm(self):
         p = pv.Povm(2, [np.eye(2) / 2, np.eye(2) / 4, np.eye(2) / 4])
