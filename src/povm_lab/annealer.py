@@ -4,17 +4,18 @@ Each step perturbs the coordinate form of all N free elements with Gaussian
 noise (resampling any draw that leaves the positive region) and then scores
 all 2^N old/new combinations at once: `score_variants` decides every
 combination's closure from the closing element's coordinates and computes the
-log DACM of every closable combination with one `slogdet` call on its stacked
-design matrices and covariances, the covariances gathered from one table
-built on the Gram matrix of the 2N old/new probability columns.
-Both PSD tests, a perturbation attempt's and a closing element's, are decided
-in closed form from principal minors (`linalg.psd_verdict`); `eigvalsh` runs
-only on the matrices in the thin band around the tolerance, and on every
-matrix for n = 4.  Only the walk over the scored candidates is sequential: one
-logistic (Glauber) draw per evaluated candidate at the current temperature.
-The perturbation scale and temperature decay geometrically; the temperature
-gets a multiplicative boost every `reheat_every` steps to help the chain
-escape local optima.  The best measurement seen (by raw objective) is tracked
+log DACM of every closable combination with one `slogdet` call on its design
+matrix and covariance, both gathered by one `take` from one flat array: the
+2N old/new design rows, then a table built on the Gram matrix of the 2N
+old/new probability columns.  Both PSD tests, a perturbation attempt's and a
+closing element's, are decided in closed form (`linalg.psd_verdict`: the
+lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one);
+`eigvalsh` runs only on the matrices in the thin band around the tolerance,
+and on every matrix for n = 4.  Only the walk over the scored candidates is
+sequential: one logistic (Glauber) draw per evaluated candidate at the
+current temperature.  The perturbation scale and temperature decay
+geometrically; the temperature gets a multiplicative boost every
+`reheat_every` steps to help the chain escape local optima.  The best measurement seen (by raw objective) is tracked
 separately from the fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
@@ -242,15 +243,16 @@ class VariantRows:
 
     Rows are lexicographic over the unpinned positions, the first most
     significant, bit 1 taking the perturbed element; `cols` holds each row's
-    columns b * N + j of the 2N old/new table, `choose` their one-hot (2N, V)
-    form and `pairs` the flat indices of a row's N x N block in a 2N x 2N
-    table.
+    columns b * N + j of the 2N old/new table and `choose` their one-hot
+    (2N, V) form.  `tw` holds the flat indices of each row's T and W0 in the
+    table `score_variants` gathers them from: the 2N x N design rows, then the
+    2N x 2N covariance table, both row-major.
     """
 
     bits: np.ndarray  # (V, N) choice vectors
     cols: np.ndarray  # (V, N)
     choose: np.ndarray  # (2N, V)
-    pairs: np.ndarray  # (V, N, N)
+    tw: np.ndarray  # (V, 2, N, N)
 
     @classmethod
     def for_pinned(cls, pinned) -> "VariantRows":
@@ -261,8 +263,9 @@ class VariantRows:
         cols = bits * n_free + np.arange(n_free)
         choose = np.zeros((2 * n_free, bits.shape[0]))
         choose[cols, np.arange(bits.shape[0])[:, None]] = 1.0
-        pairs = cols[:, :, None] * (2 * n_free) + cols[:, None, :]
-        return cls(bits, cols, choose, pairs)
+        t = cols[:, :, None] * n_free + np.arange(n_free)
+        w0 = 2 * n_free * n_free + cols[:, :, None] * (2 * n_free) + cols[:, None, :]
+        return cls(bits, cols, choose, np.stack([t, w0], axis=1))
 
 
 @dataclass(frozen=True)
@@ -345,10 +348,10 @@ def perturb_element(
     same noise truncated to stay positive.  Raises ResampleExhausted when the
     attempt budget runs out (callers keep the old element in that case).
 
-    An attempt is decided from the principal minors of a.sigma, since
-    I + a.sigma >= -tol I exactly when a.sigma >= -(1 + tol) I; only an
-    attempt in the band around the tolerance builds I + a.sigma for the
-    diagonal check and `eigvalsh`.  A draw that overflows at an extreme scale
+    An attempt is decided in closed form by `linalg.psd_verdict` on the
+    entries of a.sigma, since I + a.sigma >= -tol I exactly when
+    a.sigma >= -(1 + tol) I; only an attempt in the band around the tolerance
+    builds I + a.sigma for the diagonal check and `eigvalsh`.  A draw that overflows at an extreme scale
     is outside the region and is redrawn, so the result is finite: a0' is a
     positive float and a' a new float64 vector.
     """
@@ -433,11 +436,16 @@ def score_variants(
     is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
     coordinates by `linalg.psd_verdict`.  Only rows in its band get their
     closing matrices, built as `complete_povm` builds its closing element
-    (`closing_elements`), and one stacked `eigvalsh`.  Closed rows get the three
-    probability-simplex checks of `averaged_covariance` (ContractViolation on
-    a failure), T from a table of the 2N design rows and W0 as the row's block
-    of diag(colsum) - G, where G is the Gram matrix of the 2N old/new
-    probability columns over the cluster.  A row is skipped when
+    (`closing_elements`), and one stacked `eigvalsh`.  Closed rows, taken by
+    their indices, get the three probability-simplex checks of
+    `averaged_covariance` (ContractViolation on a failure).  Their T and W0
+    come from one flat array by one `take` through `rows.tw`: the 2N x N
+    design rows a0 a over the unknown directions, then the 2N x 2N table
+    diag(colsum) - (G + G^T)/2, where G is the Gram matrix of the 2N old/new
+    probability columns over the cluster, formed as (G + G^T) / -2.0 with the
+    column sums added on its diagonal (the same bits as the difference).  One
+    `slogdet` on the (Vc, 2, N, N) stack gives both determinants of every
+    closed row.  A row is skipped when
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
     n_free = old.a0.shape[0]
@@ -459,18 +467,18 @@ def score_variants(
         closing = closing_elements(columns.elements(basis)[rows.cols[band]])
         with _typed_lapack_errors():
             closed[band] = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
-    if not closed.any():
+    idx = closed.nonzero()[0]
+    if not idx.size:
         return VariantTable(rows, columns, closed, skipped, log_dacm)
 
     # the closing probability column (1 - sum a0) - members . (sum a0 a); a
     # closing weight at or below the floor gives a zero column, as
     # objective._coordinate_table derives it
-    a0_last = 1.0 - a0_sum[closed]
+    a0_last = 1.0 - a0_sum.take(idx)
     last = np.where(
-        a0_last > CLOSING_WEIGHT_FLOOR, a0_last - members @ a_sum[:, closed], 0.0
+        a0_last > CLOSING_WEIGHT_FLOOR, a0_last - members @ a_sum.take(idx, axis=1), 0.0
     )  # (k, Vc)
-    sums = probs @ rows.choose[:, closed] + last
-    sel = rows.cols[closed]  # (Vc, N) columns of the 2N tables
+    sums = probs @ rows.choose.take(idx, axis=1) + last
     # the whole table's extremes bound every row's, so rows are compared one by
     # one only when they fail; written so that a NaN probability fails too
     if not (
@@ -480,6 +488,7 @@ def score_variants(
         and last.max() <= 1 + PROB_RANGE_TOL
         and np.abs(sums - 1.0).max() <= PROB_SUM_TOL
     ):
+        sel = rows.cols.take(idx, axis=0)  # (Vc, N) columns of the 2N tables
         low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
         high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
         # each row's sum from its own columns, so that a NaN fails only the
@@ -491,25 +500,28 @@ def score_variants(
         if bad.size:
             v = int(bad[0])
             raise ContractViolation(
-                f"probability invariant violated for variant {tuple(rows.bits[closed][v].tolist())}: "
+                f"probability invariant violated for variant {tuple(rows.bits[idx[v]].tolist())}: "
                 f"min {low[v]:.3e}, max {high[v]:.3e}, max |sum - 1| {sum_dev[v]:.3e}"
             )
 
+    # x / -2.0 and x / -2.0 + colsum are 0 - x/2 and colsum - x/2 bit for bit,
+    # up to the sign of a zero
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
-    T = weighted[:, unknown_pos][sel]  # (Vc, N, N)
     gram = probs.T @ probs
-    W0 = (np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0).take(rows.pairs[closed])
+    flat = np.concatenate(
+        [weighted.take(unknown_pos, axis=1).ravel(), ((gram + gram.T) / -2.0).ravel()]
+    )
+    flat[2 * n_free * n_free :: 2 * n_free + 1] += probs.sum(axis=0)
+    tw = flat.take(rows.tw.take(idx, axis=0))  # (Vc, 2, N, N): T, W0
     with _typed_lapack_errors():
-        sign, log_det = np.linalg.slogdet(np.concatenate([T, W0]))
-    n_closed = sel.shape[0]
-    log_det_t, sign_w, log_det_w = log_det[:n_closed], sign[n_closed:], log_det[n_closed:]
+        sign, log_det = np.linalg.slogdet(tw)
     # an all-zero T has log |det T| = -inf, below any floor; adding 1 to its
     # zero max keeps the log finite without a warning
-    t_max = np.abs(T).max(axis=(1, 2))
+    t_max = np.abs(tw[:, 0]).max(axis=(1, 2))
     floor = LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
-    skip = (log_det_t <= floor) | (sign_w <= 0)
-    skipped[closed] = skip
-    log_dacm[closed] = np.where(skip, np.nan, log_det_w - 2.0 * log_det_t)
+    skip = (log_det[:, 0] <= floor) | (sign[:, 1] <= 0)
+    skipped[idx] = skip
+    log_dacm[idx] = np.where(skip, np.nan, log_det[:, 1] - 2.0 * log_det[:, 0])
     return VariantTable(rows, columns, closed, skipped, log_dacm)
 
 
@@ -616,12 +628,15 @@ class AnnealChain:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
         new = FreeElements.build(a0, A, members)
         table = score_variants(old, new, rows, basis, members, self.pattern)
-        evaluated = np.flatnonzero(~np.isnan(table.log_dacm))
         counts["variants_enumerated"] += table.closed.shape[0]
-        counts["closure_rejected"] += int(np.count_nonzero(~table.closed))
+        counts["closure_rejected"] += table.closed.size - int(np.count_nonzero(table.closed))
         counts["skipped_variants"] += int(np.count_nonzero(table.skipped))
         moved_to = best_row = None
-        for v, cand_log in zip(evaluated.tolist(), table.log_dacm[evaluated].tolist()):
+        evaluated = 0
+        for v, cand_log in enumerate(table.log_dacm.tolist()):
+            if cand_log != cand_log:  # NaN: not closed, or skipped
+                continue
+            evaluated += 1
             if cand_log < self.best_log:
                 self.best_log, best_row = cand_log, v
             if logistic_accept(cand_log - self.cur_log, temp, rng):
@@ -638,7 +653,7 @@ class AnnealChain:
             self.best_state = table.free_elements(best_row)
         if moved_to:
             self.state = table.free_elements(moved_to)
-        self.all_skipped_streak = 0 if evaluated.size else self.all_skipped_streak + 1
+        self.all_skipped_streak = 0 if evaluated else self.all_skipped_streak + 1
         if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
             raise NumericalError(
                 f"every variant skipped for {MAX_ALL_SKIPPED_STEPS} consecutive steps"

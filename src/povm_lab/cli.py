@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -255,12 +256,15 @@ def _write_result(cfg: ExperimentConfig, name: str, P, lines) -> None:
 
 
 def _run_anneal(cfg: ExperimentConfig) -> int:
+    start = time.perf_counter()
     b = gell_mann_basis(cfg.dim)
     _, cl = _build_cluster(cfg, b)
     init_rng = np.random.default_rng([cfg.anneal.rng_seed, 1])
     initial = random_initial_povm(cfg.pattern, b, init_rng, cfg.init_scale)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    search_start = time.perf_counter()
     result = anneal(cfg.anneal, initial, cl, b, cfg.pattern)
+    search_end = time.perf_counter()
     write_trace(result.trace, os.path.join(cfg.output_dir, "trace.csv"))
     lines = [
         f"dacm_best  {result.best_dacm!r}",
@@ -270,7 +274,12 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
         *(f"{name}  {getattr(result, name)}" for name in RUN_COUNTERS),
     ]
     _write_result(cfg, "best_povm.txt", result.best, lines)
+    done = time.perf_counter()
     log.info("best DACM %.6g after %d steps", result.best_dacm, cfg.anneal.total_steps)
+    log.info(
+        "phase seconds: setup %.3f, search %.3f, write %.3f",
+        search_start - start, search_end - search_start, done - search_end,
+    )
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ state-space grid and its clustering in `statespace`, the objective
 determinants of an anneal step in `annealer`) go through numpy's batched
 `eigvalsh` and `slogdet` instead, and the tests check those batched paths
 against these routines.  The PSD tests of 2x2 and 3x3 matrices in those
-stacks, the anneal's and the grid's, are decided from principal minors
-(`psd_verdict`), with `eigvalsh` left for the thin band around the tolerance.
+stacks, the anneal's and the grid's, are decided in closed form
+(`psd_verdict`: the lowest eigenvalue of a 2x2 matrix, the principal minors
+of a 3x3 one), with `eigvalsh` left for the thin band around the tolerance.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ JACOBI_MAX_SWEEPS = 100
 PIVOT_FLOOR = 1e-12
 # `psd_verdict` decides only matrices whose lowest eigenvalue is farther than
 # PSD_MARGIN from -tol, which covers `eigvalsh`'s error (a few ulps of |H|)
-# for entries up to a few hundred.  A principal minor of order k is trusted
-# beyond MINOR_SLACK * w**k, w the sum of the shifted entries' magnitudes:
-# its computed value is within about 9 ulps of the sum of its expansion's
-# products' magnitudes, and that sum is at most w**k.
+# for entries up to a few hundred.  A 3x3 principal minor of order k is
+# trusted beyond MINOR_SLACK * w**k, w the sum of the shifted entries'
+# magnitudes: its computed value is within about 9 ulps of the sum of its
+# expansion's products' magnitudes, and that sum is at most w**k.  The
+# closed-form lowest eigenvalue of a 2x2 matrix is trusted beyond
+# MINOR_SLACK * w, w the sum of its entries' magnitudes.
 PSD_MARGIN = 1e-12
 MINOR_SLACK = 4e-15
 
@@ -128,7 +131,7 @@ def min_eigenvalue_trusted(A: np.ndarray) -> float:
 
 
 def psd_verdict(entries, n: int, tol: float):
-    """Decide lambda_min(H) >= -tol for Hermitian n x n H from principal minors.
+    """Decide lambda_min(H) >= -tol for Hermitian n x n H in closed form.
 
     `entries` holds H's real entry columns: the n diagonals, then Re of each
     upper off-diagonal entry (row-major), then Im of each, as
@@ -136,26 +139,31 @@ def psd_verdict(entries, n: int, tol: float):
     matrix) or a numpy array (one value per matrix); the body uses only
     arithmetic operators, `abs` and &/|, so it serves both.
 
-    Returns masks (yes, no) for tol >= 0.  yes: every leading principal
-    minor of H + (tol - PSD_MARGIN) I exceeds its rounding slack, so by
-    Sylvester's criterion that matrix is positive definite and
-    lambda_min(H) > -tol + PSD_MARGIN.  no: some principal minor of H + (tol + PSD_MARGIN) I
-    is below minus its slack, so lambda_min(H) < -tol - PSD_MARGIN.
-    Neither: the band, which an eigensolver must decide; for n >= 4 every
-    matrix is in the band.
+    Returns masks (yes, no) for tol >= 0, each decided with PSD_MARGIN to
+    spare beyond a rounding slack.  For n = 2 the lowest eigenvalue is
+    (d0 + d1)/2 - sqrt(((d0 - d1)/2)^2 + r^2 + i^2); the root is at most
+    w = |d0| + |d1| + |r| + |i| and every operation rounds by at most an ulp
+    of w, so the computed value is within a few ulps of w of the exact one,
+    well inside MINOR_SLACK * w (18 ulps).  yes: it exceeds -tol + PSD_MARGIN +
+    MINOR_SLACK * w; no: it is below -tol - PSD_MARGIN - MINOR_SLACK * w.
+    For n = 3, yes: every leading principal minor of H + (tol - PSD_MARGIN) I
+    exceeds its slack, so by Sylvester's criterion that matrix is positive
+    definite and lambda_min(H) > -tol + PSD_MARGIN; no: some principal minor
+    of H + (tol + PSD_MARGIN) I is below minus its slack, so
+    lambda_min(H) < -tol - PSD_MARGIN.  Neither: the band, which an
+    eigensolver must decide; for n >= 4 every matrix is in the band.
     """
-    lo, hi = tol - PSD_MARGIN, tol + PSD_MARGIN
     if n == 2:
         d0, d1, r, i = entries
-        w = abs(d0) + abs(d1) + abs(r) + abs(i) + 2.0 * hi
-        s1 = MINOR_SLACK * w
-        s2 = s1 * w
-        m = r * r + i * i
-        x0, x1 = d0 + lo, d1 + lo
-        yes = (x0 > s1) & (x0 * x1 - m > s2)
-        x0, x1 = d0 + hi, d1 + hi
-        no = (x0 < -s1) | (x1 < -s1) | (x0 * x1 - m < -s2)
+        half = (d0 - d1) / 2.0
+        root = (half * half + r * r + i * i) ** 0.5
+        low = (d0 + d1) / 2.0 - root
+        slack = MINOR_SLACK * (abs(d0) + abs(d1) + abs(r) + abs(i))
+        yes = low - slack > PSD_MARGIN - tol
+        # a root that overflowed (entries past about 1e154) decides nothing
+        no = (low + slack < -tol - PSD_MARGIN) & (root < math.inf)
         return yes, no
+    lo, hi = tol - PSD_MARGIN, tol + PSD_MARGIN
     if n == 3:
         d0, d1, d2, r01, r02, r12, i01, i02, i12 = entries
         w = abs(d0) + abs(d1) + abs(d2) + abs(r01) + abs(r02) + abs(r12)

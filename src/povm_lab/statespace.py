@@ -10,10 +10,10 @@ orbit of states with fixed spectrum, and the averaged covariance is a raw
 Only grid points inside the Bloch ball are tested for positivity: a state
 whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
 <= (n-1)/n + 2(n-1)t + n(n-1)t^2, a slack that BALL_MARGIN covers at
-t = GRID_PSD_TOL.  The principal minors of `linalg.psd_verdict`, the test the
-anneal uses, decide the points inside the ball; numpy's stacked `eigvalsh`
-decides only those in the minors' thin band around the tolerance, which for
-n = 4 is every point.  Cluster keys come from the stacked `eigvalsh`.  The
+t = GRID_PSD_TOL.  The closed-form test of `linalg.psd_verdict`, the one the
+anneal uses, decides the points inside the ball; numpy's stacked `eigvalsh`
+decides only those in its thin band around the tolerance, which for n = 4 is
+every point.  Cluster keys come from the stacked `eigvalsh`.  The
 scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
 for these batched ones.
 """
@@ -89,8 +89,8 @@ def _psd_rows(thetas: np.ndarray, basis: OrthonormalBasis) -> tuple[np.ndarray, 
     """(mask, count): which rows give lambda_min(I/n + theta . sigma) >=
     -GRID_PSD_TOL, and how many of them `eigvalsh` decided.
 
-    `linalg.psd_verdict` decides each row from the principal minors of rho's
-    entries; only the rows in its band go to `_spectra`.  Outside the band the
+    `linalg.psd_verdict` decides each row in closed form from rho's entries;
+    only the rows in its band go to `_spectra`.  Outside the band the
     two tests agree, so the mask is `_spectra`'s own verdict bit for bit.
     """
     entries = basis.entry_map @ thetas.T

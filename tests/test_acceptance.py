@@ -20,6 +20,7 @@ from povm_lab.basis import (
     bloch_to_state,
     gell_mann_basis,
 )
+from povm_lab.errors import ClosureNotPositive
 
 from test_objective import assembled_dacm
 
@@ -228,7 +229,7 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
             cand = pv.complete_povm(
                 [pv.coords_to_element(c, basis4) for c in news], news
             )
-        except Exception:
+        except ClosureNotPositive:
             continue
         d = objective.dacm(
             objective.design_matrix(news, pattern),

@@ -768,6 +768,89 @@ class TestReferenceChains:
         assert int(report["closure_rejected"]) > 0
 
 
+def reference_scores(old, new, rows, basis, members, pattern):
+    """(closed, skipped, log_dacm) of one step's rows, built the way the step
+    built them before its single T/W0 gather: closure by `eigvalsh` on every
+    row's closing matrix; T as `weighted[:, unknown][cols]`; W0 as the row's
+    block of diag(colsum) - (G + G^T)/2, gathered through flat pair indices;
+    one `slogdet` on the concatenation of the T and W0 stacks."""
+    n_free = old.a0.shape[0]
+    columns = old.join(new)
+    closing = pv.closing_elements(columns.elements(basis)[rows.cols])
+    closed = np.linalg.eigvalsh(closing)[:, 0] >= -pv.PSD_CONSTRUCTION_TOL
+    skipped = np.zeros(closed.shape, dtype=bool)
+    log_dacm = np.full(closed.shape, np.nan)
+    if not closed.any():
+        return closed, skipped, log_dacm
+    cols = rows.cols[closed]
+    weighted = columns.a0[:, None] * columns.A
+    T = weighted[:, [i - 1 for i in pattern.unknown_indices]][cols]
+    probs = columns.probs
+    gram = probs.T @ probs
+    pairs = cols[:, :, None] * (2 * n_free) + cols[:, None, :]
+    W0 = (np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0).take(pairs)
+    sign, log_det = np.linalg.slogdet(np.concatenate([T, W0]))
+    n_closed = cols.shape[0]
+    log_det_t, sign_w, log_det_w = log_det[:n_closed], sign[n_closed:], log_det[n_closed:]
+    t_max = np.abs(T).max(axis=(1, 2))
+    floor = annealer.LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
+    skip = (log_det_t <= floor) | (sign_w <= 0)
+    skipped[closed] = skip
+    log_dacm[closed] = np.where(skip, np.nan, log_det_w - 2.0 * log_det_t)
+    return closed, skipped, log_dacm
+
+
+class TestFlatGatherOracle:
+    """Every step's `closed`, `skipped` and `log_dacm` are bit-identical to
+    `reference_scores` on the same inputs, on whole chains."""
+
+    def checked(self, monkeypatch):
+        """Wrap `score_variants` with the comparison; returns the list of the
+        row counts of the steps it checked."""
+        score = annealer.score_variants
+        checked = []
+
+        def checking_score(old, new, rows, basis, members, pattern):
+            table = score(old, new, rows, basis, members, pattern)
+            closed, skipped, log_dacm = reference_scores(old, new, rows, basis, members, pattern)
+            step = len(checked)
+            assert np.array_equal(table.closed, closed), step
+            assert np.array_equal(table.skipped, skipped), step
+            assert np.array_equal(table.log_dacm, log_dacm, equal_nan=True), step
+            checked.append(rows.bits.shape[0])
+            return table
+
+        monkeypatch.setattr(annealer, "score_variants", checking_score)
+        return checked
+
+    @pytest.mark.parametrize(
+        "dim, known, steps",
+        [
+            (2, [3], 3000),  # the benchmark's qubit-anneal config
+            (3, [7, 8], 500),  # the benchmark's qutrit-anneal config
+            (2, [2, 3], 1000),  # one unknown: T and W0 are 1 x 1
+            # every dim-4 closing element is in the verdict's band
+            (4, [i for i in range(1, 16) if i not in (3, 12, 15)], 300),
+        ],
+        ids=["qubit", "qutrit", "qubit-one-unknown", "dim4"],
+    )
+    def test_cli_chain(self, tmp_path, monkeypatch, dim, known, steps):
+        checked = self.checked(monkeypatch)
+        report = _cli_anneal(tmp_path, dim, known, steps, 0)
+        assert len(checked) == steps
+        assert int(report["closure_rejected"]) < int(report["variants_enumerated"])
+
+    def test_pinned_masks(self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch):
+        checked = self.checked(monkeypatch)
+        rng = np.random.default_rng(7)
+        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        config = small_config(total_steps=60, max_resample=1, s0=0.3)
+        res = annealer.anneal(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+        assert len(checked) == 60 and res.resample_exhausted > 0
+        # steps with pinned positions score fewer than 2^N rows
+        assert min(checked) < 64 and max(checked) == 64
+
+
 class TestRunCounters:
     def test_every_variant_accounted_for(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
         draws = []

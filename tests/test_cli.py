@@ -1,5 +1,7 @@
 import dataclasses
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -402,6 +404,22 @@ class TestAnnealMode:
         written = pv.read_povm(out / "best_povm.txt")
         for a, b in zip(written.elements, initial.elements):
             assert np.abs(a - b).max() < 1e-15
+
+    def test_phase_timings_logged_once(self, tmp_path, caplog):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUBIT_CFG.format(steps=60, seed=3, out=tmp_path / "out"))
+        caplog.set_level(logging.INFO, logger="povm_lab")
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+        phases = [r for r in caplog.records if r.getMessage().startswith("phase seconds")]
+        assert [r.levelname for r in phases] == ["INFO"]
+        shape = r"phase seconds: setup (\d+\.\d{3}), search (\d+\.\d{3}), write (\d+\.\d{3})"
+        assert re.fullmatch(shape, phases[0].getMessage())
+
+        # nothing on stderr at POVM_LAB_LOG=quiet
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "POVM_LAB_LOG": "quiet"}
+        command = [sys.executable, "-m", "povm_lab.cli", "anneal", "--config", str(cfg_path)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_byte_identical_trace_same_seed(self, tmp_path):
         outs = []

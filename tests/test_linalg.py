@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,3 +248,75 @@ class TestPsdVerdict:
         yes, no = linalg.psd_verdict(_entry_columns(H), 4, self.TOL)
         assert not yes.any() and not no.any()
         assert linalg.psd_verdict(_entry_columns(H)[:, 0].tolist(), 4, self.TOL) == (False, False)
+
+
+def _exact_lowest_2x2(entries):
+    """The lowest eigenvalue of each 2x2 matrix of (4, V) entry columns, in
+    60-digit decimal arithmetic on the floats' exact values."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        out = []
+        for d0, d1, r, i in (map(decimal.Decimal, col) for col in entries.T.tolist()):
+            half = (d0 - d1) / 2
+            out.append((d0 + d1) / 2 - (half * half + r * r + i * i).sqrt())
+        return out
+
+
+@pytest.mark.invariants
+class TestTwoByTwoVerdict:
+    """The n = 2 verdict, the closed-form lowest eigenvalue against
+    -tol +- (PSD_MARGIN + MINOR_SLACK * w), w = |d0| + |d1| + |r| + |i|:
+    it agrees with `eigvalsh` wherever it decides, decides with PSD_MARGIN to
+    spare in exact arithmetic, gives floats and arrays the same verdict, and
+    leaves a matrix undecided only within its slack of -tol."""
+
+    M = linalg.PSD_MARGIN
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e2, 1e3]),
+        tol=st.sampled_from([0.0, 1e-10, 1.0 + 1e-10]),
+    )
+    def test_verdict_near_and_far_from_the_boundary(self, seed, scale, tol):
+        rng = np.random.default_rng(seed)
+        slack = self.M + linalg.MINOR_SLACK * 2.0 * scale
+        offsets = [0.0, 1e-16, 1e-14, 1e-13, 1e-11, 1e-10, 1.5e-10, 1e-9, 1e-6, 1e-3]
+        offsets += [self.M + d for d in (-1e-13, -1e-14, 0.0, 1e-14, 1e-13)]
+        offsets += [c * slack for c in (0.5, 0.9, 1.1, 2.0)]
+        offsets = offsets + [-x for x in offsets]
+        # lowest eigenvalue at -tol + offset, the other up to `scale` above it
+        low = -tol + np.array(offsets)
+        gaps = scale * rng.uniform(0.0, 1.0, low.size)
+        H = _from_spectra(rng, np.stack([low, low + gaps], axis=1))
+        entries = _entry_columns(H)
+        yes, no = linalg.psd_verdict(entries, 2, tol)
+        assert not (yes & no).any()
+
+        psd = np.linalg.eigvalsh(H)[:, 0] >= -tol
+        assert psd[yes].all() and not psd[no].any()
+
+        exact = _exact_lowest_2x2(entries)
+        w = np.abs(entries).sum(axis=0)
+        t, m = decimal.Decimal(tol), decimal.Decimal(self.M)
+        eps = np.finfo(float).eps
+        for v, lam in enumerate(exact):
+            if yes[v]:
+                assert lam > -t + m, v
+            elif no[v]:
+                assert lam < -t - m, v
+            else:
+                # within the slack, and the closed form's own rounding of a few ulps of w
+                bound = self.M + linalg.MINOR_SLACK * w[v] + 8 * eps * (w[v] + tol)
+                assert abs(lam + t) <= decimal.Decimal(bound), v
+            assert linalg.psd_verdict(entries[:, v].tolist(), 2, tol) == (yes[v], no[v])
+
+    def test_overflowed_root_is_left_in_the_band(self):
+        # ((d0 - d1)/2)^2 overflows, so the computed lowest eigenvalue is -inf
+        # although diag(1e200, 1e160) is positive definite; it and its
+        # negation are left to an eigensolver
+        entries = np.array([[1e200, -1e200], [1e160, -1e160], [0.0, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            yes, no = linalg.psd_verdict(entries, 2, 1e-10)
+        assert not yes.any() and not no.any()
+        assert linalg.psd_verdict(entries[:, 0].tolist(), 2, 1e-10) == (False, False)
