@@ -10,10 +10,10 @@ matrix and covariance, both gathered by one `take` from one flat array: the
 old/new probability columns.  Both PSD tests, a perturbation attempt's and a
 closing element's, are decided in closed form (`linalg.psd_verdict`: the
 lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one);
-`eigvalsh` runs only on the matrices in the thin band around the tolerance,
-and on every matrix for n = 4.  Only the walk over the scored candidates is
-sequential: one logistic (Glauber) draw per evaluated candidate at the
-current temperature.  The perturbation scale and temperature decay
+`linalg.spectra` runs only on the matrices in the thin band around the
+tolerance, and on every matrix for n = 4.  Only the walk over the scored
+candidates is sequential: one logistic (Glauber) draw per evaluated candidate
+at the current temperature.  The perturbation scale and temperature decay
 geometrically; the temperature gets a multiplicative boost every
 `reheat_every` steps to help the chain escape local optima.  The best measurement seen (by raw objective) is tracked
 separately from the fluctuating chain state.
@@ -316,22 +316,6 @@ def glauber_accept(dacm_new: float, dacm_old: float, temperature: float, rng) ->
     return logistic_accept(math.log(dacm_new) - math.log(dacm_old), temperature, rng)
 
 
-class _typed_lapack_errors:
-    """Re-raise numpy's LinAlgError (a LAPACK routine failed) as NumericalError.
-
-    A class rather than a generator context manager: it wraps every step's
-    `slogdet`, where entering a generator costs more than the call it guards.
-    """
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
-            raise NumericalError(f"LAPACK failure: {exc}") from exc
-        return False
-
-
 def perturb_element(
     a0: float,
     a: np.ndarray,
@@ -351,9 +335,9 @@ def perturb_element(
     An attempt is decided in closed form by `linalg.psd_verdict` on the
     entries of a.sigma, since I + a.sigma >= -tol I exactly when
     a.sigma >= -(1 + tol) I; only an attempt in the band around the tolerance
-    builds I + a.sigma for the diagonal check and `eigvalsh`.  A draw that overflows at an extreme scale
-    is outside the region and is redrawn, so the result is finite: a0' is a
-    positive float and a' a new float64 vector.
+    builds I + a.sigma for `linalg.spectra`.  A draw that overflows at an
+    extreme scale is outside the region and is redrawn, so the result is
+    finite: a0' is a positive float and a' a new float64 vector.
     """
     if not 0 < s < math.inf:
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
@@ -370,13 +354,8 @@ def perturb_element(
             # also sends back a draw that overflowed, which gets no yes
             if not all(abs(x) <= dim for x in entries):
                 continue
-            # real coefficients on Hermitian generators: m is exactly Hermitian
-            m = basis.expand(cand) + basis.identity
-            if min(m[i, i].real for i in range(dim)) < -PERTURB_PSD_TOL:
+            if linalg.spectra(basis.expand(cand) + basis.identity)[-1] < -PERTURB_PSD_TOL:
                 continue
-            with _typed_lapack_errors():
-                if np.linalg.eigvalsh(m)[0] < -PERTURB_PSD_TOL:
-                    continue
         new_a = cand
         break
     if new_a is None:
@@ -436,8 +415,8 @@ def score_variants(
     is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
     coordinates by `linalg.psd_verdict`.  Only rows in its band get their
     closing matrices, built as `complete_povm` builds its closing element
-    (`closing_elements`), and one stacked `eigvalsh`.  Closed rows, taken by
-    their indices, get the three probability-simplex checks of
+    (`closing_elements`), and one stacked `linalg.spectra`.  Closed rows,
+    taken by their indices, get the three probability-simplex checks of
     `averaged_covariance` (ContractViolation on a failure).  Their T and W0
     come from one flat array by one `take` through `rows.tw`: the 2N x N
     design rows a0 a over the unknown directions, then the 2N x 2N table
@@ -465,8 +444,7 @@ def score_variants(
     if band.any():
         band = np.flatnonzero(band)
         closing = closing_elements(columns.elements(basis)[rows.cols[band]])
-        with _typed_lapack_errors():
-            closed[band] = np.linalg.eigvalsh(closing)[:, 0] >= -PSD_CONSTRUCTION_TOL
+        closed[band] = linalg.spectra(closing)[:, -1] >= -PSD_CONSTRUCTION_TOL
     idx = closed.nonzero()[0]
     if not idx.size:
         return VariantTable(rows, columns, closed, skipped, log_dacm)
@@ -506,14 +484,12 @@ def score_variants(
 
     # x / -2.0 and x / -2.0 + colsum are 0 - x/2 and colsum - x/2 bit for bit,
     # up to the sign of a zero
-    unknown_pos = [i - 1 for i in pattern.unknown_indices]
     gram = probs.T @ probs
-    flat = np.concatenate(
-        [weighted.take(unknown_pos, axis=1).ravel(), ((gram + gram.T) / -2.0).ravel()]
-    )
+    design = weighted.take(pattern.unknown_positions, axis=1)
+    flat = np.concatenate([design.ravel(), ((gram + gram.T) / -2.0).ravel()])
     flat[2 * n_free * n_free :: 2 * n_free + 1] += probs.sum(axis=0)
     tw = flat.take(rows.tw.take(idx, axis=0))  # (Vc, 2, N, N): T, W0
-    with _typed_lapack_errors():
+    with linalg.typed_lapack_errors():
         sign, log_det = np.linalg.slogdet(tw)
     # an all-zero T has log |det T| = -inf, below any floor; adding 1 to its
     # zero max keeps the log finite without a warning
@@ -543,7 +519,7 @@ def random_initial_povm(
         a0, A = coordinate_rows(coords, dim_coords)
         # I + a . sigma of every element, tested here and scaled by a0 below
         units = basis.expand(A) + basis.identity
-        if not all(linalg.min_eigenvalue(u) > 1e-8 for u in units):
+        if not (linalg.spectra(units)[:, -1] > 1e-8).all():
             continue
         try:
             pov = complete_povm(list(a0[:, None, None] * units), coords)

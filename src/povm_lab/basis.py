@@ -165,12 +165,19 @@ def state_to_bloch(rho, basis: OrthonormalBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParameterPattern:
-    """Split of the basis indices (1-based) into unknown and known-with-value."""
+    """Split of the basis indices (1-based) into unknown and known-with-value.
+
+    `unknown_positions` and `known_positions` are the same indices 0-based, as
+    read-only index arrays built once.
+    """
 
     dim: int
     unknown_indices: tuple
     known_indices: tuple = ()
     known_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    unknown_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    known_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.dim**2 - 1
@@ -191,6 +198,10 @@ class ParameterPattern:
             raise ContractViolation("known_values must align with known_indices")
         if not np.all(np.isfinite(self.known_values)):
             raise ContractViolation("known_values must be finite")
+        for name, indices in (("unknown_positions", unknown), ("known_positions", known)):
+            positions = np.array(indices, dtype=np.intp) - 1
+            positions.setflags(write=False)
+            object.__setattr__(self, name, positions)
 
     @property
     def unknown_count(self) -> int:
@@ -214,7 +225,6 @@ def assemble_full_vector(pattern: ParameterPattern, unknown_coords) -> np.ndarra
             f"unknown coords have shape {u.shape}, expected ({pattern.unknown_count},)"
         )
     full = np.empty(pattern.dim**2 - 1)
-    full[[i - 1 for i in pattern.unknown_indices]] = u
-    if pattern.known_indices:
-        full[[i - 1 for i in pattern.known_indices]] = pattern.known_values
+    full[pattern.unknown_positions] = u
+    full[pattern.known_positions] = pattern.known_values
     return full

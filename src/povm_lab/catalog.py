@@ -127,17 +127,11 @@ def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSic
     verdict also needs max |sum E - I| <= RANK_TOL (a conditional SIC-POVM is
     a POVM first) and m = N + 1 elements for the N unknowns (fewer outcomes
     cannot determine them; d is 0.0 when m = 1 leaves no pair)."""
-    evals = [linalg.hermitian_eigenvalues(e) for e in P.elements]
-    tops = np.array([ev[0] for ev in evals])
-    c = float(tops.mean())
-    ranks = []
-    multiple_ok = True
-    for ev in evals:
-        thresh = RANK_TOL * max(ev[0], 0.0)
-        significant = ev[ev > thresh]
-        ranks.append(int(significant.size))
-        if significant.size == 0 or np.abs(significant - c).max() > RANK_TOL:
-            multiple_ok = False
+    evals = linalg.spectra(P.elements)  # (m, n), descending
+    c = float(evals[:, 0].mean())
+    significant = evals > RANK_TOL * np.maximum(evals[:, :1], 0.0)
+    ranks = tuple(significant.sum(axis=1).tolist())
+    multiple_ok = all(ranks) and bool(np.abs(evals - c)[significant].max() <= RANK_TOL)
     # one overlap matrix of the elements and the known directions: the
     # element block gives the cross-overlaps, the off-diagonal block the pairings
     b = gell_mann_basis(pattern.dim)
@@ -150,7 +144,7 @@ def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSic
     complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= RANK_TOL
     sized = m == pattern.unknown_count + 1
     verdict = all((multiple_ok, overlap_dev <= RANK_TOL, quasi <= RANK_TOL, complete, sized))
-    return ConditionalSicReport(multiple_ok, tuple(ranks), c, d, overlap_dev, quasi, verdict)
+    return ConditionalSicReport(multiple_ok, ranks, c, d, overlap_dev, quasi, verdict)
 
 
 def report_to_text(report: ConditionalSicReport) -> str:

@@ -232,8 +232,7 @@ def _build_cluster(cfg: ExperimentConfig, b):
     bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.dim)
     spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
     clusters = cluster_states(generate_grid(spec, b), cfg.grid_cells, b)
-    policy = "largest" if cfg.theta_ref is None else "reference"
-    cl = select_cluster(clusters, policy, theta_ref=cfg.theta_ref, basis=b, pattern=cfg.pattern)
+    cl = select_cluster(clusters, cfg.theta_ref, b, cfg.pattern)
     log.info("cluster %s with %d members", cl.key, cl.size)
     return clusters, cl
 
@@ -332,13 +331,13 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
         print(f"{i}\t{label}{tag}")
     print(f"# clusters (cells = {cfg.grid_cells})")
     print("key\tsize\trepresentative_eigenvalues\tselected")
-    for key in sorted(clusters):
-        cl = clusters[key]
-        evals = linalg.hermitian_eigenvalues(bloch_to_state(cl.members[0], b))
+    keys = sorted(clusters)
+    firsts = linalg.spectra([bloch_to_state(clusters[key].members[0], b) for key in keys])
+    for key, evals in zip(keys, firsts):
         mark = "*" if key == selected.key else ""
         print(
             ",".join(str(k) for k in key)
-            + f"\t{cl.size}\t"
+            + f"\t{clusters[key].size}\t"
             + " ".join(f"{v:.6f}" for v in evals)
             + f"\t{mark}"
         )
@@ -352,7 +351,7 @@ def _sum_residual(elements, target) -> float:
 
 def _spectrum_residual(elements, target) -> float:
     """max over elements of |eigenvalues (descending) - target|."""
-    return max(float(np.abs(linalg.hermitian_eigenvalues(e) - target).max()) for e in elements)
+    return float(np.abs(linalg.spectra(elements) - target).max())
 
 
 def _overlap_residual(elements, target) -> float:

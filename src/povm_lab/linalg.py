@@ -1,18 +1,19 @@
 """Dense complex linear algebra for small matrices (n = 2..4).
 
-Eigenvalues come from a cyclic Jacobi iteration on the Hermitian matrix and
-real systems are solved by partially pivoted elimination.  Everything here is
-deterministic and dependency-free beyond numpy array handling, which keeps the
-annealing loops bit-reproducible for a fixed seed.
+`spectra` is the one production eigenvalue path: the descending eigenvalues
+of each matrix of a Hermitian (..., n, n) stack (one matrix, the elements of
+a measurement, the grid, the closing elements of an anneal step) from one
+numpy `eigvalsh` call on `symmetrize`'s average.  `typed_lapack_errors`
+re-raises a LAPACK failure there, or in the anneal step's `slogdet`, as
+`NumericalError`.  The PSD tests of 2x2 and 3x3 matrices in the anneal's and
+the grid's stacks are decided in closed form (`psd_verdict`: the lowest
+eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one), with
+`spectra` left for the thin band around the tolerance.
 
-These are the per-matrix routines.  Whole stacks of matrices (the
-state-space grid and its clustering in `statespace`, the objective
-determinants of an anneal step in `annealer`) go through numpy's batched
-`eigvalsh` and `slogdet` instead, and the tests check those batched paths
-against these routines.  The PSD tests of 2x2 and 3x3 matrices in those
-stacks, the anneal's and the grid's, are decided in closed form
-(`psd_verdict`: the lowest eigenvalue of a 2x2 matrix, the principal minors
-of a 3x3 one), with `eigvalsh` left for the thin band around the tolerance.
+The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
+`min_eigenvalue`, `min_eigenvalue_trusted`) and the pairwise `hs_inner` are
+the tests' oracle for the stacked paths; real determinants and solves use
+partially pivoted elimination.
 """
 
 from __future__ import annotations
@@ -40,21 +41,48 @@ MINOR_SLACK = 4e-15
 
 
 def symmetrize(H) -> np.ndarray:
-    """Check Hermiticity within HERMITIAN_TOL elementwise and return (H + H†)/2.
+    """Check each matrix of a (..., n, n) stack for Hermiticity within
+    HERMITIAN_TOL of its own scale and return (H + H†)/2.
 
     Downstream code never sees asymmetry noise: every operation that requires
     a Hermitian input routes through this.
     """
     A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ContractViolation(f"expected square matrices, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise ContractViolation("matrix has non-finite entries")
-    dev = np.abs(A - A.conj().T).max()
-    scale = max(1.0, float(np.abs(A).max()))
-    if dev > HERMITIAN_TOL * scale:
-        raise ContractViolation(f"matrix is not Hermitian: max |A - A†| = {dev:g}")
-    return (A + A.conj().T) / 2.0
+    adjoint = A.conj().swapaxes(-1, -2)
+    dev = np.abs(A - adjoint).max(axis=(-2, -1))
+    bad = dev > HERMITIAN_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    if bad.any():
+        raise ContractViolation(f"matrix is not Hermitian: max |A - A†| = {dev[bad].max():g}")
+    return (A + adjoint) / 2.0
+
+
+class typed_lapack_errors:
+    """Re-raise numpy's LinAlgError (a LAPACK routine failed) as NumericalError.
+
+    A class rather than a generator context manager: it wraps every anneal
+    step's `slogdet`, where entering a generator costs more than the call it
+    guards.
+    """
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
+            raise NumericalError(f"LAPACK failure: {exc}") from exc
+        return False
+
+
+def spectra(H) -> np.ndarray:
+    """Eigenvalues, descending along the last axis, of each matrix of a
+    Hermitian (..., n, n) stack: one `eigvalsh` on `symmetrize`'s average."""
+    A = symmetrize(H)
+    with typed_lapack_errors():
+        return np.linalg.eigvalsh(A)[..., ::-1]
 
 
 def _jacobi_eigenvalues(A: np.ndarray) -> list:
@@ -108,10 +136,11 @@ def _jacobi_eigenvalues(A: np.ndarray) -> list:
 
 
 def hermitian_eigenvalues(H) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
+    """Eigenvalues of one Hermitian matrix, sorted descending.
 
     Cyclic Jacobi rotations; converged when the off-diagonal Frobenius mass
-    drops below JACOBI_OFF_TOL relative to the matrix scale.
+    drops below JACOBI_OFF_TOL relative to the matrix scale.  The tests'
+    oracle for `spectra`.
     """
     return np.array(sorted(_jacobi_eigenvalues(symmetrize(H)), reverse=True))
 
@@ -124,8 +153,7 @@ def min_eigenvalue_trusted(A: np.ndarray) -> float:
     """Min eigenvalue of a matrix already known to be exactly Hermitian.
 
     Skips the Hermiticity check and the array round trips of the public
-    operation; same Jacobi core.  `complete_povm` uses it on the closing
-    element it has just Hermitian-averaged.
+    operation; same Jacobi core.
     """
     return min(_jacobi_eigenvalues(A))
 

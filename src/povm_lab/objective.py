@@ -67,8 +67,7 @@ def design_matrix(coords, pattern: ParameterPattern) -> DesignMatrix:
     if len(coords) < n_unknown:
         raise ConfigurationError(f"need {n_unknown} coordinate rows, got {len(coords)}")
     a0s, A = coordinate_rows(coords[:n_unknown], pattern.dim**2 - 1)
-    unknown_pos = [i - 1 for i in pattern.unknown_indices]
-    return DesignMatrix(a0s[:, None] * A[:, unknown_pos], a0s)
+    return DesignMatrix(a0s[:, None] * A[:, pattern.unknown_positions], a0s)
 
 
 def design_matrix_for(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:

@@ -114,7 +114,7 @@ def complete_povm(first_elements, coords=None) -> Povm:
         if e.shape != (dim, dim):
             raise ContractViolation("mixed element dimensions")
     residual = closing_elements(np.array(first_elements))
-    lo = linalg.min_eigenvalue_trusted(residual)
+    lo = linalg.spectra(residual)[-1]
     if lo < -PSD_CONSTRUCTION_TOL:
         raise ClosureNotPositive(
             f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
@@ -125,45 +125,40 @@ def complete_povm(first_elements, coords=None) -> Povm:
 def overlap_matrix(elements) -> np.ndarray:
     """The symmetric m x m matrix of Hilbert-Schmidt overlaps Tr(E_i E_j).
 
-    Each element is symmetrized and measured once; each pair then gets
-    `linalg.hs_inner`'s vdot and imaginary-residue check, so every entry is
-    hs_inner's value bit for bit.
+    The elements are symmetrized as one stack, and one product of their
+    flattened rows with the conjugates gives every Tr(E_i E_j†) = Tr(E_i E_j);
+    one check rejects an imaginary residue beyond `linalg.hs_inner`'s bound.
+    The product's rounding differs between (i, j) and (j, i), so the real part
+    is averaged with its transpose.
     """
-    mats = [linalg.symmetrize(e) for e in elements]
-    for e in mats:
-        if e.shape != mats[0].shape:
-            raise ContractViolation(f"dimension mismatch: {mats[0].shape} vs {e.shape}")
-    peaks = [float(np.abs(e).max()) for e in mats]
-    m = len(mats)
-    overlap = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            z = complex(np.vdot(mats[j], mats[i]))
-            if abs(z.imag) > 1e-12 * max(1.0, peaks[i] * peaks[j] * mats[i].shape[0] ** 2):
-                raise ContractViolation(f"trace pairing has imaginary residue {z.imag:g}")
-            overlap[i, j] = overlap[j, i] = z.real
-    return overlap
+    shapes = {np.shape(e) for e in elements}
+    if len(shapes) > 1:
+        raise ContractViolation(f"dimension mismatch: {sorted(shapes)}")
+    mats = linalg.symmetrize(list(elements))
+    rows = mats.reshape(mats.shape[0], -1)
+    z = rows @ rows.conj().T
+    peaks = np.abs(rows).max(axis=1)
+    bound = 1e-12 * np.maximum(1.0, np.outer(peaks, peaks) * rows.shape[1])
+    if (np.abs(z.imag) > bound).any():
+        raise ContractViolation(f"trace pairing has imaginary residue {np.abs(z.imag).max():g}")
+    return (z.real + z.real.T) / 2.0
 
 
 def metrics(P: Povm) -> PovmMetrics:
     """The rank-one and symmetry diagnostics of a measurement.
 
     sigma sums the second largest eigenvalue of each element (clamped at 0 so
-    PSD rounding noise cannot push it negative).  delta and Delta are sums of
-    squared deviations of the self- and cross-overlaps Tr(E_i E_j) from their
-    arithmetic means, cross terms over ordered pairs i != j (Delta is 0.0 for
-    a one-element measurement, which has no pair).
+    PSD rounding noise cannot push it negative), from one `linalg.spectra` of
+    the element stack.  delta and Delta are sums of squared deviations of the
+    self- and cross-overlaps Tr(E_i E_j) from their arithmetic means, cross
+    terms over ordered pairs i != j (Delta is 0.0 for a one-element
+    measurement, which has no pair).
     """
-    sig = 0.0
-    for e in P.elements:
-        evals = linalg.hermitian_eigenvalues(e)
-        sig += max(float(evals[1]), 0.0)
-    m = P.m
+    sig = float(np.maximum(linalg.spectra(P.elements)[:, 1], 0.0).sum())
     overlap = overlap_matrix(P.elements)
     selfs = np.diag(overlap)
     delta = float(np.sum((selfs - selfs.mean()) ** 2))
-    mask = ~np.eye(m, dtype=bool)
-    cross = overlap[mask]
+    cross = overlap[~np.eye(P.m, dtype=bool)]
     big_delta = float(np.sum((cross - cross.mean()) ** 2)) if cross.size else 0.0
     return PovmMetrics(sig, delta, big_delta)
 
@@ -176,24 +171,30 @@ class Violation:
 
 
 def validate(P: Povm, tol: float = COMPLETENESS_TOL):
-    """Return a list of named invariant violations (empty iff P is valid at tol)."""
+    """Return a list of named invariant violations (empty iff P is valid at tol).
+
+    The elements that pass the shape, finiteness and Hermiticity checks get
+    the lowest eigenvalues of their Hermitian parts from one `linalg.spectra`
+    of their stack, so positivity violations follow the other per-element
+    ones, and an asymmetry within tol is tolerated, not raised.
+    """
     out = []
-    total = np.zeros((P.dim, P.dim), dtype=complex)
+    checked = []
     for i, e in enumerate(P.elements):
         if e.shape != (P.dim, P.dim):
             out.append(Violation("shape", 0.0, f"element {i} has shape {e.shape}"))
-            continue
-        if not np.all(np.isfinite(e)):
+        elif not np.all(np.isfinite(e)):
             out.append(Violation("finite", math.inf, f"element {i} has non-finite entries"))
-            continue
-        herm = float(np.abs(e - e.conj().T).max())
-        if herm > tol:
+        elif (herm := float(np.abs(e - e.conj().T).max())) > tol:
             out.append(Violation("hermiticity", herm, f"element {i}"))
-            continue
-        lo = linalg.min_eigenvalue(e)
+        else:
+            checked.append(i)
+    parts = [(P.elements[i] + P.elements[i].conj().T) / 2.0 for i in checked]
+    lows = linalg.spectra(parts)[:, -1].tolist() if parts else []
+    for i, lo in zip(checked, lows):
         if lo < -tol:
             out.append(Violation("positivity", -lo, f"element {i} min eigenvalue {lo:.3e}"))
-        total += e
+    total = sum((P.elements[i] for i in checked), np.zeros((P.dim, P.dim), dtype=complex))
     comp = float(np.abs(total - np.eye(P.dim)).max())
     if comp > tol:
         out.append(Violation("completeness", comp, f"max |sum E - I| = {comp:.3e}"))

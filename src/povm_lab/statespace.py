@@ -11,11 +11,10 @@ Only grid points inside the Bloch ball are tested for positivity: a state
 whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
 <= (n-1)/n + 2(n-1)t + n(n-1)t^2, a slack that BALL_MARGIN covers at
 t = GRID_PSD_TOL.  The closed-form test of `linalg.psd_verdict`, the one the
-anneal uses, decides the points inside the ball; numpy's stacked `eigvalsh`
+anneal uses, decides the points inside the ball; the stacked `linalg.spectra`
 decides only those in its thin band around the tolerance, which for n = 4 is
-every point.  Cluster keys come from the stacked `eigvalsh`.  The
-scalar Jacobi solver in `linalg` stays the per-matrix path and the test oracle
-for these batched ones.
+every point.  Cluster keys come from the same stacked `linalg.spectra`, whose
+tests keep the scalar Jacobi solver in `linalg` as their oracle.
 """
 
 from __future__ import annotations
@@ -73,15 +72,13 @@ class Cluster:
 def _spectra(thetas: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     """Descending eigenvalues of rho = I/n + theta . sigma for each row of thetas.
 
-    One stacked `eigvalsh` per GRID_BLOCK rows, on the Hermitian average
-    (A + A†)/2 that `linalg.symmetrize` forms for a single matrix.
+    One stacked `linalg.spectra` per GRID_BLOCK rows.
     """
     out = np.empty((thetas.shape[0], basis.dim))
     for lo in range(0, thetas.shape[0], GRID_BLOCK):
         rho = basis.expand(thetas[lo : lo + GRID_BLOCK])
         rho += np.eye(basis.dim) / basis.dim
-        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-        out[lo : lo + GRID_BLOCK] = np.linalg.eigvalsh(rho)[:, ::-1]
+        out[lo : lo + GRID_BLOCK] = linalg.spectra(rho)
     return out
 
 
@@ -120,7 +117,7 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     g = spec.points_per_axis
     axis = np.linspace(-spec.bound, spec.bound, g)
     template = np.zeros(basis.dim**2 - 1)
-    template[[i - 1 for i in pattern.known_indices]] = pattern.known_values
+    template[pattern.known_positions] = pattern.known_values
     room = (basis.dim - 1) / basis.dim - template @ template + BALL_MARGIN
     # a square past the float range is inf, which leaves the ball as it should
     with np.errstate(over="ignore"):
@@ -131,13 +128,12 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
         norm = (norm[:, None] + squares).ravel()
         inside = norm <= room
         index, norm = index[inside], norm[inside]
-    unknown_pos = [i - 1 for i in pattern.unknown_indices]
     kept = [np.empty((0, template.size))]
     by_eigvalsh = 0
     for lo in range(0, index.size, GRID_BLOCK):
         digits = np.unravel_index(index[lo : lo + GRID_BLOCK], (g,) * pattern.unknown_count)
         block = np.tile(template, (digits[0].size, 1))
-        block[:, unknown_pos] = axis[np.stack(digits, axis=1)]
+        block[:, pattern.unknown_positions] = axis[np.stack(digits, axis=1)]
         psd, decided = _psd_rows(block, basis)
         kept.append(block[psd])
         by_eigvalsh += decided
@@ -173,36 +169,31 @@ def cluster_states(states, cells: int, basis: OrthonormalBasis) -> dict:
 
 def select_cluster(
     clusters: dict,
-    policy: str = "largest",
     theta_ref=None,
     basis: OrthonormalBasis | None = None,
     pattern: ParameterPattern | None = None,
 ) -> Cluster:
     """Pick the cluster to average over.
 
-    `reference` maps theta_ref (unknown coordinates; knowns filled from the
-    pattern) to its eigenvalue cell key and selects that cluster; a theta_ref
-    whose rho has an eigenvalue below -GRID_PSD_TOL is a ConfigurationError.
-    `largest` takes the biggest cluster, ties broken by lexicographically
-    smallest key.
+    Without theta_ref, the biggest cluster, ties broken by lexicographically
+    smallest key.  With theta_ref (unknown coordinates; knowns filled from the
+    pattern), the cluster of its eigenvalue cell key; a theta_ref whose rho has
+    an eigenvalue below -GRID_PSD_TOL is a ConfigurationError.
     """
     if not clusters:
         raise EmptyClusterSelection("no clusters to select from")
-    if policy == "largest":
+    if theta_ref is None:
         return min(clusters.values(), key=lambda c: (-c.size, c.key))
-    if policy == "reference":
-        if theta_ref is None or basis is None or pattern is None:
-            raise ConfigurationError("reference policy needs theta_ref, basis and pattern")
-        cells = next(iter(clusters.values())).cell_count
-        full = assemble_full_vector(pattern, theta_ref)
-        evals = _spectra(full[None], basis)
-        if evals[0, -1] < -GRID_PSD_TOL:
-            raise ConfigurationError(
-                f"theta_ref is not a state: rho has eigenvalue {evals[0, -1]:.6g} "
-                f"< -{GRID_PSD_TOL:g}"
-            )
-        key = tuple(eigenvalue_cells(evals, cells)[0].tolist())
-        if key not in clusters:
-            raise EmptyClusterSelection(f"no cluster with key {key}")
-        return clusters[key]
-    raise ConfigurationError(f"unknown cluster policy {policy!r}")
+    if basis is None or pattern is None:
+        raise ContractViolation("selecting by theta_ref needs basis and pattern")
+    cells = next(iter(clusters.values())).cell_count
+    evals = _spectra(assemble_full_vector(pattern, theta_ref)[None], basis)
+    if evals[0, -1] < -GRID_PSD_TOL:
+        raise ConfigurationError(
+            f"theta_ref is not a state: rho has eigenvalue {evals[0, -1]:.6g} "
+            f"< -{GRID_PSD_TOL:g}"
+        )
+    key = tuple(eigenvalue_cells(evals, cells)[0].tolist())
+    if key not in clusters:
+        raise EmptyClusterSelection(f"no cluster with key {key}")
+    return clusters[key]

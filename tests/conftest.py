@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povm_lab import basis as bs
-from povm_lab import catalog, statespace
+from povm_lab import catalog, linalg, statespace
 from povm_lab.povm import PovmElementCoords
 
 
@@ -27,6 +27,20 @@ def random_state(rng, n):
     v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = v @ v.conj().T
     return rho / rho.trace().real
+
+
+def reference_overlaps(elements):
+    """The pairwise oracle for `povm.overlap_matrix`: `linalg.hs_inner` of
+    every ordered pair."""
+    return np.array([[linalg.hs_inner(a, b) for b in elements] for a in elements])
+
+
+def overlap_tolerance(elements):
+    """The (m, m) tolerance of `overlap_matrix` against `reference_overlaps`:
+    4 ulps of n^2 max|E_i| max|E_j| per pair, as the two sum Tr(E_i E_j) in
+    different orders (random Hermitian stacks differ by up to about 1.3)."""
+    peaks = np.array([np.abs(e).max() for e in elements])
+    return 4 * np.finfo(float).eps * elements[0].shape[0] ** 2 * np.outer(peaks, peaks)
 
 
 def resized_coords(coords, change):
@@ -77,7 +91,7 @@ def qubit_cluster(basis2, qubit_pattern):
     clusters = statespace.cluster_states(
         statespace.generate_grid(spec, basis2), 10, basis2
     )
-    return statespace.select_cluster(clusters, "largest")
+    return statespace.select_cluster(clusters)
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +101,7 @@ def qutrit_small_cluster(basis3, qutrit_pattern):
     clusters = statespace.cluster_states(
         statespace.generate_grid(spec, basis3), 10, basis3
     )
-    return statespace.select_cluster(clusters, "largest")
+    return statespace.select_cluster(clusters)
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +111,7 @@ def qutrit_default_cluster(basis3, qutrit_pattern):
     clusters = statespace.cluster_states(
         statespace.generate_grid(spec, basis3), 10, basis3
     )
-    return statespace.select_cluster(clusters, "largest")
+    return statespace.select_cluster(clusters)
 
 
 @pytest.fixture(scope="session")

@@ -195,7 +195,7 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
     clusters = statespace.cluster_states(
         statespace.generate_grid(spec, basis4), 10, basis4
     )
-    cluster = statespace.select_cluster(clusters, "largest")
+    cluster = statespace.select_cluster(clusters)
     units = catalog.diag_units_dim4()
     coords = [pv.element_coords(e, basis4) for e in units.elements]
     base = objective.dacm(

@@ -910,14 +910,22 @@ class TestPsdDecisions:
     def test_eigvalsh_only_in_the_band(
         self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0
     ):
-        """A qutrit anneal calls `eigvalsh` only for matrices that `psd_verdict`
-        leaves in its band."""
-        eigvalsh, verdict = np.linalg.eigvalsh, linalg.psd_verdict
-        calls, decided, band = [0], [0], [0]
+        """A qutrit anneal step calls `eigvalsh` only for matrices that
+        `psd_verdict` leaves in its band; the trace records' `metrics`, which
+        call it between steps, are not counted."""
+        eigvalsh, verdict, step = np.linalg.eigvalsh, linalg.psd_verdict, annealer.AnnealChain.step
+        calls, decided, band, in_step = [0], [0], [0], [False]
 
         def counting_eigvalsh(a):
-            calls[0] += 1
+            calls[0] += in_step[0]
             return eigvalsh(a)
+
+        def flagged_step(chain, s, temp):
+            in_step[0] = True
+            try:
+                step(chain, s, temp)
+            finally:
+                in_step[0] = False
 
         def counting_verdict(entries, n, tol):
             yes, no = verdict(entries, n, tol)
@@ -928,6 +936,7 @@ class TestPsdDecisions:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
+        monkeypatch.setattr(annealer.AnnealChain, "step", flagged_step)
         rng = np.random.default_rng(9)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
         config = small_config(total_steps=100, s0=s0)

@@ -119,6 +119,22 @@ class TestParameterPattern:
         with pytest.raises(ContractViolation):
             bs.assemble_full_vector(qutrit_pattern, np.zeros(5))
 
+    @pytest.mark.parametrize(
+        "dim, known", [(2, ()), (2, (3,)), (3, (7, 8)), (4, (1, 5, 15)), (3, (8, 2))]
+    )
+    def test_positions_are_the_indices_zero_based(self, dim, known):
+        pattern = bs.ParameterPattern.from_known(dim, {i: 0.5 for i in known})
+        for indices, positions in (
+            (pattern.unknown_indices, pattern.unknown_positions),
+            (pattern.known_indices, pattern.known_positions),
+        ):
+            assert positions.dtype == np.intp
+            assert positions.tolist() == [i - 1 for i in indices]
+            with pytest.raises(ValueError):
+                positions[...] = 0
+        # unlisted in repr and equality, like the basis's derived arrays
+        assert "positions" not in repr(pattern)
+
 
 @pytest.mark.invariants
 class TestInvariants:

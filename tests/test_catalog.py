@@ -3,14 +3,45 @@ import warnings
 import numpy as np
 import pytest
 
-from povm_lab import catalog, linalg
+from povm_lab import catalog, linalg, rankone
 from povm_lab import povm as pv
 from povm_lab.annealer import random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 
+from conftest import reference_overlaps
+
 TENSOR_PATTERN = ParameterPattern.from_known(
     4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
 )
+# eigvalsh and the Jacobi iteration, and two summation orders of an overlap,
+# differ by a few ulps of n^2 times the entry scales (at most 1 here)
+REPORT_TOL = 1e-14
+
+
+def reference_report(P, pattern):
+    """(rank_constant_multiple, ranks, verdict, c, d, max overlap deviation,
+    max quasi-orthogonality violation) from per-element Jacobi eigenvalues
+    and pairwise `hs_inner`."""
+    evals = [linalg.hermitian_eigenvalues(e) for e in P.elements]
+    c = float(np.mean([ev[0] for ev in evals]))
+    ranks, multiple_ok = [], True
+    for ev in evals:
+        significant = ev[ev > catalog.RANK_TOL * max(ev[0], 0.0)]
+        ranks.append(int(significant.size))
+        if significant.size == 0 or np.abs(significant - c).max() > catalog.RANK_TOL:
+            multiple_ok = False
+    m = P.m
+    cross = reference_overlaps(P.elements)[~np.eye(m, dtype=bool)]
+    d = float(cross.mean()) if cross.size else 0.0
+    dev = float(np.abs(cross - d).max()) if cross.size else 0.0
+    b = gell_mann_basis(pattern.dim)
+    quasi = max(
+        abs(linalg.hs_inner(e, b.element(k))) for k in pattern.known_indices for e in P.elements
+    )
+    complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= catalog.RANK_TOL
+    verdict = all((multiple_ok, dev <= catalog.RANK_TOL, quasi <= catalog.RANK_TOL, complete,
+                   m == pattern.unknown_count + 1))
+    return multiple_ok, tuple(ranks), verdict, c, d, dev, quasi
 
 
 class TestQutritCsic:
@@ -218,7 +249,31 @@ class TestInvariants:
                 for e in pov.elements
             )
             rep = catalog.conditional_sic_report(pov, pattern)
-            assert rep.max_quasi_orthogonality_violation == oracle
+            assert abs(rep.max_quasi_orthogonality_violation - oracle) <= REPORT_TOL
+
+    def test_report_matches_jacobi_reference(
+        self, qutrit_csic, trine, qutrit_pattern, qubit_pattern, dim4_diag_unknown_pattern
+    ):
+        """Every field within REPORT_TOL of (or equal to) the per-element Jacobi
+        and pairwise `hs_inner` computation the stacked report replaced."""
+        cases = [
+            (qutrit_csic, qutrit_pattern),
+            (trine, qubit_pattern),
+            (catalog.diag_units_dim4(), dim4_diag_unknown_pattern),
+            (catalog.sic_tensor_identity_dim4(), TENSOR_PATTERN),
+        ]
+        rng = np.random.default_rng(73)
+        for pattern in (qubit_pattern, qutrit_pattern, dim4_diag_unknown_pattern):
+            b = gell_mann_basis(pattern.dim)
+            cases += [(random_initial_povm(pattern, b, rng, 0.1), pattern) for _ in range(3)]
+        cases += [(rankone.phases_to_povm(rankone.random_phases(3, 7, rng))[0], qutrit_pattern)]
+        for pov, pattern in cases:
+            rep = catalog.conditional_sic_report(pov, pattern)
+            want = reference_report(pov, pattern)
+            assert (rep.is_rank_constant_multiple, rep.ranks, rep.verdict) == want[:3]
+            got = (rep.c, rep.d, rep.max_pairwise_overlap_deviation,
+                   rep.max_quasi_orthogonality_violation)
+            assert np.abs(np.subtract(got, want[3:])).max() <= REPORT_TOL
 
     def test_report_invariant_under_permutation(self, qutrit_csic, qutrit_pattern):
         base = catalog.conditional_sic_report(qutrit_csic, qutrit_pattern)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povm_lab import linalg
-from povm_lab.errors import ContractViolation, SingularDesign
+from povm_lab.errors import ContractViolation, NumericalError, SingularDesign
 
 from conftest import random_hermitian, random_unitary
 
@@ -320,3 +320,102 @@ class TestTwoByTwoVerdict:
             yes, no = linalg.psd_verdict(entries, 2, 1e-10)
         assert not yes.any() and not no.any()
         assert linalg.psd_verdict(entries[:, 0].tolist(), 2, 1e-10) == (False, False)
+
+
+def _member(rng, n, kind, scale):
+    """(H, its descending spectrum or None) for one Hermitian test matrix:
+    generic, rank one, with an eigenvalue repeated n - 1 times, or a multiple
+    of I; `scale` sets its entry size."""
+    if kind == "generic":
+        return scale * random_hermitian(rng, n), None
+    if kind == "rank_one":
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        h = np.outer(v, v.conj())
+        spectrum = np.zeros(n)
+        spectrum[0] = scale * (v.conj() @ v).real
+        return scale * (h + h.conj().T) / 2.0, spectrum
+    if kind == "degenerate":
+        spectrum = scale * np.repeat(rng.normal(size=2), [n - 1, 1])
+        return _from_spectra(rng, [spectrum])[0], np.sort(spectrum)[::-1]
+    spectrum = np.full(n, scale * rng.normal())
+    return spectrum[0] * np.eye(n, dtype=complex), spectrum
+
+
+@pytest.mark.invariants
+class TestSpectra:
+    """`spectra` and the stacked `symmetrize` against the per-matrix Jacobi
+    oracle: each row within SPECTRA_TOL of the matrix's scale."""
+
+    # eigvalsh and the Jacobi iteration are both backward stable, so they
+    # agree with each other, and with a spectrum the matrix was built from,
+    # to a few ulps of n max|H_ij|
+    SPECTRA_TOL = 16 * np.finfo(float).eps
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["generic", "rank_one", "degenerate", "scalar"]),
+            min_size=1,
+            max_size=6,
+        ),
+        scale=st.sampled_from([1e-3, 1.0, 1e2]),
+    )
+    def test_stack_matches_jacobi(self, n, seed, kinds, scale):
+        rng = np.random.default_rng(seed)
+        members = [_member(rng, n, kind, scale) for kind in kinds]
+        stack = np.array([h for h, _ in members])
+        # anti-Hermitian noise well inside each member's own tolerance
+        x = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        peaks = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))[:, None, None]
+        noisy = stack + 1e-14 * peaks * (x - x.conj().swapaxes(-1, -2))
+        averaged = linalg.symmetrize(noisy)
+        ev = linalg.spectra(noisy)
+        assert ev.shape == (len(kinds), n)
+        for i, (h, known) in enumerate(zip(noisy, (k for _, k in members))):
+            # each member gets the bits it gets alone, for both operations
+            assert np.array_equal(averaged[i], linalg.symmetrize(h))
+            assert np.array_equal(ev[i], linalg.spectra(h))
+            assert np.all(np.diff(ev[i]) <= 0.0)
+            want = sorted(linalg._jacobi_eigenvalues(averaged[i]), reverse=True)
+            bound = self.SPECTRA_TOL * n * max(1.0, float(np.abs(h).max()))
+            assert np.abs(ev[i] - want).max() <= bound
+            if known is not None:
+                assert np.abs(ev[i] - known).max() <= bound
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        bad=st.integers(0, 5),
+    )
+    def test_one_non_hermitian_member_is_rejected(self, n, seed, size, bad):
+        # the other members are large, so the bad one fails only at its own scale
+        rng = np.random.default_rng(seed)
+        stack = np.array([1e6 * random_hermitian(rng, n) for _ in range(size)])
+        bad %= size
+        stack[bad] = random_hermitian(rng, n)
+        stack[bad, 0, n - 1] += 1e-9
+        for operation in (linalg.symmetrize, linalg.spectra):
+            with pytest.raises(ContractViolation, match="not Hermitian"):
+                operation(stack)
+        stack[bad, 0, n - 1] -= 1e-9
+        assert linalg.spectra(stack).shape == (size, n)
+
+    def test_non_finite_and_non_square_stacks_are_rejected(self):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ContractViolation, match="non-finite"):
+            linalg.spectra(stack)
+        with pytest.raises(ContractViolation, match="square"):
+            linalg.spectra(np.zeros((2, 2, 3)))
+
+    def test_lapack_failure_is_a_numerical_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalError, match="LAPACK failure"):
+            linalg.spectra(np.eye(3))

@@ -5,9 +5,15 @@ import pytest
 
 from povm_lab import catalog, linalg
 from povm_lab import povm as pv
+from povm_lab.annealer import random_initial_povm
+from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ClosureNotPositive, ContractViolation
 
-from conftest import resized_coords
+from conftest import overlap_tolerance, reference_overlaps, resized_coords
+
+# eigvalsh and the Jacobi iteration, and two summation orders of an overlap,
+# differ by a few ulps of the element scale (at most 1 here)
+METRICS_TOL = 1e-14
 
 
 class TestCoordsToElement:
@@ -117,18 +123,37 @@ class TestMetrics:
         assert mk.Delta == pytest.approx(1 / 48, abs=1e-12)
         assert mk.delta > 0
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_jacobi_and_pairwise_reference(self, dim):
+        """sigma, delta and Delta within METRICS_TOL of the per-element Jacobi
+        and pairwise `hs_inner` computation the stacked one replaced."""
+        basis = gell_mann_basis(dim)
+        pattern = ParameterPattern.from_known(dim, {dim * dim - 1: 0.0})
+        rng = np.random.default_rng(dim)
+        povms = [random_initial_povm(pattern, basis, rng, scale) for scale in (0.02, 0.05, 0.1)]
+        povms += [catalog.qubit_trine(), catalog.qutrit_csic(), catalog.diag_units_dim4()]
+        for p in povms:
+            mk = pv.metrics(p)
+            sigma = sum(max(float(linalg.hermitian_eigenvalues(e)[1]), 0.0) for e in p.elements)
+            overlap = reference_overlaps(p.elements)
+            selfs = np.diag(overlap)
+            cross = overlap[~np.eye(p.m, dtype=bool)]
+            assert abs(mk.sigma - sigma) <= METRICS_TOL
+            assert abs(mk.delta - np.sum((selfs - selfs.mean()) ** 2)) <= METRICS_TOL
+            assert abs(mk.Delta - np.sum((cross - cross.mean()) ** 2)) <= METRICS_TOL
+
 
 class TestOverlapMatrix:
     def test_entries_are_ordered_pair_overlaps(self, qutrit_csic):
         overlaps = pv.overlap_matrix(qutrit_csic.elements)
         assert overlaps.shape == (7, 7)
-        for i, a in enumerate(qutrit_csic.elements):
-            for j, b in enumerate(qutrit_csic.elements):
-                assert overlaps[i, j] == linalg.hs_inner(a, b)
+        assert np.array_equal(overlaps, overlaps.T)
+        want = reference_overlaps(qutrit_csic.elements)
+        assert np.all(np.abs(overlaps - want) <= overlap_tolerance(qutrit_csic.elements))
 
     def test_noisy_elements_match_pairwise_hs_inner(self, qutrit_csic):
         # each element carries anti-Hermitian noise of about 1e-15, which
-        # symmetrize removes; symmetrizing once per element gives the same bits
+        # symmetrize removes
         rng = np.random.default_rng(4)
         noisy = []
         for e in qutrit_csic.elements:
@@ -136,9 +161,24 @@ class TestOverlapMatrix:
             noisy.append(e + 1e-15 * (x - x.conj().T))
         assert any(not np.array_equal(e, e.conj().T) for e in noisy)
         overlaps = pv.overlap_matrix(noisy)
-        for i, a in enumerate(noisy):
-            for j, b in enumerate(noisy):
-                assert overlaps[i, j] == linalg.hs_inner(a, b)
+        assert np.all(np.abs(overlaps - reference_overlaps(noisy)) <= overlap_tolerance(noisy))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_stacks_match_pairwise_hs_inner(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 5, 9):
+            x = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+            elements = list(x + x.conj().swapaxes(1, 2))
+            overlaps = pv.overlap_matrix(elements)
+            assert np.array_equal(overlaps, overlaps.T)
+            want = reference_overlaps(elements)
+            assert np.all(np.abs(overlaps - want) <= overlap_tolerance(elements))
+
+    def test_non_hermitian_member_rejected(self, qutrit_csic):
+        elements = list(qutrit_csic.elements)
+        elements[3] = elements[3] + 1e-9 * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            pv.overlap_matrix(elements)
 
     def test_mixed_shapes_rejected(self, qutrit_csic, trine):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
@@ -165,6 +205,15 @@ class TestValidate:
         violations = pv.validate(pv.Povm(2, elements))
         assert [v.name for v in violations] == ["finite", "completeness"]
         assert violations[0].detail == "element 1 has non-finite entries"
+
+    @pytest.mark.parametrize("asymmetry, names", [(1e-10, []), (1e-8, ["hermiticity"])])
+    def test_asymmetry_is_judged_at_tol(self, trine, asymmetry, names):
+        # within tol the element passes on its Hermitian part; beyond it is a
+        # reported violation (with its weight out of the sum), never an exception
+        elements = [e.astype(complex) for e in trine.elements]
+        elements[2] = elements[2] + asymmetry * np.triu(np.ones((2, 2)), 1)
+        violations = pv.validate(pv.Povm(2, elements), 1e-9)
+        assert [v.name for v in violations if v.name != "completeness"] == names
 
     def test_negative_eigenvalue_flagged(self):
         p = pv.Povm(2, [np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])])

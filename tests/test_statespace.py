@@ -118,7 +118,7 @@ class TestClusterStates:
 class TestSelectCluster:
     def test_single_cluster_largest(self, basis3):
         clusters = statespace.cluster_states(np.zeros((1, 8)), 10, basis3)
-        assert statespace.select_cluster(clusters, "largest").key == (3, 3, 3)
+        assert statespace.select_cluster(clusters).key == (3, 3, 3)
 
     def test_reference_policy(self, basis2, qubit_pattern):
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
@@ -126,7 +126,7 @@ class TestSelectCluster:
             statespace.generate_grid(spec, basis2), 10, basis2
         )
         picked = statespace.select_cluster(
-            clusters, "reference", theta_ref=np.array([0.2, 0.0]),
+            clusters, theta_ref=np.array([0.2, 0.0]),
             basis=basis2, pattern=qubit_pattern,
         )
         assert picked.key == (6, 3)
@@ -135,7 +135,7 @@ class TestSelectCluster:
         clusters = statespace.cluster_states(np.zeros((1, 3)), 10, basis2)
         with pytest.raises(EmptyClusterSelection):
             statespace.select_cluster(
-                clusters, "reference", theta_ref=np.array([0.7, 0.0]),
+                clusters, theta_ref=np.array([0.7, 0.0]),
                 basis=basis2, pattern=qubit_pattern,
             )
 
@@ -145,7 +145,7 @@ class TestSelectCluster:
         assert set(clusters) == {(9, 0)}
         with pytest.raises(ConfigurationError, match="-4.5"):
             statespace.select_cluster(
-                clusters, "reference", theta_ref=np.array([5.0, 5.0]),
+                clusters, theta_ref=np.array([5.0, 5.0]),
                 basis=basis2, pattern=qubit_pattern,
             )
 
@@ -154,12 +154,17 @@ class TestSelectCluster:
         clusters = statespace.cluster_states(states, 10, basis2)
         sizes = {k: c.size for k, c in clusters.items()}
         assert set(sizes.values()) == {1}
-        picked = statespace.select_cluster(clusters, "largest")
+        picked = statespace.select_cluster(clusters)
         assert picked.key == min(clusters)
+
+    def test_theta_ref_needs_basis_and_pattern(self, basis2):
+        clusters = statespace.cluster_states(np.zeros((1, 3)), 10, basis2)
+        with pytest.raises(ContractViolation, match="needs basis and pattern"):
+            statespace.select_cluster(clusters, np.array([0.0, 0.0]))
 
     def test_empty_input(self):
         with pytest.raises(EmptyClusterSelection):
-            statespace.select_cluster({}, "largest")
+            statespace.select_cluster({})
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +283,7 @@ class TestBatchedAgainstOracle:
         assert states.shape == (361, 8)
         clusters = statespace.cluster_states(states, 10, basis3)
         assert len(clusters) == 6
-        largest = statespace.select_cluster(clusters, "largest")
+        largest = statespace.select_cluster(clusters)
         assert largest.key == (6, 3, 0)
         assert largest.size == 188
 
@@ -295,11 +300,10 @@ class TestEigenvalueCells:
         pattern = request.getfixturevalue(pattern_name)
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec, basis), 10, basis)
-        unknown_pos = [i - 1 for i in pattern.unknown_indices]
         for key, cl in clusters.items():
             for theta in cl.members:
                 picked = statespace.select_cluster(
-                    clusters, "reference", theta_ref=theta[unknown_pos], basis=basis, pattern=pattern
+                    clusters, theta[pattern.unknown_positions], basis, pattern
                 )
                 assert picked.key == key
 
