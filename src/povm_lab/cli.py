@@ -7,8 +7,9 @@ lines and `#` comments are ignored, unknown or duplicate keys are errors.
 default declared on that field, and those defaults describe the qutrit
 diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 `docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
-table.  Refine restart r runs Levenberg-Marquardt from phases drawn with the
-seed pair (refine.seed, r); the search itself has no keys.
+table.  Refine restart r runs Levenberg-Marquardt from phases drawn by the
+standard library's `random.Random(f"{refine.seed},{r}")`, so refine never
+loads `numpy.random`; the search itself has no keys.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import logging
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -59,7 +61,7 @@ class RefineSettings:
     weight: float = 1.0
     restarts: int = 5
     element_count: Optional[int] = None  # None: N + 1
-    seed: int = 0  # restart r draws its start from default_rng([seed, r])
+    seed: int = 0  # restart r draws its start from random.Random(f"{seed},{r}")
 
 
 @dataclass
@@ -298,7 +300,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     best = None
     for r in range(cfg.refine.restarts):
-        initial = rankone.random_phases(n, m, np.random.default_rng([seed, r]))
+        initial = rankone.random_phases(n, m, random.Random(f"{seed},{r}"))
         # refine does not read the config; total_steps=0 lets the tracer
         # count every trace record after the first as an LM iteration
         res = rankone.refine(initial, AnnealConfig(total_steps=0), cfg.refine.weight)

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
 from .errors import ConfigurationError, ContractViolation, NonPositiveObjective, SingularDesign
-from .povm import Povm, coordinate_rows, element_coords
+from .povm import Povm, coordinate_rows, element_coords, overlap_matrix
 from .statespace import Cluster
 
 PROB_RANGE_TOL = 1e-10
@@ -42,9 +42,9 @@ class AveragedCovariance:
 
 
 def outcome_probabilities(P: Povm, rho) -> np.ndarray:
-    """p_j = Tr(E_j rho); validates the probability simplex invariants."""
-    rho = linalg.symmetrize(rho)
-    p = np.array([linalg.hs_inner(e, rho) for e in P.elements])
+    """p_j = Tr(E_j rho), the last row of one `overlap_matrix` of the elements
+    and rho; validates the probability simplex invariants."""
+    p = overlap_matrix([*P.elements, rho])[-1, :-1]
     _check_simplex(p, "state")
     return p
 

@@ -10,9 +10,10 @@ plain sum of squares -- the centred off-diagonal overlaps and sqrt(weight)
 times the real and imaginary parts of the completeness residual -- and one
 function, `_residuals`, computes those residuals with their analytic Jacobian
 with respect to the free phases; the search and `refine_objective` both take
-the objective as r @ r.  Uniform random starts reach the qutrit conditional
-SIC in a handful of iterations; the CLI runs several seeded starts and keeps
-the best.  Because the ansatz is quasi-orthogonal to the diagonal generators
+the objective as r @ r.  Uniform random starts (`random_phases`) reach the
+qutrit conditional SIC in a handful of iterations; the CLI runs several
+starts, restart r seeded by `random.Random(f"{seed},{r}")`, and keeps the
+best.  Because the ansatz is quasi-orthogonal to the diagonal generators
 only, the CLI runs it only when those are exactly the known directions.
 """
 
@@ -85,8 +86,15 @@ def from_raw(dim: int, raw) -> PhaseConfiguration:
 
 
 def random_phases(dim: int, element_count: int, rng) -> PhaseConfiguration:
+    """Uniform phases in [0, 2pi) off the gauge row and column, drawn row by
+    row as TWO_PI * rng.random().  `rng` is a `random.Random` or a numpy
+    `Generator`; for a Generator the phases equal, bit for bit, its
+    `uniform(0.0, TWO_PI, (m - 1, n - 1))`, which draws the same doubles in
+    the same order."""
     p = np.zeros((element_count, dim))
-    p[1:, 1:] = rng.uniform(0.0, TWO_PI, (element_count - 1, dim - 1))
+    p[1:, 1:] = [
+        [TWO_PI * rng.random() for _ in range(dim - 1)] for _ in range(element_count - 1)
+    ]
     return PhaseConfiguration(dim, element_count, p)
 
 

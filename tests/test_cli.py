@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
@@ -600,7 +601,7 @@ class TestRefineMode:
         assert cli.main(["refine", "--config", str(cfg_path), "--seed", "4"]) == 0
         runs = [
             rankone.refine(
-                rankone.random_phases(3, 7, np.random.default_rng([4, r])),
+                rankone.random_phases(3, 7, random.Random(f"4,{r}")),
                 annealer.AnnealConfig(total_steps=0),
                 1.0,
             )
@@ -612,6 +613,26 @@ class TestRefineMode:
         assert "restarts  3" in report and "seed  4" in report
         written = rankone.read_phases(out / "phases.csv")
         assert np.array_equal(written.phases, best.phases.phases)
+
+    def test_refine_never_imports_numpy_random(self, tmp_path):
+        """refine seeds its starts from the standard library's `random`, so a
+        fresh process that runs it never loads `numpy.random` (and with it
+        `secrets`, `hashlib` and every bit generator)."""
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(
+            f"mode = refine\ndim = 3\nrefine.restarts = 1\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        code = (
+            "import sys\n"
+            "from povm_lab import cli\n"
+            f"assert cli.main(['refine', '--config', {str(cfg_path)!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "POVM_LAB_LOG": "quiet"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+        assert (tmp_path / "out" / "report.txt").exists()
 
 
 class TestGridinfoMode:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,29 @@ class TestPhasesToPovm:
         bad[0, 1] = 0.3
         with pytest.raises(ContractViolation):
             rankone.PhaseConfiguration(3, 3, bad)
+
+
+class TestRandomPhases:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, [4, 2]])
+    def test_generator_draws_match_uniform(self, n, seed):
+        """With a numpy Generator the row-by-row draws are, bit for bit, the
+        Generator's uniform(0, 2pi) block the phases were once drawn as."""
+        for m in range(2, 9):
+            got = rankone.random_phases(n, m, np.random.default_rng(seed)).phases
+            want = np.random.default_rng(seed).uniform(0.0, rankone.TWO_PI, (m - 1, n - 1))
+            assert got[1:, 1:].tobytes() == want.tobytes()
+            assert not got[0].any() and not got[:, 0].any()
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 7), (4, 5)])
+    def test_standard_library_draws(self, n, m):
+        for r in range(5):
+            one = rankone.random_phases(n, m, random.Random(f"3,{r}")).phases
+            two = rankone.random_phases(n, m, random.Random(f"3,{r}")).phases
+            assert one.tobytes() == two.tobytes()
+            assert not one[0].any() and not one[:, 0].any()
+            assert one.min() >= 0.0 and one.max() < rankone.TWO_PI
+            assert np.unique(one[1:, 1:]).size == (m - 1) * (n - 1)
 
 
 class TestRefineObjective:
