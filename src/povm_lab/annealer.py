@@ -55,7 +55,6 @@ from .errors import (
     ResampleExhausted,
 )
 from .objective import (
-    CLOSING_WEIGHT_FLOOR,
     DESIGN_DET_FLOOR,
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
@@ -449,13 +448,9 @@ def score_variants(
     if not idx.size:
         return VariantTable(rows, columns, closed, skipped, log_dacm)
 
-    # the closing probability column (1 - sum a0) - members . (sum a0 a); a
-    # closing weight at or below the floor gives a zero column, as
-    # objective._coordinate_table derives it
-    a0_last = 1.0 - a0_sum.take(idx)
-    last = np.where(
-        a0_last > CLOSING_WEIGHT_FLOOR, a0_last - members @ a_sum.take(idx, axis=1), 0.0
-    )  # (k, Vc)
+    # the closing probability column (1 - sum a0) - members . (sum a0 a), the
+    # closing element's `element_rows` row read off the free elements' sums
+    last = (1.0 - a0_sum.take(idx)) - members @ a_sum.take(idx, axis=1)  # (k, Vc)
     sums = probs @ rows.choose.take(idx, axis=1) + last
     # the whole table's extremes bound every row's, so rows are compared one by
     # one only when they fail; written so that a NaN probability fails too

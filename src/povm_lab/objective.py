@@ -1,10 +1,12 @@
 """Estimator pipeline and the determinant objective.
 
 Outcome probabilities p_j = Tr(E_j rho) are affine in the Bloch coordinates,
-p_j = a0_j (1 + <a_j, theta>), which the cluster sum exploits: the covariance
-of the first N outcome frequencies is the multinomial W (repetition count set
-to 1; it only rescales the objective), W0 sums W over the cluster members and
-the objective is DACM = det(W0) / det(T)^2 for the design matrix T.
+p_j = x_j0 + theta . x_j for the `element_rows` row (x_j0, x_j) = (Tr E_j / n,
+Tr(E_j sigma)), which the cluster sum exploits: the covariance of the first N
+outcome frequencies is the multinomial W (repetition count set to 1; it only
+rescales the objective), W0 sums W over the cluster members and the objective
+is DACM = det(W0) / det(T)^2 for the design matrix T, whose rows are the
+x_j restricted to the unknown directions.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ import numpy as np
 from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
 from .errors import ConfigurationError, ContractViolation, NonPositiveObjective, SingularDesign
-from .povm import Povm, coordinate_rows, element_coords, overlap_matrix
+from .povm import Povm, coordinate_rows, element_rows, overlap_matrix
 from .statespace import Cluster
 
 PROB_RANGE_TOL = 1e-10
 PROB_SUM_TOL = 1e-9
 # |det T| <= DESIGN_DET_FLOOR * max|T_ij|^N counts as singular
 DESIGN_DET_FLOOR = 1e-12
-# an element whose weight a0 = Tr E / n is at or below this counts as zero
-CLOSING_WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,9 @@ def design_matrix(coords, pattern: ParameterPattern) -> DesignMatrix:
 
 
 def design_matrix_for(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
-    """Design matrix of a Povm, recovering coordinates from matrices if needed."""
-    n_unknown = pattern.unknown_count
-    if P.coords is not None and len(P.coords) >= n_unknown:
-        return design_matrix(P.coords, pattern)
-    coords = [element_coords(P.elements[j], basis) for j in range(n_unknown)]
-    return design_matrix(coords, pattern)
+    """Design matrix of a Povm, read off the `element_rows` of its first N elements."""
+    X = element_rows(P.elements[: pattern.unknown_count], basis)
+    return DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0])
 
 
 def multinomial_covariance(p, n_unknown: int) -> np.ndarray:
@@ -86,34 +83,6 @@ def multinomial_covariance(p, n_unknown: int) -> np.ndarray:
         raise ContractViolation(f"N = {n_unknown} exceeds m - 1 = {p.shape[0] - 1}")
     head = p[:n_unknown]
     return np.diag(head) - np.outer(head, head)
-
-
-def _coordinate_table(P: Povm, basis: OrthonormalBasis):
-    """(a0s, A) for all m elements.
-
-    The first N rows are `coordinate_rows` of the stored coordinates; the
-    closing element follows from sum E_j = I, i.e. sum a0 = 1 and sum a0 a = 0.
-    Elements with a0 = 0 get a zero coordinate row (their probabilities vanish
-    identically).
-    """
-    dim_coords = basis.dim**2 - 1
-    a0s = np.zeros(P.m)
-    A = np.zeros((P.m, dim_coords))
-    if P.coords is not None and len(P.coords) == P.m - 1:
-        a0s[:-1], A[:-1] = coordinate_rows(P.coords, dim_coords)
-        a0_last = 1.0 - a0s[:-1].sum()
-        if a0_last > CLOSING_WEIGHT_FLOOR:
-            a0s[-1] = a0_last
-            A[-1] = -(a0s[:-1, None] * A[:-1]).sum(axis=0) / a0_last
-        # else: zero closing element; its row stays zero
-    else:
-        for j, e in enumerate(P.elements):
-            tr = e.trace().real
-            if tr / basis.dim > CLOSING_WEIGHT_FLOOR:
-                c = element_coords(e, basis)
-                a0s[j] = c.a0
-                A[j] = c.a
-    return a0s, A
 
 
 def averaged_covariance(
@@ -126,8 +95,8 @@ def averaged_covariance(
     members = cluster.members
     if members.shape[0] == 0:
         raise ContractViolation("cluster has no members")
-    a0s, A = _coordinate_table(P, basis)
-    probs = (1.0 + members @ A.T) * a0s  # (k, m)
+    X = element_rows(P.elements, basis)
+    probs = X[:, 0] + members @ X[:, 1:].T  # (k, m)
     bad = np.where(
         (probs.min(axis=1) < -PROB_RANGE_TOL)
         | (probs.max(axis=1) > 1 + PROB_RANGE_TOL)

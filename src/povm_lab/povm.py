@@ -3,8 +3,10 @@
 Elements are carried both as matrices and, where available, in the coordinate
 form E = a0 (I + a . sigma) with `a` expanded in the orthonormal basis of
 :mod:`povm_lab.basis`; `OrthonormalBasis.expand` is the one map from
-coordinates to a . sigma.  The diagnostics sigma/delta/Delta track rank-one-ness
-and overlap symmetry of a candidate measurement during optimization.
+coordinates to a . sigma, and `element_rows` the one map from element matrices
+to their rows (Tr E / n, Tr(E sigma)).  The diagnostics sigma/delta/Delta
+track rank-one-ness and overlap symmetry of a candidate measurement during
+optimization.
 """
 
 from __future__ import annotations
@@ -82,14 +84,31 @@ def coords_to_element(c: PovmElementCoords, basis: OrthonormalBasis) -> np.ndarr
     return c.a0 * e
 
 
+def element_rows(elements, basis: OrthonormalBasis) -> np.ndarray:
+    """X (m, n^2) of m element matrices: row j is (Tr E_j / n, Tr(E_j sigma_1),
+    ..., Tr(E_j sigma_{n^2-1})), so p_j = X[j, 0] + theta . X[j, 1:].
+
+    One `linalg.symmetrize` checks the stack (Hermitian, finite); one real
+    product of its entries with the generators' gives every Tr(E sigma) =
+    sum Re E Re sigma + Im E Im sigma.
+    """
+    mats = linalg.symmetrize(elements)
+    n = basis.dim
+    if mats.ndim != 3 or mats.shape[-1] != n:
+        raise ContractViolation(f"expected a stack of {n} x {n} elements, got shape {mats.shape}")
+    m = mats.shape[0]
+    X = np.empty((m, n * n))
+    X[:, 0] = np.trace(mats, axis1=1, axis2=2).real / n
+    X[:, 1:] = mats.view(float).reshape(m, -1) @ basis.stack.view(float).reshape(n * n - 1, -1).T
+    return X
+
+
 def element_coords(E, basis: OrthonormalBasis) -> PovmElementCoords:
-    """Recover (a0, a) from a matrix element: a0 = Tr E / n, a_i = <E, sigma_i>/a0."""
-    E = linalg.symmetrize(E)
-    a0 = E.trace().real / basis.dim
-    if a0 <= A0_FLOOR:
-        raise ContractViolation(f"element has a0 = {a0:g}; coordinate form undefined")
-    a = np.real(np.einsum("aij,ji->a", basis.stack, E)) / a0
-    return PovmElementCoords(a0, a)
+    """(a0, a) of a matrix element from its `element_rows` row x: a0 = x[0], a = x[1:] / a0."""
+    x = element_rows([E], basis)[0]
+    if x[0] <= A0_FLOOR:
+        raise ContractViolation(f"element has a0 = {x[0]:g}; coordinate form undefined")
+    return PovmElementCoords(float(x[0]), x[1:] / x[0])
 
 
 def closing_elements(chosen: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from povm_lab.errors import (
     NonPositiveObjective,
     SingularDesign,
 )
-from povm_lab.povm import Povm, PovmElementCoords
+from povm_lab.povm import Povm, PovmElementCoords, element_rows
 
 from conftest import resized_coords
 
@@ -104,6 +104,22 @@ class TestDesignMatrix:
         assert np.array_equal(design.T, np.array([c.a0 * c.a[unknown] for c in rows]))
         assert np.array_equal(design.a0s, np.array([c.a0 for c in rows]))
 
+    def test_for_povm_matches_coords(self, trine, basis2, qubit_pattern):
+        """Read off the matrices, T and the a0s are the coordinate design's."""
+        from_coords = objective.design_matrix(trine.coords, qubit_pattern)
+        from_rows = objective.design_matrix_for(Povm(2, trine.elements), qubit_pattern, basis2)
+        assert np.abs(from_rows.T - from_coords.T).max() < 1e-15
+        assert np.abs(from_rows.a0s - from_coords.a0s).max() < 1e-15
+
+    def test_tiny_first_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """A first element 1e-13 I has the zero design row Tr(E sigma) = 0."""
+        eps = 1e-13
+        P = Povm(2, [eps * np.eye(2)] + [(1 - eps) * e for e in trine.elements])
+        design = objective.design_matrix_for(P, qubit_pattern, basis2)
+        averaged = objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
+        with pytest.raises(SingularDesign):
+            objective.dacm(design, averaged)
+
 
 class TestMultinomialCovariance:
     def test_uniform_three(self):
@@ -162,10 +178,30 @@ class TestAveragedCovariance:
             objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
-    def test_wrong_length_rejected(self, trine, basis2, qubit_pattern, qubit_cluster, change):
-        P = Povm(trine.dim, trine.elements, resized_coords(trine.coords, change))
-        with pytest.raises(ContractViolation, match="coordinate length"):
+    def test_wrong_length_rejected(self, basis2, qubit_pattern, qubit_cluster, change):
+        """W0 is read off the element matrices, so elements one row and column
+        short or long for the basis are rejected."""
+        n = basis2.dim + change
+        P = Povm(n, [np.eye(n) / 3.0] * 3)
+        with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
             objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
+
+    def test_w0_independent_of_carried_coords(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """W0 is read off the element matrices, so dropping the stored
+        coordinates leaves it unchanged."""
+        bare = Povm(trine.dim, trine.elements)
+        carried = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern).W0
+        matrices = objective.averaged_covariance(bare, qubit_cluster, basis2, qubit_pattern).W0
+        assert np.abs(carried - matrices).max() <= 1e-14 * np.abs(matrices).max()
+
+    def test_tiny_closing_weight(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """A valid POVM whose closing element is 1e-13 I, the rest the trine
+        scaled by 1 - 1e-13, has the trine's W0 within 1e-12."""
+        eps = 1e-13
+        P = Povm(2, [(1 - eps) * e for e in trine.elements] + [eps * np.eye(2)])
+        got = objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern).W0
+        want = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern).W0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_golden_qutrit_default_cluster(
         self, qutrit_csic, basis3, qutrit_pattern, qutrit_default_cluster
@@ -307,8 +343,8 @@ class TestInvariants:
     def test_batched_probabilities_match_per_state(
         self, trine, basis2, qubit_pattern, qubit_cluster
     ):
-        a0s, a = objective._coordinate_table(trine, basis2)
-        probs = (1.0 + qubit_cluster.members @ a.T) * a0s
+        X = element_rows(trine.elements, basis2)
+        probs = X[:, 0] + qubit_cluster.members @ X[:, 1:].T
         for i in range(qubit_cluster.size):
             rho = bloch_to_state(qubit_cluster.members[i], basis2)
             direct = objective.outcome_probabilities(trine, rho)

@@ -78,6 +78,44 @@ class TestElementCoords:
             pv.element_coords(np.zeros((2, 2)), basis2)
 
 
+class TestElementRows:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rows_are_coordinates(self, dim, trine):
+        """Row j is (a0_j, a0_j a_j) for a carried element, and the closing
+        row is (1 - sum a0, -sum a0 a)."""
+        basis = gell_mann_basis(dim)
+        if dim == 2:
+            P = trine
+        else:
+            pattern = ParameterPattern.from_known(dim, {dim**2 - 1: 0.0})
+            P = random_initial_povm(pattern, basis, np.random.default_rng(dim), scale=0.1)
+        a0, A = pv.coordinate_rows(P.coords, dim**2 - 1)
+        X = pv.element_rows(P.elements, basis)
+        assert X.shape == (len(P.coords) + 1, dim**2)
+        assert np.abs(X[:-1, 0] - a0).max() < 1e-15
+        assert np.abs(X[:-1, 1:] - a0[:, None] * A).max() < 1e-15
+        assert abs(X[-1, 0] - (1.0 - a0.sum())) < 1e-15
+        assert np.abs(X[-1, 1:] + (a0[:, None] * A).sum(axis=0)).max() < 1e-15
+
+    def test_element_coords_is_one_row(self, qutrit_csic, basis3):
+        X = pv.element_rows(qutrit_csic.elements, basis3)
+        for e, x in zip(qutrit_csic.elements, X):
+            c = pv.element_coords(e, basis3)
+            assert c.a0 == x[0]
+            assert np.abs(c.a - x[1:] / x[0]).max() < 1e-15
+
+    @pytest.mark.parametrize("entry", [1j, np.nan, np.inf], ids=["non_hermitian", "nan", "inf"])
+    def test_bad_element_rejected(self, basis2, entry):
+        bad = np.eye(2, dtype=complex) / 2
+        bad[0, 1] = entry
+        with pytest.raises(ContractViolation):
+            pv.element_rows([np.eye(2) / 2, bad], basis2)
+
+    def test_wrong_dimension_rejected(self, basis2):
+        with pytest.raises(ContractViolation, match="2 x 2"):
+            pv.element_rows([np.eye(3) / 3], basis2)
+
+
 class TestCompletePovm:
     def test_two_scaled_identities(self):
         out = pv.complete_povm([np.eye(2) / 2, np.eye(2) / 4])
