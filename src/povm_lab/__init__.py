@@ -3,10 +3,10 @@
 Modules:
     linalg      dense Hermitian eigenvalues, determinants, linear solves
     basis       orthonormal Hermitian operator bases, Bloch conversions
-    povm        POVM types, closure, validation, diagnostics, file format
+    povm        POVMs as element matrices: closure, validation, diagnostics, file format
     statespace  constrained-state grids and eigenvalue clustering
     objective   estimator design matrix, averaged covariance, DACM
-    annealer    Glauber-dynamics simulated annealing over POVM coordinates
+    annealer    Glauber-dynamics simulated annealing from any (N + 1)-element POVM
     rankone     equi-modular rank-one phase refinement
     catalog     closed-form measurements and the conditional-SIC certification report
     cli         the povm-lab command line front end
@@ -16,7 +16,7 @@ from .annealer import AnnealConfig, AnnealResult, TraceRecord, anneal
 from .basis import OrthonormalBasis, ParameterPattern, gell_mann_basis
 from .catalog import ConditionalSicReport, conditional_sic_report
 from .objective import AveragedCovariance, DesignMatrix, dacm
-from .povm import Povm, PovmElementCoords, PovmMetrics
+from .povm import Povm, PovmMetrics
 from .rankone import PhaseConfiguration, refine
 from .statespace import Cluster, GridSpec
 
@@ -32,7 +32,6 @@ __all__ = [
     "ParameterPattern",
     "PhaseConfiguration",
     "Povm",
-    "PovmElementCoords",
     "PovmMetrics",
     "TraceRecord",
     "anneal",

@@ -1,11 +1,15 @@
 """Stochastic search over POVMs with Glauber acceptance.
 
-Each step perturbs the coordinate form of all N free elements with Gaussian
-noise (resampling any draw that leaves the positive region) and then scores
-all 2^N old/new combinations at once: `score_variants` decides every
-combination's closure from the closing element's coordinates and computes the
-log DACM of every closable combination with one `slogdet` call on its design
-matrix and covariance, both gathered by one `take` from one flat array: the
+A chain starts from any POVM that `povm.validate` passes and that has
+m = N + 1 elements for the pattern's N unknowns: the `element_rows` of its
+first N elements give each free element's weight a0 and direction a in
+E = a0 (I + a . sigma), and the last element closes the measurement.  Each
+step perturbs (a0, a) of all N free elements with Gaussian noise (resampling
+any draw that leaves the positive region) and then scores all 2^N old/new
+combinations at once: `score_variants` decides every combination's closure
+from the closing element's coordinates and computes the log DACM of every
+closable combination with one `slogdet` call on its design matrix and
+covariance, both gathered by one `take` from one flat array: the
 2N old/new design rows, then a table built on the Gram matrix of the 2N
 old/new probability columns.  Both PSD tests, a perturbation attempt's and a
 closing element's, are decided in closed form (`linalg.psd_verdict`: the
@@ -25,16 +29,16 @@ columns over the cluster.  A step perturbs rows of the state's (a0, A),
 computes the probability columns of the perturbed side and scores one
 `VariantTable`; an accepted move other than the all-old row takes the
 accepted row's columns of that table, and a new best takes the best row's
-columns as the chain's second state.  A step builds no coordinate object and
-no `Povm`, and element matrices only for the closing matrices of rows in the
-PSD band: the chain's `current` and `best` are built on every read from its
-two states.  The row tables (`VariantRows`) depend only on which positions
-are pinned and are built once per pinned mask in a run.  Every free element
-matrix comes from `OrthonormalBasis.expand`, the one map from coordinates to
-a . sigma.
+columns as the chain's second state.  A step builds no `Povm`, and element
+matrices only for the closing matrices of rows in the PSD band: the chain's
+`current` and `best` are built on every read from its two states.  The row
+tables (`VariantRows`) depend only on which positions are pinned and are
+built once per pinned mask in a run.  Every free element matrix comes from
+`OrthonormalBasis.expand`, the one map from coordinates to a . sigma.
 
-`enumerate_variants`, `complete_povm` and the scalar `dacm` are the
-per-candidate path; the tests use them as the oracle for the stacked step.
+`enumerate_variants`, `complete_povm` and the scalar `design_matrix` and
+`dacm` are the per-candidate path on element matrices; the tests use them as
+the oracle for the stacked step.
 """
 
 from __future__ import annotations
@@ -65,12 +69,11 @@ from .objective import (
 from .povm import (
     PSD_CONSTRUCTION_TOL,
     Povm,
-    PovmElementCoords,
     closing_elements,
     complete_povm,
-    coordinate_rows,
-    coords_to_element,
+    element_rows,
     metrics,
+    validate,
 )
 from .statespace import Cluster
 
@@ -196,9 +199,9 @@ class FreeElements:
     `anneal` carries these for its current and best states from step to step,
     so a step computes probability columns only for the perturbed elements; a
     step's 2N old/new table is the two sides joined, and a row's free elements
-    are columns of that table.  A chain builds its first state from the initial
-    POVM's `coordinate_rows`; element matrices and checked `PovmElementCoords`
-    are built only when read (`elements`, `povm`).
+    are columns of that table.  A chain builds its first state from the
+    `element_rows` of the initial POVM's free elements; element matrices are
+    built only when read (`elements`, `povm`).
     """
 
     a0: np.ndarray  # (N,)
@@ -229,11 +232,9 @@ class FreeElements:
         return self.a0[:, None, None] * (basis.expand(self.A) + basis.identity)
 
     def povm(self, basis: OrthonormalBasis) -> Povm:
-        """The POVM of these free elements, then their closing element, with
-        checked coordinates."""
+        """The POVM of these free elements, then their closing element."""
         elements = self.elements(basis)
-        coords = [PovmElementCoords(a0, a) for a0, a in zip(self.a0.tolist(), self.A)]
-        return Povm(basis.dim, list(elements) + [closing_elements(elements)], coords)
+        return Povm(basis.dim, list(elements) + [closing_elements(elements)])
 
 
 @dataclass(frozen=True)
@@ -372,8 +373,9 @@ def perturb_element(
     return new_a0, new_a
 
 
-def enumerate_variants(old, new, basis: OrthonormalBasis):
-    """All valid POVMs from old/new element choices, choice vectors lexicographic.
+def enumerate_variants(old, new):
+    """All valid POVMs from old/new element matrix choices, choice vectors
+    lexicographic.
 
     A bit value 1 takes the perturbed element.  Positions where the perturbed
     element *is* the old one (resampling exhausted upstream) are pinned to 0,
@@ -382,19 +384,12 @@ def enumerate_variants(old, new, basis: OrthonormalBasis):
     n_free = len(old)
     if len(new) != n_free:
         raise ContractViolation("old and new element lists must align")
-    mats_old = [coords_to_element(c, basis) for c in old]
-    mats_new = [
-        mats_old[i] if new[i] is old[i] else coords_to_element(new[i], basis)
-        for i in range(n_free)
-    ]
     out = []
     for bits in itertools.product((0, 1), repeat=n_free):
         if any(b == 1 and new[i] is old[i] for i, b in enumerate(bits)):
             continue
-        coords = [new[i] if b else old[i] for i, b in enumerate(bits)]
-        elems = [mats_new[i] if b else mats_old[i] for i, b in enumerate(bits)]
         try:
-            out.append(complete_povm(elems, coords))
+            out.append(complete_povm([new[i] if b else old[i] for i, b in enumerate(bits)]))
         except ClosureNotPositive:
             continue
     return out
@@ -502,25 +497,25 @@ def random_initial_povm(
     rng,
     scale: float = 0.05,
 ) -> Povm:
-    """A valid interior starting POVM with m = N + 1 equal-weight elements."""
+    """A valid interior starting POVM with m = N + 1 equal-weight elements:
+    the N free elements (1 + a . sigma) / m with every a drawn from
+    N(0, scale^2); ContractViolation unless 0 < scale < inf."""
+    if not 0 < scale < math.inf:
+        raise ContractViolation(f"initial scale must be positive and finite, got {scale}")
     n_free = pattern.unknown_count
     m = n_free + 1
     dim_coords = basis.dim**2 - 1
     for _ in range(INIT_MAX_TRIES):
-        coords = [
-            PovmElementCoords(1.0 / m, rng.normal(0.0, scale, dim_coords))
-            for _ in range(n_free)
-        ]
-        a0, A = coordinate_rows(coords, dim_coords)
-        # I + a . sigma of every element, tested here and scaled by a0 below
+        A = np.array([rng.normal(0.0, scale, dim_coords) for _ in range(n_free)])
+        # I + a . sigma of every element, tested here and scaled by 1/m below
         units = basis.expand(A) + basis.identity
         if not (linalg.spectra(units)[:, -1] > 1e-8).all():
             continue
         try:
-            pov = complete_povm(list(a0[:, None, None] * units), coords)
+            pov = complete_povm(list(1.0 / m * units))
         except ClosureNotPositive:
             continue
-        design = design_matrix(coords, pattern)
+        design = design_matrix(pov, pattern, basis)
         design_scale = float(np.abs(design.T).max())
         if design_scale > 0 and abs(linalg.determinant(design.T)) > 1e-9 * design_scale**n_free:
             return pov
@@ -550,16 +545,29 @@ class AnnealChain:
     ):
         self.config, self.cluster, self.basis, self.pattern = config, cluster, basis, pattern
         self.rng = np.random.default_rng(config.rng_seed)
-        if initial.coords is None or len(initial.coords) != pattern.unknown_count:
-            raise ContractViolation("initial POVM must carry coordinates for its free elements")
+        n_free = pattern.unknown_count
+        if initial.m != n_free + 1:
+            raise ContractViolation(
+                f"initial POVM has {initial.m} elements; {n_free} unknowns need {n_free + 1}"
+            )
+        # the chain keeps only the free elements and recomputes the closing
+        # one, so an incomplete start would silently become another POVM
+        violations = validate(initial)
+        if violations:
+            v = violations[0]
+            raise ContractViolation(f"initial POVM is not valid: {v.name}, {v.detail}")
+        # a zero free element has a zero design row and raises SingularDesign
+        # here, before its weight divides its row below
         self.cur_log = math.log(
             dacm(
-                design_matrix(initial.coords, pattern),
+                design_matrix(initial, pattern, basis),
                 averaged_covariance(initial, cluster, basis, pattern),
             )
         )
         self.best_log = self.cur_log
-        a0, A = coordinate_rows(initial.coords, basis.dim**2 - 1)
+        X = element_rows(initial.elements[:n_free], basis)
+        a0 = X[:, 0]
+        A = X[:, 1:] / a0[:, None]
         self.state = self.best_state = FreeElements.build(a0, A, cluster.members)
         self.rows = {}  # pinned-position mask -> VariantRows
         self.counts = dict.fromkeys(RUN_COUNTERS, 0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .basis import ParameterPattern, gell_mann_basis
-from .povm import Povm, PovmElementCoords, overlap_matrix
+from .povm import Povm, overlap_matrix
 from .rankone import PhaseConfiguration
 
 RANK_TOL = 1e-8
@@ -61,16 +61,13 @@ def qutrit_csic() -> Povm:
 def qubit_trine() -> Povm:
     """The qubit trine: E_i = (2/3) P_i, projections at 120 degrees in the xy plane."""
     b = gell_mann_basis(2)
-    coords = []
     elements = []
     for k in range(3):
         ang = 2.0 * math.pi * k / 3.0
         a = np.array([math.sqrt(2.0) * math.cos(ang), math.sqrt(2.0) * math.sin(ang), 0.0])
-        c = PovmElementCoords(1.0 / 3.0, a)
-        coords.append(c)
         e = b.expand(a) + np.eye(2)
         elements.append(e / 3.0)
-    return Povm(2, elements, coords[:2])
+    return Povm(2, elements)
 
 
 def diag_units_dim4() -> Povm:

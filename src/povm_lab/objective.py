@@ -17,8 +17,8 @@ import numpy as np
 
 from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
-from .errors import ConfigurationError, ContractViolation, NonPositiveObjective, SingularDesign
-from .povm import Povm, coordinate_rows, element_rows, overlap_matrix
+from .errors import ContractViolation, NonPositiveObjective, SingularDesign
+from .povm import Povm, element_rows, overlap_matrix
 from .statespace import Cluster
 
 PROB_RANGE_TOL = 1e-10
@@ -29,7 +29,9 @@ DESIGN_DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Rows a0^(j) * a^(j) restricted to the unknown indices, plus the a0 offsets."""
+    """Rows Tr(E_j sigma) of the first N elements over the unknown directions,
+    plus the offsets a0_j = Tr E_j / n: for E_j = a0_j (I + a_j . sigma), the
+    rows a0_j a_j restricted to the unknown indices."""
 
     T: np.ndarray
     a0s: np.ndarray
@@ -59,18 +61,7 @@ def _check_simplex(p: np.ndarray, label: str) -> None:
         raise ContractViolation(f"probabilities sum to {s:.12g} for {label}")
 
 
-def design_matrix(coords, pattern: ParameterPattern) -> DesignMatrix:
-    """T[j][k] = a0^(j) a^(j)_{unknown_k} from the first N elements' `coordinate_rows`."""
-    n_unknown = pattern.unknown_count
-    if coords is None:
-        raise ConfigurationError("coordinate form required to build the design matrix")
-    if len(coords) < n_unknown:
-        raise ConfigurationError(f"need {n_unknown} coordinate rows, got {len(coords)}")
-    a0s, A = coordinate_rows(coords[:n_unknown], pattern.dim**2 - 1)
-    return DesignMatrix(a0s[:, None] * A[:, pattern.unknown_positions], a0s)
-
-
-def design_matrix_for(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
+def design_matrix(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
     """Design matrix of a Povm, read off the `element_rows` of its first N elements."""
     X = element_rows(P.elements[: pattern.unknown_count], basis)
     return DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0])

@@ -1,19 +1,17 @@
 """POVM representation, completeness closure, validity checks and diagnostics.
 
-Elements are carried both as matrices and, where available, in the coordinate
-form E = a0 (I + a . sigma) with `a` expanded in the orthonormal basis of
-:mod:`povm_lab.basis`; `OrthonormalBasis.expand` is the one map from
-coordinates to a . sigma, and `element_rows` the one map from element matrices
-to their rows (Tr E / n, Tr(E sigma)).  The diagnostics sigma/delta/Delta
-track rank-one-ness and overlap symmetry of a candidate measurement during
-optimization.
+A POVM is its element matrices.  `element_rows` is the one map from element
+matrices to their rows (Tr E / n, Tr(E sigma)) in the orthonormal basis of
+:mod:`povm_lab.basis`, which read a weight a0 = Tr E / n and a direction
+a = Tr(E sigma) / a0 off an element E = a0 (I + a . sigma).  The diagnostics
+sigma/delta/Delta track rank-one-ness and overlap symmetry of a candidate
+measurement during optimization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,22 +21,6 @@ from .errors import ClosureNotPositive, ContractViolation
 
 PSD_CONSTRUCTION_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
-A0_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PovmElementCoords:
-    """Coordinate form of one element: E = a0 (I + a . sigma)."""
-
-    a0: float
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if not (math.isfinite(self.a0) and self.a0 >= 0):
-            raise ContractViolation(f"a0 must be finite and nonnegative, got {self.a0}")
-        if not np.all(np.isfinite(self.a)):
-            raise ContractViolation("coordinate vector has non-finite entries")
 
 
 @dataclass
@@ -47,7 +29,6 @@ class Povm:
 
     dim: int
     elements: list
-    coords: Optional[list] = None
 
     @property
     def m(self) -> int:
@@ -61,27 +42,6 @@ class PovmMetrics:
     sigma: float
     delta: float
     Delta: float
-
-
-def coordinate_rows(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a0 (N,), A (N, k)) of N `PovmElementCoords`, the one place such a list
-    becomes arrays; ContractViolation unless every direction vector has length k."""
-    for c in coords:
-        if c.a.shape != (k,):
-            raise ContractViolation(f"coordinate length {c.a.shape} does not match {k}")
-    A = np.array([c.a for c in coords], dtype=float).reshape(len(coords), k)
-    return np.array([c.a0 for c in coords], dtype=float), A
-
-
-def coords_to_element(c: PovmElementCoords, basis: OrthonormalBasis) -> np.ndarray:
-    """E = a0 (I + sum_i a_i sigma_i); Tr E = a0 * n."""
-    if c.a.shape != (basis.dim**2 - 1,):
-        raise ContractViolation(
-            f"coordinate length {c.a.shape} does not match basis dim {basis.dim}"
-        )
-    e = basis.expand(c.a)
-    e += np.eye(basis.dim)
-    return c.a0 * e
 
 
 def element_rows(elements, basis: OrthonormalBasis) -> np.ndarray:
@@ -103,14 +63,6 @@ def element_rows(elements, basis: OrthonormalBasis) -> np.ndarray:
     return X
 
 
-def element_coords(E, basis: OrthonormalBasis) -> PovmElementCoords:
-    """(a0, a) of a matrix element from its `element_rows` row x: a0 = x[0], a = x[1:] / a0."""
-    x = element_rows([E], basis)[0]
-    if x[0] <= A0_FLOOR:
-        raise ContractViolation(f"element has a0 = {x[0]:g}; coordinate form undefined")
-    return PovmElementCoords(float(x[0]), x[1:] / x[0])
-
-
 def closing_elements(chosen: np.ndarray) -> np.ndarray:
     """I - E_1 - ... - E_N for a (..., N, n, n) stack of element lists.
 
@@ -124,7 +76,7 @@ def closing_elements(chosen: np.ndarray) -> np.ndarray:
     return (residual + residual.conj().swapaxes(-1, -2)) / 2.0
 
 
-def complete_povm(first_elements, coords=None) -> Povm:
+def complete_povm(first_elements) -> Povm:
     """Append E_m = I - sum of the given elements; fails if it is not PSD."""
     if len(first_elements) < 1:
         raise ContractViolation("need at least one element to complete")
@@ -138,7 +90,7 @@ def complete_povm(first_elements, coords=None) -> Povm:
         raise ClosureNotPositive(
             f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
         )
-    return Povm(dim, list(first_elements) + [residual], coords)
+    return Povm(dim, list(first_elements) + [residual])
 
 
 def overlap_matrix(elements) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from povm_lab import basis as bs
 from povm_lab import catalog, linalg, statespace
-from povm_lab.povm import PovmElementCoords
+from povm_lab import povm as pv
 
 
 def random_hermitian(rng, n):
@@ -43,13 +43,16 @@ def overlap_tolerance(elements):
     return 4 * np.finfo(float).eps * elements[0].shape[0] ** 2 * np.outer(peaks, peaks)
 
 
-def resized_coords(coords, change):
-    """`coords` with every direction vector one entry short (change = -1) or
-    one entry long (change = +1)."""
-    return [
-        PovmElementCoords(c.a0, c.a[:-1] if change < 0 else np.append(c.a, 0.0))
-        for c in coords
-    ]
+def coordinate_element(a0, a, basis):
+    """The element a0 (I + a . sigma) of one weight a0 and direction a, built
+    one row at a time: the oracle for the stacked `FreeElements.elements`."""
+    return a0 * (basis.expand(a) + np.eye(basis.dim))
+
+
+def free_coordinates(P, basis):
+    """(a0, a) of each free element of P (all but the last), read off its
+    `element_rows` as `AnnealChain` reads its start: a0 = x[0], a = x[1:] / a0."""
+    return [(x[0], x[1:] / x[0]) for x in pv.element_rows(P.elements[:-1], basis)]
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,7 @@ def test_criterion_2_dacm_oracle_equivalence(
         for k in range(count):
             rng = np.random.default_rng([1000 + b.dim, k])
             pov = annealer.random_initial_povm(pattern, b, rng, scale=0.12)
-            design = objective.design_matrix(pov.coords, pattern)
+            design = objective.design_matrix(pov, pattern, b)
             averaged = objective.averaged_covariance(pov, cluster, b, pattern)
             direct = objective.dacm(design, averaged)
             oracle = assembled_dacm(design, averaged)
@@ -99,7 +99,7 @@ def test_criterion_3_estimator_unbiasedness(trine, basis2, qubit_pattern):
     theta = np.array([0.3, 0.1])
     rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
     p = objective.outcome_probabilities(trine, rho)
-    design = objective.design_matrix(trine.coords, qubit_pattern)
+    design = objective.design_matrix(trine, qubit_pattern, basis2)
     rng = np.random.default_rng(42)
     counts = rng.multinomial(100_000, p, size=1000)
     estimates = np.array(
@@ -116,7 +116,7 @@ def test_criterion_4_qubit_annealing_reproduces_trine(
     basis2, qubit_pattern, qubit_cluster, trine
 ):
     t0 = time.perf_counter()
-    design = objective.design_matrix(trine.coords, qubit_pattern)
+    design = objective.design_matrix(trine, qubit_pattern, basis2)
     averaged = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
     dacm_trine = objective.dacm(design, averaged)
     successes = []
@@ -147,7 +147,7 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
     basis3, qutrit_pattern, qutrit_default_cluster, qutrit_csic
 ):
     t0 = time.perf_counter()
-    analytic_design = objective.design_matrix_for(qutrit_csic, qutrit_pattern, basis3)
+    analytic_design = objective.design_matrix(qutrit_csic, qutrit_pattern, basis3)
     analytic_av = objective.averaged_covariance(
         qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern
     )
@@ -168,7 +168,7 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
         ]
         overlap_dev = max(abs(o - 2 / 49) for o in overlaps)
         d = objective.dacm(
-            objective.design_matrix_for(pov, qutrit_pattern, basis3),
+            objective.design_matrix(pov, qutrit_pattern, basis3),
             objective.averaged_covariance(pov, qutrit_default_cluster, basis3, qutrit_pattern),
         )
         rel = abs(d - dacm_analytic) / dacm_analytic
@@ -197,9 +197,9 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
     )
     cluster = statespace.select_cluster(clusters)
     units = catalog.diag_units_dim4()
-    coords = [pv.element_coords(e, basis4) for e in units.elements]
+    coords = [(x[0], x[1:] / x[0]) for x in pv.element_rows(units.elements, basis4)]
     base = objective.dacm(
-        objective.design_matrix(coords[:3], pattern),
+        objective.design_matrix(units, pattern, basis4),
         objective.averaged_covariance(units, cluster, basis4, pattern),
     )
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
@@ -211,14 +211,14 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
         # and full-coordinate kicks off this corner of the positive region
         # are essentially never jointly valid
         for _ in range(100_000):
-            a = c.a.copy()
+            a = c[1].copy()
             a[unknown_pos] += rng.normal(0.0, s, len(unknown_pos))
             m = np.tensordot(a, basis4.stack, axes=1) + np.eye(4)
             if linalg.min_eigenvalue_trusted(m) >= -1e-10:
                 while True:
-                    a0 = c.a0 + rng.normal(0.0, s)
+                    a0 = c[0] + rng.normal(0.0, s)
                     if a0 > 0:
-                        return pv.PovmElementCoords(a0, a)
+                        return a0, a
         raise RuntimeError("perturbation sampling failed")
 
     worse = 0
@@ -227,12 +227,12 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
         news = [perturbed_element(c, 0.01) for c in coords[:3]]
         try:
             cand = pv.complete_povm(
-                [pv.coords_to_element(c, basis4) for c in news], news
+                [a0 * (basis4.expand(a) + np.eye(4)) for a0, a in news]
             )
         except ClosureNotPositive:
             continue
         d = objective.dacm(
-            objective.design_matrix(news, pattern),
+            objective.design_matrix(cand, pattern, basis4),
             objective.averaged_covariance(cand, cluster, basis4, pattern),
         )
         total += 1

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from povm_lab import annealer, catalog, cli, linalg, povm as pv, statespace
+from povm_lab.basis import ParameterPattern, bloch_radius_bound, gell_mann_basis
 from povm_lab.errors import (
     ConfigurationError,
     ContractViolation,
@@ -20,10 +22,11 @@ from povm_lab.errors import (
 )
 from povm_lab.objective import PROB_SUM_TOL, averaged_covariance, dacm, design_matrix
 
-from conftest import resized_coords
+from conftest import coordinate_element, free_coordinates
 
+# (a0, a) of each trine element (2/3) P_k = (1 + a_k . sigma) / 3
 TRINE_COORDS = [
-    pv.PovmElementCoords(
+    (
         1 / 3,
         np.array(
             [np.sqrt(2) * np.cos(2 * np.pi * k / 3), np.sqrt(2) * np.sin(2 * np.pi * k / 3), 0.0]
@@ -34,15 +37,26 @@ TRINE_COORDS = [
 
 
 def free_elements(coords, basis, members):
-    """The `FreeElements` of a coordinate list, built as `AnnealChain` builds its state."""
-    return annealer.FreeElements.build(*pv.coordinate_rows(coords, basis.dim**2 - 1), members)
+    """The `FreeElements` of a list of (a0, a) pairs."""
+    a0 = np.array([c[0] for c in coords], dtype=float)
+    A = np.array([c[1] for c in coords], dtype=float).reshape(len(coords), basis.dim**2 - 1)
+    return annealer.FreeElements.build(a0, A, members)
 
 
 def perturbed(coords, s, rng, basis):
-    """`perturb_element` of each coordinate object, as checked coordinate objects."""
-    return [
-        pv.PovmElementCoords(*annealer.perturb_element(c.a0, c.a, s, rng, basis)) for c in coords
+    """`perturb_element` of each (a0, a) pair."""
+    return [annealer.perturb_element(a0, a, s, rng, basis) for a0, a in coords]
+
+
+def element_matrices(old, new, basis):
+    """The element matrices of two aligned (a0, a) lists, one row at a time; a
+    position where `new` is `old` gets the old matrix itself, which
+    `enumerate_variants` pins."""
+    mats_old = [coordinate_element(a0, a, basis) for a0, a in old]
+    mats_new = [
+        e if n is o else coordinate_element(*n, basis) for e, n, o in zip(mats_old, new, old)
     ]
+    return mats_old, mats_new
 
 
 def small_config(**kw):
@@ -109,15 +123,15 @@ class TestAnnealConfig:
 class TestPerturbElement:
     def test_vanishing_noise(self, basis2):
         rng = np.random.default_rng(0)
-        c = pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0]))
-        a0, a = annealer.perturb_element(c.a0, c.a, 1e-12, rng, basis2)
-        assert abs(a0 - c.a0) < 1e-10
-        assert np.abs(a - c.a).max() < 1e-10
+        c0, c = 0.3, np.array([0.2, 0.1, 0.0])
+        a0, a = annealer.perturb_element(c0, c, 1e-12, rng, basis2)
+        assert abs(a0 - c0) < 1e-10
+        assert np.abs(a - c).max() < 1e-10
 
     def test_fixed_seed_determinism(self, basis2):
-        c = pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0]))
-        one = annealer.perturb_element(c.a0, c.a, 0.1, np.random.default_rng(7), basis2)
-        two = annealer.perturb_element(c.a0, c.a, 0.1, np.random.default_rng(7), basis2)
+        c0, c = 0.3, np.array([0.2, 0.1, 0.0])
+        one = annealer.perturb_element(c0, c, 0.1, np.random.default_rng(7), basis2)
+        two = annealer.perturb_element(c0, c, 0.1, np.random.default_rng(7), basis2)
         assert one[0] == two[0]
         assert np.array_equal(one[1], two[1])
 
@@ -125,7 +139,7 @@ class TestPerturbElement:
         # element on the boundary of the positive region; success frequency of
         # single-draw perturbations must match an independent estimate of the
         # PSD acceptance region measured with a different seed
-        c = TRINE_COORDS[0]
+        c0, c = TRINE_COORDS[0]
         s = 0.5
         successes = 0
         trials = 1000
@@ -133,23 +147,24 @@ class TestPerturbElement:
         for _ in range(trials):
             try:
                 annealer.perturb_element(
-                    c.a0, c.a, s, rng, basis2, max_resample=1, perturb_a0=False
+                    c0, c, s, rng, basis2, max_resample=1, perturb_a0=False
                 )
                 successes += 1
             except ResampleExhausted:
                 pass
         observed = successes / trials
         oracle_rng = np.random.default_rng(456)
-        draws = c.a + oracle_rng.normal(0.0, s, (20000, 3))
+        draws = c + oracle_rng.normal(0.0, s, (20000, 3))
         # qubit closed form: I + a.sigma is PSD iff |a| <= sqrt(2)
         expected = float(np.mean(np.linalg.norm(draws, axis=1) <= np.sqrt(2.0)))
         assert abs(observed - expected) <= 0.05
 
     def test_resample_exhausted(self, basis2):
-        c = pv.PovmElementCoords(0.3, np.array([np.sqrt(2), 0.0, 0.0]))
         rng = np.random.default_rng(1)
         with pytest.raises(ResampleExhausted):
-            annealer.perturb_element(c.a0, c.a, 50.0, rng, basis2, max_resample=3)
+            annealer.perturb_element(
+                0.3, np.array([np.sqrt(2), 0.0, 0.0]), 50.0, rng, basis2, max_resample=3
+            )
 
 
     def test_minor_verdict_keeps_every_draw(self, basis2, basis3, monkeypatch):
@@ -164,19 +179,19 @@ class TestPerturbElement:
             return yes, no
 
         starts = [(basis2, c) for c in TRINE_COORDS[:2]]
-        starts += [(basis2, pv.PovmElementCoords(0.3, np.array([0.2, 0.1, 0.0])))]
+        starts += [(basis2, (0.3, np.array([0.2, 0.1, 0.0])))]
         starts += [(basis3, c) for c in _interior_qutrit_coords(0.0, 4, basis3)[:2]]
         starts += [(basis3, c) for c in _interior_qutrit_coords(0.3, 5, basis3)[:1]]
 
         def outcomes():
             out = []
-            for basis, c in starts:
+            for basis, (c0, c) in starts:
                 for s in (1e-12, 1e-6, 0.05, 0.5, 3.0):
                     for seed in range(8):
                         rng = np.random.default_rng(seed)
                         try:
                             a0, a = annealer.perturb_element(
-                                c.a0, c.a, s, rng, basis, max_resample=4
+                                c0, c, s, rng, basis, max_resample=4
                             )
                             out.append((a0, tuple(a.tolist())))
                         except ResampleExhausted:
@@ -194,8 +209,8 @@ class TestPerturbElement:
 
 @pytest.mark.invariants
 class TestPerturbedCoordinates:
-    """`perturb_element` returns bare (a0, a); the checked constructor
-    accepts every pair it returns, so every result is finite."""
+    """`perturb_element` returns bare (a0, a): every pair it returns has a
+    positive finite a0 and a finite float64 direction of the input's shape."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -217,48 +232,40 @@ class TestPerturbedCoordinates:
                 max_size=dim**2 - 1,
             )
         )
-        c = pv.PovmElementCoords(a0, np.array(a))
+        a = np.array(a)
         rng = np.random.default_rng(seed)
         try:
             # near the float range the draws overflow on the way to being redrawn
             with np.errstate(over="ignore", invalid="ignore"):
                 out_a0, out_a = annealer.perturb_element(
-                    c.a0, c.a, s, rng, basis, max_resample=5, perturb_a0=perturb_a0
+                    a0, a, s, rng, basis, max_resample=5, perturb_a0=perturb_a0
                 )
         except ResampleExhausted:
             return
-        checked = pv.PovmElementCoords(out_a0, out_a)
-        assert out_a.dtype == np.float64 and out_a.shape == c.a.shape
-        assert checked.a0 == out_a0 and np.array_equal(checked.a, out_a)
+        assert out_a.dtype == np.float64 and out_a.shape == a.shape
+        assert 0 < out_a0 < math.inf and np.isfinite(out_a).all()
 
     def test_overflowing_draws_are_redrawn(self, basis2):
         """At a scale near the float range every draw is far outside the
         region or overflows; none is returned."""
-        c = pv.PovmElementCoords(0.3, np.zeros(3))
         for seed in range(20):
             with pytest.raises(ResampleExhausted):
                 with np.errstate(over="ignore", invalid="ignore"):
                     annealer.perturb_element(
-                        c.a0, c.a, 1e308, np.random.default_rng(seed), basis2
+                        0.3, np.zeros(3), 1e308, np.random.default_rng(seed), basis2
                     )
 
 
 class TestEnumerateVariants:
     def test_degenerate_dedup(self, basis2):
-        rng = np.random.default_rng(2)
-        out = annealer.enumerate_variants(TRINE_COORDS[:2], TRINE_COORDS[:2], basis2)
+        mats = element_matrices(TRINE_COORDS[:2], TRINE_COORDS[:2], basis2)
+        out = annealer.enumerate_variants(*mats)
         assert len(out) == 1
 
-    def test_closure_filter(self, basis2):
-        big = [
-            pv.PovmElementCoords(0.8, np.zeros(3)),
-            pv.PovmElementCoords(0.8, np.zeros(3)),
-        ]
-        small = [
-            pv.PovmElementCoords(0.25, np.zeros(3)),
-            pv.PovmElementCoords(0.25, np.zeros(3)),
-        ]
-        out = annealer.enumerate_variants(small, big, basis2)
+    def test_closure_filter(self):
+        big = [0.8 * np.eye(2), 0.8 * np.eye(2)]
+        small = [0.25 * np.eye(2), 0.25 * np.eye(2)]
+        out = annealer.enumerate_variants(small, big)
         # (0,0) keeps both small; any bit taking a 0.8-weight element breaks closure
         assert len(out) == 1
         assert out[0].m == 3
@@ -266,29 +273,35 @@ class TestEnumerateVariants:
     def test_qutrit_variant_count(self, basis3, qutrit_pattern):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = perturbed(initial.coords, 0.005, rng, basis3)
-        out = annealer.enumerate_variants(initial.coords, news, basis3)
+        olds = free_coordinates(initial, basis3)
+        news = perturbed(olds, 0.005, rng, basis3)
+        out = annealer.enumerate_variants(*element_matrices(olds, news, basis3))
         assert len(out) <= 64
         assert len(out) == 64  # tiny noise: every combination stays closable
 
     def test_all_valid_povms(self, basis2):
         rng = np.random.default_rng(4)
         news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
-        for cand in annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2):
+        for cand in annealer.enumerate_variants(*element_matrices(TRINE_COORDS[:2], news, basis2)):
             assert pv.validate(cand, 1e-9) == []
 
     def test_only_closure_failures_are_skipped(self, basis2, monkeypatch):
-        def failing_completion(elements, coords=None):
+        def failing_completion(elements):
             raise NumericalError("eigensolver did not converge")
 
         monkeypatch.setattr(annealer, "complete_povm", failing_completion)
         rng = np.random.default_rng(5)
         news = perturbed(TRINE_COORDS[:2], 0.02, rng, basis2)
         with pytest.raises(NumericalError):
-            annealer.enumerate_variants(TRINE_COORDS[:2], news, basis2)
+            annealer.enumerate_variants(*element_matrices(TRINE_COORDS[:2], news, basis2))
 
 
 class TestRandomInitialPovm:
+    @pytest.mark.parametrize("scale", [-0.1, 0.0, math.nan, math.inf])
+    def test_bad_scale_rejected(self, basis2, qubit_pattern, scale):
+        with pytest.raises(ContractViolation, match="initial scale must be positive and finite"):
+            annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(0), scale)
+
     def test_retry_after_failed_design_check_keeps_scale(
         self, basis2, qubit_pattern, monkeypatch
     ):
@@ -352,8 +365,8 @@ class TestAnneal:
             small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
         )
         assert res.trace == []
-        assert_same_povm(res.best, initial)
-        assert_same_povm(res.final, initial)
+        assert_reads_start(res.best, initial)
+        assert_same_povm(res.final, res.best)
 
     def test_fixed_seed_bit_identical(self, basis2, qubit_pattern, qubit_cluster):
         def run():
@@ -458,7 +471,7 @@ class TestTraceIO:
 
 
 def evaluate_variants(old, new, basis, cluster, pattern):
-    """The `VariantTable` of two aligned coordinate lists, scored as an anneal
+    """The `VariantTable` of two aligned (a0, a) lists, scored as an anneal
     step scores its sides: the free elements of each list and the row table of
     the positions where `new` is `old`, then `score_variants`."""
     members = cluster.members
@@ -469,13 +482,15 @@ def evaluate_variants(old, new, basis, cluster, pattern):
 
 def scalar_variants(old, new, basis, cluster, pattern):
     """(bits, closing element, skipped, log DACM) per closable variant, from the
-    per-candidate path: `enumerate_variants` and the scalar `dacm`."""
+    per-candidate path on element matrices: `enumerate_variants` and the scalar
+    `design_matrix` and `dacm`."""
     out = []
-    for cand in annealer.enumerate_variants(old, new, basis):
-        bits = tuple(int(c is not o) for c, o in zip(cand.coords, old))
+    mats_old, mats_new = element_matrices(old, new, basis)
+    for cand in annealer.enumerate_variants(mats_old, mats_new):
+        bits = tuple(int(e is not o) for e, o in zip(cand.elements, mats_old))
         try:
             d = dacm(
-                design_matrix(cand.coords, pattern),
+                design_matrix(cand, pattern, basis),
                 averaged_covariance(cand, cluster, basis, pattern),
             )
         except (SingularDesign, NonPositiveObjective):
@@ -510,11 +525,11 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
             assert math.isnan(table.log_dacm[v])
         else:
             assert abs(table.log_dacm[v] - log_d) <= 1e-12
-        cand = table.free_elements(v).povm(basis)
-        assert np.array_equal(cand.elements[-1], want_closing)
-        for c, o, n, b in zip(cand.coords, old, new, bits[v]):
+        free = table.free_elements(v)
+        assert np.array_equal(free.povm(basis).elements[-1], want_closing)
+        for a0, a, o, n, b in zip(free.a0, free.A, old, new, bits[v]):
             want = n if b else o
-            assert c.a0 == want.a0 and np.array_equal(c.a, want.a)
+            assert a0 == want[0] and np.array_equal(a, want[1])
     assert not table.skipped[~table.closed].any()
     assert np.isnan(table.log_dacm[~table.closed]).all()
     return table
@@ -530,29 +545,26 @@ class TestEvaluateVariantsAgainstScalar:
     def test_qutrit_tiny_noise_all_valid(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = perturbed(initial.coords, 0.005, rng, basis3)
-        table = assert_matches_scalar(
-            initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
-        )
+        olds = free_coordinates(initial, basis3)
+        news = perturbed(olds, 0.005, rng, basis3)
+        table = assert_matches_scalar(olds, news, basis3, qutrit_default_cluster, qutrit_pattern)
         assert table.closed.sum() == 64 and not table.skipped.any()
 
     def test_qutrit_wider_noise(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(6)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
-        news = perturbed(initial.coords, 0.1, rng, basis3)
-        table = assert_matches_scalar(
-            initial.coords, news, basis3, qutrit_default_cluster, qutrit_pattern
-        )
+        olds = free_coordinates(initial, basis3)
+        news = perturbed(olds, 0.1, rng, basis3)
+        table = assert_matches_scalar(olds, news, basis3, qutrit_default_cluster, qutrit_pattern)
         assert 0 < table.closed.sum() < 64
 
     def test_pinned_positions(self, basis3, qutrit_pattern, qutrit_small_cluster):
         rng = np.random.default_rng(3)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
-        news = perturbed(initial.coords, 0.005, rng, basis3)
-        news[1], news[4] = initial.coords[1], initial.coords[4]
-        table = assert_matches_scalar(
-            initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern
-        )
+        olds = free_coordinates(initial, basis3)
+        news = perturbed(olds, 0.005, rng, basis3)
+        news[1], news[4] = olds[1], olds[4]
+        table = assert_matches_scalar(olds, news, basis3, qutrit_small_cluster, qutrit_pattern)
         assert table.rows.bits.shape == (16, 6)
         assert not table.rows.bits[:, [1, 4]].any()
 
@@ -563,20 +575,20 @@ class TestEvaluateVariantsAgainstScalar:
         assert table.rows.bits.tolist() == [[0, 0]]
 
     def test_closure_filter(self, basis2, qubit_pattern, qubit_cluster):
-        big = [pv.PovmElementCoords(0.8, np.zeros(3)), pv.PovmElementCoords(0.8, np.zeros(3))]
-        small = [pv.PovmElementCoords(0.25, np.zeros(3)), pv.PovmElementCoords(0.25, np.zeros(3))]
+        big = [(0.8, np.zeros(3)), (0.8, np.zeros(3))]
+        small = [(0.25, np.zeros(3)), (0.25, np.zeros(3))]
         table = assert_matches_scalar(small, big, basis2, qubit_cluster, qubit_pattern)
         assert table.closed.tolist() == [True, False, False, False]
         assert table.skipped[0]  # zero directions: T = 0
 
     def test_nothing_closed(self, basis2, qubit_pattern, qubit_cluster):
-        big = [pv.PovmElementCoords(0.6, np.zeros(3)), pv.PovmElementCoords(0.6, np.zeros(3))]
-        bigger = [pv.PovmElementCoords(0.7, np.zeros(3)), pv.PovmElementCoords(0.7, np.zeros(3))]
+        big = [(0.6, np.zeros(3)), (0.6, np.zeros(3))]
+        bigger = [(0.7, np.zeros(3)), (0.7, np.zeros(3))]
         table = assert_matches_scalar(big, bigger, basis2, qubit_cluster, qubit_pattern)
         assert table.rows.bits.shape == (4, 2) and not table.closed.any()
 
     def test_singular_design(self, basis2, qubit_pattern, qubit_cluster):
-        news = [pv.PovmElementCoords(1 / 3, np.zeros(3)), TRINE_COORDS[1]]
+        news = [(1 / 3, np.zeros(3)), TRINE_COORDS[1]]
         table = assert_matches_scalar(TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern)
         assert table.closed[:2].all()
         assert table.skipped.tolist() == [False, True]
@@ -588,8 +600,9 @@ class TestEvaluateVariantsAgainstScalar:
         """The table equals one whose closure is decided by `eigvalsh` on every row."""
         rng = np.random.default_rng(seed)
         initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
-        news = perturbed(initial.coords, s, rng, basis3)
-        args = (initial.coords, news, basis3, qutrit_small_cluster, qutrit_pattern)
+        olds = free_coordinates(initial, basis3)
+        news = perturbed(olds, s, rng, basis3)
+        args = (olds, news, basis3, qutrit_small_cluster, qutrit_pattern)
         table = evaluate_variants(*args)
         mask = np.zeros(table.closed.shape, dtype=bool)
         monkeypatch.setattr(linalg, "psd_verdict", lambda e, n, tol: (mask.copy(), mask.copy()))
@@ -612,7 +625,7 @@ class TestEvaluateVariantsAgainstScalar:
     def test_nan_weight_is_a_typed_failure(self, basis2, qubit_pattern, qubit_cluster):
         # not a silently rejected variant
         with pytest.raises((ContractViolation, NumericalError)):
-            news = [pv.PovmElementCoords(math.nan, TRINE_COORDS[0].a), TRINE_COORDS[1]]
+            news = [(math.nan, TRINE_COORDS[0][1]), TRINE_COORDS[1]]
             evaluate_variants(
                 TRINE_COORDS[:2], news, basis2, qubit_cluster, qubit_pattern
             )
@@ -627,9 +640,10 @@ class TestProbabilityChecks:
         closed row that takes a perturbed element."""
         rng = np.random.default_rng(4)
         initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        news = perturbed(initial.coords, 0.02, rng, basis2)
+        olds = free_coordinates(initial, basis2)
+        news = perturbed(olds, 0.02, rng, basis2)
         members = qubit_cluster.members
-        old = free_elements(initial.coords, basis2, members)
+        old = free_elements(olds, basis2, members)
         new = free_elements(news, basis2, members)
         rows = annealer.VariantRows.for_pinned([False, False])
         table = annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
@@ -639,9 +653,9 @@ class TestProbabilityChecks:
     def test_closing_column_alone_out_of_range(self, basis2, qubit_pattern, qubit_cluster):
         # theta along a_1 + a_2, outside the Bloch ball (|theta| = 1 > 1/sqrt 2):
         # p_1 = p_2 = (1 + 1/sqrt 2)/3 stay in range, p_3 = (1 - sqrt 2)/3 < 0
-        a1, a2 = TRINE_COORDS[0].a, TRINE_COORDS[1].a
+        a1, a2 = TRINE_COORDS[0][1], TRINE_COORDS[1][1]
         theta = (a1 + a2) / np.linalg.norm(a1 + a2)
-        free = [c.a0 * (1 + theta @ c.a) for c in TRINE_COORDS[:2]]
+        free = [a0 * (1 + theta @ a) for a0, a in TRINE_COORDS[:2]]
         assert all(0 <= p <= 1 for p in free)
         members = np.vstack([qubit_cluster.members, theta])
         cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
@@ -901,7 +915,7 @@ class TestRunCounters:
             small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
         )
         assert (res.variants_enumerated, res.closure_rejected, res.accepted) == (0, 0, 0)
-        assert_same_povm(res.best, initial)
+        assert_reads_start(res.best, initial)
         assert res.best_dacm == math.exp(res.best_log_dacm)
 
 
@@ -946,21 +960,119 @@ class TestPsdDecisions:
 
 
 def assert_same_povm(pov, want):
-    """Bit-for-bit equal elements and coordinate values."""
+    """Bit-for-bit equal elements."""
     assert pov.dim == want.dim and pov.m == want.m
     for e, f in zip(pov.elements, want.elements):
         assert e.dtype == f.dtype and e.shape == f.shape and e.tobytes() == f.tobytes()
-    assert len(pov.coords) == len(want.coords)
-    for c, d in zip(pov.coords, want.coords):
-        assert c.a0 == d.a0 and np.array_equal(c.a, d.a)
+
+
+def assert_reads_start(pov, initial):
+    """`pov` is a chain's start read off `initial`: its free elements rebuilt
+    from their `element_rows` (a0, a), equal to initial's within a few ulps."""
+    assert pov.dim == initial.dim and pov.m == initial.m
+    assert np.abs(np.array(pov.elements) - np.array(initial.elements)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
 def test_chain_rejects_wrong_length_coords(basis2, qubit_pattern, qubit_cluster, change):
-    initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(0))
-    bad = pv.Povm(initial.dim, initial.elements, resized_coords(initial.coords, change))
-    with pytest.raises(ContractViolation, match="coordinate length"):
+    """A start whose elements are one row and column short or long for the
+    basis has no (a0, a) of the basis' length, and is rejected."""
+    n = basis2.dim + change
+    bad = pv.Povm(n, [np.eye(n) / 3.0] * 3)
+    with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
         annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
+
+
+class TestChainStart:
+    """A chain starts from any valid POVM with m = N + 1 elements, read from
+    its element matrices alone."""
+
+    @staticmethod
+    def cluster(pattern, basis):
+        spec = statespace.GridSpec(7, bloch_radius_bound(basis.dim), pattern)
+        return statespace.select_cluster(
+            statespace.cluster_states(statespace.generate_grid(spec, basis), 10, basis)
+        )
+
+    @pytest.mark.parametrize(
+        "dim, known",
+        [(2, {2: 0.0, 3: 0.0}), (4, {i: 0.0 for i in range(1, 16) if i not in (3, 15)})],
+        ids=["trine-one-unknown", "diag-units-two-unknowns"],
+    )
+    def test_wrong_element_count_rejected(self, dim, known):
+        basis = gell_mann_basis(dim)
+        pattern = ParameterPattern.from_known(dim, known)
+        P = catalog.qubit_trine() if dim == 2 else catalog.diag_units_dim4()
+        n_free = pattern.unknown_count
+        message = f"{P.m} elements; {n_free} unknowns need {n_free + 1}"
+        with pytest.raises(ContractViolation, match=message):
+            annealer.AnnealChain(small_config(), P, self.cluster(pattern, basis), basis, pattern)
+
+    def test_incomplete_start_rejected(self, basis2, qubit_pattern, qubit_cluster):
+        """Elements summing to I + 0.01 sigma_z pass the cluster's probability
+        checks (z is known to be 0), but are not a POVM."""
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(1))
+        elements = initial.elements[:-1] + [initial.elements[-1] + 0.01 * basis2.element(3)]
+        bad = pv.Povm(2, elements)
+        with pytest.raises(ContractViolation, match="not valid: completeness"):
+            annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
+
+    def test_diag_units_start_on_default_dim4_pattern(self, basis4, dim4_diag_unknown_pattern):
+        """The four diagonal units are N + 1 = 4 elements for the default
+        dim-4 pattern's unknowns 3, 12, 15: a valid start at their own DACM."""
+        pattern = dim4_diag_unknown_pattern
+        units = catalog.diag_units_dim4()
+        cluster = self.cluster(pattern, basis4)
+        chain = annealer.AnnealChain(small_config(), units, cluster, basis4, pattern)
+        want = dacm(
+            design_matrix(units, pattern, basis4),
+            averaged_covariance(units, cluster, basis4, pattern),
+        )
+        assert chain.cur_log == chain.best_log == math.log(want)
+        assert_reads_start(chain.current, units)
+
+    def test_zero_free_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """A zero free element has the zero design row: SingularDesign from
+        `dacm` before its weight divides its row, with no RuntimeWarning."""
+        projection = 1.5 * trine.elements[0]
+        P = pv.Povm(2, [np.zeros((2, 2)), projection, np.eye(2) - projection])
+        assert pv.validate(P) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDesign):
+                annealer.AnnealChain(small_config(), P, qubit_cluster, basis2, qubit_pattern)
+
+    def test_catalog_qutrit_csic_keeps_its_dacm(
+        self, qutrit_csic, basis3, qutrit_pattern, qutrit_default_cluster
+    ):
+        """From the catalog's conditional SIC, a cold chain's best stays that
+        POVM's own log DACM, 31.2167096389588."""
+        own = math.log(
+            dacm(
+                design_matrix(qutrit_csic, qutrit_pattern, basis3),
+                averaged_covariance(qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern),
+            )
+        )
+        assert abs(own - 31.2167096389588) <= 1e-9
+        config = annealer.AnnealConfig(total_steps=200, T0=1e-3)
+        res = annealer.anneal(config, qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern)
+        assert abs(res.best_log_dacm - own) <= 1e-9
+        assert res.accepted > 0
+
+    def test_file_round_trip_start(self, tmp_path, basis2, qubit_pattern, qubit_cluster):
+        """A start read back from `write_povm`'s file runs the same chain as
+        the POVM itself."""
+        initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(23))
+        pv.write_povm(initial, tmp_path / "start.txt")
+        loaded = pv.read_povm(tmp_path / "start.txt")
+        config = small_config(total_steps=150)
+        one, two = (
+            annealer.anneal(config, P, qubit_cluster, basis2, qubit_pattern)
+            for P in (initial, loaded)
+        )
+        assert one.best_log_dacm == two.best_log_dacm
+        counters = [(getattr(one, k), getattr(two, k)) for k in annealer.RUN_COUNTERS]
+        assert all(a == b for a, b in counters) and one.accepted > 0
 
 
 def test_no_table_outlives_its_step(basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch):
@@ -988,9 +1100,9 @@ def test_no_table_outlives_its_step(basis3, qutrit_pattern, qutrit_small_cluster
 
 
 class TestCarriedState:
-    """The chain's carried free elements equal a fresh build from its current
-    coordinates after every step, and the POVMs it builds on read are those of
-    its accepted and best table rows."""
+    """The chain's carried probability columns equal a fresh build from its
+    carried (a0, A) after every step, and the POVMs it builds on read are those
+    of its start and of its accepted and best table rows."""
 
     def run_chain(self, monkeypatch, basis, pattern, cluster, **kw):
         tables, draws = [], []
@@ -1010,9 +1122,9 @@ class TestCarriedState:
         initial = annealer.random_initial_povm(pattern, basis, rng)
         config = small_config(total_steps=60, **kw)
         chain = annealer.AnnealChain(config, initial, cluster, basis, pattern)
-        assert_same_povm(chain.current, initial)
-        assert_same_povm(chain.best, initial)
-        want_current = want_best = initial
+        assert_reads_start(chain.current, initial)
+        assert_same_povm(chain.best, chain.current)
+        want_current = want_best = chain.current
         moved = stayed = 0  # steps that changed the state, steps that kept it
         shared = 0  # steps whose best row is also their last accepted row
         for t in range(config.total_steps):
@@ -1025,7 +1137,7 @@ class TestCarriedState:
             )
             moved += changed
             stayed += not changed
-            fresh = free_elements(chain.current.coords, basis, cluster.members)
+            fresh = annealer.FreeElements.build(state.a0, state.A, cluster.members)
             assert [field.name for field in dataclasses.fields(state)] == ["a0", "A", "probs"]
             for name in ("a0", "A", "probs"):
                 assert np.array_equal(getattr(state, name), getattr(fresh, name)), (t, name)
@@ -1100,16 +1212,16 @@ class TestCarriedState:
 
     def test_elements_match_coords_to_element(self, basis2, basis3, basis4):
         """In dims 2, 3 and 4, every row of a 1-row, N-row and joined 2N-row
-        product is bit-identical to `coords_to_element`: the band rows' closing
-        matrices are built from the 2N-row product, a read POVM's elements from
-        the N-row one."""
+        product is bit-identical to the per-row a0 (basis.expand(a) + I): the
+        band rows' closing matrices are built from the 2N-row product, a read
+        POVM's elements from the N-row one."""
         rng = np.random.default_rng(8)
         for basis in (basis2, basis3, basis4):
             k = basis.dim**2 - 1
             members = np.zeros((1, k))
             old, new = [
                 [
-                    pv.PovmElementCoords(rng.uniform(0.05, 0.3), rng.normal(0.0, 0.2, k))
+                    (rng.uniform(0.05, 0.3), rng.normal(0.0, 0.2, k))
                     for _ in range(6)
                 ]
                 for _ in range(2)
@@ -1120,19 +1232,20 @@ class TestCarriedState:
             for coords, built in tables:
                 elements = built.elements(basis)
                 assert elements.shape == (len(coords), basis.dim, basis.dim)
-                for e, c in zip(elements, coords):
-                    assert np.array_equal(e, pv.coords_to_element(c, basis))
+                for e, (a0, a) in zip(elements, coords):
+                    assert np.array_equal(e, coordinate_element(a0, a, basis))
 
 
 def _interior_qutrit_coords(mix, seed, basis):
-    """Coordinates of a randomly rotated qutrit conditional SIC mixed with I/7."""
+    """(a0, a) of the free elements of a randomly rotated qutrit conditional
+    SIC mixed with I/7."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     elements = [
         (1 - mix) * (q @ e @ q.conj().T) + mix * np.eye(3) / 7
         for e in catalog.qutrit_csic().elements
     ]
-    return [pv.element_coords(e, basis) for e in elements[:6]]
+    return free_coordinates(pv.Povm(3, elements), basis)
 
 
 @pytest.mark.invariants
@@ -1150,9 +1263,9 @@ class TestPermutationInvariance:
         permuted = [coords[i] for i in perm]
 
         def scalar(cs):
-            pov = pv.complete_povm([pv.coords_to_element(c, basis3) for c in cs], cs)
+            pov = pv.complete_povm([coordinate_element(a0, a, basis3) for a0, a in cs])
             return dacm(
-                design_matrix(cs, qutrit_pattern),
+                design_matrix(pov, qutrit_pattern, basis3),
                 averaged_covariance(pov, qutrit_small_cluster, basis3, qutrit_pattern),
             )
 

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from povm_lab import catalog, linalg, objective, statespace
-from povm_lab.basis import ParameterPattern, assemble_full_vector, bloch_to_state
-from povm_lab.errors import (
-    ConfigurationError,
-    ContractViolation,
-    NonPositiveObjective,
-    SingularDesign,
-)
-from povm_lab.povm import Povm, PovmElementCoords, element_rows
+from povm_lab.basis import ParameterPattern, assemble_full_vector, bloch_to_state, gell_mann_basis
+from povm_lab.errors import ContractViolation, NonPositiveObjective, SingularDesign
+from povm_lab.povm import Povm, element_rows
 
-from conftest import resized_coords
+from conftest import coordinate_element
 
 # golden master: W0 of the analytic qutrit measurement summed over the
 # largest cluster (key (6,3,0), 188 members) of the default g = 7 grid
@@ -60,62 +55,66 @@ class TestOutcomeProbabilities:
 
 
 class TestDesignMatrix:
-    def test_zero_directions(self, qubit_pattern):
-        coords = [PovmElementCoords(0.3, np.zeros(3)) for _ in range(2)]
-        design = objective.design_matrix(coords, qubit_pattern)
+    def test_zero_directions(self, basis2, qubit_pattern):
+        P = Povm(2, [0.3 * np.eye(2), 0.3 * np.eye(2), 0.4 * np.eye(2)])
+        design = objective.design_matrix(P, qubit_pattern, basis2)
         assert np.abs(design.T).max() == 0.0
 
-    def test_trine_rows(self, trine, qubit_pattern):
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+    def test_trine_rows(self, trine, basis2, qubit_pattern):
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         for j, ang in enumerate((0.0, 2 * np.pi / 3)):
             row = np.array([np.cos(ang), np.sin(ang)]) * np.sqrt(2) / 3
             assert np.abs(design.T[j] - row).max() < 1e-12
         assert abs(linalg.determinant(design.T)) > 0.1
         assert np.allclose(design.a0s, [1 / 3, 1 / 3])
 
-    def test_single_unknown(self):
+    def test_single_unknown(self, basis2):
         pattern = ParameterPattern.from_known(2, {2: 0.0, 3: 0.0})
-        coords = [PovmElementCoords(0.5, np.array([0.4, 0.0, 0.0]))]
-        design = objective.design_matrix(coords, pattern)
+        P = Povm(2, [coordinate_element(0.5, np.array([0.4, 0.0, 0.0]), basis2)])
+        design = objective.design_matrix(P, pattern, basis2)
         assert design.T.shape == (1, 1)
         assert design.T[0, 0] == pytest.approx(0.2)
 
-    def test_missing_coords(self, qubit_pattern):
-        with pytest.raises(ConfigurationError):
-            objective.design_matrix(None, qubit_pattern)
-
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
-    def test_wrong_length_rejected(self, trine, qubit_pattern, change):
-        with pytest.raises(ContractViolation, match="coordinate length"):
-            objective.design_matrix(resized_coords(trine.coords, change), qubit_pattern)
+    def test_wrong_length_rejected(self, basis2, qubit_pattern, change):
+        """Elements one row and column short or long for the basis are rejected."""
+        n = basis2.dim + change
+        P = Povm(n, [np.eye(n) / 3.0] * 3)
+        with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
+            objective.design_matrix(P, qubit_pattern, basis2)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_per_row_formula(self, dim):
-        """Row j of T is a0_j a_j[unknown], bit for bit."""
+        """Row j of T is a0_j a_j[unknown] for E_j = a0_j (I + a_j . sigma),
+        and its offset a0_j, within one rounding of the element matrix."""
+        basis = gell_mann_basis(dim)
         rng = np.random.default_rng(dim)
         pattern = ParameterPattern.from_known(dim, {dim**2 - 1: 0.0})
         unknown = [i - 1 for i in pattern.unknown_indices]
         coords = [
-            PovmElementCoords(rng.uniform(0.01, 0.3), rng.normal(0.0, 0.5, dim**2 - 1))
+            (rng.uniform(0.01, 0.3), rng.normal(0.0, 0.5, dim**2 - 1))
             for _ in range(pattern.unknown_count + 1)
         ]
-        design = objective.design_matrix(coords, pattern)
+        P = Povm(dim, [coordinate_element(a0, a, basis) for a0, a in coords])
+        design = objective.design_matrix(P, pattern, basis)
         rows = coords[: pattern.unknown_count]
-        assert np.array_equal(design.T, np.array([c.a0 * c.a[unknown] for c in rows]))
-        assert np.array_equal(design.a0s, np.array([c.a0 for c in rows]))
+        assert np.abs(design.T - np.array([a0 * a[unknown] for a0, a in rows])).max() < 1e-15
+        assert np.abs(design.a0s - np.array([a0 for a0, _ in rows])).max() < 1e-15
 
     def test_for_povm_matches_coords(self, trine, basis2, qubit_pattern):
-        """Read off the matrices, T and the a0s are the coordinate design's."""
-        from_coords = objective.design_matrix(trine.coords, qubit_pattern)
-        from_rows = objective.design_matrix_for(Povm(2, trine.elements), qubit_pattern, basis2)
-        assert np.abs(from_rows.T - from_coords.T).max() < 1e-15
-        assert np.abs(from_rows.a0s - from_coords.a0s).max() < 1e-15
+        """Read off the matrices, T and the a0s are the trine's coordinate
+        rows a0 a = sqrt(2) (cos, sin) / 3 and a0 = 1/3."""
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        angles = 2 * np.pi * np.arange(2) / 3
+        rows = np.sqrt(2) * np.stack([np.cos(angles), np.sin(angles)], axis=1) / 3
+        assert np.abs(design.T - rows).max() < 1e-15
+        assert np.abs(design.a0s - 1 / 3).max() < 1e-15
 
     def test_tiny_first_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
         """A first element 1e-13 I has the zero design row Tr(E sigma) = 0."""
         eps = 1e-13
         P = Povm(2, [eps * np.eye(2)] + [(1 - eps) * e for e in trine.elements])
-        design = objective.design_matrix_for(P, qubit_pattern, basis2)
+        design = objective.design_matrix(P, qubit_pattern, basis2)
         averaged = objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
         with pytest.raises(SingularDesign):
             objective.dacm(design, averaged)
@@ -266,12 +265,12 @@ class TestEstimateState:
         theta = np.array([0.25, -0.15])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         est = objective.estimate_state(p[:2], design)
         assert np.abs(est - theta).max() < 1e-9
 
-    def test_offset_maps_to_zero(self, trine, qubit_pattern):
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+    def test_offset_maps_to_zero(self, trine, basis2, qubit_pattern):
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         est = objective.estimate_state(design.a0s, design)
         assert np.abs(est).max() < 1e-12
 
@@ -279,7 +278,7 @@ class TestEstimateState:
         theta = np.array([0.3, 0.1])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         rng = np.random.default_rng(42)
         counts = rng.multinomial(100_000, p, size=1000)
         nus = counts[:, :2] / 100_000
@@ -316,7 +315,7 @@ class TestInvariants:
         assert linalg.hermitian_eigenvalues(w.astype(complex))[-1] >= -1e-9
 
     def test_dacm_equality_oracle_on_povms(self, trine, basis2, qubit_pattern, qubit_cluster):
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         av = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
         assert objective.dacm(design, av) == pytest.approx(
             assembled_dacm(design, av), rel=1e-10
@@ -325,7 +324,7 @@ class TestInvariants:
     def test_dacm_invariant_under_member_permutation(
         self, trine, basis2, qubit_pattern, qubit_cluster
     ):
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         base = objective.dacm(
             design, objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
         )
@@ -354,7 +353,7 @@ class TestInvariants:
         theta = np.array([0.3, 0.1])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine.coords, qubit_pattern)
+        design = objective.design_matrix(trine, qubit_pattern, basis2)
         rng = np.random.default_rng(42)
         counts = rng.multinomial(100_000, p, size=1000)
         ests = np.array(

@@ -5,104 +5,82 @@ import pytest
 
 from povm_lab import catalog, linalg
 from povm_lab import povm as pv
-from povm_lab.annealer import random_initial_povm
+from povm_lab.annealer import AnnealChain, AnnealConfig, FreeElements, random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ClosureNotPositive, ContractViolation
 
-from conftest import overlap_tolerance, reference_overlaps, resized_coords
+from conftest import overlap_tolerance, reference_overlaps
 
 # eigvalsh and the Jacobi iteration, and two summation orders of an overlap,
 # differ by a few ulps of the element scale (at most 1 here)
 METRICS_TOL = 1e-14
 
 
+def free_element(a0, a, basis):
+    """a0 (I + a . sigma) from the element matrices of a one-row `FreeElements`."""
+    k = basis.dim**2 - 1
+    one = FreeElements.build(np.array([a0]), np.reshape(a, (1, k)), np.zeros((1, k)))
+    return one.elements(basis)[0]
+
+
 class TestCoordsToElement:
+    """The map from a weight a0 and direction a to a0 (I + a . sigma)."""
+
     def test_maximally_mixed(self, basis3):
-        c = pv.PovmElementCoords(1 / 3, np.zeros(8))
-        assert np.abs(pv.coords_to_element(c, basis3) - np.eye(3) / 3).max() < 1e-15
+        assert np.abs(free_element(1 / 3, np.zeros(8), basis3) - np.eye(3) / 3).max() < 1e-15
 
     def test_zero_weight(self, basis2):
-        c = pv.PovmElementCoords(0.0, np.ones(3))
-        assert np.abs(pv.coords_to_element(c, basis2)).max() == 0.0
+        assert np.abs(free_element(0.0, np.ones(3), basis2)).max() == 0.0
 
     def test_trine_element(self, basis2):
-        c = pv.PovmElementCoords(1 / 3, np.array([np.sqrt(2), 0.0, 0.0]))
-        e = pv.coords_to_element(c, basis2)
+        e = free_element(1 / 3, np.array([np.sqrt(2), 0.0, 0.0]), basis2)
         assert e.trace().real == pytest.approx(2 / 3, abs=1e-12)
         ev = linalg.hermitian_eigenvalues(e)
         assert np.abs(ev - np.array([2 / 3, 0.0])).max() < 1e-12
 
-    def test_negative_a0_rejected(self):
-        with pytest.raises(ContractViolation):
-            pv.PovmElementCoords(-0.1, np.zeros(3))
-
-    @pytest.mark.parametrize("a0", [np.nan, np.inf])
-    def test_non_finite_a0_rejected(self, a0):
-        with pytest.raises(ContractViolation, match="a0 must be finite"):
-            pv.PovmElementCoords(a0, np.zeros(3))
-
-
-class TestCoordinateRows:
-    @pytest.mark.parametrize("dim, count", [(2, 3), (3, 6), (4, 1), (3, 0)])
-    def test_equals_stacked_rows(self, dim, count):
-        k = dim**2 - 1
-        rng = np.random.default_rng(dim * 10 + count)
-        coords = [
-            pv.PovmElementCoords(rng.uniform(0.05, 0.5), rng.normal(0.0, 0.3, k))
-            for _ in range(count)
-        ]
-        a0, A = pv.coordinate_rows(coords, k)
-        assert a0.dtype == A.dtype == np.float64
-        assert a0.shape == (count,) and A.shape == (count, k)
-        assert np.array_equal(a0, np.array([c.a0 for c in coords]))
-        if count:
-            assert np.array_equal(A, np.stack([c.a for c in coords]))
-
-    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
-    def test_wrong_length_rejected(self, trine, change):
-        with pytest.raises(ContractViolation, match="coordinate length"):
-            pv.coordinate_rows(resized_coords(trine.coords, change), 3)
-
 
 class TestElementCoords:
     def test_round_trip(self, basis3):
+        """(a0, a) read off an element's `element_rows` row as a0 = x[0] and
+        a = x[1:] / a0 are the element's own."""
         rng = np.random.default_rng(2)
         for _ in range(20):
-            c = pv.PovmElementCoords(rng.uniform(0.05, 0.5), rng.normal(0, 0.2, 8))
-            back = pv.element_coords(pv.coords_to_element(c, basis3), basis3)
-            assert back.a0 == pytest.approx(c.a0, abs=1e-12)
-            assert np.abs(back.a - c.a).max() < 1e-10
-
-    def test_zero_trace_rejected(self, basis2):
-        with pytest.raises(ContractViolation):
-            pv.element_coords(np.zeros((2, 2)), basis2)
+            a0, a = rng.uniform(0.05, 0.5), rng.normal(0, 0.2, 8)
+            x = pv.element_rows([free_element(a0, a, basis3)], basis3)[0]
+            assert x[0] == pytest.approx(a0, abs=1e-12)
+            assert np.abs(x[1:] / x[0] - a).max() < 1e-10
 
 
 class TestElementRows:
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_rows_are_coordinates(self, dim, trine):
-        """Row j is (a0_j, a0_j a_j) for a carried element, and the closing
-        row is (1 - sum a0, -sum a0 a)."""
+    def test_rows_are_coordinates(self, dim):
+        """Row j is (a0_j, a0_j a_j) for a free element a0_j (I + a_j . sigma),
+        and the closing row is (1 - sum a0, -sum a0 a)."""
         basis = gell_mann_basis(dim)
-        if dim == 2:
-            P = trine
-        else:
-            pattern = ParameterPattern.from_known(dim, {dim**2 - 1: 0.0})
-            P = random_initial_povm(pattern, basis, np.random.default_rng(dim), scale=0.1)
-        a0, A = pv.coordinate_rows(P.coords, dim**2 - 1)
+        rng = np.random.default_rng(dim)
+        count = dim**2 - 2
+        a0 = np.full(count, 1.0 / (count + 1))
+        A = rng.normal(0.0, 0.1, (count, dim**2 - 1))
+        P = FreeElements.build(a0, A, np.zeros((1, dim**2 - 1))).povm(basis)
         X = pv.element_rows(P.elements, basis)
-        assert X.shape == (len(P.coords) + 1, dim**2)
+        assert X.shape == (count + 1, dim**2)
         assert np.abs(X[:-1, 0] - a0).max() < 1e-15
         assert np.abs(X[:-1, 1:] - a0[:, None] * A).max() < 1e-15
         assert abs(X[-1, 0] - (1.0 - a0.sum())) < 1e-15
         assert np.abs(X[-1, 1:] + (a0[:, None] * A).sum(axis=0)).max() < 1e-15
 
-    def test_element_coords_is_one_row(self, qutrit_csic, basis3):
+    def test_element_coords_is_one_row(
+        self, qutrit_csic, basis3, qutrit_pattern, qutrit_small_cluster
+    ):
+        """A chain started from the matrices alone holds each free element's
+        `element_rows` row x as a0 = x[0] and a = x[1:] / x[0], bit for bit."""
+        chain = AnnealChain(
+            AnnealConfig(total_steps=0), qutrit_csic, qutrit_small_cluster, basis3, qutrit_pattern
+        )
         X = pv.element_rows(qutrit_csic.elements, basis3)
-        for e, x in zip(qutrit_csic.elements, X):
-            c = pv.element_coords(e, basis3)
-            assert c.a0 == x[0]
-            assert np.abs(c.a - x[1:] / x[0]).max() < 1e-15
+        for j, x in enumerate(X[:-1]):
+            assert chain.state.a0[j] == x[0]
+            assert np.array_equal(chain.state.A[j], x[1:] / x[0])
 
     @pytest.mark.parametrize("entry", [1j, np.nan, np.inf], ids=["non_hermitian", "nan", "inf"])
     def test_bad_element_rejected(self, basis2, entry):
@@ -349,7 +327,7 @@ class TestInvariants:
     def test_coords_linear_in_a0(self, basis3):
         rng = np.random.default_rng(14)
         a = rng.normal(0, 0.2, 8)
-        base = pv.coords_to_element(pv.PovmElementCoords(0.25, a), basis3)
+        base = free_element(0.25, a, basis3)
         for k in (0.5, 2.0, 3.7):
-            scaled = pv.coords_to_element(pv.PovmElementCoords(0.25 * k, a), basis3)
+            scaled = free_element(0.25 * k, a, basis3)
             assert np.abs(scaled - k * base).max() < 1e-12
