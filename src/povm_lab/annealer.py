@@ -19,8 +19,9 @@ tolerance, and on every matrix for n = 4.  Only the walk over the scored
 candidates is sequential: one logistic (Glauber) draw per evaluated candidate
 at the current temperature.  The perturbation scale and temperature decay
 geometrically; the temperature gets a multiplicative boost every
-`reheat_every` steps to help the chain escape local optima.  The best measurement seen (by raw objective) is tracked
-separately from the fluctuating chain state.
+`reheat_every` steps to help the chain escape local optima.  The best
+measurement seen (by raw objective) is tracked separately from the
+fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as
@@ -81,6 +82,8 @@ TRACE_HEADER = "step,log_dacm,sigma,delta,Delta,temperature,s"
 PERTURB_PSD_TOL = 1e-10
 MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
+MAX_RESAMPLE = 100  # attempts per perturbation draw, for a and for a0
+INIT_SCALE = 0.05  # `random_initial_povm`'s default spread, and anneal.init_scale's
 LOG_DESIGN_DET_FLOOR = math.log(DESIGN_DET_FLOOR)
 # what a run's steps did, in report order: `AnnealChain.counts` keys, `AnnealResult` fields
 RUN_COUNTERS = (
@@ -102,10 +105,8 @@ class AnnealConfig:
     T_decay: float = 0.999
     reheat_every: int = 1000
     reheat_factor: float = 5.0
-    max_resample: int = 100
     rng_seed: int = 0
     trace_every: int = 50
-    perturb_a0: bool = True
 
     def __post_init__(self):
         if self.total_steps < 0:
@@ -122,8 +123,8 @@ class AnnealConfig:
             raise ConfigurationError("reheat_every must be >= 1")
         if self.reheat_factor < 1:
             raise ConfigurationError("reheat_factor must be >= 1")
-        if self.max_resample < 1 or self.trace_every < 1:
-            raise ConfigurationError("max_resample and trace_every must be >= 1")
+        if self.trace_every < 1:
+            raise ConfigurationError("trace_every must be >= 1")
         if self.rng_seed < 0:
             raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.total_steps > 0:
@@ -322,8 +323,7 @@ def perturb_element(
     s: float,
     rng,
     basis: OrthonormalBasis,
-    max_resample: int = 100,
-    perturb_a0: bool = True,
+    max_resample: int = MAX_RESAMPLE,
 ) -> tuple[float, np.ndarray]:
     """Gaussian move (a0, a) -> (a0', a') of one element's coordinates,
     resampled into the PSD region.
@@ -360,17 +360,11 @@ def perturb_element(
         break
     if new_a is None:
         raise ResampleExhausted(f"no PSD draw for a in {max_resample} attempts")
-    new_a0 = a0
-    if perturb_a0:
-        new_a0 = None
-        for _ in range(max_resample):
-            cand = a0 + rng.normal(0.0, s)
-            if 0 < cand < math.inf:
-                new_a0 = cand
-                break
-        if new_a0 is None:
-            raise ResampleExhausted(f"no positive a0 draw in {max_resample} attempts")
-    return new_a0, new_a
+    for _ in range(max_resample):
+        cand = a0 + rng.normal(0.0, s)
+        if 0 < cand < math.inf:
+            return cand, new_a
+    raise ResampleExhausted(f"no positive a0 draw in {max_resample} attempts")
 
 
 def enumerate_variants(old, new):
@@ -495,7 +489,7 @@ def random_initial_povm(
     pattern: ParameterPattern,
     basis: OrthonormalBasis,
     rng,
-    scale: float = 0.05,
+    scale: float = INIT_SCALE,
 ) -> Povm:
     """A valid interior starting POVM with m = N + 1 equal-weight elements:
     the N free elements (1 + a . sigma) / m with every a drawn from
@@ -586,18 +580,14 @@ class AnnealChain:
     def step(self, s: float, temp: float) -> None:
         """Perturb every free element at scale s, score the variants and walk
         them at temperature temp: one logistic draw per evaluated variant."""
-        cfg, rng, basis, members = self.config, self.rng, self.basis, self.cluster.members
+        rng, basis, members = self.rng, self.basis, self.cluster.members
         counts = self.counts
         old = self.state
         a0, A = old.a0.copy(), old.A.copy()
         pinned = [False] * a0.shape[0]
         for i, (c0, c) in enumerate(zip(old.a0.tolist(), old.A)):
             try:
-                a0[i], A[i] = perturb_element(
-                    c0, c, s, rng, basis,
-                    max_resample=cfg.max_resample,
-                    perturb_a0=cfg.perturb_a0,
-                )
+                a0[i], A[i] = perturb_element(c0, c, s, rng, basis, max_resample=MAX_RESAMPLE)
             except ResampleExhausted:  # keep the old element at a pinned position
                 counts["resample_exhausted"] += 1
                 pinned[i] = True

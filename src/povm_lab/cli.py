@@ -27,7 +27,14 @@ from typing import Optional
 import numpy as np
 
 from . import catalog, linalg, rankone
-from .annealer import RUN_COUNTERS, AnnealConfig, anneal, random_initial_povm, write_trace
+from .annealer import (
+    INIT_SCALE,
+    RUN_COUNTERS,
+    AnnealConfig,
+    anneal,
+    random_initial_povm,
+    write_trace,
+)
 from .basis import ParameterPattern, bloch_radius_bound, bloch_to_state, gell_mann_basis
 from .errors import (
     ConfigurationError,
@@ -58,7 +65,6 @@ DEFAULT_KNOWN = {
 
 @dataclass
 class RefineSettings:
-    weight: float = 1.0
     restarts: int = 5
     element_count: Optional[int] = None  # None: N + 1
     seed: int = 0  # restart r draws its start from random.Random(f"{seed},{r}")
@@ -74,7 +80,7 @@ class ExperimentConfig:
     grid_cells: int = 10
     theta_ref: Optional[np.ndarray] = None
     anneal: AnnealConfig = field(default_factory=lambda: AnnealConfig(total_steps=20000))
-    init_scale: float = 0.05
+    init_scale: float = INIT_SCALE
     refine: RefineSettings = field(default_factory=RefineSettings)
     output_dir: str = "."
 
@@ -88,15 +94,6 @@ def _parse_float(s):
     if not math.isfinite(v):
         raise ValueError(f"not a finite number: {s!r}")
     return v
-
-
-def _parse_bool(s):
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _parse_int_list(s):
@@ -131,12 +128,9 @@ _CONFIG_KEYS = {
     "anneal.T_decay": ("anneal", "T_decay", _parse_float),
     "anneal.reheat_every": ("anneal", "reheat_every", _parse_int),
     "anneal.reheat_factor": ("anneal", "reheat_factor", _parse_float),
-    "anneal.max_resample": ("anneal", "max_resample", _parse_int),
     "anneal.seed": ("anneal", "rng_seed", _parse_int),
     "anneal.trace_every": ("anneal", "trace_every", _parse_int),
-    "anneal.perturb_a0": ("anneal", "perturb_a0", _parse_bool),
     "anneal.init_scale": ("config", "init_scale", _parse_float),
-    "refine.weight": ("refine", "weight", _parse_float),
     "refine.restarts": ("refine", "restarts", _parse_int),
     "refine.element_count": ("refine", "element_count", _parse_int),
     "refine.seed": ("refine", "seed", _parse_int),
@@ -223,8 +217,6 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError("anneal.init_scale must be positive")
     if cfg.refine.restarts < 1:
         raise ConfigurationError("refine.restarts must be >= 1")
-    if cfg.refine.weight < 0:
-        raise ConfigurationError("refine.weight must be nonnegative")
     if cfg.refine.seed < 0:
         raise ConfigurationError(f"refine.seed must be >= 0, got {cfg.refine.seed}")
     return cfg
@@ -303,7 +295,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
         initial = rankone.random_phases(n, m, random.Random(f"{seed},{r}"))
         # refine does not read the config; total_steps=0 lets the tracer
         # count every trace record after the first as an LM iteration
-        res = rankone.refine(initial, AnnealConfig(total_steps=0), cfg.refine.weight)
+        res = rankone.refine(initial, AnnealConfig(total_steps=0))
         log.info("restart %d: objective %.3e", r, res.objective)
         if best is None or res.objective < best.objective:
             best = res

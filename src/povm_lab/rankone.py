@@ -4,10 +4,10 @@ Each element is E_i = (n/m) |h_i><h_i| with every entry of h_i of modulus
 1/sqrt(n), so the elements automatically have constant diagonal 1/m and are
 quasi-orthogonal to the diagonal subalgebra.  Only the entry phases remain
 free; the first vector and every first component are pinned to phase zero.
-The search minimizes the cross-overlap variance Delta plus a completeness
-penalty by Levenberg-Marquardt from the given phases.  The objective is a
-plain sum of squares -- the centred off-diagonal overlaps and sqrt(weight)
-times the real and imaginary parts of the completeness residual -- and one
+The search minimizes the cross-overlap variance Delta plus the squared
+completeness residual by Levenberg-Marquardt from the given phases.  The
+objective is a plain sum of squares -- the centred off-diagonal overlaps and
+the real and imaginary parts of the completeness residual -- and one
 function, `_residuals`, computes those residuals with their analytic Jacobian
 with respect to the free phases; the search and `refine_objective` both take
 the objective as r @ r.  Uniform random starts (`random_phases`) reach the
@@ -116,12 +116,12 @@ def phases_to_povm(phi: PhaseConfiguration):
     return pov, validate(pov)
 
 
-def _residuals(phases: np.ndarray, dim: int, m: int, weight: float, off_mask):
+def _residuals(phases: np.ndarray, dim: int, m: int, off_mask):
     """Residuals r, whose sum of squares r @ r is the objective, and their
     Jacobian over phases[1:, 1:].
 
-    r stacks the centred off-diagonal overlaps and sqrt(weight) times the real
-    and imaginary parts of the completeness residual S.
+    r stacks the centred off-diagonal overlaps and the real and imaginary
+    parts of the completeness residual S.
     """
     H = _vectors(phases, dim)
     c = dim / m
@@ -135,31 +135,21 @@ def _residuals(phases: np.ndarray, dim: int, m: int, weight: float, off_mask):
     d_overlaps[:, idx, idx, :] = D
     d_overlaps[idx, :, idx, :] -= D
     d_off = d_overlaps[off_mask][:, 1:, 1:].reshape(off.size, -1)
-    residuals = [off - off.mean()]
-    jacobian = [d_off - d_off.mean(axis=0)]
-    if weight != 0.0:
-        s = c * H[:, :, None] * H.conj()[:, None, :]  # S_kl = sum_a s_akl - delta_kl
-        S = s.sum(axis=0) - np.eye(dim)
-        # d S_kl / d phi_aj = i s_akl (delta_jk - delta_jl)
-        eye = np.eye(dim)
-        dS = 1j * (np.einsum("akl,jk->klaj", s, eye) - np.einsum("akl,jl->klaj", s, eye))
-        dS = dS[:, :, 1:, 1:].reshape(dim * dim, -1)
-        root_w = math.sqrt(weight)
-        residuals += [root_w * S.real.ravel(), root_w * S.imag.ravel()]
-        jacobian += [root_w * dS.real, root_w * dS.imag]
+    s = c * H[:, :, None] * H.conj()[:, None, :]  # S_kl = sum_a s_akl - delta_kl
+    S = s.sum(axis=0) - np.eye(dim)
+    # d S_kl / d phi_aj = i s_akl (delta_jk - delta_jl)
+    eye = np.eye(dim)
+    dS = 1j * (np.einsum("akl,jk->klaj", s, eye) - np.einsum("akl,jl->klaj", s, eye))
+    dS = dS[:, :, 1:, 1:].reshape(dim * dim, -1)
+    residuals = [off - off.mean(), S.real.ravel(), S.imag.ravel()]
+    jacobian = [d_off - d_off.mean(axis=0), dS.real, dS.imag]
     return np.concatenate(residuals), np.vstack(jacobian)
 
 
-def _check_weight(weight: float) -> None:
-    if not (math.isfinite(weight) and weight >= 0):
-        raise ContractViolation(f"weight must be finite and nonnegative, got {weight}")
-
-
-def refine_objective(phi: PhaseConfiguration, weight: float = 1.0) -> float:
-    """Cross-overlap variance plus `weight` times the squared completeness residual."""
-    _check_weight(weight)
+def refine_objective(phi: PhaseConfiguration) -> float:
+    """Cross-overlap variance plus the squared completeness residual."""
     m = phi.element_count
-    r, _ = _residuals(phi.phases, phi.dim, m, weight, ~np.eye(m, dtype=bool))
+    r, _ = _residuals(phi.phases, phi.dim, m, ~np.eye(m, dtype=bool))
     return float(r @ r)
 
 
@@ -170,7 +160,7 @@ class RefineResult:
     objective: float
 
 
-def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.0) -> RefineResult:
+def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
     """Minimize the objective over the free phases by Levenberg-Marquardt from `initial`.
 
     Each iteration solves the damped Gauss-Newton system
@@ -185,14 +175,13 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
     value per accepted iteration.
 
     `config` is not read.  perfbench/tracing.py still calls refine with the
-    shape (initial, config, weight) and counts iterations from
-    config.total_steps, so the parameter goes once ROADMAP item 4 unpins it.
+    shape (initial, config) and counts iterations from config.total_steps,
+    so the parameter goes once ROADMAP item 4 unpins it.
     """
-    _check_weight(weight)
     n, m = initial.dim, initial.element_count
     off_mask = ~np.eye(m, dtype=bool)
     phases = initial.phases
-    r, J = _residuals(phases, n, m, weight, off_mask)
+    r, J = _residuals(phases, n, m, off_mask)
     f = float(r @ r)
     trace = [f]
     # A step is kept only if it lowers the objective, so the trace is
@@ -218,7 +207,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig, weight: float = 1.
             # wrap before evaluating, so f_trial is the objective of the phases
             # returned even after a huge step from a near-stationary start
             trial = gauge_fix(trial)
-            r_trial, J_trial = _residuals(trial, n, m, weight, off_mask)
+            r_trial, J_trial = _residuals(trial, n, m, off_mask)
             f_trial = float(r_trial @ r_trial)
             if f_trial < f:
                 break

@@ -157,7 +157,7 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
     for seed in range(5):
         rng = np.random.default_rng(seed)
         initial = rankone.random_phases(3, 7, rng)
-        res = rankone.refine(initial, annealer.AnnealConfig(total_steps=0), 1.0)
+        res = rankone.refine(initial, annealer.AnnealConfig(total_steps=0))
         pov, _ = rankone.phases_to_povm(res.phases)
         completeness = np.abs(sum(pov.elements) - np.eye(3)).max()
         overlaps = [

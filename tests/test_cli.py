@@ -58,7 +58,6 @@ class TestParseConfig:
         assert cfg.grid_points == default.grid_points == 7
         assert cfg.grid_cells == default.grid_cells == 10
         assert cfg.anneal == default.anneal
-        assert cfg.refine.weight == default.refine.weight
         assert cfg.refine.restarts == default.refine.restarts
         assert cfg.refine.seed == default.refine.seed
         assert cfg.output_dir == default.output_dir
@@ -107,7 +106,6 @@ class TestParseConfig:
             "anneal.T0 = inf",
             "anneal.reheat_factor = inf",
             "anneal.init_scale = nan",
-            "refine.weight = nan",
             "grid.bound = nan",
             "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
             "grid.theta_ref = 0.1,inf,0,0,0,0",
@@ -174,12 +172,9 @@ _KEY_CASES = {
     "anneal.T_decay": ("anneal.T_decay = 0.99", {"anneal.T_decay"}),
     "anneal.reheat_every": ("anneal.reheat_every = 9", {"anneal.reheat_every"}),
     "anneal.reheat_factor": ("anneal.reheat_factor = 2.0", {"anneal.reheat_factor"}),
-    "anneal.max_resample": ("anneal.max_resample = 9", {"anneal.max_resample"}),
     "anneal.seed": ("anneal.seed = 9", {"anneal.rng_seed"}),
     "anneal.trace_every": ("anneal.trace_every = 9", {"anneal.trace_every"}),
-    "anneal.perturb_a0": ("anneal.perturb_a0 = false", {"anneal.perturb_a0"}),
     "anneal.init_scale": ("anneal.init_scale = 0.1", {"init_scale"}),
-    "refine.weight": ("refine.weight = 2.0", {"refine.weight"}),
     "refine.restarts": ("refine.restarts = 2", {"refine.restarts"}),
     "refine.element_count": ("refine.element_count = 5", {"refine.element_count"}),
     "refine.seed": ("refine.seed = 9", {"refine.seed"}),
@@ -198,28 +193,41 @@ _REMOVED_REFINE_KEYS = [
     "refine.reheat_factor",
     "refine.trace_every",
 ]
+# the annealing move always perturbs both a0 and a, its attempt budget is
+# annealer.MAX_RESAMPLE, and refine always keeps the completeness residuals
+_REMOVED_SETTING_KEYS = ["anneal.perturb_a0", "anneal.max_resample", "refine.weight"]
+
+
+def assert_unknown_key(tmp_path, mode, key):
+    """`key` on line 2 of a `mode` config is an unknown key: `main` exits 2
+    and creates no output.dir."""
+    with pytest.raises(ConfigurationError, match=f"line 2: unknown key '{key}'"):
+        cli.parse_config(f"mode = {mode}\n{key} = 1\n")
+    cfg_path = tmp_path / "r.cfg"
+    out = tmp_path / "o"
+    cfg_path.write_text(f"mode = {mode}\n{key} = 1\noutput.dir = {out}\n")
+    assert cli.main([mode, "--config", str(cfg_path)]) == 2
+    assert not out.exists()
 
 
 class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
-        assert len(cli._CONFIG_KEYS) == 25
+        assert len(cli._CONFIG_KEYS) == 22
         targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
         assert targets == {"config", "anneal", "refine", "pattern"}
 
     def test_refine_settings_fields(self):
         names = [f.name for f in dataclasses.fields(cli.RefineSettings)]
-        assert names == ["weight", "restarts", "element_count", "seed"]
+        assert names == ["restarts", "element_count", "seed"]
 
     @pytest.mark.parametrize("key", _REMOVED_REFINE_KEYS)
     def test_removed_refine_key_is_unknown(self, tmp_path, key):
-        with pytest.raises(ConfigurationError, match=f"line 2: unknown key '{key}'"):
-            cli.parse_config(f"mode = refine\n{key} = 1\n")
-        cfg_path = tmp_path / "r.cfg"
-        out = tmp_path / "o"
-        cfg_path.write_text(f"mode = refine\n{key} = 1\noutput.dir = {out}\n")
-        assert cli.main(["refine", "--config", str(cfg_path)]) == 2
-        assert not out.exists()
+        assert_unknown_key(tmp_path, "refine", key)
+
+    @pytest.mark.parametrize("key", _REMOVED_SETTING_KEYS)
+    def test_removed_setting_key_is_unknown(self, tmp_path, key):
+        assert_unknown_key(tmp_path, key.partition(".")[0], key)  # in the mode that read it
 
     @pytest.mark.parametrize("value", ["largest", "reference"])
     def test_cluster_policy_key_is_unknown(self, tmp_path, value):
@@ -277,7 +285,7 @@ class TestParseConfigProperties:
         except ConfigurationError:
             return
         assert cfg.mode in cli.MODES
-        for v in (cfg.anneal.s0, cfg.anneal.T0, cfg.init_scale, cfg.refine.weight):
+        for v in (cfg.anneal.s0, cfg.anneal.T0, cfg.init_scale):
             assert np.isfinite(v)
 
 
@@ -603,7 +611,6 @@ class TestRefineMode:
             rankone.refine(
                 rankone.random_phases(3, 7, random.Random(f"4,{r}")),
                 annealer.AnnealConfig(total_steps=0),
-                1.0,
             )
             for r in range(3)
         ]

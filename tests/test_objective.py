@@ -185,14 +185,6 @@ class TestAveragedCovariance:
         with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
             objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
 
-    def test_w0_independent_of_carried_coords(self, trine, basis2, qubit_pattern, qubit_cluster):
-        """W0 is read off the element matrices, so dropping the stored
-        coordinates leaves it unchanged."""
-        bare = Povm(trine.dim, trine.elements)
-        carried = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern).W0
-        matrices = objective.averaged_covariance(bare, qubit_cluster, basis2, qubit_pattern).W0
-        assert np.abs(carried - matrices).max() <= 1e-14 * np.abs(matrices).max()
-
     def test_tiny_closing_weight(self, trine, basis2, qubit_pattern, qubit_cluster):
         """A valid POVM whose closing element is 1e-13 I, the rest the trine
         scaled by 1 - 1e-13, has the trine's W0 within 1e-12."""

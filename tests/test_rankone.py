@@ -9,12 +9,11 @@ from povm_lab.errors import ContractViolation
 
 
 RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
-RESIDUAL_WEIGHTS = [0.0, 1.0, 10.0]
 
 
-def residuals(phases, weight):
+def residuals(phases):
     m, n = phases.shape
-    return rankone._residuals(phases, n, m, weight, ~np.eye(m, dtype=bool))
+    return rankone._residuals(phases, n, m, ~np.eye(m, dtype=bool))
 
 
 # refine does not read its config; this is the one the CLI passes
@@ -82,49 +81,28 @@ class TestRandomPhases:
 
 class TestRefineObjective:
     def test_analytic_solution_is_zero(self):
-        phi = catalog.qutrit_csic_phases()
-        for w in (0.0, 1.0, 10.0):
-            assert rankone.refine_objective(phi, w) < 1e-12
+        assert rankone.refine_objective(catalog.qutrit_csic_phases()) < 1e-12
 
     def test_zero_phases_dominated_by_completeness(self):
         phi = rankone.PhaseConfiguration(3, 7, np.zeros((7, 3)))
-        delta_only = rankone.refine_objective(phi, 0.0)
-        with_penalty = rankone.refine_objective(phi, 1.0)
+        delta_only = povm.metrics(rankone.phases_to_povm(phi)[0]).Delta
+        with_penalty = rankone.refine_objective(phi)
         gamma = with_penalty - delta_only
         assert with_penalty > 0
         assert gamma > delta_only
 
-    def test_weight_zero_equals_metrics_delta(self):
-        from povm_lab.povm import metrics
-
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            phi = rankone.random_phases(3, 7, rng)
-            pov, _ = rankone.phases_to_povm(phi)
-            assert rankone.refine_objective(phi, 0.0) == pytest.approx(
-                metrics(pov).Delta, abs=1e-12
-            )
-
 
 class TestRefine:
-    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
-    def test_bad_weight_rejected(self, weight):
-        phi = catalog.qutrit_csic_phases()
-        with pytest.raises(ContractViolation, match="weight"):
-            rankone.refine(phi, REFINE_CONFIG, weight)
-        with pytest.raises(ContractViolation, match="weight"):
-            rankone.refine_objective(phi, weight)
-
     def test_analytic_start_is_fixed_point(self):
         phi = catalog.qutrit_csic_phases()
-        res = rankone.refine(phi, REFINE_CONFIG, 1.0)
+        res = rankone.refine(phi, REFINE_CONFIG)
         assert res.objective < 1e-20
         assert np.abs(res.phases.phases - phi.phases).max() < 1e-9
 
     def test_random_start_converges(self):
         rng = np.random.default_rng(0)
         initial = rankone.random_phases(3, 7, rng)
-        res = rankone.refine(initial, REFINE_CONFIG, 1.0)
+        res = rankone.refine(initial, REFINE_CONFIG)
         assert res.objective < 1e-10
         pov, violations = rankone.phases_to_povm(res.phases)
         assert violations == []
@@ -140,8 +118,8 @@ class TestRefine:
 
     def test_config_is_not_read(self):
         initial = rankone.random_phases(3, 7, np.random.default_rng(7))
-        a = rankone.refine(initial, AnnealConfig(total_steps=0), 1.0)
-        b = rankone.refine(initial, AnnealConfig(total_steps=3000, rng_seed=9), 1.0)
+        a = rankone.refine(initial, AnnealConfig(total_steps=0))
+        b = rankone.refine(initial, AnnealConfig(total_steps=3000, rng_seed=9))
         assert np.array_equal(a.phases.phases, b.phases.phases)
         assert a.objective_trace == b.objective_trace
 
@@ -150,36 +128,34 @@ class TestResiduals:
     """The LM polish's residuals and Jacobian against the objective they square."""
 
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
-    @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
-    def test_sum_of_squares_is_objective(self, n, m, weight):
+    def test_sum_of_squares_is_objective(self, n, m):
         # the objective from the POVM's own diagnostics: Delta plus the
-        # weighted squared Frobenius norm of the completeness residual
-        rng = np.random.default_rng([n, m, int(weight)])
+        # squared Frobenius norm of the completeness residual
+        rng = np.random.default_rng([n, m, 1])
         for _ in range(3):
             phi = rankone.random_phases(n, m, rng)
             P = rankone.phases_to_povm(phi)[0]
             completeness = np.linalg.norm(sum(P.elements) - np.eye(n), "fro") ** 2
-            want = povm.metrics(P).Delta + weight * completeness
-            r, _ = residuals(phi.phases, weight)
+            want = povm.metrics(P).Delta + completeness
+            r, _ = residuals(phi.phases)
             assert abs(r @ r - want) <= 1e-12 * want
-            assert abs(rankone.refine_objective(phi, weight) - want) <= 1e-12 * want
+            assert abs(rankone.refine_objective(phi) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
-    @pytest.mark.parametrize("weight", RESIDUAL_WEIGHTS)
-    def test_jacobian_matches_central_differences(self, n, m, weight):
-        rng = np.random.default_rng([n, m, int(weight)])
+    def test_jacobian_matches_central_differences(self, n, m):
+        rng = np.random.default_rng([n, m, 1])
         h = 1e-6
         for _ in range(3):
             phi = rankone.random_phases(n, m, rng)
-            _, J = residuals(phi.phases, weight)
+            _, J = residuals(phi.phases)
             assert J.shape[1] == (m - 1) * (n - 1)
             free = [(i, k) for i in range(1, m) for k in range(1, n)]
             for col, (i, k) in enumerate(free):
                 plus, minus = phi.phases.copy(), phi.phases.copy()
                 plus[i, k] += h
                 minus[i, k] -= h
-                r_plus, _ = residuals(plus, weight)
-                r_minus, _ = residuals(minus, weight)
+                r_plus, _ = residuals(plus)
+                r_minus, _ = residuals(minus)
                 assert np.abs(J[:, col] - (r_plus - r_minus) / (2 * h)).max() < 1e-8
 
 
@@ -191,7 +167,7 @@ class TestPolish:
     )
     def test_nonzero_floor_no_worse_than_coordinate_descent(self, n, m, old_polish_floor):
         initial = rankone.random_phases(n, m, np.random.default_rng([0, 0]))
-        res = rankone.refine(initial, REFINE_CONFIG, 1.0)
+        res = rankone.refine(initial, REFINE_CONFIG)
         assert res.objective <= old_polish_floor
 
     @pytest.mark.parametrize(
@@ -203,36 +179,52 @@ class TestPolish:
     def test_nonzero_floor_reached_from_every_seed(self, n, m, floors):
         for seed in range(10):
             initial = rankone.random_phases(n, m, np.random.default_rng([seed, 0]))
-            res = rankone.refine(initial, REFINE_CONFIG, 1.0)
+            res = rankone.refine(initial, REFINE_CONFIG)
             assert min(abs(res.objective - f) for f in floors) < 1e-12, (seed, res.objective)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_stationary_start_reports_its_phases(self, steps):
-        # phases of 0 and pi make every overlap derivative (nearly) vanish, so
-        # the first Gauss-Newton step is huge
+        # phases of 0 and pi make the gradient J^T r vanish to about 1e-17, so
+        # no step lowers the objective
         phases = np.zeros((4, 2))
         phases[1, 1] = phases[3, 1] = np.pi
         initial = rankone.PhaseConfiguration(2, 4, phases)
-        res = rankone.refine(initial, AnnealConfig(total_steps=steps), 0.0)
-        assert res.objective <= rankone.refine_objective(initial, 0.0)
-        assert rankone.refine_objective(res.phases, 0.0) == pytest.approx(res.objective, rel=1e-12)
+        res = rankone.refine(initial, AnnealConfig(total_steps=steps))
+        assert np.array_equal(res.phases.phases, initial.phases)
+        assert res.objective == rankone.refine_objective(initial)
         # refine does not read its config, so an anneal length changes nothing
-        assert res.objective == rankone.refine(initial, REFINE_CONFIG, 0.0).objective
+        assert res.objective == rankone.refine(initial, REFINE_CONFIG).objective
 
-    def test_singular_damped_system_raises_lambda(self):
-        # on these quarter-pi phases the damped Gauss-Newton matrix is
-        # numerically singular at the starting lambda
+    def test_singular_damped_system_raises_lambda(self, monkeypatch):
+        # every column of J has nonzero completeness entries, so the damped
+        # matrix is positive definite; a solve that raises LinAlgError anyway,
+        # here the first one, is retried at ten times lambda
         phases = np.zeros((4, 3))
         phases[1:, 1:] = np.pi * np.array([[0.0, 1.5], [1.0, 0.0], [1.0, 0.5]])
         initial = rankone.PhaseConfiguration(3, 4, phases)
-        res = rankone.refine(initial, REFINE_CONFIG, 0.0)
-        assert res.objective <= rankone.refine_objective(initial, 0.0)
-        assert rankone.refine_objective(res.phases, 0.0) == pytest.approx(res.objective, rel=1e-12)
+        solve, systems = np.linalg.solve, []
+
+        def failing_first_solve(a, b):
+            systems.append(a)
+            if len(systems) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_first_solve)
+        res = rankone.refine(initial, REFINE_CONFIG)
+        _, J = residuals(initial.phases)
+        JtJ = J.T @ J
+        damping = np.diag(np.diag(JtJ))
+        lam = rankone.LM_LAMBDA_START
+        assert np.array_equal(systems[0], JtJ + lam * damping)
+        assert np.array_equal(systems[1], JtJ + (lam * 10.0) * damping)
+        assert res.objective < 1e-20
+        assert rankone.refine_objective(res.phases) == pytest.approx(res.objective, rel=1e-12)
 
     def test_iteration_count_on_acceptance_seeds(self):
         for seed in range(5):
             initial = rankone.random_phases(3, 7, np.random.default_rng(seed))
-            res = rankone.refine(initial, REFINE_CONFIG, 1.0)
+            res = rankone.refine(initial, REFINE_CONFIG)
             iterations = len(res.objective_trace) - 1
             assert 1 <= iterations <= 20
             assert res.objective < 1e-20
@@ -263,9 +255,9 @@ class TestInvariants:
     def test_polish_monotone(self):
         rng = np.random.default_rng(5)
         initial = rankone.random_phases(3, 7, rng)
-        res = rankone.refine(initial, REFINE_CONFIG, 1.0)
+        res = rankone.refine(initial, REFINE_CONFIG)
         trace = res.objective_trace
-        assert trace[0] == rankone.refine_objective(initial, 1.0)
+        assert trace[0] == rankone.refine_objective(initial)
         assert len(trace) >= 2
         assert all(a >= b - 1e-30 for a, b in zip(trace, trace[1:]))
 

@@ -18,3 +18,12 @@ def test_anneal_counter_list_is_run_counters():
     entry = README.read_text().split("- `anneal`", 1)[1].split("\n- `", 1)[0]
     counters = entry.split("the run counters", 1)[1]
     assert re.findall(r"`(\w+)`", counters) == list(RUN_COUNTERS)
+
+
+def test_config_key_table_is_config_keys():
+    from povm_lab import cli
+
+    section = README.read_text().split("### Config format", 1)[1].split("\n### ", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(keys) == sorted(cli._CONFIG_KEYS)
