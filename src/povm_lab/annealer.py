@@ -64,8 +64,11 @@ from .objective import (
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
     averaged_covariance,
-    dacm,
+    # no longer called here: kept because the benchmark's tracer wraps
+    # `annealer.dacm` (ROADMAP item 4 unpins it)
+    dacm,  # noqa: F401
     design_matrix,
+    log_dacm,
 )
 from .povm import (
     PSD_CONSTRUCTION_TOL,
@@ -551,12 +554,11 @@ class AnnealChain:
             v = violations[0]
             raise ContractViolation(f"initial POVM is not valid: {v.name}, {v.detail}")
         # a zero free element has a zero design row and raises SingularDesign
-        # here, before its weight divides its row below
-        self.cur_log = math.log(
-            dacm(
-                design_matrix(initial, pattern, basis),
-                averaged_covariance(initial, cluster, basis, pattern),
-            )
+        # here, before its weight divides its row below; the log domain keeps
+        # a start whose det T^2 underflows finite
+        self.cur_log = log_dacm(
+            design_matrix(initial, pattern, basis),
+            averaged_covariance(initial, cluster, basis, pattern),
         )
         self.best_log = self.cur_log
         X = element_rows(initial.elements[:n_free], basis)

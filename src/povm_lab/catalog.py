@@ -1,10 +1,11 @@
 """Closed-form measurements and the conditional-SIC certification report.
 
-The constructors return the known closed-form optima (the qutrit seven-element
-measurement built from 7th roots of unity, the qubit trine and the dim-4
-diagonal matrix units) and the dim-4 tensor extension of the qubit
-tetrahedron, a conditional SIC with no optimality claim: on its known pattern
-a descent reaches a lower DACM.  The report checks the three defining
+The known closed-form optima are the qubit trine and the qutrit
+seven-element measurement, the n = 2 and n = 3 harmonic frames of Singer
+difference sets (`harmonic_csic`; the 13-element n = 4 frame is library-only),
+and the dim-4 diagonal matrix units.  The dim-4 tensor extension of the qubit
+tetrahedron is a conditional SIC with no optimality claim: on its known
+pattern a descent reaches a lower DACM.  The report checks the three defining
 conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
 parameter directions; its verdict also requires the elements to sum to I
@@ -20,54 +21,52 @@ import numpy as np
 
 from . import linalg
 from .basis import ParameterPattern, gell_mann_basis
+from .errors import ContractViolation
 from .povm import Povm, overlap_matrix
 from .rankone import PhaseConfiguration
 
 RANK_TOL = 1e-8
 
-# exponent tables (units of 2*pi/7) for the upper triangle structure of the
-# printed qutrit solution; row i gives the phases of the vector h_i
-_QUTRIT_PHASE_UNITS = (
-    (0, 0, 0),
-    (0, 1, 5),
-    (0, 5, 4),
-    (0, 3, 1),
-    (0, 6, 2),
-    (0, 2, 3),
-    (0, 4, 6),
-)
+# Singer (v, n, 1) difference sets mod v = n^2 - n + 1, keyed by n
+SINGER_SETS = {2: (0, 1), 3: (0, 1, 5), 4: (0, 1, 3, 9)}
+# rows k of the n = 3 frame in the printed qutrit solution's element order
+_QUTRIT_ROWS = (0, 1, 5, 3, 6, 2, 4)
+
+
+def harmonic_csic(n: int) -> Povm:
+    """The v = n^2 - n + 1 elements E_k = (n/v) h_k h_k^dagger, k = 0..v-1, of
+    the harmonic frame h_k = (e^{2 pi i k d/v})_{d in D} / sqrt n on the Singer
+    difference set D mod v, for n = 2, 3 and 4.
+
+    Each exponent k d is reduced to its symmetric residue, so rows k and v - k
+    are exact entrywise conjugates.
+    """
+    if n not in SINGER_SETS:
+        raise ContractViolation(f"no Singer difference set for n = {n}")
+    D, v = SINGER_SETS[n], n * n - n + 1
+    r = np.outer(np.arange(v), D) % v
+    r = np.where(r > v // 2, r - v, r)  # symmetric residue
+    h = np.exp(2j * math.pi * r / v) / math.sqrt(n)  # (v, n), row k is h_k
+    return Povm(n, list((n / v) * h[:, :, None] * h[:, None, :].conj()))
 
 
 def qutrit_csic_phases() -> PhaseConfiguration:
-    """Phase matrix of the analytic qutrit solution (multiples of 2*pi/7)."""
-    ph = np.array(_QUTRIT_PHASE_UNITS, dtype=float) * (2.0 * math.pi / 7.0)
-    return PhaseConfiguration(3, 7, ph)
+    """Phase matrix of the analytic qutrit solution, (2 pi/7)(k d mod 7)."""
+    units = np.outer(_QUTRIT_ROWS, SINGER_SETS[3]) % 7
+    return PhaseConfiguration(3, 7, units.astype(float) * (2.0 * math.pi / 7.0))
 
 
 def qutrit_csic() -> Povm:
-    """Seven qutrit elements (1/7-diagonal, 7th-root phases) summing to I.
-
-    The last three are the entrywise conjugates of elements 2-4.
-    """
-    eps = np.exp(2j * math.pi / 7.0)
-    elements = []
-    for row in _QUTRIT_PHASE_UNITS[:4]:
-        h = np.array([eps**k for k in row]) / math.sqrt(3.0)
-        elements.append((3.0 / 7.0) * np.outer(h, h.conj()))
-    elements += [elements[1].conj(), elements[2].conj(), elements[3].conj()]
-    return Povm(3, elements)
+    """The seven-element qutrit solution: the n = 3 harmonic frame in rows
+    0, 1, 5, 3, 6, 2, 4, so elements 4-6 are the entrywise conjugates of 1-3."""
+    frame = harmonic_csic(3).elements
+    return Povm(3, [frame[k] for k in _QUTRIT_ROWS])
 
 
 def qubit_trine() -> Povm:
-    """The qubit trine: E_i = (2/3) P_i, projections at 120 degrees in the xy plane."""
-    b = gell_mann_basis(2)
-    elements = []
-    for k in range(3):
-        ang = 2.0 * math.pi * k / 3.0
-        a = np.array([math.sqrt(2.0) * math.cos(ang), math.sqrt(2.0) * math.sin(ang), 0.0])
-        e = b.expand(a) + np.eye(2)
-        elements.append(e / 3.0)
-    return Povm(2, elements)
+    """The qubit trine E_k = (2/3) P_k, projections at 120 degrees in the xy
+    plane: the n = 2 harmonic frame."""
+    return harmonic_csic(2)
 
 
 def diag_units_dim4() -> Povm:

@@ -11,6 +11,7 @@ x_j restricted to the unknown directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ def averaged_covariance(
     return AveragedCovariance(W0, members.shape[0])
 
 
-def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
-    """det(W0) / det(T)^2, or inf past the float range; the scalar minimized over measurements."""
+def _checked_determinants(design: DesignMatrix, averaged: AveragedCovariance):
+    """(det T, det W0), or SingularDesign / NonPositiveObjective when the
+    objective is undefined."""
     T = design.T
     det_t = linalg.determinant(T)
     n = T.shape[0]
@@ -120,9 +122,21 @@ def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
         raise NonPositiveObjective(
             f"det W0 = {det_w:.3e} <= 0: cluster does not determine all parameters"
         )
+    return det_t, det_w
+
+
+def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
+    """det(W0) / det(T)^2, or inf past the float range; the scalar minimized over measurements."""
+    det_t, det_w = _checked_determinants(design, averaged)
     # |det T| passed the floor, but its square can underflow to 0
     det_t_sq = det_t**2
     return det_w / det_t_sq if det_t_sq else np.inf
+
+
+def log_dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
+    """log det(W0) - 2 log |det T|, finite where `dacm` overflows to inf."""
+    det_t, det_w = _checked_determinants(design, averaged)
+    return math.log(det_w) - 2.0 * math.log(abs(det_t))
 
 
 def estimate_state(nu, design: DesignMatrix) -> np.ndarray:

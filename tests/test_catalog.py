@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from povm_lab import catalog, linalg, rankone
 from povm_lab import povm as pv
 from povm_lab.annealer import random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
+from povm_lab.errors import ContractViolation
 
 from conftest import reference_overlaps
 
@@ -16,6 +18,43 @@ TENSOR_PATTERN = ParameterPattern.from_known(
 # eigvalsh and the Jacobi iteration, and two summation orders of an overlap,
 # differ by a few ulps of n^2 times the entry scales (at most 1 here)
 REPORT_TOL = 1e-14
+
+
+# the diagonal directions, the known ones of each frame's conditional-SIC pattern
+DIAGONAL_INDICES = {2: (3,), 3: (7, 8), 4: (3, 12, 15)}
+# the printed qutrit solution's exponents (units of 2*pi/7), row i the phases of h_i
+QUTRIT_PHASE_UNITS = (
+    (0, 0, 0),
+    (0, 1, 5),
+    (0, 5, 4),
+    (0, 3, 1),
+    (0, 6, 2),
+    (0, 2, 3),
+    (0, 4, 6),
+)
+
+
+def reference_qutrit_csic():
+    """The qutrit solution from its exponent table: four elements from powers
+    of e^{2 pi i/7}, then the entrywise conjugates of elements 1-3."""
+    eps = np.exp(2j * math.pi / 7.0)
+    elements = []
+    for row in QUTRIT_PHASE_UNITS[:4]:
+        h = np.array([eps**k for k in row]) / math.sqrt(3.0)
+        elements.append((3.0 / 7.0) * np.outer(h, h.conj()))
+    return elements + [elements[1].conj(), elements[2].conj(), elements[3].conj()]
+
+
+def reference_trine():
+    """The trine from Bloch coordinates: (I + a_k . sigma) / 3 with a_k at
+    120 degrees in the xy plane."""
+    b = gell_mann_basis(2)
+    elements = []
+    for k in range(3):
+        ang = 2.0 * math.pi * k / 3.0
+        a = np.array([math.sqrt(2.0) * math.cos(ang), math.sqrt(2.0) * math.sin(ang), 0.0])
+        elements.append((b.expand(a) + np.eye(2)) / 3.0)
+    return elements
 
 
 def reference_report(P, pattern):
@@ -70,6 +109,42 @@ class TestQutritCsic:
     def test_conjugation_structure(self, qutrit_csic):
         for a, b in ((4, 1), (5, 2), (6, 3)):
             assert np.abs(qutrit_csic.elements[a] - qutrit_csic.elements[b].conj()).max() == 0.0
+
+
+class TestHarmonicFrames:
+    def test_matches_reference_constructions(self, qutrit_csic, trine):
+        for got, want in ((qutrit_csic, reference_qutrit_csic()), (trine, reference_trine())):
+            assert len(got.elements) == len(want)
+            for e, w in zip(got.elements, want):
+                assert np.abs(e - w).max() <= 1e-15
+
+    def test_phases_match_exponent_table(self):
+        want = np.array(QUTRIT_PHASE_UNITS, dtype=float) * (2.0 * math.pi / 7.0)
+        assert np.array_equal(catalog.qutrit_csic_phases().phases, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_k_and_v_minus_k_are_exact_conjugates(self, n):
+        elements = catalog.harmonic_csic(n).elements
+        v = n * n - n + 1
+        assert len(elements) == v
+        for k in range(1, v):
+            assert np.array_equal(elements[v - k], elements[k].conj())
+
+    def test_no_difference_set_is_a_contract_violation(self):
+        with pytest.raises(ContractViolation, match="n = 5"):
+            catalog.harmonic_csic(5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conditional_sic_on_diagonal_known_pattern(self, n):
+        P = catalog.harmonic_csic(n)
+        v = n * n - n + 1
+        assert pv.validate(P, 1e-12) == []
+        pattern = ParameterPattern.from_known(n, dict.fromkeys(DIAGONAL_INDICES[n], 0.0))
+        rep = catalog.conditional_sic_report(P, pattern)
+        assert rep.verdict
+        assert rep.ranks == (1,) * v
+        assert rep.c == pytest.approx(n / v, abs=1e-12)
+        assert rep.d == pytest.approx((n - 1) / v**2, abs=1e-12)
 
 
 class TestTheorem1Qubit:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povm_lab import annealer, catalog, cli, rankone
+from povm_lab import annealer, catalog, cli, objective, rankone
 from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
 from povm_lab.errors import ConfigurationError
@@ -483,7 +483,7 @@ class TestAnnealMode:
 
     def test_tiny_init_scale_starts_from_inf(self, tmp_path):
         # the initial |det T| is about 1e-185: above the floor, but its square
-        # underflows, so the chain starts from log DACM = inf
+        # underflows, so DACM is inf; the chain starts from its finite log
         cfg_path = tmp_path / "tiny.cfg"
         out = tmp_path / "o"
         cfg_path.write_text(
@@ -495,6 +495,31 @@ class TestAnnealMode:
         (best,) = [ln.split() for ln in report if ln.startswith("log_dacm_best")]
         assert np.isfinite(float(best[1]))
         assert np.isfinite(annealer.read_trace(out / "trace.csv")[0].log_dacm)
+
+    def test_tiny_init_scale_reports_the_finite_log_dacm(
+        self, tmp_path, basis3, qutrit_pattern, qutrit_default_cluster
+    ):
+        """A zero-step run's best is its start, whose det T^2 underflows:
+        log_dacm_best is log det W0 - 2 log |det T|, not inf, and agrees
+        with `slogdet` on the written POVM."""
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(
+            "mode = anneal\ndim = 3\nanneal.init_scale = 1e-30\n"
+            f"anneal.total_steps = 0\noutput.dir = {out}\n"
+        )
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        (best,) = [float(ln.split()[1]) for ln in report if ln.startswith("log_dacm_best")]
+        assert abs(best - 865.5195577200096) <= 1e-9
+        start = pv.read_povm(out / "best_povm.txt")
+        T = objective.design_matrix(start, qutrit_pattern, basis3).T
+        W0 = objective.averaged_covariance(
+            start, qutrit_default_cluster, basis3, qutrit_pattern
+        ).W0
+        (sign_t, log_t), (sign_w, log_w) = np.linalg.slogdet(T), np.linalg.slogdet(W0)
+        assert sign_t != 0 and sign_w > 0
+        assert abs(best - (log_w - 2.0 * log_t)) <= 1e-9
 
     def test_qutrit_desk_scale_trace_shape(self, tmp_path):
         """Qutrit run on the default grid at a reduced step count: final log

@@ -252,6 +252,33 @@ class TestDacm:
             objective.dacm(design, objective.AveragedCovariance(degenerate, 1))
 
 
+class TestLogDacm:
+    def test_log_of_dacm_random(self):
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            n = int(rng.integers(2, 5))
+            t = rng.normal(size=(n, n)) + 2 * np.eye(n)
+            a = rng.normal(size=(n, n))
+            av = objective.AveragedCovariance(a @ a.T + 0.5 * np.eye(n), 1)
+            design = objective.DesignMatrix(t, np.zeros(n))
+            got = objective.log_dacm(design, av)
+            assert got == pytest.approx(np.log(objective.dacm(design, av)), abs=1e-12)
+
+    def test_finite_where_dacm_overflows(self):
+        # the case `dacm` reports as inf: log det W0 - 2 log (1e-30)^6
+        design = objective.DesignMatrix(1e-30 * np.eye(6), np.zeros(6))
+        got = objective.log_dacm(design, objective.AveragedCovariance(np.eye(6), 1))
+        assert got == pytest.approx(-12 * np.log(1e-30), rel=1e-14)
+
+    def test_same_failures_as_dacm(self):
+        singular = objective.DesignMatrix(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(SingularDesign):
+            objective.log_dacm(singular, objective.AveragedCovariance(np.eye(2), 1))
+        degenerate = objective.AveragedCovariance(np.diag([1.0, 0.0]), 1)
+        with pytest.raises(NonPositiveObjective):
+            objective.log_dacm(objective.DesignMatrix(np.eye(2), np.zeros(2)), degenerate)
+
+
 class TestEstimateState:
     def test_noiseless_inversion(self, trine, basis2, qubit_pattern):
         theta = np.array([0.25, -0.15])
