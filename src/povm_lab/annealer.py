@@ -25,12 +25,12 @@ fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as
-`FreeElements`: the arrays of weights a0, direction rows A and probability
-columns over the cluster.  A step perturbs rows of the state's (a0, A),
-computes the probability columns of the perturbed side and scores one
-`VariantTable`; an accepted move other than the all-old row takes the
-accepted row's columns of that table, and a new best takes the best row's
-columns as the chain's second state.  A step builds no `Povm`, and element
+`FreeElements`: the arrays of weights a0 and direction rows A, which do not
+depend on the cluster.  A step perturbs rows of the state's (a0, A) and
+scores one `VariantTable` (`score_variants` computes all 2N probability
+columns); an accepted move other than the all-old row takes the accepted
+row's columns of that table, and a new best takes the best row's columns as
+the chain's second state.  A step builds no `Povm`, and element
 matrices only for the closing matrices of rows in the PSD band: the chain's
 `current` and `best` are built on every read from its two states.  The row
 tables (`VariantRows`) depend only on which positions are pinned and are
@@ -200,35 +200,24 @@ class AnnealResult:
 class FreeElements:
     """The N free elements E_j = a0_j (I + a_j . sigma) of a POVM as coordinate arrays.
 
-    `anneal` carries these for its current and best states from step to step,
-    so a step computes probability columns only for the perturbed elements; a
-    step's 2N old/new table is the two sides joined, and a row's free elements
-    are columns of that table.  A chain builds its first state from the
-    `element_rows` of the initial POVM's free elements; element matrices are
-    built only when read (`elements`, `povm`).
+    `anneal` carries these for its current and best states from step to step;
+    a step's 2N old/new table is the two sides joined, and a row's free
+    elements are columns of that table.  A chain builds its first state from
+    the `element_rows` of the initial POVM's free elements; element matrices
+    are built only when read (`elements`, `povm`), and probability columns
+    only inside `score_variants`.
     """
 
     a0: np.ndarray  # (N,)
     A: np.ndarray  # (N, n^2 - 1)
-    probs: np.ndarray  # (k, N) probability columns (1 + members . a) a0 over the cluster
-
-    @classmethod
-    def build(cls, a0: np.ndarray, A: np.ndarray, members: np.ndarray) -> "FreeElements":
-        """The free elements with coordinates (a0, A), with one stacked product
-        for their probability columns over `members`."""
-        return cls(a0, A, (1.0 + members @ A.T) * a0)
 
     def join(self, other: "FreeElements") -> "FreeElements":
         """The 2N table: this side's columns, then the other's."""
-        return FreeElements(
-            np.concatenate([self.a0, other.a0]),
-            np.concatenate([self.A, other.A]),
-            np.concatenate([self.probs, other.probs], axis=1),
-        )
+        return FreeElements(np.concatenate([self.a0, other.a0]), np.concatenate([self.A, other.A]))
 
     def take(self, cols: np.ndarray) -> "FreeElements":
         """The free elements in columns `cols`, in that order."""
-        return FreeElements(self.a0[cols], self.A[cols], self.probs[:, cols])
+        return FreeElements(self.a0[cols], self.A[cols])
 
     def elements(self, basis: OrthonormalBasis) -> np.ndarray:
         """(N, n, n) element matrices a0 (I + a . sigma) from one stacked
@@ -412,7 +401,8 @@ def score_variants(
     come from one flat array by one `take` through `rows.tw`: the 2N x N
     design rows a0 a over the unknown directions, then the 2N x 2N table
     diag(colsum) - (G + G^T)/2, where G is the Gram matrix of the 2N old/new
-    probability columns over the cluster, formed as (G + G^T) / -2.0 with the
+    probability columns (1 + members . a) a0, computed here with one
+    product, and the table is formed as (G + G^T) / -2.0 with the
     column sums added on its diagonal (the same bits as the difference).  One
     `slogdet` on the (Vc, 2, N, N) stack gives both determinants of every
     closed row.  A row is skipped when
@@ -420,7 +410,8 @@ def score_variants(
     """
     n_free = old.a0.shape[0]
     columns = old.join(new)
-    a0, A, probs = columns.a0, columns.A, columns.probs  # (2N,), (2N, n^2-1), (k, 2N)
+    a0, A = columns.a0, columns.A  # (2N,), (2N, n^2-1)
+    probs = (1.0 + members @ A.T) * a0  # (k, 2N) probability columns over the cluster
     log_dacm = np.full(rows.bits.shape[0], np.nan)
     skipped = np.zeros(rows.bits.shape[0], dtype=bool)
 
@@ -564,7 +555,7 @@ class AnnealChain:
         X = element_rows(initial.elements[:n_free], basis)
         a0 = X[:, 0]
         A = X[:, 1:] / a0[:, None]
-        self.state = self.best_state = FreeElements.build(a0, A, cluster.members)
+        self.state = self.best_state = FreeElements(a0, A)
         self.rows = {}  # pinned-position mask -> VariantRows
         self.counts = dict.fromkeys(RUN_COUNTERS, 0)
         self.all_skipped_streak = 0
@@ -597,8 +588,7 @@ class AnnealChain:
         rows = self.rows.get(pinned)
         if rows is None:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
-        new = FreeElements.build(a0, A, members)
-        table = score_variants(old, new, rows, basis, members, self.pattern)
+        table = score_variants(old, FreeElements(a0, A), rows, basis, members, self.pattern)
         counts["variants_enumerated"] += table.closed.shape[0]
         counts["closure_rejected"] += table.closed.size - int(np.count_nonzero(table.closed))
         counts["skipped_variants"] += int(np.count_nonzero(table.skipped))

@@ -248,6 +248,11 @@ def _write_result(cfg: ExperimentConfig, name: str, P, lines) -> None:
         fh.write("\n".join(text) + "\n")
 
 
+def _log_phase_seconds(*clock: float) -> None:
+    """Log the setup, search and write seconds between four clock readings."""
+    log.info("phase seconds: setup %.3f, search %.3f, write %.3f", *np.diff(clock))
+
+
 def _run_anneal(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     b = gell_mann_basis(cfg.dim)
@@ -269,14 +274,12 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
     _write_result(cfg, "best_povm.txt", result.best, lines)
     done = time.perf_counter()
     log.info("best DACM %.6g after %d steps", result.best_dacm, cfg.anneal.total_steps)
-    log.info(
-        "phase seconds: setup %.3f, search %.3f, write %.3f",
-        search_start - start, search_end - search_start, done - search_end,
-    )
+    _log_phase_seconds(start, search_start, search_end, done)
     return EXIT_OK
 
 
 def _run_refine(cfg: ExperimentConfig) -> int:
+    start = time.perf_counter()
     n = cfg.dim
     # rank-one elements with constant diagonal are quasi-orthogonal to the
     # diagonal generators and to no other direction
@@ -290,6 +293,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     m = cfg.refine.element_count or cfg.pattern.unknown_count + 1
     seed = cfg.refine.seed
     os.makedirs(cfg.output_dir, exist_ok=True)
+    search_start = time.perf_counter()
     best = None
     for r in range(cfg.refine.restarts):
         initial = rankone.random_phases(n, m, random.Random(f"{seed},{r}"))
@@ -299,6 +303,7 @@ def _run_refine(cfg: ExperimentConfig) -> int:
         log.info("restart %d: objective %.3e", r, res.objective)
         if best is None or res.objective < best.objective:
             best = res
+    search_end = time.perf_counter()
     pov, violations = rankone.phases_to_povm(best.phases)
     rankone.write_phases(best.phases, os.path.join(cfg.output_dir, "phases.csv"))
     lines = [
@@ -308,7 +313,9 @@ def _run_refine(cfg: ExperimentConfig) -> int:
         *(f"violation  {v.name} {v.magnitude!r}" for v in violations),
     ]
     _write_result(cfg, "povm.txt", pov, lines)
+    done = time.perf_counter()
     log.info("best refine objective %.3e", best.objective)
+    _log_phase_seconds(start, search_start, search_end, done)
     return EXIT_OK
 
 

@@ -414,11 +414,13 @@ class TestAnnealMode:
         for a, b in zip(written.elements, initial.elements):
             assert np.abs(a - b).max() < 1e-15
 
-    def test_phase_timings_logged_once(self, tmp_path, caplog):
+    # refine reads the qubit's known diagonal and ignores the anneal keys
+    @pytest.mark.parametrize("mode", ["anneal", "refine"])
+    def test_phase_timings_logged_once(self, tmp_path, caplog, mode):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(QUBIT_CFG.format(steps=60, seed=3, out=tmp_path / "out"))
         caplog.set_level(logging.INFO, logger="povm_lab")
-        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
+        assert cli.main([mode, "--config", str(cfg_path)]) == 0
         phases = [r for r in caplog.records if r.getMessage().startswith("phase seconds")]
         assert [r.levelname for r in phases] == ["INFO"]
         shape = r"phase seconds: setup (\d+\.\d{3}), search (\d+\.\d{3}), write (\d+\.\d{3})"
@@ -426,7 +428,7 @@ class TestAnnealMode:
 
         # nothing on stderr at POVM_LAB_LOG=quiet
         env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "POVM_LAB_LOG": "quiet"}
-        command = [sys.executable, "-m", "povm_lab.cli", "anneal", "--config", str(cfg_path)]
+        command = [sys.executable, "-m", "povm_lab.cli", mode, "--config", str(cfg_path)]
         proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and proc.stderr == ""
 

@@ -18,8 +18,7 @@ METRICS_TOL = 1e-14
 
 def free_element(a0, a, basis):
     """a0 (I + a . sigma) from the element matrices of a one-row `FreeElements`."""
-    k = basis.dim**2 - 1
-    one = FreeElements.build(np.array([a0]), np.reshape(a, (1, k)), np.zeros((1, k)))
+    one = FreeElements(np.array([a0]), np.reshape(a, (1, basis.dim**2 - 1)))
     return one.elements(basis)[0]
 
 
@@ -61,7 +60,7 @@ class TestElementRows:
         count = dim**2 - 2
         a0 = np.full(count, 1.0 / (count + 1))
         A = rng.normal(0.0, 0.1, (count, dim**2 - 1))
-        P = FreeElements.build(a0, A, np.zeros((1, dim**2 - 1))).povm(basis)
+        P = FreeElements(a0, A).povm(basis)
         X = pv.element_rows(P.elements, basis)
         assert X.shape == (count + 1, dim**2)
         assert np.abs(X[:-1, 0] - a0).max() < 1e-15
