@@ -64,6 +64,7 @@ from .objective import (
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
     averaged_covariance,
+    check_simplex,
     # no longer called here: kept because the benchmark's tracer wraps
     # `annealer.dacm` (ROADMAP item 4 unpins it)
     dacm,  # noqa: F401
@@ -396,16 +397,16 @@ def score_variants(
     coordinates by `linalg.psd_verdict`.  Only rows in its band get their
     closing matrices, built as `complete_povm` builds its closing element
     (`closing_elements`), and one stacked `linalg.spectra`.  Closed rows,
-    taken by their indices, get the three probability-simplex checks of
-    `averaged_covariance` (ContractViolation on a failure).  Their T and W0
-    come from one flat array by one `take` through `rows.tw`: the 2N x N
-    design rows a0 a over the unknown directions, then the 2N x 2N table
-    diag(colsum) - (G + G^T)/2, where G is the Gram matrix of the 2N old/new
-    probability columns (1 + members . a) a0, computed here with one
-    product, and the table is formed as (G + G^T) / -2.0 with the
-    column sums added on its diagonal (the same bits as the difference).  One
-    `slogdet` on the (Vc, 2, N, N) stack gives both determinants of every
-    closed row.  A row is skipped when
+    taken by their indices, pass `check_simplex` on their N probability
+    columns and closing column.  Their T and W0 come from one flat array by
+    one `take` through `rows.tw`: the 2N x N design rows a0 a over the unknown
+    directions, then the 2N x 2N table diag(colsum) - (G + G^T)/2, where G is
+    the Gram matrix of the 2N old/new probability columns (1 + members . a) a0,
+    computed here with one product, and the table is formed as
+    (G + G^T) / -2.0 with the column sums added on its diagonal (the same bits
+    as the difference).  One `slogdet` on the (Vc, 2, N, N) stack gives both
+    determinants of every closed row; on a square stack it raises no LAPACK
+    error (a singular matrix has sign 0).  A row is skipped when
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
     n_free = old.a0.shape[0]
@@ -444,21 +445,12 @@ def score_variants(
         and last.max() <= 1 + PROB_RANGE_TOL
         and np.abs(sums - 1.0).max() <= PROB_SUM_TOL
     ):
-        sel = rows.cols.take(idx, axis=0)  # (Vc, N) columns of the 2N tables
-        low = np.minimum(probs.min(axis=0)[sel].min(axis=1), last.min(axis=0))
-        high = np.maximum(probs.max(axis=0)[sel].max(axis=1), last.max(axis=0))
-        # each row's sum from its own columns, so that a NaN fails only the
-        # rows that take it
-        sum_dev = np.abs(probs[:, sel].sum(axis=2) + last - 1.0).max(axis=0)
-        bad = np.flatnonzero(
-            ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
+        # each closed row's (k, N + 1) table: its N columns, then its closing column
+        chosen = probs[:, rows.cols.take(idx, axis=0)].transpose(1, 0, 2)
+        check_simplex(
+            np.concatenate([chosen, last.T[:, :, None]], axis=2),
+            lambda v: f"variant {tuple(rows.bits[idx[v]].tolist())}",
         )
-        if bad.size:
-            v = int(bad[0])
-            raise ContractViolation(
-                f"probability invariant violated for variant {tuple(rows.bits[idx[v]].tolist())}: "
-                f"min {low[v]:.3e}, max {high[v]:.3e}, max |sum - 1| {sum_dev[v]:.3e}"
-            )
 
     # x / -2.0 and x / -2.0 + colsum are 0 - x/2 and colsum - x/2 bit for bit,
     # up to the sign of a zero
@@ -467,8 +459,7 @@ def score_variants(
     flat = np.concatenate([design.ravel(), ((gram + gram.T) / -2.0).ravel()])
     flat[2 * n_free * n_free :: 2 * n_free + 1] += probs.sum(axis=0)
     tw = flat.take(rows.tw.take(idx, axis=0))  # (Vc, 2, N, N): T, W0
-    with linalg.typed_lapack_errors():
-        sign, log_det = np.linalg.slogdet(tw)
+    sign, log_det = np.linalg.slogdet(tw)
     # an all-zero T has log |det T| = -inf, below any floor; adding 1 to its
     # zero max keeps the log finite without a warning
     t_max = np.abs(tw[:, 0]).max(axis=(1, 2))

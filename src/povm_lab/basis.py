@@ -142,11 +142,12 @@ def bloch_radius_bound(n: int) -> float:
 
 
 def bloch_to_state(theta, basis: OrthonormalBasis) -> np.ndarray:
-    """rho = I/n + theta . sigma.  Positivity is not enforced here."""
+    """rho = I/n + theta . sigma for each row of a (..., n^2-1) stack, from one
+    `expand`: a row gives the same bits alone or stacked.  Positivity is not enforced."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (basis.dim**2 - 1,):
+    if theta.shape[-1:] != (basis.dim**2 - 1,):
         raise ContractViolation(
-            f"theta has length {theta.shape}, expected {basis.dim**2 - 1}"
+            f"theta has shape {theta.shape}, expected (..., {basis.dim**2 - 1})"
         )
     rho = basis.expand(theta)
     rho += np.eye(basis.dim) / basis.dim

@@ -333,7 +333,7 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
     print(f"# clusters (cells = {cfg.grid_cells})")
     print("key\tsize\trepresentative_eigenvalues\tselected")
     keys = sorted(clusters)
-    firsts = linalg.spectra([bloch_to_state(clusters[key].members[0], b) for key in keys])
+    firsts = linalg.spectra(bloch_to_state([clusters[key].members[0] for key in keys], b))
     for key, evals in zip(keys, firsts):
         mark = "*" if key == selected.key else ""
         print(

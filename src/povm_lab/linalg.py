@@ -3,12 +3,11 @@
 `spectra` is the one production eigenvalue path: the descending eigenvalues
 of each matrix of a Hermitian (..., n, n) stack (one matrix, the elements of
 a measurement, the grid, the closing elements of an anneal step) from one
-numpy `eigvalsh` call on `symmetrize`'s average.  `typed_lapack_errors`
-re-raises a LAPACK failure there, or in the anneal step's `slogdet`, as
-`NumericalError`.  The PSD tests of 2x2 and 3x3 matrices in the anneal's and
-the grid's stacks are decided in closed form (`psd_verdict`: the lowest
-eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one), with
-`spectra` left for the thin band around the tolerance.
+numpy `eigvalsh` call on `symmetrize`'s average; it re-raises a LAPACK
+failure as `NumericalError`.  The PSD tests of 2x2 and 3x3 matrices in the
+anneal's and the grid's stacks are decided in closed form (`psd_verdict`:
+the lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one),
+with `spectra` left for the thin band around the tolerance.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
 `min_eigenvalue`, `min_eigenvalue_trusted`) and the pairwise `hs_inner` are
@@ -60,29 +59,15 @@ def symmetrize(H) -> np.ndarray:
     return (A + adjoint) / 2.0
 
 
-class typed_lapack_errors:
-    """Re-raise numpy's LinAlgError (a LAPACK routine failed) as NumericalError.
-
-    A class rather than a generator context manager: it wraps every anneal
-    step's `slogdet`, where entering a generator costs more than the call it
-    guards.
-    """
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
-            raise NumericalError(f"LAPACK failure: {exc}") from exc
-        return False
-
-
 def spectra(H) -> np.ndarray:
     """Eigenvalues, descending along the last axis, of each matrix of a
-    Hermitian (..., n, n) stack: one `eigvalsh` on `symmetrize`'s average."""
+    Hermitian (..., n, n) stack: one `eigvalsh` on `symmetrize`'s average.
+    A LAPACK failure there is re-raised as NumericalError."""
     A = symmetrize(H)
-    with typed_lapack_errors():
+    try:
         return np.linalg.eigvalsh(A)[..., ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failure: {exc}") from exc
 
 
 def _jacobi_eigenvalues(A: np.ndarray) -> list:

@@ -46,20 +46,28 @@ class AveragedCovariance:
 
 def outcome_probabilities(P: Povm, rho) -> np.ndarray:
     """p_j = Tr(E_j rho), the last row of one `overlap_matrix` of the elements
-    and rho; validates the probability simplex invariants."""
+    and rho, passed through `check_simplex`."""
     p = overlap_matrix([*P.elements, rho])[-1, :-1]
-    _check_simplex(p, "state")
+    check_simplex(p[None], lambda i: "state")
     return p
 
 
-def _check_simplex(p: np.ndarray, label: str) -> None:
-    if p.min() < -PROB_RANGE_TOL or p.max() > 1 + PROB_RANGE_TOL:
+def check_simplex(p: np.ndarray, name) -> None:
+    """ContractViolation naming `name(i)` for the first row i of an (R, ..., m)
+    table of outcome probabilities with an entry outside [0, 1] by more than
+    PROB_RANGE_TOL or a sum over m off 1 by more than PROB_SUM_TOL, or a NaN."""
+    axes = tuple(range(1, p.ndim))
+    low, high = p.min(axis=axes), p.max(axis=axes)
+    sum_dev = np.abs(p.sum(axis=-1) - 1.0).max(axis=axes[:-1])
+    bad = np.flatnonzero(
+        ~((low >= -PROB_RANGE_TOL) & (high <= 1 + PROB_RANGE_TOL) & (sum_dev <= PROB_SUM_TOL))
+    )
+    if bad.size:
+        i = int(bad[0])
         raise ContractViolation(
-            f"probability out of range for {label}: min {p.min():.3e}, max {p.max():.3e}"
+            f"probability invariant violated for {name(i)}: "
+            f"min {low[i]:.3e}, max {high[i]:.3e}, max |sum - 1| {sum_dev[i]:.3e}"
         )
-    s = p.sum()
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise ContractViolation(f"probabilities sum to {s:.12g} for {label}")
 
 
 def design_matrix(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
@@ -89,16 +97,7 @@ def averaged_covariance(
         raise ContractViolation("cluster has no members")
     X = element_rows(P.elements, basis)
     probs = X[:, 0] + members @ X[:, 1:].T  # (k, m)
-    bad = np.where(
-        (probs.min(axis=1) < -PROB_RANGE_TOL)
-        | (probs.max(axis=1) > 1 + PROB_RANGE_TOL)
-        | (np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL)
-    )[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ContractViolation(
-            f"probability invariant violated at cluster member {i}: p = {probs[i]}"
-        )
+    check_simplex(probs, lambda i: f"cluster member {i}")
     n_unknown = pattern.unknown_count
     head = probs[:, :n_unknown]
     W0 = np.diag(head.sum(axis=0)) - head.T @ head

@@ -13,8 +13,10 @@ whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
 t = GRID_PSD_TOL.  The closed-form test of `linalg.psd_verdict`, the one the
 anneal uses, decides the points inside the ball; the stacked `linalg.spectra`
 decides only those in its thin band around the tolerance, which for n = 4 is
-every point.  Cluster keys come from the same stacked `linalg.spectra`, whose
-tests keep the scalar Jacobi solver in `linalg` as their oracle.
+every point.  Cluster keys come from the same stacked `linalg.spectra` of
+`basis.bloch_to_state`'s states, whose tests keep the scalar Jacobi solver in
+`linalg` as their oracle.  An eigenvalue within CELL_EDGE_TOL of a cell edge
+k/B is in cell k, so last-bit rounding does not split the states of one spectrum.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector
+from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector, bloch_to_state
 from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
-GRID_BLOCK = 343  # grid points built and tested for positivity per slice
+GRID_BLOCK = 343  # grid points built, tested or keyed per slice, to bound memory
 BALL_MARGIN = 1e-9  # slack of the Bloch-ball prefilter beyond (n-1)/n
+CELL_EDGE_TOL = 1e-10  # an eigenvalue this close to a cell edge k/B is in cell k
 
 log = logging.getLogger("povm_lab")
 
@@ -69,38 +72,29 @@ class Cluster:
         return self.members.shape[0]
 
 
-def _spectra(thetas: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
-    """Descending eigenvalues of rho = I/n + theta . sigma for each row of thetas.
-
-    One stacked `linalg.spectra` per GRID_BLOCK rows.
-    """
-    out = np.empty((thetas.shape[0], basis.dim))
-    for lo in range(0, thetas.shape[0], GRID_BLOCK):
-        rho = basis.expand(thetas[lo : lo + GRID_BLOCK])
-        rho += np.eye(basis.dim) / basis.dim
-        out[lo : lo + GRID_BLOCK] = linalg.spectra(rho)
-    return out
-
-
 def _psd_rows(thetas: np.ndarray, basis: OrthonormalBasis) -> tuple[np.ndarray, int]:
     """(mask, count): which rows give lambda_min(I/n + theta . sigma) >=
     -GRID_PSD_TOL, and how many of them `eigvalsh` decided.
 
     `linalg.psd_verdict` decides each row in closed form from rho's entries;
-    only the rows in its band go to `_spectra`.  Outside the band the
-    two tests agree, so the mask is `_spectra`'s own verdict bit for bit.
+    only the rows in its band go to `linalg.spectra`.  Outside the band the
+    two tests agree, so the mask is `linalg.spectra`'s own verdict bit for bit.
     """
     entries = basis.entry_map @ thetas.T
     entries[: basis.dim] += 1.0 / basis.dim
     keep, no = linalg.psd_verdict(entries, basis.dim, GRID_PSD_TOL)
     band = np.flatnonzero(~(keep | no))
-    keep[band] = _spectra(thetas[band], basis)[:, -1] >= -GRID_PSD_TOL
+    keep[band] = linalg.spectra(bloch_to_state(thetas[band], basis))[:, -1] >= -GRID_PSD_TOL
     return keep, band.size
 
 
 def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
-    """Cell indices floor(lambda * B) of descending eigenvalue rows, clamped to [0, B-1]."""
-    return np.clip(np.floor(evals * cells), 0, cells - 1).astype(int)
+    """Cell indices floor(lambda * B) of descending eigenvalues, clamped to
+    [0, B-1]; a lambda within CELL_EDGE_TOL of an edge k/B is in cell k."""
+    scaled = evals * cells
+    edge = np.rint(scaled)
+    scaled = np.where(np.abs(scaled - edge) <= CELL_EDGE_TOL * cells, edge, scaled)
+    return np.clip(np.floor(scaled), 0, cells - 1).astype(int)
 
 
 def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
@@ -160,7 +154,10 @@ def cluster_states(states, cells: int, basis: OrthonormalBasis) -> dict:
         )
     if not np.all(np.isfinite(states)):
         raise ContractViolation("states have non-finite entries")
-    keys = eigenvalue_cells(_spectra(states, basis), cells)
+    keys = np.empty((states.shape[0], basis.dim), dtype=int)
+    for lo in range(0, states.shape[0], GRID_BLOCK):
+        rho = bloch_to_state(states[lo : lo + GRID_BLOCK], basis)
+        keys[lo : lo + GRID_BLOCK] = eigenvalue_cells(linalg.spectra(rho), cells)
     groups: dict = {}
     for row, key in enumerate(map(tuple, keys.tolist())):
         groups.setdefault(key, []).append(row)
@@ -187,13 +184,12 @@ def select_cluster(
     if basis is None or pattern is None:
         raise ContractViolation("selecting by theta_ref needs basis and pattern")
     cells = next(iter(clusters.values())).cell_count
-    evals = _spectra(assemble_full_vector(pattern, theta_ref)[None], basis)
-    if evals[0, -1] < -GRID_PSD_TOL:
+    evals = linalg.spectra(bloch_to_state(assemble_full_vector(pattern, theta_ref), basis))
+    if evals[-1] < -GRID_PSD_TOL:
         raise ConfigurationError(
-            f"theta_ref is not a state: rho has eigenvalue {evals[0, -1]:.6g} "
-            f"< -{GRID_PSD_TOL:g}"
+            f"theta_ref is not a state: rho has eigenvalue {evals[-1]:.6g} < -{GRID_PSD_TOL:g}"
         )
-    key = tuple(eigenvalue_cells(evals, cells)[0].tolist())
+    key = tuple(eigenvalue_cells(evals, cells).tolist())
     if key not in clusters:
         raise EmptyClusterSelection(f"no cluster with key {key}")
     return clusters[key]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from povm_lab import annealer, catalog, cli, linalg, povm as pv, statespace
+from povm_lab import annealer, catalog, cli, linalg, objective, povm as pv, statespace
 from povm_lab.basis import ParameterPattern, bloch_radius_bound, gell_mann_basis
 from povm_lab.errors import (
     ConfigurationError,
@@ -664,6 +664,7 @@ class TestProbabilityChecks:
         # row fail the sum check, and the first names row (0, 0)
         old, new, rows = self.interior_step(basis2, qubit_pattern, qubit_cluster)
         monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
+        monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")) as info:
             annealer.score_variants(
                 old, new, rows, basis2, qubit_cluster.members, qubit_pattern
@@ -1005,6 +1006,14 @@ class TestChainStart:
         )
         assert chain.cur_log == chain.best_log == math.log(want)
         assert_reads_start(chain.current, units)
+
+    def test_nan_member_fails_at_start(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """Not a chain that starts from a log DACM of NaN."""
+        members = qubit_cluster.members.copy()
+        members[1, 0] = math.nan
+        cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
+        with pytest.raises(ContractViolation, match=re.escape("cluster member 1: min nan")):
+            annealer.AnnealChain(small_config(), trine, cluster, basis2, qubit_pattern)
 
     def test_zero_free_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
         """A zero free element has the zero design row: SingularDesign from

@@ -71,6 +71,17 @@ class TestBlochConversion:
         rho = bs.bloch_to_state(theta, basis3)
         assert np.abs(np.diag(rho) - 1 / 3).max() < 1e-15
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_matches_single_rows(self, dim):
+        basis = bs.gell_mann_basis(dim)
+        thetas = np.random.default_rng(dim).uniform(-0.3, 0.3, (7, dim**2 - 1))
+        stacked = bs.bloch_to_state(thetas, basis)
+        assert stacked.shape == (7, dim, dim)
+        for theta, rho in zip(thetas, stacked):
+            assert np.array_equal(bs.bloch_to_state(theta, basis), rho)
+        with pytest.raises(ContractViolation):
+            bs.bloch_to_state(thetas[:, 1:], basis)
+
     def test_state_to_bloch_mixed(self, basis3):
         assert np.abs(bs.state_to_bloch(np.eye(3) / 3, basis3)).max() < 1e-14
 

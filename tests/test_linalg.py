@@ -419,3 +419,21 @@ class TestSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         with pytest.raises(NumericalError, match="LAPACK failure"):
             linalg.spectra(np.eye(3))
+
+
+class TestSlogdetContract:
+    """The anneal step's `np.linalg.slogdet` on its (Vc, 2, N, N) stack of T
+    and W0 runs unguarded: on a square stack numpy raises no LinAlgError."""
+
+    def test_singular_stack_has_sign_zero(self):
+        stack = np.zeros((4, 2, 3, 3))
+        stack[:, 1] = np.eye(3)
+        sign, log_det = np.linalg.slogdet(stack)
+        assert np.array_equal(sign, np.tile([0.0, 1.0], (4, 1)))
+        assert np.isneginf(log_det[:, 0]).all() and (log_det[:, 1] == 0.0).all()
+
+    def test_nan_stack_is_nan(self):
+        stack = np.full((4, 2, 3, 3), np.nan)
+        with np.errstate(invalid="ignore"):
+            _, log_det = np.linalg.slogdet(stack)
+        assert np.isnan(log_det).all()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,37 @@ class TestOutcomeProbabilities:
             objective.outcome_probabilities(
                 catalog.diag_units_dim4(), np.diag([2.0, -1.0, 0.0, 0.0])
             )
+
+
+class TestCheckSimplex:
+    """One check for every table of outcome probabilities: the first row
+    with an entry outside [0, 1] or a sum off 1 is named."""
+
+    @staticmethod
+    def message(name, low, high, dev):
+        return f"for {name}: min {low:.3e}, max {high:.3e}, max |sum - 1| {dev:.3e}"
+
+    @pytest.mark.parametrize(
+        "row, value, low, high, dev",
+        [
+            (1, [1.5, -0.5], -0.5, 1.5, 0.0),
+            (2, [0.5, 0.6], 0.5, 0.6, 0.1),
+            (1, [np.nan, 0.5], np.nan, np.nan, np.nan),
+        ],
+        ids=["range", "sum", "nan"],
+    )
+    def test_names_first_bad_row(self, row, value, low, high, dev):
+        p = np.full((4, 2, 2), 0.5)
+        p[row:, 1] = value
+        message = self.message(f"row {row}", low, high, dev)
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            objective.check_simplex(p, lambda i: f"row {i}")
+
+    def test_tolerances(self):
+        p = np.array([[-objective.PROB_RANGE_TOL, 1.0 + objective.PROB_RANGE_TOL]])
+        objective.check_simplex(p, str)
+        with pytest.raises(ContractViolation, match="for 0: "):
+            objective.check_simplex(p + [[-1e-9, 0.0]], str)
 
 
 class TestDesignMatrix:
@@ -168,6 +201,14 @@ class TestAveragedCovariance:
                 )
             )
         assert np.abs(av.W0 - (parts[0] + parts[1])).max() < 1e-13
+
+    def test_nan_member_is_a_typed_failure(self, trine, basis2, qubit_pattern, qubit_cluster):
+        """Not a W0 and log DACM of NaN."""
+        members = qubit_cluster.members.copy()
+        members[1, 0] = np.nan
+        cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
+        with pytest.raises(ContractViolation, match=re.escape("cluster member 1: min nan")):
+            objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
 
     def test_names_offending_member(self, trine, basis2, qubit_pattern):
         good = assemble_full_vector(qubit_pattern, np.array([0.2, 0.0]))

@@ -57,13 +57,13 @@ class TestGenerateGrid:
         # in-ball points are in their band
         basis = request.getfixturevalue(f"basis{dim}")
         pattern = request.getfixturevalue(pattern_name)
-        spectra, rows = statespace._spectra, []
+        spectra, rows = linalg.spectra, []
 
-        def counting(thetas, b):
-            rows.append(thetas.shape[0])
-            return spectra(thetas, b)
+        def counting(rho):
+            rows.append(rho.shape[0])
+            return spectra(rho)
 
-        monkeypatch.setattr(statespace, "_spectra", counting)
+        monkeypatch.setattr(linalg, "spectra", counting)
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
         statespace.generate_grid(spec, basis)
         assert sum(rows) == sent
@@ -289,6 +289,29 @@ class TestBatchedAgainstOracle:
 
 
 class TestEigenvalueCells:
+    def test_edges_within_tolerance(self):
+        # (0.6, 0.4) as eigvalsh computes it for two states of the qubit g = 11 grid, and exactly
+        evals = np.array([[0.6000000000000001, 0.39999999999999997], [0.6, 0.4]])
+        assert evals[0, 1] * 10 < 4
+        assert statespace.eigenvalue_cells(evals, 10).tolist() == [[6, 4], [6, 4]]
+        tol = statespace.CELL_EDGE_TOL
+        evals = np.array([[0.5 + tol / 2, 0.5 - tol / 2], [0.5 + 2 * tol, 0.5 - 2 * tol]])
+        assert statespace.eigenvalue_cells(evals, 10).tolist() == [[5, 5], [5, 4]]
+
+    def test_qubit_g11_edge_keys(self, basis2, qubit_pattern):
+        """I/2 and the spectra (0.6, 0.4) and (0.8, 0.2) lie on cell edges;
+        every state of one spectrum gets the same key, as does theta_ref."""
+        spec = statespace.GridSpec(11, bs.bloch_radius_bound(2), qubit_pattern)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec, basis2), 10, basis2)
+        assert {key: c.size for key, c in clusters.items()} == {
+            (5, 5): 1, (6, 3): 4, (6, 4): 4, (7, 2): 12, (7, 3): 4,
+            (8, 1): 16, (8, 2): 4, (9, 0): 32, (9, 1): 4,
+        }
+        picked = statespace.select_cluster(
+            clusters, theta_ref=np.zeros(2), basis=basis2, pattern=qubit_pattern
+        )
+        assert picked.key == (5, 5)
+
     def test_floor_and_clamp(self):
         evals = np.array([[1.0, 0.5, 0.0], [0.7, 0.3 + 1e-15, -1e-12], [1 + 1e-12, 0.0, -0.0]])
         cells = statespace.eigenvalue_cells(evals, 10)
@@ -344,7 +367,7 @@ class TestBallPrefilter:
     def test_keeps_every_eigvalsh_kept_point(self, dim, seed, support):
         basis = bs.gell_mann_basis(dim)
         points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
-        kept = statespace._spectra(points, basis)[:, -1] >= -statespace.GRID_PSD_TOL
+        kept = linalg.spectra(bs.bloch_to_state(points, basis))[:, -1] >= -statespace.GRID_PSD_TOL
         assert np.all(_in_ball(points, dim)[kept])
         assert kept[:3].all()  # the boundary and 1e-12 either side of it
 
@@ -368,7 +391,7 @@ class TestBallPrefilter:
         u /= np.linalg.norm(u, axis=1)[:, None]
         for excess in (-1e-3, -1e-8, 1e-8, 1e-3):
             points = np.sqrt(0.5 + excess) * u
-            kept = statespace._spectra(points, basis2)[:, -1] >= -statespace.GRID_PSD_TOL
+            kept = linalg.spectra(bs.bloch_to_state(points, basis2))[:, -1] >= -statespace.GRID_PSD_TOL
             assert np.array_equal(_in_ball(points, 2), kept)
             assert kept.all() == (excess < 0)
 
@@ -396,7 +419,7 @@ class TestPsdRows:
         basis = bs.gell_mann_basis(dim)
         points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
         mask, decided = statespace._psd_rows(points, basis)
-        expected = statespace._spectra(points, basis)[:, -1] >= -statespace.GRID_PSD_TOL
+        expected = linalg.spectra(bs.bloch_to_state(points, basis))[:, -1] >= -statespace.GRID_PSD_TOL
         assert np.array_equal(mask, expected)
         # for n = 4 every row is in the minors' band
         assert decided == len(self.OFFSETS) if dim == 4 else decided <= len(self.OFFSETS)
