@@ -10,11 +10,14 @@ diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 table.  Refine restart r runs Levenberg-Marquardt from phases drawn by the
 standard library's `random.Random(f"{refine.seed},{r}")`, so refine never
 loads `numpy.random`; the search itself has no keys.
+
+`_parse_args` reads the command line by hand, because the standard library's
+option parser imports `gettext` and `locale` to build its first parser, which
+took about a third of a cold `refine` call's wall time.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import math
 import os
@@ -479,36 +482,74 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
 
 
+USAGE = f"usage: povm-lab {{{','.join(MODES)}}} [--config FILE] [--seed N] [--out DIR]"
+
+
+def _parse_args(argv):
+    """(mode, {"config": ..., "seed": ..., "out": ...} for the flags given) from
+    `MODE [--config FILE] [--seed N] [--out DIR]`, or None for -h / --help.
+    Flags go before or after the mode, as `--flag value` or `--flag=value`; the
+    value is the next argument whatever it starts with, so `--seed -1` reaches
+    AnnealConfig's range check.  A repeated flag keeps its last value.  A misuse
+    raises ValueError saying what is wrong."""
+    mode, flags = None, {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-"):
+            if mode is not None:
+                raise ValueError(f"unexpected argument {arg!r}")
+            mode = arg
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in ("--config", "--seed", "--out"):
+            raise ValueError(f"unknown flag {name!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"--seed needs an integer, got {value!r}") from None
+        flags[name[2:]] = value
+    if mode not in MODES:
+        raise ValueError("a mode is required" if mode is None else f"unknown mode {mode!r}")
+    return mode, flags
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = argparse.ArgumentParser(
-        prog="povm-lab",
-        description="Search and certify optimal POVMs for tomography with known parameters.",
-    )
-    parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", help="experiment config file (optional for verify)")
-    parser.add_argument("--seed", type=int, help="override the anneal/refine seed")
-    parser.add_argument("--out", help="override output.dir")
-    args = parser.parse_args(argv)
+    try:
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{USAGE}\npovm-lab: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if parsed is None:
+        print(USAGE)
+        return EXIT_OK
+    mode, flags = parsed
 
     try:
-        if args.config is not None:
+        if "config" in flags:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(flags["config"], encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigurationError(f"cannot read config {args.config!r}: {exc}") from exc
-            cfg = parse_config(text, mode=args.mode)
-        elif args.mode == "verify":
+                raise ConfigurationError(f"cannot read config {flags['config']!r}: {exc}") from exc
+            cfg = parse_config(text, mode=mode)
+        elif mode == "verify":
             cfg = build_config({}, mode="verify")
         else:
-            raise ConfigurationError(f"mode {args.mode!r} requires --config")
-        if args.seed is not None:
+            raise ConfigurationError(f"mode {mode!r} requires --config")
+        if "seed" in flags:
             # AnnealConfig rejects a negative seed, for refine runs too
-            cfg.anneal = replace(cfg.anneal, rng_seed=args.seed)
-            cfg.refine.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
+            cfg.anneal = replace(cfg.anneal, rng_seed=flags["seed"])
+            cfg.refine.seed = flags["seed"]
+        if "out" in flags:
+            cfg.output_dir = flags["out"]
     except ConfigurationError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG

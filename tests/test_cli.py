@@ -668,6 +668,27 @@ class TestRefineMode:
         assert proc.stdout == "False\n"
         assert (tmp_path / "out" / "report.txt").exists()
 
+    @pytest.mark.parametrize("mode", ["verify", "gridinfo", "refine", "anneal"])
+    def test_no_mode_imports_the_option_parser(self, tmp_path, mode):
+        """The command line is parsed by hand, so a fresh process that runs any
+        mode never loads `argparse`, nor the `gettext` and `locale` it pulls in."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(
+            QUBIT_CFG.format(steps=5, seed=1, out=tmp_path / "out") + "refine.restarts = 1\n"
+        )
+        argv = ["povm-lab", mode] + ([] if mode == "verify" else ["--config", str(cfg_path)])
+        code = (
+            "import sys\n"
+            "from povm_lab import cli\n"
+            f"sys.argv = {argv!r}\n"
+            "rc = cli.main()\n"
+            "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "POVM_LAB_LOG": "quiet"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestGridinfoMode:
     def test_index_map_and_clusters(self, tmp_path, capsys):
@@ -859,3 +880,84 @@ class TestExitCodes:
         broken.elements[0] = broken.elements[0] * 1.5
         monkeypatch.setattr(cli.catalog, "qutrit_csic", lambda: broken)
         assert cli.main(["verify"]) == 1
+
+
+class TestCommandLine:
+    """`cli.main`'s hand parser: MODE [--config FILE] [--seed N] [--out DIR]."""
+
+    @staticmethod
+    def _config(tmp_path):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(QUBIT_CFG.format(steps=5, seed=1, out=tmp_path / "cfg_out"))
+        return str(cfg_path)
+
+    @pytest.mark.parametrize(
+        "argv, out, seed",
+        [
+            (["anneal", "--config", "{cfg}"], "cfg_out", 1),
+            (["anneal", "--config={cfg}"], "cfg_out", 1),
+            (["--config", "{cfg}", "anneal"], "cfg_out", 1),
+            (["--config={cfg}", "anneal"], "cfg_out", 1),
+            (["anneal", "--config", "{cfg}", "--seed", "7"], "cfg_out", 7),
+            (["anneal", "--config", "{cfg}", "--seed=7"], "cfg_out", 7),
+            (["--seed", "7", "anneal", "--config", "{cfg}"], "cfg_out", 7),
+            (["anneal", "--config", "{cfg}", "--out", "{tmp}/flag_out"], "flag_out", 1),
+            (["anneal", "--out={tmp}/flag_out", "--config", "{cfg}"], "flag_out", 1),
+            (["--out", "{tmp}/flag_out", "--seed=0", "--config={cfg}", "anneal"], "flag_out", 0),
+            # a repeated flag keeps its last value
+            (["anneal", "--config", "{cfg}", "--seed", "3", "--seed", "7"], "cfg_out", 7),
+        ],
+    )
+    def test_accepted_forms(self, tmp_path, capsys, argv, out, seed):
+        cfg = self._config(tmp_path)
+        argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        report = (tmp_path / out / "report.txt").read_text().splitlines()
+        assert f"seed  {seed}" in report
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.cfg", out])
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ([], "a mode is required"),
+            (["--config", "{cfg}"], "a mode is required"),
+            (["bogus", "--config", "{cfg}"], "unknown mode 'bogus'"),
+            (["Anneal", "--config", "{cfg}"], "unknown mode 'Anneal'"),
+            (["anneal", "refine", "--config", "{cfg}"], "unexpected argument 'refine'"),
+            (["anneal", "--config", "{cfg}", "extra"], "unexpected argument 'extra'"),
+            (["anneal", "--conf", "{cfg}"], "unknown flag '--conf'"),
+            (["anneal", "--conf={cfg}"], "unknown flag '--conf'"),
+            (["anneal", "--config", "{cfg}", "--bogus", "x"], "unknown flag '--bogus'"),
+            (["anneal", "--config", "{cfg}", "-s", "1"], "unknown flag '-s'"),
+            (["anneal", "--config", "{cfg}", "--"], "unknown flag '--'"),
+            (["anneal", "--config"], "--config needs a value"),
+            (["anneal", "--config", "{cfg}", "--seed"], "--seed needs a value"),
+            (["anneal", "--config", "{cfg}", "--out"], "--out needs a value"),
+            (["anneal", "--config", "{cfg}", "--seed", "x"], "--seed needs an integer, got 'x'"),
+            (["anneal", "--config", "{cfg}", "--seed=1.5"], "--seed needs an integer, got '1.5'"),
+            (["anneal", "--config", "{cfg}", "--seed="], "--seed needs an integer, got ''"),
+            # every --seed is checked, not only the last
+            (
+                ["anneal", "--config", "{cfg}", "--seed", "x", "--seed", "3"],
+                "--seed needs an integer, got 'x'",
+            ),
+        ],
+    )
+    def test_usage_error_is_2(self, tmp_path, capsys, argv, reason):
+        cfg = self._config(tmp_path)
+        assert cli.main([a.format(cfg=cfg) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{cli.USAGE}\npovm-lab: error: {reason}\n"
+        assert not (tmp_path / "cfg_out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["anneal", "--help"], ["--config", "{cfg}", "anneal", "-h"]],
+    )
+    def test_help_is_0_with_usage_on_stdout(self, tmp_path, capsys, argv):
+        cfg = self._config(tmp_path)
+        assert cli.main([a.format(cfg=cfg) for a in argv]) == 0
+        assert capsys.readouterr() == (f"{cli.USAGE}\n", "")
+        assert not (tmp_path / "cfg_out").exists()
