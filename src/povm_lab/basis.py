@@ -14,10 +14,16 @@ Index map (1-based, used by configs and the CLI `gridinfo` echo):
             7 diag(1,-1,0)/sqrt(2); 8 diag(1,1,-2)/sqrt(6)
   n = 4: pauli(i,j) = sigma_i (x) sigma_j / 2 in (i,j) lexicographic order
   skipping (0,0), so index = 4*i + j.
+
+`gell_mann_basis` builds each dimension's basis once per process and hands
+every caller (the anneal's setup, refine's diagonal check, the certification
+report's known directions) that one object; every array it exposes is
+read-only, so no caller can change what the others read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -36,7 +42,8 @@ PAULI = {
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Traceless orthonormal generators sigma_1..sigma_{n^2-1}."""
+    """Traceless orthonormal generators sigma_1..sigma_{n^2-1}; the element
+    arrays are made read-only, like every array derived from them."""
 
     dim: int
     elements: tuple
@@ -50,6 +57,8 @@ class OrthonormalBasis:
     def __post_init__(self):
         if len(self.elements) != self.dim**2 - 1:
             raise ContractViolation("basis must have n^2 - 1 traceless elements")
+        for e in self.elements:
+            e.setflags(write=False)
         stack = np.stack(self.elements)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -98,8 +107,11 @@ class OrthonormalBasis:
         return self.elements[index - 1]
 
 
+@functools.lru_cache(maxsize=None)
 def gell_mann_basis(n: int) -> OrthonormalBasis:
-    """Orthonormal Hermitian basis for dimension n in {2, 3, 4}."""
+    """Orthonormal Hermitian basis for dimension n in {2, 3, 4}, built on the
+    first call for n; later calls return that same read-only object.  An
+    unsupported n raises on every call (a raise is not cached)."""
     if n in (2, 3):
         elems = []
         labels = []

@@ -9,7 +9,11 @@ pattern a descent reaches a lower DACM.  The report checks the three defining
 conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
 parameter directions; its verdict also requires the elements to sum to I
-and to number N + 1 for the pattern's N unknowns.
+and to number N + 1 for the pattern's N unknowns.  The report reads those
+conditions off the elements' spectra and `report_overlap`, one overlap matrix
+of the elements and the known directions of the dimension's one cached basis;
+the CLI computes the two once per written POVM and passes them to both the
+report and `povm.metrics`, while `verify` lets the report compute them.
 """
 
 from __future__ import annotations
@@ -117,22 +121,42 @@ class ConditionalSicReport:
     verdict: bool
 
 
-def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSicReport:
+def report_overlap(P: Povm, pattern: ParameterPattern) -> np.ndarray:
+    """One overlap matrix of P's m elements followed by the pattern's known
+    basis directions: its leading m x m block holds the cross-overlaps, its
+    block [:m, m:] the pairings with the known directions."""
+    b = gell_mann_basis(pattern.dim)
+    return overlap_matrix(list(P.elements) + [b.element(i) for i in pattern.known_indices])
+
+
+def conditional_sic_report(
+    P: Povm, pattern: ParameterPattern, evals=None, overlap=None
+) -> ConditionalSicReport:
     """Check conditions: common-multiple-of-projection elements, constant
     cross-overlaps and zero pairing with every known basis direction.  The
     verdict also needs max |sum E - I| <= RANK_TOL (a conditional SIC-POVM is
     a POVM first) and m = N + 1 elements for the N unknowns (fewer outcomes
-    cannot determine them; d is 0.0 when m = 1 leaves no pair)."""
-    evals = linalg.spectra(P.elements)  # (m, n), descending
+    cannot determine them; d is 0.0 when m = 1 leaves no pair).
+
+    The conditions are read off two arrays: `evals`, the descending spectra
+    of the elements from `linalg.spectra`, and `overlap`, `report_overlap`'s
+    matrix.  A caller that already has them (the CLI's report pass, which
+    also reads sigma, delta and Delta off them) passes them in; otherwise
+    they are computed here."""
+    m = P.m
+    if evals is None:
+        evals = linalg.spectra(P.elements)  # (m, n), descending
+    if overlap is None:
+        overlap = report_overlap(P, pattern)
+    size = m + len(pattern.known_indices)
+    if overlap.shape != (size, size):
+        raise ContractViolation(
+            f"report overlap has shape {overlap.shape}, expected ({size}, {size})"
+        )
     c = float(evals[:, 0].mean())
     significant = evals > RANK_TOL * np.maximum(evals[:, :1], 0.0)
     ranks = tuple(significant.sum(axis=1).tolist())
     multiple_ok = all(ranks) and bool(np.abs(evals - c)[significant].max() <= RANK_TOL)
-    # one overlap matrix of the elements and the known directions: the
-    # element block gives the cross-overlaps, the off-diagonal block the pairings
-    b = gell_mann_basis(pattern.dim)
-    m = P.m
-    overlap = overlap_matrix(list(P.elements) + [b.element(i) for i in pattern.known_indices])
     cross = overlap[:m, :m][~np.eye(m, dtype=bool)]
     d = float(cross.mean()) if cross.size else 0.0
     overlap_dev = float(np.abs(cross - d).max()) if cross.size else 0.0

@@ -236,11 +236,15 @@ def _build_cluster(cfg: ExperimentConfig, b):
 
 def _write_result(cfg: ExperimentConfig, name: str, P, lines) -> None:
     """Write a search's POVM `P` to `name` and its `report.txt` in output.dir:
-    the conditional-SIC report, sigma, delta and Delta, then the mode's `lines`."""
+    the conditional-SIC report, sigma, delta and Delta, then the mode's `lines`.
+    One `linalg.spectra` of the elements and one `catalog.report_overlap` of
+    the elements and the known directions serve the report and the metrics."""
     write_povm(P, os.path.join(cfg.output_dir, name))
-    mk = metrics(P)
+    evals = linalg.spectra(P.elements)
+    overlap = catalog.report_overlap(P, cfg.pattern)
+    mk = metrics(P, evals, overlap)
     text = [
-        catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern)),
+        catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern, evals, overlap)),
         "",
         f"sigma  {mk.sigma!r}",
         f"delta  {mk.delta!r}",
@@ -285,9 +289,10 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     n = cfg.dim
     # rank-one elements with constant diagonal are quasi-orthogonal to the
-    # diagonal generators and to no other direction
-    stack = gell_mann_basis(n).stack
-    diagonal = [i for i, s in enumerate(stack, 1) if not np.any(s - np.diag(np.diag(s)))]
+    # diagonal generators and to no other direction; the rows of entry_map
+    # past the first n hold each generator's off-diagonal entries
+    off_diagonal = gell_mann_basis(n).entry_map[n:]
+    diagonal = (np.flatnonzero(~off_diagonal.any(axis=0)) + 1).tolist()
     if sorted(cfg.pattern.known_indices) != diagonal:
         raise ConfigurationError(
             f"refine needs the known indices to be the diagonal generators {diagonal}, "

@@ -5,7 +5,10 @@ matrices to their rows (Tr E / n, Tr(E sigma)) in the orthonormal basis of
 :mod:`povm_lab.basis`, which read a weight a0 = Tr E / n and a direction
 a = Tr(E sigma) / a0 off an element E = a0 (I + a . sigma).  The diagnostics
 sigma/delta/Delta track rank-one-ness and overlap symmetry of a candidate
-measurement during optimization.
+measurement during optimization.  `metrics` reads them off the elements'
+spectra and overlap matrix; the anneal trace lets it compute both, while the
+CLI's report pass hands it the spectra and the one overlap matrix that the
+conditional-SIC report reads too, so a written POVM is decomposed once.
 """
 
 from __future__ import annotations
@@ -115,21 +118,30 @@ def overlap_matrix(elements) -> np.ndarray:
     return (z.real + z.real.T) / 2.0
 
 
-def metrics(P: Povm) -> PovmMetrics:
+def metrics(P: Povm, evals=None, overlap=None) -> PovmMetrics:
     """The rank-one and symmetry diagnostics of a measurement.
 
     sigma sums the second largest eigenvalue of each element (clamped at 0 so
-    PSD rounding noise cannot push it negative), from one `linalg.spectra` of
-    the element stack.  delta and Delta are sums of squared deviations of the
-    self- and cross-overlaps Tr(E_i E_j) from their arithmetic means, cross
-    terms over ordered pairs i != j (Delta is 0.0 for a one-element
-    measurement, which has no pair).
+    PSD rounding noise cannot push it negative), from the descending spectra
+    `evals` of the element stack.  delta and Delta are sums of squared
+    deviations of the self- and cross-overlaps Tr(E_i E_j) from their
+    arithmetic means, cross terms over ordered pairs i != j (Delta is 0.0 for
+    a one-element measurement, which has no pair), read off the leading
+    m x m block of `overlap`.  A caller that already has them (the CLI's
+    report pass) passes `linalg.spectra(P.elements)` and an overlap matrix
+    of the elements followed by other operators; otherwise they are computed
+    here, with `overlap_matrix(P.elements)`.
     """
-    sig = float(np.maximum(linalg.spectra(P.elements)[:, 1], 0.0).sum())
-    overlap = overlap_matrix(P.elements)
-    selfs = np.diag(overlap)
+    m = P.m
+    if evals is None:
+        evals = linalg.spectra(P.elements)
+    if overlap is None:
+        overlap = overlap_matrix(P.elements)
+    sig = float(np.maximum(evals[:, 1], 0.0).sum())
+    block = overlap[:m, :m]
+    selfs = np.diag(block)
     delta = float(np.sum((selfs - selfs.mean()) ** 2))
-    cross = overlap[~np.eye(P.m, dtype=bool)]
+    cross = block[~np.eye(m, dtype=bool)]
     big_delta = float(np.sum((cross - cross.mean()) ** 2)) if cross.size else 0.0
     return PovmMetrics(sig, delta, big_delta)
 
@@ -176,12 +188,8 @@ def write_povm(P: Povm, path) -> None:
     """Text format: line 1 `n m`; then n rows per element, entries `re im` joined by `;`."""
     lines = [f"{P.dim} {P.m}"]
     for e in P.elements:
-        for r in range(P.dim):
-            lines.append(
-                ";".join(
-                    f"{float(e[r, c].real)!r} {float(e[r, c].imag)!r}" for c in range(P.dim)
-                )
-            )
+        for row in np.asarray(e, dtype=complex).tolist():
+            lines.append(";".join(f"{z.real!r} {z.imag!r}" for z in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -110,9 +110,8 @@ def phases_to_povm(phi: PhaseConfiguration):
     """
     n, m = phi.dim, phi.element_count
     H = _vectors(phi.phases, n)
-    c = n / m
-    elements = [c * np.outer(H[i], H[i].conj()) for i in range(m)]
-    pov = Povm(n, elements)
+    elements = (n / m) * (H[:, :, None] * H.conj()[:, None, :])
+    pov = Povm(n, list(elements))
     return pov, validate(pov)
 
 
@@ -121,7 +120,9 @@ def _residuals(phases: np.ndarray, dim: int, m: int, off_mask):
     Jacobian over phases[1:, 1:].
 
     r stacks the centred off-diagonal overlaps and the real and imaginary
-    parts of the completeness residual S.
+    parts of the completeness residual S.  Each Jacobian block is one
+    broadcast product of the per-entry derivatives with the Kronecker
+    differences (delta_bj - delta_aj, delta_jk - delta_jl) on the free phases.
     """
     H = _vectors(phases, dim)
     c = dim / m
@@ -129,18 +130,17 @@ def _residuals(phases: np.ndarray, dim: int, m: int, off_mask):
     G = g.sum(axis=2)
     off = ((c * c) * (G.real**2 + G.imag**2))[off_mask]
     # d|G_ab|^2 / d phi_jk = 2 Re(conj(G_ab) i g_abk) (delta_bj - delta_aj)
-    D = (-2.0 * c * c) * (G.conj()[:, :, None] * g).imag
-    idx = np.arange(m)
-    d_overlaps = np.zeros((m, m, m, dim))
-    d_overlaps[:, idx, idx, :] = D
-    d_overlaps[idx, :, idx, :] -= D
-    d_off = d_overlaps[off_mask][:, 1:, 1:].reshape(off.size, -1)
+    D = ((-2.0 * c * c) * (G.conj()[:, :, None] * g).imag)[off_mask]
+    eye_m = np.eye(m)
+    pair_shift = (eye_m[None, :, :] - eye_m[:, None, :])[off_mask]  # [ab, j]
+    d_off = (pair_shift[:, 1:, None] * D[:, None, 1:]).reshape(off.size, -1)
     s = c * H[:, :, None] * H.conj()[:, None, :]  # S_kl = sum_a s_akl - delta_kl
-    S = s.sum(axis=0) - np.eye(dim)
+    eye_n = np.eye(dim)
+    S = s.sum(axis=0) - eye_n
     # d S_kl / d phi_aj = i s_akl (delta_jk - delta_jl)
-    eye = np.eye(dim)
-    dS = 1j * (np.einsum("akl,jk->klaj", s, eye) - np.einsum("akl,jl->klaj", s, eye))
-    dS = dS[:, :, 1:, 1:].reshape(dim * dim, -1)
+    entry_shift = eye_n[:, None, :] - eye_n[None, :, :]  # [k, l, j]
+    dS = 1j * (s.transpose(1, 2, 0)[:, :, 1:, None] * entry_shift[:, :, None, 1:])
+    dS = dS.reshape(dim * dim, -1)
     residuals = [off - off.mean(), S.real.ravel(), S.imag.ravel()]
     jacobian = [d_off - d_off.mean(axis=0), dS.real, dS.imag]
     return np.concatenate(residuals), np.vstack(jacobian)

@@ -28,8 +28,24 @@ class TestGellMannBasis:
         assert basis4.labels[14] == "pauli(3,3)"
 
     def test_unsupported_dim(self):
-        with pytest.raises(ContractViolation):
-            bs.gell_mann_basis(5)
+        # a raise is not cached: every call raises again
+        bs.gell_mann_basis.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ContractViolation):
+                bs.gell_mann_basis(5)
+        assert bs.gell_mann_basis.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_read_only_build_per_dimension(self, n):
+        bs.gell_mann_basis.cache_clear()
+        b = bs.gell_mann_basis(n)
+        assert bs.gell_mann_basis(n) is b
+        assert bs.gell_mann_basis.cache_info().currsize == 1
+        arrays = [*b.elements, b.element(1), b.stack, b.entry_map, b.identity]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 7.0
+        assert np.array_equal(b.stack, np.stack(b.elements))
 
     def test_stack_built_once_read_only(self, basis3):
         # stays a plain property so callers can wrap its getter

@@ -271,6 +271,19 @@ class TestConditionalSicReport:
         assert rep.d == 0.0 and rep.max_pairwise_overlap_deviation == 0.0
         assert not rep.verdict
 
+    def test_given_spectra_and_overlap_are_the_ones_it_computes(self, trine, qubit_pattern):
+        evals = linalg.spectra(trine.elements)
+        overlap = catalog.report_overlap(trine, qubit_pattern)
+        assert overlap.shape == (4, 4)
+        given = catalog.conditional_sic_report(trine, qubit_pattern, evals, overlap)
+        assert given == catalog.conditional_sic_report(trine, qubit_pattern)
+        # the elements' own overlap matrix lacks the known directions' block,
+        # which would certify quasi-orthogonality vacuously
+        with pytest.raises(ContractViolation, match="report overlap"):
+            catalog.conditional_sic_report(
+                trine, qubit_pattern, evals, pv.overlap_matrix(trine.elements)
+            )
+
     def test_text_and_csv_rendering(self, trine, qubit_pattern):
         rep = catalog.conditional_sic_report(trine, qubit_pattern)
         text = catalog.report_to_text(rep)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import logging
 import os
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povm_lab import annealer, catalog, cli, objective, rankone
+from povm_lab import annealer, catalog, cli, linalg, objective, rankone
+from povm_lab import basis as bs
 from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
 from povm_lab.errors import ConfigurationError
@@ -647,6 +649,65 @@ class TestRefineMode:
         assert "restarts  3" in report and "seed  4" in report
         written = rankone.read_phases(out / "phases.csv")
         assert np.array_equal(written.phases, best.phases.phases)
+
+    @pytest.mark.parametrize("name", ["trine", "qutrit", "diag units", "refined"])
+    def test_report_pass_equals_the_standalone_functions(self, tmp_path, name):
+        """`_write_result` reads the report and sigma, delta and Delta off one
+        spectra and one overlap pass: the report's lines are those of
+        `conditional_sic_report` exactly, and the metrics are `metrics`' up to
+        the last bits of the larger overlap product."""
+        dim = {"trine": 2, "qutrit": 3, "diag units": 4, "refined": 3}[name]
+        cfg = cli.build_config({"dim": dim, "output.dir": str(tmp_path)}, mode="refine")
+        if name == "refined":
+            assert cli.main(["refine", "--out", str(tmp_path), "--config", str(DOCS_CONFIG)]) == 0
+            P = pv.read_povm(tmp_path / "povm.txt")
+        else:
+            P = {
+                "trine": catalog.qubit_trine,
+                "qutrit": catalog.qutrit_csic,
+                "diag units": catalog.diag_units_dim4,
+            }[name]()
+            cli._write_result(cfg, "povm.txt", P, [])
+        text = (tmp_path / "report.txt").read_text()
+        report, rest = text.split("\n\n", 1)
+        assert report == catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern))
+        written = {k: float(v) for k, v in (ln.split() for ln in rest.splitlines()[:3])}
+        mk = pv.metrics(P)
+        for key in ("sigma", "delta", "Delta"):
+            assert abs(written[key] - getattr(mk, key)) <= 1e-15
+
+    def test_one_basis_per_dimension_two_spectra_one_overlap(self, tmp_path, monkeypatch):
+        """From an empty basis cache, a qubit and then a qutrit refine call
+        build one basis each (the diagonal check and the report share it), and
+        each call runs `linalg.spectra` twice (`validate` of the written POVM
+        and the report pass) and `overlap_matrix` once."""
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        overlap = pv.overlap_matrix
+        for module in [m for k, m in sys.modules.items() if k.startswith("povm_lab")]:
+            if vars(module).get("overlap_matrix") is overlap:
+                monkeypatch.setattr(module, "overlap_matrix", counting("overlap", overlap))
+        monkeypatch.setattr(linalg, "spectra", counting("spectra", linalg.spectra))
+        post_init = counting("basis", bs.OrthonormalBasis.__post_init__)
+        monkeypatch.setattr(bs.OrthonormalBasis, "__post_init__", post_init)
+        bs.gell_mann_basis.cache_clear()
+        for dim in (2, 3):
+            counts.clear()
+            out = tmp_path / f"dim{dim}"
+            cfg_path = tmp_path / f"r{dim}.cfg"
+            cfg_path.write_text(
+                f"mode = refine\ndim = {dim}\nrefine.restarts = 1\noutput.dir = {out}\n"
+            )
+            assert cli.main(["refine", "--config", str(cfg_path)]) == 0
+            assert counts == {"basis": 1, "spectra": 2, "overlap": 1}
+        assert bs.gell_mann_basis.cache_info().currsize == 2
 
     def test_refine_never_imports_numpy_random(self, tmp_path):
         """refine seeds its starts from the standard library's `random`, so a

@@ -245,6 +245,22 @@ class TestFileFormat:
         for a, b in zip(qutrit_csic.elements, back.elements):
             assert np.array_equal(a, b)
 
+    def test_text_equals_entry_by_entry_formatting(self, trine, tmp_path):
+        # the oracle formats every entry from its own numpy scalar; a real
+        # element and a signed zero keep their text
+        elements = [*catalog.qutrit_csic().elements[:2], np.diag([1.0, -0.0, 2.0])]
+        for P in (trine, catalog.diag_units_dim4(), pv.Povm(3, elements)):
+            path = tmp_path / "povm.txt"
+            pv.write_povm(P, path)
+            want = [f"{P.dim} {P.m}"] + [
+                ";".join(
+                    f"{float(e[r, c].real)!r} {float(e[r, c].imag)!r}" for c in range(P.dim)
+                )
+                for e in P.elements
+                for r in range(P.dim)
+            ]
+            assert path.read_text() == "\n".join(want) + "\n"
+
     def test_header_line(self, trine, tmp_path):
         path = tmp_path / "povm.txt"
         pv.write_povm(trine, path)

@@ -16,6 +16,31 @@ def residuals(phases):
     return rankone._residuals(phases, n, m, ~np.eye(m, dtype=bool))
 
 
+def scratch_residuals(phases, dim, m, off_mask):
+    """The oracle for `rankone._residuals`: its residuals and Jacobian built
+    through an (m, m, m, n) zero tensor of overlap derivatives and two
+    `einsum` products with the identity for the completeness derivatives."""
+    H = rankone._vectors(phases, dim)
+    c = dim / m
+    g = H.conj()[:, None, :] * H[None, :, :]
+    G = g.sum(axis=2)
+    off = ((c * c) * (G.real**2 + G.imag**2))[off_mask]
+    D = (-2.0 * c * c) * (G.conj()[:, :, None] * g).imag
+    idx = np.arange(m)
+    d_overlaps = np.zeros((m, m, m, dim))
+    d_overlaps[:, idx, idx, :] = D
+    d_overlaps[idx, :, idx, :] -= D
+    d_off = d_overlaps[off_mask][:, 1:, 1:].reshape(off.size, -1)
+    s = c * H[:, :, None] * H.conj()[:, None, :]
+    S = s.sum(axis=0) - np.eye(dim)
+    eye = np.eye(dim)
+    dS = 1j * (np.einsum("akl,jk->klaj", s, eye) - np.einsum("akl,jl->klaj", s, eye))
+    dS = dS[:, :, 1:, 1:].reshape(dim * dim, -1)
+    residuals = [off - off.mean(), S.real.ravel(), S.imag.ravel()]
+    jacobian = [d_off - d_off.mean(axis=0), dS.real, dS.imag]
+    return np.concatenate(residuals), np.vstack(jacobian)
+
+
 # refine does not read its config; this is the one the CLI passes
 REFINE_CONFIG = AnnealConfig(total_steps=0)
 
@@ -27,6 +52,15 @@ class TestPhasesToPovm:
         assert violations == []
         for got, want in zip(pov.elements, qutrit_csic.elements):
             assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
+    def test_elements_equal_per_vector_outer_products(self, n, m):
+        phi = rankone.random_phases(n, m, np.random.default_rng([n, m, 3]))
+        pov, _ = rankone.phases_to_povm(phi)
+        H = rankone._vectors(phi.phases, n)
+        assert len(pov.elements) == m
+        for got, h in zip(pov.elements, H):
+            assert np.array_equal(got, (n / m) * np.outer(h, h.conj()))
 
     def test_all_zero_phases_fail_completeness(self):
         phi = rankone.PhaseConfiguration(3, 3, np.zeros((3, 3)))
@@ -140,6 +174,23 @@ class TestResiduals:
             r, _ = residuals(phi.phases)
             assert abs(r @ r - want) <= 1e-12 * want
             assert abs(rankone.refine_objective(phi) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_equal_to_scratch_tensor_oracle(self, n, m):
+        rng = np.random.default_rng([n, m, 2])
+        mask = ~np.eye(m, dtype=bool)
+        for _ in range(3):
+            phases = rankone.random_phases(n, m, rng).phases
+            for got, want in zip(residuals(phases), scratch_residuals(phases, n, m, mask)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_equal_to_scratch_tensor_oracle_at_the_qutrit_solution(self):
+        phases = catalog.qutrit_csic_phases().phases
+        want = scratch_residuals(phases, 3, 7, ~np.eye(7, dtype=bool))
+        for got, expected in zip(residuals(phases), want):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
     def test_jacobian_matches_central_differences(self, n, m):
