@@ -60,9 +60,9 @@ from .errors import (
     ResampleExhausted,
 )
 from .objective import (
-    DESIGN_DET_FLOOR,
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
+    _exp,
     averaged_covariance,
     check_simplex,
     # no longer called here: kept because the benchmark's tracer wraps
@@ -70,6 +70,7 @@ from .objective import (
     dacm,  # noqa: F401
     design_matrix,
     log_dacm,
+    log_determinants,
 )
 from .povm import (
     PSD_CONSTRUCTION_TOL,
@@ -88,7 +89,6 @@ MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
 MAX_RESAMPLE = 100  # attempts per perturbation draw, for a and for a0
 INIT_SCALE = 0.05  # `random_initial_povm`'s default spread, and anneal.init_scale's
-LOG_DESIGN_DET_FLOOR = math.log(DESIGN_DET_FLOOR)
 # what a run's steps did, in report order: `AnnealChain.counts` keys, `AnnealResult` fields
 RUN_COUNTERS = (
     "skipped_variants",
@@ -228,7 +228,7 @@ class FreeElements:
     def povm(self, basis: OrthonormalBasis) -> Povm:
         """The POVM of these free elements, then their closing element."""
         elements = self.elements(basis)
-        return Povm(basis.dim, list(elements) + [closing_elements(elements)])
+        return Povm(basis.dim, np.concatenate([elements, closing_elements(elements)[None]]))
 
 
 @dataclass(frozen=True)
@@ -396,17 +396,17 @@ def score_variants(
     is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
     coordinates by `linalg.psd_verdict`.  Only rows in its band get their
     closing matrices, built as `complete_povm` builds its closing element
-    (`closing_elements`), and one stacked `linalg.spectra`.  Closed rows,
-    taken by their indices, pass `check_simplex` on their N probability
-    columns and closing column.  Their T and W0 come from one flat array by
-    one `take` through `rows.tw`: the 2N x N design rows a0 a over the unknown
-    directions, then the 2N x 2N table diag(colsum) - (G + G^T)/2, where G is
-    the Gram matrix of the 2N old/new probability columns (1 + members . a) a0,
-    computed here with one product, and the table is formed as
-    (G + G^T) / -2.0 with the column sums added on its diagonal (the same bits
-    as the difference).  One `slogdet` on the (Vc, 2, N, N) stack gives both
-    determinants of every closed row; on a square stack it raises no LAPACK
-    error (a singular matrix has sign 0).  A row is skipped when
+    (`closing_elements`), and one stacked `linalg.spectra`.  Closed rows pass
+    `check_simplex` on their N probability columns and closing column, run
+    only when a column they take leaves [0, 1] or a sum leaves 1.  Their T and
+    W0 come from one flat array by one `take` through `rows.tw`: the 2N x N
+    design rows a0 a over the unknown directions, then the 2N x 2N table
+    diag(colsum) - (G + G^T)/2, where G is the Gram matrix of the 2N old/new
+    probability columns (1 + members . a) a0, computed here with one product,
+    and the table is formed as (G + G^T) / -2.0 with the column sums added on
+    its diagonal (the same bits as the difference).  One
+    `objective.log_determinants` of the (Vc, 2, N, N) stack gives both
+    determinants of every closed row and skips a row where `log_dacm` raises:
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
     n_free = old.a0.shape[0]
@@ -435,14 +435,13 @@ def score_variants(
     # the closing probability column (1 - sum a0) - members . (sum a0 a), the
     # closing element's `element_rows` row read off the free elements' sums
     last = (1.0 - a0_sum.take(idx)) - members @ a_sum.take(idx, axis=1)  # (k, Vc)
-    sums = probs @ rows.choose.take(idx, axis=1) + last
-    # the whole table's extremes bound every row's, so rows are compared one by
-    # one only when they fail; written so that a NaN probability fails too
+    choose = rows.choose.take(idx, axis=1)  # (2N, Vc)
+    sums = probs @ choose + last
+    # the extremes of the whole table, or else of the columns closed rows take, bound
+    # every closed row's, so rows are compared one by one only when both fail
     if not (
-        probs.min() >= -PROB_RANGE_TOL
-        and probs.max() <= 1 + PROB_RANGE_TOL
-        and last.min() >= -PROB_RANGE_TOL
-        and last.max() <= 1 + PROB_RANGE_TOL
+        (_in_range(probs) or _in_range(probs.compress(choose.any(axis=1), axis=1)))
+        and _in_range(last)
         and np.abs(sums - 1.0).max() <= PROB_SUM_TOL
     ):
         # each closed row's (k, N + 1) table: its N columns, then its closing column
@@ -459,15 +458,16 @@ def score_variants(
     flat = np.concatenate([design.ravel(), ((gram + gram.T) / -2.0).ravel()])
     flat[2 * n_free * n_free :: 2 * n_free + 1] += probs.sum(axis=0)
     tw = flat.take(rows.tw.take(idx, axis=0))  # (Vc, 2, N, N): T, W0
-    sign, log_det = np.linalg.slogdet(tw)
-    # an all-zero T has log |det T| = -inf, below any floor; adding 1 to its
-    # zero max keeps the log finite without a warning
-    t_max = np.abs(tw[:, 0]).max(axis=(1, 2))
-    floor = LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
-    skip = (log_det[:, 0] <= floor) | (sign[:, 1] <= 0)
+    log_det, singular, nonpositive = log_determinants(tw)
+    skip = singular | nonpositive
     skipped[idx] = skip
     log_dacm[idx] = np.where(skip, np.nan, log_det[:, 1] - 2.0 * log_det[:, 0])
     return VariantTable(rows, columns, closed, skipped, log_dacm)
+
+
+def _in_range(p: np.ndarray) -> bool:
+    """Every probability within PROB_RANGE_TOL of [0, 1]; False on a NaN."""
+    return p.min() >= -PROB_RANGE_TOL and p.max() <= 1 + PROB_RANGE_TOL
 
 
 def random_initial_povm(
@@ -491,7 +491,7 @@ def random_initial_povm(
         if not (linalg.spectra(units)[:, -1] > 1e-8).all():
             continue
         try:
-            pov = complete_povm(list(1.0 / m * units))
+            pov = complete_povm((1.0 / m) * units)
         except ClosureNotPositive:
             continue
         design = design_matrix(pov, pattern, basis)
@@ -631,14 +631,6 @@ def anneal(
     return AnnealResult(
         chain.best, chain.current, trace, _exp(chain.best_log), chain.best_log, **chain.counts
     )
-
-
-def _exp(log_value: float) -> float:
-    """exp(log_value), or inf past the float range instead of OverflowError."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def write_trace(records, path) -> None:

@@ -13,7 +13,8 @@ and to number N + 1 for the pattern's N unknowns.  The report reads those
 conditions off the elements' spectra and `report_overlap`, one overlap matrix
 of the elements and the known directions of the dimension's one cached basis;
 the CLI computes the two once per written POVM and passes them to both the
-report and `povm.metrics`, while `verify` lets the report compute them.
+report and `povm.metrics`, while `verify` lets the report compute them.  Every
+constructor builds one (m, n, n) element array.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def harmonic_csic(n: int) -> Povm:
     r = np.outer(np.arange(v), D) % v
     r = np.where(r > v // 2, r - v, r)  # symmetric residue
     h = np.exp(2j * math.pi * r / v) / math.sqrt(n)  # (v, n), row k is h_k
-    return Povm(n, list((n / v) * h[:, :, None] * h[:, None, :].conj()))
+    return Povm(n, (n / v) * h[:, :, None] * h[:, None, :].conj())
 
 
 def qutrit_csic_phases() -> PhaseConfiguration:
@@ -63,8 +64,7 @@ def qutrit_csic_phases() -> PhaseConfiguration:
 def qutrit_csic() -> Povm:
     """The seven-element qutrit solution: the n = 3 harmonic frame in rows
     0, 1, 5, 3, 6, 2, 4, so elements 4-6 are the entrywise conjugates of 1-3."""
-    frame = harmonic_csic(3).elements
-    return Povm(3, [frame[k] for k in _QUTRIT_ROWS])
+    return Povm(3, harmonic_csic(3).elements.take(_QUTRIT_ROWS, axis=0))
 
 
 def qubit_trine() -> Povm:
@@ -75,12 +75,9 @@ def qubit_trine() -> Povm:
 
 def diag_units_dim4() -> Povm:
     """The four diagonal matrix units of dimension 4."""
-    elements = []
-    for i in range(4):
-        e = np.zeros((4, 4), dtype=complex)
-        e[i, i] = 1.0
-        elements.append(e)
-    return Povm(4, elements)
+    units = np.zeros((4, 4, 4), dtype=complex)
+    units[range(4), range(4), range(4)] = 1.0
+    return Povm(4, units)
 
 
 TETRAHEDRON = (
@@ -91,21 +88,17 @@ TETRAHEDRON = (
 )
 
 
-def qubit_sic() -> list:
-    """The fixed tetrahedron qubit SIC elements F_i = (I + t_i . pauli/sqrt3)/4."""
+def qubit_sic() -> np.ndarray:
+    """The (4, 2, 2) fixed tetrahedron qubit SIC F_i = (I + t_i . pauli/sqrt3)/4."""
     from .basis import PAULI
 
-    out = []
-    for t in TETRAHEDRON:
-        direction = sum(t[i] * PAULI[i + 1] for i in range(3)) / math.sqrt(3.0)
-        out.append((np.eye(2) + direction) / 4.0)
-    return out
+    directions = [sum(t[i] * PAULI[i + 1] for i in range(3)) / math.sqrt(3.0) for t in TETRAHEDRON]
+    return (np.eye(2) + np.array(directions)) / 4.0
 
 
 def sic_tensor_identity_dim4() -> Povm:
     """E_i = F_i (x) I with F_i the qubit SIC: four rank-two multiples of 1/2."""
-    elements = [np.kron(f, np.eye(2)) for f in qubit_sic()]
-    return Povm(4, elements)
+    return Povm(4, np.kron(qubit_sic(), np.eye(2)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +118,8 @@ def report_overlap(P: Povm, pattern: ParameterPattern) -> np.ndarray:
     """One overlap matrix of P's m elements followed by the pattern's known
     basis directions: its leading m x m block holds the cross-overlaps, its
     block [:m, m:] the pairings with the known directions."""
-    b = gell_mann_basis(pattern.dim)
-    return overlap_matrix(list(P.elements) + [b.element(i) for i in pattern.known_indices])
+    known = gell_mann_basis(pattern.dim).stack.take(pattern.known_positions, axis=0)
+    return overlap_matrix(np.concatenate([P.elements, known]))
 
 
 def conditional_sic_report(
@@ -161,7 +154,7 @@ def conditional_sic_report(
     d = float(cross.mean()) if cross.size else 0.0
     overlap_dev = float(np.abs(cross - d).max()) if cross.size else 0.0
     quasi = float(np.abs(overlap[:m, m:]).max(initial=0.0))
-    complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= RANK_TOL
+    complete = np.abs(P.elements.sum(axis=0) - np.eye(P.dim)).max() <= RANK_TOL
     sized = m == pattern.unknown_count + 1
     verdict = all((multiple_ok, overlap_dev <= RANK_TOL, quasi <= RANK_TOL, complete, sized))
     return ConditionalSicReport(multiple_ok, ranks, c, d, overlap_dev, quasi, verdict)

@@ -354,8 +354,8 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
 
 
 def _sum_residual(elements, target) -> float:
-    """max |sum_i E_i - target| over matrix entries."""
-    return float(np.abs(sum(elements) - target).max())
+    """max |sum_i E_i - target| over matrix entries of an (m, n, n) stack."""
+    return float(np.abs(elements.sum(axis=0) - target).max())
 
 
 def _spectrum_residual(elements, target) -> float:
@@ -390,8 +390,8 @@ def _verify_checks():
     pat4_tensor = ParameterPattern.from_known(
         4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
     )
-    trine_p = [1.5 * e for e in trine.elements]  # the projections P_i = (3/2) E_i
-    sic = [2.0 * f for f in catalog.qubit_sic()]  # Tr(2F_i 2F_j) = 4 Tr(F_i F_j) = mu
+    trine_p = 1.5 * trine.elements  # the projections P_i = (3/2) E_i
+    sic = 2.0 * catalog.qubit_sic()  # Tr(2F_i 2F_j) = 4 Tr(F_i F_j) = mu
 
     def quasi(pov, pattern):
         return catalog.conditional_sic_report(pov, pattern).max_quasi_orthogonality_violation
@@ -407,7 +407,7 @@ def _verify_checks():
         ),
         (
             "qutrit diagonals 1/7",
-            lambda: max(float(np.abs(np.diag(e) - 1 / 7).max()) for e in qutrit.elements),
+            lambda: float(np.abs(np.diagonal(qutrit.elements, axis1=1, axis2=2) - 1 / 7).max()),
         ),
         ("qutrit cross-overlaps 2/49", lambda: _overlap_residual(qutrit.elements, 2 / 49)),
         ("qutrit quasi-orthogonal to diagonal directions", lambda: quasi(qutrit, pat3)),

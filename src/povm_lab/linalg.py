@@ -11,8 +11,8 @@ with `spectra` left for the thin band around the tolerance.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
 `min_eigenvalue`, `min_eigenvalue_trusted`) and the pairwise `hs_inner` are
-the tests' oracle for the stacked paths; real determinants and solves use
-partially pivoted elimination.
+the tests' oracle for the stacked paths; production determinants come from
+`slogdet` in `objective`, with the pivoted elimination of `determinant` as their oracle.
 """
 
 from __future__ import annotations

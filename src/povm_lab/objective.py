@@ -7,6 +7,9 @@ outcome frequencies is the multinomial W (repetition count set to 1; it only
 rescales the objective), W0 sums W over the cluster members and the objective
 is DACM = det(W0) / det(T)^2 for the design matrix T, whose rows are the
 x_j restricted to the unknown directions.
+Production determinants come from one `slogdet` of the stacked (T, W0)
+(`log_determinants`, shared with `annealer.score_variants`); `dacm` is exp(`log_dacm`),
+and `linalg.determinant`'s pivoted elimination remains as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ PROB_RANGE_TOL = 1e-10
 PROB_SUM_TOL = 1e-9
 # |det T| <= DESIGN_DET_FLOOR * max|T_ij|^N counts as singular
 DESIGN_DET_FLOOR = 1e-12
+LOG_DESIGN_DET_FLOOR = math.log(DESIGN_DET_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -105,37 +109,40 @@ def averaged_covariance(
     return AveragedCovariance(W0, members.shape[0])
 
 
-def _checked_determinants(design: DesignMatrix, averaged: AveragedCovariance):
-    """(det T, det W0), or SingularDesign / NonPositiveObjective when the
-    objective is undefined."""
-    T = design.T
-    det_t = linalg.determinant(T)
-    n = T.shape[0]
-    # relative floor: a well-conditioned T has |det| ~ (entry scale)^N, so the
-    # singularity test must not punish small but healthy coordinate scales
-    floor = DESIGN_DET_FLOOR * float(np.abs(T).max()) ** n
-    if abs(det_t) <= floor:
-        raise SingularDesign(f"|det T| = {abs(det_t):.3e} below floor {floor:.3e}")
-    det_w = linalg.determinant(averaged.W0)
-    if det_w <= 0.0:
-        raise NonPositiveObjective(
-            f"det W0 = {det_w:.3e} <= 0: cluster does not determine all parameters"
-        )
-    return det_t, det_w
-
-
-def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
-    """det(W0) / det(T)^2, or inf past the float range; the scalar minimized over measurements."""
-    det_t, det_w = _checked_determinants(design, averaged)
-    # |det T| passed the floor, but its square can underflow to 0
-    det_t_sq = det_t**2
-    return det_w / det_t_sq if det_t_sq else np.inf
+def log_determinants(tw: np.ndarray):
+    """(log_det, singular, nonpositive) of a (..., 2, N, N) stack of (T, W0)
+    pairs from one `slogdet` (no LAPACK error on a square stack): the one
+    singularity rule of `log_dacm` and `annealer.score_variants`.  T is
+    singular where log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij|, a
+    relative floor (1 added to an all-zero T's max keeps it finite); W0 where det W0 <= 0."""
+    sign, log_det = np.linalg.slogdet(tw)
+    t_max = np.abs(tw[..., 0, :, :]).max(axis=(-2, -1))
+    floor = LOG_DESIGN_DET_FLOOR + tw.shape[-1] * np.log(t_max + (t_max == 0.0))
+    return log_det, log_det[..., 0] <= floor, sign[..., 1] <= 0
 
 
 def log_dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
-    """log det(W0) - 2 log |det T|, finite where `dacm` overflows to inf."""
-    det_t, det_w = _checked_determinants(design, averaged)
-    return math.log(det_w) - 2.0 * math.log(abs(det_t))
+    """log det(W0) - 2 log |det T| from `log_determinants`; SingularDesign or
+    NonPositiveObjective where the objective is undefined."""
+    log_det, singular, nonpositive = log_determinants(np.stack([design.T, averaged.W0]))
+    if singular:
+        raise SingularDesign(f"log |det T| = {log_det[0]:.6g} at or below the design floor")
+    if nonpositive:
+        raise NonPositiveObjective("det W0 <= 0: cluster does not determine all parameters")
+    return float(log_det[1] - 2.0 * log_det[0])
+
+
+def dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:
+    """det(W0) / det(T)^2, the scalar minimized over measurements, or inf past the float range."""
+    return _exp(log_dacm(design, averaged))
+
+
+def _exp(log_value: float) -> float:
+    """exp(log_value), or inf past the float range instead of OverflowError."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def estimate_state(nu, design: DesignMatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """POVM representation, completeness closure, validity checks and diagnostics.
 
-A POVM is its element matrices.  `element_rows` is the one map from element
+A POVM is its element matrices, one complex (m, n, n) array checked once when
+built and validated in one stacked pass.  `element_rows` is the one map from element
 matrices to their rows (Tr E / n, Tr(E sigma)) in the orthonormal basis of
 :mod:`povm_lab.basis`, which read a weight a0 = Tr E / n and a direction
 a = Tr(E sigma) / a0 off an element E = a0 (I + a . sigma).  The diagnostics
@@ -26,16 +27,23 @@ PSD_CONSTRUCTION_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class Povm:
-    """m PSD elements summing to identity; m = N + 1 for an N-unknown design."""
+    """m PSD elements summing to identity, one complex (m, dim, dim) array with
+    m >= 1 (`element_stack`); m = N + 1 for an N-unknown design.  A Povm
+    compares by identity, since `==` on array fields is ambiguous."""
 
     dim: int
-    elements: list
+    elements: np.ndarray
+
+    def __post_init__(self):
+        self.elements = element_stack(self.elements)
+        if self.elements.shape[1] != self.dim:
+            raise ContractViolation(f"elements {self.elements.shape} in dimension {self.dim}")
 
     @property
     def m(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,18 @@ class PovmMetrics:
     sigma: float
     delta: float
     Delta: float
+
+
+def element_stack(elements) -> np.ndarray:
+    """The elements as one complex (m, n, n) array with m >= 1, else
+    ContractViolation (a ragged list included)."""
+    try:
+        E = np.asarray(elements, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"dimension mismatch: not one stack of matrices: {exc}") from exc
+    if E.ndim != 3 or E.shape[0] < 1 or E.shape[1] != E.shape[2]:
+        raise ContractViolation(f"expected an (m >= 1, n, n) element stack, got shape {E.shape}")
+    return E
 
 
 def element_rows(elements, basis: OrthonormalBasis) -> np.ndarray:
@@ -81,34 +101,26 @@ def closing_elements(chosen: np.ndarray) -> np.ndarray:
 
 def complete_povm(first_elements) -> Povm:
     """Append E_m = I - sum of the given elements; fails if it is not PSD."""
-    if len(first_elements) < 1:
-        raise ContractViolation("need at least one element to complete")
-    dim = first_elements[0].shape[0]
-    for e in first_elements:
-        if e.shape != (dim, dim):
-            raise ContractViolation("mixed element dimensions")
-    residual = closing_elements(np.array(first_elements))
+    chosen = element_stack(first_elements)
+    residual = closing_elements(chosen)
     lo = linalg.spectra(residual)[-1]
     if lo < -PSD_CONSTRUCTION_TOL:
         raise ClosureNotPositive(
             f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
         )
-    return Povm(dim, list(first_elements) + [residual])
+    return Povm(chosen.shape[-1], np.concatenate([chosen, residual[None]]))
 
 
 def overlap_matrix(elements) -> np.ndarray:
     """The symmetric m x m matrix of Hilbert-Schmidt overlaps Tr(E_i E_j).
 
-    The elements are symmetrized as one stack, and one product of their
+    The elements are symmetrized as one `element_stack`, and one product of their
     flattened rows with the conjugates gives every Tr(E_i E_j†) = Tr(E_i E_j);
     one check rejects an imaginary residue beyond `linalg.hs_inner`'s bound.
     The product's rounding differs between (i, j) and (j, i), so the real part
     is averaged with its transpose.
     """
-    shapes = {np.shape(e) for e in elements}
-    if len(shapes) > 1:
-        raise ContractViolation(f"dimension mismatch: {sorted(shapes)}")
-    mats = linalg.symmetrize(list(elements))
+    mats = linalg.symmetrize(element_stack(elements))
     rows = mats.reshape(mats.shape[0], -1)
     z = rows @ rows.conj().T
     peaks = np.abs(rows).max(axis=1)
@@ -156,29 +168,30 @@ class Violation:
 def validate(P: Povm, tol: float = COMPLETENESS_TOL):
     """Return a list of named invariant violations (empty iff P is valid at tol).
 
-    The elements that pass the shape, finiteness and Hermiticity checks get
-    the lowest eigenvalues of their Hermitian parts from one `linalg.spectra`
-    of their stack, so positivity violations follow the other per-element
-    ones, and an asymmetry within tol is tolerated, not raised.
+    One pass over the stack: a finiteness mask, each element's deviation
+    max |E - E†|, one `linalg.spectra` of the Hermitian parts of the elements
+    that pass both and one sum of them.  Violations come in element order,
+    non-finite and asymmetric elements first, then non-positive ones, then
+    completeness; an asymmetry within tol is tolerated, not raised.
     """
+    E = P.elements
+    adjoint = E.conj().swapaxes(1, 2)
+    finite = np.isfinite(E).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite element
+        herm = np.abs(E - adjoint).max(axis=(1, 2))
+    ok = finite & (herm <= tol)
     out = []
-    checked = []
-    for i, e in enumerate(P.elements):
-        if e.shape != (P.dim, P.dim):
-            out.append(Violation("shape", 0.0, f"element {i} has shape {e.shape}"))
-        elif not np.all(np.isfinite(e)):
+    for i in np.flatnonzero(~ok).tolist():
+        if not finite[i]:
             out.append(Violation("finite", math.inf, f"element {i} has non-finite entries"))
-        elif (herm := float(np.abs(e - e.conj().T).max())) > tol:
-            out.append(Violation("hermiticity", herm, f"element {i}"))
         else:
-            checked.append(i)
-    parts = [(P.elements[i] + P.elements[i].conj().T) / 2.0 for i in checked]
-    lows = linalg.spectra(parts)[:, -1].tolist() if parts else []
-    for i, lo in zip(checked, lows):
+            out.append(Violation("hermiticity", float(herm[i]), f"element {i}"))
+    checked = E[ok]
+    lows = linalg.spectra((checked + adjoint[ok]) / 2.0)[:, -1]
+    for i, lo in zip(np.flatnonzero(ok).tolist(), lows.tolist()):
         if lo < -tol:
             out.append(Violation("positivity", -lo, f"element {i} min eigenvalue {lo:.3e}"))
-    total = sum((P.elements[i] for i in checked), np.zeros((P.dim, P.dim), dtype=complex))
-    comp = float(np.abs(total - np.eye(P.dim)).max())
+    comp = float(np.abs(checked.sum(axis=0) - np.eye(P.dim)).max())
     if comp > tol:
         out.append(Violation("completeness", comp, f"max |sum E - I| = {comp:.3e}"))
     return out
@@ -187,9 +200,8 @@ def validate(P: Povm, tol: float = COMPLETENESS_TOL):
 def write_povm(P: Povm, path) -> None:
     """Text format: line 1 `n m`; then n rows per element, entries `re im` joined by `;`."""
     lines = [f"{P.dim} {P.m}"]
-    for e in P.elements:
-        for row in np.asarray(e, dtype=complex).tolist():
-            lines.append(";".join(f"{z.real!r} {z.imag!r}" for z in row))
+    for row in P.elements.reshape(-1, P.dim).tolist():
+        lines.append(";".join(f"{z.real!r} {z.imag!r}" for z in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -211,23 +223,18 @@ def read_povm(path) -> Povm:
         raise ContractViolation(f"header {lines[0]!r} needs n >= 1 and m >= 1")
     if len(lines) != 1 + n * m:
         raise ContractViolation(f"expected {1 + n * m} lines, found {len(lines)}")
-    elements = []
-    pos = 1
-    for _ in range(m):
-        e = np.zeros((n, n), dtype=complex)
-        for r in range(n):
-            cells = lines[pos].split(";")
-            if len(cells) != n:
-                raise ContractViolation(f"row {pos + 1} has {len(cells)} entries, expected {n}")
-            for c, cell in enumerate(cells):
-                try:
-                    re_s, im_s = cell.split()
-                    real, imag = float(re_s), float(im_s)
-                except ValueError as exc:
-                    raise ContractViolation(f"row {pos + 1}: cell {cell!r} is not `re im`") from exc
-                if not (math.isfinite(real) and math.isfinite(imag)):
-                    raise ContractViolation(f"row {pos + 1}: cell {cell!r} is not finite")
-                e[r, c] = real + 1j * imag
-            pos += 1
-        elements.append(e)
-    return Povm(n, elements)
+    rows = np.zeros((m * n, n), dtype=complex)  # element k's row r is row k * n + r
+    for r, line in enumerate(lines[1:]):
+        cells = line.split(";")
+        if len(cells) != n:
+            raise ContractViolation(f"row {r + 2} has {len(cells)} entries, expected {n}")
+        for c, cell in enumerate(cells):
+            try:
+                re_s, im_s = cell.split()
+                real, imag = float(re_s), float(im_s)
+            except ValueError as exc:
+                raise ContractViolation(f"row {r + 2}: cell {cell!r} is not `re im`") from exc
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise ContractViolation(f"row {r + 2}: cell {cell!r} is not finite")
+            rows[r, c] = real + 1j * imag
+    return Povm(n, rows.reshape(m, n, n))

@@ -110,8 +110,7 @@ def phases_to_povm(phi: PhaseConfiguration):
     """
     n, m = phi.dim, phi.element_count
     H = _vectors(phi.phases, n)
-    elements = (n / m) * (H[:, :, None] * H.conj()[:, None, :])
-    pov = Povm(n, list(elements))
+    pov = Povm(n, (n / m) * (H[:, :, None] * H.conj()[:, None, :]))
     return pov, validate(pov)
 
 

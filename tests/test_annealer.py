@@ -479,7 +479,8 @@ def scalar_variants(old, new, basis, cluster, pattern):
     out = []
     mats_old, mats_new = element_matrices(old, new, basis)
     for cand in annealer.enumerate_variants(mats_old, mats_new):
-        bits = tuple(int(e is not o) for e, o in zip(cand.elements, mats_old))
+        # a Povm holds its own array, so a chosen old element is matched by value
+        bits = tuple(int(not np.array_equal(e, o)) for e, o in zip(cand.elements, mats_old))
         try:
             d = dacm(
                 design_matrix(cand, pattern, basis),
@@ -680,6 +681,88 @@ class TestProbabilityChecks:
             annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
 
 
+    def test_unclosed_rows_columns_are_not_checked(
+        self, basis2, qubit_pattern, qubit_cluster, monkeypatch
+    ):
+        """A perturbed column out of range (p = 1.2 at every member) that only
+        unclosed rows take builds no per-row table for `check_simplex`; with a
+        negative sum tolerance the same table falls back to it once."""
+        old = free_elements([(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])], basis2)
+        new = free_elements([(1.2, [0.0, 0.0, 0.0]), (0.3, [0.1, 0.0, 0.0])], basis2)
+        rows = annealer.VariantRows.for_pinned([False, False])
+        calls = []
+
+        def counted(p, name):
+            calls.append(p.shape)
+            return check_simplex(p, name)
+
+        check_simplex = annealer.check_simplex
+        monkeypatch.setattr(annealer, "check_simplex", counted)
+        table = annealer.score_variants(
+            old, new, rows, basis2, qubit_cluster.members, qubit_pattern
+        )
+        assert table.closed.tolist() == [True, True, False, False]
+        assert calls == []
+        monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
+        monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
+        with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")):
+            annealer.score_variants(old, new, rows, basis2, qubit_cluster.members, qubit_pattern)
+        assert calls == [(2, qubit_cluster.size, 3)]
+
+
+class TestSingularityRule:
+    """`objective.log_dacm` raises exactly on the rows `score_variants` skips,
+    for T and W0 gathered bit for bit as the step gathers them."""
+
+    def assert_rule_shared(self, old, new, basis, members, pattern):
+        rows = annealer.VariantRows.for_pinned([False] * old.a0.shape[0])
+        table = annealer.score_variants(old, new, rows, basis, members, pattern)
+        assert table.closed.all()
+        columns = old.join(new)
+        design = (columns.a0[:, None] * columns.A)[:, pattern.unknown_positions]
+        probs = (1.0 + members @ columns.A.T) * columns.a0
+        gram = probs.T @ probs
+        table_w = np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0
+        for v, cols in enumerate(rows.cols):
+            T = design[cols]
+            W0 = table_w[np.ix_(cols, cols)]
+            try:
+                objective.log_dacm(
+                    objective.DesignMatrix(T, columns.a0[cols]),
+                    objective.AveragedCovariance(W0, members.shape[0]),
+                )
+                raised = False
+            except (SingularDesign, NonPositiveObjective):
+                raised = True
+            assert raised == table.skipped[v], v
+        return table.skipped.tolist()
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_design_floor(self, basis2, qubit_pattern, qubit_cluster, side):
+        """Rows (0, 1) and (1, 0) have |det T| = 0.045 y and 0.045 x, with
+        max |T_ij| = 0.15: a relative 1e-9 below or above the floor
+        1e-12 * 0.15^2."""
+        edge = 1e-12 * 0.15**2 / 0.045
+        below, above = edge * (1 - 1e-9), edge * (1 + 1e-9)
+        y, x = (below, above) if side < 0 else (above, below)
+        old = free_elements([(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])], basis2)
+        new = free_elements([(0.3, [x, 0.5, 0.0]), (0.3, [0.5, y, 0.0])], basis2)
+        skipped = self.assert_rule_shared(
+            old, new, basis2, qubit_cluster.members, qubit_pattern
+        )
+        assert skipped == ([False, True, False, False] if side < 0 else [False, False, True, False])
+
+    def test_covariance_sign(self, basis2, qubit_pattern):
+        """At the one pure state theta = (1/2, 1/2, 0), element 0 of the old
+        side has probability exactly 0, so det W0 = 0 on the rows that take
+        it; the perturbed element 0 has probability 1.25e-7 and det W0 > 0."""
+        members = np.array([[0.5, 0.5, 0.0]])
+        old = free_elements([(0.25, [-1.0, -1.0, 0.0]), (0.25, [1.0, -1.0, 0.0])], basis2)
+        new = free_elements([(0.25, [-1.0, -1.0 + 1e-6, 0.0]), (0.25, [1.0, -0.9, 0.0])], basis2)
+        skipped = self.assert_rule_shared(old, new, basis2, members, qubit_pattern)
+        assert skipped == [True, True, False, False]
+
+
 def _cli_anneal(tmp_path, dim, known, steps, seed):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "out"
@@ -781,7 +864,7 @@ def reference_scores(old, new, rows, basis, members, pattern):
     n_closed = cols.shape[0]
     log_det_t, sign_w, log_det_w = log_det[:n_closed], sign[n_closed:], log_det[n_closed:]
     t_max = np.abs(T).max(axis=(1, 2))
-    floor = annealer.LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
+    floor = objective.LOG_DESIGN_DET_FLOOR + n_free * np.log(t_max + (t_max == 0.0))
     skip = (log_det_t <= floor) | (sign_w <= 0)
     skipped[closed] = skip
     log_dacm[closed] = np.where(skip, np.nan, log_det_w - 2.0 * log_det_t)
@@ -988,7 +1071,7 @@ class TestChainStart:
         """Elements summing to I + 0.01 sigma_z pass the cluster's probability
         checks (z is known to be 0), but are not a POVM."""
         initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(1))
-        elements = initial.elements[:-1] + [initial.elements[-1] + 0.01 * basis2.element(3)]
+        elements = [*initial.elements[:-1], initial.elements[-1] + 0.01 * basis2.element(3)]
         bad = pv.Povm(2, elements)
         with pytest.raises(ContractViolation, match="not valid: completeness"):
             annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)

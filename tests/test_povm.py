@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from povm_lab import catalog, linalg
+from povm_lab import catalog, linalg, rankone
 from povm_lab import povm as pv
 from povm_lab.annealer import AnnealChain, AnnealConfig, FreeElements, random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
@@ -197,7 +198,7 @@ class TestOverlapMatrix:
 
     def test_mixed_shapes_rejected(self, qutrit_csic, trine):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
-            pv.overlap_matrix(qutrit_csic.elements + trine.elements)
+            pv.overlap_matrix([*qutrit_csic.elements, *trine.elements])
 
 
 class TestValidate:
@@ -234,6 +235,147 @@ class TestValidate:
         p = pv.Povm(2, [np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])])
         names = [v.name for v in pv.validate(p, 1e-9)]
         assert "positivity" in names
+
+
+def scratch_validate(P, tol=pv.COMPLETENESS_TOL):
+    """The per-element `validate` that the stacked one replaced, the oracle:
+    each element's finiteness, Hermiticity and Hermitian part one at a time,
+    the elements that pass summed by Python's `sum`."""
+    out = []
+    checked = []
+    for i, e in enumerate(P.elements):
+        if not np.all(np.isfinite(e)):
+            out.append(pv.Violation("finite", math.inf, f"element {i} has non-finite entries"))
+        elif (herm := float(np.abs(e - e.conj().T).max())) > tol:
+            out.append(pv.Violation("hermiticity", herm, f"element {i}"))
+        else:
+            checked.append(i)
+    parts = [(P.elements[i] + P.elements[i].conj().T) / 2.0 for i in checked]
+    lows = linalg.spectra(parts)[:, -1].tolist() if parts else []
+    for i, lo in zip(checked, lows):
+        if lo < -tol:
+            out.append(pv.Violation("positivity", -lo, f"element {i} min eigenvalue {lo:.3e}"))
+    total = sum((P.elements[i] for i in checked), np.zeros((P.dim, P.dim), dtype=complex))
+    comp = float(np.abs(total - np.eye(P.dim)).max())
+    if comp > tol:
+        out.append(pv.Violation("completeness", comp, f"max |sum E - I| = {comp:.3e}"))
+    return out
+
+
+def damaged_copies(P):
+    """Copies of P with one element non-finite, asymmetric (within and beyond
+    1e-9), negative or scaled off completeness, with several at once, and
+    with every element non-finite: each edit adds matrices to elements."""
+    n = P.dim
+    upper = np.triu(np.ones((n, n)), 1)
+    nan_entry, inf_entry = np.zeros((n, n)), np.zeros((n, n))
+    nan_entry[0, 0], inf_entry[0, n - 1] = np.nan, np.inf
+    edits = [
+        {1: nan_entry},
+        {0: inf_entry},
+        {2: 1e-11 * upper},
+        {2: 1e-6 * upper},
+        {0: -1e-3 * np.eye(n)},
+        {i: 0.01 * e for i, e in enumerate(P.elements)},
+        {2: nan_entry, 0: -1e-3 * np.eye(n), 1: 1e-6 * upper},
+        {i: inf_entry for i in range(P.m)},
+    ]
+    for edit in edits:
+        E = P.elements.copy()
+        for i, delta in edit.items():
+            E[i] += delta
+        yield pv.Povm(n, E)
+
+
+class TestValidateOracle:
+    """The stacked `validate` returns the per-element oracle's violations:
+    same names, magnitudes, details and order."""
+
+    def povms(self):
+        rng = np.random.default_rng(21)
+        basis = gell_mann_basis(2)
+        pattern = ParameterPattern.from_known(2, {3: 0.0})
+        start = rankone.random_phases(3, 7, rng)
+        refined = rankone.refine(start, AnnealConfig(total_steps=1)).phases
+        return [
+            catalog.qubit_trine(),
+            catalog.qutrit_csic(),
+            catalog.diag_units_dim4(),
+            catalog.sic_tensor_identity_dim4(),
+            catalog.harmonic_csic(4),
+            rankone.phases_to_povm(refined)[0],
+            rankone.phases_to_povm(start)[0],
+            random_initial_povm(pattern, basis, rng, scale=0.1),
+        ]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_equals_per_element_loop(self, tol):
+        for P in self.povms():
+            for Q in (P, *damaged_copies(P)):
+                assert pv.validate(Q, tol) == scratch_validate(Q, tol)
+
+    def test_every_kind_of_violation_is_seen(self):
+        names = {
+            v.name
+            for P in self.povms()
+            for Q in damaged_copies(P)
+            for v in pv.validate(Q, 1e-9)
+        }
+        assert names == {"finite", "hermiticity", "positivity", "completeness"}
+
+
+class TestPovmConstruction:
+    @pytest.mark.parametrize(
+        "dim, elements",
+        [
+            (2, [np.eye(2), np.eye(3)]),
+            (2, [np.eye(2), np.ones(2)]),
+            (2, np.eye(2)),
+            (3, [np.eye(2) / 2, np.eye(2) / 2]),
+            (2, np.zeros((0, 2, 2))),
+            (2, []),
+            (2, np.zeros((2, 2, 3))),
+            (2, "not a stack"),
+        ],
+        ids=["ragged", "ragged-row", "2-D", "dim-mismatch", "empty", "empty-list",
+             "not-square", "text"],
+    )
+    def test_rejected_with_contract_violation(self, dim, elements):
+        with pytest.raises(ContractViolation):
+            pv.Povm(dim, elements)
+
+    def test_elements_are_one_complex_stack(self):
+        P = pv.Povm(2, [np.eye(2) / 2, np.diag([0.5, 0.5])])
+        assert isinstance(P.elements, np.ndarray)
+        assert P.elements.dtype == complex and P.elements.shape == (2, 2, 2)
+        assert np.array_equal(P.elements, np.stack([np.eye(2) / 2] * 2))
+        assert P.m == 2
+
+    def test_compares_by_identity(self, trine):
+        # array fields would make a field-wise == ambiguous
+        copy = pv.Povm(trine.dim, trine.elements.copy())
+        assert trine == trine and trine != copy
+
+    def test_every_builder_holds_an_array(self, tmp_path, basis2, qubit_pattern):
+        rng = np.random.default_rng(22)
+        pov = random_initial_povm(qubit_pattern, basis2, rng)
+        path = tmp_path / "povm.txt"
+        pv.write_povm(pov, path)
+        built = [
+            catalog.qubit_trine(),
+            catalog.qutrit_csic(),
+            catalog.harmonic_csic(4),
+            catalog.diag_units_dim4(),
+            catalog.sic_tensor_identity_dim4(),
+            pv.complete_povm([np.eye(2) / 2, np.eye(2) / 4]),
+            pov,
+            pv.read_povm(path),
+            FreeElements(np.array([0.3, 0.3]), np.zeros((2, 3))).povm(basis2),
+            rankone.phases_to_povm(rankone.random_phases(3, 7, rng))[0],
+        ]
+        for P in built:
+            assert type(P.elements) is np.ndarray and P.elements.dtype == complex
+            assert P.elements.shape == (P.m, P.dim, P.dim)
 
 
 class TestFileFormat:
