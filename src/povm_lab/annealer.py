@@ -71,6 +71,7 @@ from .objective import (
     design_matrix,
     log_dacm,
     log_determinants,
+    singular_design,
 )
 from .povm import (
     PSD_CONSTRUCTION_TOL,
@@ -478,7 +479,8 @@ def random_initial_povm(
 ) -> Povm:
     """A valid interior starting POVM with m = N + 1 equal-weight elements:
     the N free elements (1 + a . sigma) / m with every a drawn from
-    N(0, scale^2); ContractViolation unless 0 < scale < inf."""
+    N(0, scale^2), redrawn until the design matrix passes the objective's own
+    `singular_design` rule; ContractViolation unless 0 < scale < inf."""
     if not 0 < scale < math.inf:
         raise ContractViolation(f"initial scale must be positive and finite, got {scale}")
     n_free = pattern.unknown_count
@@ -494,9 +496,8 @@ def random_initial_povm(
             pov = complete_povm((1.0 / m) * units)
         except ClosureNotPositive:
             continue
-        design = design_matrix(pov, pattern, basis)
-        design_scale = float(np.abs(design.T).max())
-        if design_scale > 0 and abs(linalg.determinant(design.T)) > 1e-9 * design_scale**n_free:
+        T = design_matrix(pov, pattern, basis).T
+        if not singular_design(T, np.linalg.slogdet(T)[1]):
             return pov
     raise NumericalError(f"could not draw a valid initial POVM in {INIT_MAX_TRIES} tries")
 

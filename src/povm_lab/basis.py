@@ -15,10 +15,11 @@ Index map (1-based, used by configs and the CLI `gridinfo` echo):
   n = 4: pauli(i,j) = sigma_i (x) sigma_j / 2 in (i,j) lexicographic order
   skipping (0,0), so index = 4*i + j.
 
-`gell_mann_basis` builds each dimension's basis once per process and hands
-every caller (the anneal's setup, refine's diagonal check, the certification
-report's known directions) that one object; every array it exposes is
-read-only, so no caller can change what the others read.
+The generators are one read-only (n^2-1, n, n) array, filled by one formula
+per family and built once per process: every caller (the anneal's setup,
+refine's diagonal check, the report's known directions) gets the one cached
+`gell_mann_basis(n)`, whose derived arrays are read-only too.  `stack` stays a
+property returning that array so that wrapping its getter counts its reads.
 """
 
 from __future__ import annotations
@@ -32,64 +33,58 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolation
 
-PAULI = {
-    0: np.eye(2, dtype=complex),
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
-@dataclass(frozen=True)
+def _upper_pairs(n: int) -> list:
+    """The (row, col) pairs above the diagonal of an n x n matrix, row-major."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """Traceless orthonormal generators sigma_1..sigma_{n^2-1}; the element
-    arrays are made read-only, like every array derived from them."""
+    """Traceless orthonormal generators sigma_1..sigma_{n^2-1} as one read-only
+    (n^2-1, n, n) complex array; `dim` is read off its shape.
 
-    dim: int
-    elements: tuple
+    `entry_map` is the (n^2, n^2-1) real map from coordinates a to the entries
+    of a . sigma that `linalg.psd_verdict` reads: the n diagonals, then Re and
+    then Im of the upper off-diagonal entries (row-major).  `identity` is the
+    (n, n) real identity.  Both are built once and read-only.
+    """
+
+    elements: np.ndarray
     labels: tuple
 
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _entry_map: np.ndarray = field(init=False, repr=False, compare=False)
-    _flat_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _identity: np.ndarray = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False)
+    entry_map: np.ndarray = field(init=False, repr=False)
+    identity: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.elements) != self.dim**2 - 1:
-            raise ContractViolation("basis must have n^2 - 1 traceless elements")
-        for e in self.elements:
-            e.setflags(write=False)
-        stack = np.stack(self.elements)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        n = self.dim
-        object.__setattr__(self, "_flat_stack", stack.reshape(stack.shape[0], n * n))
-        p, q = np.triu_indices(n, 1)
-        off = stack[:, p, q]
-        diagonal = stack[:, range(n), range(n)].real
-        entry_map = np.ascontiguousarray(np.concatenate([diagonal, off.real, off.imag], axis=1).T)
-        entry_map.setflags(write=False)
-        object.__setattr__(self, "_entry_map", entry_map)
+        elements = np.asarray(self.elements, dtype=complex)
+        n = elements.shape[-1] if elements.ndim == 3 else 0
+        if elements.shape != (n * n - 1, n, n):
+            raise ContractViolation(
+                f"basis elements have shape {elements.shape}, expected (n^2 - 1, n, n)"
+            )
+        # column r of the flattened generators is entry r of every a . sigma;
+        # the diagonal entries sit every n + 1 places
+        rows = elements.reshape(n * n - 1, n * n).T
+        off = rows[[j * n + k for j, k in _upper_pairs(n)]]
+        entry_map = np.concatenate([rows[:: n + 1].real, off.real, off.imag])
         identity = np.eye(n)
-        identity.setflags(write=False)
-        object.__setattr__(self, "_identity", identity)
+        for array in (elements, entry_map, identity):
+            array.setflags(write=False)
+        built = {"elements": elements, "dim": n, "entry_map": entry_map, "identity": identity}
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     @property
     def stack(self) -> np.ndarray:
-        """(n^2-1, n, n) read-only array of the traceless elements, built once."""
-        return self._stack
-
-    @property
-    def entry_map(self) -> np.ndarray:
-        """(n^2, n^2-1) read-only real map from coordinates a to the entries
-        of a . sigma that `linalg.psd_verdict` reads: the n diagonals, then Re
-        and then Im of the upper off-diagonal entries (row-major); built once."""
-        return self._entry_map
-
-    @property
-    def identity(self) -> np.ndarray:
-        """(n, n) read-only real identity, built once."""
-        return self._identity
+        """The (n^2-1, n, n) read-only generator array, `elements`."""
+        return self.elements
 
     def expand(self, a) -> np.ndarray:
         """a . sigma for real coordinate rows a of shape (..., n^2-1), as an
@@ -97,7 +92,7 @@ class OrthonormalBasis:
         generators, so a row gives the same bits alone or stacked."""
         a = np.asarray(a, dtype=float)
         n = self.dim
-        rows = a.reshape(-1, n * n - 1) @ self._flat_stack
+        rows = a.reshape(-1, n * n - 1) @ self.elements.reshape(n * n - 1, n * n)
         return rows.reshape(a.shape[:-1] + (n, n))
 
     def element(self, index: int) -> np.ndarray:
@@ -113,39 +108,29 @@ def gell_mann_basis(n: int) -> OrthonormalBasis:
     first call for n; later calls return that same read-only object.  An
     unsupported n raises on every call (a raise is not cached)."""
     if n in (2, 3):
-        elems = []
-        labels = []
-        for j in range(n - 1):
-            for k in range(j + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[j, k] = m[k, j] = 1 / np.sqrt(2)
-                elems.append(m)
-                labels.append(f"sym({j + 1},{k + 1})")
-        for j in range(n - 1):
-            for k in range(j + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[j, k] = -1j / np.sqrt(2)
-                m[k, j] = 1j / np.sqrt(2)
-                elems.append(m)
-                labels.append(f"asym({j + 1},{k + 1})")
-        for l in range(1, n):
-            d = np.zeros(n)
-            d[:l] = 1.0
-            d[l] = -l
-            elems.append(np.diag(d).astype(complex) / np.sqrt(l * (l + 1)))
-            labels.append(f"diag({l})")
+        pairs = _upper_pairs(n)
+        k = len(pairs)
+        p, q = [j for j, _ in pairs], [l for _, l in pairs]
+        sym, asym = list(range(k)), list(range(k, 2 * k))
+        elements = np.zeros((n * n - 1, n, n), dtype=complex)
+        elements[sym, p, q] = elements[sym, q, p] = 1 / np.sqrt(2)
+        elements[asym, p, q] = -1j / np.sqrt(2)
+        elements[asym, q, p] = 1j / np.sqrt(2)
+        # diag(l): 1 on the first l diagonal entries and -l on entry l, over sqrt(l (l + 1))
+        levels = np.arange(1, n)
+        diagonal = np.array([[1.0] * l + [-l] + [0.0] * (n - 1 - l) for l in range(1, n)])
+        scale = np.sqrt(levels * (levels + 1))[:, None]
+        elements[2 * k :, range(n), range(n)] = diagonal.astype(complex) / scale
+        labels = [f"{kind}({j + 1},{l + 1})" for kind in ("sym", "asym") for j, l in pairs]
+        labels += [f"diag({l})" for l in range(1, n)]
     elif n == 4:
-        elems = []
-        labels = []
-        for i in range(4):
-            for j in range(4):
-                if i == j == 0:
-                    continue
-                elems.append(np.kron(PAULI[i], PAULI[j]) / 2.0)
-                labels.append(f"pauli({i},{j})")
+        elements = (PAULI[:, None, :, None, :, None] * PAULI[None, :, None, :, None, :]).reshape(
+            16, 4, 4
+        )[1:] / 2.0
+        labels = [f"pauli({i},{j})" for i in range(4) for j in range(4)][1:]
     else:
         raise ContractViolation(f"unsupported dimension {n}; expected 2, 3 or 4")
-    return OrthonormalBasis(n, tuple(elems), tuple(labels))
+    return OrthonormalBasis(elements, tuple(labels))
 
 
 def bloch_radius_bound(n: int) -> float:

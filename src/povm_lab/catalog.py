@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .basis import ParameterPattern, gell_mann_basis
+from .basis import PAULI, ParameterPattern, gell_mann_basis
 from .errors import ContractViolation
 from .povm import Povm, overlap_matrix
 from .rankone import PhaseConfiguration
@@ -90,10 +90,7 @@ TETRAHEDRON = (
 
 def qubit_sic() -> np.ndarray:
     """The (4, 2, 2) fixed tetrahedron qubit SIC F_i = (I + t_i . pauli/sqrt3)/4."""
-    from .basis import PAULI
-
-    directions = [sum(t[i] * PAULI[i + 1] for i in range(3)) / math.sqrt(3.0) for t in TETRAHEDRON]
-    return (np.eye(2) + np.array(directions)) / 4.0
+    return (np.eye(2) + np.tensordot(TETRAHEDRON, PAULI[1:], 1) / math.sqrt(3.0)) / 4.0
 
 
 def sic_tensor_identity_dim4() -> Povm:

@@ -7,9 +7,10 @@ outcome frequencies is the multinomial W (repetition count set to 1; it only
 rescales the objective), W0 sums W over the cluster members and the objective
 is DACM = det(W0) / det(T)^2 for the design matrix T, whose rows are the
 x_j restricted to the unknown directions.
-Production determinants come from one `slogdet` of the stacked (T, W0)
-(`log_determinants`, shared with `annealer.score_variants`); `dacm` is exp(`log_dacm`),
-and `linalg.determinant`'s pivoted elimination remains as the tests' oracle.
+Production determinants come from `slogdet`, judged by the one rule
+`singular_design` (in `log_determinants`, shared with `annealer.score_variants`,
+and in `annealer.random_initial_povm`); `dacm` is exp(`log_dacm`), and
+`linalg.determinant`'s pivoted elimination remains as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -109,16 +110,22 @@ def averaged_covariance(
     return AveragedCovariance(W0, members.shape[0])
 
 
+def singular_design(T: np.ndarray, log_abs_det) -> np.ndarray:
+    """The one singularity rule for a (..., N, N) stack of design matrices T:
+    singular where log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij|, a
+    relative floor (1 added to an all-zero T's max keeps it finite)."""
+    t_max = np.abs(T).max(axis=(-2, -1))
+    floor = LOG_DESIGN_DET_FLOOR + T.shape[-1] * np.log(t_max + (t_max == 0.0))
+    return log_abs_det <= floor
+
+
 def log_determinants(tw: np.ndarray):
     """(log_det, singular, nonpositive) of a (..., 2, N, N) stack of (T, W0)
-    pairs from one `slogdet` (no LAPACK error on a square stack): the one
-    singularity rule of `log_dacm` and `annealer.score_variants`.  T is
-    singular where log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij|, a
-    relative floor (1 added to an all-zero T's max keeps it finite); W0 where det W0 <= 0."""
+    pairs from one `slogdet` (no LAPACK error on a square stack), shared by
+    `log_dacm` and `annealer.score_variants`: T is singular by `singular_design`,
+    W0 where det W0 <= 0."""
     sign, log_det = np.linalg.slogdet(tw)
-    t_max = np.abs(tw[..., 0, :, :]).max(axis=(-2, -1))
-    floor = LOG_DESIGN_DET_FLOOR + tw.shape[-1] * np.log(t_max + (t_max == 0.0))
-    return log_det, log_det[..., 0] <= floor, sign[..., 1] <= 0
+    return log_det, singular_design(tw[..., 0, :, :], log_det[..., 0]), sign[..., 1] <= 0
 
 
 def log_dacm(design: DesignMatrix, averaged: AveragedCovariance) -> float:

@@ -307,14 +307,14 @@ class TestRandomInitialPovm:
                 self.scales.append(scale)
                 return self.rng.normal(loc, scale, size)
 
-        determinant = linalg.determinant
+        singular_design = annealer.singular_design
         calls = []
 
-        def fail_first(m):
-            calls.append(m)
-            return 0.0 if len(calls) == 1 else determinant(m)
+        def fail_first(T, log_abs_det):
+            calls.append(T)
+            return True if len(calls) == 1 else singular_design(T, log_abs_det)
 
-        monkeypatch.setattr(linalg, "determinant", fail_first)
+        monkeypatch.setattr(annealer, "singular_design", fail_first)
         rng = RecordingRng()
         initial = annealer.random_initial_povm(qubit_pattern, basis2, rng, scale=0.03)
         assert len(calls) == 2  # one failed design check, then the retry passes
@@ -712,7 +712,10 @@ class TestProbabilityChecks:
 
 class TestSingularityRule:
     """`objective.log_dacm` raises exactly on the rows `score_variants` skips,
-    for T and W0 gathered bit for bit as the step gathers them."""
+    for T and W0 gathered bit for bit as the step gathers them, and
+    `objective.singular_design` on one T's own `slogdet`, as the anneal's
+    start applies it, finds T singular exactly where `log_dacm` raises
+    SingularDesign."""
 
     def assert_rule_shared(self, old, new, basis, members, pattern):
         rows = annealer.VariantRows.for_pinned([False] * old.a0.shape[0])
@@ -726,15 +729,17 @@ class TestSingularityRule:
         for v, cols in enumerate(rows.cols):
             T = design[cols]
             W0 = table_w[np.ix_(cols, cols)]
+            raised = None
             try:
                 objective.log_dacm(
                     objective.DesignMatrix(T, columns.a0[cols]),
                     objective.AveragedCovariance(W0, members.shape[0]),
                 )
-                raised = False
-            except (SingularDesign, NonPositiveObjective):
-                raised = True
-            assert raised == table.skipped[v], v
+            except (SingularDesign, NonPositiveObjective) as exc:
+                raised = type(exc)
+            assert (raised is not None) == table.skipped[v], v
+            singular = objective.singular_design(T, np.linalg.slogdet(T)[1])
+            assert singular == (raised is SingularDesign), v
         return table.skipped.tolist()
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])

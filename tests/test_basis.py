@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,82 @@ from povm_lab.errors import ContractViolation
 from conftest import random_state
 
 
+def scratch_gell_mann(n):
+    """The loop builder the one-array `gell_mann_basis` replaced, the oracle:
+    each generator from its own `np.zeros` or `np.kron`, and the entry map
+    from `np.triu_indices` gathers of their stack, as
+    (elements, entry_map, labels)."""
+    pauli = [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    elems, labels = [], []
+    if n in (2, 3):
+        for j in range(n - 1):
+            for k in range(j + 1, n):
+                m = np.zeros((n, n), dtype=complex)
+                m[j, k] = m[k, j] = 1 / np.sqrt(2)
+                elems.append(m)
+                labels.append(f"sym({j + 1},{k + 1})")
+        for j in range(n - 1):
+            for k in range(j + 1, n):
+                m = np.zeros((n, n), dtype=complex)
+                m[j, k] = -1j / np.sqrt(2)
+                m[k, j] = 1j / np.sqrt(2)
+                elems.append(m)
+                labels.append(f"asym({j + 1},{k + 1})")
+        for l in range(1, n):
+            d = np.zeros(n)
+            d[:l] = 1.0
+            d[l] = -l
+            elems.append(np.diag(d).astype(complex) / np.sqrt(l * (l + 1)))
+            labels.append(f"diag({l})")
+    else:
+        for i in range(4):
+            for j in range(4):
+                if i == j == 0:
+                    continue
+                elems.append(np.kron(pauli[i], pauli[j]) / 2.0)
+                labels.append(f"pauli({i},{j})")
+    stack = np.stack(elems)
+    p, q = np.triu_indices(n, 1)
+    off = stack[:, p, q]
+    diagonal = stack[:, range(n), range(n)].real
+    entry_map = np.ascontiguousarray(np.concatenate([diagonal, off.real, off.imag], axis=1).T)
+    return stack, entry_map, tuple(labels)
+
+
 class TestGellMannBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_array_matches_loop_builder(self, n):
+        elements, entry_map, labels = scratch_gell_mann(n)
+        b = bs.gell_mann_basis(n)
+        assert b.elements.shape == elements.shape and b.elements.dtype == complex
+        assert b.elements.tobytes() == elements.tobytes()
+        assert b.entry_map.shape == entry_map.shape
+        assert b.entry_map.tobytes() == entry_map.tobytes()
+        assert b.labels == labels
+        assert b.stack is b.elements
+
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (8, 3, 2), (9, 9), (3,)])
+    def test_rejects_a_stack_not_sized_by_its_dimension(self, shape):
+        with pytest.raises(ContractViolation, match="expected"):
+            bs.OrthonormalBasis(np.zeros(shape, dtype=complex), ())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dim_is_read_off_the_array(self, n):
+        source = bs.gell_mann_basis(n)
+        b = bs.OrthonormalBasis(source.elements.copy(), source.labels)
+        assert b.dim == n
+        assert "dim" not in {f.name for f in dataclasses.fields(b) if f.init}
+        with pytest.raises(TypeError):
+            bs.OrthonormalBasis(n, source.elements, source.labels)
+        # compared by identity, as array fields make == ambiguous
+        assert b == b and b != source
+
+
     def test_qubit_normalization(self, basis2):
         assert len(basis2.elements) == 3
         for e in basis2.elements:

@@ -206,6 +206,20 @@ class TestDim4Catalog:
                 if i != j:
                     assert linalg.hs_inner(fs[i], fs[j]) == pytest.approx(1 / 12, abs=1e-12)
 
+    def test_qubit_sic_is_the_per_direction_sum(self):
+        """One `tensordot` gives the bits of each direction summed in Python
+        over the Pauli matrices, one at a time."""
+        pauli = (
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        )
+        directions = [
+            sum(t[i] * pauli[i] for i in range(3)) / math.sqrt(3.0) for t in catalog.TETRAHEDRON
+        ]
+        expected = (np.eye(2) + np.array(directions)) / 4.0
+        assert catalog.qubit_sic().tobytes() == expected.tobytes()
+
 
 class TestConditionalSicReport:
     def test_qutrit_positive(self, qutrit_csic, qutrit_pattern):
