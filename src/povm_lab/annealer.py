@@ -32,7 +32,11 @@ columns); an accepted move other than the all-old row takes the accepted
 row's columns of that table, and a new best takes the best row's columns as
 the chain's second state.  A step builds no `Povm`, and element
 matrices only for the closing matrices of rows in the PSD band: the chain's
-`current` and `best` are built on every read from its two states.  The row
+`current` and `best` are built on every read from its two states (a trace
+record every `trace_every` steps, and the result).  A step's cost is mostly
+the fixed cost of its numpy calls, not arithmetic, so the scoring makes few:
+one product gives every row's closing coordinates for both the closure test
+and the closing probability column.  The row
 tables (`VariantRows`) depend only on which positions are pinned and are
 built once per pinned mask in a run.  Every free element matrix comes from
 `OrthonormalBasis.expand`, the one map from coordinates to a . sigma.
@@ -496,7 +500,8 @@ def random_initial_povm(
             pov = complete_povm((1.0 / m) * units)
         except ClosureNotPositive:
             continue
-        T = design_matrix(pov, pattern, basis).T
+        # the design rows are a / m over the unknown directions; the rule is scale-free
+        T = A[:, pattern.unknown_positions]
         if not singular_design(T, np.linalg.slogdet(T)[1]):
             return pov
     raise NumericalError(f"could not draw a valid initial POVM in {INIT_MAX_TRIES} tries")

@@ -41,7 +41,8 @@ _QUTRIT_ROWS = (0, 1, 5, 3, 6, 2, 4)
 def harmonic_csic(n: int) -> Povm:
     """The v = n^2 - n + 1 elements E_k = (n/v) h_k h_k^dagger, k = 0..v-1, of
     the harmonic frame h_k = (e^{2 pi i k d/v})_{d in D} / sqrt n on the Singer
-    difference set D mod v, for n = 2, 3 and 4.
+    difference set D mod v, for n = 2, 3 and 4.  Each frame is a conditional
+    SIC with the diagonal directions known, c = n/v and d = (n - 1)/v^2.
 
     Each exponent k d is reduced to its symmetric residue, so rows k and v - k
     are exact entrywise conjugates.

@@ -7,12 +7,14 @@ numpy `eigvalsh` call on `symmetrize`'s average; it re-raises a LAPACK
 failure as `NumericalError`.  The PSD tests of 2x2 and 3x3 matrices in the
 anneal's and the grid's stacks are decided in closed form (`psd_verdict`:
 the lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one),
-with `spectra` left for the thin band around the tolerance.
+with `spectra` left for the thin band around the tolerance; the tests keep
+`eigvalsh` as `psd_verdict`'s oracle.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
 `min_eigenvalue`, `min_eigenvalue_trusted`) and the pairwise `hs_inner` are
 the tests' oracle for the stacked paths; production determinants come from
 `slogdet` in `objective`, with the pivoted elimination of `determinant` as their oracle.
+`solve_linear`, the same elimination, solves `objective.estimate_state`'s system.
 """
 
 from __future__ import annotations

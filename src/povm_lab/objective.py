@@ -7,9 +7,13 @@ outcome frequencies is the multinomial W (repetition count set to 1; it only
 rescales the objective), W0 sums W over the cluster members and the objective
 is DACM = det(W0) / det(T)^2 for the design matrix T, whose rows are the
 x_j restricted to the unknown directions.
+Every table of outcome probabilities, one state's, a cluster's or an anneal
+step's, passes the one check `check_simplex`.
 Production determinants come from `slogdet`, judged by the one rule
 `singular_design` (in `log_determinants`, shared with `annealer.score_variants`,
-and in `annealer.random_initial_povm`); `dacm` is exp(`log_dacm`), and
+and in `annealer.random_initial_povm`).  The objective is computed as
+`log_dacm`, so it stays finite where DACM leaves the float range (an anneal
+start drawn at a tiny scale); `dacm` is its exponential, and
 `linalg.determinant`'s pivoted elimination remains as the tests' oracle.
 """
 

@@ -6,10 +6,14 @@ matrices to their rows (Tr E / n, Tr(E sigma)) in the orthonormal basis of
 :mod:`povm_lab.basis`, which read a weight a0 = Tr E / n and a direction
 a = Tr(E sigma) / a0 off an element E = a0 (I + a . sigma).  The diagnostics
 sigma/delta/Delta track rank-one-ness and overlap symmetry of a candidate
-measurement during optimization.  `metrics` reads them off the elements'
-spectra and overlap matrix; the anneal trace lets it compute both, while the
-CLI's report pass hands it the spectra and the one overlap matrix that the
-conditional-SIC report reads too, so a written POVM is decomposed once.
+measurement during optimization.  Every set of overlaps Tr(E_i E_j) comes
+from one product, `overlap_matrix`.  `metrics` reads the diagnostics off the
+elements' spectra and overlap matrix; the anneal trace lets it compute both,
+while the CLI's report pass hands it the spectra and the one overlap matrix
+that the conditional-SIC report reads too, so a written POVM is decomposed
+once.  That matrix also holds the known directions, so its product rounds
+differently: `report.txt`'s delta and Delta can differ from `metrics(P)` alone
+in the last bits (within 1e-15 absolute).
 """
 
 from __future__ import annotations

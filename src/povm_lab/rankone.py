@@ -11,10 +11,15 @@ the real and imaginary parts of the completeness residual -- and one
 function, `_residuals`, computes those residuals with their analytic Jacobian
 with respect to the free phases; the search and `refine_objective` both take
 the objective as r @ r.  Uniform random starts (`random_phases`) reach the
-qutrit conditional SIC in a handful of iterations; the CLI runs several
-starts, restart r seeded by `random.Random(f"{seed},{r}")`, and keeps the
-best.  Because the ansatz is quasi-orthogonal to the diagonal generators
-only, the CLI runs it only when those are exactly the known directions.
+qutrit conditional SIC at the LM_FLOOR objective in 6-10 iterations (every
+start of seeds 0-9, five restarts each); the CLI runs several starts, restart
+r seeded by `random.Random(f"{seed},{r}")`, and keeps the best.  `random`
+hashes a str seed with SHA-512, so a seed gives the same starts on every
+supported Python.  Because the ansatz is quasi-orthogonal to the diagonal
+generators only, the CLI runs it only when those are exactly the known
+directions.  The tests check the objective against `povm.metrics`' Delta plus
+the squared completeness residual, and take the catalog's closed-form qutrit
+solution as the oracle for where the search ends.
 """
 
 from __future__ import annotations

@@ -27,3 +27,44 @@ def test_config_key_table_is_config_keys():
     first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
     assert sorted(keys) == sorted(cli._CONFIG_KEYS)
+
+
+def test_backticked_module_names_resolve():
+    import importlib
+    import pkgutil
+
+    import povm_lab
+
+    modules = {info.name for info in pkgutil.iter_modules(povm_lab.__path__)}
+    spans = re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", README.read_text())
+    checked = 0
+    for span in spans:
+        parts = span.split(".")
+        if parts[0] == "povm_lab":
+            parts = parts[1:]
+        # output file names such as `povm.txt` are not attributes
+        if not parts or parts[0] not in modules or parts[-1] in ("txt", "csv", "cfg"):
+            continue
+        obj = importlib.import_module(f"povm_lab.{parts[0]}")
+        for name in parts[1:]:
+            assert hasattr(obj, name), f"README names `{span}`, which does not resolve"
+            obj = getattr(obj, name)
+        checked += 1
+    assert checked >= 1
+
+
+def test_modes_list_is_cli_modes():
+    from povm_lab import cli
+
+    section = README.read_text().split("\nModes:\n", 1)[1].split("\nExit codes:", 1)[0]
+    assert tuple(re.findall(r"^- `(\w+)`", section, re.M)) == cli.MODES
+
+
+def test_exit_code_sentence_names_the_exit_codes():
+    from povm_lab import cli
+
+    sentence = " ".join(README.read_text().split("\nExit codes: ", 1)[1].split("\n\n", 1)[0].split())
+    assert sentence.startswith(f"{cli.EXIT_OK} success, ")
+    assert f", {cli.EXIT_VERIFY_FAILED} failed verify, " in sentence
+    assert f", {cli.EXIT_CONFIG} a usage error or a configuration error " in sentence
+    assert f", {cli.EXIT_NUMERICAL} numerical failure." in sentence
