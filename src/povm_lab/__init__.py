@@ -1,7 +1,7 @@
 """Optimal POVM search for quantum state tomography with known parameters.
 
 Modules:
-    linalg      dense Hermitian eigenvalues, determinants, linear solves
+    linalg      dense Hermitian eigenvalues and PSD tests, determinants
     basis       orthonormal Hermitian operator bases, Bloch conversions
     povm        POVMs as element matrices: closure, validation, diagnostics, file format
     statespace  constrained-state grids and eigenvalue clustering

@@ -66,13 +66,15 @@ from .errors import (
 from .objective import (
     PROB_RANGE_TOL,
     PROB_SUM_TOL,
+    DesignMatrix,
     _exp,
     averaged_covariance,
     check_simplex,
     # no longer called here: kept because the benchmark's tracer wraps
     # `annealer.dacm` (ROADMAP item 4 unpins it)
     dacm,  # noqa: F401
-    design_matrix,
+    # nor is design_matrix: the tracer wraps `annealer.design_matrix` too
+    design_matrix,  # noqa: F401
     log_dacm,
     log_determinants,
     singular_design,
@@ -444,6 +446,7 @@ def score_variants(
     sums = probs @ choose + last
     # the extremes of the whole table, or else of the columns closed rows take, bound
     # every closed row's, so rows are compared one by one only when both fail
+    # (closed rows sum to 1 up to rounding; the sum check stays as an invariant)
     if not (
         (_in_range(probs) or _in_range(probs.compress(choose.any(axis=1), axis=1)))
         and _in_range(last)
@@ -541,15 +544,16 @@ class AnnealChain:
         if violations:
             v = violations[0]
             raise ContractViolation(f"initial POVM is not valid: {v.name}, {v.detail}")
+        # the start's rows give both its design matrix and its free elements;
         # a zero free element has a zero design row and raises SingularDesign
         # here, before its weight divides its row below; the log domain keeps
         # a start whose det T^2 underflows finite
+        X = element_rows(initial.elements[:n_free], basis)
         self.cur_log = log_dacm(
-            design_matrix(initial, pattern, basis),
+            DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0]),
             averaged_covariance(initial, cluster, basis, pattern),
         )
         self.best_log = self.cur_log
-        X = element_rows(initial.elements[:n_free], basis)
         a0 = X[:, 0]
         A = X[:, 1:] / a0[:, None]
         self.state = self.best_state = FreeElements(a0, A)

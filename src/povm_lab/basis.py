@@ -30,7 +30,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import linalg
 from .errors import ContractViolation
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z
@@ -149,16 +148,6 @@ def bloch_to_state(theta, basis: OrthonormalBasis) -> np.ndarray:
     rho = basis.expand(theta)
     rho += np.eye(basis.dim) / basis.dim
     return rho
-
-
-def state_to_bloch(rho, basis: OrthonormalBasis) -> np.ndarray:
-    """Coordinates theta_i = Tr(rho sigma_i); requires unit trace."""
-    rho = linalg.symmetrize(rho)
-    tr = rho.trace().real
-    if abs(tr - 1.0) > 1e-9:
-        raise ContractViolation(f"state trace {tr:.12g} is not 1")
-    coords = np.einsum("aij,ji->a", basis.stack, rho)
-    return np.real(coords).copy()
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The known closed-form optima are the qubit trine and the qutrit
 seven-element measurement, the n = 2 and n = 3 harmonic frames of Singer
 difference sets (`harmonic_csic`; the 13-element n = 4 frame is library-only),
 and the dim-4 diagonal matrix units.  The dim-4 tensor extension of the qubit
-tetrahedron is a conditional SIC with no optimality claim: on its known
-pattern a descent reaches a lower DACM.  The report checks the three defining
+tetrahedron is a conditional SIC; `verify` checks its conditions, not its
+optimality.  The report checks the three defining
 conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
 parameter directions; its verdict also requires the elements to sum to I

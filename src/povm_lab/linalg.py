@@ -11,10 +11,11 @@ with `spectra` left for the thin band around the tolerance; the tests keep
 `eigvalsh` as `psd_verdict`'s oracle.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
-`min_eigenvalue`, `min_eigenvalue_trusted`) and the pairwise `hs_inner` are
-the tests' oracle for the stacked paths; production determinants come from
-`slogdet` in `objective`, with the pivoted elimination of `determinant` as their oracle.
-`solve_linear`, the same elimination, solves `objective.estimate_state`'s system.
+`min_eigenvalue`, `min_eigenvalue_trusted`) is the tests' oracle for the
+stacked eigenvalue paths; production determinants come from `slogdet` in
+`objective`, with the pivoted elimination of `determinant` as their oracle.
+The tests keep their other oracles (the pairwise Hilbert-Schmidt pairing and a
+pivoted linear solve) in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError, SingularDesign
+from .errors import ContractViolation, NumericalError
 
 HERMITIAN_TOL = 1e-12
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
-PIVOT_FLOOR = 1e-12
 # `psd_verdict` decides only matrices whose lowest eigenvalue is farther than
 # PSD_MARGIN from -tol, which covers `eigvalsh`'s error (a few ulps of |H|)
 # for entries up to a few hundred.  A 3x3 principal minor of order k is
@@ -202,20 +202,6 @@ def psd_verdict(entries, n: int, tol: float):
     return entries[0] < -math.inf, entries[0] < -math.inf
 
 
-def hs_inner(A, B) -> float:
-    """Hilbert-Schmidt pairing Tr(A B) of two Hermitian matrices."""
-    A = symmetrize(A)
-    B = symmetrize(B)
-    if A.shape != B.shape:
-        raise ContractViolation(f"dimension mismatch: {A.shape} vs {B.shape}")
-    # Tr(A B) = sum_ij A_ij conj(B_ij) for Hermitian B
-    z = complex(np.vdot(B, A))
-    scale = max(1.0, float(np.abs(A).max()) * float(np.abs(B).max()) * A.shape[0] ** 2)
-    if abs(z.imag) > 1e-12 * scale:
-        raise ContractViolation(f"trace pairing has imaginary residue {z.imag:g}")
-    return z.real
-
-
 def determinant(M) -> float:
     """Determinant of a real square matrix via pivoted elimination."""
     A = np.asarray(M, dtype=float)
@@ -239,33 +225,3 @@ def determinant(M) -> float:
                 for c in range(col + 1, n):
                     a[r][c] -= f * a[col][c]
     return det
-
-
-def solve_linear(M, b) -> np.ndarray:
-    """Solve M x = b for real square M; raises SingularDesign on tiny pivots."""
-    A = np.asarray(M, dtype=float)
-    rhs = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractViolation(f"solve_linear needs a square matrix, got {A.shape}")
-    n = A.shape[0]
-    if rhs.shape != (n,):
-        raise ContractViolation(f"rhs has shape {rhs.shape}, expected ({n},)")
-    scale = max(1.0, float(np.abs(A).max()))
-    a = [list(map(float, row)) + [float(rhs[i])] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) <= PIVOT_FLOOR * scale:
-            raise SingularDesign(f"pivot {a[piv][col]:g} below floor at column {col}")
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f != 0.0:
-                for c in range(col + 1, n + 1):
-                    a[r][c] -= f * a[col][c]
-    x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        s = a[row][n] - sum(a[row][c] * x[c] for c in range(row + 1, n))
-        x[row] = s / a[row][row]
-    return np.array(x)

@@ -11,7 +11,8 @@ Every table of outcome probabilities, one state's, a cluster's or an anneal
 step's, passes the one check `check_simplex`.
 Production determinants come from `slogdet`, judged by the one rule
 `singular_design` (in `log_determinants`, shared with `annealer.score_variants`,
-and in `annealer.random_initial_povm`).  The objective is computed as
+in `annealer.random_initial_povm` and in the linear-inversion estimate
+`estimate_state`).  The objective is computed as
 `log_dacm`, so it stays finite where DACM leaves the float range (an anneal
 start drawn at a tiny scale); `dacm` is its exponential, and
 `linalg.determinant`'s pivoted elimination remains as the tests' oracle.
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .basis import OrthonormalBasis, ParameterPattern
 from .errors import ContractViolation, NonPositiveObjective, SingularDesign
 from .povm import Povm, element_rows, overlap_matrix
@@ -83,15 +83,6 @@ def design_matrix(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -
     """Design matrix of a Povm, read off the `element_rows` of its first N elements."""
     X = element_rows(P.elements[: pattern.unknown_count], basis)
     return DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0])
-
-
-def multinomial_covariance(p, n_unknown: int) -> np.ndarray:
-    """Covariance of the first N outcome frequencies (single repetition)."""
-    p = np.asarray(p, dtype=float)
-    if n_unknown > p.shape[0] - 1:
-        raise ContractViolation(f"N = {n_unknown} exceeds m - 1 = {p.shape[0] - 1}")
-    head = p[:n_unknown]
-    return np.diag(head) - np.outer(head, head)
 
 
 def averaged_covariance(
@@ -157,8 +148,12 @@ def _exp(log_value: float) -> float:
 
 
 def estimate_state(nu, design: DesignMatrix) -> np.ndarray:
-    """theta_hat = T^{-1} (nu - a0s) from observed outcome frequencies."""
+    """theta_hat = T^{-1} (nu - a0s) from observed outcome frequencies;
+    SingularDesign where `singular_design` finds T singular, as `log_dacm` does."""
     nu = np.asarray(nu, dtype=float)
     if nu.shape != design.a0s.shape:
         raise ContractViolation(f"frequencies shape {nu.shape} != {design.a0s.shape}")
-    return linalg.solve_linear(design.T, nu - design.a0s)
+    log_abs_det = np.linalg.slogdet(design.T)[1]
+    if singular_design(design.T, log_abs_det):
+        raise SingularDesign(f"log |det T| = {log_abs_det:.6g} at or below the design floor")
+    return np.linalg.solve(design.T, nu - design.a0s)

@@ -120,7 +120,8 @@ def overlap_matrix(elements) -> np.ndarray:
 
     The elements are symmetrized as one `element_stack`, and one product of their
     flattened rows with the conjugates gives every Tr(E_i E_j†) = Tr(E_i E_j);
-    one check rejects an imaginary residue beyond `linalg.hs_inner`'s bound.
+    one check rejects an imaginary residue beyond
+    1e-12 * max(1, n^2 max|E_i| max|E_j|) for the pair (i, j).
     The product's rounding differs between (i, j) and (j, i), so the real part
     is averaged with its transpose.
     """

@@ -76,20 +76,6 @@ def gauge_fix(raw) -> np.ndarray:
     return out
 
 
-def from_raw(dim: int, raw) -> PhaseConfiguration:
-    """Gauge-fix a raw m x dim phase matrix; row 1 must come out all zero."""
-    try:
-        raw = np.asarray(raw, dtype=float)
-    except ValueError as exc:
-        raise ContractViolation(f"raw phases are not an (m, {dim}) array: {exc}") from exc
-    if raw.ndim != 2 or raw.shape[1] != dim:
-        raise ContractViolation(f"raw phases have shape {raw.shape}, expected (m, {dim})")
-    fixed = gauge_fix(raw)
-    if np.abs(fixed[0]).max() > 0.0:
-        raise ContractViolation("first vector must have uniform phases (row 1 gauge)")
-    return PhaseConfiguration(dim, raw.shape[0], fixed)
-
-
 def random_phases(dim: int, element_count: int, rng) -> PhaseConfiguration:
     """Uniform phases in [0, 2pi) off the gauge row and column, drawn row by
     row as TWO_PI * rng.random().  `rng` is a `random.Random` or a numpy
@@ -203,6 +189,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
             try:
                 step = np.linalg.solve(JtJ + lam * damping, -grad)
             except np.linalg.LinAlgError:
+                # kept as safety: `solve` can raise, though finite phases never reach it
                 # a singular damped system counts as a step that does not improve
                 lam *= 10.0
                 continue

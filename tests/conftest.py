@@ -4,6 +4,9 @@ import pytest
 from povm_lab import basis as bs
 from povm_lab import catalog, linalg, statespace
 from povm_lab import povm as pv
+from povm_lab.errors import ContractViolation, SingularDesign
+
+PIVOT_FLOOR = 1e-12
 
 
 def random_hermitian(rng, n):
@@ -29,10 +32,73 @@ def random_state(rng, n):
     return rho / rho.trace().real
 
 
+def hs_inner(A, B) -> float:
+    """Hilbert-Schmidt pairing Tr(A B) of two Hermitian matrices."""
+    A = linalg.symmetrize(A)
+    B = linalg.symmetrize(B)
+    if A.shape != B.shape:
+        raise ContractViolation(f"dimension mismatch: {A.shape} vs {B.shape}")
+    # Tr(A B) = sum_ij A_ij conj(B_ij) for Hermitian B
+    z = complex(np.vdot(B, A))
+    scale = max(1.0, float(np.abs(A).max()) * float(np.abs(B).max()) * A.shape[0] ** 2)
+    if abs(z.imag) > 1e-12 * scale:
+        raise ContractViolation(f"trace pairing has imaginary residue {z.imag:g}")
+    return z.real
+
+
+def solve_linear(M, b) -> np.ndarray:
+    """Solve M x = b for real square M; raises SingularDesign on tiny pivots."""
+    A = np.asarray(M, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ContractViolation(f"solve_linear needs a square matrix, got {A.shape}")
+    n = A.shape[0]
+    if rhs.shape != (n,):
+        raise ContractViolation(f"rhs has shape {rhs.shape}, expected ({n},)")
+    scale = max(1.0, float(np.abs(A).max()))
+    a = [list(map(float, row)) + [float(rhs[i])] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) <= PIVOT_FLOOR * scale:
+            raise SingularDesign(f"pivot {a[piv][col]:g} below floor at column {col}")
+        if piv != col:
+            a[piv], a[col] = a[col], a[piv]
+        inv = 1.0 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f != 0.0:
+                for c in range(col + 1, n + 1):
+                    a[r][c] -= f * a[col][c]
+    x = [0.0] * n
+    for row in range(n - 1, -1, -1):
+        s = a[row][n] - sum(a[row][c] * x[c] for c in range(row + 1, n))
+        x[row] = s / a[row][row]
+    return np.array(x)
+
+
+def multinomial_covariance(p, n_unknown: int) -> np.ndarray:
+    """Covariance of the first N outcome frequencies (single repetition)."""
+    p = np.asarray(p, dtype=float)
+    if n_unknown > p.shape[0] - 1:
+        raise ContractViolation(f"N = {n_unknown} exceeds m - 1 = {p.shape[0] - 1}")
+    head = p[:n_unknown]
+    return np.diag(head) - np.outer(head, head)
+
+
+def state_to_bloch(rho, basis: bs.OrthonormalBasis) -> np.ndarray:
+    """Coordinates theta_i = Tr(rho sigma_i); requires unit trace."""
+    rho = linalg.symmetrize(rho)
+    tr = rho.trace().real
+    if abs(tr - 1.0) > 1e-9:
+        raise ContractViolation(f"state trace {tr:.12g} is not 1")
+    coords = np.einsum("aij,ji->a", basis.stack, rho)
+    return np.real(coords).copy()
+
+
 def reference_overlaps(elements):
-    """The pairwise oracle for `povm.overlap_matrix`: `linalg.hs_inner` of
-    every ordered pair."""
-    return np.array([[linalg.hs_inner(a, b) for b in elements] for a in elements])
+    """The pairwise oracle for `povm.overlap_matrix`: `hs_inner` of every
+    ordered pair."""
+    return np.array([[hs_inner(a, b) for b in elements] for a in elements])
 
 
 def overlap_tolerance(elements):

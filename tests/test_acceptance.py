@@ -22,6 +22,7 @@ from povm_lab.basis import (
 )
 from povm_lab.errors import ClosureNotPositive
 
+from conftest import hs_inner
 from test_objective import assembled_dacm
 
 
@@ -44,7 +45,7 @@ def test_criterion_1_catalog_algebra(qutrit_csic, trine, qutrit_pattern, qubit_p
     for i in range(7):
         for j in range(7):
             if i != j:
-                got = linalg.hs_inner(qutrit_csic.elements[i], qutrit_csic.elements[j])
+                got = hs_inner(qutrit_csic.elements[i], qutrit_csic.elements[j])
                 checks.append(abs(got - 2 / 49) < 1e-12)
     rep3 = catalog.conditional_sic_report(qutrit_csic, qutrit_pattern)
     checks.append(rep3.max_quasi_orthogonality_violation < 1e-12)
@@ -53,18 +54,18 @@ def test_criterion_1_catalog_algebra(qutrit_csic, trine, qutrit_pattern, qubit_p
     checks.append(np.abs(sum(projections) - 1.5 * np.eye(2)).max() < 1e-12)
     b2 = gell_mann_basis(2)
     for i in range(3):
-        checks.append(abs(linalg.hs_inner(trine.elements[i], b2.element(3))) < 1e-12)
+        checks.append(abs(hs_inner(trine.elements[i], b2.element(3))) < 1e-12)
         for j in range(3):
             if i != j:
                 checks.append(
-                    abs(linalg.hs_inner(projections[i], projections[j]) - 0.25) < 1e-12
+                    abs(hs_inner(projections[i], projections[j]) - 0.25) < 1e-12
                 )
     # SIC constants for the dim-2 tetrahedron: mu = 1/(n+1) = 1/3
     sic = catalog.qubit_sic()
     for i in range(4):
         for j in range(4):
             if i != j:
-                checks.append(abs(4 * linalg.hs_inner(sic[i], sic[j]) - 1 / 3) < 1e-12)
+                checks.append(abs(4 * hs_inner(sic[i], sic[j]) - 1 / 3) < 1e-12)
     elapsed = time.perf_counter() - t0
     report(1, "catalog algebra", all(checks), elapsed, 1.0, f"{len(checks)} exact checks")
 
@@ -127,7 +128,7 @@ def test_criterion_4_qubit_annealing_reproduces_trine(
         result = annealer.anneal(cfg, initial, qubit_cluster, basis2, qubit_pattern)
         mk = pv.metrics(result.best)
         z = basis2.element(3)
-        z_overlap = max(abs(linalg.hs_inner(e, z)) for e in result.best.elements)
+        z_overlap = max(abs(hs_inner(e, z)) for e in result.best.elements)
         ok = (
             mk.sigma < 0.05
             and mk.delta < 1e-3
@@ -161,7 +162,7 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
         pov, _ = rankone.phases_to_povm(res.phases)
         completeness = np.abs(sum(pov.elements) - np.eye(3)).max()
         overlaps = [
-            linalg.hs_inner(pov.elements[i], pov.elements[j])
+            hs_inner(pov.elements[i], pov.elements[j])
             for i in range(7)
             for j in range(7)
             if i != j

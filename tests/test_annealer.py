@@ -714,8 +714,8 @@ class TestSingularityRule:
     """`objective.log_dacm` raises exactly on the rows `score_variants` skips,
     for T and W0 gathered bit for bit as the step gathers them, and
     `objective.singular_design` on one T's own `slogdet`, as the anneal's
-    start applies it, finds T singular exactly where `log_dacm` raises
-    SingularDesign."""
+    start applies it, and `objective.estimate_state` find T singular exactly
+    where `log_dacm` raises SingularDesign."""
 
     def assert_rule_shared(self, old, new, basis, members, pattern):
         rows = annealer.VariantRows.for_pinned([False] * old.a0.shape[0])
@@ -740,6 +740,13 @@ class TestSingularityRule:
             assert (raised is not None) == table.skipped[v], v
             singular = objective.singular_design(T, np.linalg.slogdet(T)[1])
             assert singular == (raised is SingularDesign), v
+            design_v = objective.DesignMatrix(T, columns.a0[cols])
+            try:
+                objective.estimate_state(np.zeros_like(design_v.a0s), design_v)
+                estimate_raised = False
+            except SingularDesign:
+                estimate_raised = True
+            assert estimate_raised == (raised is SingularDesign), v
         return table.skipped.tolist()
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])

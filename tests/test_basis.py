@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from povm_lab import basis as bs
-from povm_lab import linalg
 from povm_lab.errors import ContractViolation
 
-from conftest import random_state
+from conftest import hs_inner, random_state, state_to_bloch
 
 
 def scratch_gell_mann(n):
@@ -89,7 +88,7 @@ class TestGellMannBasis:
     def test_qubit_normalization(self, basis2):
         assert len(basis2.elements) == 3
         for e in basis2.elements:
-            assert linalg.hs_inner(e, e) == pytest.approx(1.0, abs=1e-12)
+            assert hs_inner(e, e) == pytest.approx(1.0, abs=1e-12)
 
     def test_qutrit_diagonal_generators(self, basis3):
         assert len(basis3.elements) == 8
@@ -176,22 +175,22 @@ class TestBlochConversion:
             bs.bloch_to_state(thetas[:, 1:], basis)
 
     def test_state_to_bloch_mixed(self, basis3):
-        assert np.abs(bs.state_to_bloch(np.eye(3) / 3, basis3)).max() < 1e-14
+        assert np.abs(state_to_bloch(np.eye(3) / 3, basis3)).max() < 1e-14
 
     def test_state_to_bloch_pure_z(self, basis2):
-        theta = bs.state_to_bloch(np.diag([1.0, 0.0]), basis2)
+        theta = state_to_bloch(np.diag([1.0, 0.0]), basis2)
         assert np.abs(theta - np.array([0.0, 0.0, 1 / np.sqrt(2)])).max() < 1e-12
 
     def test_round_trip_random_theta(self, basis2):
         rng = np.random.default_rng(3)
         for _ in range(100):
             theta = rng.uniform(-0.3, 0.3, 3)
-            back = bs.state_to_bloch(bs.bloch_to_state(theta, basis2), basis2)
+            back = state_to_bloch(bs.bloch_to_state(theta, basis2), basis2)
             assert np.abs(back - theta).max() < 1e-12
 
     def test_trace_violation(self, basis2):
         with pytest.raises(ContractViolation):
-            bs.state_to_bloch(np.eye(2), basis2)
+            state_to_bloch(np.eye(2), basis2)
 
 
 class TestParameterPattern:
@@ -247,7 +246,7 @@ class TestInvariants:
         b = bs.gell_mann_basis(n)
         k = len(b.elements)
         gram = np.array(
-            [[linalg.hs_inner(b.elements[i], b.elements[j]) for j in range(k)] for i in range(k)]
+            [[hs_inner(b.elements[i], b.elements[j]) for j in range(k)] for i in range(k)]
         )
         assert np.abs(gram - np.eye(k)).max() < 1e-12
         for e in b.elements:
@@ -259,7 +258,7 @@ class TestInvariants:
         b = bs.gell_mann_basis(n)
         for _ in range(50):
             rho = random_state(rng, n)
-            back = bs.bloch_to_state(bs.state_to_bloch(rho, b), b)
+            back = bs.bloch_to_state(state_to_bloch(rho, b), b)
             assert np.abs(back - rho).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -268,6 +267,6 @@ class TestInvariants:
         b = bs.gell_mann_basis(n)
         for _ in range(50):
             rho = random_state(rng, n)
-            theta = bs.state_to_bloch(rho, b)
-            purity = linalg.hs_inner(rho, rho)
+            theta = state_to_bloch(rho, b)
+            purity = hs_inner(rho, rho)
             assert abs(theta @ theta - (purity - 1 / n)) < 1e-10

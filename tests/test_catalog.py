@@ -10,7 +10,7 @@ from povm_lab.annealer import random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ContractViolation
 
-from conftest import reference_overlaps
+from conftest import hs_inner, reference_overlaps
 
 TENSOR_PATTERN = ParameterPattern.from_known(
     4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
@@ -75,7 +75,7 @@ def reference_report(P, pattern):
     dev = float(np.abs(cross - d).max()) if cross.size else 0.0
     b = gell_mann_basis(pattern.dim)
     quasi = max(
-        abs(linalg.hs_inner(e, b.element(k))) for k in pattern.known_indices for e in P.elements
+        abs(hs_inner(e, b.element(k))) for k in pattern.known_indices for e in P.elements
     )
     complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= catalog.RANK_TOL
     verdict = all((multiple_ok, dev <= catalog.RANK_TOL, quasi <= catalog.RANK_TOL, complete,
@@ -103,7 +103,7 @@ class TestQutritCsic:
         for i in range(7):
             for j in range(7):
                 if i != j:
-                    got = linalg.hs_inner(qutrit_csic.elements[i], qutrit_csic.elements[j])
+                    got = hs_inner(qutrit_csic.elements[i], qutrit_csic.elements[j])
                     assert abs(got - 2 / 49) < 1e-12
 
     def test_conjugation_structure(self, qutrit_csic):
@@ -155,16 +155,16 @@ class TestTheorem1Qubit:
     def test_projection_overlaps(self, trine):
         projections = [1.5 * e for e in trine.elements]
         for i in range(3):
-            assert linalg.hs_inner(projections[i], projections[i]) == pytest.approx(1.0, abs=1e-12)
+            assert hs_inner(projections[i], projections[i]) == pytest.approx(1.0, abs=1e-12)
             for j in range(3):
                 if i != j:
-                    assert linalg.hs_inner(projections[i], projections[j]) == pytest.approx(
+                    assert hs_inner(projections[i], projections[j]) == pytest.approx(
                         0.25, abs=1e-12
                     )
 
     def test_complementary_to_z(self, trine, basis2):
         for e in trine.elements:
-            assert abs(linalg.hs_inner(e, basis2.element(3))) < 1e-12
+            assert abs(hs_inner(e, basis2.element(3))) < 1e-12
 
 
 class TestDim4Catalog:
@@ -174,7 +174,7 @@ class TestDim4Catalog:
         for i in range(4):
             for j in range(4):
                 expected = 1.0 if i == j else 0.0
-                assert linalg.hs_inner(p.elements[i], p.elements[j]) == pytest.approx(
+                assert hs_inner(p.elements[i], p.elements[j]) == pytest.approx(
                     expected, abs=1e-14
                 )
 
@@ -183,7 +183,7 @@ class TestDim4Catalog:
         offdiag = [i for i in range(1, 16) if i not in (3, 12, 15)]
         for idx in offdiag:
             for e in p.elements:
-                assert abs(linalg.hs_inner(e, basis4.element(idx))) < 1e-14
+                assert abs(hs_inner(e, basis4.element(idx))) < 1e-14
 
     def test_sic_tensor_identity(self):
         p = catalog.sic_tensor_identity_dim4()
@@ -194,7 +194,7 @@ class TestDim4Catalog:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert linalg.hs_inner(p.elements[i], p.elements[j]) == pytest.approx(
+                    assert hs_inner(p.elements[i], p.elements[j]) == pytest.approx(
                         1 / 6, abs=1e-12
                     )
 
@@ -204,7 +204,7 @@ class TestDim4Catalog:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert linalg.hs_inner(fs[i], fs[j]) == pytest.approx(1 / 12, abs=1e-12)
+                    assert hs_inner(fs[i], fs[j]) == pytest.approx(1 / 12, abs=1e-12)
 
     def test_qubit_sic_is_the_per_direction_sum(self):
         """One `tensordot` gives the bits of each direction summed in Python
@@ -346,7 +346,7 @@ class TestInvariants:
         for pov, pattern in cases:
             b = gell_mann_basis(pattern.dim)
             oracle = max(
-                abs(linalg.hs_inner(e, b.element(k)))
+                abs(hs_inner(e, b.element(k)))
                 for k in pattern.known_indices
                 for e in pov.elements
             )

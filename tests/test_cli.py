@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import importlib.util
+import inspect
 import logging
 import os
 import random
@@ -1022,3 +1024,16 @@ class TestCommandLine:
         assert cli.main([a.format(cfg=cfg) for a in argv]) == 0
         assert capsys.readouterr() == (f"{cli.USAGE}\n", "")
         assert not (tmp_path / "cfg_out").exists()
+
+
+def test_benchmark_tracer_names_resolve():
+    """perfbench/tracing.py wraps package names it looks up with `getattr`,
+    reads the `OrthonormalBasis.stack` property and calls `rankone.refine` as
+    (initial, config): building its wrappers, without installing them, fails
+    here when a name it pins is gone."""
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrappers = tracing.layer_wrappers(tracing.Tracer(), tracing.SearchClock())
+    assert all(callable(fn) or isinstance(fn, property) for _, _, fn in wrappers)
+    assert list(inspect.signature(rankone.refine).parameters) == ["initial", "config"]

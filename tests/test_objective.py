@@ -8,7 +8,7 @@ from povm_lab.basis import ParameterPattern, assemble_full_vector, bloch_to_stat
 from povm_lab.errors import ContractViolation, NonPositiveObjective, SingularDesign
 from povm_lab.povm import Povm, element_rows
 
-from conftest import coordinate_element
+from conftest import coordinate_element, multinomial_covariance, solve_linear
 
 # golden master: W0 of the analytic qutrit measurement summed over the
 # largest cluster (key (6,3,0), 188 members) of the default g = 7 grid
@@ -29,8 +29,8 @@ def assembled_dacm(design, averaged):
     T^{-1} W0 (T^{-1})^t, built column by column with linear solves."""
     T, W0 = design.T, averaged.W0
     n = T.shape[0]
-    x = np.column_stack([linalg.solve_linear(T, W0[:, j]) for j in range(n)])
-    v = np.column_stack([linalg.solve_linear(T, x.T[:, j]) for j in range(n)]).T
+    x = np.column_stack([solve_linear(T, W0[:, j]) for j in range(n)])
+    v = np.column_stack([solve_linear(T, x.T[:, j]) for j in range(n)]).T
     return linalg.determinant(v)
 
 
@@ -155,22 +155,22 @@ class TestDesignMatrix:
 
 class TestMultinomialCovariance:
     def test_uniform_three(self):
-        w = objective.multinomial_covariance(np.array([1 / 3, 1 / 3, 1 / 3]), 2)
+        w = multinomial_covariance(np.array([1 / 3, 1 / 3, 1 / 3]), 2)
         assert np.abs(w - np.array([[2 / 9, -1 / 9], [-1 / 9, 2 / 9]])).max() < 1e-12
 
     def test_degenerate_outcome(self):
-        w = objective.multinomial_covariance(np.array([0.0, 0.6, 0.4]), 2)
+        w = multinomial_covariance(np.array([0.0, 0.6, 0.4]), 2)
         assert np.abs(w[0]).max() == 0.0 and np.abs(w[:, 0]).max() == 0.0
 
     def test_uniform_seven(self):
-        w = objective.multinomial_covariance(np.full(7, 1 / 7), 6)
+        w = multinomial_covariance(np.full(7, 1 / 7), 6)
         assert np.abs(np.diag(w) - 6 / 49).max() < 1e-12
         off = w[~np.eye(6, dtype=bool)]
         assert np.abs(off + 1 / 49).max() < 1e-12
 
     def test_n_too_large(self):
         with pytest.raises(ContractViolation):
-            objective.multinomial_covariance(np.array([0.5, 0.5]), 2)
+            multinomial_covariance(np.array([0.5, 0.5]), 2)
 
 
 class TestAveragedCovariance:
@@ -181,7 +181,7 @@ class TestAveragedCovariance:
         )
         av = objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
         rho = bloch_to_state(cluster.members[0], basis2)
-        w = objective.multinomial_covariance(
+        w = multinomial_covariance(
             objective.outcome_probabilities(trine, rho), 2
         )
         assert np.abs(av.W0 - w).max() < 1e-14
@@ -196,7 +196,7 @@ class TestAveragedCovariance:
         for u in pair:
             rho = bloch_to_state(assemble_full_vector(qubit_pattern, u), basis2)
             parts.append(
-                objective.multinomial_covariance(
+                multinomial_covariance(
                     objective.outcome_probabilities(trine, rho), 2
                 )
             )
@@ -368,7 +368,7 @@ class TestInvariants:
         assert linalg.hermitian_eigenvalues(av.W0.astype(complex))[-1] >= -1e-9
         theta = np.array([0.3, 0.1])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
-        w = objective.multinomial_covariance(
+        w = multinomial_covariance(
             objective.outcome_probabilities(trine, rho), 2
         )
         assert np.abs(w - w.T).max() == 0.0

@@ -10,7 +10,7 @@ from povm_lab.annealer import AnnealChain, AnnealConfig, FreeElements, random_in
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ClosureNotPositive, ContractViolation
 
-from conftest import overlap_tolerance, reference_overlaps
+from conftest import hs_inner, overlap_tolerance, reference_overlaps
 
 # eigvalsh and the Jacobi iteration, and two summation orders of an overlap,
 # differ by a few ulps of the element scale (at most 1 here)
@@ -466,7 +466,7 @@ class TestInvariants:
         povms = [qutrit_csic, trine] + [self._random_valid_povm(rng, basis2, 3) for _ in range(5)]
         for p in povms:
             for i, ei in enumerate(p.elements):
-                total = sum(linalg.hs_inner(ei, ej) for ej in p.elements)
+                total = sum(hs_inner(ei, ej) for ej in p.elements)
                 assert abs(total - ei.trace().real) < 1e-9
 
     def test_metrics_permutation_invariant(self, qutrit_csic, trine, basis2):

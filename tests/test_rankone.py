@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from povm_lab import catalog, linalg, povm, rankone
+from povm_lab import catalog, povm, rankone
 from povm_lab.annealer import AnnealConfig
 from povm_lab.errors import ContractViolation
+
+from conftest import hs_inner
 
 
 RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
@@ -141,7 +143,7 @@ class TestRefine:
         pov, violations = rankone.phases_to_povm(res.phases)
         assert violations == []
         overlaps = [
-            linalg.hs_inner(pov.elements[i], pov.elements[j])
+            hs_inner(pov.elements[i], pov.elements[j])
             for i in range(7)
             for j in range(7)
             if i != j
@@ -290,7 +292,7 @@ class TestInvariants:
         for i in range(7):
             raw = phi.phases.copy()
             raw[i, :] += 1.234
-            refixed = rankone.from_raw(3, raw)
+            refixed = rankone.PhaseConfiguration(3, 7, rankone.gauge_fix(raw))
             pov, _ = rankone.phases_to_povm(refixed)
             assert np.abs(pov.elements[i] - base.elements[i]).max() < 1e-12
 
@@ -301,7 +303,7 @@ class TestInvariants:
             pov, _ = rankone.phases_to_povm(phi)
             d = np.diag(rng.normal(size=3)).astype(complex)
             for e in pov.elements:
-                assert abs(linalg.hs_inner(e, d) - d.trace().real / 7) < 1e-14
+                assert abs(hs_inner(e, d) - d.trace().real / 7) < 1e-14
 
     def test_polish_monotone(self):
         rng = np.random.default_rng(5)
@@ -333,15 +335,3 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ContractViolation, match=message):
             rankone.read_phases(path)
-
-    def test_from_raw_takes_a_list_and_checks_dim(self):
-        raw = [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
-        assert rankone.from_raw(3, raw).phases.shape == (2, 3)
-        with pytest.raises(ContractViolation, match=r"shape \(2, 3\)"):
-            rankone.from_raw(2, raw)
-        with pytest.raises(ContractViolation, match=r"shape \(3,\)"):
-            rankone.from_raw(3, raw[1])
-
-    def test_from_raw_ragged_rows_are_a_typed_failure(self):
-        with pytest.raises(ContractViolation, match=r"not an \(m, 3\) array"):
-            rankone.from_raw(3, [[0, 0, 0], [1, 2]])
