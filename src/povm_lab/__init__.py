@@ -2,7 +2,7 @@
 
 Modules:
     linalg      dense Hermitian eigenvalues and PSD tests, determinants
-    basis       orthonormal Hermitian operator bases, Bloch conversions
+    basis       orthonormal Hermitian operator bases, Bloch conversions, the parameter pattern
     povm        POVMs as element matrices: closure, validation, diagnostics, file format
     statespace  constrained-state grids and eigenvalue clustering
     objective   estimator design matrix, averaged covariance, DACM

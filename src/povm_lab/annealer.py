@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .basis import OrthonormalBasis, ParameterPattern
+from .basis import OrthonormalBasis, ParameterPattern, gell_mann_basis
 from .errors import (
     ClosureNotPositive,
     ConfigurationError,
@@ -323,14 +323,14 @@ def perturb_element(
     s: float,
     rng,
     basis: OrthonormalBasis,
-    max_resample: int = MAX_RESAMPLE,
 ) -> tuple[float, np.ndarray]:
     """Gaussian move (a0, a) -> (a0', a') of one element's coordinates,
     resampled into the PSD region.
 
     The direction vector `a` is redrawn until I + a.sigma is PSD; a0 gets the
     same noise truncated to stay positive.  Raises ResampleExhausted when the
-    attempt budget runs out (callers keep the old element in that case).
+    attempt budget, MAX_RESAMPLE draws for a and as many for a0, runs out
+    (callers keep the old element in that case).
 
     An attempt is decided in closed form by `linalg.psd_verdict` on the
     entries of a.sigma, since I + a.sigma >= -tol I exactly when
@@ -343,7 +343,7 @@ def perturb_element(
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
     dim, entry_map = basis.dim, basis.entry_map
     new_a = None
-    for _ in range(max_resample):
+    for _ in range(MAX_RESAMPLE):
         cand = a + rng.normal(0.0, s, a.shape[0])
         entries = (entry_map @ cand).tolist()
         yes, no = linalg.psd_verdict(entries, dim, 1.0 + PERTURB_PSD_TOL)
@@ -359,12 +359,12 @@ def perturb_element(
         new_a = cand
         break
     if new_a is None:
-        raise ResampleExhausted(f"no PSD draw for a in {max_resample} attempts")
-    for _ in range(max_resample):
+        raise ResampleExhausted(f"no PSD draw for a in {MAX_RESAMPLE} attempts")
+    for _ in range(MAX_RESAMPLE):
         cand = a0 + rng.normal(0.0, s)
         if 0 < cand < math.inf:
             return cand, new_a
-    raise ResampleExhausted(f"no positive a0 draw in {max_resample} attempts")
+    raise ResampleExhausted(f"no positive a0 draw in {MAX_RESAMPLE} attempts")
 
 
 def enumerate_variants(old, new):
@@ -393,7 +393,6 @@ def score_variants(
     old: FreeElements,
     new: FreeElements,
     rows: VariantRows,
-    basis: OrthonormalBasis,
     members: np.ndarray,
     pattern: ParameterPattern,
 ) -> VariantTable:
@@ -417,6 +416,7 @@ def score_variants(
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
     n_free = old.a0.shape[0]
+    basis = gell_mann_basis(pattern.dim)
     columns = old.join(new)
     a0, A = columns.a0, columns.A  # (2N,), (2N, n^2-1)
     probs = (1.0 + members @ A.T) * a0  # (k, 2N) probability columns over the cluster
@@ -478,23 +478,19 @@ def _in_range(p: np.ndarray) -> bool:
     return p.min() >= -PROB_RANGE_TOL and p.max() <= 1 + PROB_RANGE_TOL
 
 
-def random_initial_povm(
-    pattern: ParameterPattern,
-    basis: OrthonormalBasis,
-    rng,
-    scale: float = INIT_SCALE,
-) -> Povm:
+def random_initial_povm(pattern: ParameterPattern, rng, scale: float = INIT_SCALE) -> Povm:
     """A valid interior starting POVM with m = N + 1 equal-weight elements:
     the N free elements (1 + a . sigma) / m with every a drawn from
     N(0, scale^2), redrawn until the design matrix passes the objective's own
     `singular_design` rule; ContractViolation unless 0 < scale < inf."""
     if not 0 < scale < math.inf:
         raise ContractViolation(f"initial scale must be positive and finite, got {scale}")
+    basis = gell_mann_basis(pattern.dim)
     n_free = pattern.unknown_count
     m = n_free + 1
-    dim_coords = basis.dim**2 - 1
     for _ in range(INIT_MAX_TRIES):
-        A = np.array([rng.normal(0.0, scale, dim_coords) for _ in range(n_free)])
+        # one draw of N rows takes the same stream as N draws of a row
+        A = rng.normal(0.0, scale, (n_free, basis.dim**2 - 1))
         # I + a . sigma of every element, tested here and scaled by 1/m below
         units = basis.expand(A) + basis.identity
         if not (linalg.spectra(units)[:, -1] > 1e-8).all():
@@ -514,7 +510,8 @@ class AnnealChain:
     """The chain between steps: its current and best states as free elements
     (`state`, `best_state`) with their log DACM (`cur_log`, `best_log`), the run
     counters (`counts`, keyed by `RUN_COUNTERS`) and the row tables of each
-    pinned-position mask (`rows`).
+    pinned-position mask (`rows`).  `basis` is the pattern's
+    `gell_mann_basis`, kept for the helpers that take a basis and no pattern.
 
     Each step reuses `state` as the old side of its table.  `state` changes
     only when a move is accepted, and `best_state` only when a step lowers
@@ -524,14 +521,10 @@ class AnnealChain:
     """
 
     def __init__(
-        self,
-        config: AnnealConfig,
-        initial: Povm,
-        cluster: Cluster,
-        basis: OrthonormalBasis,
-        pattern: ParameterPattern,
+        self, config: AnnealConfig, initial: Povm, cluster: Cluster, pattern: ParameterPattern
     ):
-        self.config, self.cluster, self.basis, self.pattern = config, cluster, basis, pattern
+        self.config, self.cluster, self.pattern = config, cluster, pattern
+        self.basis = basis = gell_mann_basis(pattern.dim)
         self.rng = np.random.default_rng(config.rng_seed)
         n_free = pattern.unknown_count
         if initial.m != n_free + 1:
@@ -551,7 +544,7 @@ class AnnealChain:
         X = element_rows(initial.elements[:n_free], basis)
         self.cur_log = log_dacm(
             DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0]),
-            averaged_covariance(initial, cluster, basis, pattern),
+            averaged_covariance(initial, cluster, pattern),
         )
         self.best_log = self.cur_log
         a0 = X[:, 0]
@@ -581,7 +574,7 @@ class AnnealChain:
         pinned = [False] * a0.shape[0]
         for i, (c0, c) in enumerate(zip(old.a0.tolist(), old.A)):
             try:
-                a0[i], A[i] = perturb_element(c0, c, s, rng, basis, max_resample=MAX_RESAMPLE)
+                a0[i], A[i] = perturb_element(c0, c, s, rng, basis)
             except ResampleExhausted:  # keep the old element at a pinned position
                 counts["resample_exhausted"] += 1
                 pinned[i] = True
@@ -589,7 +582,7 @@ class AnnealChain:
         rows = self.rows.get(pinned)
         if rows is None:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
-        table = score_variants(old, FreeElements(a0, A), rows, basis, members, self.pattern)
+        table = score_variants(old, FreeElements(a0, A), rows, members, self.pattern)
         counts["variants_enumerated"] += table.closed.shape[0]
         counts["closure_rejected"] += table.closed.size - int(np.count_nonzero(table.closed))
         counts["skipped_variants"] += int(np.count_nonzero(table.skipped))
@@ -623,14 +616,10 @@ class AnnealChain:
 
 
 def anneal(
-    config: AnnealConfig,
-    initial: Povm,
-    cluster: Cluster,
-    basis: OrthonormalBasis,
-    pattern: ParameterPattern,
+    config: AnnealConfig, initial: Povm, cluster: Cluster, pattern: ParameterPattern
 ) -> AnnealResult:
     """Run the annealing chain; fixed seed gives a bit-identical trace."""
-    chain = AnnealChain(config, initial, cluster, basis, pattern)
+    chain = AnnealChain(config, initial, cluster, pattern)
     trace = []
     for t in range(config.total_steps):
         s, temp = config.schedule(t)

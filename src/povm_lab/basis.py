@@ -1,4 +1,4 @@
-"""Orthonormal Hermitian operator bases and Bloch-vector conversions.
+"""Orthonormal Hermitian operator bases, Bloch-vector conversions and the parameter pattern.
 
 The basis is the generalized Gell-Mann family for n = 2, 3 and the tensor
 Pauli family {sigma_i (x) sigma_j / 2} for n = 4, scaled so that
@@ -16,15 +16,20 @@ Index map (1-based, used by configs and the CLI `gridinfo` echo):
   skipping (0,0), so index = 4*i + j.
 
 The generators are one read-only (n^2-1, n, n) array, filled by one formula
-per family and built once per process: every caller (the anneal's setup,
+per family and built once per process: every caller (the grid, the anneal,
 refine's diagonal check, the report's known directions) gets the one cached
 `gell_mann_basis(n)`, whose derived arrays are read-only too.  `stack` stays a
 property returning that array so that wrapping its getter counts its reads.
+
+A `ParameterPattern` states the whole problem, a dimension and the known
+indices with their values; it determines its unknowns and its basis, so a
+function given a pattern takes no basis and reads `gell_mann_basis(pattern.dim)`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -152,43 +157,47 @@ def bloch_to_state(theta, basis: OrthonormalBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParameterPattern:
-    """Split of the basis indices (1-based) into unknown and known-with-value.
+    """The problem: a dimension and the basis indices (1-based) whose values
+    are known, paired with those values and sorted by index.
 
-    `unknown_positions` and `known_positions` are the same indices 0-based, as
-    read-only index arrays built once.
+    The unknowns are every other index in 1..n^2-1, in increasing order, and
+    the basis is `gell_mann_basis(dim)`, so a function given a pattern needs
+    neither.  `unknown_positions` and `known_positions` are the indices
+    0-based, as read-only index arrays built once.  Patterns compare and hash
+    by (dim, known_indices, known_values).
     """
 
     dim: int
-    unknown_indices: tuple
     known_indices: tuple = ()
-    known_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    known_values: tuple = ()
 
+    unknown_indices: tuple = field(init=False, compare=False)
     unknown_positions: np.ndarray = field(init=False, repr=False, compare=False)
     known_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.dim**2 - 1
-        unknown = tuple(int(i) for i in self.unknown_indices)
-        known = tuple(int(i) for i in self.known_indices)
-        object.__setattr__(self, "unknown_indices", unknown)
-        object.__setattr__(self, "known_indices", known)
-        object.__setattr__(
-            self, "known_values", np.asarray(self.known_values, dtype=float)
-        )
+        if len(self.known_values) != len(self.known_indices):
+            raise ContractViolation("known_values must align with known_indices")
+        pairs = sorted(zip(self.known_indices, self.known_values), key=lambda p: p[0])
+        known = tuple(int(i) for i, _ in pairs)
+        values = tuple(float(v) for _, v in pairs)
+        unknown = tuple(i for i in range(1, total + 1) if i not in known)
         if len(unknown) < 1:
             raise ContractViolation("at least one unknown parameter is required")
         if sorted(unknown + known) != list(range(1, total + 1)):
             raise ContractViolation(
                 f"unknown {unknown} and known {known} must partition 1..{total}"
             )
-        if self.known_values.shape != (len(known),):
-            raise ContractViolation("known_values must align with known_indices")
-        if not np.all(np.isfinite(self.known_values)):
+        if not all(math.isfinite(v) for v in values):
             raise ContractViolation("known_values must be finite")
+        derived = {"known_indices": known, "known_values": values, "unknown_indices": unknown}
         for name, indices in (("unknown_positions", unknown), ("known_positions", known)):
             positions = np.array(indices, dtype=np.intp) - 1
             positions.setflags(write=False)
-            object.__setattr__(self, name, positions)
+            derived[name] = positions
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def unknown_count(self) -> int:
@@ -196,12 +205,7 @@ class ParameterPattern:
 
     @classmethod
     def from_known(cls, dim: int, known: Mapping[int, float]) -> "ParameterPattern":
-        known_idx = tuple(sorted(known))
-        unknown = tuple(
-            i for i in range(1, dim**2) if i not in set(known_idx)
-        )
-        values = np.array([known[i] for i in known_idx], dtype=float)
-        return cls(dim, unknown, known_idx, values)
+        return cls(dim, tuple(known), tuple(known.values()))
 
 
 def assemble_full_vector(pattern: ParameterPattern, unknown_coords) -> np.ndarray:

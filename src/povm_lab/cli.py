@@ -18,6 +18,7 @@ took about a third of a cold `refine` call's wall time.
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import os
@@ -188,14 +189,8 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         )
     if known_idx is None:
         known_idx, known_val = list(DEFAULT_KNOWN[dim]), list(DEFAULT_KNOWN[dim].values())
-    # sorted by index; ParameterPattern's partition and alignment checks reject
-    # out-of-range and duplicate indices and the unpaired entries left at the end
-    pairs = sorted(zip(known_idx, known_val))
-    known = [i for i, _ in pairs] + known_idx[len(pairs) :]
-    values = [v for _, v in pairs] + known_val[len(pairs) :]
-    unknown = [i for i in range(1, dim**2) if i not in known]
     try:
-        cfg.pattern = ParameterPattern(dim, unknown, known, values)
+        cfg.pattern = ParameterPattern(dim, known_idx, known_val)
     except PovmLabError as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -225,11 +220,11 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     return cfg
 
 
-def _build_cluster(cfg: ExperimentConfig, b):
+def _build_cluster(cfg: ExperimentConfig):
     bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.dim)
     spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
-    clusters = cluster_states(generate_grid(spec, b), cfg.grid_cells, b)
-    cl = select_cluster(clusters, cfg.theta_ref, b, cfg.pattern)
+    clusters = cluster_states(generate_grid(spec), cfg.grid_cells, gell_mann_basis(cfg.dim))
+    cl = select_cluster(clusters, cfg.theta_ref, cfg.pattern)
     log.info("cluster %s with %d members", cl.key, cl.size)
     return clusters, cl
 
@@ -262,13 +257,12 @@ def _log_phase_seconds(*clock: float) -> None:
 
 def _run_anneal(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    b = gell_mann_basis(cfg.dim)
-    _, cl = _build_cluster(cfg, b)
+    _, cl = _build_cluster(cfg)
     init_rng = np.random.default_rng([cfg.anneal.rng_seed, 1])
-    initial = random_initial_povm(cfg.pattern, b, init_rng, cfg.init_scale)
+    initial = random_initial_povm(cfg.pattern, init_rng, cfg.init_scale)
     os.makedirs(cfg.output_dir, exist_ok=True)
     search_start = time.perf_counter()
-    result = anneal(cfg.anneal, initial, cl, b, cfg.pattern)
+    result = anneal(cfg.anneal, initial, cl, cfg.pattern)
     search_end = time.perf_counter()
     write_trace(result.trace, os.path.join(cfg.output_dir, "trace.csv"))
     lines = [
@@ -328,14 +322,14 @@ def _run_refine(cfg: ExperimentConfig) -> int:
 
 
 def _run_gridinfo(cfg: ExperimentConfig) -> int:
-    b = gell_mann_basis(cfg.dim)
     # an invalid grid fails here, before anything is printed
-    clusters, selected = _build_cluster(cfg, b)
+    clusters, selected = _build_cluster(cfg)
+    b = gell_mann_basis(cfg.dim)
     print(f"# basis index map (dim = {cfg.dim})")
     for i, label in enumerate(b.labels, 1):
         tag = ""
         if i in cfg.pattern.known_indices:
-            v = float(cfg.pattern.known_values[cfg.pattern.known_indices.index(i)])
+            v = cfg.pattern.known_values[cfg.pattern.known_indices.index(i)]
             tag = f"\tknown = {v!r}"
         print(f"{i}\t{label}{tag}")
     print(f"# clusters (cells = {cfg.grid_cells})")
@@ -526,6 +520,12 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
+    # What the imports built (numpy's modules above all) outlives the run.
+    # Frozen, it is left out of the run's garbage collections, so one that
+    # falls in setup or search scans only the run's own objects, not the
+    # ~2 x 10^4 import-time ones (about 1 ms a collection on a 2-core VM).
+    # Refcounting still frees frozen objects.
+    gc.freeze()
     _setup_logging()
     try:
         parsed = _parse_args(sys.argv[1:] if argv is None else argv)

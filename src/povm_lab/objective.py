@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OrthonormalBasis, ParameterPattern
+from .basis import ParameterPattern, gell_mann_basis
 from .errors import ContractViolation, NonPositiveObjective, SingularDesign
 from .povm import Povm, element_rows, overlap_matrix
 from .statespace import Cluster
@@ -79,23 +79,18 @@ def check_simplex(p: np.ndarray, name) -> None:
         )
 
 
-def design_matrix(P: Povm, pattern: ParameterPattern, basis: OrthonormalBasis) -> DesignMatrix:
+def design_matrix(P: Povm, pattern: ParameterPattern) -> DesignMatrix:
     """Design matrix of a Povm, read off the `element_rows` of its first N elements."""
-    X = element_rows(P.elements[: pattern.unknown_count], basis)
+    X = element_rows(P.elements[: pattern.unknown_count], gell_mann_basis(pattern.dim))
     return DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0])
 
 
-def averaged_covariance(
-    P: Povm,
-    cluster: Cluster,
-    basis: OrthonormalBasis,
-    pattern: ParameterPattern,
-) -> AveragedCovariance:
+def averaged_covariance(P: Povm, cluster: Cluster, pattern: ParameterPattern) -> AveragedCovariance:
     """W0 = sum over cluster members of the multinomial covariance at that state."""
     members = cluster.members
     if members.shape[0] == 0:
         raise ContractViolation("cluster has no members")
-    X = element_rows(P.elements, basis)
+    X = element_rows(P.elements, gell_mann_basis(pattern.dim))
     probs = X[:, 0] + members @ X[:, 1:].T  # (k, m)
     check_simplex(probs, lambda i: f"cluster member {i}")
     n_unknown = pattern.unknown_count

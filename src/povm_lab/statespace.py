@@ -30,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .basis import OrthonormalBasis, ParameterPattern, assemble_full_vector, bloch_to_state
+from .basis import (
+    OrthonormalBasis,
+    ParameterPattern,
+    assemble_full_vector,
+    bloch_to_state,
+    gell_mann_basis,
+)
 from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
 GRID_PSD_TOL = 1e-10
@@ -62,9 +68,9 @@ class GridSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
-    """Grid states sharing an eigenvalue cell signature."""
+    """Grid states sharing an eigenvalue cell signature; compared by identity."""
 
     key: tuple
     members: np.ndarray  # (k, n^2 - 1) full Bloch vectors
@@ -100,8 +106,9 @@ def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
     return np.clip(np.floor(scaled), 0, cells - 1).astype(int)
 
 
-def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
-    """All PSD grid states as rows of full Bloch vectors, in axis-lexicographic order.
+def generate_grid(spec: GridSpec) -> np.ndarray:
+    """All PSD grid states of the spec's pattern as rows of full Bloch vectors,
+    in axis-lexicographic order.
 
     The grid grows one unknown axis at a time as flat grid indices with their
     running sums of squares; a prefix whose sum already leaves the Bloch ball
@@ -111,6 +118,7 @@ def generate_grid(spec: GridSpec, basis: OrthonormalBasis) -> np.ndarray:
     keeps the PSD ones.
     """
     pattern = spec.pattern
+    basis = gell_mann_basis(pattern.dim)
     g = spec.points_per_axis
     axis = np.linspace(-spec.bound, spec.bound, g)
     template = np.zeros(basis.dim**2 - 1)
@@ -168,10 +176,7 @@ def cluster_states(states, cells: int, basis: OrthonormalBasis) -> dict:
 
 
 def select_cluster(
-    clusters: dict,
-    theta_ref=None,
-    basis: OrthonormalBasis | None = None,
-    pattern: ParameterPattern | None = None,
+    clusters: dict, theta_ref=None, pattern: ParameterPattern | None = None
 ) -> Cluster:
     """Pick the cluster to average over.
 
@@ -184,10 +189,11 @@ def select_cluster(
         raise EmptyClusterSelection("no clusters to select from")
     if theta_ref is None:
         return min(clusters.values(), key=lambda c: (-c.size, c.key))
-    if basis is None or pattern is None:
-        raise ContractViolation("selecting by theta_ref needs basis and pattern")
+    if pattern is None:
+        raise ContractViolation("selecting by theta_ref needs the pattern")
     cells = next(iter(clusters.values())).cell_count
-    evals = linalg.spectra(bloch_to_state(assemble_full_vector(pattern, theta_ref), basis))
+    theta = assemble_full_vector(pattern, theta_ref)
+    evals = linalg.spectra(bloch_to_state(theta, gell_mann_basis(pattern.dim)))
     if evals[-1] < -GRID_PSD_TOL:
         raise ConfigurationError(
             f"theta_ref is not a state: rho has eigenvalue {evals[-1]:.6g} < -{GRID_PSD_TOL:g}"

@@ -83,9 +83,9 @@ def test_criterion_2_dacm_oracle_equivalence(
     for b, pattern, cluster, count in cases:
         for k in range(count):
             rng = np.random.default_rng([1000 + b.dim, k])
-            pov = annealer.random_initial_povm(pattern, b, rng, scale=0.12)
-            design = objective.design_matrix(pov, pattern, b)
-            averaged = objective.averaged_covariance(pov, cluster, b, pattern)
+            pov = annealer.random_initial_povm(pattern, rng, scale=0.12)
+            design = objective.design_matrix(pov, pattern)
+            averaged = objective.averaged_covariance(pov, cluster, pattern)
             direct = objective.dacm(design, averaged)
             oracle = assembled_dacm(design, averaged)
             worst = max(worst, abs(direct - oracle) / abs(oracle))
@@ -100,7 +100,7 @@ def test_criterion_3_estimator_unbiasedness(trine, basis2, qubit_pattern):
     theta = np.array([0.3, 0.1])
     rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
     p = objective.outcome_probabilities(trine, rho)
-    design = objective.design_matrix(trine, qubit_pattern, basis2)
+    design = objective.design_matrix(trine, qubit_pattern)
     rng = np.random.default_rng(42)
     counts = rng.multinomial(100_000, p, size=1000)
     estimates = np.array(
@@ -117,15 +117,15 @@ def test_criterion_4_qubit_annealing_reproduces_trine(
     basis2, qubit_pattern, qubit_cluster, trine
 ):
     t0 = time.perf_counter()
-    design = objective.design_matrix(trine, qubit_pattern, basis2)
-    averaged = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
+    design = objective.design_matrix(trine, qubit_pattern)
+    averaged = objective.averaged_covariance(trine, qubit_cluster, qubit_pattern)
     dacm_trine = objective.dacm(design, averaged)
     successes = []
     for seed in (101, 202, 303):
         rng = np.random.default_rng([seed, 1])
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng, 0.05)
+        initial = annealer.random_initial_povm(qubit_pattern, rng, 0.05)
         cfg = annealer.AnnealConfig(total_steps=20000, rng_seed=seed)
-        result = annealer.anneal(cfg, initial, qubit_cluster, basis2, qubit_pattern)
+        result = annealer.anneal(cfg, initial, qubit_cluster, qubit_pattern)
         mk = pv.metrics(result.best)
         z = basis2.element(3)
         z_overlap = max(abs(hs_inner(e, z)) for e in result.best.elements)
@@ -145,13 +145,11 @@ def test_criterion_4_qubit_annealing_reproduces_trine(
 
 @pytest.mark.acceptance
 def test_criterion_5_qutrit_refinement_reproduces_csic(
-    basis3, qutrit_pattern, qutrit_default_cluster, qutrit_csic
+    qutrit_pattern, qutrit_default_cluster, qutrit_csic
 ):
     t0 = time.perf_counter()
-    analytic_design = objective.design_matrix(qutrit_csic, qutrit_pattern, basis3)
-    analytic_av = objective.averaged_covariance(
-        qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern
-    )
+    analytic_design = objective.design_matrix(qutrit_csic, qutrit_pattern)
+    analytic_av = objective.averaged_covariance(qutrit_csic, qutrit_default_cluster, qutrit_pattern)
     dacm_analytic = objective.dacm(analytic_design, analytic_av)
     success = False
     details = []
@@ -169,8 +167,8 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
         ]
         overlap_dev = max(abs(o - 2 / 49) for o in overlaps)
         d = objective.dacm(
-            objective.design_matrix(pov, qutrit_pattern, basis3),
-            objective.averaged_covariance(pov, qutrit_default_cluster, basis3, qutrit_pattern),
+            objective.design_matrix(pov, qutrit_pattern),
+            objective.averaged_covariance(pov, qutrit_default_cluster, qutrit_pattern),
         )
         rel = abs(d - dacm_analytic) / dacm_analytic
         ok = (
@@ -193,15 +191,13 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
     t0 = time.perf_counter()
     pattern = dim4_diag_unknown_pattern
     spec = statespace.GridSpec(7, bloch_radius_bound(4), pattern)
-    clusters = statespace.cluster_states(
-        statespace.generate_grid(spec, basis4), 10, basis4
-    )
+    clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis4)
     cluster = statespace.select_cluster(clusters)
     units = catalog.diag_units_dim4()
     coords = [(x[0], x[1:] / x[0]) for x in pv.element_rows(units.elements, basis4)]
     base = objective.dacm(
-        objective.design_matrix(units, pattern, basis4),
-        objective.averaged_covariance(units, cluster, basis4, pattern),
+        objective.design_matrix(units, pattern),
+        objective.averaged_covariance(units, cluster, pattern),
     )
     unknown_pos = [i - 1 for i in pattern.unknown_indices]
     rng = np.random.default_rng(2024)
@@ -233,8 +229,8 @@ def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
         except ClosureNotPositive:
             continue
         d = objective.dacm(
-            objective.design_matrix(cand, pattern, basis4),
-            objective.averaged_covariance(cand, cluster, basis4, pattern),
+            objective.design_matrix(cand, pattern),
+            objective.averaged_covariance(cand, cluster, pattern),
         )
         total += 1
         if d >= base:

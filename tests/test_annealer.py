@@ -109,11 +109,11 @@ class TestAnnealConfig:
         for t in (80, 160):
             assert config.schedule(t) == (0.15 * 0.999**t, 0.5 * 0.99**t * 3.0)
 
-    def test_trace_records_the_schedule(self, basis2, qubit_pattern, qubit_cluster):
+    def test_trace_records_the_schedule(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(19)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         config = small_config(total_steps=170)
-        res = annealer.anneal(config, initial, qubit_cluster, basis2, qubit_pattern)
+        res = annealer.anneal(config, initial, qubit_cluster, qubit_pattern)
         assert [(r.s, r.temperature) for r in res.trace] == [
             config.schedule(r.step) for r in res.trace
         ]
@@ -134,10 +134,11 @@ class TestPerturbElement:
         assert one[0] == two[0]
         assert np.array_equal(one[1], two[1])
 
-    def test_boundary_acceptance_fraction(self, basis2):
+    def test_boundary_acceptance_fraction(self, basis2, monkeypatch):
         # element on the boundary of the positive region; success frequency of
         # single-draw direction perturbations must match an independent
         # estimate of the PSD acceptance region measured with a different seed
+        monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         c0, c = TRINE_COORDS[0]
         s = 0.5
         successes = 0
@@ -145,7 +146,7 @@ class TestPerturbElement:
         rng = np.random.default_rng(123)
         for _ in range(trials):
             try:
-                annealer.perturb_element(c0, c, s, rng, basis2, max_resample=1)
+                annealer.perturb_element(c0, c, s, rng, basis2)
             except ResampleExhausted as exc:
                 if "no PSD draw for a" in str(exc):
                     continue
@@ -157,17 +158,17 @@ class TestPerturbElement:
         expected = float(np.mean(np.linalg.norm(draws, axis=1) <= np.sqrt(2.0)))
         assert abs(observed - expected) <= 0.05
 
-    def test_resample_exhausted(self, basis2):
+    def test_resample_exhausted(self, basis2, monkeypatch):
+        monkeypatch.setattr(annealer, "MAX_RESAMPLE", 3)
         rng = np.random.default_rng(1)
         with pytest.raises(ResampleExhausted):
-            annealer.perturb_element(
-                0.3, np.array([np.sqrt(2), 0.0, 0.0]), 50.0, rng, basis2, max_resample=3
-            )
+            annealer.perturb_element(0.3, np.array([np.sqrt(2), 0.0, 0.0]), 50.0, rng, basis2)
 
 
     def test_minor_verdict_keeps_every_draw(self, basis2, basis3, monkeypatch):
         """Every result and the RNG stream are those of a run that sends every
         attempt to the diagonal check and `eigvalsh`."""
+        monkeypatch.setattr(annealer, "MAX_RESAMPLE", 4)
         verdict = linalg.psd_verdict
         band = [0]
 
@@ -188,9 +189,7 @@ class TestPerturbElement:
                     for seed in range(8):
                         rng = np.random.default_rng(seed)
                         try:
-                            a0, a = annealer.perturb_element(
-                                c0, c, s, rng, basis, max_resample=4
-                            )
+                            a0, a = annealer.perturb_element(c0, c, s, rng, basis)
                             out.append((a0, tuple(a.tolist())))
                         except ResampleExhausted:
                             out.append("exhausted")
@@ -231,8 +230,9 @@ class TestPerturbedCoordinates:
         rng = np.random.default_rng(seed)
         try:
             # near the float range the draws overflow on the way to being redrawn
-            with np.errstate(over="ignore", invalid="ignore"):
-                out_a0, out_a = annealer.perturb_element(a0, a, s, rng, basis, max_resample=5)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(annealer, "MAX_RESAMPLE", 5)
+                out_a0, out_a = annealer.perturb_element(a0, a, s, rng, basis)
         except ResampleExhausted:
             return
         assert out_a.dtype == np.float64 and out_a.shape == a.shape
@@ -265,7 +265,7 @@ class TestEnumerateVariants:
 
     def test_qutrit_variant_count(self, basis3, qutrit_pattern):
         rng = np.random.default_rng(3)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng, scale=0.03)
         olds = free_coordinates(initial, basis3)
         news = perturbed(olds, 0.005, rng, basis3)
         out = annealer.enumerate_variants(*element_matrices(olds, news, basis3))
@@ -291,21 +291,22 @@ class TestEnumerateVariants:
 
 class TestRandomInitialPovm:
     @pytest.mark.parametrize("scale", [-0.1, 0.0, math.nan, math.inf])
-    def test_bad_scale_rejected(self, basis2, qubit_pattern, scale):
+    def test_bad_scale_rejected(self, qubit_pattern, scale):
         with pytest.raises(ContractViolation, match="initial scale must be positive and finite"):
-            annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(0), scale)
+            annealer.random_initial_povm(qubit_pattern, np.random.default_rng(0), scale)
 
-    def test_retry_after_failed_design_check_keeps_scale(
-        self, basis2, qubit_pattern, monkeypatch
-    ):
+    def test_retry_after_failed_design_check_keeps_scale(self, qubit_pattern, monkeypatch):
         class RecordingRng:
             def __init__(self):
                 self.rng = np.random.default_rng(22)
                 self.scales = []
+                self.rows = 0
 
             def normal(self, loc, scale, size=None):
                 self.scales.append(scale)
-                return self.rng.normal(loc, scale, size)
+                draw = self.rng.normal(loc, scale, size)
+                self.rows += draw.size // 3  # direction rows of n^2 - 1 = 3 coordinates
+                return draw
 
         singular_design = annealer.singular_design
         calls = []
@@ -316,9 +317,9 @@ class TestRandomInitialPovm:
 
         monkeypatch.setattr(annealer, "singular_design", fail_first)
         rng = RecordingRng()
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng, scale=0.03)
+        initial = annealer.random_initial_povm(qubit_pattern, rng, scale=0.03)
         assert len(calls) == 2  # one failed design check, then the retry passes
-        assert len(rng.scales) >= 2 * qubit_pattern.unknown_count
+        assert rng.rows >= 2 * qubit_pattern.unknown_count
         assert rng.scales == [0.03] * len(rng.scales)
         assert pv.validate(initial, 1e-9) == []
 
@@ -351,23 +352,19 @@ class TestGlauberAccept:
 
 
 class TestAnneal:
-    def test_zero_steps(self, basis2, qubit_pattern, qubit_cluster):
+    def test_zero_steps(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(11)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=0), initial, qubit_cluster, qubit_pattern)
         assert res.trace == []
         assert_reads_start(res.best, initial)
         assert_same_povm(res.final, res.best)
 
-    def test_fixed_seed_bit_identical(self, basis2, qubit_pattern, qubit_cluster):
+    def test_fixed_seed_bit_identical(self, qubit_pattern, qubit_cluster):
         def run():
             rng = np.random.default_rng(12)
-            initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-            return annealer.anneal(
-                small_config(), initial, qubit_cluster, basis2, qubit_pattern
-            )
+            initial = annealer.random_initial_povm(qubit_pattern, rng)
+            return annealer.anneal(small_config(), initial, qubit_cluster, qubit_pattern)
 
         one, two = run(), run()
         assert one.best_dacm == two.best_dacm
@@ -377,47 +374,44 @@ class TestAnneal:
         for ea, eb in zip(one.best.elements, two.best.elements):
             assert np.array_equal(ea, eb)
 
-    def test_best_improves(self, basis2, qubit_pattern, qubit_cluster):
+    def test_best_improves(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(13)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=500), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=500), initial, qubit_cluster, qubit_pattern)
         first = math.exp(res.trace[0].log_dacm)
         assert res.best_dacm <= first
 
 
 @pytest.mark.invariants
 class TestInvariants:
-    def test_every_povm_valid_along_run(self, basis2, qubit_pattern, qubit_cluster):
+    def test_every_povm_valid_along_run(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(14)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         config = small_config(total_steps=150)
-        chain = annealer.AnnealChain(config, initial, qubit_cluster, basis2, qubit_pattern)
+        chain = annealer.AnnealChain(config, initial, qubit_cluster, qubit_pattern)
         for t in range(config.total_steps):
             chain.step(*config.schedule(t))
             for label, pov in (("current", chain.current), ("best", chain.best)):
                 assert pv.validate(pov, 1e-9) == [], (label, t)
 
-    def test_best_monotone_under_prefix_replay(self, basis2, qubit_pattern, qubit_cluster):
+    def test_best_monotone_under_prefix_replay(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(15)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         values = []
         for steps in (0, 25, 50, 100, 200):
             res = annealer.anneal(
-                small_config(total_steps=steps), initial, qubit_cluster, basis2, qubit_pattern
+                small_config(total_steps=steps), initial, qubit_cluster, qubit_pattern
             )
             values.append(res.best_dacm)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_best_never_above_trace_minimum(self, basis2, qubit_pattern, qubit_cluster):
+    def test_best_never_above_trace_minimum(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(16)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         res = annealer.anneal(
             small_config(total_steps=300, trace_every=1),
             initial,
             qubit_cluster,
-            basis2,
             qubit_pattern,
         )
         assert res.best_dacm <= min(math.exp(r.log_dacm) for r in res.trace) + 1e-12
@@ -427,12 +421,10 @@ class TestInvariants:
         hits = sum(annealer.glauber_accept(2.5, 2.5, 1.3, rng) for _ in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
-    def test_trace_quantities_finite(self, basis2, qubit_pattern, qubit_cluster):
+    def test_trace_quantities_finite(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(18)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=120), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=120), initial, qubit_cluster, qubit_pattern)
         assert res.trace
         for r in res.trace:
             for value in (r.log_dacm, r.sigma, r.delta, r.Delta, r.temperature, r.s):
@@ -440,12 +432,10 @@ class TestInvariants:
 
 
 class TestTraceIO:
-    def test_round_trip(self, tmp_path, basis2, qubit_pattern, qubit_cluster):
+    def test_round_trip(self, tmp_path, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(19)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=60), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=60), initial, qubit_cluster, qubit_pattern)
         path = tmp_path / "trace.csv"
         annealer.write_trace(res.trace, path)
         back = annealer.read_trace(path)
@@ -469,7 +459,7 @@ def evaluate_variants(old, new, basis, cluster, pattern):
     the positions where `new` is `old`, then `score_variants`."""
     rows = annealer.VariantRows.for_pinned([n is o for n, o in zip(new, old)])
     sides = (free_elements(c, basis) for c in (old, new))
-    return annealer.score_variants(*sides, rows, basis, cluster.members, pattern)
+    return annealer.score_variants(*sides, rows, cluster.members, pattern)
 
 
 def scalar_variants(old, new, basis, cluster, pattern):
@@ -483,8 +473,8 @@ def scalar_variants(old, new, basis, cluster, pattern):
         bits = tuple(int(not np.array_equal(e, o)) for e, o in zip(cand.elements, mats_old))
         try:
             d = dacm(
-                design_matrix(cand, pattern, basis),
-                averaged_covariance(cand, cluster, basis, pattern),
+                design_matrix(cand, pattern),
+                averaged_covariance(cand, cluster, pattern),
             )
         except (SingularDesign, NonPositiveObjective):
             out.append((bits, cand.elements[-1], True, None))
@@ -537,7 +527,7 @@ class TestEvaluateVariantsAgainstScalar:
 
     def test_qutrit_tiny_noise_all_valid(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(3)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng, scale=0.03)
         olds = free_coordinates(initial, basis3)
         news = perturbed(olds, 0.005, rng, basis3)
         table = assert_matches_scalar(olds, news, basis3, qutrit_default_cluster, qutrit_pattern)
@@ -545,7 +535,7 @@ class TestEvaluateVariantsAgainstScalar:
 
     def test_qutrit_wider_noise(self, basis3, qutrit_pattern, qutrit_default_cluster):
         rng = np.random.default_rng(6)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng)
         olds = free_coordinates(initial, basis3)
         news = perturbed(olds, 0.1, rng, basis3)
         table = assert_matches_scalar(olds, news, basis3, qutrit_default_cluster, qutrit_pattern)
@@ -553,7 +543,7 @@ class TestEvaluateVariantsAgainstScalar:
 
     def test_pinned_positions(self, basis3, qutrit_pattern, qutrit_small_cluster):
         rng = np.random.default_rng(3)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng, scale=0.03)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng, scale=0.03)
         olds = free_coordinates(initial, basis3)
         news = perturbed(olds, 0.005, rng, basis3)
         news[1], news[4] = olds[1], olds[4]
@@ -592,7 +582,7 @@ class TestEvaluateVariantsAgainstScalar:
     ):
         """The table equals one whose closure is decided by `eigvalsh` on every row."""
         rng = np.random.default_rng(seed)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng)
         olds = free_coordinates(initial, basis3)
         news = perturbed(olds, s, rng, basis3)
         args = (olds, news, basis3, qutrit_small_cluster, qutrit_pattern)
@@ -632,15 +622,13 @@ class TestProbabilityChecks:
         """A qubit step from an interior POVM: its sides and rows, of which
         the all-old row (0, 0) is closed."""
         rng = np.random.default_rng(4)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         olds = free_coordinates(initial, basis2)
         news = perturbed(olds, 0.02, rng, basis2)
         old = free_elements(olds, basis2)
         new = free_elements(news, basis2)
         rows = annealer.VariantRows.for_pinned([False, False])
-        table = annealer.score_variants(
-            old, new, rows, basis2, qubit_cluster.members, qubit_pattern
-        )
+        table = annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
         assert table.closed[0]
         return old, new, rows
 
@@ -667,9 +655,7 @@ class TestProbabilityChecks:
         monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
         monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")) as info:
-            annealer.score_variants(
-                old, new, rows, basis2, qubit_cluster.members, qubit_pattern
-            )
+            annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
         dev = float(str(info.value).rsplit(" ", 1)[1])
         assert 0.0 <= dev < 1e-12
 
@@ -678,7 +664,7 @@ class TestProbabilityChecks:
         members = qubit_cluster.members.copy()
         members[3, 0] = math.nan  # every column is NaN there: row (0, 0) is closed and takes it
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0): min nan")):
-            annealer.score_variants(old, new, rows, basis2, members, qubit_pattern)
+            annealer.score_variants(old, new, rows, members, qubit_pattern)
 
 
     def test_unclosed_rows_columns_are_not_checked(
@@ -698,15 +684,13 @@ class TestProbabilityChecks:
 
         check_simplex = annealer.check_simplex
         monkeypatch.setattr(annealer, "check_simplex", counted)
-        table = annealer.score_variants(
-            old, new, rows, basis2, qubit_cluster.members, qubit_pattern
-        )
+        table = annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
         assert table.closed.tolist() == [True, True, False, False]
         assert calls == []
         monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
         monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")):
-            annealer.score_variants(old, new, rows, basis2, qubit_cluster.members, qubit_pattern)
+            annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
         assert calls == [(2, qubit_cluster.size, 3)]
 
 
@@ -717,9 +701,9 @@ class TestSingularityRule:
     start applies it, and `objective.estimate_state` find T singular exactly
     where `log_dacm` raises SingularDesign."""
 
-    def assert_rule_shared(self, old, new, basis, members, pattern):
+    def assert_rule_shared(self, old, new, members, pattern):
         rows = annealer.VariantRows.for_pinned([False] * old.a0.shape[0])
-        table = annealer.score_variants(old, new, rows, basis, members, pattern)
+        table = annealer.score_variants(old, new, rows, members, pattern)
         assert table.closed.all()
         columns = old.join(new)
         design = (columns.a0[:, None] * columns.A)[:, pattern.unknown_positions]
@@ -759,9 +743,7 @@ class TestSingularityRule:
         y, x = (below, above) if side < 0 else (above, below)
         old = free_elements([(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])], basis2)
         new = free_elements([(0.3, [x, 0.5, 0.0]), (0.3, [0.5, y, 0.0])], basis2)
-        skipped = self.assert_rule_shared(
-            old, new, basis2, qubit_cluster.members, qubit_pattern
-        )
+        skipped = self.assert_rule_shared(old, new, qubit_cluster.members, qubit_pattern)
         assert skipped == ([False, True, False, False] if side < 0 else [False, False, True, False])
 
     def test_covariance_sign(self, basis2, qubit_pattern):
@@ -771,7 +753,7 @@ class TestSingularityRule:
         members = np.array([[0.5, 0.5, 0.0]])
         old = free_elements([(0.25, [-1.0, -1.0, 0.0]), (0.25, [1.0, -1.0, 0.0])], basis2)
         new = free_elements([(0.25, [-1.0, -1.0 + 1e-6, 0.0]), (0.25, [1.0, -0.9, 0.0])], basis2)
-        skipped = self.assert_rule_shared(old, new, basis2, members, qubit_pattern)
+        skipped = self.assert_rule_shared(old, new, members, qubit_pattern)
         assert skipped == [True, True, False, False]
 
 
@@ -893,8 +875,9 @@ class TestFlatGatherOracle:
         score = annealer.score_variants
         checked = []
 
-        def checking_score(old, new, rows, basis, members, pattern):
-            table = score(old, new, rows, basis, members, pattern)
+        def checking_score(old, new, rows, members, pattern):
+            table = score(old, new, rows, members, pattern)
+            basis = gell_mann_basis(pattern.dim)
             closed, skipped, log_dacm = reference_scores(old, new, rows, basis, members, pattern)
             step = len(checked)
             assert np.array_equal(table.closed, closed), step
@@ -923,20 +906,20 @@ class TestFlatGatherOracle:
         assert len(checked) == steps
         assert int(report["closure_rejected"]) < int(report["variants_enumerated"])
 
-    def test_pinned_masks(self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch):
+    def test_pinned_masks(self, qutrit_pattern, qutrit_small_cluster, monkeypatch):
         checked = self.checked(monkeypatch)
         monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         rng = np.random.default_rng(7)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng)
         config = small_config(total_steps=60, s0=0.3)
-        res = annealer.anneal(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+        res = annealer.anneal(config, initial, qutrit_small_cluster, qutrit_pattern)
         assert len(checked) == 60 and res.resample_exhausted > 0
         # steps with pinned positions score fewer than 2^N rows
         assert min(checked) < 64 and max(checked) == 64
 
 
 class TestRunCounters:
-    def test_every_variant_accounted_for(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
+    def test_every_variant_accounted_for(self, qubit_pattern, qubit_cluster, monkeypatch):
         draws = []
 
         def counting_accept(delta, temperature, rng):
@@ -946,45 +929,38 @@ class TestRunCounters:
 
         monkeypatch.setattr(annealer, "logistic_accept", counting_accept)
         rng = np.random.default_rng(20)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=150), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=150), initial, qubit_cluster, qubit_pattern)
         assert res.variants_enumerated == res.closure_rejected + res.skipped_variants + len(draws)
         assert res.accepted == sum(draws) > 0
         assert res.closure_rejected > 0
         assert res.best_log_dacm <= min(r.log_dacm for r in res.trace)
         assert res.best_dacm == math.exp(res.best_log_dacm)
 
-    def test_unchanged_acceptances_are_accepted(self, basis2, qubit_pattern, qubit_cluster):
+    def test_unchanged_acceptances_are_accepted(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(20)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=150), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=150), initial, qubit_cluster, qubit_pattern)
         assert 0 < res.accepted_unchanged <= res.accepted
 
-    def test_resample_exhaustion_counted(self, basis2, qubit_pattern, qubit_cluster, monkeypatch):
+    def test_resample_exhaustion_counted(self, qubit_pattern, qubit_cluster, monkeypatch):
         monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         rng = np.random.default_rng(21)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
         res = annealer.anneal(
             small_config(total_steps=40, s0=3.0),
             initial,
             qubit_cluster,
-            basis2,
             qubit_pattern,
         )
         assert res.resample_exhausted > 0
         # an exhausted position is pinned, so a step enumerates fewer than 2^N rows
         assert res.variants_enumerated < 40 * 4
 
-    def test_zero_steps_counts_nothing(self, basis2, qubit_pattern, qubit_cluster):
+    def test_zero_steps_counts_nothing(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(11)
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, rng)
-        res = annealer.anneal(
-            small_config(total_steps=0), initial, qubit_cluster, basis2, qubit_pattern
-        )
+        initial = annealer.random_initial_povm(qubit_pattern, rng)
+        res = annealer.anneal(small_config(total_steps=0), initial, qubit_cluster, qubit_pattern)
         assert (res.variants_enumerated, res.closure_rejected, res.accepted) == (0, 0, 0)
         assert_reads_start(res.best, initial)
         assert res.best_dacm == math.exp(res.best_log_dacm)
@@ -992,9 +968,7 @@ class TestRunCounters:
 
 class TestPsdDecisions:
     @pytest.mark.parametrize("s0", [0.15, 1.0])
-    def test_eigvalsh_only_in_the_band(
-        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0
-    ):
+    def test_eigvalsh_only_in_the_band(self, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0):
         """A qutrit anneal step calls `eigvalsh` only for matrices that
         `psd_verdict` leaves in its band; the trace records' `metrics`, which
         call it between steps, are not counted."""
@@ -1023,9 +997,9 @@ class TestPsdDecisions:
         monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
         monkeypatch.setattr(annealer.AnnealChain, "step", flagged_step)
         rng = np.random.default_rng(9)
-        initial = annealer.random_initial_povm(qutrit_pattern, basis3, rng)
+        initial = annealer.random_initial_povm(qutrit_pattern, rng)
         config = small_config(total_steps=100, s0=s0)
-        annealer.anneal(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+        annealer.anneal(config, initial, qutrit_small_cluster, qutrit_pattern)
         assert decided[0] > 100 * 64
         assert calls[0] <= band[0]
 
@@ -1051,7 +1025,7 @@ def test_chain_rejects_wrong_length_coords(basis2, qubit_pattern, qubit_cluster,
     n = basis2.dim + change
     bad = pv.Povm(n, [np.eye(n) / 3.0] * 3)
     with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
-        annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
+        annealer.AnnealChain(small_config(), bad, qubit_cluster, qubit_pattern)
 
 
 class TestChainStart:
@@ -1062,7 +1036,7 @@ class TestChainStart:
     def cluster(pattern, basis):
         spec = statespace.GridSpec(7, bloch_radius_bound(basis.dim), pattern)
         return statespace.select_cluster(
-            statespace.cluster_states(statespace.generate_grid(spec, basis), 10, basis)
+            statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
         )
 
     @pytest.mark.parametrize(
@@ -1077,16 +1051,16 @@ class TestChainStart:
         n_free = pattern.unknown_count
         message = f"{P.m} elements; {n_free} unknowns need {n_free + 1}"
         with pytest.raises(ContractViolation, match=message):
-            annealer.AnnealChain(small_config(), P, self.cluster(pattern, basis), basis, pattern)
+            annealer.AnnealChain(small_config(), P, self.cluster(pattern, basis), pattern)
 
     def test_incomplete_start_rejected(self, basis2, qubit_pattern, qubit_cluster):
         """Elements summing to I + 0.01 sigma_z pass the cluster's probability
         checks (z is known to be 0), but are not a POVM."""
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(1))
+        initial = annealer.random_initial_povm(qubit_pattern, np.random.default_rng(1))
         elements = [*initial.elements[:-1], initial.elements[-1] + 0.01 * basis2.element(3)]
         bad = pv.Povm(2, elements)
         with pytest.raises(ContractViolation, match="not valid: completeness"):
-            annealer.AnnealChain(small_config(), bad, qubit_cluster, basis2, qubit_pattern)
+            annealer.AnnealChain(small_config(), bad, qubit_cluster, qubit_pattern)
 
     def test_diag_units_start_on_default_dim4_pattern(self, basis4, dim4_diag_unknown_pattern):
         """The four diagonal units are N + 1 = 4 elements for the default
@@ -1094,23 +1068,23 @@ class TestChainStart:
         pattern = dim4_diag_unknown_pattern
         units = catalog.diag_units_dim4()
         cluster = self.cluster(pattern, basis4)
-        chain = annealer.AnnealChain(small_config(), units, cluster, basis4, pattern)
+        chain = annealer.AnnealChain(small_config(), units, cluster, pattern)
         want = dacm(
-            design_matrix(units, pattern, basis4),
-            averaged_covariance(units, cluster, basis4, pattern),
+            design_matrix(units, pattern),
+            averaged_covariance(units, cluster, pattern),
         )
         assert chain.cur_log == chain.best_log == math.log(want)
         assert_reads_start(chain.current, units)
 
-    def test_nan_member_fails_at_start(self, trine, basis2, qubit_pattern, qubit_cluster):
+    def test_nan_member_fails_at_start(self, trine, qubit_pattern, qubit_cluster):
         """Not a chain that starts from a log DACM of NaN."""
         members = qubit_cluster.members.copy()
         members[1, 0] = math.nan
         cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
         with pytest.raises(ContractViolation, match=re.escape("cluster member 1: min nan")):
-            annealer.AnnealChain(small_config(), trine, cluster, basis2, qubit_pattern)
+            annealer.AnnealChain(small_config(), trine, cluster, qubit_pattern)
 
-    def test_zero_free_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
+    def test_zero_free_element_is_singular(self, trine, qubit_pattern, qubit_cluster):
         """A zero free element has the zero design row: SingularDesign from
         `dacm` before its weight divides its row, with no RuntimeWarning."""
         projection = 1.5 * trine.elements[0]
@@ -1119,34 +1093,34 @@ class TestChainStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularDesign):
-                annealer.AnnealChain(small_config(), P, qubit_cluster, basis2, qubit_pattern)
+                annealer.AnnealChain(small_config(), P, qubit_cluster, qubit_pattern)
 
     def test_catalog_qutrit_csic_keeps_its_dacm(
-        self, qutrit_csic, basis3, qutrit_pattern, qutrit_default_cluster
+        self, qutrit_csic, qutrit_pattern, qutrit_default_cluster
     ):
         """From the catalog's conditional SIC, a cold chain's best stays that
         POVM's own log DACM, 31.2167096389588."""
         own = math.log(
             dacm(
-                design_matrix(qutrit_csic, qutrit_pattern, basis3),
-                averaged_covariance(qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern),
+                design_matrix(qutrit_csic, qutrit_pattern),
+                averaged_covariance(qutrit_csic, qutrit_default_cluster, qutrit_pattern),
             )
         )
         assert abs(own - 31.2167096389588) <= 1e-9
         config = annealer.AnnealConfig(total_steps=200, T0=1e-3)
-        res = annealer.anneal(config, qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern)
+        res = annealer.anneal(config, qutrit_csic, qutrit_default_cluster, qutrit_pattern)
         assert abs(res.best_log_dacm - own) <= 1e-9
         assert res.accepted > 0
 
-    def test_file_round_trip_start(self, tmp_path, basis2, qubit_pattern, qubit_cluster):
+    def test_file_round_trip_start(self, tmp_path, qubit_pattern, qubit_cluster):
         """A start read back from `write_povm`'s file runs the same chain as
         the POVM itself."""
-        initial = annealer.random_initial_povm(qubit_pattern, basis2, np.random.default_rng(23))
+        initial = annealer.random_initial_povm(qubit_pattern, np.random.default_rng(23))
         pv.write_povm(initial, tmp_path / "start.txt")
         loaded = pv.read_povm(tmp_path / "start.txt")
         config = small_config(total_steps=150)
         one, two = (
-            annealer.anneal(config, P, qubit_cluster, basis2, qubit_pattern)
+            annealer.anneal(config, P, qubit_cluster, qubit_pattern)
             for P in (initial, loaded)
         )
         assert one.best_log_dacm == two.best_log_dacm
@@ -1154,7 +1128,7 @@ class TestChainStart:
         assert all(a == b for a, b in counters) and one.accepted > 0
 
 
-def test_no_table_outlives_its_step(basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch):
+def test_no_table_outlives_its_step(qutrit_pattern, qutrit_small_cluster, monkeypatch):
     """A step's `VariantTable` is freed when the step returns, also when the
     step found a new best."""
     refs = []
@@ -1166,9 +1140,9 @@ def test_no_table_outlives_its_step(basis3, qutrit_pattern, qutrit_small_cluster
         return table
 
     monkeypatch.setattr(annealer, "score_variants", recording_score)
-    initial = annealer.random_initial_povm(qutrit_pattern, basis3, np.random.default_rng(7))
+    initial = annealer.random_initial_povm(qutrit_pattern, np.random.default_rng(7))
     config = small_config(total_steps=30)
-    chain = annealer.AnnealChain(config, initial, qutrit_small_cluster, basis3, qutrit_pattern)
+    chain = annealer.AnnealChain(config, initial, qutrit_small_cluster, qutrit_pattern)
     new_bests = 0
     for t in range(config.total_steps):
         best_log = chain.best_log
@@ -1197,9 +1171,9 @@ class TestCarriedState:
         monkeypatch.setattr(annealer, "score_variants", recording_score)
         monkeypatch.setattr(annealer, "logistic_accept", recording_accept)
         rng = np.random.default_rng(7)
-        initial = annealer.random_initial_povm(pattern, basis, rng)
+        initial = annealer.random_initial_povm(pattern, rng)
         config = small_config(total_steps=60, **kw)
-        chain = annealer.AnnealChain(config, initial, cluster, basis, pattern)
+        chain = annealer.AnnealChain(config, initial, cluster, pattern)
         assert_reads_start(chain.current, initial)
         assert_same_povm(chain.best, chain.current)
         want_current = want_best = chain.current
@@ -1340,8 +1314,8 @@ class TestPermutationInvariance:
         def scalar(cs):
             pov = pv.complete_povm([coordinate_element(a0, a, basis3) for a0, a in cs])
             return dacm(
-                design_matrix(pov, qutrit_pattern, basis3),
-                averaged_covariance(pov, qutrit_small_cluster, basis3, qutrit_pattern),
+                design_matrix(pov, qutrit_pattern),
+                averaged_covariance(pov, qutrit_small_cluster, qutrit_pattern),
             )
 
         def batched(cs):

@@ -195,7 +195,7 @@ class TestBlochConversion:
 
 class TestParameterPattern:
     def test_identity_mapping_without_knowns(self):
-        pattern = bs.ParameterPattern(2, (1, 2, 3))
+        pattern = bs.ParameterPattern(2)
         u = np.array([0.1, 0.2, 0.3])
         assert np.array_equal(bs.assemble_full_vector(pattern, u), u)
 
@@ -212,7 +212,14 @@ class TestParameterPattern:
 
     def test_bad_partition(self):
         with pytest.raises(ContractViolation):
-            bs.ParameterPattern(2, (1, 2), (2, 3), np.array([0.0, 0.0]))
+            bs.ParameterPattern(2, (2, 4), (0.0, 0.0))
+
+    def test_patterns_compare_and_hash_by_value(self):
+        a = bs.ParameterPattern.from_known(3, {8: 0.2, 7: 0.1})
+        b = bs.ParameterPattern.from_known(3, {7: 0.1, 8: 0.2})
+        assert a == b and hash(a) == hash(b)
+        assert a.known_values == (0.1, 0.2) and a.unknown_indices == (1, 2, 3, 4, 5, 6)
+        assert a != bs.ParameterPattern.from_known(3, {7: 0.1, 8: 0.0})
 
     def test_all_known_rejected(self):
         with pytest.raises(ContractViolation):

@@ -341,8 +341,7 @@ class TestInvariants:
         ]
         rng = np.random.default_rng(72)
         for pattern in (qubit_pattern, qutrit_pattern, dim4_diag_unknown_pattern):
-            b = gell_mann_basis(pattern.dim)
-            cases += [(random_initial_povm(pattern, b, rng, 0.1), pattern) for _ in range(3)]
+            cases += [(random_initial_povm(pattern, rng, 0.1), pattern) for _ in range(3)]
         for pov, pattern in cases:
             b = gell_mann_basis(pattern.dim)
             oracle = max(
@@ -366,8 +365,7 @@ class TestInvariants:
         ]
         rng = np.random.default_rng(73)
         for pattern in (qubit_pattern, qutrit_pattern, dim4_diag_unknown_pattern):
-            b = gell_mann_basis(pattern.dim)
-            cases += [(random_initial_povm(pattern, b, rng, 0.1), pattern) for _ in range(3)]
+            cases += [(random_initial_povm(pattern, rng, 0.1), pattern) for _ in range(3)]
         cases += [(rankone.phases_to_povm(rankone.random_phases(3, 7, rng))[0], qutrit_pattern)]
         for pov, pattern in cases:
             rep = catalog.conditional_sic_report(pov, pattern)

@@ -75,7 +75,7 @@ class TestParseConfig:
         ordered = "pattern.known_indices = 7,8\npattern.known_values = 0.1,0.2"
         cfg = cli.parse_config(f"mode = anneal\n{swapped}\n")
         assert cfg.pattern.known_indices == (7, 8)
-        assert cfg.pattern.known_values.tolist() == [0.1, 0.2]
+        assert list(cfg.pattern.known_values) == [0.1, 0.2]
         assert _same(cfg.pattern, cli.parse_config(f"mode = anneal\n{ordered}\n").pattern)
 
     @pytest.mark.parametrize(
@@ -133,13 +133,6 @@ def _leaf_fields(cfg, prefix=""):
 
 
 def _same(a, b):
-    if isinstance(a, ParameterPattern) and isinstance(b, ParameterPattern):
-        return (a.dim, a.unknown_indices, a.known_indices, a.known_values.tolist()) == (
-            b.dim,
-            b.unknown_indices,
-            b.known_indices,
-            b.known_values.tolist(),
-        )
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
     return type(a) is type(b) and a == b
@@ -408,12 +401,8 @@ class TestAnnealMode:
         trace = (out / "trace.csv").read_text()
         assert trace == annealer.TRACE_HEADER + "\n"
         # best POVM equals the seeded initial measurement
-        from povm_lab.basis import ParameterPattern, gell_mann_basis
-
         pattern = ParameterPattern.from_known(2, {3: 0.0})
-        initial = annealer.random_initial_povm(
-            pattern, gell_mann_basis(2), np.random.default_rng([3, 1]), 0.05
-        )
+        initial = annealer.random_initial_povm(pattern, np.random.default_rng([3, 1]), 0.05)
         written = pv.read_povm(out / "best_povm.txt")
         for a, b in zip(written.elements, initial.elements):
             assert np.abs(a - b).max() < 1e-15
@@ -503,7 +492,7 @@ class TestAnnealMode:
         assert np.isfinite(annealer.read_trace(out / "trace.csv")[0].log_dacm)
 
     def test_tiny_init_scale_reports_the_finite_log_dacm(
-        self, tmp_path, basis3, qutrit_pattern, qutrit_default_cluster
+        self, tmp_path, qutrit_pattern, qutrit_default_cluster
     ):
         """A zero-step run's best is its start, whose det T^2 underflows:
         log_dacm_best is log det W0 - 2 log |det T|, not inf, and agrees
@@ -519,10 +508,8 @@ class TestAnnealMode:
         (best,) = [float(ln.split()[1]) for ln in report if ln.startswith("log_dacm_best")]
         assert abs(best - 865.5195577200096) <= 1e-9
         start = pv.read_povm(out / "best_povm.txt")
-        T = objective.design_matrix(start, qutrit_pattern, basis3).T
-        W0 = objective.averaged_covariance(
-            start, qutrit_default_cluster, basis3, qutrit_pattern
-        ).W0
+        T = objective.design_matrix(start, qutrit_pattern).T
+        W0 = objective.averaged_covariance(start, qutrit_default_cluster, qutrit_pattern).W0
         (sign_t, log_t), (sign_w, log_w) = np.linalg.slogdet(T), np.linalg.slogdet(W0)
         assert sign_t != 0 and sign_w > 0
         assert abs(best - (log_w - 2.0 * log_t)) <= 1e-9
@@ -1026,14 +1013,44 @@ class TestCommandLine:
         assert not (tmp_path / "cfg_out").exists()
 
 
+def _benchmark_tracing():
+    """perfbench/tracing.py, loaded by its path."""
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracer_names_resolve():
     """perfbench/tracing.py wraps package names it looks up with `getattr`,
     reads the `OrthonormalBasis.stack` property and calls `rankone.refine` as
     (initial, config): building its wrappers, without installing them, fails
     here when a name it pins is gone."""
-    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _benchmark_tracing()
     wrappers = tracing.layer_wrappers(tracing.Tracer(), tracing.SearchClock())
     assert all(callable(fn) or isinstance(fn, property) for _, _, fn in wrappers)
     assert list(inspect.signature(rankone.refine).parameters) == ["initial", "config"]
+
+
+def test_benchmark_traced_run_counts(tmp_path, qubit_cluster):
+    """With perfbench/tracing.py's wrappers installed, a 20-step qubit anneal
+    and a one-restart qutrit refine run through `cli.main`, and the counts its
+    hooks read off the arguments and results are the runs' own: the hooks read
+    `generate_grid`'s spec and `anneal`'s config and cluster by position."""
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    anneal_cfg = tmp_path / "anneal.cfg"
+    anneal_cfg.write_text(QUBIT_CFG.format(steps=20, seed=0, out=tmp_path / "anneal"))
+    refine_cfg = tmp_path / "refine.cfg"
+    refine_cfg.write_text(f"mode = refine\nrefine.restarts = 1\noutput.dir = {tmp_path}/refine\n")
+    with tracing.patched(tracing.layer_wrappers(tracer, tracing.SearchClock())):
+        assert cli.main(["anneal", "--config", str(anneal_cfg)]) == 0
+        assert cli.main(["refine", "--config", str(refine_cfg)]) == 0
+    start = rankone.random_phases(3, 7, random.Random("0,0"))
+    lm_iterations = len(rankone.refine(start, annealer.AnnealConfig(0)).objective_trace) - 1
+    counts = tracer.counts
+    assert counts["annealer.steps"] == 20
+    assert counts["statespace.grid_points"] == 7**2
+    assert counts["statespace.cluster_size"] == qubit_cluster.size
+    assert counts["objective.member_rows"] == qubit_cluster.size
+    assert counts["rankone.polish_sweeps"] == lm_iterations > 0

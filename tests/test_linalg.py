@@ -109,7 +109,7 @@ class TestSolveLinear:
         theta = np.array([0.3, 0.0])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        design = objective.design_matrix(trine, qubit_pattern)
         x = solve_linear(design.T, p[:2] - design.a0s)
         assert np.abs(x - theta).max() < 1e-9
 

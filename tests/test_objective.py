@@ -88,13 +88,13 @@ class TestCheckSimplex:
 
 
 class TestDesignMatrix:
-    def test_zero_directions(self, basis2, qubit_pattern):
+    def test_zero_directions(self, qubit_pattern):
         P = Povm(2, [0.3 * np.eye(2), 0.3 * np.eye(2), 0.4 * np.eye(2)])
-        design = objective.design_matrix(P, qubit_pattern, basis2)
+        design = objective.design_matrix(P, qubit_pattern)
         assert np.abs(design.T).max() == 0.0
 
-    def test_trine_rows(self, trine, basis2, qubit_pattern):
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+    def test_trine_rows(self, trine, qubit_pattern):
+        design = objective.design_matrix(trine, qubit_pattern)
         for j, ang in enumerate((0.0, 2 * np.pi / 3)):
             row = np.array([np.cos(ang), np.sin(ang)]) * np.sqrt(2) / 3
             assert np.abs(design.T[j] - row).max() < 1e-12
@@ -104,7 +104,7 @@ class TestDesignMatrix:
     def test_single_unknown(self, basis2):
         pattern = ParameterPattern.from_known(2, {2: 0.0, 3: 0.0})
         P = Povm(2, [coordinate_element(0.5, np.array([0.4, 0.0, 0.0]), basis2)])
-        design = objective.design_matrix(P, pattern, basis2)
+        design = objective.design_matrix(P, pattern)
         assert design.T.shape == (1, 1)
         assert design.T[0, 0] == pytest.approx(0.2)
 
@@ -114,7 +114,7 @@ class TestDesignMatrix:
         n = basis2.dim + change
         P = Povm(n, [np.eye(n) / 3.0] * 3)
         with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
-            objective.design_matrix(P, qubit_pattern, basis2)
+            objective.design_matrix(P, qubit_pattern)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_per_row_formula(self, dim):
@@ -129,26 +129,26 @@ class TestDesignMatrix:
             for _ in range(pattern.unknown_count + 1)
         ]
         P = Povm(dim, [coordinate_element(a0, a, basis) for a0, a in coords])
-        design = objective.design_matrix(P, pattern, basis)
+        design = objective.design_matrix(P, pattern)
         rows = coords[: pattern.unknown_count]
         assert np.abs(design.T - np.array([a0 * a[unknown] for a0, a in rows])).max() < 1e-15
         assert np.abs(design.a0s - np.array([a0 for a0, _ in rows])).max() < 1e-15
 
-    def test_for_povm_matches_coords(self, trine, basis2, qubit_pattern):
+    def test_for_povm_matches_coords(self, trine, qubit_pattern):
         """Read off the matrices, T and the a0s are the trine's coordinate
         rows a0 a = sqrt(2) (cos, sin) / 3 and a0 = 1/3."""
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        design = objective.design_matrix(trine, qubit_pattern)
         angles = 2 * np.pi * np.arange(2) / 3
         rows = np.sqrt(2) * np.stack([np.cos(angles), np.sin(angles)], axis=1) / 3
         assert np.abs(design.T - rows).max() < 1e-15
         assert np.abs(design.a0s - 1 / 3).max() < 1e-15
 
-    def test_tiny_first_element_is_singular(self, trine, basis2, qubit_pattern, qubit_cluster):
+    def test_tiny_first_element_is_singular(self, trine, qubit_pattern, qubit_cluster):
         """A first element 1e-13 I has the zero design row Tr(E sigma) = 0."""
         eps = 1e-13
         P = Povm(2, [eps * np.eye(2)] + [(1 - eps) * e for e in trine.elements])
-        design = objective.design_matrix(P, qubit_pattern, basis2)
-        averaged = objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
+        design = objective.design_matrix(P, qubit_pattern)
+        averaged = objective.averaged_covariance(P, qubit_cluster, qubit_pattern)
         with pytest.raises(SingularDesign):
             objective.dacm(design, averaged)
 
@@ -179,7 +179,7 @@ class TestAveragedCovariance:
         cluster = statespace.Cluster(
             (0, 0), assemble_full_vector(qubit_pattern, theta)[None, :], 10
         )
-        av = objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
+        av = objective.averaged_covariance(trine, cluster, qubit_pattern)
         rho = bloch_to_state(cluster.members[0], basis2)
         w = multinomial_covariance(
             objective.outcome_probabilities(trine, rho), 2
@@ -191,7 +191,7 @@ class TestAveragedCovariance:
         pair = np.array([[0.3, 0.1], [-0.3, -0.1]])
         members = np.array([assemble_full_vector(qubit_pattern, u) for u in pair])
         cluster = statespace.Cluster((0, 0), members, 10)
-        av = objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
+        av = objective.averaged_covariance(trine, cluster, qubit_pattern)
         parts = []
         for u in pair:
             rho = bloch_to_state(assemble_full_vector(qubit_pattern, u), basis2)
@@ -202,20 +202,20 @@ class TestAveragedCovariance:
             )
         assert np.abs(av.W0 - (parts[0] + parts[1])).max() < 1e-13
 
-    def test_nan_member_is_a_typed_failure(self, trine, basis2, qubit_pattern, qubit_cluster):
+    def test_nan_member_is_a_typed_failure(self, trine, qubit_pattern, qubit_cluster):
         """Not a W0 and log DACM of NaN."""
         members = qubit_cluster.members.copy()
         members[1, 0] = np.nan
         cluster = statespace.Cluster(qubit_cluster.key, members, qubit_cluster.cell_count)
         with pytest.raises(ContractViolation, match=re.escape("cluster member 1: min nan")):
-            objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
+            objective.averaged_covariance(trine, cluster, qubit_pattern)
 
-    def test_names_offending_member(self, trine, basis2, qubit_pattern):
+    def test_names_offending_member(self, trine, qubit_pattern):
         good = assemble_full_vector(qubit_pattern, np.array([0.2, 0.0]))
         bad = assemble_full_vector(qubit_pattern, np.array([2.0, 0.0]))
         cluster = statespace.Cluster((0, 0), np.array([good, bad]), 10)
         with pytest.raises(ContractViolation, match="member 1"):
-            objective.averaged_covariance(trine, cluster, basis2, qubit_pattern)
+            objective.averaged_covariance(trine, cluster, qubit_pattern)
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
     def test_wrong_length_rejected(self, basis2, qubit_pattern, qubit_cluster, change):
@@ -224,23 +224,21 @@ class TestAveragedCovariance:
         n = basis2.dim + change
         P = Povm(n, [np.eye(n) / 3.0] * 3)
         with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
-            objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern)
+            objective.averaged_covariance(P, qubit_cluster, qubit_pattern)
 
-    def test_tiny_closing_weight(self, trine, basis2, qubit_pattern, qubit_cluster):
+    def test_tiny_closing_weight(self, trine, qubit_pattern, qubit_cluster):
         """A valid POVM whose closing element is 1e-13 I, the rest the trine
         scaled by 1 - 1e-13, has the trine's W0 within 1e-12."""
         eps = 1e-13
         P = Povm(2, [(1 - eps) * e for e in trine.elements] + [eps * np.eye(2)])
-        got = objective.averaged_covariance(P, qubit_cluster, basis2, qubit_pattern).W0
-        want = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern).W0
+        got = objective.averaged_covariance(P, qubit_cluster, qubit_pattern).W0
+        want = objective.averaged_covariance(trine, qubit_cluster, qubit_pattern).W0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_golden_qutrit_default_cluster(
-        self, qutrit_csic, basis3, qutrit_pattern, qutrit_default_cluster
+        self, qutrit_csic, qutrit_pattern, qutrit_default_cluster
     ):
-        av = objective.averaged_covariance(
-            qutrit_csic, qutrit_default_cluster, basis3, qutrit_pattern
-        )
+        av = objective.averaged_covariance(qutrit_csic, qutrit_default_cluster, qutrit_pattern)
         assert av.member_count == 188
         assert qutrit_default_cluster.key == (6, 3, 0)
         assert np.abs(av.W0 - GOLDEN_QUTRIT_W0).max() < 1e-9 * np.abs(GOLDEN_QUTRIT_W0).max()
@@ -325,12 +323,12 @@ class TestEstimateState:
         theta = np.array([0.25, -0.15])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        design = objective.design_matrix(trine, qubit_pattern)
         est = objective.estimate_state(p[:2], design)
         assert np.abs(est - theta).max() < 1e-9
 
-    def test_offset_maps_to_zero(self, trine, basis2, qubit_pattern):
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+    def test_offset_maps_to_zero(self, trine, qubit_pattern):
+        design = objective.design_matrix(trine, qubit_pattern)
         est = objective.estimate_state(design.a0s, design)
         assert np.abs(est).max() < 1e-12
 
@@ -338,7 +336,7 @@ class TestEstimateState:
         theta = np.array([0.3, 0.1])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        design = objective.design_matrix(trine, qubit_pattern)
         rng = np.random.default_rng(42)
         counts = rng.multinomial(100_000, p, size=1000)
         nus = counts[:, :2] / 100_000
@@ -354,7 +352,7 @@ class TestInvariants:
 
         rng = np.random.default_rng(60)
         for _ in range(20):
-            pov = random_initial_povm(qubit_pattern, basis2, rng, scale=0.15)
+            pov = random_initial_povm(qubit_pattern, rng, scale=0.15)
             theta = rng.uniform(-0.4, 0.4, 2)
             full = assemble_full_vector(qubit_pattern, theta)
             if np.linalg.norm(full) > 1 / np.sqrt(2):
@@ -363,7 +361,7 @@ class TestInvariants:
             assert abs(p.sum() - 1.0) < 1e-9
 
     def test_w0_symmetric_psd(self, trine, basis2, qubit_pattern, qubit_cluster):
-        av = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
+        av = objective.averaged_covariance(trine, qubit_cluster, qubit_pattern)
         assert np.abs(av.W0 - av.W0.T).max() < 1e-10
         assert linalg.hermitian_eigenvalues(av.W0.astype(complex))[-1] >= -1e-9
         theta = np.array([0.3, 0.1])
@@ -374,19 +372,17 @@ class TestInvariants:
         assert np.abs(w - w.T).max() == 0.0
         assert linalg.hermitian_eigenvalues(w.astype(complex))[-1] >= -1e-9
 
-    def test_dacm_equality_oracle_on_povms(self, trine, basis2, qubit_pattern, qubit_cluster):
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
-        av = objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
+    def test_dacm_equality_oracle_on_povms(self, trine, qubit_pattern, qubit_cluster):
+        design = objective.design_matrix(trine, qubit_pattern)
+        av = objective.averaged_covariance(trine, qubit_cluster, qubit_pattern)
         assert objective.dacm(design, av) == pytest.approx(
             assembled_dacm(design, av), rel=1e-10
         )
 
-    def test_dacm_invariant_under_member_permutation(
-        self, trine, basis2, qubit_pattern, qubit_cluster
-    ):
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+    def test_dacm_invariant_under_member_permutation(self, trine, qubit_pattern, qubit_cluster):
+        design = objective.design_matrix(trine, qubit_pattern)
         base = objective.dacm(
-            design, objective.averaged_covariance(trine, qubit_cluster, basis2, qubit_pattern)
+            design, objective.averaged_covariance(trine, qubit_cluster, qubit_pattern)
         )
         rng = np.random.default_rng(61)
         for _ in range(5):
@@ -395,7 +391,7 @@ class TestInvariants:
                 qubit_cluster.key, qubit_cluster.members[perm], qubit_cluster.cell_count
             )
             val = objective.dacm(
-                design, objective.averaged_covariance(trine, shuffled, basis2, qubit_pattern)
+                design, objective.averaged_covariance(trine, shuffled, qubit_pattern)
             )
             assert val == pytest.approx(base, rel=1e-12)
 
@@ -413,7 +409,7 @@ class TestInvariants:
         theta = np.array([0.3, 0.1])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)
         p = objective.outcome_probabilities(trine, rho)
-        design = objective.design_matrix(trine, qubit_pattern, basis2)
+        design = objective.design_matrix(trine, qubit_pattern)
         rng = np.random.default_rng(42)
         counts = rng.multinomial(100_000, p, size=1000)
         ests = np.array(

@@ -75,7 +75,7 @@ class TestElementRows:
         """A chain started from the matrices alone holds each free element's
         `element_rows` row x as a0 = x[0] and a = x[1:] / x[0], bit for bit."""
         chain = AnnealChain(
-            AnnealConfig(total_steps=0), qutrit_csic, qutrit_small_cluster, basis3, qutrit_pattern
+            AnnealConfig(total_steps=0), qutrit_csic, qutrit_small_cluster, qutrit_pattern
         )
         X = pv.element_rows(qutrit_csic.elements, basis3)
         for j, x in enumerate(X[:-1]):
@@ -143,10 +143,9 @@ class TestMetrics:
     def test_matches_jacobi_and_pairwise_reference(self, dim):
         """sigma, delta and Delta within METRICS_TOL of the per-element Jacobi
         and pairwise `hs_inner` computation the stacked one replaced."""
-        basis = gell_mann_basis(dim)
         pattern = ParameterPattern.from_known(dim, {dim * dim - 1: 0.0})
         rng = np.random.default_rng(dim)
-        povms = [random_initial_povm(pattern, basis, rng, scale) for scale in (0.02, 0.05, 0.1)]
+        povms = [random_initial_povm(pattern, rng, scale) for scale in (0.02, 0.05, 0.1)]
         povms += [catalog.qubit_trine(), catalog.qutrit_csic(), catalog.diag_units_dim4()]
         for p in povms:
             mk = pv.metrics(p)
@@ -293,7 +292,6 @@ class TestValidateOracle:
 
     def povms(self):
         rng = np.random.default_rng(21)
-        basis = gell_mann_basis(2)
         pattern = ParameterPattern.from_known(2, {3: 0.0})
         start = rankone.random_phases(3, 7, rng)
         refined = rankone.refine(start, AnnealConfig(total_steps=1)).phases
@@ -305,7 +303,7 @@ class TestValidateOracle:
             catalog.harmonic_csic(4),
             rankone.phases_to_povm(refined)[0],
             rankone.phases_to_povm(start)[0],
-            random_initial_povm(pattern, basis, rng, scale=0.1),
+            random_initial_povm(pattern, rng, scale=0.1),
         ]
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
@@ -358,7 +356,7 @@ class TestPovmConstruction:
 
     def test_every_builder_holds_an_array(self, tmp_path, basis2, qubit_pattern):
         rng = np.random.default_rng(22)
-        pov = random_initial_povm(qubit_pattern, basis2, rng)
+        pov = random_initial_povm(qubit_pattern, rng)
         path = tmp_path / "povm.txt"
         pv.write_povm(pov, path)
         built = [
@@ -447,10 +445,9 @@ class TestInvariants:
         from povm_lab.basis import ParameterPattern
 
         n = basis.dim
-        unknown = tuple(range(1, m))
         known = tuple(range(m, n**2))
-        pattern = ParameterPattern(n, unknown, known, np.zeros(len(known)))
-        return random_initial_povm(pattern, basis, rng, scale=0.1)
+        pattern = ParameterPattern(n, known, (0.0,) * len(known))
+        return random_initial_povm(pattern, rng, scale=0.1)
 
     def test_total_trace_is_dimension(self, basis2, basis3, qutrit_csic, trine):
         rng = np.random.default_rng(11)

@@ -12,6 +12,17 @@ def test_library_entry_point_imports_resolve():
     exec("\n".join(imports), {})
 
 
+def test_minimal_run_block_runs(tmp_path, monkeypatch, capsys):
+    """The "A minimal end-to-end run" block, run as written from outside the
+    checkout; it prints the best DACM of its 20,000-step qubit anneal."""
+    section = README.read_text().split("\nA minimal end-to-end run:\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "anneal(" in block
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README minimal run", "exec"), {"__name__": "__main__"})
+    assert float(capsys.readouterr().out) > 0
+
+
 def test_anneal_counter_list_is_run_counters():
     from povm_lab.annealer import RUN_COUNTERS
 

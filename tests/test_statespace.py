@@ -15,34 +15,34 @@ from conftest import random_unitary
 
 
 class TestGenerateGrid:
-    def test_qubit_hand_enumeration(self, basis2, qubit_pattern):
+    def test_qubit_hand_enumeration(self, qubit_pattern):
         # g = 3, bound = 0.7: center and the four axis points survive the
         # qubit radius rule |theta| <= 1/sqrt(2); the diagonals at 0.99 fail
         spec = statespace.GridSpec(3, 0.7, qubit_pattern)
-        states = statespace.generate_grid(spec, basis2)
+        states = statespace.generate_grid(spec)
         assert states.shape == (5, 3)
         norms = np.linalg.norm(states, axis=1)
         assert np.all(norms <= 1 / np.sqrt(2) + 1e-12)
         assert any(np.array_equal(s, np.zeros(3)) for s in states)
 
-    def test_impossible_known_values_empty(self, basis2):
+    def test_impossible_known_values_empty(self):
         pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
         spec = statespace.GridSpec(3, 0.5, pattern)
-        states = statespace.generate_grid(spec, basis2)
+        states = statespace.generate_grid(spec)
         assert states.shape[0] == 0
 
-    def test_no_psd_point_gives_empty_rows(self, basis2):
+    def test_no_psd_point_gives_empty_rows(self):
         # |theta_3|^2 = 2.25 leaves the Bloch ball (radius^2 1/2) on its own, so
         # every prefix is dropped and no eigvalsh call is made
         pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), pattern)
-        states = statespace.generate_grid(spec, basis2)
+        states = statespace.generate_grid(spec)
         assert states.shape == (0, 3)
 
-    def test_info_line_counts(self, basis3, qutrit_pattern, caplog):
+    def test_info_line_counts(self, qutrit_pattern, caplog):
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
         with caplog.at_level(logging.INFO, logger="povm_lab"):
-            statespace.generate_grid(spec, basis3)
+            statespace.generate_grid(spec)
         assert caplog.messages == [
             "grid: 361 PSD states of 117649 points "
             "(4197 inside the Bloch ball, 0 decided by eigvalsh)"
@@ -55,7 +55,6 @@ class TestGenerateGrid:
     def test_rows_sent_to_eigvalsh(self, request, monkeypatch, dim, pattern_name, sent):
         # the minors decide all 4197 in-ball qutrit points; for n = 4 all 123
         # in-ball points are in their band
-        basis = request.getfixturevalue(f"basis{dim}")
         pattern = request.getfixturevalue(pattern_name)
         spectra, rows = linalg.spectra, []
 
@@ -65,20 +64,20 @@ class TestGenerateGrid:
 
         monkeypatch.setattr(linalg, "spectra", counting)
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
-        statespace.generate_grid(spec, basis)
+        statespace.generate_grid(spec)
         assert sum(rows) == sent
 
-    def test_oversized_bound_warns_nothing(self, basis3, qutrit_pattern):
+    def test_oversized_bound_warns_nothing(self, qutrit_pattern):
         # axis**2 overflows to inf, which leaves the ball: only the center stays
         spec = statespace.GridSpec(7, 1e200, qutrit_pattern)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = statespace.generate_grid(spec, basis3)
+            states = statespace.generate_grid(spec)
         assert np.array_equal(states, np.zeros((1, 8)))
 
-    def test_center_included_with_odd_g(self, basis3, qutrit_pattern):
+    def test_center_included_with_odd_g(self, qutrit_pattern):
         spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), qutrit_pattern)
-        states = statespace.generate_grid(spec, basis3)
+        states = statespace.generate_grid(spec)
         assert any(np.array_equal(s, np.zeros(8)) for s in states)
 
     def test_budget_guard(self, basis3, qutrit_pattern):
@@ -122,32 +121,21 @@ class TestSelectCluster:
 
     def test_reference_policy(self, basis2, qubit_pattern):
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
-        clusters = statespace.cluster_states(
-            statespace.generate_grid(spec, basis2), 10, basis2
-        )
-        picked = statespace.select_cluster(
-            clusters, theta_ref=np.array([0.2, 0.0]),
-            basis=basis2, pattern=qubit_pattern,
-        )
+        clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis2)
+        picked = statespace.select_cluster(clusters, np.array([0.2, 0.0]), qubit_pattern)
         assert picked.key == (6, 3)
 
     def test_reference_missing_key(self, basis2, qubit_pattern):
         clusters = statespace.cluster_states(np.zeros((1, 3)), 10, basis2)
         with pytest.raises(EmptyClusterSelection):
-            statespace.select_cluster(
-                clusters, theta_ref=np.array([0.7, 0.0]),
-                basis=basis2, pattern=qubit_pattern,
-            )
+            statespace.select_cluster(clusters, np.array([0.7, 0.0]), qubit_pattern)
 
     def test_reference_not_a_state(self, basis2, qubit_pattern):
         # rho has eigenvalues 5.5 and -4.5; its cells would be clamped to (9, 0)
         clusters = statespace.cluster_states(np.array([[0.0, 0.0, 1 / np.sqrt(2)]]), 10, basis2)
         assert set(clusters) == {(9, 0)}
         with pytest.raises(ConfigurationError, match="-4.5"):
-            statespace.select_cluster(
-                clusters, theta_ref=np.array([5.0, 5.0]),
-                basis=basis2, pattern=qubit_pattern,
-            )
+            statespace.select_cluster(clusters, np.array([5.0, 5.0]), qubit_pattern)
 
     def test_tie_break_lexicographic(self, basis2):
         states = np.array([[0.2, 0.0, 0.0], [0.45, 0.0, 0.0]])
@@ -157,9 +145,9 @@ class TestSelectCluster:
         picked = statespace.select_cluster(clusters)
         assert picked.key == min(clusters)
 
-    def test_theta_ref_needs_basis_and_pattern(self, basis2):
+    def test_theta_ref_needs_the_pattern(self, basis2):
         clusters = statespace.cluster_states(np.zeros((1, 3)), 10, basis2)
-        with pytest.raises(ContractViolation, match="needs basis and pattern"):
+        with pytest.raises(ContractViolation, match="needs the pattern"):
             statespace.select_cluster(clusters, np.array([0.0, 0.0]))
 
     def test_empty_input(self):
@@ -168,9 +156,9 @@ class TestSelectCluster:
 
 
 @pytest.fixture(scope="module")
-def qubit_grid(basis2, qubit_pattern):
+def qubit_grid(qubit_pattern):
     spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
-    return statespace.generate_grid(spec, basis2)
+    return statespace.generate_grid(spec)
 
 
 @pytest.mark.invariants
@@ -183,7 +171,7 @@ class TestInvariants:
     def test_members_psd_and_known_values_exact(self, basis3, qutrit_pattern):
         pattern = bs.ParameterPattern.from_known(3, {7: 0.1, 8: -0.05})
         spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), pattern)
-        states = statespace.generate_grid(spec, basis3)
+        states = statespace.generate_grid(spec)
         assert states.shape[0] > 0
         clusters = statespace.cluster_states(states, 10, basis3)
         for cl in clusters.values():
@@ -226,7 +214,7 @@ def oracle_clusters(states, cells, basis):
 
 
 def assert_matches_oracle(spec, basis):
-    states = statespace.generate_grid(spec, basis)
+    states = statespace.generate_grid(spec)
     expected = oracle_grid(spec, basis)
     assert states.shape == expected.shape
     assert np.array_equal(states, expected)
@@ -250,7 +238,7 @@ class TestBatchedAgainstOracle:
         assert states.shape[0] > 0
 
     def test_no_known_indices(self, basis2):
-        pattern = bs.ParameterPattern(2, (1, 2, 3))
+        pattern = bs.ParameterPattern(2)
         spec = statespace.GridSpec(5, bs.bloch_radius_bound(2), pattern)
         states, _ = assert_matches_oracle(spec, basis2)
         assert states.shape[0] > 0
@@ -279,7 +267,7 @@ class TestBatchedAgainstOracle:
 
     def test_golden_qutrit_g7(self, basis3, qutrit_pattern):
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
-        states = statespace.generate_grid(spec, basis3)
+        states = statespace.generate_grid(spec)
         assert states.shape == (361, 8)
         clusters = statespace.cluster_states(states, 10, basis3)
         assert len(clusters) == 6
@@ -302,15 +290,31 @@ class TestEigenvalueCells:
         """I/2 and the spectra (0.6, 0.4) and (0.8, 0.2) lie on cell edges;
         every state of one spectrum gets the same key, as does theta_ref."""
         spec = statespace.GridSpec(11, bs.bloch_radius_bound(2), qubit_pattern)
-        clusters = statespace.cluster_states(statespace.generate_grid(spec, basis2), 10, basis2)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis2)
         assert {key: c.size for key, c in clusters.items()} == {
             (5, 5): 1, (6, 3): 4, (6, 4): 4, (7, 2): 12, (7, 3): 4,
             (8, 1): 16, (8, 2): 4, (9, 0): 32, (9, 1): 4,
         }
-        picked = statespace.select_cluster(
-            clusters, theta_ref=np.zeros(2), basis=basis2, pattern=qubit_pattern
-        )
+        picked = statespace.select_cluster(clusters, theta_ref=np.zeros(2), pattern=qubit_pattern)
         assert picked.key == (5, 5)
+
+    def test_dim4_tensor_pattern_keys(self, basis4):
+        """With every index but 4, 8 and 12 known to be 0 (the tensor SIC's
+        pattern, g = 7), the largest cluster is the 12 states of spectrum
+        cells (4, 4, 0, 0), and they sum to exactly 0.  Keyed without the
+        edge tolerance, rounding moved four (5, 5, 0, 0) states into it: 16
+        members whose sum is not 0."""
+        pattern = bs.ParameterPattern.from_known(
+            4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
+        )
+        spec = statespace.GridSpec(7, bs.bloch_radius_bound(4), pattern)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis4)
+        assert {key: c.size for key, c in clusters.items()} == {
+            (5, 5, 0, 0): 8, (4, 4, 0, 0): 12, (3, 3, 1, 1): 6, (2, 2, 2, 2): 1,
+        }
+        largest = statespace.select_cluster(clusters)
+        assert largest.key == (4, 4, 0, 0) and largest.size == 12
+        assert np.array_equal(largest.members.sum(axis=0), np.zeros(15))
 
     def test_floor_and_clamp(self):
         evals = np.array([[1.0, 0.5, 0.0], [0.7, 0.3 + 1e-15, -1e-12], [1 + 1e-12, 0.0, -0.0]])
@@ -322,11 +326,11 @@ class TestEigenvalueCells:
         basis = request.getfixturevalue(f"basis{dim}")
         pattern = request.getfixturevalue(pattern_name)
         spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
-        clusters = statespace.cluster_states(statespace.generate_grid(spec, basis), 10, basis)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
         for key, cl in clusters.items():
             for theta in cl.members:
                 picked = statespace.select_cluster(
-                    clusters, theta[pattern.unknown_positions], basis, pattern
+                    clusters, theta[pattern.unknown_positions], pattern
                 )
                 assert picked.key == key
 
