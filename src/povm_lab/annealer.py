@@ -24,22 +24,24 @@ measurement seen (by raw objective) is tracked separately from the
 fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
-only on an accepted move, so `AnnealChain` carries it between steps as
-`FreeElements`: the arrays of weights a0 and direction rows A, which do not
-depend on the cluster.  A step perturbs rows of the state's (a0, A) and
-scores one `VariantTable` (`score_variants` computes all 2N probability
-columns); an accepted move other than the all-old row takes the accepted
+only on an accepted move, so `AnnealChain` carries it between steps as one
+(N, n^2) array of coordinate rows (a0, a), which does not depend on the
+cluster.  A step perturbs the rows of a copy and scores the (2N, n^2) table
+of the old rows, then the perturbed ones: `score_variants` computes all 2N
+probability columns and returns every row's `closed`, `skipped` and
+`log_dacm`.  An accepted move other than the all-old row takes the accepted
 row's columns of that table, and a new best takes the best row's columns as
-the chain's second state.  A step builds no `Povm`, and element
-matrices only for the closing matrices of rows in the PSD band: the chain's
-`current` and `best` are built on every read from its two states (a trace
-record every `trace_every` steps, and the result).  A step's cost is mostly
-the fixed cost of its numpy calls, not arithmetic, so the scoring makes few:
-one product gives every row's closing coordinates for both the closure test
-and the closing probability column.  The row
-tables (`VariantRows`) depend only on which positions are pinned and are
-built once per pinned mask in a run.  Every free element matrix comes from
-`OrthonormalBasis.expand`, the one map from coordinates to a . sigma.
+the chain's second state.  A step builds no `Povm`, and element matrices
+(`coordinate_elements`) only for the closing matrices of rows in the PSD
+band: the chain's `current` and `best` are built by `coordinate_povm` on
+every read from its two states (a trace record every `trace_every` steps,
+and the result).  A step's cost is mostly the fixed cost of its numpy calls,
+not arithmetic, so the scoring makes few: one product gives every row's
+closing coordinates for both the closure test and the closing probability
+column.  The row tables (`VariantRows`) depend only on which positions are
+pinned and are built once per pinned mask in a run.  Every free element
+matrix comes from `OrthonormalBasis.expand`, the one map from coordinates to
+a . sigma.
 
 `enumerate_variants`, `complete_povm` and the scalar `design_matrix` and
 `dacm` are the per-candidate path on element matrices; the tests use them as
@@ -204,38 +206,17 @@ class AnnealResult:
     accepted_unchanged: int = 0
 
 
-@dataclass(frozen=True)
-class FreeElements:
-    """The N free elements E_j = a0_j (I + a_j . sigma) of a POVM as coordinate arrays.
+def coordinate_elements(coords: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
+    """(N, n, n) element matrices a0 (I + a . sigma) of (N, n^2) coordinate rows
+    (a0, a), from one stacked `basis.expand`."""
+    return coords[:, 0, None, None] * (basis.expand(coords[:, 1:]) + basis.identity)
 
-    `anneal` carries these for its current and best states from step to step;
-    a step's 2N old/new table is the two sides joined, and a row's free
-    elements are columns of that table.  A chain builds its first state from
-    the `element_rows` of the initial POVM's free elements; element matrices
-    are built only when read (`elements`, `povm`), and probability columns
-    only inside `score_variants`.
-    """
 
-    a0: np.ndarray  # (N,)
-    A: np.ndarray  # (N, n^2 - 1)
-
-    def join(self, other: "FreeElements") -> "FreeElements":
-        """The 2N table: this side's columns, then the other's."""
-        return FreeElements(np.concatenate([self.a0, other.a0]), np.concatenate([self.A, other.A]))
-
-    def take(self, cols: np.ndarray) -> "FreeElements":
-        """The free elements in columns `cols`, in that order."""
-        return FreeElements(self.a0[cols], self.A[cols])
-
-    def elements(self, basis: OrthonormalBasis) -> np.ndarray:
-        """(N, n, n) element matrices a0 (I + a . sigma) from one stacked
-        `basis.expand`."""
-        return self.a0[:, None, None] * (basis.expand(self.A) + basis.identity)
-
-    def povm(self, basis: OrthonormalBasis) -> Povm:
-        """The POVM of these free elements, then their closing element."""
-        elements = self.elements(basis)
-        return Povm(basis.dim, np.concatenate([elements, closing_elements(elements)[None]]))
+def coordinate_povm(coords: np.ndarray, basis: OrthonormalBasis) -> Povm:
+    """The POVM of the free elements of (N, n^2) coordinate rows, then their
+    closing element."""
+    elements = coordinate_elements(coords, basis)
+    return Povm(basis.dim, np.concatenate([elements, closing_elements(elements)[None]]))
 
 
 @dataclass(frozen=True)
@@ -267,27 +248,6 @@ class VariantRows:
         t = cols[:, :, None] * n_free + np.arange(n_free)
         w0 = 2 * n_free * n_free + cols[:, :, None] * (2 * n_free) + cols[:, None, :]
         return cls(bits, cols, choose, np.stack([t, w0], axis=1))
-
-
-@dataclass(frozen=True)
-class VariantTable:
-    """One step's old/new variants, scored as stacked arrays.
-
-    Rows are the choice vectors of `enumerate_variants`, in the same order:
-    lexicographic, bit 1 taking the perturbed element, rows that select a
-    pinned position dropped.  `log_dacm` is NaN on rows that are not closed or
-    are skipped.
-    """
-
-    rows: VariantRows
-    columns: FreeElements  # the 2N old and perturbed elements, old first
-    closed: np.ndarray  # (V,) closing element PSD at -PSD_CONSTRUCTION_TOL
-    skipped: np.ndarray  # (V,) closed, but T singular or det W0 <= 0
-    log_dacm: np.ndarray  # (V,) log det W0 - 2 log |det T|
-
-    def free_elements(self, row: int) -> FreeElements:
-        """The chosen free elements of one row."""
-        return self.columns.take(self.rows.cols[row])
 
 
 def logistic_probability(delta: float, temperature: float) -> float:
@@ -390,13 +350,20 @@ def enumerate_variants(old, new):
 
 
 def score_variants(
-    old: FreeElements,
-    new: FreeElements,
+    columns: np.ndarray,
     rows: VariantRows,
     members: np.ndarray,
     pattern: ParameterPattern,
-) -> VariantTable:
-    """Score the rows of one step from its old and perturbed free elements.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(closed, skipped, log_dacm) of the rows of one step, from its (2N, n^2)
+    table of coordinate rows (a0, a): the N old rows, then the N perturbed.
+
+    Rows are the choice vectors of `enumerate_variants`, in the same order:
+    lexicographic, bit 1 taking the perturbed element, rows that select a
+    pinned position dropped.  The three arrays are (V,): `closed` marks the
+    closed rows, `skipped` the closed rows whose T is singular or whose
+    det W0 <= 0, and `log_dacm` holds log det W0 - 2 log |det T|, NaN on rows
+    that are not closed or are skipped.
 
     A row is closed when its closing element (1 - sum a0) I - (sum a0 a) . sigma
     is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
@@ -415,10 +382,9 @@ def score_variants(
     determinants of every closed row and skips a row where `log_dacm` raises:
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
     """
-    n_free = old.a0.shape[0]
+    n_free = columns.shape[0] // 2
     basis = gell_mann_basis(pattern.dim)
-    columns = old.join(new)
-    a0, A = columns.a0, columns.A  # (2N,), (2N, n^2-1)
+    a0, A = columns[:, 0], columns[:, 1:]  # (2N,), (2N, n^2-1)
     probs = (1.0 + members @ A.T) * a0  # (k, 2N) probability columns over the cluster
     log_dacm = np.full(rows.bits.shape[0], np.nan)
     skipped = np.zeros(rows.bits.shape[0], dtype=bool)
@@ -433,11 +399,11 @@ def score_variants(
     band = ~(closed | no)
     if band.any():
         band = np.flatnonzero(band)
-        closing = closing_elements(columns.elements(basis)[rows.cols[band]])
+        closing = closing_elements(coordinate_elements(columns, basis)[rows.cols[band]])
         closed[band] = linalg.spectra(closing)[:, -1] >= -PSD_CONSTRUCTION_TOL
     idx = closed.nonzero()[0]
     if not idx.size:
-        return VariantTable(rows, columns, closed, skipped, log_dacm)
+        return closed, skipped, log_dacm
 
     # the closing probability column (1 - sum a0) - members . (sum a0 a), the
     # closing element's `element_rows` row read off the free elements' sums
@@ -470,7 +436,7 @@ def score_variants(
     skip = singular | nonpositive
     skipped[idx] = skip
     log_dacm[idx] = np.where(skip, np.nan, log_det[:, 1] - 2.0 * log_det[:, 0])
-    return VariantTable(rows, columns, closed, skipped, log_dacm)
+    return closed, skipped, log_dacm
 
 
 def _in_range(p: np.ndarray) -> bool:
@@ -507,17 +473,19 @@ def random_initial_povm(pattern: ParameterPattern, rng, scale: float = INIT_SCAL
 
 
 class AnnealChain:
-    """The chain between steps: its current and best states as free elements
-    (`state`, `best_state`) with their log DACM (`cur_log`, `best_log`), the run
+    """The chain between steps: its current and best states as (N, n^2) float
+    arrays of coordinate rows (a0, a) (`state`, `best_state`; column 0 is the
+    weight Tr E_j / n, columns 1: the direction a_j = Tr(E_j sigma) / a0_j)
+    with their log DACM (`cur_log`, `best_log`), the run
     counters (`counts`, keyed by `RUN_COUNTERS`) and the row tables of each
     pinned-position mask (`rows`).  `basis` is the pattern's
     `gell_mann_basis`, kept for the helpers that take a basis and no pattern.
 
     Each step reuses `state` as the old side of its table.  `state` changes
     only when a move is accepted, and `best_state` only when a step lowers
-    `best_log`; each then takes a row's columns of the step's table, so no
-    table outlives its step.  `current` and `best` build their `Povm` from
-    `state` and `best_state` on every read.
+    `best_log`; each then takes a copy of a row's columns of the step's table,
+    an array that owns its data, so no table outlives its step.  `current` and
+    `best` build their `Povm` from `state` and `best_state` on every read.
     """
 
     def __init__(
@@ -539,17 +507,16 @@ class AnnealChain:
             raise ContractViolation(f"initial POVM is not valid: {v.name}, {v.detail}")
         # the start's rows give both its design matrix and its free elements;
         # a zero free element has a zero design row and raises SingularDesign
-        # here, before its weight divides its row below; the log domain keeps
-        # a start whose det T^2 underflows finite
+        # here, before its weight divides its row below into (a0, a); the log
+        # domain keeps a start whose det T^2 underflows finite
         X = element_rows(initial.elements[:n_free], basis)
         self.cur_log = log_dacm(
             DesignMatrix(X[:, 1 + pattern.unknown_positions], X[:, 0]),
             averaged_covariance(initial, cluster, pattern),
         )
         self.best_log = self.cur_log
-        a0 = X[:, 0]
-        A = X[:, 1:] / a0[:, None]
-        self.state = self.best_state = FreeElements(a0, A)
+        X[:, 1:] /= X[:, :1]
+        self.state = self.best_state = X
         self.rows = {}  # pinned-position mask -> VariantRows
         self.counts = dict.fromkeys(RUN_COUNTERS, 0)
         self.all_skipped_streak = 0
@@ -557,12 +524,12 @@ class AnnealChain:
     @property
     def current(self) -> Povm:
         """The current POVM, built from `state`."""
-        return self.state.povm(self.basis)
+        return coordinate_povm(self.state, self.basis)
 
     @property
     def best(self) -> Povm:
         """The best POVM seen, built from `best_state`."""
-        return self.best_state.povm(self.basis)
+        return coordinate_povm(self.best_state, self.basis)
 
     def step(self, s: float, temp: float) -> None:
         """Perturb every free element at scale s, score the variants and walk
@@ -570,11 +537,11 @@ class AnnealChain:
         rng, basis, members = self.rng, self.basis, self.cluster.members
         counts = self.counts
         old = self.state
-        a0, A = old.a0.copy(), old.A.copy()
-        pinned = [False] * a0.shape[0]
-        for i, (c0, c) in enumerate(zip(old.a0.tolist(), old.A)):
+        new = old.copy()
+        pinned = [False] * old.shape[0]
+        for i, (c0, c) in enumerate(zip(old[:, 0].tolist(), old[:, 1:])):
             try:
-                a0[i], A[i] = perturb_element(c0, c, s, rng, basis)
+                new[i, 0], new[i, 1:] = perturb_element(c0, c, s, rng, basis)
             except ResampleExhausted:  # keep the old element at a pinned position
                 counts["resample_exhausted"] += 1
                 pinned[i] = True
@@ -582,13 +549,14 @@ class AnnealChain:
         rows = self.rows.get(pinned)
         if rows is None:
             rows = self.rows[pinned] = VariantRows.for_pinned(pinned)
-        table = score_variants(old, FreeElements(a0, A), rows, members, self.pattern)
-        counts["variants_enumerated"] += table.closed.shape[0]
-        counts["closure_rejected"] += table.closed.size - int(np.count_nonzero(table.closed))
-        counts["skipped_variants"] += int(np.count_nonzero(table.skipped))
+        columns = np.concatenate([old, new])
+        closed, skipped, log_dacm = score_variants(columns, rows, members, self.pattern)
+        counts["variants_enumerated"] += closed.shape[0]
+        counts["closure_rejected"] += closed.size - int(np.count_nonzero(closed))
+        counts["skipped_variants"] += int(np.count_nonzero(skipped))
         moved_to = best_row = None
         evaluated = 0
-        for v, cand_log in enumerate(table.log_dacm.tolist()):
+        for v, cand_log in enumerate(log_dacm.tolist()):
             if cand_log != cand_log:  # NaN: not closed, or skipped
                 continue
             evaluated += 1
@@ -605,9 +573,9 @@ class AnnealChain:
         # one gather per state: the step's last best and last accepted rows;
         # row 0's columns are already the state's own
         if best_row is not None:
-            self.best_state = table.free_elements(best_row)
+            self.best_state = columns[rows.cols[best_row]]
         if moved_to:
-            self.state = table.free_elements(moved_to)
+            self.state = columns[rows.cols[moved_to]]
         self.all_skipped_streak = 0 if evaluated else self.all_skipped_streak + 1
         if self.all_skipped_streak >= MAX_ALL_SKIPPED_STEPS:
             raise NumericalError(

@@ -111,7 +111,7 @@ def overlap_tolerance(elements):
 
 def coordinate_element(a0, a, basis):
     """The element a0 (I + a . sigma) of one weight a0 and direction a, built
-    one row at a time: the oracle for the stacked `FreeElements.elements`."""
+    one row at a time: the oracle for the stacked `annealer.coordinate_elements`."""
     return a0 * (basis.expand(a) + np.eye(basis.dim))
 
 

@@ -1,9 +1,8 @@
-import dataclasses
 import itertools
 import math
 import re
 import warnings
-import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -36,11 +35,11 @@ TRINE_COORDS = [
 ]
 
 
-def free_elements(coords, basis):
-    """The `FreeElements` of a list of (a0, a) pairs."""
+def coordinate_rows(coords, basis):
+    """The (N, n^2) coordinate rows (a0, a) of a list of (a0, a) pairs."""
     a0 = np.array([c[0] for c in coords], dtype=float)
     A = np.array([c[1] for c in coords], dtype=float).reshape(len(coords), basis.dim**2 - 1)
-    return annealer.FreeElements(a0, A)
+    return np.column_stack([a0, A])
 
 
 def perturbed(coords, s, rng, basis):
@@ -453,13 +452,25 @@ class TestTraceIO:
             annealer.read_trace(path)
 
 
+class Scored(NamedTuple):
+    """One step's row table and (2N, n^2) coordinate table, and the three
+    arrays `score_variants` returns for them."""
+
+    rows: annealer.VariantRows
+    columns: np.ndarray
+    closed: np.ndarray
+    skipped: np.ndarray
+    log_dacm: np.ndarray
+
+
 def evaluate_variants(old, new, basis, cluster, pattern):
-    """The `VariantTable` of two aligned (a0, a) lists, scored as an anneal
-    step scores its sides: the free elements of each list and the row table of
-    the positions where `new` is `old`, then `score_variants`."""
+    """The `Scored` table of two aligned (a0, a) lists, scored as an anneal
+    step scores its sides: the coordinate rows of the old list, then the new,
+    and the row table of the positions where `new` is `old`, then
+    `score_variants`."""
     rows = annealer.VariantRows.for_pinned([n is o for n, o in zip(new, old)])
-    sides = (free_elements(c, basis) for c in (old, new))
-    return annealer.score_variants(*sides, rows, cluster.members, pattern)
+    columns = coordinate_rows(old + new, basis)
+    return Scored(rows, columns, *annealer.score_variants(columns, rows, cluster.members, pattern))
 
 
 def scalar_variants(old, new, basis, cluster, pattern):
@@ -495,7 +506,7 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
     assert [tuple(r) for r in bits.tolist()] == candidates
     expected = scalar_variants(old, new, basis, cluster, pattern)
     rows = np.flatnonzero(table.closed)
-    elements = table.columns.elements(basis)
+    elements = annealer.coordinate_elements(table.columns, basis)
     closing = pv.closing_elements(elements[table.rows.cols])
     for v in rows.tolist():
         chosen = list(elements[table.rows.cols[v]])
@@ -508,11 +519,11 @@ def assert_matches_scalar(old, new, basis, cluster, pattern):
             assert math.isnan(table.log_dacm[v])
         else:
             assert abs(table.log_dacm[v] - log_d) <= 1e-12
-        free = table.free_elements(v)
-        assert np.array_equal(free.povm(basis).elements[-1], want_closing)
-        for a0, a, o, n, b in zip(free.a0, free.A, old, new, bits[v]):
+        free = table.columns[table.rows.cols[v]]
+        assert np.array_equal(annealer.coordinate_povm(free, basis).elements[-1], want_closing)
+        for x, o, n, b in zip(free, old, new, bits[v]):
             want = n if b else o
-            assert a0 == want[0] and np.array_equal(a, want[1])
+            assert x[0] == want[0] and np.array_equal(x[1:], want[1])
     assert not table.skipped[~table.closed].any()
     assert np.isnan(table.log_dacm[~table.closed]).all()
     return table
@@ -619,18 +630,17 @@ class TestProbabilityChecks:
     ContractViolation naming that row, whichever check it fails."""
 
     def interior_step(self, basis2, qubit_pattern, qubit_cluster):
-        """A qubit step from an interior POVM: its sides and rows, of which
-        the all-old row (0, 0) is closed."""
+        """A qubit step from an interior POVM: its coordinate table and rows,
+        of which the all-old row (0, 0) is closed."""
         rng = np.random.default_rng(4)
         initial = annealer.random_initial_povm(qubit_pattern, rng)
         olds = free_coordinates(initial, basis2)
         news = perturbed(olds, 0.02, rng, basis2)
-        old = free_elements(olds, basis2)
-        new = free_elements(news, basis2)
+        columns = coordinate_rows(olds + news, basis2)
         rows = annealer.VariantRows.for_pinned([False, False])
-        table = annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
-        assert table.closed[0]
-        return old, new, rows
+        closed, _, _ = annealer.score_variants(columns, rows, qubit_cluster.members, qubit_pattern)
+        assert closed[0]
+        return columns, rows
 
     def test_closing_column_alone_out_of_range(self, basis2, qubit_pattern, qubit_cluster):
         # theta along a_1 + a_2, outside the Bloch ball (|theta| = 1 > 1/sqrt 2):
@@ -651,20 +661,20 @@ class TestProbabilityChecks:
         # the columns come from (a0, A) in `score_variants` itself, so a row
         # sums to 1 up to rounding; a negative tolerance makes every closed
         # row fail the sum check, and the first names row (0, 0)
-        old, new, rows = self.interior_step(basis2, qubit_pattern, qubit_cluster)
+        columns, rows = self.interior_step(basis2, qubit_pattern, qubit_cluster)
         monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
         monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")) as info:
-            annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
+            annealer.score_variants(columns, rows, qubit_cluster.members, qubit_pattern)
         dev = float(str(info.value).rsplit(" ", 1)[1])
         assert 0.0 <= dev < 1e-12
 
     def test_nan_probability(self, basis2, qubit_pattern, qubit_cluster):
-        old, new, rows = self.interior_step(basis2, qubit_pattern, qubit_cluster)
+        columns, rows = self.interior_step(basis2, qubit_pattern, qubit_cluster)
         members = qubit_cluster.members.copy()
         members[3, 0] = math.nan  # every column is NaN there: row (0, 0) is closed and takes it
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0): min nan")):
-            annealer.score_variants(old, new, rows, members, qubit_pattern)
+            annealer.score_variants(columns, rows, members, qubit_pattern)
 
 
     def test_unclosed_rows_columns_are_not_checked(
@@ -673,8 +683,9 @@ class TestProbabilityChecks:
         """A perturbed column out of range (p = 1.2 at every member) that only
         unclosed rows take builds no per-row table for `check_simplex`; with a
         negative sum tolerance the same table falls back to it once."""
-        old = free_elements([(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])], basis2)
-        new = free_elements([(1.2, [0.0, 0.0, 0.0]), (0.3, [0.1, 0.0, 0.0])], basis2)
+        old = [(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])]
+        new = [(1.2, [0.0, 0.0, 0.0]), (0.3, [0.1, 0.0, 0.0])]
+        columns = coordinate_rows(old + new, basis2)
         rows = annealer.VariantRows.for_pinned([False, False])
         calls = []
 
@@ -684,13 +695,15 @@ class TestProbabilityChecks:
 
         check_simplex = annealer.check_simplex
         monkeypatch.setattr(annealer, "check_simplex", counted)
-        table = annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
-        assert table.closed.tolist() == [True, True, False, False]
+        closed, _, _ = annealer.score_variants(
+            columns, rows, qubit_cluster.members, qubit_pattern
+        )
+        assert closed.tolist() == [True, True, False, False]
         assert calls == []
         monkeypatch.setattr(annealer, "PROB_SUM_TOL", -1.0)
         monkeypatch.setattr(objective, "PROB_SUM_TOL", -1.0)
         with pytest.raises(ContractViolation, match=re.escape("variant (0, 0)")):
-            annealer.score_variants(old, new, rows, qubit_cluster.members, qubit_pattern)
+            annealer.score_variants(columns, rows, qubit_cluster.members, qubit_pattern)
         assert calls == [(2, qubit_cluster.size, 3)]
 
 
@@ -701,13 +714,13 @@ class TestSingularityRule:
     start applies it, and `objective.estimate_state` find T singular exactly
     where `log_dacm` raises SingularDesign."""
 
-    def assert_rule_shared(self, old, new, members, pattern):
-        rows = annealer.VariantRows.for_pinned([False] * old.a0.shape[0])
-        table = annealer.score_variants(old, new, rows, members, pattern)
-        assert table.closed.all()
-        columns = old.join(new)
-        design = (columns.a0[:, None] * columns.A)[:, pattern.unknown_positions]
-        probs = (1.0 + members @ columns.A.T) * columns.a0
+    def assert_rule_shared(self, columns, members, pattern):
+        rows = annealer.VariantRows.for_pinned([False] * (columns.shape[0] // 2))
+        closed, skipped, _ = annealer.score_variants(columns, rows, members, pattern)
+        assert closed.all()
+        a0, A = columns[:, 0], columns[:, 1:]
+        design = (a0[:, None] * A)[:, pattern.unknown_positions]
+        probs = (1.0 + members @ A.T) * a0
         gram = probs.T @ probs
         table_w = np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0
         for v, cols in enumerate(rows.cols):
@@ -716,22 +729,22 @@ class TestSingularityRule:
             raised = None
             try:
                 objective.log_dacm(
-                    objective.DesignMatrix(T, columns.a0[cols]),
+                    objective.DesignMatrix(T, a0[cols]),
                     objective.AveragedCovariance(W0, members.shape[0]),
                 )
             except (SingularDesign, NonPositiveObjective) as exc:
                 raised = type(exc)
-            assert (raised is not None) == table.skipped[v], v
+            assert (raised is not None) == skipped[v], v
             singular = objective.singular_design(T, np.linalg.slogdet(T)[1])
             assert singular == (raised is SingularDesign), v
-            design_v = objective.DesignMatrix(T, columns.a0[cols])
+            design_v = objective.DesignMatrix(T, a0[cols])
             try:
                 objective.estimate_state(np.zeros_like(design_v.a0s), design_v)
                 estimate_raised = False
             except SingularDesign:
                 estimate_raised = True
             assert estimate_raised == (raised is SingularDesign), v
-        return table.skipped.tolist()
+        return skipped.tolist()
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
     def test_design_floor(self, basis2, qubit_pattern, qubit_cluster, side):
@@ -741,9 +754,10 @@ class TestSingularityRule:
         edge = 1e-12 * 0.15**2 / 0.045
         below, above = edge * (1 - 1e-9), edge * (1 + 1e-9)
         y, x = (below, above) if side < 0 else (above, below)
-        old = free_elements([(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])], basis2)
-        new = free_elements([(0.3, [x, 0.5, 0.0]), (0.3, [0.5, y, 0.0])], basis2)
-        skipped = self.assert_rule_shared(old, new, qubit_cluster.members, qubit_pattern)
+        old = [(0.3, [0.5, 0.0, 0.0]), (0.3, [0.0, 0.5, 0.0])]
+        new = [(0.3, [x, 0.5, 0.0]), (0.3, [0.5, y, 0.0])]
+        columns = coordinate_rows(old + new, basis2)
+        skipped = self.assert_rule_shared(columns, qubit_cluster.members, qubit_pattern)
         assert skipped == ([False, True, False, False] if side < 0 else [False, False, True, False])
 
     def test_covariance_sign(self, basis2, qubit_pattern):
@@ -751,9 +765,9 @@ class TestSingularityRule:
         side has probability exactly 0, so det W0 = 0 on the rows that take
         it; the perturbed element 0 has probability 1.25e-7 and det W0 > 0."""
         members = np.array([[0.5, 0.5, 0.0]])
-        old = free_elements([(0.25, [-1.0, -1.0, 0.0]), (0.25, [1.0, -1.0, 0.0])], basis2)
-        new = free_elements([(0.25, [-1.0, -1.0 + 1e-6, 0.0]), (0.25, [1.0, -0.9, 0.0])], basis2)
-        skipped = self.assert_rule_shared(old, new, members, qubit_pattern)
+        old = [(0.25, [-1.0, -1.0, 0.0]), (0.25, [1.0, -1.0, 0.0])]
+        new = [(0.25, [-1.0, -1.0 + 1e-6, 0.0]), (0.25, [1.0, -0.9, 0.0])]
+        skipped = self.assert_rule_shared(coordinate_rows(old + new, basis2), members, qubit_pattern)
         assert skipped == [True, True, False, False]
 
 
@@ -805,11 +819,12 @@ class TestReferenceChains:
         first_draw_is_row0 = [False]
         counted = [0]
 
-        def scoring(*args):
-            table = score(*args)
-            assert not table.rows.bits[0].any()
-            first_draw_is_row0[0] = bool(table.closed[0] and not table.skipped[0])
-            return table
+        def scoring(columns, rows, *args):
+            scores = score(columns, rows, *args)
+            closed, skipped, _ = scores
+            assert not rows.bits[0].any()
+            first_draw_is_row0[0] = bool(closed[0] and not skipped[0])
+            return scores
 
         def drawing(delta, temperature, rng):
             accepted = accept(delta, temperature, rng)
@@ -833,24 +848,24 @@ class TestReferenceChains:
         assert int(report["closure_rejected"]) > 0
 
 
-def reference_scores(old, new, rows, basis, members, pattern):
+def reference_scores(columns, rows, basis, members, pattern):
     """(closed, skipped, log_dacm) of one step's rows, built the way the step
     built them before its single T/W0 gather: closure by `eigvalsh` on every
     row's closing matrix; T as `weighted[:, unknown][cols]`; W0 as the row's
     block of diag(colsum) - (G + G^T)/2, gathered through flat pair indices;
     one `slogdet` on the concatenation of the T and W0 stacks."""
-    n_free = old.a0.shape[0]
-    columns = old.join(new)
-    closing = pv.closing_elements(columns.elements(basis)[rows.cols])
+    n_free = columns.shape[0] // 2
+    a0, A = columns[:, 0], columns[:, 1:]
+    closing = pv.closing_elements(annealer.coordinate_elements(columns, basis)[rows.cols])
     closed = np.linalg.eigvalsh(closing)[:, 0] >= -pv.PSD_CONSTRUCTION_TOL
     skipped = np.zeros(closed.shape, dtype=bool)
     log_dacm = np.full(closed.shape, np.nan)
     if not closed.any():
         return closed, skipped, log_dacm
     cols = rows.cols[closed]
-    weighted = columns.a0[:, None] * columns.A
+    weighted = a0[:, None] * A
     T = weighted[:, [i - 1 for i in pattern.unknown_indices]][cols]
-    probs = (1.0 + members @ columns.A.T) * columns.a0
+    probs = (1.0 + members @ A.T) * a0
     gram = probs.T @ probs
     pairs = cols[:, :, None] * (2 * n_free) + cols[:, None, :]
     W0 = (np.diag(probs.sum(axis=0)) - (gram + gram.T) / 2.0).take(pairs)
@@ -875,16 +890,16 @@ class TestFlatGatherOracle:
         score = annealer.score_variants
         checked = []
 
-        def checking_score(old, new, rows, members, pattern):
-            table = score(old, new, rows, members, pattern)
+        def checking_score(columns, rows, members, pattern):
+            scores = score(columns, rows, members, pattern)
             basis = gell_mann_basis(pattern.dim)
-            closed, skipped, log_dacm = reference_scores(old, new, rows, basis, members, pattern)
+            closed, skipped, log_dacm = reference_scores(columns, rows, basis, members, pattern)
             step = len(checked)
-            assert np.array_equal(table.closed, closed), step
-            assert np.array_equal(table.skipped, skipped), step
-            assert np.array_equal(table.log_dacm, log_dacm, equal_nan=True), step
+            assert np.array_equal(scores[0], closed), step
+            assert np.array_equal(scores[1], skipped), step
+            assert np.array_equal(scores[2], log_dacm, equal_nan=True), step
             checked.append(rows.bits.shape[0])
-            return table
+            return scores
 
         monkeypatch.setattr(annealer, "score_variants", checking_score)
         return checked
@@ -1128,18 +1143,9 @@ class TestChainStart:
         assert all(a == b for a, b in counters) and one.accepted > 0
 
 
-def test_no_table_outlives_its_step(qutrit_pattern, qutrit_small_cluster, monkeypatch):
-    """A step's `VariantTable` is freed when the step returns, also when the
-    step found a new best."""
-    refs = []
-    score = annealer.score_variants
-
-    def recording_score(*args):
-        table = score(*args)
-        refs.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(annealer, "score_variants", recording_score)
+def test_no_table_outlives_its_step(qutrit_pattern, qutrit_small_cluster):
+    """After every step neither state is a view of the step's coordinate
+    table, also when the step found a new best."""
     initial = annealer.random_initial_povm(qutrit_pattern, np.random.default_rng(7))
     config = small_config(total_steps=30)
     chain = annealer.AnnealChain(config, initial, qutrit_small_cluster, qutrit_pattern)
@@ -1148,21 +1154,22 @@ def test_no_table_outlives_its_step(qutrit_pattern, qutrit_small_cluster, monkey
         best_log = chain.best_log
         chain.step(*config.schedule(t))
         new_bests += chain.best_log < best_log
-        assert refs[-1]() is None, t
+        assert chain.state.base is None and chain.best_state.base is None, t
     assert new_bests > 0
 
 
 class TestCarriedState:
-    """The chain carries only (a0, A) from step to step, and the POVMs it builds
-    on read are those of its start and of its accepted and best table rows."""
+    """The chain carries only its (N, n^2) coordinate rows from step to step,
+    and the POVMs it builds on read are those of its start and of its accepted
+    and best table rows."""
 
     def run_chain(self, monkeypatch, basis, pattern, cluster, **kw):
         tables, draws = [], []
         score, accept = annealer.score_variants, annealer.logistic_accept
 
-        def recording_score(*args):
-            tables.append(score(*args))
-            return tables[-1]
+        def recording_score(columns, rows, *args):
+            tables.append((columns, rows, score(columns, rows, *args)))
+            return tables[-1][2]
 
         def recording_accept(*args):
             draws.append(accept(*args))
@@ -1184,26 +1191,25 @@ class TestCarriedState:
             draws.clear()
             chain.step(*config.schedule(t))
             state = chain.state
-            changed = not (
-                np.array_equal(before.a0, state.a0) and np.array_equal(before.A, state.A)
-            )
+            changed = not np.array_equal(before, state)
             moved += changed
             stayed += not changed
-            assert [field.name for field in dataclasses.fields(state)] == ["a0", "A"]
-            assert np.array_equal(state.elements(basis), np.array(chain.current.elements[:-1]))
+            assert state.dtype == float and state.shape == (pattern.unknown_count, basis.dim**2)
+            elements = annealer.coordinate_elements(state, basis)
+            assert np.array_equal(elements, np.array(chain.current.elements[:-1]))
 
             # the walk draws once per evaluated row, in row order
-            table = tables[-1]
-            evaluated = np.flatnonzero(~np.isnan(table.log_dacm)).tolist()
+            columns, rows, (_, _, log_dacm) = tables[-1]
+            evaluated = np.flatnonzero(~np.isnan(log_dacm)).tolist()
             assert len(draws) == len(evaluated)
             accepted = [v for v, took in zip(evaluated, draws) if took]
             best_row = None
             if chain.best_log < best_log:
-                best_row = int(np.nanargmin(table.log_dacm))
-                assert table.log_dacm[best_row] == chain.best_log
-                want_best = table.free_elements(best_row).povm(basis)
+                best_row = int(np.nanargmin(log_dacm))
+                assert log_dacm[best_row] == chain.best_log
+                want_best = annealer.coordinate_povm(columns[rows.cols[best_row]], basis)
             if accepted:
-                want_current = table.free_elements(accepted[-1]).povm(basis)
+                want_current = annealer.coordinate_povm(columns[rows.cols[accepted[-1]]], basis)
                 shared += accepted[-1] == best_row
             assert_same_povm(chain.current, want_current)
             assert_same_povm(chain.best, want_best)
@@ -1243,12 +1249,12 @@ class TestCarriedState:
             exhausted.append(False)
             return out
 
-        def checking_score(old, new, rows, *args):
+        def checking_score(columns, rows, *args):
             mask = tuple(exhausted)
             exhausted.clear()
             assert np.array_equal(rows.bits, annealer.VariantRows.for_pinned(mask).bits)
             seen.setdefault(mask, set()).add(id(rows))
-            return score(old, new, rows, *args)
+            return score(columns, rows, *args)
 
         monkeypatch.setattr(annealer, "perturb_element", recording_perturb)
         monkeypatch.setattr(annealer, "score_variants", checking_score)
@@ -1261,7 +1267,7 @@ class TestCarriedState:
         assert all(len(ids) == 1 for ids in seen.values())  # one table per mask
 
     def test_elements_match_coords_to_element(self, basis2, basis3, basis4):
-        """In dims 2, 3 and 4, every row of a 1-row, N-row and joined 2N-row
+        """In dims 2, 3 and 4, every row of a 1-row, N-row and 2N-row
         product is bit-identical to the per-row a0 (basis.expand(a) + I): the
         band rows' closing matrices are built from the 2N-row product, a read
         POVM's elements from the N-row one."""
@@ -1275,11 +1281,10 @@ class TestCarriedState:
                 ]
                 for _ in range(2)
             ]
-            sides = [free_elements(c, basis) for c in (old, new)]
-            tables = [(old, sides[0]), (old + new, sides[0].join(sides[1]))]
-            tables += [([c], free_elements([c], basis)) for c in old]
+            tables = [(coords, coordinate_rows(coords, basis)) for coords in (old, old + new)]
+            tables += [([c], coordinate_rows([c], basis)) for c in old]
             for coords, built in tables:
-                elements = built.elements(basis)
+                elements = annealer.coordinate_elements(built, basis)
                 assert elements.shape == (len(coords), basis.dim, basis.dim)
                 for e, (a0, a) in zip(elements, coords):
                     assert np.array_equal(e, coordinate_element(a0, a, basis))

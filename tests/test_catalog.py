@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -129,6 +130,14 @@ class TestHarmonicFrames:
         assert len(elements) == v
         for k in range(1, v):
             assert np.array_equal(elements[v - k], elements[k].conj())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singer_set_is_a_difference_set(self, n):
+        """The n(n - 1) differences d_i - d_j mod v (i != j) of the Singer set
+        are the nonzero residues mod v = n^2 - n + 1, each exactly once."""
+        D, v = catalog.SINGER_SETS[n], n * n - n + 1
+        differences = sorted((a - b) % v for a, b in itertools.permutations(D, 2))
+        assert differences == list(range(1, v))
 
     def test_no_difference_set_is_a_contract_violation(self):
         with pytest.raises(ContractViolation, match="n = 5"):

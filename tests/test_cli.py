@@ -1021,6 +1021,25 @@ def _benchmark_tracing():
     return tracing
 
 
+def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
+    """Every config perfbench/workloads.py writes parses with the workload's
+    mode, and an anneal workload's config runs its step count, so a config-key
+    change that misses the benchmark fails here.  The module is loaded by its
+    path and registered in `sys.modules`, where its dataclass looks itself up."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for wl in workloads.WORKLOADS.values():
+        cfg = cli.parse_config(wl.config_text(0, str(tmp_path)))
+        assert cfg.mode == wl.mode, wl.name
+        if wl.mode == "anneal":
+            assert cfg.anneal.total_steps == wl.steps, wl.name
+
+
 def test_benchmark_tracer_names_resolve():
     """perfbench/tracing.py wraps package names it looks up with `getattr`,
     reads the `OrthonormalBasis.stack` property and calls `rankone.refine` as

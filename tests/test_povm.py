@@ -6,7 +6,13 @@ import pytest
 
 from povm_lab import catalog, linalg, rankone
 from povm_lab import povm as pv
-from povm_lab.annealer import AnnealChain, AnnealConfig, FreeElements, random_initial_povm
+from povm_lab.annealer import (
+    AnnealChain,
+    AnnealConfig,
+    coordinate_elements,
+    coordinate_povm,
+    random_initial_povm,
+)
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ClosureNotPositive, ContractViolation
 
@@ -18,9 +24,8 @@ METRICS_TOL = 1e-14
 
 
 def free_element(a0, a, basis):
-    """a0 (I + a . sigma) from the element matrices of a one-row `FreeElements`."""
-    one = FreeElements(np.array([a0]), np.reshape(a, (1, basis.dim**2 - 1)))
-    return one.elements(basis)[0]
+    """a0 (I + a . sigma) from the element matrices of one coordinate row (a0, a)."""
+    return coordinate_elements(np.concatenate([[a0], a])[None], basis)[0]
 
 
 class TestCoordsToElement:
@@ -61,7 +66,7 @@ class TestElementRows:
         count = dim**2 - 2
         a0 = np.full(count, 1.0 / (count + 1))
         A = rng.normal(0.0, 0.1, (count, dim**2 - 1))
-        P = FreeElements(a0, A).povm(basis)
+        P = coordinate_povm(np.column_stack([a0, A]), basis)
         X = pv.element_rows(P.elements, basis)
         assert X.shape == (count + 1, dim**2)
         assert np.abs(X[:-1, 0] - a0).max() < 1e-15
@@ -79,8 +84,8 @@ class TestElementRows:
         )
         X = pv.element_rows(qutrit_csic.elements, basis3)
         for j, x in enumerate(X[:-1]):
-            assert chain.state.a0[j] == x[0]
-            assert np.array_equal(chain.state.A[j], x[1:] / x[0])
+            assert chain.state[j, 0] == x[0]
+            assert np.array_equal(chain.state[j, 1:], x[1:] / x[0])
 
     @pytest.mark.parametrize("entry", [1j, np.nan, np.inf], ids=["non_hermitian", "nan", "inf"])
     def test_bad_element_rejected(self, basis2, entry):
@@ -368,7 +373,7 @@ class TestPovmConstruction:
             pv.complete_povm([np.eye(2) / 2, np.eye(2) / 4]),
             pov,
             pv.read_povm(path),
-            FreeElements(np.array([0.3, 0.3]), np.zeros((2, 3))).povm(basis2),
+            coordinate_povm(np.array([[0.3, 0.0, 0.0, 0.0]] * 2), basis2),
             rankone.phases_to_povm(rankone.random_phases(3, 7, rng))[0],
         ]
         for P in built:

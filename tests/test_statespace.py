@@ -335,6 +335,94 @@ class TestEigenvalueCells:
                 assert picked.key == key
 
 
+def quarter_phases(dim):
+    """diag(1, i^k_1, ..., i^k_{n-1}) for every k in {0, 1, 2, 3}^{n-1}."""
+    powers = np.array([1, 1j, -1, -1j])
+    return [np.diag(powers[[0, *k]]) for k in itertools.product(range(4), repeat=dim - 1)]
+
+
+# the diagonal Clifford generators S (x) I, I (x) S and exp(i pi/4 Z (x) Z)
+S_GATE = np.diag([1, 1j])
+DIM4_CLIFFORD = [
+    np.kron(S_GATE, np.eye(2)),
+    np.kron(np.eye(2), S_GATE),
+    np.diag(np.exp(1j * np.pi / 4 * np.array([1, -1, -1, 1]))),
+]
+
+
+def lattice_map(U, basis):
+    """(image, sign) of the coordinate map theta -> R theta of rho -> U rho U^dagger,
+    R_kl = Tr(sigma_k U sigma_l U^dagger), when R is a signed permutation:
+    coordinate l goes to coordinate image[l] times sign[l].  None otherwise."""
+    s = basis.elements
+    R = np.einsum("kab,bc,lcd,ad->kl", s, U, s, U.conj())
+    assert np.abs(R.imag).max() <= 1e-12
+    signs = np.rint(R.real)
+    permutes = (np.abs(signs).sum(axis=0) == 1).all() and (np.abs(signs).sum(axis=1) == 1).all()
+    if np.abs(R.real - signs).max() > 1e-12 or not permutes:
+        return None
+    image = np.abs(signs).argmax(axis=0)
+    return image, signs[image, np.arange(image.size)]
+
+
+class TestLatticeSymmetry:
+    """A diagonal unitary whose coordinate map is a signed permutation fixing
+    the known coordinates maps every cluster of a diagonal-known grid onto
+    itself, compared on integer grid indices, not rounded floats."""
+
+    @pytest.mark.parametrize(
+        "dim, known, g, unitaries, sizes",
+        [
+            (2, {3: 0.0}, 7, quarter_phases(2), [1, 4, 4, 8, 12]),
+            (2, {3: 0.0}, 11, quarter_phases(2), [1, 4, 4, 4, 4, 4, 12, 16, 32]),
+            (3, {7: 0.0, 8: 0.0}, 7, quarter_phases(3), [1, 12, 16, 48, 96, 188]),
+            (
+                3,
+                {7: 0.1, 8: -0.05},
+                9,
+                quarter_phases(3),
+                [1, 4, 4, 8, 16, 16, 32, 48, 80, 120, 128, 152, 164, 216],
+            ),
+            (4, {3: 0.0, 12: 0.0, 15: 0.0}, 5, DIM4_CLIFFORD, [1, 24, 32]),
+        ],
+        ids=["qubit-g7", "qubit-g11", "qutrit-g7", "qutrit-shifted-g9", "dim4-clifford-g5"],
+    )
+    def test_clusters_map_onto_themselves(self, monkeypatch, dim, known, g, unitaries, sizes):
+        pattern = bs.ParameterPattern.from_known(dim, known)
+        basis = bs.gell_mann_basis(dim)
+        bound = bs.bloch_radius_bound(dim)
+        # the dim-4 grid has 5^12 points before the Bloch-ball prefilter
+        budget = max(statespace.POINT_BUDGET, g**pattern.unknown_count)
+        monkeypatch.setattr(statespace, "POINT_BUDGET", budget)
+        spec = statespace.GridSpec(g, bound, pattern)
+        clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
+        axis = np.linspace(-bound, bound, g)
+        unknown = pattern.unknown_positions
+        indices = {}
+        for key, cl in clusters.items():
+            x = cl.members[:, unknown]
+            j = np.rint((x / bound + 1) * (g - 1) / 2).astype(int)
+            assert np.array_equal(axis[j], x)
+            indices[key] = j
+        slot = {p: i for i, p in enumerate(unknown.tolist())}
+        for U in unitaries:
+            image, sign = lattice_map(U, basis)
+            known_pos = pattern.known_positions
+            assert np.array_equal(image[known_pos], known_pos) and (sign[known_pos] == 1).all()
+            dest = [slot[p] for p in image[unknown].tolist()]
+            flip = sign[unknown] < 0
+            for key, j in indices.items():
+                mapped = np.empty_like(j)
+                mapped[:, dest] = np.where(flip, g - 1 - j, j)
+                assert set(map(tuple, mapped.tolist())) == set(map(tuple, j.tolist())), key
+        assert sorted(c.size for c in clusters.values()) == sizes
+
+    def test_dim4_quarter_phase_is_not_a_lattice_map(self, basis4):
+        """In the tensor-Pauli basis diag(1, i, 1, 1) mixes coordinates, which
+        is why the dim-4 case uses the Clifford generators."""
+        assert lattice_map(np.diag([1, 1j, 1, 1]), basis4) is None
+
+
 def _boundary_points(basis, seed, support, offsets):
     """A random direction with `support` nonzero coordinates, scaled so that
     the lowest eigenvalue of rho = I/n + theta . sigma is each of `offsets`."""
