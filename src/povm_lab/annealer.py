@@ -111,7 +111,7 @@ RUN_COUNTERS = (
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    total_steps: int
+    total_steps: int = 20000
     s0: float = 0.2
     s_decay: float = 0.9995
     T0: float = 1.0
@@ -216,7 +216,7 @@ def coordinate_povm(coords: np.ndarray, basis: OrthonormalBasis) -> Povm:
     """The POVM of the free elements of (N, n^2) coordinate rows, then their
     closing element."""
     elements = coordinate_elements(coords, basis)
-    return Povm(basis.dim, np.concatenate([elements, closing_elements(elements)[None]]))
+    return Povm(np.concatenate([elements, closing_elements(elements)[None]]))
 
 
 @dataclass(frozen=True)

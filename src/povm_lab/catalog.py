@@ -53,19 +53,19 @@ def harmonic_csic(n: int) -> Povm:
     r = np.outer(np.arange(v), D) % v
     r = np.where(r > v // 2, r - v, r)  # symmetric residue
     h = np.exp(2j * math.pi * r / v) / math.sqrt(n)  # (v, n), row k is h_k
-    return Povm(n, (n / v) * h[:, :, None] * h[:, None, :].conj())
+    return Povm((n / v) * h[:, :, None] * h[:, None, :].conj())
 
 
 def qutrit_csic_phases() -> PhaseConfiguration:
     """Phase matrix of the analytic qutrit solution, (2 pi/7)(k d mod 7)."""
     units = np.outer(_QUTRIT_ROWS, SINGER_SETS[3]) % 7
-    return PhaseConfiguration(3, 7, units.astype(float) * (2.0 * math.pi / 7.0))
+    return PhaseConfiguration(units.astype(float) * (2.0 * math.pi / 7.0))
 
 
 def qutrit_csic() -> Povm:
     """The seven-element qutrit solution: the n = 3 harmonic frame in rows
     0, 1, 5, 3, 6, 2, 4, so elements 4-6 are the entrywise conjugates of 1-3."""
-    return Povm(3, harmonic_csic(3).elements.take(_QUTRIT_ROWS, axis=0))
+    return Povm(harmonic_csic(3).elements.take(_QUTRIT_ROWS, axis=0))
 
 
 def qubit_trine() -> Povm:
@@ -78,7 +78,7 @@ def diag_units_dim4() -> Povm:
     """The four diagonal matrix units of dimension 4."""
     units = np.zeros((4, 4, 4), dtype=complex)
     units[range(4), range(4), range(4)] = 1.0
-    return Povm(4, units)
+    return Povm(units)
 
 
 TETRAHEDRON = (
@@ -96,7 +96,7 @@ def qubit_sic() -> np.ndarray:
 
 def sic_tensor_identity_dim4() -> Povm:
     """E_i = F_i (x) I with F_i the qubit SIC: four rank-two multiples of 1/2."""
-    return Povm(4, np.kron(qubit_sic(), np.eye(2)))
+    return Povm(np.kron(qubit_sic(), np.eye(2)))
 
 
 @dataclass(frozen=True)

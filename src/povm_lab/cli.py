@@ -3,8 +3,8 @@
 Config files are flat `key = value` text with dotted section prefixes; blank
 lines and `#` comments are ignored, unknown or duplicate keys are errors.
 `_CONFIG_KEYS` maps each key to a field of `ExperimentConfig`, its
-`AnnealConfig` or its `RefineSettings`; a key that is not given keeps the
-default declared on that field, and those defaults describe the qutrit
+`ParameterPattern`, `AnnealConfig` or `RefineSettings`; a key that is not given
+keeps the default declared on that field, and those defaults describe the qutrit
 diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 `docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
 table.  Refine restart r runs Levenberg-Marquardt from phases drawn by the
@@ -77,13 +77,12 @@ class RefineSettings:
 @dataclass
 class ExperimentConfig:
     mode: str
-    dim: int = 3
-    pattern: ParameterPattern = None  # None: build_config uses DEFAULT_KNOWN[dim]
+    pattern: ParameterPattern = ParameterPattern.from_known(3, DEFAULT_KNOWN[3])
     grid_points: int = 7
-    grid_bound: Optional[float] = None  # None: bloch_radius_bound(dim)
+    grid_bound: Optional[float] = None  # None: bloch_radius_bound(pattern.dim)
     grid_cells: int = 10
     theta_ref: Optional[np.ndarray] = None
-    anneal: AnnealConfig = field(default_factory=lambda: AnnealConfig(total_steps=20000))
+    anneal: AnnealConfig = field(default_factory=AnnealConfig)
     init_scale: float = INIT_SCALE
     refine: RefineSettings = field(default_factory=RefineSettings)
     output_dir: str = "."
@@ -114,11 +113,11 @@ def _parse_float_array(s):
 
 # key -> (target, field, parser).  The target says where the value goes:
 # "config" is ExperimentConfig itself, "anneal" its AnnealConfig, "refine" its
-# RefineSettings, and "pattern" the two lists build_config turns into a
-# ParameterPattern.
+# RefineSettings, and "pattern" the dimension and the two lists build_config
+# turns into a ParameterPattern.
 _CONFIG_KEYS = {
     "mode": ("config", "mode", str),
-    "dim": ("config", "dim", _parse_int),
+    "dim": ("pattern", "dim", _parse_int),
     "pattern.known_indices": ("pattern", "known_indices", _parse_int_list),
     "pattern.known_values": ("pattern", "known_values", _parse_float_list),
     "grid.points_per_axis": ("config", "grid_points", _parse_int),
@@ -177,7 +176,7 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
     cfg = ExperimentConfig(**{**given["config"], "mode": mode})
-    dim = cfg.dim
+    dim = given["pattern"].get("dim", cfg.pattern.dim)
     if dim not in (2, 3, 4):
         raise ConfigurationError(f"dim must be 2, 3 or 4, got {dim}")
 
@@ -221,9 +220,9 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
 
 
 def _build_cluster(cfg: ExperimentConfig):
-    bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.dim)
+    bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.pattern.dim)
     spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
-    clusters = cluster_states(generate_grid(spec), cfg.grid_cells, gell_mann_basis(cfg.dim))
+    clusters = cluster_states(generate_grid(spec), cfg.grid_cells, gell_mann_basis(cfg.pattern.dim))
     cl = select_cluster(clusters, cfg.theta_ref, cfg.pattern)
     log.info("cluster %s with %d members", cl.key, cl.size)
     return clusters, cl
@@ -281,7 +280,7 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
 
 def _run_refine(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    n = cfg.dim
+    n = cfg.pattern.dim
     # rank-one elements with constant diagonal are quasi-orthogonal to the
     # diagonal generators and to no other direction; the rows of entry_map
     # past the first n hold each generator's off-diagonal entries
@@ -324,8 +323,8 @@ def _run_refine(cfg: ExperimentConfig) -> int:
 def _run_gridinfo(cfg: ExperimentConfig) -> int:
     # an invalid grid fails here, before anything is printed
     clusters, selected = _build_cluster(cfg)
-    b = gell_mann_basis(cfg.dim)
-    print(f"# basis index map (dim = {cfg.dim})")
+    b = gell_mann_basis(cfg.pattern.dim)
+    print(f"# basis index map (dim = {b.dim})")
     for i, label in enumerate(b.labels, 1):
         tag = ""
         if i in cfg.pattern.known_indices:
@@ -488,9 +487,9 @@ def _parse_args(argv):
     """(mode, {"config": ..., "seed": ..., "out": ...} for the flags given) from
     `MODE [--config FILE] [--seed N] [--out DIR]`, or None for -h / --help.
     Flags go before or after the mode, as `--flag value` or `--flag=value`; the
-    value is the next argument whatever it starts with, so `--seed -1` reaches
-    AnnealConfig's range check.  A repeated flag keeps its last value.  A misuse
-    raises ValueError saying what is wrong."""
+    value is the next argument whatever it starts with, so `--seed -1` is
+    refused as negative, not as an unknown flag.  A repeated flag keeps its last
+    value.  A misuse raises ValueError saying what is wrong."""
     mode, flags = None, {}
     args = iter(argv)
     for arg in args:
@@ -510,9 +509,12 @@ def _parse_args(argv):
                 raise ValueError(f"{name} needs a value")
         if name == "--seed":
             try:
-                value = int(value)
+                seed = int(value)
             except ValueError:
                 raise ValueError(f"--seed needs an integer, got {value!r}") from None
+            if seed < 0:
+                raise ValueError(f"--seed needs a non-negative integer, got {value!r}")
+            value = seed
         flags[name[2:]] = value
     if mode not in MODES:
         raise ValueError("a mode is required" if mode is None else f"unknown mode {mode!r}")
@@ -550,7 +552,6 @@ def main(argv=None) -> int:
         else:
             raise ConfigurationError(f"mode {mode!r} requires --config")
         if "seed" in flags:
-            # AnnealConfig rejects a negative seed, for refine runs too
             cfg.anneal = replace(cfg.anneal, rng_seed=flags["seed"])
             cfg.refine.seed = flags["seed"]
         if "out" in flags:

@@ -34,16 +34,17 @@ COMPLETENESS_TOL = 1e-9
 @dataclass(eq=False)
 class Povm:
     """m PSD elements summing to identity, one complex (m, dim, dim) array with
-    m >= 1 (`element_stack`); m = N + 1 for an N-unknown design.  A Povm
-    compares by identity, since `==` on array fields is ambiguous."""
+    m >= 1 (`element_stack`) that `m` and `dim` read; m = N + 1 for an N-unknown
+    design.  A Povm compares by identity, since `==` on an array is ambiguous."""
 
-    dim: int
     elements: np.ndarray
 
     def __post_init__(self):
         self.elements = element_stack(self.elements)
-        if self.elements.shape[1] != self.dim:
-            raise ContractViolation(f"elements {self.elements.shape} in dimension {self.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
 
     @property
     def m(self) -> int:
@@ -112,7 +113,7 @@ def complete_povm(first_elements) -> Povm:
         raise ClosureNotPositive(
             f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
         )
-    return Povm(chosen.shape[-1], np.concatenate([chosen, residual[None]]))
+    return Povm(np.concatenate([chosen, residual[None]]))
 
 
 def overlap_matrix(elements) -> np.ndarray:
@@ -242,4 +243,4 @@ def read_povm(path) -> Povm:
             if not (math.isfinite(real) and math.isfinite(imag)):
                 raise ContractViolation(f"row {r + 2}: cell {cell!r} is not finite")
             rows[r, c] = real + 1j * imag
-    return Povm(n, rows.reshape(m, n, n))
+    return Povm(rows.reshape(m, n, n))

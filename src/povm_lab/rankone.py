@@ -45,19 +45,16 @@ LM_LAMBDA_MAX = 1e16
 
 @dataclass(frozen=True)
 class PhaseConfiguration:
-    """m x n phase matrix in [0, 2pi); row 1 and column 1 are gauge-fixed to 0."""
+    """m x n phase matrix in [0, 2pi), one row per element and one column per
+    entry; row 1 and column 1 are gauge-fixed to 0."""
 
-    dim: int
-    element_count: int
     phases: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.phases, dtype=float)
         object.__setattr__(self, "phases", p)
-        if p.shape != (self.element_count, self.dim):
-            raise ContractViolation(
-                f"phases shape {p.shape} != ({self.element_count}, {self.dim})"
-            )
+        if p.ndim != 2 or not p.size:
+            raise ContractViolation(f"phases must be a nonempty (m, n) matrix, got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ContractViolation("phases must be finite")
         if np.any(p[0, :] != 0.0) or np.any(p[:, 0] != 0.0):
@@ -86,7 +83,7 @@ def random_phases(dim: int, element_count: int, rng) -> PhaseConfiguration:
     p[1:, 1:] = [
         [TWO_PI * rng.random() for _ in range(dim - 1)] for _ in range(element_count - 1)
     ]
-    return PhaseConfiguration(dim, element_count, p)
+    return PhaseConfiguration(p)
 
 
 def _vectors(phases: np.ndarray, dim: int) -> np.ndarray:
@@ -99,9 +96,9 @@ def phases_to_povm(phi: PhaseConfiguration):
     Returns (povm, violations); arbitrary phases give perfectly valid rank-one
     PSD elements but need not sum to the identity.
     """
-    n, m = phi.dim, phi.element_count
+    m, n = phi.phases.shape
     H = _vectors(phi.phases, n)
-    pov = Povm(n, (n / m) * (H[:, :, None] * H.conj()[:, None, :]))
+    pov = Povm((n / m) * (H[:, :, None] * H.conj()[:, None, :]))
     return pov, validate(pov)
 
 
@@ -138,8 +135,8 @@ def _residuals(phases: np.ndarray, dim: int, m: int, off_mask):
 
 def refine_objective(phi: PhaseConfiguration) -> float:
     """Cross-overlap variance plus the squared completeness residual."""
-    m = phi.element_count
-    r, _ = _residuals(phi.phases, phi.dim, m, ~np.eye(m, dtype=bool))
+    m, n = phi.phases.shape
+    r, _ = _residuals(phi.phases, n, m, ~np.eye(m, dtype=bool))
     return float(r @ r)
 
 
@@ -168,7 +165,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
     shape (initial, config) and counts iterations from config.total_steps,
     so the parameter goes once ROADMAP item 4 unpins it.
     """
-    n, m = initial.dim, initial.element_count
+    m, n = initial.phases.shape
     off_mask = ~np.eye(m, dtype=bool)
     phases = initial.phases
     r, J = _residuals(phases, n, m, off_mask)
@@ -211,7 +208,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
         lam /= 10.0
         if f_start - f < LM_IMPROVEMENT_TOL * f_start:
             break
-    return RefineResult(PhaseConfiguration(n, m, gauge_fix(phases)), trace, f)
+    return RefineResult(PhaseConfiguration(gauge_fix(phases)), trace, f)
 
 
 def write_phases(phi: PhaseConfiguration, path) -> None:
@@ -239,5 +236,4 @@ def read_phases(path) -> PhaseConfiguration:
             rows.append(row)
     if not rows:
         raise ContractViolation(f"{path} has no phase rows")
-    arr = np.array(rows)
-    return PhaseConfiguration(arr.shape[1], arr.shape[0], arr)
+    return PhaseConfiguration(np.array(rows))

@@ -441,6 +441,17 @@ class TestTraceIO:
         assert back == res.trace
 
     @pytest.mark.parametrize(
+        "text",
+        ["", "step,log_dacm\n0,1.0\n", "0,1.0,0.0,0.0,0.0,1.0,0.2\n"],
+        ids=["empty", "short-header", "no-header"],
+    )
+    def test_bad_header_is_a_typed_failure(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match="bad trace header"):
+            annealer.read_trace(path)
+
+    @pytest.mark.parametrize(
         "row, message",
         [("50,1.0,0.0", "line 3: 3 cells, expected 7"), ("50,x,0,0,0,1,0.2", "line 3")],
         ids=["short", "not-a-number"],
@@ -1038,7 +1049,7 @@ def test_chain_rejects_wrong_length_coords(basis2, qubit_pattern, qubit_cluster,
     """A start whose elements are one row and column short or long for the
     basis has no (a0, a) of the basis' length, and is rejected."""
     n = basis2.dim + change
-    bad = pv.Povm(n, [np.eye(n) / 3.0] * 3)
+    bad = pv.Povm([np.eye(n) / 3.0] * 3)
     with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
         annealer.AnnealChain(small_config(), bad, qubit_cluster, qubit_pattern)
 
@@ -1073,7 +1084,7 @@ class TestChainStart:
         checks (z is known to be 0), but are not a POVM."""
         initial = annealer.random_initial_povm(qubit_pattern, np.random.default_rng(1))
         elements = [*initial.elements[:-1], initial.elements[-1] + 0.01 * basis2.element(3)]
-        bad = pv.Povm(2, elements)
+        bad = pv.Povm(elements)
         with pytest.raises(ContractViolation, match="not valid: completeness"):
             annealer.AnnealChain(small_config(), bad, qubit_cluster, qubit_pattern)
 
@@ -1103,7 +1114,7 @@ class TestChainStart:
         """A zero free element has the zero design row: SingularDesign from
         `dacm` before its weight divides its row, with no RuntimeWarning."""
         projection = 1.5 * trine.elements[0]
-        P = pv.Povm(2, [np.zeros((2, 2)), projection, np.eye(2) - projection])
+        P = pv.Povm([np.zeros((2, 2)), projection, np.eye(2) - projection])
         assert pv.validate(P) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1299,7 +1310,7 @@ def _interior_qutrit_coords(mix, seed, basis):
         (1 - mix) * (q @ e @ q.conj().T) + mix * np.eye(3) / 7
         for e in catalog.qutrit_csic().elements
     ]
-    return free_coordinates(pv.Povm(3, elements), basis)
+    return free_coordinates(pv.Povm(elements), basis)
 
 
 @pytest.mark.invariants

@@ -263,7 +263,7 @@ class TestConditionalSicReport:
         # one element with eigenvalues (2/7, 1/7, 1/7, 0) is not a projection multiple
         e1 = np.diag([2 / 7, 1 / 7, 1 / 7, 0.0]).astype(complex)
         rest = (np.eye(4) - e1) / 3.0
-        p = pv.Povm(4, [e1, rest, rest.copy(), rest.copy()])
+        p = pv.Povm([e1, rest, rest.copy(), rest.copy()])
         rep = catalog.conditional_sic_report(p, dim4_diag_unknown_pattern)
         assert not rep.is_rank_constant_multiple
         assert not rep.verdict
@@ -271,7 +271,7 @@ class TestConditionalSicReport:
     def test_incomplete_measurement_fails(self, trine, qubit_pattern):
         # two trine elements pass the three conditional-SIC conditions, but sum
         # to I - E_3, so they are not a POVM
-        rep = catalog.conditional_sic_report(pv.Povm(2, trine.elements[:2]), qubit_pattern)
+        rep = catalog.conditional_sic_report(pv.Povm(trine.elements[:2]), qubit_pattern)
         assert rep.is_rank_constant_multiple
         assert rep.max_pairwise_overlap_deviation <= catalog.RANK_TOL
         assert rep.max_quasi_orthogonality_violation <= catalog.RANK_TOL
@@ -281,7 +281,7 @@ class TestConditionalSicReport:
         # the projections onto |+> and |-> meet the three conditions and sum to
         # I, but two outcomes give one frequency for the two unknowns x and y
         plus = np.full((2, 2), 0.5, dtype=complex)
-        rep = catalog.conditional_sic_report(pv.Povm(2, [plus, np.eye(2) - plus]), qubit_pattern)
+        rep = catalog.conditional_sic_report(pv.Povm([plus, np.eye(2) - plus]), qubit_pattern)
         assert rep.is_rank_constant_multiple
         assert rep.max_pairwise_overlap_deviation <= catalog.RANK_TOL
         assert rep.max_quasi_orthogonality_violation <= catalog.RANK_TOL
@@ -290,7 +290,7 @@ class TestConditionalSicReport:
     def test_one_element_warns_nothing(self, qubit_pattern):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = catalog.conditional_sic_report(pv.Povm(2, [np.eye(2)]), qubit_pattern)
+            rep = catalog.conditional_sic_report(pv.Povm([np.eye(2)]), qubit_pattern)
         assert rep.d == 0.0 and rep.max_pairwise_overlap_deviation == 0.0
         assert not rep.verdict
 
@@ -389,7 +389,7 @@ class TestInvariants:
         rng = np.random.default_rng(70)
         for _ in range(5):
             perm = rng.permutation(7)
-            shuffled = pv.Povm(3, [qutrit_csic.elements[i] for i in perm])
+            shuffled = pv.Povm([qutrit_csic.elements[i] for i in perm])
             rep = catalog.conditional_sic_report(shuffled, qutrit_pattern)
             assert rep.verdict == base.verdict
             assert rep.c == pytest.approx(base.c, abs=1e-12)
@@ -401,7 +401,7 @@ class TestInvariants:
         rng = np.random.default_rng(71)
         for _ in range(5):
             u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 3)))
-            conj = pv.Povm(3, [u @ e @ u.conj().T for e in qutrit_csic.elements])
+            conj = pv.Povm([u @ e @ u.conj().T for e in qutrit_csic.elements])
             rep = catalog.conditional_sic_report(conj, qutrit_pattern)
             assert rep.verdict
             assert rep.c == pytest.approx(3 / 7, abs=1e-12)

@@ -19,7 +19,7 @@ from povm_lab import annealer, catalog, cli, linalg, objective, rankone
 from povm_lab import basis as bs
 from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
-from povm_lab.errors import ConfigurationError
+from povm_lab.errors import ConfigurationError, ContractViolation
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS_CONFIG = REPO / "docs" / "qutrit_anneal.cfg"
@@ -34,6 +34,24 @@ anneal.trace_every = 20
 anneal.seed = {seed}
 output.dir = {out}
 """
+
+# config line -> the message that refuses its value (a pattern list without its
+# partner is refused too)
+_OUT_OF_RANGE = {
+    "dim = 5": "dim must be 2, 3 or 4, got 5",
+    "pattern.known_indices = 7,8": "must be given together",
+    "pattern.known_values = 0.0,0.0": "must be given together",
+    "grid.cells = 0": "grid.cells must be >= 1, got 0",
+    "grid.theta_ref = 0.1,0.0": "grid.theta_ref needs 6 entries, got 2",
+    "refine.element_count = 1": "refine.element_count must be >= 2, got 1",
+    "anneal.init_scale = 0": "anneal.init_scale must be positive",
+    "anneal.total_steps = -1": "total_steps must be >= 0",
+    "anneal.s_decay = 0": "s_decay must be in (0, 1]",
+    "anneal.T_decay = 1.5": "T_decay must be in (0, 1]",
+    "anneal.reheat_every = 0": "reheat_every must be >= 1",
+    "anneal.reheat_factor = 0.5": "reheat_factor must be >= 1",
+    "anneal.trace_every = 0": "trace_every must be >= 1",
+}
 
 
 class TestParseConfig:
@@ -57,7 +75,7 @@ class TestParseConfig:
         cfg = cli.parse_config(DOCS_CONFIG.read_text())
         default = cli.build_config({}, mode="anneal")
         assert cfg.mode == "anneal"
-        assert cfg.dim == default.dim == 3
+        assert cfg.pattern.dim == default.pattern.dim == 3
         assert cfg.pattern.known_indices == default.pattern.known_indices == (7, 8)
         assert cfg.grid_points == default.grid_points == 7
         assert cfg.grid_cells == default.grid_cells == 10
@@ -102,6 +120,16 @@ class TestParseConfig:
         (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert error in logged
 
+    @pytest.mark.parametrize("line", sorted(_OUT_OF_RANGE))
+    def test_out_of_range_value_is_2_and_writes_nothing(self, tmp_path, caplog, line):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(f"mode = anneal\n{line}\noutput.dir = {out}\n")
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+        (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert _OUT_OF_RANGE[line] in logged
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -145,11 +173,11 @@ def _changed_fields(cfg, base):
 
 
 # key -> (config lines with a valid non-default value, the fields they change).
-# A pattern key needs its partner, and dim also changes the pattern derived
-# from it.
+# A pattern key needs its partner, and dim sets the pattern's dimension (with
+# that dimension's default knowns).
 _KEY_CASES = {
     "mode": ("mode = refine", {"mode"}),
-    "dim": ("dim = 2", {"dim", "pattern"}),
+    "dim": ("dim = 2", {"pattern"}),
     "pattern.known_indices": (
         "pattern.known_indices = 1,2\npattern.known_values = 0.0,0.0",
         {"pattern"},
@@ -330,6 +358,21 @@ class TestVerifyMode:
         rows, summary = verify_rows(capsys)
         assert rows == [("ok", name) for name in VERIFY_NAMES]
         assert summary == "ok\t22 passed, 0 failed"
+
+    def test_raising_check_fails_with_nan(self, monkeypatch, capsys, caplog):
+        checks = cli._verify_checks()
+        name = checks[0][0]
+
+        def raises():
+            raise ContractViolation("forced")
+
+        monkeypatch.setattr(cli, "_verify_checks", lambda: [(name, raises), *checks[1:]])
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"FAIL\t{name}\tnan"
+        assert lines[-1] == "FAIL\t21 passed, 1 failed"
+        (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert logged == f"{name} raised forced"
 
     @pytest.mark.parametrize(
         "constructor, failing",
@@ -554,7 +597,7 @@ class TestRefineMode:
         )
         assert cli.main(["refine", "--config", str(cfg_path)]) == 0
         phases = rankone.read_phases(out / "phases.csv")
-        assert phases.element_count == 7 and phases.dim == 3
+        assert phases.phases.shape == (7, 3)
         pov = pv.read_povm(out / "povm.txt")
         assert pov.m == 7
         report = (out / "report.txt").read_text()
@@ -991,6 +1034,15 @@ class TestCommandLine:
             (
                 ["anneal", "--config", "{cfg}", "--seed", "x", "--seed", "3"],
                 "--seed needs an integer, got 'x'",
+            ),
+            # the seed is a u64 in both modes that read it
+            (
+                ["anneal", "--config", "{cfg}", "--seed", "-1"],
+                "--seed needs a non-negative integer, got '-1'",
+            ),
+            (
+                ["refine", "--config", "{cfg}", "--seed=-1"],
+                "--seed needs a non-negative integer, got '-1'",
             ),
         ],
     )

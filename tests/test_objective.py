@@ -89,7 +89,7 @@ class TestCheckSimplex:
 
 class TestDesignMatrix:
     def test_zero_directions(self, qubit_pattern):
-        P = Povm(2, [0.3 * np.eye(2), 0.3 * np.eye(2), 0.4 * np.eye(2)])
+        P = Povm([0.3 * np.eye(2), 0.3 * np.eye(2), 0.4 * np.eye(2)])
         design = objective.design_matrix(P, qubit_pattern)
         assert np.abs(design.T).max() == 0.0
 
@@ -103,7 +103,7 @@ class TestDesignMatrix:
 
     def test_single_unknown(self, basis2):
         pattern = ParameterPattern.from_known(2, {2: 0.0, 3: 0.0})
-        P = Povm(2, [coordinate_element(0.5, np.array([0.4, 0.0, 0.0]), basis2)])
+        P = Povm([coordinate_element(0.5, np.array([0.4, 0.0, 0.0]), basis2)])
         design = objective.design_matrix(P, pattern)
         assert design.T.shape == (1, 1)
         assert design.T[0, 0] == pytest.approx(0.2)
@@ -112,7 +112,7 @@ class TestDesignMatrix:
     def test_wrong_length_rejected(self, basis2, qubit_pattern, change):
         """Elements one row and column short or long for the basis are rejected."""
         n = basis2.dim + change
-        P = Povm(n, [np.eye(n) / 3.0] * 3)
+        P = Povm([np.eye(n) / 3.0] * 3)
         with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
             objective.design_matrix(P, qubit_pattern)
 
@@ -128,7 +128,7 @@ class TestDesignMatrix:
             (rng.uniform(0.01, 0.3), rng.normal(0.0, 0.5, dim**2 - 1))
             for _ in range(pattern.unknown_count + 1)
         ]
-        P = Povm(dim, [coordinate_element(a0, a, basis) for a0, a in coords])
+        P = Povm([coordinate_element(a0, a, basis) for a0, a in coords])
         design = objective.design_matrix(P, pattern)
         rows = coords[: pattern.unknown_count]
         assert np.abs(design.T - np.array([a0 * a[unknown] for a0, a in rows])).max() < 1e-15
@@ -146,7 +146,7 @@ class TestDesignMatrix:
     def test_tiny_first_element_is_singular(self, trine, qubit_pattern, qubit_cluster):
         """A first element 1e-13 I has the zero design row Tr(E sigma) = 0."""
         eps = 1e-13
-        P = Povm(2, [eps * np.eye(2)] + [(1 - eps) * e for e in trine.elements])
+        P = Povm([eps * np.eye(2)] + [(1 - eps) * e for e in trine.elements])
         design = objective.design_matrix(P, qubit_pattern)
         averaged = objective.averaged_covariance(P, qubit_cluster, qubit_pattern)
         with pytest.raises(SingularDesign):
@@ -222,7 +222,7 @@ class TestAveragedCovariance:
         """W0 is read off the element matrices, so elements one row and column
         short or long for the basis are rejected."""
         n = basis2.dim + change
-        P = Povm(n, [np.eye(n) / 3.0] * 3)
+        P = Povm([np.eye(n) / 3.0] * 3)
         with pytest.raises(ContractViolation, match="expected a stack of 2 x 2 elements"):
             objective.averaged_covariance(P, qubit_cluster, qubit_pattern)
 
@@ -230,7 +230,7 @@ class TestAveragedCovariance:
         """A valid POVM whose closing element is 1e-13 I, the rest the trine
         scaled by 1 - 1e-13, has the trine's W0 within 1e-12."""
         eps = 1e-13
-        P = Povm(2, [(1 - eps) * e for e in trine.elements] + [eps * np.eye(2)])
+        P = Povm([(1 - eps) * e for e in trine.elements] + [eps * np.eye(2)])
         got = objective.averaged_covariance(P, qubit_cluster, qubit_pattern).W0
         want = objective.averaged_covariance(trine, qubit_cluster, qubit_pattern).W0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -132,11 +132,11 @@ class TestMetrics:
     def test_one_element_has_no_cross_overlap(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mk = pv.metrics(pv.Povm(2, [np.eye(2)]))
+            mk = pv.metrics(pv.Povm([np.eye(2)]))
         assert mk.sigma == 1.0 and mk.delta == 0.0 and mk.Delta == 0.0
 
     def test_mixed_rank_povm(self):
-        p = pv.Povm(2, [np.eye(2) / 2, np.eye(2) / 4, np.eye(2) / 4])
+        p = pv.Povm([np.eye(2) / 2, np.eye(2) / 4, np.eye(2) / 4])
         mk = pv.metrics(p)
         assert mk.sigma == pytest.approx(1.0, abs=1e-12)
         # self-overlaps (1/2, 1/8, 1/8): sum of squared deviations = 3/32
@@ -211,7 +211,7 @@ class TestValidate:
             assert pv.validate(p, 1e-12) == []
 
     def test_scaled_elements_break_completeness(self, trine):
-        scaled = pv.Povm(2, [1.01 * e for e in trine.elements])
+        scaled = pv.Povm([1.01 * e for e in trine.elements])
         violations = pv.validate(scaled, 1e-9)
         names = [v.name for v in violations]
         assert "completeness" in names
@@ -222,7 +222,7 @@ class TestValidate:
     def test_non_finite_element_reported(self, trine, bad):
         elements = [e.astype(complex) for e in trine.elements]
         elements[1][0, 0] = bad
-        violations = pv.validate(pv.Povm(2, elements))
+        violations = pv.validate(pv.Povm(elements))
         assert [v.name for v in violations] == ["finite", "completeness"]
         assert violations[0].detail == "element 1 has non-finite entries"
 
@@ -232,11 +232,11 @@ class TestValidate:
         # reported violation (with its weight out of the sum), never an exception
         elements = [e.astype(complex) for e in trine.elements]
         elements[2] = elements[2] + asymmetry * np.triu(np.ones((2, 2)), 1)
-        violations = pv.validate(pv.Povm(2, elements), 1e-9)
+        violations = pv.validate(pv.Povm(elements), 1e-9)
         assert [v.name for v in violations if v.name != "completeness"] == names
 
     def test_negative_eigenvalue_flagged(self):
-        p = pv.Povm(2, [np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])])
+        p = pv.Povm([np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])])
         names = [v.name for v in pv.validate(p, 1e-9)]
         assert "positivity" in names
 
@@ -288,7 +288,7 @@ def damaged_copies(P):
         E = P.elements.copy()
         for i, delta in edit.items():
             E[i] += delta
-        yield pv.Povm(n, E)
+        yield pv.Povm(E)
 
 
 class TestValidateOracle:
@@ -329,26 +329,24 @@ class TestValidateOracle:
 
 class TestPovmConstruction:
     @pytest.mark.parametrize(
-        "dim, elements",
+        "elements",
         [
-            (2, [np.eye(2), np.eye(3)]),
-            (2, [np.eye(2), np.ones(2)]),
-            (2, np.eye(2)),
-            (3, [np.eye(2) / 2, np.eye(2) / 2]),
-            (2, np.zeros((0, 2, 2))),
-            (2, []),
-            (2, np.zeros((2, 2, 3))),
-            (2, "not a stack"),
+            [np.eye(2), np.eye(3)],
+            [np.eye(2), np.ones(2)],
+            np.eye(2),
+            np.zeros((0, 2, 2)),
+            [],
+            np.zeros((2, 2, 3)),
+            "not a stack",
         ],
-        ids=["ragged", "ragged-row", "2-D", "dim-mismatch", "empty", "empty-list",
-             "not-square", "text"],
+        ids=["ragged", "ragged-row", "2-D", "empty", "empty-list", "not-square", "text"],
     )
-    def test_rejected_with_contract_violation(self, dim, elements):
+    def test_rejected_with_contract_violation(self, elements):
         with pytest.raises(ContractViolation):
-            pv.Povm(dim, elements)
+            pv.Povm(elements)
 
     def test_elements_are_one_complex_stack(self):
-        P = pv.Povm(2, [np.eye(2) / 2, np.diag([0.5, 0.5])])
+        P = pv.Povm([np.eye(2) / 2, np.diag([0.5, 0.5])])
         assert isinstance(P.elements, np.ndarray)
         assert P.elements.dtype == complex and P.elements.shape == (2, 2, 2)
         assert np.array_equal(P.elements, np.stack([np.eye(2) / 2] * 2))
@@ -356,7 +354,7 @@ class TestPovmConstruction:
 
     def test_compares_by_identity(self, trine):
         # array fields would make a field-wise == ambiguous
-        copy = pv.Povm(trine.dim, trine.elements.copy())
+        copy = pv.Povm(trine.elements.copy())
         assert trine == trine and trine != copy
 
     def test_every_builder_holds_an_array(self, tmp_path, basis2, qubit_pattern):
@@ -394,7 +392,7 @@ class TestFileFormat:
         # the oracle formats every entry from its own numpy scalar; a real
         # element and a signed zero keep their text
         elements = [*catalog.qutrit_csic().elements[:2], np.diag([1.0, -0.0, 2.0])]
-        for P in (trine, catalog.diag_units_dim4(), pv.Povm(3, elements)):
+        for P in (trine, catalog.diag_units_dim4(), pv.Povm(elements)):
             path = tmp_path / "povm.txt"
             pv.write_povm(P, path)
             want = [f"{P.dim} {P.m}"] + [
@@ -425,8 +423,12 @@ class TestFileFormat:
             ("a b\n", "header"),
             ("2 1\n1 0;0 0\n0 0;nan 0.0\n", "row 3: cell 'nan 0.0' is not finite"),
             ("1 1\n0.0 -inf\n", "row 2: cell '0.0 -inf' is not finite"),
+            ("", "empty POVM file"),
+            ("2 1 7\n", "bad header line '2 1 7'"),
+            ("2 1\n1 0\n0 0;1 0\n", "row 2 has 1 entries, expected 2"),
         ],
-        ids=["one-number", "not-a-number", "header", "nan", "inf"],
+        ids=["one-number", "not-a-number", "header", "nan", "inf", "empty", "three-fields",
+             "narrow-row"],
     )
     def test_malformed_text_is_a_typed_failure(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
@@ -477,7 +479,7 @@ class TestInvariants:
             mk = pv.metrics(p)
             for _ in range(5):
                 perm = rng.permutation(p.m)
-                shuffled = pv.Povm(p.dim, [p.elements[i] for i in perm])
+                shuffled = pv.Povm([p.elements[i] for i in perm])
                 mk2 = pv.metrics(shuffled)
                 assert mk2.sigma == pytest.approx(mk.sigma, abs=1e-12)
                 assert mk2.delta == pytest.approx(mk.delta, abs=1e-12)

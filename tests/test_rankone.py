@@ -65,7 +65,7 @@ class TestPhasesToPovm:
             assert np.array_equal(got, (n / m) * np.outer(h, h.conj()))
 
     def test_all_zero_phases_fail_completeness(self):
-        phi = rankone.PhaseConfiguration(3, 3, np.zeros((3, 3)))
+        phi = rankone.PhaseConfiguration(np.zeros((3, 3)))
         pov, violations = rankone.phases_to_povm(phi)
         for a, b in zip(pov.elements[:-1], pov.elements[1:]):
             assert np.abs(a - b).max() == 0.0
@@ -83,13 +83,21 @@ class TestPhasesToPovm:
         raw[1, 2] = -1e-17
         fixed = rankone.gauge_fix(raw)
         assert fixed[1, 2] == 0.0
-        rankone.PhaseConfiguration(3, 3, fixed)
+        rankone.PhaseConfiguration(fixed)
 
     def test_gauge_validation(self):
         bad = np.zeros((3, 3))
         bad[0, 1] = 0.3
         with pytest.raises(ContractViolation):
-            rankone.PhaseConfiguration(3, 3, bad)
+            rankone.PhaseConfiguration(bad)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (2, 3, 3), (0, 3), (3, 0)], ids=["1-D", "3-D", "no-rows", "no-columns"]
+    )
+    def test_not_a_nonempty_matrix_rejected(self, shape):
+        # the matrix is the one source of m and n
+        with pytest.raises(ContractViolation, match=r"nonempty \(m, n\) matrix"):
+            rankone.PhaseConfiguration(np.zeros(shape))
 
 
 class TestRandomPhases:
@@ -120,7 +128,7 @@ class TestRefineObjective:
         assert rankone.refine_objective(catalog.qutrit_csic_phases()) < 1e-12
 
     def test_zero_phases_dominated_by_completeness(self):
-        phi = rankone.PhaseConfiguration(3, 7, np.zeros((7, 3)))
+        phi = rankone.PhaseConfiguration(np.zeros((7, 3)))
         delta_only = povm.metrics(rankone.phases_to_povm(phi)[0]).Delta
         with_penalty = rankone.refine_objective(phi)
         gamma = with_penalty - delta_only
@@ -241,7 +249,7 @@ class TestPolish:
         # no step lowers the objective
         phases = np.zeros((4, 2))
         phases[1, 1] = phases[3, 1] = np.pi
-        initial = rankone.PhaseConfiguration(2, 4, phases)
+        initial = rankone.PhaseConfiguration(phases)
         res = rankone.refine(initial, AnnealConfig(total_steps=steps))
         assert np.array_equal(res.phases.phases, initial.phases)
         assert res.objective == rankone.refine_objective(initial)
@@ -254,7 +262,7 @@ class TestPolish:
         # here the first one, is retried at ten times lambda
         phases = np.zeros((4, 3))
         phases[1:, 1:] = np.pi * np.array([[0.0, 1.5], [1.0, 0.0], [1.0, 0.5]])
-        initial = rankone.PhaseConfiguration(3, 4, phases)
+        initial = rankone.PhaseConfiguration(phases)
         solve, systems = np.linalg.solve, []
 
         def failing_first_solve(a, b):
@@ -292,7 +300,7 @@ class TestInvariants:
         for i in range(7):
             raw = phi.phases.copy()
             raw[i, :] += 1.234
-            refixed = rankone.PhaseConfiguration(3, 7, rankone.gauge_fix(raw))
+            refixed = rankone.PhaseConfiguration(rankone.gauge_fix(raw))
             pov, _ = rankone.phases_to_povm(refixed)
             assert np.abs(pov.elements[i] - base.elements[i]).max() < 1e-12
 
@@ -322,13 +330,20 @@ class TestSerialization:
         path = tmp_path / "phases.csv"
         rankone.write_phases(phi, path)
         back = rankone.read_phases(path)
-        assert back.dim == 3 and back.element_count == 7
+        assert back.phases.shape == (7, 3)
         assert np.array_equal(back.phases, phi.phases)
 
     @pytest.mark.parametrize(
         "text, message",
-        [("\n", "no phase rows"), ("0,0,0\n0,1\n", "line 2: 2 phases, not 3"), ("0,0\n0,x\n", "line 2")],
-        ids=["empty", "ragged", "not-a-number"],
+        [
+            ("\n", "no phase rows"),
+            ("0,0,0\n0,1\n", "line 2: 2 phases, not 3"),
+            ("0,0\n0,x\n", "line 2"),
+            ("0,0\n0,nan\n", "phases must be finite"),
+            ("0,0\n0,7\n", r"phases must lie in \[0, 2pi\)"),
+            ("0,0\n0,-1\n", r"phases must lie in \[0, 2pi\)"),
+        ],
+        ids=["empty", "ragged", "not-a-number", "nan", "above-2pi", "negative"],
     )
     def test_malformed_file_is_a_typed_failure(self, tmp_path, text, message):
         path = tmp_path / "phases.csv"

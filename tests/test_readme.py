@@ -31,6 +31,15 @@ def test_anneal_counter_list_is_run_counters():
     assert re.findall(r"`(\w+)`", counters) == list(RUN_COUNTERS)
 
 
+def test_trace_header_is_stated_once_and_is_trace_header():
+    from povm_lab.annealer import TRACE_HEADER
+
+    text = README.read_text()
+    assert text.count("step,log_dacm") == 1
+    formats = text.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    assert re.search(r"Trace CSV: header `([^`]+)`", formats)[1] == TRACE_HEADER
+
+
 def test_config_key_table_is_config_keys():
     from povm_lab import cli
 
