@@ -14,7 +14,9 @@ conditions off the elements' spectra and `report_overlap`, one overlap matrix
 of the elements and the known directions of the dimension's one cached basis;
 the CLI computes the two once per written POVM and passes them to both the
 report and `povm.metrics`, while `verify` lets the report compute them.  Every
-constructor builds one (m, n, n) element array.
+constructor builds one (m, n, n) element array.  `CLAIMS` states each claim
+`verify` checks once, one `Claim` row per measurement in `verify`'s order; its
+rows marked `default` give each dimension's default pattern, `DEFAULT_PATTERNS`.
 """
 
 from __future__ import annotations
@@ -97,6 +99,63 @@ def qubit_sic() -> np.ndarray:
 def sic_tensor_identity_dim4() -> Povm:
     """E_i = F_i (x) I with F_i the qubit SIC: four rank-two multiples of 1/2."""
     return Povm(np.kron(qubit_sic(), np.eye(2)))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A measurement's claims: `builder` names its constructor here, `pattern`
+    the knowns it is a conditional SIC for (None: bare elements) and `default`
+    marks it as its dimension's default.  A check (label, kind, scale, target)
+    claims `target` for the "sum" (a multiple of I), "spectrum" (descending),
+    "diagonal" entries or "overlap" Tr(E_i E_j), i != j, of `scale` times the
+    elements, or the report's "quasi"-orthogonality or "verdict", with (c, d) =
+    target where given."""
+
+    name: str
+    builder: str
+    pattern: ParameterPattern | None
+    default: bool
+    checks: tuple
+
+
+def _zeros_except(dim: int, unknown) -> ParameterPattern:
+    """The pattern of `dim` with every index but the `unknown` ones known at 0."""
+    return ParameterPattern.from_known(dim, {i: 0.0 for i in range(1, dim**2) if i not in unknown})
+
+
+CLAIMS = (
+    Claim("qutrit", "qutrit_csic", _zeros_except(3, range(1, 7)), True, (
+        ("qutrit sum = I", "sum", 1.0, 1.0),
+        ("qutrit eigenvalues (3/7, 0, 0)", "spectrum", 1.0, (3 / 7, 0, 0)),
+        ("qutrit diagonals 1/7", "diagonal", 1.0, 1 / 7),
+        ("qutrit cross-overlaps 2/49", "overlap", 1.0, 2 / 49),
+        ("qutrit quasi-orthogonal to diagonal directions", "quasi", 1.0, None),
+        ("qutrit report verdict (c = 3/7, d = 2/49)", "verdict", 1.0, (3 / 7, 2 / 49)),
+    )),
+    # scale 3/2: the projections P_i = (3/2) E_i
+    Claim("trine", "qubit_trine", _zeros_except(2, (1, 2)), True, (
+        ("trine sum P = (3/2) I", "sum", 1.5, 1.5),
+        ("trine Tr P_i P_j = 1/4", "overlap", 1.5, 0.25),
+        ("trine complementary to z", "quasi", 1.0, None),
+        ("trine report verdict (c = 2/3, d = 1/9)", "verdict", 1.0, (2 / 3, 1 / 9)),
+    )),
+    # scale 2: Tr(2F_i 2F_j) = 4 Tr(F_i F_j) = mu
+    Claim("qubit SIC", "qubit_sic", None, False, (
+        ("qubit SIC constants (mu = 1/3 tetrahedron)", "overlap", 2.0, 1 / 3),
+    )),
+    Claim("diag units", "diag_units_dim4", _zeros_except(4, (3, 12, 15)), True, (
+        ("diag units sum = I", "sum", 1.0, 1.0),
+        ("diag units pairwise overlaps 0", "overlap", 1.0, 0.0),
+        ("diag units report verdict", "verdict", 1.0, None),
+    )),
+    Claim("tensor SIC", "sic_tensor_identity_dim4", _zeros_except(4, (4, 8, 12)), False, (
+        ("tensor SIC eigenvalues (1/2, 1/2, 0, 0)", "spectrum", 1.0, (0.5, 0.5, 0, 0)),
+        ("tensor SIC cross-overlaps 1/6", "overlap", 1.0, 1 / 6),
+        ("tensor SIC sum = I", "sum", 1.0, 1.0),
+        ("tensor SIC report verdict", "verdict", 1.0, None),
+    )),
+)
+DEFAULT_PATTERNS = {claim.pattern.dim: claim.pattern for claim in CLAIMS if claim.default}
 
 
 @dataclass(frozen=True)

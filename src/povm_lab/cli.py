@@ -26,6 +26,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,10 +43,11 @@ from .annealer import (
 from .basis import ParameterPattern, bloch_radius_bound, bloch_to_state, gell_mann_basis
 from .errors import (
     ConfigurationError,
+    ContractViolation,
     EmptyClusterSelection,
     PovmLabError,
 )
-from .povm import metrics, overlap_matrix, validate, write_povm
+from .povm import Povm, metrics, overlap_matrix, validate, write_povm
 from .statespace import GridSpec, cluster_states, generate_grid, select_cluster
 
 log = logging.getLogger("povm_lab")
@@ -60,13 +62,6 @@ EXIT_NUMERICAL = 3
 # every `verify` residual passes at or below this
 VERIFY_TOL = 1e-12
 
-DEFAULT_KNOWN = {
-    2: {3: 0.0},
-    3: {7: 0.0, 8: 0.0},
-    4: {i: 0.0 for i in range(1, 16) if i not in (3, 12, 15)},
-}
-
-
 @dataclass
 class RefineSettings:
     restarts: int = 5
@@ -77,7 +72,7 @@ class RefineSettings:
 @dataclass
 class ExperimentConfig:
     mode: str
-    pattern: ParameterPattern = ParameterPattern.from_known(3, DEFAULT_KNOWN[3])
+    pattern: ParameterPattern = catalog.DEFAULT_PATTERNS[3]
     grid_points: int = 7
     grid_bound: Optional[float] = None  # None: bloch_radius_bound(pattern.dim)
     grid_cells: int = 10
@@ -186,12 +181,12 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError(
             "pattern.known_indices and pattern.known_values must be given together"
         )
-    if known_idx is None:
-        known_idx, known_val = list(DEFAULT_KNOWN[dim]), list(DEFAULT_KNOWN[dim].values())
-    try:
-        cfg.pattern = ParameterPattern(dim, known_idx, known_val)
-    except PovmLabError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    cfg.pattern = catalog.DEFAULT_PATTERNS[dim]
+    if known_idx is not None:
+        try:
+            cfg.pattern = ParameterPattern(dim, known_idx, known_val)
+        except PovmLabError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     if cfg.grid_points < 2:
         raise ConfigurationError(f"grid.points_per_axis must be >= 2, got {cfg.grid_points}")
@@ -346,89 +341,45 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sum_residual(elements, target) -> float:
-    """max |sum_i E_i - target| over matrix entries of an (m, n, n) stack."""
-    return float(np.abs(elements.sum(axis=0) - target).max())
-
-
-def _spectrum_residual(elements, target) -> float:
-    """max over elements of |eigenvalues (descending) - target|."""
-    return float(np.abs(linalg.spectra(elements) - target).max())
-
-
-def _overlap_residual(elements, target) -> float:
-    """max |Tr(E_i E_j) - target| over ordered pairs i != j."""
-    cross = overlap_matrix(elements)[~np.eye(len(elements), dtype=bool)]
-    return float(np.abs(cross - target).max())
-
-
-def _verdict_residual(pov, pattern, c=None, d=None) -> float:
-    """0 if the conditional-SIC report passes with the given c and d, else 1."""
-    rep = catalog.conditional_sic_report(pov, pattern)
-    targets = ((rep.c, c), (rep.d, d))
-    ok = rep.verdict and all(t is None or abs(v - t) < VERIFY_TOL for v, t in targets)
-    return 0.0 if ok else 1.0
+def _residual(kind, scale, built, pattern, target) -> float:
+    """The residual of a `catalog.Claim` check on `scale` times the elements of
+    `built` (a Povm or their array), or of its validity or report (0 if it holds)."""
+    elements = scale * (built.elements if isinstance(built, Povm) else built)
+    if kind == "sum":
+        return float(np.abs(elements.sum(axis=0) - target * np.eye(elements.shape[-1])).max())
+    if kind == "spectrum":
+        return float(np.abs(linalg.spectra(elements) - target).max())
+    if kind == "diagonal":
+        return float(np.abs(np.diagonal(elements, axis1=1, axis2=2) - target).max())
+    if kind == "overlap":
+        cross = overlap_matrix(elements)[~np.eye(len(elements), dtype=bool)]
+        return float(np.abs(cross - target).max())
+    if kind == "valid":
+        return 1.0 if validate(built, VERIFY_TOL) else 0.0
+    rep = catalog.conditional_sic_report(built, pattern)
+    if kind == "quasi":
+        return rep.max_quasi_orthogonality_violation
+    if kind == "verdict":
+        pairs = zip((rep.c, rep.d), target or (None, None))
+        ok = rep.verdict and all(t is None or abs(v - t) < VERIFY_TOL for v, t in pairs)
+        return 0.0 if ok else 1.0
+    raise ContractViolation(f"unknown check kind {kind!r}")
 
 
 def _verify_checks():
-    """The catalog oracle suite: (name, callable) pairs; each callable returns a
-    residual that passes at or below VERIFY_TOL."""
-    qutrit = catalog.qutrit_csic()
-    trine = catalog.qubit_trine()
-    units = catalog.diag_units_dim4()
-    tensor = catalog.sic_tensor_identity_dim4()
-    pat3 = ParameterPattern.from_known(3, DEFAULT_KNOWN[3])
-    pat2 = ParameterPattern.from_known(2, DEFAULT_KNOWN[2])
-    pat4 = ParameterPattern.from_known(4, DEFAULT_KNOWN[4])
-    pat4_tensor = ParameterPattern.from_known(
-        4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
-    )
-    trine_p = 1.5 * trine.elements  # the projections P_i = (3/2) E_i
-    sic = 2.0 * catalog.qubit_sic()  # Tr(2F_i 2F_j) = 4 Tr(F_i F_j) = mu
-
-    def quasi(pov, pattern):
-        return catalog.conditional_sic_report(pov, pattern).max_quasi_orthogonality_violation
-
-    def invalid(pov):
-        return lambda: 1.0 if validate(pov, VERIFY_TOL) else 0.0
-
-    checks = [
-        ("qutrit sum = I", lambda: _sum_residual(qutrit.elements, np.eye(3))),
-        (
-            "qutrit eigenvalues (3/7, 0, 0)",
-            lambda: _spectrum_residual(qutrit.elements, (3 / 7, 0, 0)),
-        ),
-        (
-            "qutrit diagonals 1/7",
-            lambda: float(np.abs(np.diagonal(qutrit.elements, axis1=1, axis2=2) - 1 / 7).max()),
-        ),
-        ("qutrit cross-overlaps 2/49", lambda: _overlap_residual(qutrit.elements, 2 / 49)),
-        ("qutrit quasi-orthogonal to diagonal directions", lambda: quasi(qutrit, pat3)),
-        (
-            "qutrit report verdict (c = 3/7, d = 2/49)",
-            lambda: _verdict_residual(qutrit, pat3, 3 / 7, 2 / 49),
-        ),
-        ("trine sum P = (3/2) I", lambda: _sum_residual(trine_p, 1.5 * np.eye(2))),
-        ("trine Tr P_i P_j = 1/4", lambda: _overlap_residual(trine_p, 0.25)),
-        ("trine complementary to z", lambda: quasi(trine, pat2)),
-        (
-            "trine report verdict (c = 2/3, d = 1/9)",
-            lambda: _verdict_residual(trine, pat2, 2 / 3, 1 / 9),
-        ),
-        ("qubit SIC constants (mu = 1/3 tetrahedron)", lambda: _overlap_residual(sic, 1 / 3)),
-        ("diag units sum = I", lambda: _sum_residual(units.elements, np.eye(4))),
-        ("diag units pairwise overlaps 0", lambda: _overlap_residual(units.elements, 0.0)),
-        ("diag units report verdict", lambda: _verdict_residual(units, pat4)),
-        (
-            "tensor SIC eigenvalues (1/2, 1/2, 0, 0)",
-            lambda: _spectrum_residual(tensor.elements, (0.5, 0.5, 0, 0)),
-        ),
-        ("tensor SIC cross-overlaps 1/6", lambda: _overlap_residual(tensor.elements, 1 / 6)),
-        ("tensor SIC sum = I", lambda: _sum_residual(tensor.elements, np.eye(4))),
-        ("tensor SIC report verdict", lambda: _verdict_residual(tensor, pat4_tensor)),
-    ]
-    named = (("qutrit", qutrit), ("trine", trine), ("diag units", units), ("tensor SIC", tensor))
-    return checks + [(f"{name} povm valid at {VERIFY_TOL:g}", invalid(pov)) for name, pov in named]
+    """The catalog oracle suite: (name, callable) pairs, each callable returning
+    a residual that passes at or below VERIFY_TOL.  Every `catalog.CLAIMS` row's
+    checks in order, on what its builder (looked up on `catalog` now) returns,
+    then one `validate` check per claimed Povm."""
+    checks, valid = [], []
+    for claim in catalog.CLAIMS:
+        built = getattr(catalog, claim.builder)()
+        for label, kind, scale, target in claim.checks:
+            checks.append((label, partial(_residual, kind, scale, built, claim.pattern, target)))
+        if isinstance(built, Povm):
+            residual = partial(_residual, "valid", 1.0, built, claim.pattern, None)
+            valid.append((f"{claim.name} povm valid at {VERIFY_TOL:g}", residual))
+    return checks + valid
 
 
 def _run_verify() -> int:

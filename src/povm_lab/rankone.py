@@ -43,10 +43,10 @@ LM_LAMBDA_START = 1e-3
 LM_LAMBDA_MAX = 1e16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseConfiguration:
     """m x n phase matrix in [0, 2pi), one row per element and one column per
-    entry; row 1 and column 1 are gauge-fixed to 0."""
+    entry; row 1 and column 1 are gauge-fixed to 0.  Compares by identity."""
 
     phases: np.ndarray
 

@@ -230,6 +230,32 @@ class TestDim4Catalog:
         assert catalog.qubit_sic().tobytes() == expected.tobytes()
 
 
+class TestClaims:
+    def test_patterns_match_the_written_out_ones(self):
+        def diagonal_known(n):
+            return ParameterPattern.from_known(n, dict.fromkeys(DIAGONAL_INDICES[n], 0.0))
+
+        # the diag units know every direction but the diagonal ones
+        off_diagonal = [i for i in range(1, 16) if i not in DIAGONAL_INDICES[4]]
+        want = {
+            "qutrit": (diagonal_known(3), True),
+            "trine": (diagonal_known(2), True),
+            "qubit SIC": (None, False),
+            "diag units": (ParameterPattern.from_known(4, dict.fromkeys(off_diagonal, 0.0)), True),
+            "tensor SIC": (TENSOR_PATTERN, False),
+        }
+        got = {claim.name: (claim.pattern, claim.default) for claim in catalog.CLAIMS}
+        assert list(got) == list(want)
+        assert got == want
+
+    def test_one_default_per_dimension(self):
+        defaults = [claim.pattern.dim for claim in catalog.CLAIMS if claim.default]
+        assert sorted(defaults) == [2, 3, 4]
+        for claim in catalog.CLAIMS:
+            if claim.default:
+                assert catalog.DEFAULT_PATTERNS[claim.pattern.dim] is claim.pattern
+
+
 class TestConditionalSicReport:
     def test_qutrit_positive(self, qutrit_csic, qutrit_pattern):
         rep = catalog.conditional_sic_report(qutrit_csic, qutrit_pattern)

@@ -84,6 +84,16 @@ class TestParseConfig:
         assert cfg.refine.seed == default.refine.seed
         assert cfg.output_dir == default.output_dir
 
+    @pytest.mark.parametrize(
+        "dim, known",
+        [(2, (3,)), (3, (7, 8)), (4, tuple(i for i in range(1, 16) if i not in (3, 12, 15)))],
+    )
+    def test_default_pattern_of_each_dim(self, dim, known):
+        cfg = cli.build_config({"dim": dim}, mode="gridinfo")
+        assert cfg.pattern.dim == dim
+        assert cfg.pattern.known_indices == known
+        assert cfg.pattern.known_values == (0.0,) * len(known)
+
     def test_positional_mode_overrides(self):
         cfg = cli.parse_config("mode = anneal\n", mode="gridinfo")
         assert cfg.mode == "gridinfo"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povm_lab import catalog, linalg, objective, statespace
+from povm_lab.annealer import random_initial_povm
 from povm_lab.basis import ParameterPattern, assemble_full_vector, bloch_to_state, gell_mann_basis
 from povm_lab.errors import ContractViolation, NonPositiveObjective, SingularDesign
 from povm_lab.povm import Povm, element_rows
@@ -343,6 +344,48 @@ class TestEstimateState:
         ests = np.array([objective.estimate_state(nu, design) for nu in nus])
         mean = ests.mean(axis=0)
         assert np.abs(mean - theta).max() <= 0.02
+
+
+class TestSimulatedTomography:
+    """log_dacm is the log determinant of the linear-inversion estimator's error
+    covariance summed over the cluster, times R^N for R shots per state."""
+
+    SAMPLES, SHOTS = 1000, 1000
+    # five standard errors: log det of the simulated sum spread by 0.0085 (SD
+    # over seeds 0-29 for the catalog SIC; 0.0072 for the random start), as
+    # sqrt(2N / (k S)) = 0.008 predicts for N = 6 and k S = 188 * 1000 draws
+    TOL = 0.045
+
+    def simulated_log_det(self, P, pattern, cluster, seed):
+        """Draw SAMPLES multinomial frequency vectors of SHOTS outcomes at each
+        member, invert each with T^-1 in one stacked solve, and return log det of
+        the members' summed error covariances plus N log SHOTS."""
+        design = objective.design_matrix(P, pattern)
+        rhos = bloch_to_state(cluster.members, gell_mann_basis(pattern.dim))
+        probs = np.einsum("jab,kba->kj", P.elements, rhos).real.clip(0.0, None)
+        counts = np.random.default_rng(seed).multinomial(
+            self.SHOTS, probs, size=(self.SAMPLES, len(probs))
+        )
+        nu = counts[..., : pattern.unknown_count] / self.SHOTS
+        est = np.linalg.solve(design.T, (nu - design.a0s)[..., None])[..., 0]
+        err = est - cluster.members[:, pattern.unknown_positions]
+        cov = np.einsum("ski,skj->ij", err, err) / self.SAMPLES
+        return np.linalg.slogdet(cov)[1] + pattern.unknown_count * np.log(self.SHOTS)
+
+    def test_matches_log_dacm_and_ranks_the_sic_first(
+        self, qutrit_csic, qutrit_pattern, qutrit_default_cluster
+    ):
+        start = random_initial_povm(qutrit_pattern, np.random.default_rng(3), 0.3)
+        simulated = []
+        for P, want in ((qutrit_csic, 31.21671), (start, 49.71687)):
+            design = objective.design_matrix(P, qutrit_pattern)
+            averaged = objective.averaged_covariance(P, qutrit_default_cluster, qutrit_pattern)
+            log_dacm = objective.log_dacm(design, averaged)
+            assert log_dacm == pytest.approx(want, abs=1e-5)
+            got = self.simulated_log_det(P, qutrit_pattern, qutrit_default_cluster, seed=0)
+            assert got == pytest.approx(log_dacm, abs=self.TOL)
+            simulated.append(got)
+        assert simulated[0] < simulated[1]
 
 
 @pytest.mark.invariants

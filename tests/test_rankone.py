@@ -99,6 +99,13 @@ class TestPhasesToPovm:
         with pytest.raises(ContractViolation, match=r"nonempty \(m, n\) matrix"):
             rankone.PhaseConfiguration(np.zeros(shape))
 
+    def test_compares_by_identity_and_hashes(self):
+        # a field-wise == on the phase array would raise numpy's ambiguous-truth error
+        a = rankone.random_phases(3, 7, random.Random(1))
+        copy = rankone.PhaseConfiguration(a.phases.copy())
+        assert a == a and a != copy
+        assert len({a, copy}) == 2 and hash(a) == hash(a)
+
 
 class TestRandomPhases:
     @pytest.mark.parametrize("n", [2, 3, 4])
