@@ -7,25 +7,36 @@ free; the first vector and every first component are pinned to phase zero.
 The search minimizes the cross-overlap variance Delta plus the squared
 completeness residual by Levenberg-Marquardt from the given phases.  The
 objective is a plain sum of squares -- the centred off-diagonal overlaps and
-the real and imaginary parts of the completeness residual -- and one
-function, `_residuals`, computes those residuals with their analytic Jacobian
-with respect to the free phases; the search and `refine_objective` both take
-the objective as r @ r.  Uniform random starts (`random_phases`) reach the
-qutrit conditional SIC at the LM_FLOOR objective in 6-10 iterations (every
-start of seeds 0-9, five restarts each); the CLI runs several starts, restart
-r seeded by `random.Random(f"{seed},{r}")`, and keeps the best.  `random`
-hashes a str seed with SHA-512, so a seed gives the same starts on every
-supported Python.  Because the ansatz is quasi-orthogonal to the diagonal
-generators only, the CLI runs it only when those are exactly the known
-directions.  The tests check the objective against `povm.metrics`' Delta plus
-the squared completeness residual, and take the catalog's closed-form qutrit
-solution as the oracle for where the search ends.
+the real and imaginary parts of the completeness residual -- evaluated in two
+parts: `_residual_parts` gives the residuals r and the intermediates they are
+built from, and `_jacobian` turns those intermediates into the analytic
+Jacobian with respect to the free phases.  The constant tables that both read
+(the off-diagonal mask, the pair and entry shifts, the identity) are built
+once per shape (n, m) and cached read-only.  `refine_objective` and every LM
+trial point take the objective as r @ r and build no Jacobian; `refine`
+builds one only at a point an iteration steps from.
+
+Uniform random starts (`random_phases`) reach the qutrit conditional SIC at
+the LM_FLOOR objective in 6-10 iterations (every start of seeds 0-9, five
+restarts each).  With n^2 - n + 1 elements, starts `random.Random(f"0,{r}")`,
+r = 0-4, reach LM_FLOOR in every dimension n = 2-6; at n = 7 and 8 they stop
+at 2.2-2.5e-3, at the LM_MAX_ITERATIONS cap (ROADMAP item 21).  The CLI
+runs several starts, restart r seeded by `random.Random(f"{seed},{r}")`, and
+keeps the best.  `random` hashes a str seed with SHA-512, so a seed gives the
+same starts on every supported Python.  Because the ansatz is
+quasi-orthogonal to the diagonal generators only, the CLI runs it only when
+those are exactly the known directions.  The tests check the objective
+against `povm.metrics`' Delta plus the squared completeness residual, and take
+the catalog's closed-form qutrit solution as the oracle for where the search
+ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,41 +113,77 @@ def phases_to_povm(phi: PhaseConfiguration):
     return pov, validate(pov)
 
 
-def _residuals(phases: np.ndarray, dim: int, m: int, off_mask):
-    """Residuals r, whose sum of squares r @ r is the objective, and their
-    Jacobian over phases[1:, 1:].
+class _JacobianTables(NamedTuple):
+    off_mask: np.ndarray  # (m, m) bool, True off the diagonal
+    pair_shift: np.ndarray  # (m(m-1), m-1, 1): delta_bj - delta_aj on the free rows j
+    identity: np.ndarray  # (n, n)
+    entry_shift: np.ndarray  # (n, n, 1, n-1): delta_jk - delta_jl on the free columns j
 
-    r stacks the centred off-diagonal overlaps and the real and imaginary
-    parts of the completeness residual S.  Each Jacobian block is one
-    broadcast product of the per-entry derivatives with the Kronecker
-    differences (delta_bj - delta_aj, delta_jk - delta_jl) on the free phases.
-    """
-    H = _vectors(phases, dim)
-    c = dim / m
-    g = H.conj()[:, None, :] * H[None, :, :]  # G_ab = sum_k g_abk
-    G = g.sum(axis=2)
-    off = ((c * c) * (G.real**2 + G.imag**2))[off_mask]
-    # d|G_ab|^2 / d phi_jk = 2 Re(conj(G_ab) i g_abk) (delta_bj - delta_aj)
-    D = ((-2.0 * c * c) * (G.conj()[:, :, None] * g).imag)[off_mask]
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_tables(dim: int, m: int) -> _JacobianTables:
+    """The constant tables of the residuals and their Jacobian for m vectors
+    in dimension `dim`, built on the first call for (dim, m); later calls
+    return the same read-only arrays."""
+    off_mask = ~np.eye(m, dtype=bool)
     eye_m = np.eye(m)
-    pair_shift = (eye_m[None, :, :] - eye_m[:, None, :])[off_mask]  # [ab, j]
-    d_off = (pair_shift[:, 1:, None] * D[:, None, 1:]).reshape(off.size, -1)
-    s = c * H[:, :, None] * H.conj()[:, None, :]  # S_kl = sum_a s_akl - delta_kl
-    eye_n = np.eye(dim)
-    S = s.sum(axis=0) - eye_n
+    pair_shift = (eye_m[None, :, :] - eye_m[:, None, :])[off_mask][:, 1:, None]
+    identity = np.eye(dim)
+    entry_shift = (identity[:, None, :] - identity[None, :, :])[:, :, None, 1:]
+    tables = _JacobianTables(off_mask, pair_shift, identity, entry_shift)
+    for array in tables:
+        array.setflags(write=False)
+    return tables
+
+
+def _residual_parts(phases: np.ndarray):
+    """Residuals r, whose sum of squares r @ r is the objective, and the
+    intermediates (g, G, s) that `_jacobian` builds the Jacobian from.
+
+    r stacks the centred off-diagonal overlaps (n/m)^2 |G_ab|^2, with
+    G_ab = sum_k g_abk, and the real and imaginary parts of the completeness
+    residual S_kl = sum_a s_akl - delta_kl.
+    """
+    m, n = phases.shape
+    tables = _jacobian_tables(n, m)
+    H = _vectors(phases, n)
+    c = n / m
+    g = H.conj()[:, None, :] * H[None, :, :]
+    G = g.sum(axis=2)
+    off = ((c * c) * (G.real**2 + G.imag**2))[tables.off_mask]
+    s = c * H[:, :, None] * H.conj()[:, None, :]
+    S = s.sum(axis=0) - tables.identity
+    r = np.concatenate([off - np.add.reduce(off) / off.size, S.real.ravel(), S.imag.ravel()])
+    return r, (g, G, s)
+
+
+def _jacobian(g: np.ndarray, G: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The Jacobian of `_residual_parts`' r over phases[1:, 1:], from its
+    intermediates.  Each block is one broadcast product of the per-entry
+    derivatives with the cached Kronecker differences."""
+    m, n = s.shape[:2]
+    tables = _jacobian_tables(n, m)
+    c = n / m
+    # d|G_ab|^2 / d phi_jk = 2 Re(conj(G_ab) i g_abk) (delta_bj - delta_aj)
+    D = ((-2.0 * c * c) * (G.conj()[:, :, None] * g).imag)[tables.off_mask]
+    d_off = (tables.pair_shift * D[:, None, 1:]).reshape(D.shape[0], -1)
     # d S_kl / d phi_aj = i s_akl (delta_jk - delta_jl)
-    entry_shift = eye_n[:, None, :] - eye_n[None, :, :]  # [k, l, j]
-    dS = 1j * (s.transpose(1, 2, 0)[:, :, 1:, None] * entry_shift[:, :, None, 1:])
-    dS = dS.reshape(dim * dim, -1)
-    residuals = [off - off.mean(), S.real.ravel(), S.imag.ravel()]
-    jacobian = [d_off - d_off.mean(axis=0), dS.real, dS.imag]
-    return np.concatenate(residuals), np.vstack(jacobian)
+    dS = 1j * (s.transpose(1, 2, 0)[:, :, 1:, None] * tables.entry_shift)
+    dS = dS.reshape(n * n, -1)
+    d_off_mean = np.add.reduce(d_off, axis=0) / d_off.shape[0]
+    return np.concatenate([d_off - d_off_mean, dS.real, dS.imag])
+
+
+def _residuals(phases: np.ndarray):
+    """Residuals r and their Jacobian over phases[1:, 1:]: `_jacobian` of
+    `_residual_parts`."""
+    r, parts = _residual_parts(phases)
+    return r, _jacobian(*parts)
 
 
 def refine_objective(phi: PhaseConfiguration) -> float:
     """Cross-overlap variance plus the squared completeness residual."""
-    m, n = phi.phases.shape
-    r, _ = _residuals(phi.phases, n, m, ~np.eye(m, dtype=bool))
+    r, _ = _residual_parts(phi.phases)
     return float(r @ r)
 
 
@@ -151,14 +198,15 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
     """Minimize the objective over the free phases by Levenberg-Marquardt from `initial`.
 
     Each iteration solves the damped Gauss-Newton system
-    (J^T J + lam diag(J^T J)) d = -J^T r on the residuals of `_residuals` and
-    keeps the step only if it lowers the objective r @ r; otherwise (or when
-    the system is singular) lam rises tenfold and the step is retried.  A kept
-    step's r and J are the next iteration's, so each point is evaluated once.
-    The search stops at LM_FLOOR, at a relative gain below
-    LM_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX, or after
-    LM_MAX_ITERATIONS, so a start that is already stationary is returned
-    as it is.  `objective_trace` holds the initial objective followed by one
+    (J^T J + lam diag(J^T J)) d = -J^T r and keeps the step only if it lowers
+    the objective r @ r; otherwise (or when the system is singular) lam rises
+    tenfold and the step is retried.  A trial point gets only its residuals
+    and their intermediates (`_residual_parts`); the next iteration builds J
+    from a kept point's intermediates, so a rejected trial and the final point
+    never get a Jacobian.  The search stops at LM_FLOOR, at a relative gain
+    below LM_IMPROVEMENT_TOL, when lam passes LM_LAMBDA_MAX, or after
+    LM_MAX_ITERATIONS, so a start that is already stationary is returned as
+    it is.  `objective_trace` holds the initial objective followed by one
     value per accepted iteration.
 
     `config` is not read.  perfbench/tracing.py still calls refine with the
@@ -166,9 +214,8 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
     so the parameter goes once ROADMAP item 4 unpins it.
     """
     m, n = initial.phases.shape
-    off_mask = ~np.eye(m, dtype=bool)
     phases = initial.phases
-    r, J = _residuals(phases, n, m, off_mask)
+    r, parts = _residual_parts(phases)
     f = float(r @ r)
     trace = [f]
     # A step is kept only if it lowers the objective, so the trace is
@@ -179,12 +226,15 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
     for _ in range(LM_MAX_ITERATIONS):
         if f <= LM_FLOOR:
             break
+        J = _jacobian(*parts)
         JtJ = J.T @ J
         grad = J.T @ r
-        damping = np.diag(np.diag(JtJ))
+        damping = JtJ.diagonal()
         while lam <= LM_LAMBDA_MAX:
+            damped = JtJ.copy()
+            damped.flat[:: JtJ.shape[0] + 1] += lam * damping
             try:
-                step = np.linalg.solve(JtJ + lam * damping, -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 # kept as safety: `solve` can raise, though finite phases never reach it
                 # a singular damped system counts as a step that does not improve
@@ -195,7 +245,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
             # wrap before evaluating, so f_trial is the objective of the phases
             # returned even after a huge step from a near-stationary start
             trial = gauge_fix(trial)
-            r_trial, J_trial = _residuals(trial, n, m, off_mask)
+            r_trial, parts_trial = _residual_parts(trial)
             f_trial = float(r_trial @ r_trial)
             if f_trial < f:
                 break
@@ -203,7 +253,7 @@ def refine(initial: PhaseConfiguration, config: AnnealConfig) -> RefineResult:
         else:
             break
         f_start = f
-        phases, r, J, f = trial, r_trial, J_trial, f_trial
+        phases, r, parts, f = trial, r_trial, parts_trial, f_trial
         trace.append(f)
         lam /= 10.0
         if f_start - f < LM_IMPROVEMENT_TOL * f_start:

@@ -119,6 +119,12 @@ class TestAnnealConfig:
 
 
 class TestPerturbElement:
+    @pytest.mark.parametrize("s", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_scale_rejected(self, basis2, s):
+        c = np.array([0.2, 0.1, 0.0])
+        with pytest.raises(ContractViolation, match="scale must be positive and finite"):
+            annealer.perturb_element(0.3, c, s, np.random.default_rng(0), basis2)
+
     def test_vanishing_noise(self, basis2):
         rng = np.random.default_rng(0)
         c0, c = 0.3, np.array([0.2, 0.1, 0.0])
@@ -322,6 +328,19 @@ class TestRandomInitialPovm:
         assert rng.scales == [0.03] * len(rng.scales)
         assert pv.validate(initial, 1e-9) == []
 
+    def test_gives_up_after_max_tries(self, qubit_pattern, monkeypatch):
+        calls = []
+
+        def always_singular(T, log_abs_det):
+            calls.append(T)
+            return True
+
+        monkeypatch.setattr(annealer, "singular_design", always_singular)
+        monkeypatch.setattr(annealer, "INIT_MAX_TRIES", 3)
+        with pytest.raises(NumericalError, match="could not draw a valid initial POVM in 3 tries"):
+            annealer.random_initial_povm(qubit_pattern, np.random.default_rng(0))
+        assert len(calls) == 3
+
 
 class TestGlauberAccept:
     def test_probability_half_at_equal(self):
@@ -351,6 +370,24 @@ class TestGlauberAccept:
 
 
 class TestAnneal:
+    def test_every_variant_skipped_too_long_is_a_numerical_error(
+        self, qubit_pattern, qubit_cluster, monkeypatch
+    ):
+        score_variants = annealer.score_variants
+
+        def all_skipped(columns, rows, members, pattern):
+            closed, _, log_dacm = score_variants(columns, rows, members, pattern)
+            return closed, closed.copy(), np.full_like(log_dacm, np.nan)
+
+        monkeypatch.setattr(annealer, "score_variants", all_skipped)
+        monkeypatch.setattr(annealer, "MAX_ALL_SKIPPED_STEPS", 3)
+        initial = annealer.random_initial_povm(qubit_pattern, np.random.default_rng(11))
+        chain = annealer.AnnealChain(small_config(), initial, qubit_cluster, qubit_pattern)
+        chain.step(0.1, 1.0)
+        chain.step(0.1, 1.0)
+        with pytest.raises(NumericalError, match="every variant skipped for 3 consecutive steps"):
+            chain.step(0.1, 1.0)
+
     def test_zero_steps(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(11)
         initial = annealer.random_initial_povm(qubit_pattern, rng)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +221,11 @@ class TestParameterPattern:
         assert a == b and hash(a) == hash(b)
         assert a.known_values == (0.1, 0.2) and a.unknown_indices == (1, 2, 3, 4, 5, 6)
         assert a != bs.ParameterPattern.from_known(3, {7: 0.1, 8: 0.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_known_value_rejected(self, value):
+        with pytest.raises(ContractViolation, match="known_values must be finite"):
+            bs.ParameterPattern.from_known(3, {7: 0.0, 8: value})
 
     def test_all_known_rejected(self):
         with pytest.raises(ContractViolation):

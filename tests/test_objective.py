@@ -175,6 +175,11 @@ class TestMultinomialCovariance:
 
 
 class TestAveragedCovariance:
+    def test_empty_cluster_rejected(self, trine, qubit_pattern):
+        cluster = statespace.Cluster((0, 0), np.zeros((0, 3)), 10)
+        with pytest.raises(ContractViolation, match="cluster has no members"):
+            objective.averaged_covariance(trine, cluster, qubit_pattern)
+
     def test_single_member_equals_w(self, trine, basis2, qubit_pattern):
         theta = np.array([0.3, 0.1])
         cluster = statespace.Cluster(
@@ -320,6 +325,13 @@ class TestLogDacm:
 
 
 class TestEstimateState:
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+    def test_wrong_shape_frequencies_rejected(self, trine, qubit_pattern, shape):
+        design = objective.design_matrix(trine, qubit_pattern)
+        message = re.escape(f"frequencies shape {shape} != (2,)")
+        with pytest.raises(ContractViolation, match=message):
+            objective.estimate_state(np.full(shape, 0.5), design)
+
     def test_noiseless_inversion(self, trine, basis2, qubit_pattern):
         theta = np.array([0.25, -0.15])
         rho = bloch_to_state(assemble_full_vector(qubit_pattern, theta), basis2)

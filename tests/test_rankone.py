@@ -14,8 +14,7 @@ RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
 
 
 def residuals(phases):
-    m, n = phases.shape
-    return rankone._residuals(phases, n, m, ~np.eye(m, dtype=bool))
+    return rankone._residuals(phases)
 
 
 def scratch_residuals(phases, dim, m, off_mask):
@@ -167,6 +166,45 @@ class TestRefine:
         total = sum(pov.elements)
         assert np.abs(total - np.eye(3)).max() < 1e-9
 
+    def test_path_at_a_fixed_start(self):
+        # the LM trajectory from the first CLI start of seed 0: its iteration
+        # count, every trace value above the float floor and the final phases
+        initial = rankone.random_phases(3, 7, random.Random("0,0"))
+        res = rankone.refine(initial, REFINE_CONFIG)
+        assert len(res.objective_trace) - 1 == 6
+        above_floor = [f for f in res.objective_trace if f > 1e-20]
+        assert above_floor == pytest.approx(
+            [
+                0.22264491272626324,
+                0.0944426377169396,
+                0.0034655715329667035,
+                1.591318949372174e-05,
+                1.1234896417369848e-09,
+                2.207262337956388e-18,
+            ],
+            rel=1e-9,
+        )
+        want = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [0.0, 3.5903916041026216, 5.385587406153933],
+                [0.0, 5.385587406153933, 1.7951958020513121],
+                [0.0, 4.487989505128277, 3.590391604102622],
+                [0.0, 1.7951958020513115, 2.692793703076967],
+                [0.0, 2.692793703076967, 0.8975979010256571],
+                [0.0, 0.8975979010256571, 4.487989505128278],
+            ]
+        )
+        assert np.abs(res.phases.phases - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("restart", range(3))
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_reaches_floor_beyond_the_qutrit(self, n, restart):
+        # n^2 - n + 1 elements, as the conditional SIC of dimension n needs
+        initial = rankone.random_phases(n, n * n - n + 1, random.Random(f"0,{restart}"))
+        res = rankone.refine(initial, REFINE_CONFIG)
+        assert res.objective <= rankone.LM_FLOOR
+
     def test_config_is_not_read(self):
         initial = rankone.random_phases(3, 7, np.random.default_rng(7))
         a = rankone.refine(initial, AnnealConfig(total_steps=0))
@@ -208,6 +246,16 @@ class TestResiduals:
         want = scratch_residuals(phases, 3, 7, ~np.eye(7, dtype=bool))
         for got, expected in zip(residuals(phases), want):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
+    def test_tables_are_built_once_and_read_only(self, n, m):
+        tables = rankone._jacobian_tables(n, m)
+        assert rankone._jacobian_tables(n, m) is tables
+        assert tables.off_mask.shape == (m, m)
+        assert tables.identity.shape == (n, n)
+        for array in tables:
+            with pytest.raises(ValueError):
+                array[...] = 0
 
     @pytest.mark.parametrize("n,m", RESIDUAL_SHAPES)
     def test_jacobian_matches_central_differences(self, n, m):

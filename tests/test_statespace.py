@@ -104,6 +104,17 @@ class TestClusterStates:
         with pytest.raises(ContractViolation):
             statespace.cluster_states(np.zeros((2, 8)), 10, basis2)
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_rejects_fewer_than_one_cell(self, basis2, cells):
+        with pytest.raises(ContractViolation, match="cells must be >= 1"):
+            statespace.cluster_states(np.zeros((1, 3)), cells, basis2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, basis2, bad):
+        states = np.array([[0.1, 0.0, 0.0], [0.0, bad, 0.0]])
+        with pytest.raises(ContractViolation, match="states have non-finite entries"):
+            statespace.cluster_states(states, 10, basis2)
+
     def test_empty_states(self, basis2):
         assert statespace.cluster_states(np.zeros((0, 3)), 10, basis2) == {}
 
