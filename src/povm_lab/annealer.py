@@ -11,11 +11,9 @@ from the closing element's coordinates and computes the log DACM of every
 closable combination with one `slogdet` call on its design matrix and
 covariance, both gathered by one `take` from one flat array: the
 2N old/new design rows, then a table built on the Gram matrix of the 2N
-old/new probability columns.  Both PSD tests, a perturbation attempt's and a
-closing element's, are decided in closed form (`linalg.psd_verdict`: the
-lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one);
-`linalg.spectra` runs only on the matrices in the thin band around the
-tolerance, and on every matrix for n = 4.  Only the walk over the scored
+old/new probability columns.  Positivity is `linalg`'s one rule: the closing
+elements' by `linalg.psd_mask`, a perturbation attempt's by the scalar
+`linalg.psd_verdict` on Python floats.  Only the walk over the scored
 candidates is sequential: one logistic (Glauber) draw per evaluated candidate
 at the current temperature.  The perturbation scale and temperature decay
 geometrically; the temperature gets a multiplicative boost every
@@ -81,23 +79,18 @@ from .objective import (
     log_determinants,
     singular_design,
 )
-from .povm import (
-    PSD_CONSTRUCTION_TOL,
-    Povm,
-    closing_elements,
-    complete_povm,
-    element_rows,
-    metrics,
-    validate,
-)
+from .povm import Povm, closing_elements, complete_povm, element_rows, metrics, validate
 from .statespace import Cluster
 
 TRACE_HEADER = "step,log_dacm,sigma,delta,Delta,temperature,s"
-PERTURB_PSD_TOL = 1e-10
 MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
 MAX_RESAMPLE = 100  # attempts per perturbation draw, for a and for a0
 INIT_SCALE = 0.05  # `random_initial_povm`'s default spread, and anneal.init_scale's
+# a start is strictly inside the positive region: each unit element I + a . sigma
+# has lowest eigenvalue above this margin, where the `linalg.PSD_TOL` rule
+# would admit an element on the boundary or 1e-10 past it
+INIT_MIN_EIGENVALUE = 1e-8
 # what a run's steps did, in report order: `AnnealChain.counts` keys, `AnnealResult` fields
 RUN_COUNTERS = (
     "skipped_variants",
@@ -292,12 +285,13 @@ def perturb_element(
     attempt budget, MAX_RESAMPLE draws for a and as many for a0, runs out
     (callers keep the old element in that case).
 
-    An attempt is decided in closed form by `linalg.psd_verdict` on the
-    entries of a.sigma, since I + a.sigma >= -tol I exactly when
-    a.sigma >= -(1 + tol) I; only an attempt in the band around the tolerance
-    builds I + a.sigma for `linalg.spectra`.  A draw that overflows at an
-    extreme scale is outside the region and is redrawn, so the result is
-    finite: a0' is a positive float and a' a new float64 vector.
+    An attempt is decided by the `linalg.PSD_TOL` rule, in closed form by
+    `linalg.psd_verdict` on the Python floats of a.sigma's entries, since
+    I + a.sigma >= -PSD_TOL I exactly when a.sigma >= -(1 + PSD_TOL) I; only
+    an attempt in its band builds I + a.sigma for `linalg.spectra`.  A draw
+    that overflows at an extreme scale is outside the region and is redrawn,
+    so the result is finite: a0' is a positive float and a' a new float64
+    vector.
     """
     if not 0 < s < math.inf:
         raise ContractViolation(f"perturbation scale must be positive and finite, got {s}")
@@ -306,7 +300,7 @@ def perturb_element(
     for _ in range(MAX_RESAMPLE):
         cand = a + rng.normal(0.0, s, a.shape[0])
         entries = (entry_map @ cand).tolist()
-        yes, no = linalg.psd_verdict(entries, dim, 1.0 + PERTURB_PSD_TOL)
+        yes, no = linalg.psd_verdict(entries, dim, 1.0 + linalg.PSD_TOL)
         if no:
             continue
         if not yes:
@@ -314,7 +308,7 @@ def perturb_element(
             # also sends back a draw that overflowed, which gets no yes
             if not all(abs(x) <= dim for x in entries):
                 continue
-            if linalg.spectra(basis.expand(cand) + basis.identity)[-1] < -PERTURB_PSD_TOL:
+            if linalg.spectra(basis.expand(cand) + basis.identity)[-1] < -linalg.PSD_TOL:
                 continue
         new_a = cand
         break
@@ -366,18 +360,16 @@ def score_variants(
     that are not closed or are skipped.
 
     A row is closed when its closing element (1 - sum a0) I - (sum a0 a) . sigma
-    is PSD at -PSD_CONSTRUCTION_TOL, decided for all rows at once from those
-    coordinates by `linalg.psd_verdict`.  Only rows in its band get their
-    closing matrices, built as `complete_povm` builds its closing element
-    (`closing_elements`), and one stacked `linalg.spectra`.  Closed rows pass
-    `check_simplex` on their N probability columns and closing column, run
-    only when a column they take leaves [0, 1] or a sum leaves 1.  Their T and
-    W0 come from one flat array by one `take` through `rows.tw`: the 2N x N
-    design rows a0 a over the unknown directions, then the 2N x 2N table
-    diag(colsum) - (G + G^T)/2, where G is the Gram matrix of the 2N old/new
-    probability columns (1 + members . a) a0, computed here with one product,
-    and the table is formed as (G + G^T) / -2.0 with the column sums added on
-    its diagonal (the same bits as the difference).  One
+    is PSD by `linalg.psd_mask` on those coordinates; the band's matrices are
+    built as `complete_povm` builds its closing element (`closing_elements`).
+    Closed rows pass `check_simplex` on their N probability columns and
+    closing column, run only when a column they take leaves [0, 1] or a sum
+    leaves 1.  Their T and W0 come from one flat array by one `take` through
+    `rows.tw`: the 2N x N design rows a0 a over the unknown directions, then
+    the 2N x 2N table diag(colsum) - (G + G^T)/2, where G is the Gram matrix
+    of the 2N old/new probability columns (1 + members . a) a0, computed here
+    with one product, and the table is formed as (G + G^T) / -2.0 with the
+    column sums added on its diagonal (the same bits as the difference).  One
     `objective.log_determinants` of the (Vc, 2, N, N) stack gives both
     determinants of every closed row and skips a row where `log_dacm` raises:
     log |det T| <= log(DESIGN_DET_FLOOR) + N log max|T_ij| or det W0 <= 0.
@@ -393,14 +385,11 @@ def score_variants(
     weighted = a0[:, None] * A  # (2N, n^2-1)
     a0_sum = a0 @ rows.choose  # (V,)
     a_sum = weighted.T @ rows.choose  # (n^2-1, V)
-    entries = basis.entry_map @ -a_sum  # (n^2, V) entries of every row's closing element
-    entries[: basis.dim] += 1.0 - a0_sum
-    closed, no = linalg.psd_verdict(entries, basis.dim, PSD_CONSTRUCTION_TOL)
-    band = ~(closed | no)
-    if band.any():
-        band = np.flatnonzero(band)
-        closing = closing_elements(coordinate_elements(columns, basis)[rows.cols[band]])
-        closed[band] = linalg.spectra(closing)[:, -1] >= -PSD_CONSTRUCTION_TOL
+    # the (n^2, V) entries of every row's closing element decide its closure
+    closed, _ = linalg.psd_mask(
+        basis.entry_map @ -a_sum, 1.0 - a0_sum, basis.dim,
+        lambda band: closing_elements(coordinate_elements(columns, basis)[rows.cols[band]]),
+    )
     idx = closed.nonzero()[0]
     if not idx.size:
         return closed, skipped, log_dacm
@@ -459,7 +448,7 @@ def random_initial_povm(pattern: ParameterPattern, rng, scale: float = INIT_SCAL
         A = rng.normal(0.0, scale, (n_free, basis.dim**2 - 1))
         # I + a . sigma of every element, tested here and scaled by 1/m below
         units = basis.expand(A) + basis.identity
-        if not (linalg.spectra(units)[:, -1] > 1e-8).all():
+        if not (linalg.spectra(units)[:, -1] > INIT_MIN_EIGENVALUE).all():
             continue
         try:
             pov = complete_povm((1.0 / m) * units)

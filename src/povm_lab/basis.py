@@ -57,6 +57,8 @@ class OrthonormalBasis:
     of a . sigma that `linalg.psd_verdict` reads: the n diagonals, then Re and
     then Im of the upper off-diagonal entries (row-major).  `identity` is the
     (n, n) real identity.  Both are built once and read-only.
+    `diagonal_indices` holds the 1-based indices of the diagonal generators,
+    those with no off-diagonal entry, read off `entry_map` once.
     """
 
     elements: np.ndarray
@@ -65,6 +67,7 @@ class OrthonormalBasis:
     dim: int = field(init=False)
     entry_map: np.ndarray = field(init=False, repr=False)
     identity: np.ndarray = field(init=False, repr=False)
+    diagonal_indices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         elements = np.asarray(self.elements, dtype=complex)
@@ -81,7 +84,9 @@ class OrthonormalBasis:
         identity = np.eye(n)
         for array in (elements, entry_map, identity):
             array.setflags(write=False)
+        diagonal = tuple((np.flatnonzero(~entry_map[n:].any(axis=0)) + 1).tolist())
         built = {"elements": elements, "dim": n, "entry_map": entry_map, "identity": identity}
+        built["diagonal_indices"] = diagonal
         for name, value in built.items():
             object.__setattr__(self, name, value)
 

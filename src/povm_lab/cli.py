@@ -277,10 +277,8 @@ def _run_refine(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     n = cfg.pattern.dim
     # rank-one elements with constant diagonal are quasi-orthogonal to the
-    # diagonal generators and to no other direction; the rows of entry_map
-    # past the first n hold each generator's off-diagonal entries
-    off_diagonal = gell_mann_basis(n).entry_map[n:]
-    diagonal = (np.flatnonzero(~off_diagonal.any(axis=0)) + 1).tolist()
+    # diagonal generators and to no other direction
+    diagonal = list(gell_mann_basis(n).diagonal_indices)
     if sorted(cfg.pattern.known_indices) != diagonal:
         raise ConfigurationError(
             f"refine needs the known indices to be the diagonal generators {diagonal}, "

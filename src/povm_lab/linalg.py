@@ -4,11 +4,17 @@
 of each matrix of a Hermitian (..., n, n) stack (one matrix, the elements of
 a measurement, the grid, the closing elements of an anneal step) from one
 numpy `eigvalsh` call on `symmetrize`'s average; it re-raises a LAPACK
-failure as `NumericalError`.  The PSD tests of 2x2 and 3x3 matrices in the
-anneal's and the grid's stacks are decided in closed form (`psd_verdict`:
-the lowest eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one),
-with `spectra` left for the thin band around the tolerance; the tests keep
-`eigvalsh` as `psd_verdict`'s oracle.
+failure as `NumericalError`.
+
+Positivity has one rule, lowest eigenvalue >= -PSD_TOL, for the grid's
+states, every closing element and `statespace.select_cluster`'s reference.
+`psd_mask` decides a stack: `psd_verdict` in closed form (the lowest
+eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one) wherever the
+lowest eigenvalue is farther than PSD_MARGIN plus a rounding slack from
+-PSD_TOL, and one `spectra` call on the rest, the band; for n = 4 the band is
+every matrix.  `annealer.perturb_element` is the one other caller of
+`psd_verdict`, one draw at a time on Python floats, where a numpy body would
+cost about 1 us per operation.  The tests keep `eigvalsh` as its oracle.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
 `min_eigenvalue`, `min_eigenvalue_trusted`) is the tests' oracle for the
@@ -29,6 +35,7 @@ from .errors import ContractViolation, NumericalError
 HERMITIAN_TOL = 1e-12
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+PSD_TOL = 1e-10  # the one positivity rule: lowest eigenvalue >= -PSD_TOL
 # `psd_verdict` decides only matrices whose lowest eigenvalue is farther than
 # PSD_MARGIN from -tol, which covers `eigvalsh`'s error (a few ulps of |H|)
 # for entries up to a few hundred.  A 3x3 principal minor of order k is
@@ -200,6 +207,24 @@ def psd_verdict(entries, n: int, tol: float):
         return yes, no
     # False, for a float or per matrix
     return entries[0] < -math.inf, entries[0] < -math.inf
+
+
+def psd_mask(entries, shift, n: int, band_matrices):
+    """(mask, band): which matrices of a stack have lowest eigenvalue >=
+    -PSD_TOL, and the indices of those `spectra` decided.
+
+    `entries` is the (n^2, V) array of the stack's real entry columns, as
+    `psd_verdict` reads them, before `shift` is added in place to its n
+    diagonal rows.  `psd_verdict` decides each matrix; `band_matrices(band)`
+    builds the (len(band), n, n) matrices of the undecided indices for one
+    `spectra` call, and is not called when there are none.
+    """
+    entries[:n] += shift
+    mask, no = psd_verdict(entries, n, PSD_TOL)
+    band = (~(mask | no)).nonzero()[0]
+    if band.size:
+        mask[band] = spectra(band_matrices(band))[:, -1] >= -PSD_TOL
+    return mask, band
 
 
 def determinant(M) -> float:

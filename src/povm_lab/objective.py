@@ -143,12 +143,13 @@ def _exp(log_value: float) -> float:
 
 
 def estimate_state(nu, design: DesignMatrix) -> np.ndarray:
-    """theta_hat = T^{-1} (nu - a0s) from observed outcome frequencies;
-    SingularDesign where `singular_design` finds T singular, as `log_dacm` does."""
+    """theta_hat = T^{-1} (nu - a0s) for each row of a (..., N) stack of
+    observed outcome frequencies, from one `solve`; SingularDesign where
+    `singular_design` finds T singular, as `log_dacm` does."""
     nu = np.asarray(nu, dtype=float)
-    if nu.shape != design.a0s.shape:
+    if nu.shape[-1:] != design.a0s.shape:
         raise ContractViolation(f"frequencies shape {nu.shape} != {design.a0s.shape}")
     log_abs_det = np.linalg.slogdet(design.T)[1]
     if singular_design(design.T, log_abs_det):
         raise SingularDesign(f"log |det T| = {log_abs_det:.6g} at or below the design floor")
-    return np.linalg.solve(design.T, nu - design.a0s)
+    return np.linalg.solve(design.T, (nu - design.a0s)[..., None])[..., 0]

@@ -27,7 +27,6 @@ from . import linalg
 from .basis import OrthonormalBasis
 from .errors import ClosureNotPositive, ContractViolation
 
-PSD_CONSTRUCTION_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 
 
@@ -109,10 +108,8 @@ def complete_povm(first_elements) -> Povm:
     chosen = element_stack(first_elements)
     residual = closing_elements(chosen)
     lo = linalg.spectra(residual)[-1]
-    if lo < -PSD_CONSTRUCTION_TOL:
-        raise ClosureNotPositive(
-            f"closure element has eigenvalue {lo:.3e} < -{PSD_CONSTRUCTION_TOL:g}"
-        )
+    if lo < -linalg.PSD_TOL:
+        raise ClosureNotPositive(f"closure element has eigenvalue {lo:.3e} < -{linalg.PSD_TOL:g}")
     return Povm(np.concatenate([chosen, residual[None]]))
 
 

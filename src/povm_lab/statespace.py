@@ -10,10 +10,8 @@ orbit of states with fixed spectrum, and the averaged covariance is a raw
 Only grid points inside the Bloch ball are tested for positivity: a state
 whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
 <= (n-1)/n + 2(n-1)t + n(n-1)t^2, a slack that BALL_MARGIN covers at
-t = GRID_PSD_TOL.  The closed-form test of `linalg.psd_verdict`, the one the
-anneal uses, decides the points inside the ball; the stacked `linalg.spectra`
-decides only those in its thin band around the tolerance, which for n = 4 is
-every point.  Cluster keys come from the same stacked `linalg.spectra` of
+t = `linalg.PSD_TOL`; `linalg.psd_mask` decides the points inside the ball.
+Cluster keys come from the stacked `linalg.spectra` of
 `basis.bloch_to_state`'s states, whose tests keep the scalar Jacobi solver in
 `linalg` as their oracle.  Both passes take GRID_BLOCK points at a time, so
 memory stays bounded whatever the grid's size.  An eigenvalue within
@@ -39,7 +37,6 @@ from .basis import (
 )
 from .errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
-GRID_PSD_TOL = 1e-10
 POINT_BUDGET = 10**7
 GRID_BLOCK = 4096  # points built, tested or keyed per block (about 4 MB of work arrays at n = 4)
 BALL_MARGIN = 1e-9  # slack of the Bloch-ball prefilter beyond (n-1)/n
@@ -81,22 +78,6 @@ class Cluster:
         return self.members.shape[0]
 
 
-def _psd_rows(thetas: np.ndarray, basis: OrthonormalBasis) -> tuple[np.ndarray, int]:
-    """(mask, count): which rows give lambda_min(I/n + theta . sigma) >=
-    -GRID_PSD_TOL, and how many of them `eigvalsh` decided.
-
-    `linalg.psd_verdict` decides each row in closed form from rho's entries;
-    only the rows in its band go to `linalg.spectra`.  Outside the band the
-    two tests agree, so the mask is `linalg.spectra`'s own verdict bit for bit.
-    """
-    entries = basis.entry_map @ thetas.T
-    entries[: basis.dim] += 1.0 / basis.dim
-    keep, no = linalg.psd_verdict(entries, basis.dim, GRID_PSD_TOL)
-    band = np.flatnonzero(~(keep | no))
-    keep[band] = linalg.spectra(bloch_to_state(thetas[band], basis))[:, -1] >= -GRID_PSD_TOL
-    return keep, band.size
-
-
 def eigenvalue_cells(evals: np.ndarray, cells: int) -> np.ndarray:
     """Cell indices floor(lambda * B) of descending eigenvalues, clamped to
     [0, B-1]; a lambda within CELL_EDGE_TOL of an edge k/B is in cell k."""
@@ -114,8 +95,8 @@ def generate_grid(spec: GridSpec) -> np.ndarray:
     running sums of squares; a prefix whose sum already leaves the Bloch ball
     (beyond BALL_MARGIN) is dropped with all of its completions, since a float
     sum of squares never decreases as terms are added.  The points that remain
-    are built GRID_BLOCK at a time, so memory stays bounded, and `_psd_rows`
-    keeps the PSD ones.
+    are built GRID_BLOCK at a time, so memory stays bounded, and
+    `linalg.psd_mask` keeps the PSD ones.
     """
     pattern = spec.pattern
     basis = gell_mann_basis(pattern.dim)
@@ -139,9 +120,12 @@ def generate_grid(spec: GridSpec) -> np.ndarray:
         digits = np.unravel_index(index[lo : lo + GRID_BLOCK], (g,) * pattern.unknown_count)
         block = np.tile(template, (digits[0].size, 1))
         block[:, pattern.unknown_positions] = axis[np.stack(digits, axis=1)]
-        psd, decided = _psd_rows(block, basis)
+        psd, band = linalg.psd_mask(
+            basis.entry_map @ block.T, 1.0 / basis.dim, basis.dim,
+            lambda band: bloch_to_state(block[band], basis),
+        )
         kept.append(block[psd])
-        by_eigvalsh += decided
+        by_eigvalsh += band.size
     states = np.concatenate(kept)
     log.info(
         "grid: %d PSD states of %d points (%d inside the Bloch ball, %d decided by eigvalsh)",
@@ -183,7 +167,7 @@ def select_cluster(
     Without theta_ref, the biggest cluster, ties broken by lexicographically
     smallest key.  With theta_ref (unknown coordinates; knowns filled from the
     pattern), the cluster of its eigenvalue cell key; a theta_ref whose rho has
-    an eigenvalue below -GRID_PSD_TOL is a ConfigurationError.
+    an eigenvalue below -`linalg.PSD_TOL` is a ConfigurationError.
     """
     if not clusters:
         raise EmptyClusterSelection("no clusters to select from")
@@ -194,9 +178,9 @@ def select_cluster(
     cells = next(iter(clusters.values())).cell_count
     theta = assemble_full_vector(pattern, theta_ref)
     evals = linalg.spectra(bloch_to_state(theta, gell_mann_basis(pattern.dim)))
-    if evals[-1] < -GRID_PSD_TOL:
+    if evals[-1] < -linalg.PSD_TOL:
         raise ConfigurationError(
-            f"theta_ref is not a state: rho has eigenvalue {evals[-1]:.6g} < -{GRID_PSD_TOL:g}"
+            f"theta_ref is not a state: rho has eigenvalue {evals[-1]:.6g} < -{linalg.PSD_TOL:g}"
         )
     key = tuple(eigenvalue_cells(evals, cells).tolist())
     if key not in clusters:

@@ -32,6 +32,19 @@ def random_state(rng, n):
     return rho / rho.trace().real
 
 
+def boundary_points(basis, seed, support, offsets):
+    """A random direction with `support` nonzero coordinates, scaled so that
+    the lowest eigenvalue of rho = I/n + theta . sigma is each of `offsets`."""
+    rng = np.random.default_rng(seed)
+    k = basis.dim**2 - 1
+    u = np.zeros(k)
+    pos = rng.choice(k, size=support, replace=False)
+    u[pos] = rng.normal(size=support)
+    lowest = np.linalg.eigvalsh(np.tensordot(u, basis.stack, axes=1))[0]  # < 0: traceless
+    # lambda_min(rho(t u)) = 1/n + t * lowest for t >= 0
+    return np.array([(1.0 / basis.dim - off) / -lowest * u for off in offsets])
+
+
 def hs_inner(A, B) -> float:
     """Hilbert-Schmidt pairing Tr(A B) of two Hermitian matrices."""
     A = linalg.symmetrize(A)

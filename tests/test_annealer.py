@@ -905,7 +905,7 @@ def reference_scores(columns, rows, basis, members, pattern):
     n_free = columns.shape[0] // 2
     a0, A = columns[:, 0], columns[:, 1:]
     closing = pv.closing_elements(annealer.coordinate_elements(columns, basis)[rows.cols])
-    closed = np.linalg.eigvalsh(closing)[:, 0] >= -pv.PSD_CONSTRUCTION_TOL
+    closed = np.linalg.eigvalsh(closing)[:, 0] >= -linalg.PSD_TOL
     skipped = np.zeros(closed.shape, dtype=bool)
     log_dacm = np.full(closed.shape, np.nan)
     if not closed.any():

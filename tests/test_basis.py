@@ -69,6 +69,15 @@ class TestGellMannBasis:
         assert b.labels == labels
         assert b.stack is b.elements
 
+    @pytest.mark.parametrize("n, diagonal", [(2, (3,)), (3, (7, 8)), (4, (3, 12, 15))])
+    def test_diagonal_indices(self, n, diagonal):
+        # the known indices `refine` accepts, as README's refine bullet states:
+        # exactly the generators that are diagonal matrices
+        b = bs.gell_mann_basis(n)
+        off = ~np.eye(n, dtype=bool)
+        assert tuple(i + 1 for i, e in enumerate(b.elements) if not e[off].any()) == diagonal
+        assert b.diagonal_indices == diagonal
+
     @pytest.mark.parametrize("shape", [(7, 3, 3), (8, 3, 2), (9, 9), (3,)])
     def test_rejects_a_stack_not_sized_by_its_dimension(self, shape):
         with pytest.raises(ContractViolation, match="expected"):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povm_lab import linalg
+from povm_lab.basis import bloch_to_state, gell_mann_basis
 from povm_lab.errors import ContractViolation, NumericalError, SingularDesign
 
-from conftest import hs_inner, random_hermitian, random_unitary, solve_linear
+from conftest import boundary_points, hs_inner, random_hermitian, random_unitary, solve_linear
 
 
 def char_poly_roots_3x3(H):
@@ -248,6 +249,68 @@ class TestPsdVerdict:
         yes, no = linalg.psd_verdict(_entry_columns(H), 4, self.TOL)
         assert not yes.any() and not no.any()
         assert linalg.psd_verdict(_entry_columns(H)[:, 0].tolist(), 4, self.TOL) == (False, False)
+
+
+def _grid_mask(points, basis, calls):
+    """`psd_mask` on grid points, as `generate_grid` calls it, recording each
+    call of its band builder."""
+
+    def band_matrices(band):
+        calls.append(band.copy())
+        return bloch_to_state(points[band], basis)
+
+    return linalg.psd_mask(basis.entry_map @ points.T, 1.0 / basis.dim, basis.dim, band_matrices)
+
+
+@pytest.mark.invariants
+class TestPsdMask:
+    """`psd_mask` keeps exactly the matrices `eigvalsh` keeps, and builds
+    matrices only for its band."""
+
+    TOL = linalg.PSD_TOL
+    M = linalg.PSD_MARGIN
+    OFFSETS = (
+        0.0, -TOL, -TOL + 1e-13, -TOL - 1e-13, -TOL + M, -TOL - M, -TOL + 2 * M, -TOL - 2 * M,
+        M, -M, 1e-3, -1e-3,
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 15),
+    )
+    def test_mask_matches_eigvalsh(self, dim, seed, support):
+        basis = gell_mann_basis(dim)
+        points = boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
+        mask, band = _grid_mask(points, basis, [])
+        decided = band.size
+        expected = linalg.spectra(bloch_to_state(points, basis))[:, -1] >= -linalg.PSD_TOL
+        assert np.array_equal(mask, expected)
+        # for n = 4 every row is in the minors' band
+        assert decided == len(self.OFFSETS) if dim == 4 else decided <= len(self.OFFSETS)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_band_builds_nothing(self, dim):
+        # lowest eigenvalues far from -PSD_TOL: `psd_verdict` decides them all
+        calls = []
+        points = boundary_points(gell_mann_basis(dim), dim, dim, (0.1, 1e-3, -1e-3, -0.1))
+        mask, band = _grid_mask(points, gell_mann_basis(dim), calls)
+        assert mask.tolist() == [True, True, False, False]
+        assert band.size == 0 and calls == []
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_one_build_for_exactly_the_band(self, dim):
+        basis = gell_mann_basis(dim)
+        calls = []
+        points = boundary_points(basis, dim, dim**2 - 1, self.OFFSETS)
+        mask, band = _grid_mask(points, basis, calls)
+        entries = basis.entry_map @ points.T
+        entries[:dim] += 1.0 / dim
+        yes, no = linalg.psd_verdict(entries, dim, linalg.PSD_TOL)
+        assert band.tolist() == np.flatnonzero(~(yes | no)).tolist()
+        assert self.OFFSETS.index(-self.TOL) in band.tolist()
+        assert len(calls) == 1 and calls[0].tolist() == band.tolist()
 
 
 def _exact_lowest_2x2(entries):

@@ -340,6 +340,12 @@ class TestEstimateState:
         est = objective.estimate_state(p[:2], design)
         assert np.abs(est - theta).max() < 1e-9
 
+    def test_stack_gives_each_row_its_own_bits(self, trine, qubit_pattern):
+        design = objective.design_matrix(trine, qubit_pattern)
+        nus = np.random.default_rng(3).uniform(0.0, 1.0, (4, 5, 2))
+        rows = [[objective.estimate_state(nu, design) for nu in block] for block in nus]
+        assert objective.estimate_state(nus, design).tobytes() == np.array(rows).tobytes()
+
     def test_offset_maps_to_zero(self, trine, qubit_pattern):
         design = objective.design_matrix(trine, qubit_pattern)
         est = objective.estimate_state(design.a0s, design)
@@ -353,7 +359,7 @@ class TestEstimateState:
         rng = np.random.default_rng(42)
         counts = rng.multinomial(100_000, p, size=1000)
         nus = counts[:, :2] / 100_000
-        ests = np.array([objective.estimate_state(nu, design) for nu in nus])
+        ests = objective.estimate_state(nus, design)
         mean = ests.mean(axis=0)
         assert np.abs(mean - theta).max() <= 0.02
 
@@ -370,7 +376,7 @@ class TestSimulatedTomography:
 
     def simulated_log_det(self, P, pattern, cluster, seed):
         """Draw SAMPLES multinomial frequency vectors of SHOTS outcomes at each
-        member, invert each with T^-1 in one stacked solve, and return log det of
+        member, invert them with one `estimate_state` call, and return log det of
         the members' summed error covariances plus N log SHOTS."""
         design = objective.design_matrix(P, pattern)
         rhos = bloch_to_state(cluster.members, gell_mann_basis(pattern.dim))
@@ -379,7 +385,7 @@ class TestSimulatedTomography:
             self.SHOTS, probs, size=(self.SAMPLES, len(probs))
         )
         nu = counts[..., : pattern.unknown_count] / self.SHOTS
-        est = np.linalg.solve(design.T, (nu - design.a0s)[..., None])[..., 0]
+        est = objective.estimate_state(nu, design)
         err = est - cluster.members[:, pattern.unknown_positions]
         cov = np.einsum("ski,skj->ij", err, err) / self.SAMPLES
         return np.linalg.slogdet(cov)[1] + pattern.unknown_count * np.log(self.SHOTS)

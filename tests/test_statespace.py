@@ -11,7 +11,7 @@ from povm_lab import basis as bs
 from povm_lab import linalg, statespace
 from povm_lab.errors import ConfigurationError, ContractViolation, EmptyClusterSelection
 
-from conftest import random_unitary
+from conftest import boundary_points, random_unitary
 
 
 class TestGenerateGrid:
@@ -209,7 +209,7 @@ def oracle_grid(spec, basis):
     rows = []
     for combo in itertools.product(axis, repeat=spec.pattern.unknown_count):
         full = bs.assemble_full_vector(spec.pattern, combo)
-        if linalg.min_eigenvalue(bs.bloch_to_state(full, basis)) >= -statespace.GRID_PSD_TOL:
+        if linalg.min_eigenvalue(bs.bloch_to_state(full, basis)) >= -linalg.PSD_TOL:
             rows.append(full)
     return np.array(rows).reshape(-1, basis.dim**2 - 1)
 
@@ -434,19 +434,6 @@ class TestLatticeSymmetry:
         assert lattice_map(np.diag([1, 1j, 1, 1]), basis4) is None
 
 
-def _boundary_points(basis, seed, support, offsets):
-    """A random direction with `support` nonzero coordinates, scaled so that
-    the lowest eigenvalue of rho = I/n + theta . sigma is each of `offsets`."""
-    rng = np.random.default_rng(seed)
-    k = basis.dim**2 - 1
-    u = np.zeros(k)
-    pos = rng.choice(k, size=support, replace=False)
-    u[pos] = rng.normal(size=support)
-    lowest = np.linalg.eigvalsh(np.tensordot(u, basis.stack, axes=1))[0]  # < 0: traceless
-    # lambda_min(rho(t u)) = 1/n + t * lowest for t >= 0
-    return np.array([(1.0 / basis.dim - off) / -lowest * u for off in offsets])
-
-
 def _in_ball(points, n):
     """The grid's prefilter on full Bloch vectors: |theta|^2 <= (n-1)/n + BALL_MARGIN."""
     return (points**2).sum(axis=1) <= (n - 1) / n + statespace.BALL_MARGIN
@@ -457,8 +444,8 @@ class TestBallPrefilter:
     """The Bloch-ball test never drops a point that `eigvalsh` would keep."""
 
     OFFSETS = (
-        0.0, 1e-12, -1e-12, -statespace.GRID_PSD_TOL, -statespace.GRID_PSD_TOL + 1e-12,
-        -statespace.GRID_PSD_TOL - 1e-12, 1e-3, -1e-3,
+        0.0, 1e-12, -1e-12, -linalg.PSD_TOL, -linalg.PSD_TOL + 1e-12,
+        -linalg.PSD_TOL - 1e-12, 1e-3, -1e-3,
     )
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -469,8 +456,8 @@ class TestBallPrefilter:
     )
     def test_keeps_every_eigvalsh_kept_point(self, dim, seed, support):
         basis = bs.gell_mann_basis(dim)
-        points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
-        kept = linalg.spectra(bs.bloch_to_state(points, basis))[:, -1] >= -statespace.GRID_PSD_TOL
+        points = boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
+        kept = linalg.spectra(bs.bloch_to_state(points, basis))[:, -1] >= -linalg.PSD_TOL
         assert np.all(_in_ball(points, dim)[kept])
         assert kept[:3].all()  # the boundary and 1e-12 either side of it
 
@@ -479,7 +466,7 @@ class TestBallPrefilter:
         # eigenvalues (1 + (n-1)t, -t, ..., -t) give the largest |theta|^2 of
         # any state whose lowest eigenvalue is -t, in any eigenbasis
         basis = bs.gell_mann_basis(dim)
-        t = statespace.GRID_PSD_TOL
+        t = linalg.PSD_TOL
         spectrum = np.diag([1 + (dim - 1) * t] + [-t] * (dim - 1))
         u = random_unitary(np.random.default_rng(dim), dim)
         for rho in (spectrum, u @ spectrum @ u.conj().T):
@@ -494,35 +481,6 @@ class TestBallPrefilter:
         u /= np.linalg.norm(u, axis=1)[:, None]
         for excess in (-1e-3, -1e-8, 1e-8, 1e-3):
             points = np.sqrt(0.5 + excess) * u
-            kept = linalg.spectra(bs.bloch_to_state(points, basis2))[:, -1] >= -statespace.GRID_PSD_TOL
+            kept = linalg.spectra(bs.bloch_to_state(points, basis2))[:, -1] >= -linalg.PSD_TOL
             assert np.array_equal(_in_ball(points, 2), kept)
             assert kept.all() == (excess < 0)
-
-
-@pytest.mark.invariants
-class TestPsdRows:
-    """The minors-first grid test keeps exactly the rows `eigvalsh` keeps."""
-
-    OFFSETS = (
-        0.0, -statespace.GRID_PSD_TOL,
-        -statespace.GRID_PSD_TOL + 1e-13, -statespace.GRID_PSD_TOL - 1e-13,
-        -statespace.GRID_PSD_TOL + linalg.PSD_MARGIN, -statespace.GRID_PSD_TOL - linalg.PSD_MARGIN,
-        -statespace.GRID_PSD_TOL + 2 * linalg.PSD_MARGIN,
-        -statespace.GRID_PSD_TOL - 2 * linalg.PSD_MARGIN,
-        linalg.PSD_MARGIN, -linalg.PSD_MARGIN, 1e-3, -1e-3,
-    )
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        dim=st.sampled_from([2, 3, 4]),
-        seed=st.integers(0, 2**32 - 1),
-        support=st.integers(1, 15),
-    )
-    def test_mask_matches_eigvalsh(self, dim, seed, support):
-        basis = bs.gell_mann_basis(dim)
-        points = _boundary_points(basis, seed, min(support, dim**2 - 1), self.OFFSETS)
-        mask, decided = statespace._psd_rows(points, basis)
-        expected = linalg.spectra(bs.bloch_to_state(points, basis))[:, -1] >= -statespace.GRID_PSD_TOL
-        assert np.array_equal(mask, expected)
-        # for n = 4 every row is in the minors' band
-        assert decided == len(self.OFFSETS) if dim == 4 else decided <= len(self.OFFSETS)
