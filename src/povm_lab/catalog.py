@@ -17,22 +17,28 @@ report and `povm.metrics`, while `verify` lets the report compute them.  Every
 constructor builds one (m, n, n) element array.  `CLAIMS` states each claim
 `verify` checks once, one `Claim` row per measurement in `verify`'s order; its
 rows marked `default` give each dimension's default pattern, `DEFAULT_PATTERNS`.
+The checks are evaluated here too: `claim_residual` has one branch per check
+kind and `claim_checks` builds `verify`'s suite from the rows, so the CLI only
+prints the results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .basis import PAULI, ParameterPattern, gell_mann_basis
 from .errors import ContractViolation
-from .povm import Povm, overlap_matrix
+from .povm import Povm, overlap_matrix, validate
 from .rankone import PhaseConfiguration
 
 RANK_TOL = 1e-8
+# every `verify` residual passes at or below this
+VERIFY_TOL = 1e-12
 
 # Singer (v, n, 1) difference sets mod v = n^2 - n + 1, keyed by n
 SINGER_SETS = {2: (0, 1), 3: (0, 1, 5), 4: (0, 1, 3, 9)}
@@ -109,7 +115,8 @@ class Claim:
     claims `target` for the "sum" (a multiple of I), "spectrum" (descending),
     "diagonal" entries or "overlap" Tr(E_i E_j), i != j, of `scale` times the
     elements, or the report's "quasi"-orthogonality or "verdict", with (c, d) =
-    target where given."""
+    target where given.  `claim_checks` adds a "valid" check (`povm.validate`
+    at VERIFY_TOL) for every row whose builder returns a Povm."""
 
     name: str
     builder: str
@@ -231,3 +238,44 @@ def report_to_text(report: ConditionalSicReport) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
+
+def claim_residual(kind, scale, built, pattern, target) -> float:
+    """The residual of a `Claim` check on `scale` times the elements of `built`
+    (a Povm or their array), or of its validity or report (0 if it holds)."""
+    elements = scale * (built.elements if isinstance(built, Povm) else built)
+    if kind == "sum":
+        return float(np.abs(elements.sum(axis=0) - target * np.eye(elements.shape[-1])).max())
+    if kind == "spectrum":
+        return float(np.abs(linalg.spectra(elements) - target).max())
+    if kind == "diagonal":
+        return float(np.abs(np.diagonal(elements, axis1=1, axis2=2) - target).max())
+    if kind == "overlap":
+        cross = overlap_matrix(elements)[~np.eye(len(elements), dtype=bool)]
+        return float(np.abs(cross - target).max())
+    if kind == "valid":
+        return 1.0 if validate(built, VERIFY_TOL) else 0.0
+    if kind not in ("quasi", "verdict"):
+        raise ContractViolation(f"unknown check kind {kind!r}")
+    rep = conditional_sic_report(built, pattern)
+    if kind == "quasi":
+        return rep.max_quasi_orthogonality_violation
+    pairs = zip((rep.c, rep.d), target or (None, None))
+    ok = rep.verdict and all(t is None or abs(v - t) < VERIFY_TOL for v, t in pairs)
+    return 0.0 if ok else 1.0
+
+
+def claim_checks():
+    """`verify`'s suite: (name, callable) pairs, each callable returning a
+    residual that passes at or below VERIFY_TOL.  Every `CLAIMS` row's checks
+    in order, on what its builder (looked up in this module now) returns, then
+    one "valid" check per claimed Povm."""
+    checks, valid = [], []
+    for claim in CLAIMS:
+        built = globals()[claim.builder]()
+        for label, kind, scale, target in claim.checks:
+            residual = partial(claim_residual, kind, scale, built, claim.pattern, target)
+            checks.append((label, residual))
+        if isinstance(built, Povm):
+            residual = partial(claim_residual, "valid", 1.0, built, claim.pattern, None)
+            valid.append((f"{claim.name} povm valid at {VERIFY_TOL:g}", residual))
+    return checks + valid

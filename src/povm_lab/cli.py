@@ -9,7 +9,8 @@ diagonal-known experiment, so a minimal anneal config is just `mode = anneal`.
 `docs/qutrit_anneal.cfg` writes every fixed default out; README has the key
 table.  Refine restart r runs Levenberg-Marquardt from phases drawn by the
 standard library's `random.Random(f"{refine.seed},{r}")`, so refine never
-loads `numpy.random`; the search itself has no keys.
+loads `numpy.random`; the search itself has no keys.  `verify` prints one
+line per check of `catalog.claim_checks`, which evaluates `catalog.CLAIMS`.
 
 `_parse_args` reads the command line by hand, because the standard library's
 option parser imports `gettext` and `locale` to build its first parser, which
@@ -26,7 +27,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,13 +41,8 @@ from .annealer import (
     write_trace,
 )
 from .basis import ParameterPattern, bloch_radius_bound, bloch_to_state, gell_mann_basis
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    EmptyClusterSelection,
-    PovmLabError,
-)
-from .povm import Povm, metrics, overlap_matrix, validate, write_povm
+from .errors import ConfigurationError, EmptyClusterSelection, PovmLabError
+from .povm import metrics, write_povm
 from .statespace import GridSpec, cluster_states, generate_grid, select_cluster
 
 log = logging.getLogger("povm_lab")
@@ -59,8 +54,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# every `verify` residual passes at or below this
-VERIFY_TOL = 1e-12
 
 @dataclass
 class RefineSettings:
@@ -339,54 +332,13 @@ def _run_gridinfo(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _residual(kind, scale, built, pattern, target) -> float:
-    """The residual of a `catalog.Claim` check on `scale` times the elements of
-    `built` (a Povm or their array), or of its validity or report (0 if it holds)."""
-    elements = scale * (built.elements if isinstance(built, Povm) else built)
-    if kind == "sum":
-        return float(np.abs(elements.sum(axis=0) - target * np.eye(elements.shape[-1])).max())
-    if kind == "spectrum":
-        return float(np.abs(linalg.spectra(elements) - target).max())
-    if kind == "diagonal":
-        return float(np.abs(np.diagonal(elements, axis1=1, axis2=2) - target).max())
-    if kind == "overlap":
-        cross = overlap_matrix(elements)[~np.eye(len(elements), dtype=bool)]
-        return float(np.abs(cross - target).max())
-    if kind == "valid":
-        return 1.0 if validate(built, VERIFY_TOL) else 0.0
-    rep = catalog.conditional_sic_report(built, pattern)
-    if kind == "quasi":
-        return rep.max_quasi_orthogonality_violation
-    if kind == "verdict":
-        pairs = zip((rep.c, rep.d), target or (None, None))
-        ok = rep.verdict and all(t is None or abs(v - t) < VERIFY_TOL for v, t in pairs)
-        return 0.0 if ok else 1.0
-    raise ContractViolation(f"unknown check kind {kind!r}")
-
-
-def _verify_checks():
-    """The catalog oracle suite: (name, callable) pairs, each callable returning
-    a residual that passes at or below VERIFY_TOL.  Every `catalog.CLAIMS` row's
-    checks in order, on what its builder (looked up on `catalog` now) returns,
-    then one `validate` check per claimed Povm."""
-    checks, valid = [], []
-    for claim in catalog.CLAIMS:
-        built = getattr(catalog, claim.builder)()
-        for label, kind, scale, target in claim.checks:
-            checks.append((label, partial(_residual, kind, scale, built, claim.pattern, target)))
-        if isinstance(built, Povm):
-            residual = partial(_residual, "valid", 1.0, built, claim.pattern, None)
-            valid.append((f"{claim.name} povm valid at {VERIFY_TOL:g}", residual))
-    return checks + valid
-
-
 def _run_verify() -> int:
     failures = 0
-    checks = _verify_checks()
+    checks = catalog.claim_checks()
     for name, fn in checks:
         try:
             residual = fn()
-            ok = residual <= VERIFY_TOL
+            ok = residual <= catalog.VERIFY_TOL
         except PovmLabError as exc:
             residual, ok = float("nan"), False
             log.error("%s raised %s", name, exc)

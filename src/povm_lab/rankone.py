@@ -174,13 +174,6 @@ def _jacobian(g: np.ndarray, G: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate([d_off - d_off_mean, dS.real, dS.imag])
 
 
-def _residuals(phases: np.ndarray):
-    """Residuals r and their Jacobian over phases[1:, 1:]: `_jacobian` of
-    `_residual_parts`."""
-    r, parts = _residual_parts(phases)
-    return r, _jacobian(*parts)
-
-
 def refine_objective(phi: PhaseConfiguration) -> float:
     """Cross-overlap variance plus the squared completeness residual."""
     r, _ = _residual_parts(phi.phases)

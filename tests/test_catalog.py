@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -254,6 +255,24 @@ class TestClaims:
         for claim in catalog.CLAIMS:
             if claim.default:
                 assert catalog.DEFAULT_PATTERNS[claim.pattern.dim] is claim.pattern
+
+    def test_every_kind_is_documented_and_evaluated(self):
+        # Claim's docstring names each kind CLAIMS uses, and "valid", which
+        # claim_checks adds; claim_residual evaluates each of them
+        documented = set(re.findall(r'"(\w+)"', catalog.Claim.__doc__))
+        used = {kind for claim in catalog.CLAIMS for _, kind, _, _ in claim.checks}
+        assert documented == used | {"valid"}
+        for claim in catalog.CLAIMS:
+            built = getattr(catalog, claim.builder)()
+            for _, kind, scale, target in claim.checks:
+                residual = catalog.claim_residual(kind, scale, built, claim.pattern, target)
+                assert 0.0 <= residual <= catalog.VERIFY_TOL
+            if isinstance(built, pv.Povm):
+                assert catalog.claim_residual("valid", 1.0, built, claim.pattern, None) == 0.0
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ContractViolation, match="unknown check kind 'kkt'"):
+            catalog.claim_residual("kkt", 1.0, catalog.qubit_trine(), None, None)
 
 
 class TestConditionalSicReport:

@@ -370,13 +370,13 @@ class TestVerifyMode:
         assert summary == "ok\t22 passed, 0 failed"
 
     def test_raising_check_fails_with_nan(self, monkeypatch, capsys, caplog):
-        checks = cli._verify_checks()
+        checks = cli.catalog.claim_checks()
         name = checks[0][0]
 
         def raises():
             raise ContractViolation("forced")
 
-        monkeypatch.setattr(cli, "_verify_checks", lambda: [(name, raises), *checks[1:]])
+        monkeypatch.setattr(cli.catalog, "claim_checks", lambda: [(name, raises), *checks[1:]])
         assert cli.main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"FAIL\t{name}\tnan"

@@ -14,11 +14,13 @@ RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
 
 
 def residuals(phases):
-    return rankone._residuals(phases)
+    """Residuals r and their Jacobian over phases[1:, 1:], as refine builds them."""
+    r, parts = rankone._residual_parts(phases)
+    return r, rankone._jacobian(*parts)
 
 
 def scratch_residuals(phases, dim, m, off_mask):
-    """The oracle for `rankone._residuals`: its residuals and Jacobian built
+    """The oracle for `residuals`: its residuals and Jacobian built
     through an (m, m, m, n) zero tensor of overlap derivatives and two
     `einsum` products with the identity for the completeness derivatives."""
     H = rankone._vectors(phases, dim)
