@@ -86,7 +86,7 @@ TRACE_HEADER = "step,log_dacm,sigma,delta,Delta,temperature,s"
 MAX_ALL_SKIPPED_STEPS = 100
 INIT_MAX_TRIES = 1000
 MAX_RESAMPLE = 100  # attempts per perturbation draw, for a and for a0
-INIT_SCALE = 0.05  # `random_initial_povm`'s default spread, and anneal.init_scale's
+INIT_SCALE = 0.05  # `random_initial_povm`'s default spread, that of every CLI anneal's start
 # a start is strictly inside the positive region: each unit element I + a . sigma
 # has lowest eigenvalue above this margin, where the `linalg.PSD_TOL` rule
 # would admit an element on the boundary or 1e-10 past it

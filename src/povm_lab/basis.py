@@ -143,7 +143,8 @@ def gell_mann_basis(n: int) -> OrthonormalBasis:
 
 
 def bloch_radius_bound(n: int) -> float:
-    """Per-axis half-width sqrt((n-1)/n): the pure-state norm bound."""
+    """sqrt((n-1)/n), the Bloch norm of a pure state: the half-width of the
+    state grid on every unknown axis."""
     return float(np.sqrt((n - 1) / n))
 
 

@@ -32,15 +32,8 @@ from typing import Optional
 import numpy as np
 
 from . import catalog, linalg, rankone
-from .annealer import (
-    INIT_SCALE,
-    RUN_COUNTERS,
-    AnnealConfig,
-    anneal,
-    random_initial_povm,
-    write_trace,
-)
-from .basis import ParameterPattern, bloch_radius_bound, bloch_to_state, gell_mann_basis
+from .annealer import RUN_COUNTERS, AnnealConfig, anneal, random_initial_povm, write_trace
+from .basis import ParameterPattern, bloch_to_state, gell_mann_basis
 from .errors import ConfigurationError, EmptyClusterSelection, PovmLabError
 from .povm import metrics, write_povm
 from .statespace import GridSpec, cluster_states, generate_grid, select_cluster
@@ -67,11 +60,9 @@ class ExperimentConfig:
     mode: str
     pattern: ParameterPattern = catalog.DEFAULT_PATTERNS[3]
     grid_points: int = 7
-    grid_bound: Optional[float] = None  # None: bloch_radius_bound(pattern.dim)
     grid_cells: int = 10
     theta_ref: Optional[np.ndarray] = None
     anneal: AnnealConfig = field(default_factory=AnnealConfig)
-    init_scale: float = INIT_SCALE
     refine: RefineSettings = field(default_factory=RefineSettings)
     output_dir: str = "."
 
@@ -109,7 +100,6 @@ _CONFIG_KEYS = {
     "pattern.known_indices": ("pattern", "known_indices", _parse_int_list),
     "pattern.known_values": ("pattern", "known_values", _parse_float_list),
     "grid.points_per_axis": ("config", "grid_points", _parse_int),
-    "grid.bound": ("config", "grid_bound", _parse_float),
     "grid.cells": ("config", "grid_cells", _parse_int),
     "grid.theta_ref": ("config", "theta_ref", _parse_float_array),
     "anneal.total_steps": ("anneal", "total_steps", _parse_int),
@@ -121,7 +111,6 @@ _CONFIG_KEYS = {
     "anneal.reheat_factor": ("anneal", "reheat_factor", _parse_float),
     "anneal.seed": ("anneal", "rng_seed", _parse_int),
     "anneal.trace_every": ("anneal", "trace_every", _parse_int),
-    "anneal.init_scale": ("config", "init_scale", _parse_float),
     "refine.restarts": ("refine", "restarts", _parse_int),
     "refine.element_count": ("refine", "element_count", _parse_int),
     "refine.seed": ("refine", "seed", _parse_int),
@@ -198,8 +187,6 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     m = cfg.refine.element_count
     if m is not None and m < 2:
         raise ConfigurationError(f"refine.element_count must be >= 2, got {m}")
-    if cfg.init_scale <= 0:
-        raise ConfigurationError("anneal.init_scale must be positive")
     if cfg.refine.restarts < 1:
         raise ConfigurationError("refine.restarts must be >= 1")
     if cfg.refine.seed < 0:
@@ -208,8 +195,7 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
 
 
 def _build_cluster(cfg: ExperimentConfig):
-    bound = cfg.grid_bound if cfg.grid_bound is not None else bloch_radius_bound(cfg.pattern.dim)
-    spec = GridSpec(cfg.grid_points, bound, cfg.pattern)
+    spec = GridSpec(cfg.grid_points, cfg.pattern)
     clusters = cluster_states(generate_grid(spec), cfg.grid_cells, gell_mann_basis(cfg.pattern.dim))
     cl = select_cluster(clusters, cfg.theta_ref, cfg.pattern)
     log.info("cluster %s with %d members", cl.key, cl.size)
@@ -246,7 +232,7 @@ def _run_anneal(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     _, cl = _build_cluster(cfg)
     init_rng = np.random.default_rng([cfg.anneal.rng_seed, 1])
-    initial = random_initial_povm(cfg.pattern, init_rng, cfg.init_scale)
+    initial = random_initial_povm(cfg.pattern, init_rng)
     os.makedirs(cfg.output_dir, exist_ok=True)
     search_start = time.perf_counter()
     result = anneal(cfg.anneal, initial, cl, cfg.pattern)

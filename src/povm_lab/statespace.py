@@ -1,11 +1,12 @@
 """Finite-grid realization of the constrained state set and eigenvalue clustering.
 
 The states compatible with the known parameters form a continuum; we place a
-symmetric grid on the unknown coordinates, keep the positive semidefinite
-points, and group them by which cell of a B-way partition of [0, 1] each
-(descending) eigenvalue falls into.  One cluster stands in for a unitary
-orbit of states with fixed spectrum, and the averaged covariance is a raw
-(unnormalized) sum over its members.
+symmetric grid on the unknown coordinates, g points on each axis over [-b, b]
+with b = `basis.bloch_radius_bound(n)`, so the dimension and g alone set it.
+We keep its positive semidefinite points, and group them by which cell of a
+B-way partition of [0, 1] each (descending) eigenvalue falls into.  One
+cluster stands in for a unitary orbit of states with fixed spectrum, and the
+averaged covariance is a raw (unnormalized) sum over its members.
 
 Only grid points inside the Bloch ball are tested for positivity: a state
 whose lowest eigenvalue is -t or more has |theta|^2 = Tr rho^2 - 1/n
@@ -32,6 +33,7 @@ from .basis import (
     OrthonormalBasis,
     ParameterPattern,
     assemble_full_vector,
+    bloch_radius_bound,
     bloch_to_state,
     gell_mann_basis,
 )
@@ -47,17 +49,15 @@ log = logging.getLogger("povm_lab")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric grid: g points per unknown axis over [-bound, +bound]."""
+    """The grid of g = `points_per_axis` points per unknown axis of `pattern`
+    over the box of the module docstring."""
 
     points_per_axis: int
-    bound: float
     pattern: ParameterPattern
 
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ConfigurationError("points_per_axis must be >= 2")
-        if not (self.bound > 0 and np.isfinite(self.bound)):
-            raise ConfigurationError("bound must be positive and finite")
         if self.points_per_axis ** self.pattern.unknown_count > POINT_BUDGET:
             raise ConfigurationError(
                 f"grid budget exceeded: {self.points_per_axis}^{self.pattern.unknown_count} "
@@ -101,13 +101,12 @@ def generate_grid(spec: GridSpec) -> np.ndarray:
     pattern = spec.pattern
     basis = gell_mann_basis(pattern.dim)
     g = spec.points_per_axis
-    axis = np.linspace(-spec.bound, spec.bound, g)
+    bound = bloch_radius_bound(basis.dim)
+    axis = np.linspace(-bound, bound, g)
     template = np.zeros(basis.dim**2 - 1)
     template[pattern.known_positions] = pattern.known_values
     room = (basis.dim - 1) / basis.dim - template @ template + BALL_MARGIN
-    # a square past the float range is inf, which leaves the ball as it should
-    with np.errstate(over="ignore"):
-        squares = axis**2
+    squares = axis**2
     index, norm = np.zeros(1, dtype=np.int64), np.zeros(1)
     for _ in range(pattern.unknown_count):
         index = (index[:, None] * g + np.arange(g)).ravel()

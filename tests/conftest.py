@@ -169,7 +169,7 @@ def dim4_diag_unknown_pattern():
 @pytest.fixture(scope="session")
 def qubit_cluster(basis2, qubit_pattern):
     """Largest cluster of the default qubit grid (g = 7, B = 10)."""
-    spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
+    spec = statespace.GridSpec(7, qubit_pattern)
     clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis2)
     return statespace.select_cluster(clusters)
 
@@ -177,7 +177,7 @@ def qubit_cluster(basis2, qubit_pattern):
 @pytest.fixture(scope="session")
 def qutrit_small_cluster(basis3, qutrit_pattern):
     """Largest cluster of a coarse qutrit grid (g = 3) for fast objective tests."""
-    spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), qutrit_pattern)
+    spec = statespace.GridSpec(3, qutrit_pattern)
     clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis3)
     return statespace.select_cluster(clusters)
 
@@ -185,7 +185,7 @@ def qutrit_small_cluster(basis3, qutrit_pattern):
 @pytest.fixture(scope="session")
 def qutrit_default_cluster(basis3, qutrit_pattern):
     """Largest cluster of the default qutrit grid (g = 7, B = 10); built once."""
-    spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
+    spec = statespace.GridSpec(7, qutrit_pattern)
     clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis3)
     return statespace.select_cluster(clusters)
 

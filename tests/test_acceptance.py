@@ -14,12 +14,7 @@ import pytest
 
 from povm_lab import annealer, catalog, linalg, objective, rankone, statespace
 from povm_lab import povm as pv
-from povm_lab.basis import (
-    assemble_full_vector,
-    bloch_radius_bound,
-    bloch_to_state,
-    gell_mann_basis,
-)
+from povm_lab.basis import assemble_full_vector, bloch_to_state, gell_mann_basis
 from povm_lab.errors import ClosureNotPositive
 
 from conftest import hs_inner
@@ -190,7 +185,7 @@ def test_criterion_5_qutrit_refinement_reproduces_csic(
 def test_criterion_6_dim4_local_optimality(basis4, dim4_diag_unknown_pattern):
     t0 = time.perf_counter()
     pattern = dim4_diag_unknown_pattern
-    spec = statespace.GridSpec(7, bloch_radius_bound(4), pattern)
+    spec = statespace.GridSpec(7, pattern)
     clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis4)
     cluster = statespace.select_cluster(clusters)
     units = catalog.diag_units_dim4()

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from povm_lab import annealer, catalog, cli, linalg, objective, povm as pv, statespace
-from povm_lab.basis import ParameterPattern, bloch_radius_bound, gell_mann_basis
+from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import (
     ConfigurationError,
     ContractViolation,
@@ -409,6 +409,29 @@ class TestAnneal:
             assert a == b
         for ea, eb in zip(one.best.elements, two.best.elements):
             assert np.array_equal(ea, eb)
+
+    @staticmethod
+    def tiny_start_run(steps, pattern, cluster):
+        """`cli`'s anneal at seed 0 from a start drawn at scale 1e-30: its
+        |det T| is about 1e-185, above the floor, but its square underflows."""
+        initial = annealer.random_initial_povm(pattern, np.random.default_rng([0, 1]), 1e-30)
+        return annealer.anneal(annealer.AnnealConfig(total_steps=steps), initial, cluster, pattern)
+
+    def test_tiny_scale_starts_from_inf(self, qutrit_pattern, qutrit_default_cluster):
+        res = self.tiny_start_run(20, qutrit_pattern, qutrit_default_cluster)
+        assert np.isfinite(res.trace[0].log_dacm) and np.isfinite(res.best_log_dacm)
+
+    def test_tiny_scale_reports_the_finite_log_dacm(self, qutrit_pattern, qutrit_default_cluster):
+        """A zero-step run's best is its start, whose DACM is inf:
+        best_log_dacm is log det W0 - 2 log |det T| of that start."""
+        res = self.tiny_start_run(0, qutrit_pattern, qutrit_default_cluster)
+        assert res.best_dacm == math.inf
+        assert abs(res.best_log_dacm - 865.5195577200096) <= 1e-9
+        T = design_matrix(res.best, qutrit_pattern).T
+        W0 = averaged_covariance(res.best, qutrit_default_cluster, qutrit_pattern).W0
+        (sign_t, log_t), (sign_w, log_w) = np.linalg.slogdet(T), np.linalg.slogdet(W0)
+        assert sign_t != 0 and sign_w > 0
+        assert abs(res.best_log_dacm - (log_w - 2.0 * log_t)) <= 1e-9
 
     def test_best_improves(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(13)
@@ -1097,7 +1120,7 @@ class TestChainStart:
 
     @staticmethod
     def cluster(pattern, basis):
-        spec = statespace.GridSpec(7, bloch_radius_bound(basis.dim), pattern)
+        spec = statespace.GridSpec(7, pattern)
         return statespace.select_cluster(
             statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
         )

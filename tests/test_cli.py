@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povm_lab import annealer, catalog, cli, linalg, objective, rankone
+from povm_lab import annealer, catalog, cli, linalg, rankone
 from povm_lab import basis as bs
 from povm_lab import povm as pv
 from povm_lab.basis import ParameterPattern
@@ -44,7 +44,6 @@ _OUT_OF_RANGE = {
     "grid.cells = 0": "grid.cells must be >= 1, got 0",
     "grid.theta_ref = 0.1,0.0": "grid.theta_ref needs 6 entries, got 2",
     "refine.element_count = 1": "refine.element_count must be >= 2, got 1",
-    "anneal.init_scale = 0": "anneal.init_scale must be positive",
     "anneal.total_steps = -1": "total_steps must be >= 0",
     "anneal.s_decay = 0": "s_decay must be in (0, 1]",
     "anneal.T_decay = 1.5": "T_decay must be in (0, 1]",
@@ -147,8 +146,6 @@ class TestParseConfig:
             "anneal.T0 = nan",
             "anneal.T0 = inf",
             "anneal.reheat_factor = inf",
-            "anneal.init_scale = nan",
-            "grid.bound = nan",
             "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
             "grid.theta_ref = 0.1,inf,0,0,0,0",
         ],
@@ -197,7 +194,6 @@ _KEY_CASES = {
         {"pattern"},
     ),
     "grid.points_per_axis": ("grid.points_per_axis = 5", {"grid_points"}),
-    "grid.bound": ("grid.bound = 0.5", {"grid_bound"}),
     "grid.cells": ("grid.cells = 4", {"grid_cells"}),
     "grid.theta_ref": ("grid.theta_ref = 0.1,0,0,0,0,0", {"theta_ref"}),
     "anneal.total_steps": ("anneal.total_steps = 7", {"anneal.total_steps"}),
@@ -209,14 +205,13 @@ _KEY_CASES = {
     "anneal.reheat_factor": ("anneal.reheat_factor = 2.0", {"anneal.reheat_factor"}),
     "anneal.seed": ("anneal.seed = 9", {"anneal.rng_seed"}),
     "anneal.trace_every": ("anneal.trace_every = 9", {"anneal.trace_every"}),
-    "anneal.init_scale": ("anneal.init_scale = 0.1", {"init_scale"}),
     "refine.restarts": ("refine.restarts = 2", {"refine.restarts"}),
     "refine.element_count": ("refine.element_count = 5", {"refine.element_count"}),
     "refine.seed": ("refine.seed = 9", {"refine.seed"}),
     "output.dir": ("output.dir = elsewhere", {"output_dir"}),
 }
 # keys whose default is unset or derived from dim, so no fixed value to write out
-_DERIVED_DEFAULT_KEYS = {"grid.bound", "grid.theta_ref", "refine.element_count"}
+_DERIVED_DEFAULT_KEYS = {"grid.theta_ref", "refine.element_count"}
 # refine's search is Levenberg-Marquardt from each restart's start, so it has no keys
 _REMOVED_REFINE_KEYS = [
     "refine.total_steps",
@@ -228,9 +223,17 @@ _REMOVED_REFINE_KEYS = [
     "refine.reheat_factor",
     "refine.trace_every",
 ]
-# the annealing move always perturbs both a0 and a, its attempt budget is
-# annealer.MAX_RESAMPLE, and refine always keeps the completeness residuals
-_REMOVED_SETTING_KEYS = ["anneal.perturb_a0", "anneal.max_resample", "refine.weight"]
+# removed key -> the mode that read it.  The annealing move always perturbs
+# both a0 and a, its attempt budget is annealer.MAX_RESAMPLE, refine always
+# keeps the completeness residuals, the grid spans bloch_radius_bound(n) on
+# every axis, and an anneal starts at annealer.INIT_SCALE
+_REMOVED_SETTING_KEYS = {
+    "anneal.perturb_a0": "anneal",
+    "anneal.max_resample": "anneal",
+    "refine.weight": "refine",
+    "grid.bound": "anneal",
+    "anneal.init_scale": "anneal",
+}
 
 
 def assert_unknown_key(tmp_path, mode, key):
@@ -248,7 +251,7 @@ def assert_unknown_key(tmp_path, mode, key):
 class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
-        assert len(cli._CONFIG_KEYS) == 22
+        assert len(cli._CONFIG_KEYS) == 20
         targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
         assert targets == {"config", "anneal", "refine", "pattern"}
 
@@ -262,7 +265,7 @@ class TestKeyTable:
 
     @pytest.mark.parametrize("key", _REMOVED_SETTING_KEYS)
     def test_removed_setting_key_is_unknown(self, tmp_path, key):
-        assert_unknown_key(tmp_path, key.partition(".")[0], key)  # in the mode that read it
+        assert_unknown_key(tmp_path, _REMOVED_SETTING_KEYS[key], key)
 
     @pytest.mark.parametrize("value", ["largest", "reference"])
     def test_cluster_policy_key_is_unknown(self, tmp_path, value):
@@ -320,7 +323,7 @@ class TestParseConfigProperties:
         except ConfigurationError:
             return
         assert cfg.mode in cli.MODES
-        for v in (cfg.anneal.s0, cfg.anneal.T0, cfg.init_scale):
+        for v in (cfg.anneal.s0, cfg.anneal.T0):
             assert np.isfinite(v)
 
 
@@ -528,44 +531,6 @@ class TestAnnealMode:
         values += [getattr(result, name) for name in annealer.RUN_COUNTERS]
         assert tail == [f"{name}  {value!r}" for name, value in zip(names, values)]
         assert result.variants_enumerated > 0 and result.accepted > 0
-
-    def test_tiny_init_scale_starts_from_inf(self, tmp_path):
-        # the initial |det T| is about 1e-185: above the floor, but its square
-        # underflows, so DACM is inf; the chain starts from its finite log
-        cfg_path = tmp_path / "tiny.cfg"
-        out = tmp_path / "o"
-        cfg_path.write_text(
-            "mode = anneal\ndim = 3\nanneal.init_scale = 1e-30\n"
-            f"anneal.total_steps = 20\noutput.dir = {out}\n"
-        )
-        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
-        report = (out / "report.txt").read_text().splitlines()
-        (best,) = [ln.split() for ln in report if ln.startswith("log_dacm_best")]
-        assert np.isfinite(float(best[1]))
-        assert np.isfinite(annealer.read_trace(out / "trace.csv")[0].log_dacm)
-
-    def test_tiny_init_scale_reports_the_finite_log_dacm(
-        self, tmp_path, qutrit_pattern, qutrit_default_cluster
-    ):
-        """A zero-step run's best is its start, whose det T^2 underflows:
-        log_dacm_best is log det W0 - 2 log |det T|, not inf, and agrees
-        with `slogdet` on the written POVM."""
-        out = tmp_path / "o"
-        cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text(
-            "mode = anneal\ndim = 3\nanneal.init_scale = 1e-30\n"
-            f"anneal.total_steps = 0\noutput.dir = {out}\n"
-        )
-        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
-        report = (out / "report.txt").read_text().splitlines()
-        (best,) = [float(ln.split()[1]) for ln in report if ln.startswith("log_dacm_best")]
-        assert abs(best - 865.5195577200096) <= 1e-9
-        start = pv.read_povm(out / "best_povm.txt")
-        T = objective.design_matrix(start, qutrit_pattern).T
-        W0 = objective.averaged_covariance(start, qutrit_default_cluster, qutrit_pattern).W0
-        (sign_t, log_t), (sign_w, log_w) = np.linalg.slogdet(T), np.linalg.slogdet(W0)
-        assert sign_t != 0 and sign_w > 0
-        assert abs(best - (log_w - 2.0 * log_t)) <= 1e-9
 
     def test_qutrit_desk_scale_trace_shape(self, tmp_path):
         """Qutrit run on the default grid at a reduced step count: final log
@@ -809,12 +774,11 @@ class TestGridinfoMode:
     @pytest.mark.parametrize(
         "grid, error",
         [
-            ("dim = 3\ngrid.bound = -1", "bound must be positive"),
             ("dim = 3\ngrid.points_per_axis = 100", "grid budget exceeded"),
             # rho has eigenvalues 5.5 and -4.5: not a state
             ("dim = 2\ngrid.theta_ref = 5,5", "theta_ref is not a state"),
         ],
-        ids=["bound", "budget", "reference-not-a-state"],
+        ids=["budget", "reference-not-a-state"],
     )
     def test_invalid_grid_prints_nothing(self, tmp_path, capsys, caplog, grid, error):
         cfg_path = tmp_path / "g.cfg"

@@ -1,6 +1,5 @@
 import itertools
 import logging
-import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +15,10 @@ from conftest import boundary_points, random_unitary
 
 class TestGenerateGrid:
     def test_qubit_hand_enumeration(self, qubit_pattern):
-        # g = 3, bound = 0.7: center and the four axis points survive the
-        # qubit radius rule |theta| <= 1/sqrt(2); the diagonals at 0.99 fail
-        spec = statespace.GridSpec(3, 0.7, qubit_pattern)
+        # g = 3 over [-1/sqrt(2), 1/sqrt(2)]: the center and the four pure
+        # axis points survive the qubit radius rule |theta| <= 1/sqrt(2); the
+        # diagonals at |theta| = 1 fail
+        spec = statespace.GridSpec(3, qubit_pattern)
         states = statespace.generate_grid(spec)
         assert states.shape == (5, 3)
         norms = np.linalg.norm(states, axis=1)
@@ -27,7 +27,7 @@ class TestGenerateGrid:
 
     def test_impossible_known_values_empty(self):
         pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
-        spec = statespace.GridSpec(3, 0.5, pattern)
+        spec = statespace.GridSpec(3, pattern)
         states = statespace.generate_grid(spec)
         assert states.shape[0] == 0
 
@@ -35,12 +35,12 @@ class TestGenerateGrid:
         # |theta_3|^2 = 2.25 leaves the Bloch ball (radius^2 1/2) on its own, so
         # every prefix is dropped and no eigvalsh call is made
         pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), pattern)
+        spec = statespace.GridSpec(7, pattern)
         states = statespace.generate_grid(spec)
         assert states.shape == (0, 3)
 
     def test_info_line_counts(self, qutrit_pattern, caplog):
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
+        spec = statespace.GridSpec(7, qutrit_pattern)
         with caplog.at_level(logging.INFO, logger="povm_lab"):
             statespace.generate_grid(spec)
         assert caplog.messages == [
@@ -63,30 +63,22 @@ class TestGenerateGrid:
             return spectra(rho)
 
         monkeypatch.setattr(linalg, "spectra", counting)
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
+        spec = statespace.GridSpec(7, pattern)
         statespace.generate_grid(spec)
         assert sum(rows) == sent
 
-    def test_oversized_bound_warns_nothing(self, qutrit_pattern):
-        # axis**2 overflows to inf, which leaves the ball: only the center stays
-        spec = statespace.GridSpec(7, 1e200, qutrit_pattern)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            states = statespace.generate_grid(spec)
-        assert np.array_equal(states, np.zeros((1, 8)))
-
     def test_center_included_with_odd_g(self, qutrit_pattern):
-        spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), qutrit_pattern)
+        spec = statespace.GridSpec(3, qutrit_pattern)
         states = statespace.generate_grid(spec)
         assert any(np.array_equal(s, np.zeros(8)) for s in states)
 
     def test_budget_guard(self, basis3, qutrit_pattern):
         with pytest.raises(ConfigurationError):
-            statespace.GridSpec(20, 0.8, qutrit_pattern)
+            statespace.GridSpec(20, qutrit_pattern)
 
     def test_bad_axis_count(self, qubit_pattern):
         with pytest.raises(ConfigurationError):
-            statespace.GridSpec(1, 0.5, qubit_pattern)
+            statespace.GridSpec(1, qubit_pattern)
 
 
 class TestClusterStates:
@@ -131,7 +123,7 @@ class TestSelectCluster:
         assert statespace.select_cluster(clusters).key == (3, 3, 3)
 
     def test_reference_policy(self, basis2, qubit_pattern):
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
+        spec = statespace.GridSpec(7, qubit_pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis2)
         picked = statespace.select_cluster(clusters, np.array([0.2, 0.0]), qubit_pattern)
         assert picked.key == (6, 3)
@@ -168,7 +160,7 @@ class TestSelectCluster:
 
 @pytest.fixture(scope="module")
 def qubit_grid(qubit_pattern):
-    spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
+    spec = statespace.GridSpec(7, qubit_pattern)
     return statespace.generate_grid(spec)
 
 
@@ -181,7 +173,7 @@ class TestInvariants:
 
     def test_members_psd_and_known_values_exact(self, basis3, qutrit_pattern):
         pattern = bs.ParameterPattern.from_known(3, {7: 0.1, 8: -0.05})
-        spec = statespace.GridSpec(3, bs.bloch_radius_bound(3), pattern)
+        spec = statespace.GridSpec(3, pattern)
         states = statespace.generate_grid(spec)
         assert states.shape[0] > 0
         clusters = statespace.cluster_states(states, 10, basis3)
@@ -204,8 +196,10 @@ class TestInvariants:
 
 
 def oracle_grid(spec, basis):
-    """Per-point grid walk on the scalar Jacobi path, in itertools.product order."""
-    axis = np.linspace(-spec.bound, spec.bound, spec.points_per_axis)
+    """Per-point grid walk on the scalar Jacobi path, in itertools.product order,
+    over [-sqrt((n-1)/n), sqrt((n-1)/n)] on each unknown axis."""
+    bound = np.sqrt((basis.dim - 1) / basis.dim)
+    axis = np.linspace(-bound, bound, spec.points_per_axis)
     rows = []
     for combo in itertools.product(axis, repeat=spec.pattern.unknown_count):
         full = bs.assemble_full_vector(spec.pattern, combo)
@@ -240,22 +234,22 @@ def assert_matches_oracle(spec, basis):
 
 class TestBatchedAgainstOracle:
     def test_qubit_g7(self, basis2, qubit_pattern):
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(2), qubit_pattern)
+        spec = statespace.GridSpec(7, qubit_pattern)
         assert_matches_oracle(spec, basis2)
 
     def test_qutrit_g5(self, basis3, qutrit_pattern):
-        spec = statespace.GridSpec(5, bs.bloch_radius_bound(3), qutrit_pattern)
+        spec = statespace.GridSpec(5, qutrit_pattern)
         states, _ = assert_matches_oracle(spec, basis3)
         assert states.shape[0] > 0
 
     def test_no_known_indices(self, basis2):
         pattern = bs.ParameterPattern(2)
-        spec = statespace.GridSpec(5, bs.bloch_radius_bound(2), pattern)
+        spec = statespace.GridSpec(5, pattern)
         states, _ = assert_matches_oracle(spec, basis2)
         assert states.shape[0] > 0
 
     def test_dim4_diag_unknown_g7(self, basis4, dim4_diag_unknown_pattern):
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(4), dim4_diag_unknown_pattern)
+        spec = statespace.GridSpec(7, dim4_diag_unknown_pattern)
         states, _ = assert_matches_oracle(spec, basis4)
         assert states.shape[0] > 0
 
@@ -263,21 +257,23 @@ class TestBatchedAgainstOracle:
     def test_partial_last_block(self, monkeypatch, basis2, qubit_pattern, block):
         # 25^2 = 625 points: none of the block sizes divides it
         monkeypatch.setattr(statespace, "GRID_BLOCK", block)
-        spec = statespace.GridSpec(25, bs.bloch_radius_bound(2), qubit_pattern)
+        spec = statespace.GridSpec(25, qubit_pattern)
         states, _ = assert_matches_oracle(spec, basis2)
         assert 625 % block != 0 and states.shape[0] > 2 * block
 
     def test_known_value_shrinks_ball(self, basis2):
         # theta_3 = 0.3 leaves 0.5 - 0.09 = 0.41 of the squared radius to the
-        # unknowns, and the axis ends +-sqrt(0.41) put four pure states on it
+        # unknowns: the box's axis ends +-sqrt(1/2) leave the ball, and the
+        # 3 x 3 inner points (0, +-sqrt(1/8) on each axis) stay
         pattern = bs.ParameterPattern.from_known(2, {3: 0.3})
-        spec = statespace.GridSpec(5, np.sqrt(0.5 - 0.09), pattern)
+        spec = statespace.GridSpec(5, pattern)
         states, _ = assert_matches_oracle(spec, basis2)
-        assert states.shape == (13, 3)
-        assert np.isclose((states[:, :2] ** 2).sum(axis=1), 0.41).sum() == 4
+        assert states.shape == (9, 3)
+        assert ((states[:, :2] ** 2).sum(axis=1) <= 0.41).all()
+        assert not np.isclose(np.abs(states[:, :2]), np.sqrt(0.5)).any()
 
     def test_golden_qutrit_g7(self, basis3, qutrit_pattern):
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(3), qutrit_pattern)
+        spec = statespace.GridSpec(7, qutrit_pattern)
         states = statespace.generate_grid(spec)
         assert states.shape == (361, 8)
         clusters = statespace.cluster_states(states, 10, basis3)
@@ -300,7 +296,7 @@ class TestEigenvalueCells:
     def test_qubit_g11_edge_keys(self, basis2, qubit_pattern):
         """I/2 and the spectra (0.6, 0.4) and (0.8, 0.2) lie on cell edges;
         every state of one spectrum gets the same key, as does theta_ref."""
-        spec = statespace.GridSpec(11, bs.bloch_radius_bound(2), qubit_pattern)
+        spec = statespace.GridSpec(11, qubit_pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis2)
         assert {key: c.size for key, c in clusters.items()} == {
             (5, 5): 1, (6, 3): 4, (6, 4): 4, (7, 2): 12, (7, 3): 4,
@@ -318,7 +314,7 @@ class TestEigenvalueCells:
         pattern = bs.ParameterPattern.from_known(
             4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
         )
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(4), pattern)
+        spec = statespace.GridSpec(7, pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis4)
         assert {key: c.size for key, c in clusters.items()} == {
             (5, 5, 0, 0): 8, (4, 4, 0, 0): 12, (3, 3, 1, 1): 6, (2, 2, 2, 2): 1,
@@ -336,7 +332,7 @@ class TestEigenvalueCells:
     def test_reference_finds_own_cluster(self, request, dim, pattern_name):
         basis = request.getfixturevalue(f"basis{dim}")
         pattern = request.getfixturevalue(pattern_name)
-        spec = statespace.GridSpec(7, bs.bloch_radius_bound(dim), pattern)
+        spec = statespace.GridSpec(7, pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
         for key, cl in clusters.items():
             for theta in cl.members:
@@ -405,7 +401,7 @@ class TestLatticeSymmetry:
         # the dim-4 grid has 5^12 points before the Bloch-ball prefilter
         budget = max(statespace.POINT_BUDGET, g**pattern.unknown_count)
         monkeypatch.setattr(statespace, "POINT_BUDGET", budget)
-        spec = statespace.GridSpec(g, bound, pattern)
+        spec = statespace.GridSpec(g, pattern)
         clusters = statespace.cluster_states(statespace.generate_grid(spec), 10, basis)
         axis = np.linspace(-bound, bound, g)
         unknown = pattern.unknown_positions
