@@ -103,12 +103,6 @@ _CONFIG_KEYS = {
     "grid.cells": ("config", "grid_cells", _parse_int),
     "grid.theta_ref": ("config", "theta_ref", _parse_float_array),
     "anneal.total_steps": ("anneal", "total_steps", _parse_int),
-    "anneal.s0": ("anneal", "s0", _parse_float),
-    "anneal.s_decay": ("anneal", "s_decay", _parse_float),
-    "anneal.T0": ("anneal", "T0", _parse_float),
-    "anneal.T_decay": ("anneal", "T_decay", _parse_float),
-    "anneal.reheat_every": ("anneal", "reheat_every", _parse_int),
-    "anneal.reheat_factor": ("anneal", "reheat_factor", _parse_float),
     "anneal.seed": ("anneal", "rng_seed", _parse_int),
     "anneal.trace_every": ("anneal", "trace_every", _parse_int),
     "refine.restarts": ("refine", "restarts", _parse_int),
@@ -180,7 +174,8 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
             f"grid.theta_ref needs {unknown_count} entries, got {cfg.theta_ref.shape[0]}"
         )
 
-    # AnnealConfig.__post_init__ range-checks the anneal schedule
+    # AnnealConfig.__post_init__ range-checks the anneal keys; the CLI always
+    # runs its default schedule, which only total_steps can make underflow
     cfg.anneal = replace(cfg.anneal, **given["anneal"])
     cfg.refine = replace(cfg.refine, **given["refine"])
 

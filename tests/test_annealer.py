@@ -81,6 +81,20 @@ class TestAnnealConfig:
         with pytest.raises(ConfigurationError, match=name):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("s_decay", 0.0, "s_decay must be in (0, 1]"),
+            ("T_decay", 1.5, "T_decay must be in (0, 1]"),
+            ("reheat_every", 0, "reheat_every must be >= 1"),
+            ("reheat_factor", 0.5, "reheat_factor must be >= 1"),
+        ],
+        ids=["s_decay", "T_decay", "reheat_every", "reheat_factor"],
+    )
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            small_config(**{name: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="rng_seed"):
             small_config(rng_seed=-1)

@@ -45,10 +45,6 @@ _OUT_OF_RANGE = {
     "grid.theta_ref = 0.1,0.0": "grid.theta_ref needs 6 entries, got 2",
     "refine.element_count = 1": "refine.element_count must be >= 2, got 1",
     "anneal.total_steps = -1": "total_steps must be >= 0",
-    "anneal.s_decay = 0": "s_decay must be in (0, 1]",
-    "anneal.T_decay = 1.5": "T_decay must be in (0, 1]",
-    "anneal.reheat_every = 0": "reheat_every must be >= 1",
-    "anneal.reheat_factor = 0.5": "reheat_factor must be >= 1",
     "anneal.trace_every = 0": "trace_every must be >= 1",
 }
 
@@ -142,10 +138,6 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "line",
         [
-            "anneal.s0 = nan",
-            "anneal.T0 = nan",
-            "anneal.T0 = inf",
-            "anneal.reheat_factor = inf",
             "pattern.known_indices = 7,8\npattern.known_values = 0.0,nan",
             "grid.theta_ref = 0.1,inf,0,0,0,0",
         ],
@@ -197,12 +189,6 @@ _KEY_CASES = {
     "grid.cells": ("grid.cells = 4", {"grid_cells"}),
     "grid.theta_ref": ("grid.theta_ref = 0.1,0,0,0,0,0", {"theta_ref"}),
     "anneal.total_steps": ("anneal.total_steps = 7", {"anneal.total_steps"}),
-    "anneal.s0": ("anneal.s0 = 0.3", {"anneal.s0"}),
-    "anneal.s_decay": ("anneal.s_decay = 0.99", {"anneal.s_decay"}),
-    "anneal.T0": ("anneal.T0 = 2.0", {"anneal.T0"}),
-    "anneal.T_decay": ("anneal.T_decay = 0.99", {"anneal.T_decay"}),
-    "anneal.reheat_every": ("anneal.reheat_every = 9", {"anneal.reheat_every"}),
-    "anneal.reheat_factor": ("anneal.reheat_factor = 2.0", {"anneal.reheat_factor"}),
     "anneal.seed": ("anneal.seed = 9", {"anneal.rng_seed"}),
     "anneal.trace_every": ("anneal.trace_every = 9", {"anneal.trace_every"}),
     "refine.restarts": ("refine.restarts = 2", {"refine.restarts"}),
@@ -226,13 +212,20 @@ _REMOVED_REFINE_KEYS = [
 # removed key -> the mode that read it.  The annealing move always perturbs
 # both a0 and a, its attempt budget is annealer.MAX_RESAMPLE, refine always
 # keeps the completeness residuals, the grid spans bloch_radius_bound(n) on
-# every axis, and an anneal starts at annealer.INIT_SCALE
+# every axis, an anneal starts at annealer.INIT_SCALE, and the CLI always runs
+# AnnealConfig's default schedule
 _REMOVED_SETTING_KEYS = {
     "anneal.perturb_a0": "anneal",
     "anneal.max_resample": "anneal",
     "refine.weight": "refine",
     "grid.bound": "anneal",
     "anneal.init_scale": "anneal",
+    "anneal.s0": "anneal",
+    "anneal.s_decay": "anneal",
+    "anneal.T0": "anneal",
+    "anneal.T_decay": "anneal",
+    "anneal.reheat_every": "anneal",
+    "anneal.reheat_factor": "anneal",
 }
 
 
@@ -251,7 +244,7 @@ def assert_unknown_key(tmp_path, mode, key):
 class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
-        assert len(cli._CONFIG_KEYS) == 20
+        assert len(cli._CONFIG_KEYS) == 14
         targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
         assert targets == {"config", "anneal", "refine", "pattern"}
 
@@ -323,8 +316,9 @@ class TestParseConfigProperties:
         except ConfigurationError:
             return
         assert cfg.mode in cli.MODES
-        for v in (cfg.anneal.s0, cfg.anneal.T0):
-            assert np.isfinite(v)
+        assert np.isfinite(cfg.pattern.known_values).all()
+        if cfg.theta_ref is not None:
+            assert np.isfinite(cfg.theta_ref).all()
 
 
 VERIFY_NAMES = [
@@ -872,36 +866,18 @@ class TestExitCodes:
     def test_anneal_without_config_is_2(self):
         assert cli.main(["anneal"]) == 2
 
-    @pytest.mark.parametrize("line", ["anneal.T_decay = 0.001", "anneal.s_decay = 0.001"])
-    def test_underflowing_schedule_is_2(self, tmp_path, line):
-        # 0.001**t is 0.0 from t = 108, before the last of the 200 steps
+    def test_underflowing_schedule_is_2(self, tmp_path, caplog):
+        # the default schedule's temperature is 0.0 from step 744761 on, the
+        # last step of a 744762-step run; 744761 steps pass
+        passing = cli.build_config({"anneal.total_steps": 744761}, mode="anneal")
+        assert passing.anneal.total_steps == 744761
         cfg_path = tmp_path / "uf.cfg"
         out = tmp_path / "o"
-        cfg_path.write_text(QUBIT_CFG.format(steps=200, seed=1, out=out) + line + "\n")
+        cfg_path.write_text(QUBIT_CFG.format(steps=744762, seed=1, out=out))
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
         assert not out.exists()
-
-    def test_overflowing_schedule_is_2(self, tmp_path):
-        # 1e300 * 0.999**1000 * 1e10 overflows at the first reheat, step 1000;
-        # a 1000-step run has no reheat
-        out = tmp_path / "o"
-        hot = "anneal.T0 = 1e300\nanneal.reheat_factor = 1e10\n"
-        text = QUBIT_CFG.format(steps=1200, seed=1, out=out) + hot
-        with pytest.raises(ConfigurationError, match="overflows"):
-            cli.parse_config(text)
-        no_reheat = QUBIT_CFG.format(steps=1000, seed=1, out=out) + hot
-        assert cli.parse_config(no_reheat).anneal.total_steps == 1000
-        cfg_path = tmp_path / "hot.cfg"
-        cfg_path.write_text(text)
-        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
-        assert not out.exists()
-
-    def test_nan_s0_is_2(self, tmp_path):
-        cfg_path = tmp_path / "nan.cfg"
-        out = tmp_path / "o"
-        cfg_path.write_text(QUBIT_CFG.format(steps=5, seed=1, out=out) + "anneal.s0 = nan\n")
-        assert cli.main(["anneal", "--config", str(cfg_path)]) == 2
-        assert not out.exists()
+        (logged,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "schedule underflows" in logged
 
     def test_empty_reference_cluster_is_2(self, tmp_path, caplog):
         # reference state picks an eigenvalue cell that has no grid members

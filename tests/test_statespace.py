@@ -25,12 +25,6 @@ class TestGenerateGrid:
         assert np.all(norms <= 1 / np.sqrt(2) + 1e-12)
         assert any(np.array_equal(s, np.zeros(3)) for s in states)
 
-    def test_impossible_known_values_empty(self):
-        pattern = bs.ParameterPattern.from_known(2, {3: 1.5})
-        spec = statespace.GridSpec(3, pattern)
-        states = statespace.generate_grid(spec)
-        assert states.shape[0] == 0
-
     def test_no_psd_point_gives_empty_rows(self):
         # |theta_3|^2 = 2.25 leaves the Bloch ball (radius^2 1/2) on its own, so
         # every prefix is dropped and no eigvalsh call is made
