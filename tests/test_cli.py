@@ -866,7 +866,7 @@ class TestExitCodes:
     def test_anneal_without_config_is_2(self):
         assert cli.main(["anneal"]) == 2
 
-    def test_underflowing_schedule_is_2(self, tmp_path, caplog):
+    def test_underflowing_total_steps_is_2(self, tmp_path, caplog):
         # the default schedule's temperature is 0.0 from step 744761 on, the
         # last step of a 744762-step run; 744761 steps pass
         passing = cli.build_config({"anneal.total_steps": 744761}, mode="anneal")
