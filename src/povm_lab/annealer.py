@@ -15,11 +15,9 @@ old/new probability columns.  Positivity is `linalg`'s one rule: the closing
 elements' by `linalg.psd_mask`, a perturbation attempt's by the scalar
 `linalg.psd_verdict` on Python floats.  Only the walk over the scored
 candidates is sequential: one logistic (Glauber) draw per evaluated candidate
-at the current temperature.  The perturbation scale and temperature decay
-geometrically; the temperature gets a multiplicative boost every
-`reheat_every` steps to help the chain escape local optima.  The best
-measurement seen (by raw objective) is tracked separately from the
-fluctuating chain state.
+at the current temperature; `schedule` sets each step's perturbation scale
+and temperature.  The best measurement seen (by raw objective) is tracked
+separately from the fluctuating chain state.
 
 The old side of a step's table is the chain's current state, which changes
 only on an accepted move, so `AnnealChain` carries it between steps as one
@@ -102,33 +100,37 @@ RUN_COUNTERS = (
 )
 
 
+# the one anneal schedule, read only by `schedule`
+S0 = 0.2
+S_DECAY = 0.9995
+T0 = 1.0
+T_DECAY = 0.999
+REHEAT_EVERY = 1000
+REHEAT_FACTOR = 5.0
+
+
+def schedule(t: int) -> tuple[float, float]:
+    """(s, temperature) at step t: the perturbation scale s = S0 * S_DECAY**t
+    and the temperature T0 * T_DECAY**t decay geometrically, and every
+    REHEAT_EVERY-th step after the first multiplies the temperature by
+    REHEAT_FACTOR to help the chain escape local optima.  The hottest step is
+    the first reheat, at about 1.84."""
+    s = S0 * S_DECAY**t
+    temp = T0 * T_DECAY**t
+    if t > 0 and t % REHEAT_EVERY == 0:
+        temp *= REHEAT_FACTOR
+    return s, temp
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     total_steps: int = 20000
-    s0: float = 0.2
-    s_decay: float = 0.9995
-    T0: float = 1.0
-    T_decay: float = 0.999
-    reheat_every: int = 1000
-    reheat_factor: float = 5.0
     rng_seed: int = 0
     trace_every: int = 50
 
     def __post_init__(self):
         if self.total_steps < 0:
             raise ConfigurationError("total_steps must be >= 0")
-        for name in ("s0", "T0", "reheat_factor"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ConfigurationError(f"{name} must be positive and finite, got {v}")
-        for name in ("s_decay", "T_decay"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ConfigurationError(f"{name} must be in (0, 1]")
-        if self.reheat_every < 1:
-            raise ConfigurationError("reheat_every must be >= 1")
-        if self.reheat_factor < 1:
-            raise ConfigurationError("reheat_factor must be >= 1")
         if self.trace_every < 1:
             raise ConfigurationError("trace_every must be >= 1")
         if self.rng_seed < 0:
@@ -137,27 +139,11 @@ class AnnealConfig:
             # s and the temperature only decay (a reheat scales a nonzero value),
             # so one that reaches 0.0 at any step is 0.0 at the last
             last = self.total_steps - 1
-            s, temp = self.schedule(last)
+            s, temp = schedule(last)
             if s == 0.0 or temp == 0.0:
                 raise ConfigurationError(
                     f"schedule underflows: s = {s}, temperature = {temp} at step {last}"
                 )
-        # every other step is at most T0, and the first reheat is the hottest reheated step
-        hottest = self.schedule(self.reheat_every)[1]
-        if self.reheat_every < self.total_steps and not math.isfinite(hottest):
-            raise ConfigurationError(
-                f"schedule overflows: temperature = {hottest} at step {self.reheat_every}"
-            )
-
-    def schedule(self, t: int) -> tuple[float, float]:
-        """(s, temperature) at step t: both decay geometrically, and every
-        `reheat_every`-th step after the first multiplies the temperature by
-        `reheat_factor`."""
-        s = self.s0 * self.s_decay**t
-        temp = self.T0 * self.T_decay**t
-        if t > 0 and t % self.reheat_every == 0:
-            temp *= self.reheat_factor
-        return s, temp
 
 
 @dataclass(frozen=True)
@@ -480,7 +466,7 @@ class AnnealChain:
     def __init__(
         self, config: AnnealConfig, initial: Povm, cluster: Cluster, pattern: ParameterPattern
     ):
-        self.config, self.cluster, self.pattern = config, cluster, pattern
+        self.cluster, self.pattern = cluster, pattern
         self.basis = basis = gell_mann_basis(pattern.dim)
         self.rng = np.random.default_rng(config.rng_seed)
         n_free = pattern.unknown_count
@@ -579,7 +565,7 @@ def anneal(
     chain = AnnealChain(config, initial, cluster, pattern)
     trace = []
     for t in range(config.total_steps):
-        s, temp = config.schedule(t)
+        s, temp = schedule(t)
         chain.step(s, temp)
         if t % config.trace_every == 0:
             mk = metrics(chain.current)

@@ -174,8 +174,8 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
             f"grid.theta_ref needs {unknown_count} entries, got {cfg.theta_ref.shape[0]}"
         )
 
-    # AnnealConfig.__post_init__ range-checks the anneal keys; the CLI always
-    # runs its default schedule, which only total_steps can make underflow
+    # AnnealConfig.__post_init__ range-checks the anneal keys; the anneal runs
+    # the one `annealer.schedule`, which only total_steps can make underflow
     cfg.anneal = replace(cfg.anneal, **given["anneal"])
     cfg.refine = replace(cfg.refine, **given["refine"])
 

@@ -59,76 +59,44 @@ def element_matrices(old, new, basis):
 
 
 def small_config(**kw):
-    defaults = dict(
-        total_steps=200,
-        s0=0.15,
-        s_decay=0.999,
-        T0=0.5,
-        T_decay=0.99,
-        reheat_every=80,
-        reheat_factor=3.0,
-        rng_seed=5,
-        trace_every=10,
-    )
+    defaults = dict(total_steps=200, rng_seed=5, trace_every=10)
     defaults.update(kw)
     return annealer.AnnealConfig(**defaults)
 
 
+def run_steps(chain, steps, s=None, temp=None):
+    """`steps` steps of `chain` on `annealer.schedule`, at the fixed scale s
+    or temperature temp where given."""
+    for t in range(steps):
+        scale, temperature = annealer.schedule(t)
+        chain.step(scale if s is None else s, temperature if temp is None else temp)
+    return chain
+
+
 class TestAnnealConfig:
-    @pytest.mark.parametrize("name", ["s0", "T0", "reheat_factor"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, name, value):
-        with pytest.raises(ConfigurationError, match=name):
-            small_config(**{name: value})
-
-    @pytest.mark.parametrize(
-        "name, value, message",
-        [
-            ("s_decay", 0.0, "s_decay must be in (0, 1]"),
-            ("T_decay", 1.5, "T_decay must be in (0, 1]"),
-            ("reheat_every", 0, "reheat_every must be >= 1"),
-            ("reheat_factor", 0.5, "reheat_factor must be >= 1"),
-        ],
-        ids=["s_decay", "T_decay", "reheat_every", "reheat_factor"],
-    )
-    def test_out_of_range_rejected(self, name, value, message):
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            small_config(**{name: value})
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="rng_seed"):
             small_config(rng_seed=-1)
 
-    @pytest.mark.parametrize("name", ["s_decay", "T_decay"])
-    def test_schedule_underflow_rejected(self, name):
-        # s0 0.15 and T0 0.5 times 0.001**t are 0.0 from t = 108 on
-        assert small_config(total_steps=0, **{name: 0.001}).total_steps == 0
-        assert small_config(total_steps=108, **{name: 0.001}).schedule(107) != (0.0, 0.0)
-        with pytest.raises(ConfigurationError, match="underflows.*at step 108"):
-            small_config(total_steps=109, **{name: 0.001})
-
-    def test_schedule_overflow_rejected(self):
-        # 1e300 * 0.999**1000 * 1e10 overflows at the first reheat, step 1000
-        kw = dict(T0=1e300, T_decay=0.999, reheat_every=1000, reheat_factor=1e10)
-        assert small_config(total_steps=1000, **kw).total_steps == 1000
-        with pytest.raises(ConfigurationError, match="overflows.*at step 1000"):
-            small_config(total_steps=1001, **kw)
+    def test_schedule_underflow_rejected(self):
+        # the temperature 0.999**t is 0.0 from t = 744761 on
+        assert small_config(total_steps=744_761).total_steps == 744_761
+        with pytest.raises(ConfigurationError, match="schedule underflows.*at step 744761"):
+            small_config(total_steps=744_762)
 
     def test_schedule_decays_and_reheats(self):
-        config = small_config()  # s0 0.15, T0 0.5, reheat every 80 steps by 3
-        assert config.schedule(0) == (0.15, 0.5)
-        for t in (1, 79, 81, 159):
-            assert config.schedule(t) == (0.15 * 0.999**t, 0.5 * 0.99**t)
-        for t in (80, 160):
-            assert config.schedule(t) == (0.15 * 0.999**t, 0.5 * 0.99**t * 3.0)
+        # s0 0.2, T0 1.0, reheat every 1000 steps by 5
+        for t in (0, 1, 999, 1001):
+            assert annealer.schedule(t) == (0.2 * 0.9995**t, 1.0 * 0.999**t)
+        for t in (1000, 2000):
+            assert annealer.schedule(t) == (0.2 * 0.9995**t, 1.0 * 0.999**t * 5.0)
 
     def test_trace_records_the_schedule(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(19)
         initial = annealer.random_initial_povm(qubit_pattern, rng)
-        config = small_config(total_steps=170)
-        res = annealer.anneal(config, initial, qubit_cluster, qubit_pattern)
+        res = annealer.anneal(small_config(total_steps=170), initial, qubit_cluster, qubit_pattern)
         assert [(r.s, r.temperature) for r in res.trace] == [
-            config.schedule(r.step) for r in res.trace
+            annealer.schedule(r.step) for r in res.trace
         ]
 
 
@@ -463,7 +431,7 @@ class TestInvariants:
         config = small_config(total_steps=150)
         chain = annealer.AnnealChain(config, initial, qubit_cluster, qubit_pattern)
         for t in range(config.total_steps):
-            chain.step(*config.schedule(t))
+            chain.step(*annealer.schedule(t))
             for label, pov in (("current", chain.current), ("best", chain.best)):
                 assert pv.validate(pov, 1e-9) == [], (label, t)
 
@@ -1011,9 +979,9 @@ class TestFlatGatherOracle:
         monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         rng = np.random.default_rng(7)
         initial = annealer.random_initial_povm(qutrit_pattern, rng)
-        config = small_config(total_steps=60, s0=0.3)
-        res = annealer.anneal(config, initial, qutrit_small_cluster, qutrit_pattern)
-        assert len(checked) == 60 and res.resample_exhausted > 0
+        chain = annealer.AnnealChain(small_config(), initial, qutrit_small_cluster, qutrit_pattern)
+        run_steps(chain, 60, s=0.3)
+        assert len(checked) == 60 and chain.counts["resample_exhausted"] > 0
         # steps with pinned positions score fewer than 2^N rows
         assert min(checked) < 64 and max(checked) == 64
 
@@ -1047,15 +1015,11 @@ class TestRunCounters:
         monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         rng = np.random.default_rng(21)
         initial = annealer.random_initial_povm(qubit_pattern, rng)
-        res = annealer.anneal(
-            small_config(total_steps=40, s0=3.0),
-            initial,
-            qubit_cluster,
-            qubit_pattern,
-        )
-        assert res.resample_exhausted > 0
+        chain = annealer.AnnealChain(small_config(), initial, qubit_cluster, qubit_pattern)
+        counts = run_steps(chain, 40, s=3.0).counts
+        assert counts["resample_exhausted"] > 0
         # an exhausted position is pinned, so a step enumerates fewer than 2^N rows
-        assert res.variants_enumerated < 40 * 4
+        assert counts["variants_enumerated"] < 40 * 4
 
     def test_zero_steps_counts_nothing(self, qubit_pattern, qubit_cluster):
         rng = np.random.default_rng(11)
@@ -1067,24 +1031,16 @@ class TestRunCounters:
 
 
 class TestPsdDecisions:
-    @pytest.mark.parametrize("s0", [0.15, 1.0])
-    def test_eigvalsh_only_in_the_band(self, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0):
+    @pytest.mark.parametrize("s", [0.15, 1.0])
+    def test_eigvalsh_only_in_the_band(self, qutrit_pattern, qutrit_small_cluster, monkeypatch, s):
         """A qutrit anneal step calls `eigvalsh` only for matrices that
-        `psd_verdict` leaves in its band; the trace records' `metrics`, which
-        call it between steps, are not counted."""
-        eigvalsh, verdict, step = np.linalg.eigvalsh, linalg.psd_verdict, annealer.AnnealChain.step
-        calls, decided, band, in_step = [0], [0], [0], [False]
+        `psd_verdict` leaves in its band."""
+        eigvalsh, verdict = np.linalg.eigvalsh, linalg.psd_verdict
+        calls, decided, band = [0], [0], [0]
 
         def counting_eigvalsh(a):
-            calls[0] += in_step[0]
+            calls[0] += 1
             return eigvalsh(a)
-
-        def flagged_step(chain, s, temp):
-            in_step[0] = True
-            try:
-                step(chain, s, temp)
-            finally:
-                in_step[0] = False
 
         def counting_verdict(entries, n, tol):
             yes, no = verdict(entries, n, tol)
@@ -1093,13 +1049,12 @@ class TestPsdDecisions:
             decided[0] += np.size(yes) - int(undecided)
             return yes, no
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
-        monkeypatch.setattr(annealer.AnnealChain, "step", flagged_step)
         rng = np.random.default_rng(9)
         initial = annealer.random_initial_povm(qutrit_pattern, rng)
-        config = small_config(total_steps=100, s0=s0)
-        annealer.anneal(config, initial, qutrit_small_cluster, qutrit_pattern)
+        chain = annealer.AnnealChain(small_config(), initial, qutrit_small_cluster, qutrit_pattern)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(linalg, "psd_verdict", counting_verdict)
+        run_steps(chain, 100, s=s)
         assert decided[0] > 100 * 64
         assert calls[0] <= band[0]
 
@@ -1207,10 +1162,12 @@ class TestChainStart:
             )
         )
         assert abs(own - 31.2167096389588) <= 1e-9
-        config = annealer.AnnealConfig(total_steps=200, T0=1e-3)
-        res = annealer.anneal(config, qutrit_csic, qutrit_default_cluster, qutrit_pattern)
-        assert abs(res.best_log_dacm - own) <= 1e-9
-        assert res.accepted > 0
+        chain = annealer.AnnealChain(
+            annealer.AnnealConfig(), qutrit_csic, qutrit_default_cluster, qutrit_pattern
+        )
+        run_steps(chain, 200, temp=1e-3)
+        assert abs(chain.best_log - own) <= 1e-9
+        assert chain.counts["accepted"] > 0
 
     def test_file_round_trip_start(self, tmp_path, qubit_pattern, qubit_cluster):
         """A start read back from `write_povm`'s file runs the same chain as
@@ -1237,7 +1194,7 @@ def test_no_table_outlives_its_step(qutrit_pattern, qutrit_small_cluster):
     new_bests = 0
     for t in range(config.total_steps):
         best_log = chain.best_log
-        chain.step(*config.schedule(t))
+        chain.step(*annealer.schedule(t))
         new_bests += chain.best_log < best_log
         assert chain.state.base is None and chain.best_state.base is None, t
     assert new_bests > 0
@@ -1248,7 +1205,8 @@ class TestCarriedState:
     and the POVMs it builds on read are those of its start and of its accepted
     and best table rows."""
 
-    def run_chain(self, monkeypatch, basis, pattern, cluster, **kw):
+    def run_chain(self, monkeypatch, basis, pattern, cluster, s=None):
+        """60 steps on `annealer.schedule`, at the fixed scale s when given."""
         tables, draws = [], []
         score, accept = annealer.score_variants, annealer.logistic_accept
 
@@ -1264,17 +1222,17 @@ class TestCarriedState:
         monkeypatch.setattr(annealer, "logistic_accept", recording_accept)
         rng = np.random.default_rng(7)
         initial = annealer.random_initial_povm(pattern, rng)
-        config = small_config(total_steps=60, **kw)
-        chain = annealer.AnnealChain(config, initial, cluster, pattern)
+        chain = annealer.AnnealChain(small_config(), initial, cluster, pattern)
         assert_reads_start(chain.current, initial)
         assert_same_povm(chain.best, chain.current)
         want_current = want_best = chain.current
         moved = stayed = 0  # steps that changed the state, steps that kept it
         shared = 0  # steps whose best row is also their last accepted row
-        for t in range(config.total_steps):
+        for t in range(60):
             before, best_log = chain.state, chain.best_log
             draws.clear()
-            chain.step(*config.schedule(t))
+            scale, temp = annealer.schedule(t)
+            chain.step(scale if s is None else s, temp)
             state = chain.state
             changed = not np.array_equal(before, state)
             moved += changed
@@ -1315,11 +1273,11 @@ class TestCarriedState:
         )
         assert moved > 0 and stayed > 0 and shared > 0
 
-    # with one draw per element, at s0 = 3 every draw leaves the PSD region, so
-    # every position is pinned on every step; at s0 = 0.3 the steps mix many masks
-    @pytest.mark.parametrize("s0, masks", [(3.0, 1), (0.3, 10)])
+    # with one draw per element, at s = 3 every draw leaves the PSD region, so
+    # every position is pinned on every step; at s = 0.3 the steps mix many masks
+    @pytest.mark.parametrize("s, masks", [(3.0, 1), (0.3, 10)])
     def test_pinned_positions_use_cached_rows(
-        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s0, masks
+        self, basis3, qutrit_pattern, qutrit_small_cluster, monkeypatch, s, masks
     ):
         seen = {}  # pinned mask -> ids of the row tables a step used
         exhausted = []  # per perturbation since the last scoring: did it exhaust?
@@ -1345,10 +1303,12 @@ class TestCarriedState:
         monkeypatch.setattr(annealer, "score_variants", checking_score)
         monkeypatch.setattr(annealer, "MAX_RESAMPLE", 1)
         chain, _, _, _ = self.run_chain(
-            monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster, s0=s0
+            monkeypatch, basis3, qutrit_pattern, qutrit_small_cluster, s
         )
         assert chain.counts["resample_exhausted"] > 0
         assert len(seen) >= masks and any(any(mask) for mask in seen)
+        if masks == 1:
+            assert list(seen) == [(True,) * qutrit_pattern.unknown_count]
         assert all(len(ids) == 1 for ids in seen.values())  # one table per mask
 
     def test_elements_match_coords_to_element(self, basis2, basis3, basis4):

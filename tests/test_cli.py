@@ -212,8 +212,8 @@ _REMOVED_REFINE_KEYS = [
 # removed key -> the mode that read it.  The annealing move always perturbs
 # both a0 and a, its attempt budget is annealer.MAX_RESAMPLE, refine always
 # keeps the completeness residuals, the grid spans bloch_radius_bound(n) on
-# every axis, an anneal starts at annealer.INIT_SCALE, and the CLI always runs
-# AnnealConfig's default schedule
+# every axis, an anneal starts at annealer.INIT_SCALE, and every anneal runs
+# annealer.schedule
 _REMOVED_SETTING_KEYS = {
     "anneal.perturb_a0": "anneal",
     "anneal.max_resample": "anneal",
@@ -867,7 +867,7 @@ class TestExitCodes:
         assert cli.main(["anneal"]) == 2
 
     def test_underflowing_total_steps_is_2(self, tmp_path, caplog):
-        # the default schedule's temperature is 0.0 from step 744761 on, the
+        # the schedule's temperature is 0.0 from step 744761 on, the
         # last step of a 744762-step run; 744761 steps pass
         passing = cli.build_config({"anneal.total_steps": 744761}, mode="anneal")
         assert passing.anneal.total_steps == 744761
