@@ -12,33 +12,4 @@ Modules:
     cli         the povm-lab command line front end
 """
 
-from .annealer import AnnealConfig, AnnealResult, TraceRecord, anneal
-from .basis import OrthonormalBasis, ParameterPattern, gell_mann_basis
-from .catalog import ConditionalSicReport, conditional_sic_report
-from .objective import AveragedCovariance, DesignMatrix, dacm
-from .povm import Povm, PovmMetrics
-from .rankone import PhaseConfiguration, refine
-from .statespace import Cluster, GridSpec
-
-__all__ = [
-    "AnnealConfig",
-    "AnnealResult",
-    "AveragedCovariance",
-    "Cluster",
-    "ConditionalSicReport",
-    "DesignMatrix",
-    "GridSpec",
-    "OrthonormalBasis",
-    "ParameterPattern",
-    "PhaseConfiguration",
-    "Povm",
-    "PovmMetrics",
-    "TraceRecord",
-    "anneal",
-    "conditional_sic_report",
-    "dacm",
-    "gell_mann_basis",
-    "refine",
-]
-
 __version__ = "0.1.0"

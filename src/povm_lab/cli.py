@@ -12,9 +12,10 @@ standard library's `random.Random(f"{refine.seed},{r}")`, so refine never
 loads `numpy.random`; the search itself has no keys.  `verify` prints one
 line per check of `catalog.claim_checks`, which evaluates `catalog.CLAIMS`.
 
-`_parse_args` reads the command line by hand, because the standard library's
-option parser imports `gettext` and `locale` to build its first parser, which
-took about a third of a cold `refine` call's wall time.
+The command line is `MODE [--config FILE] [--out DIR]`; only the keys set the
+seeds.  `_parse_args` reads it by hand, because the standard library's option
+parser imports `gettext` and `locale` to build its first parser, which took
+about a third of a cold `refine` call's wall time.
 """
 
 from __future__ import annotations
@@ -362,15 +363,14 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
 
 
-USAGE = f"usage: povm-lab {{{','.join(MODES)}}} [--config FILE] [--seed N] [--out DIR]"
+USAGE = f"usage: povm-lab {{{','.join(MODES)}}} [--config FILE] [--out DIR]"
 
 
 def _parse_args(argv):
-    """(mode, {"config": ..., "seed": ..., "out": ...} for the flags given) from
-    `MODE [--config FILE] [--seed N] [--out DIR]`, or None for -h / --help.
-    Flags go before or after the mode, as `--flag value` or `--flag=value`; the
-    value is the next argument whatever it starts with, so `--seed -1` is
-    refused as negative, not as an unknown flag.  A repeated flag keeps its last
+    """(mode, {"config": ..., "out": ...} for the flags given) from
+    `MODE [--config FILE] [--out DIR]`, or None for -h / --help.  Flags go
+    before or after the mode, as `--flag value` or `--flag=value`; the value is
+    the next argument whatever it starts with.  A repeated flag keeps its last
     value.  A misuse raises ValueError saying what is wrong."""
     mode, flags = None, {}
     args = iter(argv)
@@ -383,20 +383,12 @@ def _parse_args(argv):
             mode = arg
             continue
         name, eq, value = arg.partition("=")
-        if name not in ("--config", "--seed", "--out"):
+        if name not in ("--config", "--out"):
             raise ValueError(f"unknown flag {name!r}")
         if not eq:
             value = next(args, None)
             if value is None:
                 raise ValueError(f"{name} needs a value")
-        if name == "--seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise ValueError(f"--seed needs an integer, got {value!r}") from None
-            if seed < 0:
-                raise ValueError(f"--seed needs a non-negative integer, got {value!r}")
-            value = seed
         flags[name[2:]] = value
     if mode not in MODES:
         raise ValueError("a mode is required" if mode is None else f"unknown mode {mode!r}")
@@ -433,9 +425,6 @@ def main(argv=None) -> int:
             cfg = build_config({}, mode="verify")
         else:
             raise ConfigurationError(f"mode {mode!r} requires --config")
-        if "seed" in flags:
-            cfg.anneal = replace(cfg.anneal, rng_seed=flags["seed"])
-            cfg.refine.seed = flags["seed"]
         if "out" in flags:
             cfg.output_dir = flags["out"]
     except ConfigurationError as exc:

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +296,20 @@ class TestInvariants:
             theta = state_to_bloch(rho, b)
             purity = hs_inner(rho, rho)
             assert abs(theta @ theta - (purity - 1 / n)) < 1e-10
+
+
+def test_importing_basis_loads_only_its_own_imports():
+    """The package root re-exports nothing, so `import povm_lab.basis` loads
+    neither the annealer, the catalog, rankone nor the CLI; the root still
+    gives the version."""
+    code = (
+        "import sys\n"
+        "import povm_lab.basis\n"
+        "import povm_lab\n"
+        "others = {'povm_lab.annealer', 'povm_lab.catalog', 'povm_lab.rankone', 'povm_lab.cli'}\n"
+        "print(povm_lab.__version__, sorted(others & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0 []\n"

@@ -485,13 +485,13 @@ class TestAnnealMode:
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_seed_flag_changes_trace(self, tmp_path):
+    def test_seed_key_changes_trace(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         cfg_path.write_text(QUBIT_CFG.format(steps=120, seed=11, out=out1))
         assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
-        cfg_path.write_text(QUBIT_CFG.format(steps=120, seed=11, out=out2))
-        assert cli.main(["anneal", "--config", str(cfg_path), "--seed", "12"]) == 0
+        cfg_path.write_text(QUBIT_CFG.format(steps=120, seed=12, out=out2))
+        assert cli.main(["anneal", "--config", str(cfg_path)]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
     def test_outputs_reparse(self, tmp_path):
@@ -635,8 +635,10 @@ class TestRefineMode:
     def test_restarts_keep_the_lowest_objective(self, tmp_path):
         cfg_path = tmp_path / "r.cfg"
         out = tmp_path / "out"
-        cfg_path.write_text(f"mode = refine\ndim = 3\nrefine.restarts = 3\noutput.dir = {out}\n")
-        assert cli.main(["refine", "--config", str(cfg_path), "--seed", "4"]) == 0
+        cfg_path.write_text(
+            f"mode = refine\ndim = 3\nrefine.restarts = 3\nrefine.seed = 4\noutput.dir = {out}\n"
+        )
+        assert cli.main(["refine", "--config", str(cfg_path)]) == 0
         runs = [
             rankone.refine(
                 rankone.random_phases(3, 7, random.Random(f"4,{r}")),
@@ -793,19 +795,18 @@ class TestGridinfoMode:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "mode, text, flags",
+        "mode, text",
         [
-            ("anneal", QUBIT_CFG.format(steps=5, seed=-1, out="{out}"), []),
-            ("refine", "mode = refine\nrefine.seed = -1\noutput.dir = {out}\n", []),
-            ("anneal", QUBIT_CFG.format(steps=5, seed=1, out="{out}"), ["--seed", "-1"]),
+            ("anneal", QUBIT_CFG.format(steps=5, seed=-1, out="{out}")),
+            ("refine", "mode = refine\nrefine.seed = -1\noutput.dir = {out}\n"),
         ],
-        ids=["anneal.seed", "refine.seed", "--seed"],
+        ids=["anneal.seed", "refine.seed"],
     )
-    def test_negative_seed_is_2(self, tmp_path, mode, text, flags):
+    def test_negative_seed_is_2(self, tmp_path, mode, text):
         cfg_path = tmp_path / "seed.cfg"
         out = tmp_path / "o"
         cfg_path.write_text(text.format(out=out))
-        assert cli.main([mode, "--config", str(cfg_path), *flags]) == 2
+        assert cli.main([mode, "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
     def test_config_error_is_2(self, tmp_path):
@@ -926,7 +927,8 @@ class TestExitCodes:
 
 
 class TestCommandLine:
-    """`cli.main`'s hand parser: MODE [--config FILE] [--seed N] [--out DIR]."""
+    """`cli.main`'s hand parser: MODE [--config FILE] [--out DIR].  Every
+    config here sets `anneal.seed = 1`, which the report shows."""
 
     @staticmethod
     def _config(tmp_path):
@@ -935,29 +937,29 @@ class TestCommandLine:
         return str(cfg_path)
 
     @pytest.mark.parametrize(
-        "argv, out, seed",
+        "argv, out",
         [
-            (["anneal", "--config", "{cfg}"], "cfg_out", 1),
-            (["anneal", "--config={cfg}"], "cfg_out", 1),
-            (["--config", "{cfg}", "anneal"], "cfg_out", 1),
-            (["--config={cfg}", "anneal"], "cfg_out", 1),
-            (["anneal", "--config", "{cfg}", "--seed", "7"], "cfg_out", 7),
-            (["anneal", "--config", "{cfg}", "--seed=7"], "cfg_out", 7),
-            (["--seed", "7", "anneal", "--config", "{cfg}"], "cfg_out", 7),
-            (["anneal", "--config", "{cfg}", "--out", "{tmp}/flag_out"], "flag_out", 1),
-            (["anneal", "--out={tmp}/flag_out", "--config", "{cfg}"], "flag_out", 1),
-            (["--out", "{tmp}/flag_out", "--seed=0", "--config={cfg}", "anneal"], "flag_out", 0),
+            (["anneal", "--config", "{cfg}"], "cfg_out"),
+            (["anneal", "--config={cfg}"], "cfg_out"),
+            (["--config", "{cfg}", "anneal"], "cfg_out"),
+            (["--config={cfg}", "anneal"], "cfg_out"),
+            (["anneal", "--config", "{cfg}", "--out", "{tmp}/flag_out"], "flag_out"),
+            (["anneal", "--out={tmp}/flag_out", "--config", "{cfg}"], "flag_out"),
+            (["--out", "{tmp}/flag_out", "--config={cfg}", "anneal"], "flag_out"),
             # a repeated flag keeps its last value
-            (["anneal", "--config", "{cfg}", "--seed", "3", "--seed", "7"], "cfg_out", 7),
+            (
+                ["anneal", "--config", "{cfg}", "--out", "{tmp}/a", "--out", "{tmp}/flag_out"],
+                "flag_out",
+            ),
         ],
     )
-    def test_accepted_forms(self, tmp_path, capsys, argv, out, seed):
+    def test_accepted_forms(self, tmp_path, capsys, argv, out):
         cfg = self._config(tmp_path)
         argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
         assert cli.main(argv) == 0
         assert capsys.readouterr() == ("", "")
         report = (tmp_path / out / "report.txt").read_text().splitlines()
-        assert f"seed  {seed}" in report
+        assert "seed  1" in report
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.cfg", out])
 
     @pytest.mark.parametrize(
@@ -975,25 +977,10 @@ class TestCommandLine:
             (["anneal", "--config", "{cfg}", "-s", "1"], "unknown flag '-s'"),
             (["anneal", "--config", "{cfg}", "--"], "unknown flag '--'"),
             (["anneal", "--config"], "--config needs a value"),
-            (["anneal", "--config", "{cfg}", "--seed"], "--seed needs a value"),
             (["anneal", "--config", "{cfg}", "--out"], "--out needs a value"),
-            (["anneal", "--config", "{cfg}", "--seed", "x"], "--seed needs an integer, got 'x'"),
-            (["anneal", "--config", "{cfg}", "--seed=1.5"], "--seed needs an integer, got '1.5'"),
-            (["anneal", "--config", "{cfg}", "--seed="], "--seed needs an integer, got ''"),
-            # every --seed is checked, not only the last
-            (
-                ["anneal", "--config", "{cfg}", "--seed", "x", "--seed", "3"],
-                "--seed needs an integer, got 'x'",
-            ),
-            # the seed is a u64 in both modes that read it
-            (
-                ["anneal", "--config", "{cfg}", "--seed", "-1"],
-                "--seed needs a non-negative integer, got '-1'",
-            ),
-            (
-                ["refine", "--config", "{cfg}", "--seed=-1"],
-                "--seed needs a non-negative integer, got '-1'",
-            ),
+            # a seed is set only by the anneal.seed and refine.seed keys
+            (["anneal", "--config", "{cfg}", "--seed", "7"], "unknown flag '--seed'"),
+            (["refine", "--config", "{cfg}", "--seed=7"], "unknown flag '--seed'"),
         ],
     )
     def test_usage_error_is_2(self, tmp_path, capsys, argv, reason):
