@@ -584,21 +584,3 @@ def write_trace(records, path) -> None:
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_trace(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ContractViolation(f"bad trace header in {path}")
-    width = len(TRACE_HEADER.split(","))
-    out = []
-    for lineno, ln in enumerate(lines[1:], 2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise ContractViolation(f"{path} line {lineno}: {len(cells)} cells, expected {width}")
-        try:
-            out.append(TraceRecord(int(cells[0]), *(float(c) for c in cells[1:])))
-        except ValueError as exc:
-            raise ContractViolation(f"{path} line {lineno}: {exc}") from exc
-    return out

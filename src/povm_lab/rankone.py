@@ -259,24 +259,3 @@ def write_phases(phi: PhaseConfiguration, path) -> None:
     with open(path, "w") as fh:
         for row in phi.phases:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_phases(path) -> PhaseConfiguration:
-    rows = []
-    with open(path) as fh:
-        for lineno, ln in enumerate(fh, 1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            try:
-                row = [float(x) for x in ln.split(",")]
-            except ValueError as exc:
-                raise ContractViolation(f"{path} line {lineno}: {exc}") from exc
-            if rows and len(row) != len(rows[0]):
-                raise ContractViolation(
-                    f"{path} line {lineno}: {len(row)} phases, not {len(rows[0])}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ContractViolation(f"{path} has no phase rows")
-    return PhaseConfiguration(np.array(rows))

@@ -479,30 +479,15 @@ class TestTraceIO:
         res = annealer.anneal(small_config(total_steps=60), initial, qubit_cluster, qubit_pattern)
         path = tmp_path / "trace.csv"
         annealer.write_trace(res.trace, path)
-        back = annealer.read_trace(path)
-        assert back == res.trace
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "step,log_dacm\n0,1.0\n", "0,1.0,0.0,0.0,0.0,1.0,0.2\n"],
-        ids=["empty", "short-header", "no-header"],
-    )
-    def test_bad_header_is_a_typed_failure(self, tmp_path, text):
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        with pytest.raises(ContractViolation, match="bad trace header"):
-            annealer.read_trace(path)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [("50,1.0,0.0", "line 3: 3 cells, expected 7"), ("50,x,0,0,0,1,0.2", "line 3")],
-        ids=["short", "not-a-number"],
-    )
-    def test_malformed_row_is_a_typed_failure(self, tmp_path, row, message):
-        path = tmp_path / "trace.csv"
-        path.write_text(f"{annealer.TRACE_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.2\n{row}\n")
-        with pytest.raises(ContractViolation, match=message):
-            annealer.read_trace(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == annealer.TRACE_HEADER
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(r.step) for r in res.trace]
+        # floats are written with repr, so a plain CSV reader recovers them exactly
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        expected = [
+            [r.step, r.log_dacm, r.sigma, r.delta, r.Delta, r.temperature, r.s] for r in res.trace
+        ]
+        assert np.array_equal(values, np.array(expected))
 
 
 class Scored(NamedTuple):

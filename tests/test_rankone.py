@@ -100,6 +100,21 @@ class TestPhasesToPovm:
         with pytest.raises(ContractViolation, match=r"nonempty \(m, n\) matrix"):
             rankone.PhaseConfiguration(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "phases must be finite"),
+            (7.0, r"phases must lie in \[0, 2pi\)"),
+            (-1.0, r"phases must lie in \[0, 2pi\)"),
+        ],
+        ids=["nan", "above-2pi", "negative"],
+    )
+    def test_bad_phase_value_rejected(self, value, message):
+        phases = np.zeros((2, 2))
+        phases[1, 1] = value
+        with pytest.raises(ContractViolation, match=message):
+            rankone.PhaseConfiguration(phases)
+
     def test_compares_by_identity_and_hashes(self):
         # a field-wise == on the phase array would raise numpy's ambiguous-truth error
         a = rankone.random_phases(3, 7, random.Random(1))
@@ -386,24 +401,7 @@ class TestSerialization:
         phi = rankone.random_phases(3, 7, rng)
         path = tmp_path / "phases.csv"
         rankone.write_phases(phi, path)
-        back = rankone.read_phases(path)
-        assert back.phases.shape == (7, 3)
-        assert np.array_equal(back.phases, phi.phases)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("\n", "no phase rows"),
-            ("0,0,0\n0,1\n", "line 2: 2 phases, not 3"),
-            ("0,0\n0,x\n", "line 2"),
-            ("0,0\n0,nan\n", "phases must be finite"),
-            ("0,0\n0,7\n", r"phases must lie in \[0, 2pi\)"),
-            ("0,0\n0,-1\n", r"phases must lie in \[0, 2pi\)"),
-        ],
-        ids=["empty", "ragged", "not-a-number", "nan", "above-2pi", "negative"],
-    )
-    def test_malformed_file_is_a_typed_failure(self, tmp_path, text, message):
-        path = tmp_path / "phases.csv"
-        path.write_text(text)
-        with pytest.raises(ContractViolation, match=message):
-            rankone.read_phases(path)
+        # plain CSV: any CSV reader gets the phases back exactly
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert back.shape == (7, 3)
+        assert np.array_equal(back, phi.phases)
