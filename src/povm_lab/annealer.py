@@ -34,10 +34,13 @@ every read from its two states (a trace record every `trace_every` steps,
 and the result).  A step's cost is mostly the fixed cost of its numpy calls,
 not arithmetic, so the scoring makes few: one product gives every row's
 closing coordinates for both the closure test and the closing probability
-column.  The row tables (`VariantRows`) depend only on which positions are
-pinned and are built once per pinned mask in a run.  Every free element
-matrix comes from `OrthonormalBasis.expand`, the one map from coordinates to
-a . sigma.
+column, and `linalg.psd_mask` decides a step of at most
+`linalg.FLOAT_STACK_MAX` rows (the qubit's 4) on Python floats, where its
+one numpy call would cost more than the verdict's arithmetic; the qutrit's
+64 rows take that one call.  The row tables (`VariantRows`) depend only on
+which positions are pinned and are built once per pinned mask in a run.
+Every free element matrix comes from `OrthonormalBasis.expand`, the one map
+from coordinates to a . sigma.
 
 `enumerate_variants`, `complete_povm` and the scalar `design_matrix` and
 `dacm` are the per-candidate path on element matrices; the tests use them as

@@ -12,9 +12,11 @@ states, every closing element and `statespace.select_cluster`'s reference.
 eigenvalue of a 2x2 matrix, the principal minors of a 3x3 one) wherever the
 lowest eigenvalue is farther than PSD_MARGIN plus a rounding slack from
 -PSD_TOL, and one `spectra` call on the rest, the band; for n = 4 the band is
-every matrix.  `annealer.perturb_element` is the one other caller of
-`psd_verdict`, one draw at a time on Python floats, where a numpy body would
-cost about 1 us per operation.  The tests keep `eigvalsh` as its oracle.
+every matrix.  `psd_verdict` runs on numpy arrays for a large stack and on
+Python floats, one matrix at a time, for a stack of at most FLOAT_STACK_MAX
+matrices (a qubit anneal step's four closing elements) and for each draw of
+`annealer.perturb_element`: there the fixed cost of about 1 us per numpy
+operation outweighs the arithmetic.  The tests keep `eigvalsh` as its oracle.
 
 The pure-Python cyclic Jacobi iteration (`hermitian_eigenvalues`,
 `min_eigenvalue`, `min_eigenvalue_trusted`) is the tests' oracle for the
@@ -46,6 +48,8 @@ PSD_TOL = 1e-10  # the one positivity rule: lowest eigenvalue >= -PSD_TOL
 # MINOR_SLACK * w, w the sum of its entries' magnitudes.
 PSD_MARGIN = 1e-12
 MINOR_SLACK = 4e-15
+# `psd_mask` decides a stack of at most this many matrices on Python floats
+FLOAT_STACK_MAX = 16
 
 
 def symmetrize(H) -> np.ndarray:
@@ -218,10 +222,24 @@ def psd_mask(entries, shift, n: int, band_matrices):
     diagonal rows.  `psd_verdict` decides each matrix; `band_matrices(band)`
     builds the (len(band), n, n) matrices of the undecided indices for one
     `spectra` call, and is not called when there are none.
+
+    A stack of at most FLOAT_STACK_MAX matrices is decided one matrix at a
+    time on the Python floats of its columns, a larger one by one call on the
+    arrays; both give the same verdicts, so the same mask and band.  The
+    float path costs under 1 us per matrix and the array path a fixed 7-8 us
+    (n = 2) or 21-22 us (n = 3) whatever the stack's size, so floats win up
+    to about 16-18 matrices for n = 2 and about 28 for n = 3 (timeit).
     """
     entries[:n] += shift
-    mask, no = psd_verdict(entries, n, PSD_TOL)
-    band = (~(mask | no)).nonzero()[0]
+    if entries.shape[1] <= FLOAT_STACK_MAX:
+        verdicts = [psd_verdict(column, n, PSD_TOL) for column in entries.T.tolist()]
+        mask = np.array([yes for yes, _ in verdicts], dtype=bool)
+        band = np.array(
+            [v for v, (yes, no) in enumerate(verdicts) if not (yes or no)], dtype=np.intp
+        )
+    else:
+        mask, no = psd_verdict(entries, n, PSD_TOL)
+        band = (~(mask | no)).nonzero()[0]
     if band.size:
         mask[band] = spectra(band_matrices(band))[:, -1] >= -PSD_TOL
     return mask, band

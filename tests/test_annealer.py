@@ -827,27 +827,40 @@ def _cli_anneal(tmp_path, dim, known, steps, seed):
     return report
 
 
+_RUN_COUNTERS = ("variants_enumerated", "closure_rejected", "accepted", "accepted_unchanged")
+
+
 class TestReferenceChains:
-    """log_dacm_best of fixed-seed CLI runs on the default grids."""
+    """log_dacm_best and the run counters of fixed-seed CLI runs on the
+    default grids; `closure_rejected` counts the variants whose closing element
+    was decided not PSD."""
 
     @pytest.mark.parametrize(
-        "seed, want", [(0, 4.816817053001229), (1, 4.795281501711681)], ids=["seed0", "seed1"]
+        "seed, want, counters",
+        [
+            (0, 4.816817053001229, (12000, 3581, 2703, 1487)),
+            (1, 4.795281501711681, (12000, 3524, 2755, 1513)),
+        ],
+        ids=["seed0", "seed1"],
     )
-    def test_qubit_3000_steps(self, tmp_path, seed, want):
+    def test_qubit_3000_steps(self, tmp_path, seed, want, counters):
         report = _cli_anneal(tmp_path, 2, [3], 3000, seed)
         assert abs(float(report["log_dacm_best"]) - want) <= 1e-8
+        assert tuple(int(report[k]) for k in _RUN_COUNTERS) == counters
 
     @pytest.mark.parametrize(
-        "seed, want", [(0, 39.05480225974043), (1, 39.607308261141874)], ids=["seed0", "seed1"]
+        "seed, want, counters",
+        [
+            (0, 39.05480225974043, (32000, 25444, 1642, 260)),
+            (1, 39.607308261141874, (32000, 25670, 1522, 239)),
+        ],
+        ids=["seed0", "seed1"],
     )
-    def test_qutrit_500_steps(self, tmp_path, seed, want):
+    def test_qutrit_500_steps(self, tmp_path, seed, want, counters):
         report = _cli_anneal(tmp_path, 3, [7, 8], 500, seed)
         assert abs(float(report["log_dacm_best"]) - want) <= 1e-8
-        counters = [
-            int(report[k])
-            for k in ("variants_enumerated", "closure_rejected", "skipped_variants", "accepted")
-        ]
-        assert counters[0] > counters[1] + counters[2] >= 0 and counters[3] > 0
+        assert tuple(int(report[k]) for k in _RUN_COUNTERS) == counters
+        assert counters[0] > counters[1] + int(report["skipped_variants"])
 
     def test_unchanged_acceptances_match_the_walk(self, tmp_path, monkeypatch):
         """`accepted_unchanged` at qutrit seed 0 over 500 steps equals the

@@ -290,6 +290,29 @@ class TestPsdMask:
         # for n = 4 every row is in the minors' band
         assert decided == len(self.OFFSETS) if dim == 4 else decided <= len(self.OFFSETS)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_float_and_array_paths_agree(self, dim):
+        # the offsets' stack is decided on Python floats; tiled past
+        # FLOAT_STACK_MAX, the same points are decided by the array call
+        basis = gell_mann_basis(dim)
+        reps = linalg.FLOAT_STACK_MAX // len(self.OFFSETS) + 1
+        for seed in range(10):
+            points = boundary_points(basis, seed, 1 + seed % (dim**2 - 1), self.OFFSETS)
+            tiled = np.tile(points, (reps, 1))
+            assert len(points) <= linalg.FLOAT_STACK_MAX < len(tiled)
+            calls, tiled_calls = [], []
+            mask, band = _grid_mask(points, basis, calls)
+            tiled_mask, tiled_band = _grid_mask(tiled, basis, tiled_calls)
+            assert mask.dtype == bool and band.dtype == np.intp
+            assert np.array_equal(tiled_mask, np.tile(mask, reps))
+            starts = len(points) * np.arange(reps)[:, None]
+            assert np.array_equal(tiled_band, (band + starts).ravel())
+            expected = linalg.spectra(bloch_to_state(points, basis))[:, -1] >= -linalg.PSD_TOL
+            assert np.array_equal(mask, expected)
+            # each path builds matrices once, for exactly its band
+            for b, c in ((band, calls), (tiled_band, tiled_calls)):
+                assert [x.tolist() for x in c] == ([b.tolist()] if b.size else [])
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_band_builds_nothing(self, dim):
         # lowest eigenvalues far from -PSD_TOL: `psd_verdict` decides them all
