@@ -952,16 +952,6 @@ class TestCommandLine:
                 "flag_out",
             ),
         ],
-        ids=[
-            "mode-then-config",
-            "mode-then-config-equals",
-            "config-then-mode",
-            "config-equals-then-mode",
-            "out-after-config",
-            "out-equals-before-config",
-            "out-first-mode-last",
-            "repeated-out-keeps-last",
-        ],
     )
     def test_accepted_forms(self, tmp_path, capsys, argv, out):
         cfg = self._config(tmp_path)
@@ -991,23 +981,6 @@ class TestCommandLine:
             # a seed is set only by the anneal.seed and refine.seed keys
             (["anneal", "--config", "{cfg}", "--seed", "7"], "unknown flag '--seed'"),
             (["refine", "--config", "{cfg}", "--seed=7"], "unknown flag '--seed'"),
-        ],
-        ids=[
-            "no-arguments",
-            "config-without-mode",
-            "unknown-mode",
-            "mode-is-case-sensitive",
-            "second-mode",
-            "extra-positional",
-            "abbreviated-config-flag",
-            "abbreviated-config-flag-equals",
-            "unknown-flag",
-            "short-flag",
-            "double-dash",
-            "config-without-value",
-            "out-without-value",
-            "seed-flag",
-            "seed-flag-equals",
         ],
     )
     def test_usage_error_is_2(self, tmp_path, capsys, argv, reason):
