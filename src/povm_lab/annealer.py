@@ -162,7 +162,7 @@ class TraceRecord:
 
 @dataclass
 class AnnealResult:
-    """The chain's best and final POVMs, its trace and what its steps did.
+    """The chain's best POVM, its trace and what its steps did.
 
     The six counter fields are named, in report order, by `RUN_COUNTERS` and
     filled from the chain's `counts`.  Every enumerated variant is
@@ -176,7 +176,6 @@ class AnnealResult:
     """
 
     best: Povm
-    final: Povm
     trace: list
     best_dacm: float
     best_log_dacm: float
@@ -573,9 +572,7 @@ def anneal(
         if t % config.trace_every == 0:
             mk = metrics(chain.current)
             trace.append(TraceRecord(t, chain.cur_log, mk.sigma, mk.delta, mk.Delta, temp, s))
-    return AnnealResult(
-        chain.best, chain.current, trace, _exp(chain.best_log), chain.best_log, **chain.counts
-    )
+    return AnnealResult(chain.best, trace, _exp(chain.best_log), chain.best_log, **chain.counts)
 
 
 def write_trace(records, path) -> None:

@@ -104,12 +104,6 @@ class OrthonormalBasis:
         rows = a.reshape(-1, n * n - 1) @ self.elements.reshape(n * n - 1, n * n)
         return rows.reshape(a.shape[:-1] + (n, n))
 
-    def element(self, index: int) -> np.ndarray:
-        """sigma_index for a 1-based basis index."""
-        if not 1 <= index <= len(self.elements):
-            raise ContractViolation(f"basis index {index} out of range")
-        return self.elements[index - 1]
-
 
 @functools.lru_cache(maxsize=None)
 def gell_mann_basis(n: int) -> OrthonormalBasis:

@@ -10,13 +10,14 @@ conditions of a conditional SIC-POVM: every element a common multiple of a
 projection, constant cross-overlaps, and quasi-orthogonality to the known
 parameter directions; its verdict also requires the elements to sum to I
 and to number N + 1 for the pattern's N unknowns.  The report reads those
-conditions off the elements' spectra and `report_overlap`, one overlap matrix
-of the elements and the known directions of the dimension's one cached basis;
-the CLI computes the two once per written POVM and passes them to both the
-report and `povm.metrics`, while `verify` lets the report compute them.  Every
-constructor builds one (m, n, n) element array.  `CLAIMS` states each claim
-`verify` checks once, one `Claim` row per measurement in `verify`'s order; its
-rows marked `default` give each dimension's default pattern, `DEFAULT_PATTERNS`.
+conditions, and `povm.metrics`' sigma, delta and Delta, off one
+`linalg.spectra` of the elements and one `report_overlap`, one overlap matrix
+of the elements and the known directions of the dimension's one cached basis,
+so a certified POVM is decomposed once; `report_to_text` renders it as the
+block `report.txt` starts with.  Every constructor builds one (m, n, n)
+element array.  `CLAIMS` states each claim `verify` checks once, one `Claim`
+row per measurement in `verify`'s order; its rows marked `default` give each
+dimension's default pattern, `DEFAULT_PATTERNS`.
 The checks are evaluated here too: `claim_residual` has one branch per check
 kind and `claim_checks` builds `verify`'s suite from the rows, so the CLI only
 prints the results.
@@ -33,8 +34,7 @@ import numpy as np
 from . import linalg
 from .basis import PAULI, ParameterPattern, gell_mann_basis
 from .errors import ContractViolation
-from .povm import Povm, overlap_matrix, validate
-from .rankone import PhaseConfiguration
+from .povm import Povm, PovmMetrics, metrics, overlap_matrix, validate
 
 RANK_TOL = 1e-8
 # every `verify` residual passes at or below this
@@ -62,12 +62,6 @@ def harmonic_csic(n: int) -> Povm:
     r = np.where(r > v // 2, r - v, r)  # symmetric residue
     h = np.exp(2j * math.pi * r / v) / math.sqrt(n)  # (v, n), row k is h_k
     return Povm((n / v) * h[:, :, None] * h[:, None, :].conj())
-
-
-def qutrit_csic_phases() -> PhaseConfiguration:
-    """Phase matrix of the analytic qutrit solution, (2 pi/7)(k d mod 7)."""
-    units = np.outer(_QUTRIT_ROWS, SINGER_SETS[3]) % 7
-    return PhaseConfiguration(units.astype(float) * (2.0 * math.pi / 7.0))
 
 
 def qutrit_csic() -> Povm:
@@ -167,7 +161,7 @@ DEFAULT_PATTERNS = {claim.pattern.dim: claim.pattern for claim in CLAIMS if clai
 
 @dataclass(frozen=True)
 class ConditionalSicReport:
-    """Certification of the three conditional-SIC conditions at RANK_TOL."""
+    """The three conditional-SIC conditions at RANK_TOL, and the POVM's `metrics`."""
 
     is_rank_constant_multiple: bool
     ranks: tuple
@@ -176,6 +170,7 @@ class ConditionalSicReport:
     max_pairwise_overlap_deviation: float
     max_quasi_orthogonality_violation: float
     verdict: bool
+    metrics: PovmMetrics
 
 
 def report_overlap(P: Povm, pattern: ParameterPattern) -> np.ndarray:
@@ -186,30 +181,18 @@ def report_overlap(P: Povm, pattern: ParameterPattern) -> np.ndarray:
     return overlap_matrix(np.concatenate([P.elements, known]))
 
 
-def conditional_sic_report(
-    P: Povm, pattern: ParameterPattern, evals=None, overlap=None
-) -> ConditionalSicReport:
+def conditional_sic_report(P: Povm, pattern: ParameterPattern) -> ConditionalSicReport:
     """Check conditions: common-multiple-of-projection elements, constant
     cross-overlaps and zero pairing with every known basis direction.  The
     verdict also needs max |sum E - I| <= RANK_TOL (a conditional SIC-POVM is
     a POVM first) and m = N + 1 elements for the N unknowns (fewer outcomes
     cannot determine them; d is 0.0 when m = 1 leaves no pair).
 
-    The conditions are read off two arrays: `evals`, the descending spectra
-    of the elements from `linalg.spectra`, and `overlap`, `report_overlap`'s
-    matrix.  A caller that already has them (the CLI's report pass, which
-    also reads sigma, delta and Delta off them) passes them in; otherwise
-    they are computed here."""
+    The conditions and `povm.metrics` are read off one `linalg.spectra` of the
+    elements and one `report_overlap` matrix."""
     m = P.m
-    if evals is None:
-        evals = linalg.spectra(P.elements)  # (m, n), descending
-    if overlap is None:
-        overlap = report_overlap(P, pattern)
-    size = m + len(pattern.known_indices)
-    if overlap.shape != (size, size):
-        raise ContractViolation(
-            f"report overlap has shape {overlap.shape}, expected ({size}, {size})"
-        )
+    evals = linalg.spectra(P.elements)  # (m, n), descending
+    overlap = report_overlap(P, pattern)
     c = float(evals[:, 0].mean())
     significant = evals > RANK_TOL * np.maximum(evals[:, :1], 0.0)
     ranks = tuple(significant.sum(axis=1).tolist())
@@ -221,10 +204,12 @@ def conditional_sic_report(
     complete = np.abs(P.elements.sum(axis=0) - np.eye(P.dim)).max() <= RANK_TOL
     sized = m == pattern.unknown_count + 1
     verdict = all((multiple_ok, overlap_dev <= RANK_TOL, quasi <= RANK_TOL, complete, sized))
-    return ConditionalSicReport(multiple_ok, ranks, c, d, overlap_dev, quasi, verdict)
+    mk = metrics(P, evals, overlap)
+    return ConditionalSicReport(multiple_ok, ranks, c, d, overlap_dev, quasi, verdict, mk)
 
 
 def report_to_text(report: ConditionalSicReport) -> str:
+    """The aligned report rows, a blank line, then sigma, delta and Delta."""
     rows = [
         ("rank_constant_multiple", str(report.is_rank_constant_multiple)),
         ("ranks", " ".join(str(r) for r in report.ranks)),
@@ -236,7 +221,10 @@ def report_to_text(report: ConditionalSicReport) -> str:
         ("tol", repr(RANK_TOL)),
     ]
     width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
+    mk = report.metrics
+    lines = [f"{k.ljust(width)}  {v}" for k, v in rows]
+    lines += ["", f"sigma  {mk.sigma!r}", f"delta  {mk.delta!r}", f"Delta  {mk.Delta!r}"]
+    return "\n".join(lines)
 
 
 def claim_residual(kind, scale, built, pattern, target) -> float:

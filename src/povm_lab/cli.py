@@ -36,7 +36,9 @@ from . import catalog, linalg, rankone
 from .annealer import RUN_COUNTERS, AnnealConfig, anneal, random_initial_povm, write_trace
 from .basis import ParameterPattern, bloch_to_state, gell_mann_basis
 from .errors import ConfigurationError, EmptyClusterSelection, PovmLabError
-from .povm import metrics, write_povm
+# metrics is no longer called here: kept because the benchmark's tracer wraps
+# `cli.metrics` (ROADMAP item 4 unpins it)
+from .povm import metrics, write_povm  # noqa: F401
 from .statespace import GridSpec, cluster_states, generate_grid, select_cluster
 
 log = logging.getLogger("povm_lab")
@@ -68,10 +70,6 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def _parse_int(s):
-    return int(s, 10)
-
-
 def _parse_float(s):
     v = float(s)
     if not math.isfinite(v):
@@ -91,25 +89,26 @@ def _parse_float_array(s):
     return np.asarray(_parse_float_list(s), dtype=float)
 
 
-# key -> (target, field, parser).  The target says where the value goes:
+# key -> (target, field, parser, least).  The target says where the value goes:
 # "config" is ExperimentConfig itself, "anneal" its AnnealConfig, "refine" its
 # RefineSettings, and "pattern" the dimension and the two lists build_config
-# turns into a ParameterPattern.
+# turns into a ParameterPattern.  `least` is an integer key's least allowed
+# value, None where there is no bound or AnnealConfig checks the key itself.
 _CONFIG_KEYS = {
-    "mode": ("config", "mode", str),
-    "dim": ("pattern", "dim", _parse_int),
-    "pattern.known_indices": ("pattern", "known_indices", _parse_int_list),
-    "pattern.known_values": ("pattern", "known_values", _parse_float_list),
-    "grid.points_per_axis": ("config", "grid_points", _parse_int),
-    "grid.cells": ("config", "grid_cells", _parse_int),
-    "grid.theta_ref": ("config", "theta_ref", _parse_float_array),
-    "anneal.total_steps": ("anneal", "total_steps", _parse_int),
-    "anneal.seed": ("anneal", "rng_seed", _parse_int),
-    "anneal.trace_every": ("anneal", "trace_every", _parse_int),
-    "refine.restarts": ("refine", "restarts", _parse_int),
-    "refine.element_count": ("refine", "element_count", _parse_int),
-    "refine.seed": ("refine", "seed", _parse_int),
-    "output.dir": ("config", "output_dir", str),
+    "mode": ("config", "mode", str, None),
+    "dim": ("pattern", "dim", int, None),
+    "pattern.known_indices": ("pattern", "known_indices", _parse_int_list, None),
+    "pattern.known_values": ("pattern", "known_values", _parse_float_list, None),
+    "grid.points_per_axis": ("config", "grid_points", int, 2),
+    "grid.cells": ("config", "grid_cells", int, 1),
+    "grid.theta_ref": ("config", "theta_ref", _parse_float_array, None),
+    "anneal.total_steps": ("anneal", "total_steps", int, None),
+    "anneal.seed": ("anneal", "rng_seed", int, None),
+    "anneal.trace_every": ("anneal", "trace_every", int, None),
+    "refine.restarts": ("refine", "restarts", int, 1),
+    "refine.element_count": ("refine", "element_count", int, 2),
+    "refine.seed": ("refine", "seed", int, 0),
+    "output.dir": ("config", "output_dir", str, None),
 }
 
 
@@ -140,7 +139,9 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     """The dataclass defaults with the given parsed `values` applied, range-checked."""
     given = {target: {} for target in ("config", "anneal", "refine", "pattern")}
     for key, value in values.items():
-        target, name, _ = _CONFIG_KEYS[key]
+        target, name, _, least = _CONFIG_KEYS[key]
+        if least is not None and value < least:
+            raise ConfigurationError(f"{key} must be >= {least}, got {value}")
         given[target][name] = value
     mode = mode or values.get("mode")
     if not mode:
@@ -165,10 +166,6 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
         except PovmLabError as exc:
             raise ConfigurationError(str(exc)) from exc
 
-    if cfg.grid_points < 2:
-        raise ConfigurationError(f"grid.points_per_axis must be >= 2, got {cfg.grid_points}")
-    if cfg.grid_cells < 1:
-        raise ConfigurationError(f"grid.cells must be >= 1, got {cfg.grid_cells}")
     unknown_count = cfg.pattern.unknown_count
     if cfg.theta_ref is not None and cfg.theta_ref.shape != (unknown_count,):
         raise ConfigurationError(
@@ -179,14 +176,6 @@ def build_config(values: dict, mode: Optional[str] = None) -> ExperimentConfig:
     # the one `annealer.schedule`, which only total_steps can make underflow
     cfg.anneal = replace(cfg.anneal, **given["anneal"])
     cfg.refine = replace(cfg.refine, **given["refine"])
-
-    m = cfg.refine.element_count
-    if m is not None and m < 2:
-        raise ConfigurationError(f"refine.element_count must be >= 2, got {m}")
-    if cfg.refine.restarts < 1:
-        raise ConfigurationError("refine.restarts must be >= 1")
-    if cfg.refine.seed < 0:
-        raise ConfigurationError(f"refine.seed must be >= 0, got {cfg.refine.seed}")
     return cfg
 
 
@@ -200,23 +189,12 @@ def _build_cluster(cfg: ExperimentConfig):
 
 def _write_result(cfg: ExperimentConfig, name: str, P, lines) -> None:
     """Write a search's POVM `P` to `name` and its `report.txt` in output.dir:
-    the conditional-SIC report, sigma, delta and Delta, then the mode's `lines`.
-    One `linalg.spectra` of the elements and one `catalog.report_overlap` of
-    the elements and the known directions serve the report and the metrics."""
+    the conditional-SIC report with sigma, delta and Delta
+    (`catalog.report_to_text`), then the mode's `lines`."""
     write_povm(P, os.path.join(cfg.output_dir, name))
-    evals = linalg.spectra(P.elements)
-    overlap = catalog.report_overlap(P, cfg.pattern)
-    mk = metrics(P, evals, overlap)
-    text = [
-        catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern, evals, overlap)),
-        "",
-        f"sigma  {mk.sigma!r}",
-        f"delta  {mk.delta!r}",
-        f"Delta  {mk.Delta!r}",
-        *lines,
-    ]
+    report = catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern))
     with open(os.path.join(cfg.output_dir, "report.txt"), "w") as fh:
-        fh.write("\n".join(text) + "\n")
+        fh.write("\n".join([report, *lines]) + "\n")
 
 
 def _log_phase_seconds(*clock: float) -> None:

@@ -9,11 +9,11 @@ sigma/delta/Delta track rank-one-ness and overlap symmetry of a candidate
 measurement during optimization.  Every set of overlaps Tr(E_i E_j) comes
 from one product, `overlap_matrix`.  `metrics` reads the diagnostics off the
 elements' spectra and overlap matrix; the anneal trace lets it compute both,
-while the CLI's report pass hands it the spectra and the one overlap matrix
-that the conditional-SIC report reads too, so a written POVM is decomposed
-once.  That matrix also holds the known directions, so its product rounds
-differently: `report.txt`'s delta and Delta can differ from `metrics(P)` alone
-in the last bits (within 1e-15 absolute).
+while the conditional-SIC report hands it the spectra and the one overlap
+matrix that it reads too, so a certified POVM is decomposed once.  That
+matrix also holds the known directions, so its product rounds differently:
+the report's delta and Delta can differ from `metrics(P)` alone in the last
+bits (within 1e-15 absolute).
 """
 
 from __future__ import annotations
@@ -142,10 +142,10 @@ def metrics(P: Povm, evals=None, overlap=None) -> PovmMetrics:
     deviations of the self- and cross-overlaps Tr(E_i E_j) from their
     arithmetic means, cross terms over ordered pairs i != j (Delta is 0.0 for
     a one-element measurement, which has no pair), read off the leading
-    m x m block of `overlap`.  A caller that already has them (the CLI's
-    report pass) passes `linalg.spectra(P.elements)` and an overlap matrix
-    of the elements followed by other operators; otherwise they are computed
-    here, with `overlap_matrix(P.elements)`.
+    m x m block of `overlap`.  A caller that already has them (the
+    conditional-SIC report) passes `linalg.spectra(P.elements)` and an
+    overlap matrix of the elements followed by other operators; otherwise
+    they are computed here, with `overlap_matrix(P.elements)`.
     """
     m = P.m
     if evals is None:

@@ -1,12 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
 from povm_lab import basis as bs
-from povm_lab import catalog, linalg, statespace
+from povm_lab import catalog, linalg, rankone, statespace
 from povm_lab import povm as pv
 from povm_lab.errors import ContractViolation, SingularDesign
 
 PIVOT_FLOOR = 1e-12
+
+
+# the printed qutrit solution's exponents (units of 2*pi/7), row i the phases of h_i
+QUTRIT_PHASE_UNITS = (
+    (0, 0, 0),
+    (0, 1, 5),
+    (0, 5, 4),
+    (0, 3, 1),
+    (0, 6, 2),
+    (0, 2, 3),
+    (0, 4, 6),
+)
+
+
+def qutrit_csic_phases():
+    """The phase matrix of the printed qutrit solution, (2 pi/7) times
+    `QUTRIT_PHASE_UNITS`."""
+    return rankone.PhaseConfiguration(
+        np.array(QUTRIT_PHASE_UNITS, dtype=float) * (2.0 * math.pi / 7.0)
+    )
 
 
 def random_hermitian(rng, n):

@@ -49,7 +49,7 @@ def test_criterion_1_catalog_algebra(qutrit_csic, trine, qutrit_pattern, qubit_p
     checks.append(np.abs(sum(projections) - 1.5 * np.eye(2)).max() < 1e-12)
     b2 = gell_mann_basis(2)
     for i in range(3):
-        checks.append(abs(hs_inner(trine.elements[i], b2.element(3))) < 1e-12)
+        checks.append(abs(hs_inner(trine.elements[i], b2.elements[2])) < 1e-12)
         for j in range(3):
             if i != j:
                 checks.append(
@@ -122,7 +122,7 @@ def test_criterion_4_qubit_annealing_reproduces_trine(
         cfg = annealer.AnnealConfig(total_steps=20000, rng_seed=seed)
         result = annealer.anneal(cfg, initial, qubit_cluster, qubit_pattern)
         mk = pv.metrics(result.best)
-        z = basis2.element(3)
+        z = basis2.elements[2]
         z_overlap = max(abs(hs_inner(e, z)) for e in result.best.elements)
         ok = (
             mk.sigma < 0.05

@@ -376,7 +376,6 @@ class TestAnneal:
         res = annealer.anneal(small_config(total_steps=0), initial, qubit_cluster, qubit_pattern)
         assert res.trace == []
         assert_reads_start(res.best, initial)
-        assert_same_povm(res.final, res.best)
 
     def test_fixed_seed_bit_identical(self, qubit_pattern, qubit_cluster):
         def run():
@@ -1113,7 +1112,7 @@ class TestChainStart:
         """Elements summing to I + 0.01 sigma_z pass the cluster's probability
         checks (z is known to be 0), but are not a POVM."""
         initial = annealer.random_initial_povm(qubit_pattern, np.random.default_rng(1))
-        elements = [*initial.elements[:-1], initial.elements[-1] + 0.01 * basis2.element(3)]
+        elements = [*initial.elements[:-1], initial.elements[-1] + 0.01 * basis2.elements[2]]
         bad = pv.Povm(elements)
         with pytest.raises(ContractViolation, match="not valid: completeness"):
             annealer.AnnealChain(small_config(), bad, qubit_cluster, qubit_pattern)

@@ -108,13 +108,13 @@ class TestGellMannBasis:
         assert len(basis3.elements) == 8
         d1 = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
         d2 = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6)
-        assert np.abs(basis3.element(7) - d1).max() < 1e-15
-        assert np.abs(basis3.element(8) - d2).max() < 1e-15
+        assert np.abs(basis3.elements[6] - d1).max() < 1e-15
+        assert np.abs(basis3.elements[7] - d2).max() < 1e-15
 
     def test_dim4_tensor_element(self, basis4):
         assert len(basis4.elements) == 15
         expected = 0.5 * np.diag([1.0, -1.0, -1.0, 1.0])
-        assert np.abs(basis4.element(15) - expected).max() < 1e-15
+        assert np.abs(basis4.elements[14] - expected).max() < 1e-15
         assert basis4.labels[14] == "pauli(3,3)"
 
     def test_unsupported_dim(self):
@@ -131,7 +131,7 @@ class TestGellMannBasis:
         b = bs.gell_mann_basis(n)
         assert bs.gell_mann_basis(n) is b
         assert bs.gell_mann_basis.cache_info().currsize == 1
-        arrays = [*b.elements, b.element(1), b.stack, b.entry_map, b.identity]
+        arrays = [*b.elements, b.stack, b.entry_map, b.identity]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 7.0

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from povm_lab.annealer import random_initial_povm
 from povm_lab.basis import ParameterPattern, gell_mann_basis
 from povm_lab.errors import ContractViolation
 
-from conftest import hs_inner, reference_overlaps
+from conftest import QUTRIT_PHASE_UNITS, hs_inner, qutrit_csic_phases, reference_overlaps
 
 TENSOR_PATTERN = ParameterPattern.from_known(
     4, {i: 0.0 for i in range(1, 16) if i not in (4, 8, 12)}
@@ -24,16 +28,6 @@ REPORT_TOL = 1e-14
 
 # the diagonal directions, the known ones of each frame's conditional-SIC pattern
 DIAGONAL_INDICES = {2: (3,), 3: (7, 8), 4: (3, 12, 15)}
-# the printed qutrit solution's exponents (units of 2*pi/7), row i the phases of h_i
-QUTRIT_PHASE_UNITS = (
-    (0, 0, 0),
-    (0, 1, 5),
-    (0, 5, 4),
-    (0, 3, 1),
-    (0, 6, 2),
-    (0, 2, 3),
-    (0, 4, 6),
-)
 
 
 def reference_qutrit_csic():
@@ -77,7 +71,7 @@ def reference_report(P, pattern):
     dev = float(np.abs(cross - d).max()) if cross.size else 0.0
     b = gell_mann_basis(pattern.dim)
     quasi = max(
-        abs(hs_inner(e, b.element(k))) for k in pattern.known_indices for e in P.elements
+        abs(hs_inner(e, b.elements[k - 1])) for k in pattern.known_indices for e in P.elements
     )
     complete = np.abs(sum(P.elements) - np.eye(P.dim)).max() <= catalog.RANK_TOL
     verdict = all((multiple_ok, dev <= catalog.RANK_TOL, quasi <= catalog.RANK_TOL, complete,
@@ -120,9 +114,12 @@ class TestHarmonicFrames:
             for e, w in zip(got.elements, want):
                 assert np.abs(e - w).max() <= 1e-15
 
-    def test_phases_match_exponent_table(self):
-        want = np.array(QUTRIT_PHASE_UNITS, dtype=float) * (2.0 * math.pi / 7.0)
-        assert np.array_equal(catalog.qutrit_csic_phases().phases, want)
+    def test_phases_match_exponent_table(self, qutrit_csic):
+        """Column 0 of each element is (3/7) h_0 conj(h_k), all of modulus 1/7,
+        so its negated angles are the phases of h_k."""
+        got = -np.angle(qutrit_csic.elements[:, 0, :])
+        diff = np.mod(got - qutrit_csic_phases().phases + math.pi, 2.0 * math.pi) - math.pi
+        assert np.abs(diff).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rows_k_and_v_minus_k_are_exact_conjugates(self, n):
@@ -174,7 +171,7 @@ class TestTheorem1Qubit:
 
     def test_complementary_to_z(self, trine, basis2):
         for e in trine.elements:
-            assert abs(hs_inner(e, basis2.element(3))) < 1e-12
+            assert abs(hs_inner(e, basis2.elements[2])) < 1e-12
 
 
 class TestDim4Catalog:
@@ -193,7 +190,7 @@ class TestDim4Catalog:
         offdiag = [i for i in range(1, 16) if i not in (3, 12, 15)]
         for idx in offdiag:
             for e in p.elements:
-                assert abs(hs_inner(e, basis4.element(idx))) < 1e-14
+                assert abs(hs_inner(e, basis4.elements[idx - 1])) < 1e-14
 
     def test_sic_tensor_identity(self):
         p = catalog.sic_tensor_identity_dim4()
@@ -340,17 +337,13 @@ class TestConditionalSicReport:
         assert not rep.verdict
 
     def test_given_spectra_and_overlap_are_the_ones_it_computes(self, trine, qubit_pattern):
+        """The report's metrics are `povm.metrics` of the spectra and the
+        report overlap it reads its conditions off."""
+        rep = catalog.conditional_sic_report(trine, qubit_pattern)
         evals = linalg.spectra(trine.elements)
         overlap = catalog.report_overlap(trine, qubit_pattern)
         assert overlap.shape == (4, 4)
-        given = catalog.conditional_sic_report(trine, qubit_pattern, evals, overlap)
-        assert given == catalog.conditional_sic_report(trine, qubit_pattern)
-        # the elements' own overlap matrix lacks the known directions' block,
-        # which would certify quasi-orthogonality vacuously
-        with pytest.raises(ContractViolation, match="report overlap"):
-            catalog.conditional_sic_report(
-                trine, qubit_pattern, evals, pv.overlap_matrix(trine.elements)
-            )
+        assert rep.metrics == pv.metrics(trine, evals, overlap)
 
     def test_text_and_csv_rendering(self, trine, qubit_pattern):
         rep = catalog.conditional_sic_report(trine, qubit_pattern)
@@ -399,7 +392,7 @@ class TestInvariants:
         for pov, pattern in cases:
             b = gell_mann_basis(pattern.dim)
             oracle = max(
-                abs(hs_inner(e, b.element(k)))
+                abs(hs_inner(e, b.elements[k - 1]))
                 for k in pattern.known_indices
                 for e in pov.elements
             )
@@ -452,3 +445,19 @@ class TestInvariants:
             assert rep.c == pytest.approx(3 / 7, abs=1e-12)
             assert rep.d == pytest.approx(2 / 49, abs=1e-12)
             assert rep.max_quasi_orthogonality_violation < 1e-12
+
+
+def test_importing_catalog_loads_only_its_own_imports():
+    """The catalog builds its measurements and its report from the basis,
+    `linalg` and `povm` alone, so `import povm_lab.catalog` loads neither
+    rankone nor the anneal stack (the annealer, objective and statespace)."""
+    code = (
+        "import sys\n"
+        "import povm_lab.catalog\n"
+        "print(sorted(k for k in sys.modules if k.startswith('povm_lab.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["basis", "catalog", "errors", "linalg", "povm"]
+    assert proc.stdout == f"{[f'povm_lab.{name}' for name in loaded]}\n"

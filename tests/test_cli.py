@@ -245,7 +245,7 @@ class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
         assert len(cli._CONFIG_KEYS) == 14
-        targets = {target for target, _, _ in cli._CONFIG_KEYS.values()}
+        targets = {target for target, _, _, _ in cli._CONFIG_KEYS.values()}
         assert targets == {"config", "anneal", "refine", "pattern"}
 
     def test_refine_settings_fields(self):
@@ -655,10 +655,9 @@ class TestRefineMode:
 
     @pytest.mark.parametrize("name", ["trine", "qutrit", "diag units", "refined"])
     def test_report_pass_equals_the_standalone_functions(self, tmp_path, name):
-        """`_write_result` reads the report and sigma, delta and Delta off one
-        spectra and one overlap pass: the report's lines are those of
-        `conditional_sic_report` exactly, and the metrics are `metrics`' up to
-        the last bits of the larger overlap product."""
+        """`report.txt` starts with `report_to_text` of the POVM's
+        `conditional_sic_report` exactly, and its sigma, delta and Delta are
+        `metrics`' up to the last bits of the report's larger overlap product."""
         dim = {"trine": 2, "qutrit": 3, "diag units": 4, "refined": 3}[name]
         cfg = cli.build_config({"dim": dim, "output.dir": str(tmp_path)}, mode="refine")
         if name == "refined":
@@ -672,9 +671,11 @@ class TestRefineMode:
             }[name]()
             cli._write_result(cfg, "povm.txt", P, [])
         text = (tmp_path / "report.txt").read_text()
-        report, rest = text.split("\n\n", 1)
-        assert report == catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern))
-        written = {k: float(v) for k, v in (ln.split() for ln in rest.splitlines()[:3])}
+        report = catalog.report_to_text(catalog.conditional_sic_report(P, cfg.pattern)) + "\n"
+        assert text.startswith(report)
+        rest = report.split("\n\n", 1)[1]
+        written = {k: float(v) for k, v in (ln.split() for ln in rest.splitlines())}
+        assert list(written) == ["sigma", "delta", "Delta"]
         mk = pv.metrics(P)
         for key in ("sigma", "delta", "Delta"):
             assert abs(written[key] - getattr(mk, key)) <= 1e-15

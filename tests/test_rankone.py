@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from povm_lab import catalog, povm, rankone
+from povm_lab import povm, rankone
 from povm_lab.annealer import AnnealConfig
 from povm_lab.errors import ContractViolation
 
-from conftest import hs_inner
+from conftest import hs_inner, qutrit_csic_phases
 
 
 RESIDUAL_SHAPES = [(2, 3), (3, 7), (4, 5)]
@@ -50,7 +50,7 @@ REFINE_CONFIG = AnnealConfig(total_steps=0)
 
 class TestPhasesToPovm:
     def test_analytic_matches_printed_matrices(self, qutrit_csic):
-        phi = catalog.qutrit_csic_phases()
+        phi = qutrit_csic_phases()
         pov, violations = rankone.phases_to_povm(phi)
         assert violations == []
         for got, want in zip(pov.elements, qutrit_csic.elements):
@@ -148,7 +148,7 @@ class TestRandomPhases:
 
 class TestRefineObjective:
     def test_analytic_solution_is_zero(self):
-        assert rankone.refine_objective(catalog.qutrit_csic_phases()) < 1e-12
+        assert rankone.refine_objective(qutrit_csic_phases()) < 1e-12
 
     def test_zero_phases_dominated_by_completeness(self):
         phi = rankone.PhaseConfiguration(np.zeros((7, 3)))
@@ -161,7 +161,7 @@ class TestRefineObjective:
 
 class TestRefine:
     def test_analytic_start_is_fixed_point(self):
-        phi = catalog.qutrit_csic_phases()
+        phi = qutrit_csic_phases()
         res = rankone.refine(phi, REFINE_CONFIG)
         assert res.objective < 1e-20
         assert np.abs(res.phases.phases - phi.phases).max() < 1e-9
@@ -259,7 +259,7 @@ class TestResiduals:
                 assert np.array_equal(got, want)
 
     def test_equal_to_scratch_tensor_oracle_at_the_qutrit_solution(self):
-        phases = catalog.qutrit_csic_phases().phases
+        phases = qutrit_csic_phases().phases
         want = scratch_residuals(phases, 3, 7, ~np.eye(7, dtype=bool))
         for got, expected in zip(residuals(phases), want):
             assert np.array_equal(got, expected)
